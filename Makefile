@@ -4,9 +4,9 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-regress bench-regress-update lint check \
+.PHONY: test bench perf lint check \
 	check-update-baseline sanitize perturb-smoke critpath-smoke \
-	faults-smoke serve-smoke monitor-smoke profile-smoke perf-gate \
+	faults-smoke serve-smoke monitor-smoke profile-smoke \
 	ci trace-demo stats-demo critpath-demo whatif-demo clean
 
 test:
@@ -15,15 +15,12 @@ test:
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -q
 
-# Pinned perf matrix vs the committed baseline (benchmarks/BENCH_p2kvs.json):
-# writes BENCH_p2kvs.json + per-config stats exports under results/, and
-# exits non-zero on a >10% throughput drop.  See docs/METRICS.md.
-bench-regress:
-	$(PY) -m benchmarks.regress
-
-# Refresh the committed baseline after an intentional perf-model change.
-bench-regress-update:
-	$(PY) -m benchmarks.regress --update
+# The repository's benchmark checks itself (~20 s): contract schema, every
+# metric present with its unit, `--compare X X` all same, a slowed copy
+# flagged worse.  `python3 -m perfbench` is the measurement itself and
+# `--compare parent.json change.json` the gate; see perfbench/README.md.
+perf:
+	$(PY) -m perfbench --selftest
 
 # Determinism lint only: the per-module AST rules (wall clocks, global RNGs,
 # unordered iteration, lock pairing, condvar discipline).  Delegates to the
@@ -156,22 +153,9 @@ profile-smoke:
 	    || (echo "profile-smoke: --profile changed the sim report" >&2; exit 1)
 	@rm -f results/.profile-plain.json results/.profile-profiled.json
 
-# Simulator-speed gate (ROADMAP item 4; docs/PROFILING.md "Making the
-# simulator faster"): runs the wall-gated bench regress (best-of-3
-# `wall_ops_per_s` vs the committed baseline, 30% band, same-host only)
-# plus the zone-coverage check, and writes the current zone tree to
-# results/perf-gate-zones.json.  CI uploads that tree next to the committed
-# before/after trees (benchmarks/PROFILE_{before,after}.json) so a wall
-# regression comes with the attribution needed to find it.
-perf-gate:
-	@$(PY) -m repro.tools.profile --check-coverage 90 \
-	    --json results/perf-gate-zones.json | tail -n 2
-	$(PY) -m benchmarks.regress
-
-# What CI runs (see .github/workflows/ci.yml).  `check` subsumes `lint`;
-# `perf-gate` subsumes `bench-regress`.
+# What CI runs (see .github/workflows/ci.yml).  `check` subsumes `lint`.
 ci: check test perturb-smoke critpath-smoke faults-smoke serve-smoke \
-	monitor-smoke profile-smoke perf-gate
+	monitor-smoke profile-smoke perf
 
 # Record a request-level trace of a small p2KVS fillrandom run and print the
 # span-derived Figure 6 latency attribution.  Open trace-demo.json in
@@ -205,7 +189,7 @@ whatif-demo:
 
 clean:
 	rm -f trace-demo.json quickstart-trace.json .perturb-*.out
-	rm -f BENCH_p2kvs.json stats-demo.json stats-demo.prom stats-demo.csv
+	rm -f stats-demo.json stats-demo.prom stats-demo.csv
 	rm -f critpath-demo.json critpath-demo-trace.json
 	rm -f results/whatif-report.txt results/whatif-report.json
 	rm -f results/faults-report.json results/.faults-rerun.json

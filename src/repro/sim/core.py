@@ -22,8 +22,15 @@ semantics allow:
   ``isinstance`` walk;
 * :class:`Process` resumes drive ``gen.send``/``gen.throw`` directly (the
   bound ``send`` is cached at spawn) instead of allocating a closure per
-  step, and the observability hooks (tracer/monitor/edgelog/profiler) stay
-  exactly one ``is not None`` branch each when disabled.
+  step.
+
+Hook contract (``sim.tracer``, ``sim.monitor``, ``sim.edgelog``,
+``repro.perf.zones.PROFILER``; holds for all of ``repro.sim``): one branch
+per probe site when off, same path when on.  A probe site is
+``if hook is not None: hook.probe(...)`` (``tracer.enabled`` for the
+tracer) inside the one code path every run takes; an installed observer
+adds its call and changes nothing else, so the accounting a run does never
+depends on who is watching.
 
 Ordering contract: all fast paths preserve the heap ordering key.  The only
 tolerated difference vs. the historical kernel is *within* a single sim-time
@@ -512,27 +519,18 @@ class Simulator:
             rank = rng.random() if rng is not None else 0.0
         _heappush(self._heap, (when, rank, self._seq, target, value))
 
-    def _schedule(self, delay: float, event: Event, value: Any) -> None:
-        """Trigger ``event`` (successfully) after ``delay`` seconds."""
-        self._push(self._now + delay, event, value)
-
     def _queue_callbacks(self, event: Event) -> None:
         """Deliver an already-triggered event's callbacks at the current time."""
         self._push(self._now, event, _PENDING)
 
-    def _queue_deferred(self, fn: Callable, arg: Any) -> None:
-        """Run ``fn(arg)`` at the current time on the next loop iteration."""
-        self._push(self._now, (fn, arg), _PENDING)
-
     def _call_later(self, delay: float, fn: Callable, arg: Any) -> None:
-        """Run ``fn(arg)`` after ``delay`` seconds — the closure-free burst
-        completion fast path (cpu/device).
+        """Run ``fn(arg)`` after ``delay`` seconds — how cpu/device schedule
+        burst and IO completion.
 
         Equivalent to ``timeout(delay).add_callback(fn)`` with the same heap
-        ordering key, minus the Timeout event and per-burst closure.  Callers
-        must fall back to a real :class:`Timeout` whenever ``edgelog`` is
-        installed: a Timeout stamps its wakeup edge at creation, and the
-        critical path needs that edge.
+        ordering key, minus the Timeout event and per-burst closure.  No
+        process waits on the entry, so it carries no wakeup edge; ``fn``
+        annotates the event it releases (see :func:`repro.sim.wakeup.wake`).
         """
         self._seq += 1
         rng = self._perturb_rng
@@ -558,13 +556,10 @@ class Simulator:
 
         Errors raised by processes with no waiters propagate out of here.
 
-        The loop body exists twice — once bare, once wrapped in the
-        kernel.dispatch profiler zone — so the profiler-off path carries no
-        per-iteration profiler branches at all (the one-branch-off contract,
-        paid once per run() call instead).  Dispatch discriminates deferred
-        ``(fn, arg)`` calls from event deliveries with a single
-        ``type(target) is tuple`` check; event deliveries drain the single
-        ``_cb`` slot without allocating or swapping lists.
+        Dispatch discriminates deferred ``(fn, arg)`` calls from event
+        deliveries with a single ``type(target) is tuple`` check; event
+        deliveries drain the single ``_cb`` slot without allocating or
+        swapping lists.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -576,64 +571,37 @@ class Simulator:
         # process step it triggers — and unwind() guarantees the zone stack
         # survives exceptions tearing through a callback.
         perf = _perf_zones.PROFILER
-        if perf is None:
-            while heap:
-                if self._pending_error is not None:
-                    err, self._pending_error = self._pending_error, None
-                    raise err
-                entry = pop(heap)
-                when = entry[0]
-                if when > limit:
-                    push(heap, entry)
-                    self._now = until
-                    return
-                self._now = when
-                target = entry[3]
-                if type(target) is tuple:
-                    target[0](target[1])
-                else:
-                    value = entry[4]
-                    if value is not _PENDING and target._value is _PENDING:
-                        # A timer-style entry: trigger the event now.
-                        target._value = value
-                        target._ok = True
-                    cb = target._cb
-                    if cb is not None:
-                        target._cb = None
-                        if type(cb) is list:
-                            for fn in cb:
-                                fn(target)
-                        else:
-                            cb(target)
-        else:
-            while heap:
-                if self._pending_error is not None:
-                    err, self._pending_error = self._pending_error, None
-                    raise err
-                entry = pop(heap)
-                when = entry[0]
-                if when > limit:
-                    push(heap, entry)
-                    self._now = until
-                    return
-                self._now = when
+        while heap:
+            if self._pending_error is not None:
+                err, self._pending_error = self._pending_error, None
+                raise err
+            entry = pop(heap)
+            when = entry[0]
+            if when > limit:
+                push(heap, entry)
+                self._now = until
+                return
+            self._now = when
+            if perf is not None:
                 tok = perf.enter("kernel.dispatch")
-                target = entry[3]
-                if type(target) is tuple:
-                    target[0](target[1])
-                else:
-                    value = entry[4]
-                    if value is not _PENDING and target._value is _PENDING:
-                        target._value = value
-                        target._ok = True
-                    cb = target._cb
-                    if cb is not None:
-                        target._cb = None
-                        if type(cb) is list:
-                            for fn in cb:
-                                fn(target)
-                        else:
-                            cb(target)
+            target = entry[3]
+            if type(target) is tuple:
+                target[0](target[1])
+            else:
+                value = entry[4]
+                if value is not _PENDING and target._value is _PENDING:
+                    # A timer-style entry: trigger the event now.
+                    target._value = value
+                    target._ok = True
+                cb = target._cb
+                if cb is not None:
+                    target._cb = None
+                    if type(cb) is list:
+                        for fn in cb:
+                            fn(target)
+                    else:
+                        cb(target)
+            if perf is not None:
                 perf.unwind(tok)
         if self._pending_error is not None:
             err, self._pending_error = self._pending_error, None

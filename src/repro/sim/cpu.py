@@ -19,7 +19,7 @@ breakdown of Figure 6 (WAL / MemTable / WAL lock / MemTable lock / Others).
 from collections import defaultdict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.sim.core import _PENDING, Event, SimError, Simulator, _heappush
+from repro.sim.core import Event, SimError, Simulator
 from repro.sim.stats import UtilizationTracker
 from repro.sim.wakeup import wake
 from repro.trace.tracer import thread_track
@@ -162,53 +162,15 @@ class CPUSet:
         edgelog = sim.edgelog
         if edgelog is not None:
             edgelog.bind_track(ctx.track, sim.current_process)
-        core = self._pick_core(ctx)
-        if core is None:
-            self._enqueue(ctx, duration, category, ev)
-            return ev
-        # Immediate start (the common case: a core is free, so queued_at ==
-        # now and there is no queue wait to account).
-        if (
-            ctx.pinned is None
-            and ctx.last_core is not None
-            and ctx.last_core != core
-        ):
-            duration += self.migration_overhead
-        ctx.last_core = core
-        self._busy[core] = True
-        now = sim._now
-        if edgelog is None:
-            # Closure-free completion, heap push inlined (same ordering key
-            # as Simulator._call_later: next seq at now + duration).
-            sim._seq = seq = sim._seq + 1
-            rng = sim._perturb_rng
-            _heappush(
-                sim._heap,
-                (
-                    now + duration,
-                    rng.random() if rng is not None else 0.0,
-                    seq,
-                    (self._finish_fast, (core, ctx, now, duration, category, ev)),
-                    _PENDING,
-                ),
-            )
-            return ev
-        done = sim.timeout(duration)
-        initiator = sim.current_process
-        done.add_callback(
-            lambda _ev: self._finish(
-                core, ctx, now, duration, category, ev, now, initiator
-            )
-        )
-        return ev
-
-    def _enqueue(self, ctx: ThreadContext, duration, category, ev) -> None:
-        sim = self.sim
         item = (ctx, duration, category, ev, sim._now, sim.current_process)
-        if ctx.pinned is not None:
+        core = self._pick_core(ctx)
+        if core is not None:
+            self._start(core, item)
+        elif ctx.pinned is not None:
             self._pinned_waiting[ctx.pinned].append(item)
         else:
             self._global_waiting.append(item)
+        return ev
 
     def _pick_core(self, ctx: ThreadContext) -> Optional[int]:
         if ctx.pinned is not None:
@@ -240,84 +202,18 @@ class CPUSet:
             duration += self.migration_overhead
         ctx.last_core = core
         self._busy[core] = True
-        if sim.edgelog is None:
-            # Closure-free burst completion: same heap ordering key as the
-            # Timeout (one entry, next seq, now+duration), minus the Timeout
-            # event and per-burst closure.  Only valid with no edgelog — a
-            # Timeout stamps its wakeup edge at creation.
-            sim._call_later(
-                duration,
-                self._finish_fast,
-                (core, ctx, now, duration, category, ev),
-            )
-            return
-        done = sim.timeout(duration)
-        done.add_callback(
-            lambda _ev: self._finish(
-                core, ctx, now, duration, category, ev, queued_at, initiator
-            )
+        sim._call_later(
+            duration,
+            self._finish,
+            (core, ctx, now, duration, category, ev, queued_at, initiator),
         )
 
-    def _finish_fast(self, item: Tuple) -> None:
-        """Burst completion for the no-edgelog common case: identical
-        accounting (and tracer-event order) to :meth:`_finish` with
-        mark_busy/account_busy inlined, and the wake is a bare ``succeed``
-        (with no edgelog, :func:`wake` reduces to exactly that)."""
-        core, ctx, started, duration, category, ev = item
+    def _finish(self, item: Tuple) -> None:
+        core, ctx, started, duration, category, ev, queued_at, initiator = item
         sim = self.sim
         end = sim._now
-        tracker = self.trackers[core]
-        tracker.busy_time += end - started
-        series = tracker._series
-        if series is not None:
-            # Single-bin fast path of TimeSeries.add_interval (rate 1.0):
-            # identical arithmetic, saves the call for sub-bin bursts.
-            width = series.bin_width
-            first_bin = int(started / width)
-            if end <= (first_bin + 1) * width:
-                series._bins[first_bin] += (end - started) * 1.0
-            else:
-                series.add_interval(started, end, 1.0)
-        tracer = sim.tracer
-        if tracer.enabled:
-            tracer.complete(
-                category,
-                "core",
-                self._tracks[core],
-                started,
-                end,
-                args={"thread": ctx.name},
-            )
-        ctx.busy_time += duration
-        ctx.busy_by_category[category] += duration
-        perf = ctx.perf
-        if perf is not None:
-            perf.cpu_busy_seconds += duration
-        if tracer.enabled and duration > 0:
-            tracer.complete(category, "busy", ctx.track, end - duration, end)
-        self.busy_by_kind[ctx.kind] += duration
-        self._busy[core] = False
-        pinned = self._pinned_waiting[core]
-        if pinned:
-            self._start(core, pinned.popleft())
-        elif self._global_waiting:
-            self._start(core, self._global_waiting.popleft())
-        ev.succeed(None)  # lint: disable=unlabeled-wakeup  (edgelog is None: wake() reduces to succeed)
-
-    def _finish(
-        self,
-        core: int,
-        ctx: ThreadContext,
-        started: float,
-        duration: float,
-        category: str,
-        ev: Event,
-        queued_at: float,
-        initiator,
-    ) -> None:
-        end = self.sim.now
         self.trackers[core].mark_busy(started, end)
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         if tracer.enabled:
             # Core-occupancy view: one row per core, labelled by the burst.
             tracer.complete(
@@ -331,7 +227,11 @@ class CPUSet:
         ctx.account_busy(category, duration)
         self.busy_by_kind[ctx.kind] += duration
         self._busy[core] = False
-        self._dispatch(core)
+        pinned = self._pinned_waiting[core]
+        if pinned:
+            self._start(core, pinned.popleft())
+        elif self._global_waiting:
+            self._start(core, self._global_waiting.popleft())
         wake(
             ev,
             resource="cpu",
@@ -342,12 +242,6 @@ class CPUSet:
             initiator=initiator,
             track=self._tracks[core],
         )
-
-    def _dispatch(self, core: int) -> None:
-        if self._pinned_waiting[core]:
-            self._start(core, self._pinned_waiting[core].popleft())
-        elif self._global_waiting:
-            self._start(core, self._global_waiting.popleft())
 
     # -- metrics -------------------------------------------------------------
 

@@ -164,33 +164,21 @@ class StorageDevice:
             # Ground truth for detection scoring: when the fault entered the
             # system, not when its symptom surfaced (see repro.monitor.score).
             policy.injection_times.append(now)
+        item = (kind, nbytes, random, ev, category, now, initiator, fault)
         if self._free_channels:
-            self._start(
-                self._free_channels.pop(), kind, nbytes, random, ev, category, now,
-                initiator, fault,
-            )
+            self._start(self._free_channels.pop(), item)
         else:
-            self._queue.append((kind, nbytes, random, ev, category, now, initiator, fault))
+            self._queue.append(item)
         return ev
 
     # -- internals -------------------------------------------------------------
 
-    def _start(
-        self,
-        channel: int,
-        kind: str,
-        nbytes: int,
-        random: bool,
-        ev: Event,
-        category: str,
-        queued_at: float,
-        initiator,
-        fault=None,
-    ) -> None:
+    def _start(self, channel: int, item: Tuple) -> None:
         """Two-stage service: per-IO setup overlaps across channels, but the
         byte transfer reserves the shared bandwidth pipe for its direction —
         aggregate throughput can never exceed the spec's bandwidth, no matter
         how many channels are in flight."""
+        kind, nbytes, random, ev, category, queued_at, initiator, fault = item
         setup = self.spec.service_time(kind, 0, random)
         bandwidth = (
             self.spec.read_bandwidth if kind == "read" else self.spec.write_bandwidth
@@ -216,23 +204,10 @@ class StorageDevice:
         transfer_start = max(setup_end, pipe_free)
         transfer_end = transfer_start + transfer
         self._pipe_free_at[kind] = transfer_end
-        sim = self.sim
-        if sim.edgelog is None:
-            # Closure-free IO completion: same heap ordering key as the
-            # Timeout (one entry, next seq), minus the Timeout event and
-            # per-IO closure.  Only valid with no edgelog — a Timeout stamps
-            # its wakeup edge at creation.
-            sim._call_later(
-                transfer_end - started,
-                self._finish_fast,
-                (channel, kind, nbytes, ev, category, started, fault),
-            )
-            return
-        done = sim.timeout(transfer_end - started)
-        done.add_callback(
-            lambda _ev: self._finish(
-                channel, kind, nbytes, ev, category, started, queued_at, initiator, fault
-            )
+        self.sim._call_later(
+            transfer_end - started,
+            self._finish,
+            (channel, kind, nbytes, ev, category, started, queued_at, initiator, fault),
         )
 
     def _kc(self, kind: str, category: str) -> str:
@@ -241,15 +216,14 @@ class StorageDevice:
             label = self._kc_labels[(kind, category)] = "%s:%s" % (kind, category)
         return label
 
-    def _finish_fast(self, item: Tuple) -> None:
-        """IO completion for the no-edgelog common case: identical accounting
-        to :meth:`_finish`, but the wake is a bare ``succeed`` (with no
-        edgelog, :func:`wake` reduces to exactly that)."""
-        channel, kind, nbytes, ev, category, started, fault = item
+    def _finish(self, item: Tuple) -> None:
+        channel, kind, nbytes, ev, category, started, queued_at, initiator, fault = item
         sim = self.sim
         now = sim._now
         self.busy_channel_time += now - started
         if fault is not None and fault[0] == "fail":
+            # Channel/queue bookkeeping must happen regardless of outcome, or
+            # a single injected error would leak a channel forever.
             exc = fault[1]
             moved = getattr(exc, "completed_bytes", 0) or 0
             if moved:
@@ -272,7 +246,7 @@ class StorageDevice:
                     args={"bytes": moved, "fault": exc.code},
                 )
             if self._queue:
-                self._start(channel, *self._queue.popleft())
+                self._start(channel, self._queue.popleft())
             else:
                 self._free_channels.append(channel)
             ev.fail(exc)
@@ -297,87 +271,18 @@ class StorageDevice:
                 args={"bytes": nbytes},
             )
         if self._queue:
-            self._start(channel, *self._queue.popleft())
-        else:
-            self._free_channels.append(channel)
-        ev.succeed(None)  # lint: disable=unlabeled-wakeup  (edgelog is None: wake() reduces to succeed)
-
-    def _finish(
-        self,
-        channel: int,
-        kind: str,
-        nbytes: int,
-        ev: Event,
-        category: str,
-        started: float,
-        queued_at: float,
-        initiator,
-        fault=None,
-    ) -> None:
-        now = self.sim.now
-        self.busy_channel_time += now - started
-        if fault is not None and fault[0] == "fail":
-            # Channel/queue bookkeeping must happen regardless of outcome, or
-            # a single injected error would leak a channel forever.
-            exc = fault[1]
-            moved = getattr(exc, "completed_bytes", 0) or 0
-            if moved:
-                self.bytes_by_category.add(category, moved)
-                self.bytes_by_kind.add(kind, moved)
-                self.bytes_by_kind.add("%s:%s" % (kind, category), moved)
-                series = self.bandwidth_series.get(category)
-                if series is None:
-                    series = self.bandwidth_series[category] = TimeSeries(self._series_bin)
-                series.add(now, moved)
-            self.io_count.add("%s:fault" % kind)
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.complete(
-                    "%s:%s" % (kind, category),
-                    "device",
-                    "device:ch-%d" % channel,
-                    started,
-                    now,
-                    args={"bytes": moved, "fault": exc.code},
-                )
-            if self._queue:
-                self._start(channel, *self._queue.popleft())
-            else:
-                self._free_channels.append(channel)
-            ev.fail(exc)
-            return
-        self.bytes_by_category.add(category, nbytes)
-        self.bytes_by_kind.add(kind, nbytes)
-        self.bytes_by_kind.add("%s:%s" % (kind, category), nbytes)
-        self.io_count.add(kind)
-        self.io_count.add("%s:%s" % (kind, category))
-        series = self.bandwidth_series.get(category)
-        if series is None:
-            series = self.bandwidth_series[category] = TimeSeries(self._series_bin)
-        series.add(now, nbytes)
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.complete(
-                "%s:%s" % (kind, category),
-                "device",
-                "device:ch-%d" % channel,
-                started,
-                now,
-                args={"bytes": nbytes},
-            )
-        if self._queue:
-            self._start(channel, *self._queue.popleft())
+            self._start(channel, self._queue.popleft())
         else:
             self._free_channels.append(channel)
         wake(
             ev,
             resource="device",
-            category="%s:%s" % (kind, category),
+            category=self._kc(kind, category),
             kind="resource",
             begin=started,
             queued_at=queued_at,
             initiator=initiator,
-            track="device:ch-%d" % channel,
+            track=self._ch_tracks[channel],
         )
 
     # -- metrics -----------------------------------------------------------------

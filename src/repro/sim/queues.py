@@ -64,10 +64,7 @@ class FIFOQueue:
         self.total_enqueued += 1
         if self._getters:
             ev, since = self._getters.popleft()
-            if sim.edgelog is None:
-                ev.succeed(item)  # lint: disable=unlabeled-wakeup  (no edgelog: wake() reduces to succeed)
-            else:
-                wake(ev, item, resource=self._resource, queued_at=since)
+            wake(ev, item, resource=self._resource, queued_at=since)
             return
         items = self._items
         items.append(item)
@@ -82,10 +79,7 @@ class FIFOQueue:
             monitor.on_sync(self)
         ev = Event(sim)
         if self._items:
-            if sim.edgelog is None:
-                ev.succeed(self._items.popleft())  # lint: disable=unlabeled-wakeup  (no edgelog: wake() reduces to succeed)
-            else:
-                wake(ev, self._items.popleft(), resource=self._resource)
+            wake(ev, self._items.popleft(), resource=self._resource)
         else:
             self._getters.append((ev, sim._now))
         return ev

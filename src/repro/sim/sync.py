@@ -65,10 +65,7 @@ class Lock:
             self._grant(proc)
             if monitor is not None:
                 monitor.on_sync(self)
-            if sim.edgelog is None:
-                ev.succeed(None)  # lint: disable=unlabeled-wakeup  (no edgelog: wake() reduces to succeed)
-            else:
-                wake(ev, resource=self._resource, category=category or "")
+            wake(ev, resource=self._resource, category=category or "")
         else:
             self._waiters.append((ev, ctx, category, sim.now, proc))
         return ev
@@ -178,18 +175,14 @@ class Condition:
         monitor = sim.monitor
         if monitor is not None and waiters:
             monitor.on_sync(self)
-        fast = sim.edgelog is None
         for _ in range(min(n, len(waiters))):
             ev, since, category = waiters.popleft()
-            if fast:
-                ev.succeed(None)  # lint: disable=unlabeled-wakeup  (no edgelog: wake() reduces to succeed)
-            else:
-                wake(
-                    ev,
-                    resource=self._resource,
-                    category=category or "",
-                    queued_at=since,
-                )
+            wake(
+                ev,
+                resource=self._resource,
+                category=category or "",
+                queued_at=since,
+            )
 
     def notify_all(self) -> None:
         self.notify(len(self._waiters))

@@ -21,9 +21,7 @@ them drift; this module is now the single source of truth:
   output goes to stderr or its own file, so the sim-side report on stdout
   is byte-identical with or without it.
 
-``repro.tools.dbbench`` re-exports the historical underscore names
-(``_make_env``, ``_start_profile``, ...) for callers that grew against it
-(``whatif``, tests).
+Every tool imports these names from here; no module re-exports them.
 """
 
 import argparse

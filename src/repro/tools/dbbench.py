@@ -102,19 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Historical names: ycsb/serve/whatif and older tests grew against these
-# dbbench-hosted helpers before they moved to repro.tools.common.
-_check_sanitizer = check_sanitizer
-_critpath_trace_extras = critpath_trace_extras
-_export_critpath = export_critpath
-_export_stats = export_stats
-_finish_profile = finish_profile
-_install_stats = install_stats_if_requested
-_make_env = make_env_from_args
-_start_profile = start_profile
-_trace_path = trace_path
-
-
 def _build_system(env, args):
     # The CLI exposes one flag surface for all systems; open_system is
     # strict, so forward only the options this system declares (passing
@@ -156,12 +143,12 @@ def run_benchmark(
     stats_base: Optional[str] = None,
     critpath_base: Optional[str] = None,
 ) -> dict:
-    env = _make_env(args)
+    env = make_env_from_args(args)
     # Path extraction needs the request spans, so --critpath implies a live
     # tracer even when no trace file was requested.
     tracer = install_tracer(env) if (trace_path or critpath_base) else None
     edgelog = install_edgelog(env) if critpath_base else None
-    sampler = _install_stats(env, args)
+    sampler = install_stats_if_requested(env, args)
     system = _build_system(env, args)
     if name in NEEDS_PRELOAD:
         preload(env, system, fillrandom(args.num, args.value_size, args.seed), 8)
@@ -174,7 +161,7 @@ def run_benchmark(
         _p.leave()
     metrics = run_closed_loop(env, system, streams)
     window = (t0, t0 + metrics.elapsed)
-    _check_sanitizer(env)
+    check_sanitizer(env)
     result = {
         "benchmark": name,
         "system": system.name,
@@ -195,7 +182,7 @@ def run_benchmark(
     if tracer is not None:
         if trace_path:
             extras, flows = (
-                _critpath_trace_extras(edgelog, tracer, window)
+                critpath_trace_extras(edgelog, tracer, window)
                 if edgelog is not None
                 else ((), ())
             )
@@ -206,9 +193,9 @@ def run_benchmark(
         if attribution is not None:
             result["latency_attribution"] = attribution
     if edgelog is not None:
-        _export_critpath(edgelog, tracer, window, critpath_base, result)
+        export_critpath(edgelog, tracer, window, critpath_base, result)
     if sampler is not None:
-        _export_stats(env, sampler, stats_base or "stats", result)
+        export_stats(env, sampler, stats_base or "stats", result)
     return result
 
 
@@ -219,24 +206,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         if name not in BENCHMARKS:
             print("unknown benchmark %r" % name, file=sys.stderr)
             return 2
-    profiler = _start_profile(args)
+    profiler = start_profile(args)
     results = [
         run_benchmark(
             name,
             args,
-            _trace_path(args.trace_out, name, len(names) > 1)
+            trace_path(args.trace_out, name, len(names) > 1)
             if args.trace_out
             else None,
-            _trace_path(args.stats_out, name, len(names) > 1)
+            trace_path(args.stats_out, name, len(names) > 1)
             if args.stats
             else None,
-            _trace_path(args.critpath_out, name, len(names) > 1)
+            trace_path(args.critpath_out, name, len(names) > 1)
             if args.critpath
             else None,
         )
         for name in names
     ]
-    _finish_profile(args, profiler)
+    finish_profile(args, profiler)
     rows = [
         [
             r["benchmark"],

@@ -34,7 +34,8 @@ from repro.critpath import (
 from repro.engine import make_env
 from repro.harness import run_closed_loop
 from repro.harness.report import format_blame_table, format_qps, format_table
-from repro.tools.dbbench import DEVICES, SYSTEMS, _build_system, _check_sanitizer
+from repro.tools.common import DEVICES, check_sanitizer
+from repro.tools.dbbench import SYSTEMS, _build_system
 from repro.trace import install_tracer
 from repro.workloads import fillrandom, split_stream
 
@@ -111,7 +112,7 @@ def _run(args, experiment=None, with_critpath: bool = False):
         system,
         split_stream(fillrandom(args.num, args.value_size, args.seed), args.threads),
     )
-    _check_sanitizer(env)
+    check_sanitizer(env)
     report = None
     if with_critpath:
         report = critpath_report(edgelog, tracer, (t0, t0 + metrics.elapsed))

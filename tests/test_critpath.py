@@ -31,6 +31,7 @@ from repro.harness import P2KVSSystem, open_system, preload, run_closed_loop
 from repro.harness.report import format_blame_table
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPUSet
+from repro.sim.device import OPTANE_905P, StorageDevice
 from repro.sim.queues import FIFOQueue
 from repro.sim.sync import Lock
 from repro.tools import whatif
@@ -92,6 +93,21 @@ def test_edgelog_bounded_by_max_records():
     sim.run()
     assert log.counts()["resumes"] == 5
     assert log.counts()["dropped"] == 45
+
+
+def test_burst_and_io_stamp_exactly_one_edge():
+    """Completion is scheduled without a Timeout, so the only edge a CPU
+    burst or a device IO stamps is its own resource edge — no timer edge
+    that no process ever waits on."""
+    sim = Simulator()
+    log = install_edgelog(sim)
+    cpu = CPUSet(sim, n_cores=1)
+    ev = cpu.exec(cpu.new_thread("t"), 1.0, "work")
+    sim.run()
+    assert log.n_edges == 1 and ev._edge.label == "cpu:work"
+    ev = StorageDevice(sim, OPTANE_905P).write(4096, category="wal")
+    sim.run()
+    assert log.n_edges == 2 and ev._edge.label == "device:write:wal"
 
 
 def test_track_bindings_are_time_qualified():

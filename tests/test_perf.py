@@ -393,65 +393,6 @@ def test_host_time_leak_flagged():
     assert names == ["host-time-leak"]
 
 
-# ---------------------------------------------------------------------------
-# bench-regress wall-clock gate
-# ---------------------------------------------------------------------------
-
-
-def _bench_entry(qps=1000.0, wall=5000.0):
-    return {
-        "qps": qps,
-        "p99_latency_us": 10.0,
-        "simulated_seconds": 1.0,
-        "wall_seconds": 1.0,
-        "wall_ops_per_s": wall,
-        "counters": {},
-        "events": {},
-    }
-
-
-def _meta():
-    import platform
-
-    return {"python": platform.python_version(),
-            "platform": platform.platform(),
-            "wall_protocol": "best-of-3 after 1 warmup"}
-
-
-def test_regress_gates_wall_column():
-    from benchmarks.regress import compare
-
-    baseline = {"_meta": _meta(), "fill": _bench_entry()}
-    ok = {"_meta": _meta(), "fill": _bench_entry(wall=4000.0)}
-    assert compare(ok, baseline, 0.10, wall_tolerance=0.30) == []
-    slow = {"_meta": _meta(), "fill": _bench_entry(wall=3000.0)}
-    failures = compare(slow, baseline, 0.10, wall_tolerance=0.30)
-    assert len(failures) == 1 and "wall throughput" in failures[0]
-    # a missing wall column (e.g. the zero-wall guard fired) also fails
-    missing = {"_meta": _meta(), "fill": _bench_entry(wall=None)}
-    failures = compare(missing, baseline, 0.10, wall_tolerance=0.30)
-    assert len(failures) == 1 and "missing" in failures[0]
-
-
-def test_regress_wall_gate_skipped_on_foreign_host(capsys):
-    from benchmarks.regress import compare
-
-    foreign = dict(_meta(), platform="OtherOS-1.0-sparc64")
-    baseline = {"_meta": foreign, "fill": _bench_entry()}
-    current = {"_meta": _meta(), "fill": _bench_entry(wall=100.0)}
-    # host speed is not portable: qps still gated, wall only reported
-    assert compare(current, baseline, 0.10, wall_tolerance=0.30) == []
-    assert "not gated" in capsys.readouterr().out
-
-
-def test_regress_meta_is_not_a_config():
-    from benchmarks.regress import compare
-
-    baseline = {"_meta": _meta(), "fill": _bench_entry()}
-    current = {"fill": _bench_entry()}
-    assert compare(current, baseline, 0.10, wall_tolerance=0.30) == []
-
-
 def test_host_time_leak_negative_outside_sinks():
     # reading a snapshot for reporting is fine; only sim sinks are errors
     names = rule_names(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.critpath import install_edgelog
 from repro.sim import (
     CPUSet,
     DeviceSpec,
@@ -11,6 +12,7 @@ from repro.sim import (
     Simulator,
     StorageDevice,
 )
+from repro.trace import install_tracer
 
 
 def make_cpu(sim, n_cores, migration_overhead=0.0):
@@ -256,3 +258,44 @@ class TestDevice:
         dev = StorageDevice(sim, OPTANE_905P)
         with pytest.raises(SimError):
             dev.write(-1)
+
+
+class TestObserverInvariance:
+    """The hook contract: a run does the same accounting whoever watches."""
+
+    @staticmethod
+    def _account(install):
+        sim = Simulator()
+        if install is not None:
+            install(sim)
+        cpu = CPUSet(sim, 2, series_bin=0.1)
+        dev = StorageDevice(sim, DeviceSpec("d", 100.0, 100.0, 0.1, 0.1, channels=1))
+        ctx = cpu.new_thread("t")
+
+        def proc():
+            yield sim.timeout(0.35)
+            yield cpu.exec(ctx, 0.0, "noop")  # alone in bin 0.3: must leave no bin
+            yield dev.read(10, category="read")
+            yield dev.write(10, category="wal")
+            yield cpu.exec(ctx, 0.25, "work")
+
+        sim.spawn(proc())
+        sim.run()
+        return {
+            "series": [t.series() for t in cpu.trackers],
+            "busy_time": [t.busy_time for t in cpu.trackers],
+            "busy_by_category": dict(ctx.busy_by_category),
+            "io_count": dev.io_count.as_dict(),
+            "bytes_by_kind": dev.bytes_by_kind.as_dict(),
+            "bandwidth": {c: s.rates() for c, s in dev.bandwidth_series.items()},
+            "seq": sim._seq,
+        }
+
+    def test_same_accounting_with_and_without_observers(self):
+        plain = self._account(None)
+        assert self._account(install_edgelog) == plain
+        assert self._account(install_tracer) == plain
+
+    def test_zero_length_burst_creates_no_utilisation_bin(self):
+        series = self._account(None)["series"]
+        assert [rate for core in series for _, rate in core if rate == 0.0] == []
