@@ -4,9 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench perf lint check \
-	check-update-baseline sanitize perturb-smoke critpath-smoke \
-	faults-smoke serve-smoke monitor-smoke profile-smoke \
+.PHONY: test bench perf lint check check-update-baseline sanitize smoke \
 	ci trace-demo stats-demo critpath-demo whatif-demo clean
 
 test:
@@ -45,117 +43,81 @@ check-update-baseline:
 sanitize:
 	$(PY) -m pytest -q --sanitize
 
-# Schedule-perturbation smoke: the quickstart must print byte-identical
-# output for three different same-time shuffle seeds.
-perturb-smoke:
-	@$(PY) examples/quickstart.py --schedule-seed 1 > .perturb-1.out
-	@$(PY) examples/quickstart.py --schedule-seed 2 > .perturb-2.out
-	@$(PY) examples/quickstart.py --schedule-seed 3 > .perturb-3.out
-	@cmp .perturb-1.out .perturb-2.out && cmp .perturb-1.out .perturb-3.out \
-	    && echo "perturb-smoke: identical output across 3 schedule seeds" \
-	    || (echo "perturb-smoke: outputs differ across seeds" >&2; exit 1)
-	@rm -f .perturb-1.out .perturb-2.out .perturb-3.out
+# The runtime smokes, one target.  Every "same bytes" gate is the one canned
+# recipe below: run command $(3) with the shell variable $$out naming $(2) —
+# an artifact to keep for CI, or a results/.smoke-* scratch file — run $(4)
+# with $$out naming a scratch file, and require the two to be byte-identical.
+define same-bytes
+@out=$(strip $(2)); $(3)
+@out=results/.smoke-rerun; $(4)
+@cmp $(strip $(2)) results/.smoke-rerun && echo "smoke: $(1)" \
+    || (echo "smoke: FAILED: $(1)" >&2; exit 1)
+endef
 
-# Critical-path / what-if smoke: a pinned fillrandom run must produce a
-# non-empty blame table and speedup predictions within tolerance of the
-# measured re-runs (see docs/CRITPATH.md).  Writes
-# results/whatif-report.{txt,json}.
-critpath-smoke:
+QUICKSTART = $(PY) examples/quickstart.py --schedule-seed
+FAULTBENCH = $(PY) -m repro.tools.faultbench --fault-seed 7
+SERVE = $(PY) -m repro.tools.serve --ops 300 --rate 600000 --key-space 200 \
+    --value-size 64 --partitions 8 --queue-cap 16 --dispatchers 2 --workers 2 \
+    --cores 16
+MONITOR = $(PY) -m repro.tools.monitor --scenario uniform --ops 400
+PROFILED_BENCH = $(PY) -m repro.tools.dbbench --benchmarks fillrandom \
+    --system p2kvs --workers 2 --threads 4 --num 500 --cores 8 --seed 0
+
+# * perturbation: the quickstart prints the same bytes for three same-time
+#   shuffle seeds.
+# * critical path / what-if (docs/CRITPATH.md): a pinned fillrandom run has a
+#   non-empty blame table and speedup predictions within tolerance of the
+#   measured re-runs; writes results/whatif-report.{txt,json}.
+# * faults (docs/FAULTS.md): the crash/fault campaign passes every scenario
+#   with zero oracle violations; writes results/faults-report.json.
+# * serve (docs/SERVICE.md): 1-shard and 4-shard SLO reports are a pure
+#   function of the flags; writes results/serve-report.{json,csv}.
+# * monitor (docs/MONITOR.md): a clean scenario raises zero page alerts, a
+#   fault-injected run detects its fault with finite MTTD; writes
+#   results/monitor-report.json and results/detection_report.json.
+# * profile (docs/PROFILING.md): the zone tree attributes >= 90% of the
+#   pinned run's wall time, the instrument tax table covers every layer, and
+#   --profile leaves the sim report alone; writes results/profile-report.json,
+#   results/profile-flame.speedscope.json and results/profile-tax.json.
+smoke:
+	$(call same-bytes,quickstart identical for schedule seeds 1 and 2,\
+	    results/.smoke-quickstart,$(QUICKSTART) 1 > $$out,$(QUICKSTART) 2 > $$out)
+	$(call same-bytes,quickstart identical for schedule seeds 1 and 3,\
+	    results/.smoke-quickstart,$(QUICKSTART) 1 > $$out,$(QUICKSTART) 3 > $$out)
 	$(PY) -m repro.tools.whatif --system p2kvs --workers 8 --threads 8 \
 	    --device sata --value-size 4096 --num 2000 \
 	    --experiments wal-write-0.8x,channels+1 --check \
 	    --out results/whatif-report.txt --json results/whatif-report.json
-
-# Fault-injection smoke: the crash/fault campaign must pass every scenario
-# with zero oracle violations, and the report must be byte-identical across
-# two runs with the same --fault-seed.  Writes results/faults-report.json
-# (kept for the CI artifact).  See docs/FAULTS.md.
-faults-smoke:
-	@$(PY) -m repro.tools.faultbench --fault-seed 7 \
-	    --out results/faults-report.json
-	@$(PY) -m repro.tools.faultbench --fault-seed 7 \
-	    --out results/.faults-rerun.json > /dev/null
-	@cmp results/faults-report.json results/.faults-rerun.json \
-	    && echo "faults-smoke: byte-identical report across 2 runs" \
-	    || (echo "faults-smoke: reports differ across reruns" >&2; exit 1)
-	@rm -f results/.faults-rerun.json
-
-# Service-plane smoke: a 1-shard and a 4-shard scenario must produce
-# byte-identical SLO reports across a schedule-perturbed rerun (the report
-# is a pure function of the flags; see docs/SERVICE.md).  Writes
-# results/serve-report.{json,csv} (kept for the CI artifact).
-SERVE_SMOKE_ARGS = --ops 300 --rate 600000 --key-space 200 --value-size 64 \
-    --partitions 8 --queue-cap 16 --dispatchers 2 --workers 2 --cores 16
-
-serve-smoke:
-	@$(PY) -m repro.tools.serve --scenario uniform --shards 1 \
-	    $(SERVE_SMOKE_ARGS) --json results/.serve-1shard.json > /dev/null
-	@$(PY) -m repro.tools.serve --scenario uniform --shards 1 \
-	    $(SERVE_SMOKE_ARGS) --schedule-seed 7 \
-	    --json results/.serve-1shard-rerun.json > /dev/null
-	@cmp results/.serve-1shard.json results/.serve-1shard-rerun.json \
-	    && echo "serve-smoke: 1-shard report identical under perturbation" \
-	    || (echo "serve-smoke: 1-shard reports differ" >&2; exit 1)
-	@$(PY) -m repro.tools.serve --scenario hotkey --shards 4 \
-	    $(SERVE_SMOKE_ARGS) --json results/serve-report.json \
-	    --csv results/serve-report.csv > /dev/null
-	@$(PY) -m repro.tools.serve --scenario hotkey --shards 4 \
-	    $(SERVE_SMOKE_ARGS) --schedule-seed 7 \
-	    --json results/.serve-rerun.json > /dev/null
-	@cmp results/serve-report.json results/.serve-rerun.json \
-	    && echo "serve-smoke: 4-shard report identical under perturbation" \
-	    || (echo "serve-smoke: 4-shard reports differ" >&2; exit 1)
-	@rm -f results/.serve-1shard.json results/.serve-1shard-rerun.json \
-	    results/.serve-rerun.json
-
-# Health-monitor smoke (docs/MONITOR.md): a clean monitored scenario must
-# raise zero page alerts and produce a byte-identical monitor document
-# under schedule perturbation; a fault-injected run must detect its fault
-# with finite MTTD.  Writes results/monitor-report.json and
-# results/detection_report.json (kept for the CI artifact).
-MONITOR_SMOKE_ARGS = --scenario uniform --ops 400
-
-monitor-smoke:
-	@$(PY) -m repro.tools.monitor $(MONITOR_SMOKE_ARGS) --expect-clean \
-	    --json results/.monitor-clean.json > /dev/null
-	@$(PY) -m repro.tools.monitor $(MONITOR_SMOKE_ARGS) --expect-clean \
-	    --schedule-seed 7 --json results/.monitor-rerun.json > /dev/null
-	@cmp results/.monitor-clean.json results/.monitor-rerun.json \
-	    && echo "monitor-smoke: clean document identical under perturbation" \
-	    || (echo "monitor-smoke: documents differ across seeds" >&2; exit 1)
-	@$(PY) -m repro.tools.monitor $(MONITOR_SMOKE_ARGS) --fault-rate 0.02 \
-	    --json results/monitor-report.json \
-	    --detection-out results/detection_report.json \
-	    | tail -n 3
-	@rm -f results/.monitor-clean.json results/.monitor-rerun.json
-
-# Host-profiling smoke (docs/PROFILING.md): the zone tree must attribute
-# >= 90% of the pinned run's wall time (writes results/profile-report.json
-# and a speedscope flamegraph, kept for the CI artifact); the instrument
-# tax table must cover every layer; and a --profile'd benchmark must
-# produce a byte-identical sim report to an unprofiled one.
-PROFILE_SMOKE_BENCH = --benchmarks fillrandom --system p2kvs --workers 2 \
-    --threads 4 --num 500 --cores 8 --seed 0
-
-profile-smoke:
+	$(call same-bytes,fault campaign report identical across 2 runs,\
+	    results/faults-report.json,$(FAULTBENCH) --out $$out,\
+	    $(FAULTBENCH) --out $$out > /dev/null)
+	$(call same-bytes,1-shard SLO report identical under perturbation,\
+	    results/.smoke-serve-1shard.json,\
+	    $(SERVE) --scenario uniform --shards 1 --json $$out > /dev/null,\
+	    $(SERVE) --scenario uniform --shards 1 --schedule-seed 7 --json $$out > /dev/null)
+	$(call same-bytes,4-shard SLO report identical under perturbation,\
+	    results/serve-report.json,\
+	    $(SERVE) --scenario hotkey --shards 4 --json $$out --csv results/serve-report.csv > /dev/null,\
+	    $(SERVE) --scenario hotkey --shards 4 --schedule-seed 7 --json $$out > /dev/null)
+	$(call same-bytes,clean monitor document identical under perturbation,\
+	    results/.smoke-monitor-clean.json,\
+	    $(MONITOR) --expect-clean --json $$out > /dev/null,\
+	    $(MONITOR) --expect-clean --schedule-seed 7 --json $$out > /dev/null)
+	@$(MONITOR) --fault-rate 0.02 --json results/monitor-report.json \
+	    --detection-out results/detection_report.json | tail -n 3
 	@$(PY) -m repro.tools.profile --check-coverage 90 \
 	    --json results/profile-report.json \
-	    --flame-out results/profile-flame.speedscope.json \
-	    | tail -n 2
+	    --flame-out results/profile-flame.speedscope.json | tail -n 2
 	@$(PY) -m repro.tools.profile --tax --num 500 \
 	    --tax-json results/profile-tax.json 2> /dev/null
-	@$(PY) -m repro.tools.dbbench $(PROFILE_SMOKE_BENCH) \
-	    --json results/.profile-plain.json > /dev/null
-	@$(PY) -m repro.tools.dbbench $(PROFILE_SMOKE_BENCH) --profile \
-	    --json results/.profile-profiled.json > /dev/null 2>&1
-	@cmp results/.profile-plain.json results/.profile-profiled.json \
-	    && echo "profile-smoke: sim report byte-identical under --profile" \
-	    || (echo "profile-smoke: --profile changed the sim report" >&2; exit 1)
-	@rm -f results/.profile-plain.json results/.profile-profiled.json
+	$(call same-bytes,sim report identical under --profile,\
+	    results/.smoke-profile-plain.json,\
+	    $(PROFILED_BENCH) --json $$out > /dev/null,\
+	    $(PROFILED_BENCH) --profile --json $$out > /dev/null 2>&1)
+	@rm -f results/.smoke-*
 
 # What CI runs (see .github/workflows/ci.yml).  `check` subsumes `lint`.
-ci: check test perturb-smoke critpath-smoke faults-smoke serve-smoke \
-	monitor-smoke profile-smoke perf
+ci: check test smoke perf
 
 # Record a request-level trace of a small p2KVS fillrandom run and print the
 # span-derived Figure 6 latency attribution.  Open trace-demo.json in
@@ -188,14 +150,14 @@ whatif-demo:
 	    --experiments wal-write-0.8x,wal-write-0.5x,channels+1
 
 clean:
-	rm -f trace-demo.json quickstart-trace.json .perturb-*.out
+	rm -f trace-demo.json quickstart-trace.json
 	rm -f stats-demo.json stats-demo.prom stats-demo.csv
 	rm -f critpath-demo.json critpath-demo-trace.json
 	rm -f results/whatif-report.txt results/whatif-report.json
-	rm -f results/faults-report.json results/.faults-rerun.json
-	rm -f results/serve-report.json results/serve-report.csv \
-	    results/.serve-*.json
-	rm -f results/monitor-report.json results/detection_report.json \
-	    results/.monitor-*.json
-	rm -f results/check-report.sarif
+	rm -f results/faults-report.json
+	rm -f results/serve-report.json results/serve-report.csv
+	rm -f results/monitor-report.json results/detection_report.json
+	rm -f results/profile-report.json results/profile-flame.speedscope.json \
+	    results/profile-tax.json
+	rm -f results/check-report.sarif results/.smoke-*
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

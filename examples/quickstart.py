@@ -14,7 +14,7 @@ CPU burst on a timeline (the annotated tour is in docs/TRACING.md).
 
 Pass ``--schedule-seed N`` to randomize same-time event delivery with seed
 N: the printed output must be byte-identical for every N — ``make
-perturb-smoke`` checks exactly that (see docs/ANALYSIS.md).
+smoke`` checks exactly that (see docs/ANALYSIS.md).
 """
 
 import sys

@@ -7,7 +7,7 @@ effect by re-running the identical workload with that resource's service
 time actually scaled (``CPUSet.category_scale`` /
 ``StorageDevice.category_scale`` / a respecced channel count).  Agreement
 between the two is the end-to-end proof that the extracted path is causal —
-``tests/test_critpath.py`` and ``make critpath-smoke`` assert it.
+``tests/test_critpath.py`` and ``make smoke`` assert it.
 
 The prediction: over a measured window of length ``elapsed``, completions
 are gated by the makespan path.  Scaling resource R's service time by

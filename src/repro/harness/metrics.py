@@ -100,8 +100,7 @@ class Metrics:
     def p99_latency(self) -> float:
         merged = Histogram()
         for hist in self.latency.values():
-            for sample in hist._samples:
-                merged.record(sample)
+            merged.merge(hist)
         return merged.p99
 
 

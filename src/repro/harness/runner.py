@@ -1,6 +1,7 @@
 """Experiment runner: systems under test + closed/open-loop load generation.
 
-Systems (paper Section 5 configurations):
+Systems (paper Section 5 configurations), all one ``System`` — one verb
+dispatch over whichever store serves the calling thread:
 
 * ``SingleInstanceSystem`` — one engine, user threads call it directly
   (vanilla RocksDB / LevelDB / PebblesDB).
@@ -12,37 +13,35 @@ Systems (paper Section 5 configurations):
 
 ``run_closed_loop`` spawns one simulated user thread per op stream and
 measures per-op latency; ``run_open_loop`` injects ops at a Poisson rate
-(Figure 13's intensity sweep).
+(Figure 13's intensity sweep).  Every driver that runs the simulation does
+so through ``run_zoned``, the one host-profiler bracket around ``sim.run()``.
 """
 
 import random
 from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.baselines.kvell import KVellLike
-from repro.baselines.wiredtiger import WiredTigerLike, wiredtiger_adapter_factory
+from repro.baselines.wiredtiger import WiredTigerLike
 from repro.core.framework import P2KVS
-from repro.core.adapters import adapter_factory
 from repro.engine.db import LSMEngine
-from repro.engine.env import Env, make_env
-from repro.engine.options import (
-    EngineOptions,
-    leveldb_options,
-    pebblesdb_options,
-    rocksdb_options,
-)
+from repro.engine.env import Env
+from repro.engine.options import EngineOptions, rocksdb_options
 from repro.errors import KVError
 from repro.harness.metrics import Metrics, MetricsCollector
 from repro.perf import zones as _perf_zones
 from repro.sim.sync import Semaphore
+from repro.workloads.microbench import split_stream
 
 __all__ = [
     "KVellSystem",
     "MultiInstanceSystem",
     "P2KVSSystem",
     "SingleInstanceSystem",
+    "System",
     "WiredTigerSystem",
     "run_closed_loop",
     "run_open_loop",
+    "run_zoned",
     "scaled_options",
 ]
 
@@ -78,50 +77,85 @@ def scaled_options(maker: Callable = rocksdb_options, **overrides) -> EngineOpti
 # ---------------------------------------------------------------------------
 
 
-class SingleInstanceSystem:
+class System:
+    """What the load generators drive: one verb dispatch over whichever store
+    serves the calling thread (the paper's black-box interface, Section 4.6).
+
+    Subclasses supply that store (:meth:`store_for`), their ``open`` and, where
+    it is not one store's, their accounting.  The two facts
+    :func:`run_closed_loop` needs about a system are attributes it reads once,
+    before its per-op loop.
+    """
+
+    #: True when the store emits its own request spans (p2KVS does, with
+    #: routing args, from its accessing layer); for every other system the
+    #: harness emits one per op so the critical-path extractor has endpoints.
+    emits_request_spans = False
+    #: bound on in-flight asynchronous writes; 0 = every put is synchronous.
+    async_window = 0
+
+    def __init__(self, store, name: str):
+        #: what a caller that names no thread talks to.
+        self.store = store
+        self.name = name
+
+    def store_for(self, thread_index: int):
+        """The store user thread ``thread_index`` talks to."""
+        return self.store
+
+    def execute(self, ctx, op: Op, store=None, collector=None) -> Generator:
+        """Run one op.  A caller looping over a stream resolves
+        :meth:`store_for` once and passes ``store``; ``collector`` receives
+        only the completion latency of windowed asynchronous writes."""
+        if store is None:
+            store = self.store
+        verb, key, payload = op
+        if verb in ("insert", "update"):
+            if self.async_window:
+                yield from self._async_put(ctx, key, payload, collector)
+            else:
+                yield from store.put(ctx, key, payload)
+        elif verb == "read":
+            yield from store.get(ctx, key)
+        elif verb == "scan":
+            yield from store.scan(ctx, key, payload)
+        elif verb == "range":
+            yield from store.range_query(ctx, key, payload)
+        elif verb == "rmw":
+            yield from store.get(ctx, key)
+            yield from store.put(ctx, key, payload)
+        else:
+            raise ValueError("unknown verb %r" % verb)
+
+    def user_bytes_written(self) -> float:
+        return self.store.counters.get("user_bytes_written")
+
+    def memory_bytes(self) -> int:
+        return self.store.memory_bytes()
+
+    def close(self) -> Generator:
+        yield from self.store.close()
+
+
+class SingleInstanceSystem(System):
     """One shared engine instance driven directly by user threads."""
 
     def __init__(self, engine: LSMEngine, name: str = "single"):
+        super().__init__(engine, name)
         self.engine = engine
-        self.name = name
 
     @classmethod
     def open(cls, env: Env, options=None, name: str = "single") -> Generator:
         engine = yield from LSMEngine.open(env, "%s/db" % name, options)
         return cls(engine, name)
 
-    def execute(self, ctx, op: Op) -> Generator:
-        verb, key, payload = op
-        if verb in ("insert", "update"):
-            yield from self.engine.put(ctx, key, payload)
-        elif verb == "read":
-            yield from self.engine.get(ctx, key)
-        elif verb == "scan":
-            yield from self.engine.scan(ctx, key, payload)
-        elif verb == "range":
-            yield from self.engine.range_query(ctx, key, payload)
-        elif verb == "rmw":
-            yield from self.engine.get(ctx, key)
-            yield from self.engine.put(ctx, key, payload)
-        else:
-            raise ValueError("unknown verb %r" % verb)
 
-    def user_bytes_written(self) -> float:
-        return self.engine.counters.get("user_bytes_written")
-
-    def memory_bytes(self) -> int:
-        return self.engine.memory_bytes()
-
-    def close(self) -> Generator:
-        yield from self.engine.close()
-
-
-class MultiInstanceSystem:
+class MultiInstanceSystem(System):
     """N independent instances; thread i owns instance i (Section 3.2)."""
 
     def __init__(self, engines: List[LSMEngine], name: str = "multi"):
+        super().__init__(engines[0], name)
         self.engines = engines
-        self.name = name
 
     @classmethod
     def open(cls, env: Env, n_instances: int, options_maker=None, name: str = "multi") -> Generator:
@@ -135,22 +169,7 @@ class MultiInstanceSystem:
     def engine_for(self, thread_index: int) -> LSMEngine:
         return self.engines[thread_index % len(self.engines)]
 
-    def execute(self, ctx, op: Op, thread_index: int = 0) -> Generator:
-        engine = self.engine_for(thread_index)
-        verb, key, payload = op
-        if verb in ("insert", "update"):
-            yield from engine.put(ctx, key, payload)
-        elif verb == "read":
-            yield from engine.get(ctx, key)
-        elif verb == "scan":
-            yield from engine.scan(ctx, key, payload)
-        elif verb == "range":
-            yield from engine.range_query(ctx, key, payload)
-        elif verb == "rmw":
-            yield from engine.get(ctx, key)
-            yield from engine.put(ctx, key, payload)
-        else:
-            raise ValueError("unknown verb %r" % verb)
+    store_for = engine_for
 
     def user_bytes_written(self) -> float:
         return sum(e.counters.get("user_bytes_written") for e in self.engines)
@@ -163,13 +182,15 @@ class MultiInstanceSystem:
             yield from engine.close()
 
 
-class P2KVSSystem:
+class P2KVSSystem(System):
     """The framework under test; optional async write window."""
 
+    emits_request_spans = True
+
     def __init__(self, kvs: P2KVS, env: Env, async_window: int = 0):
+        super().__init__(kvs, "%s-%d" % (kvs.name, len(kvs.workers)))
         self.kvs = kvs
         self.env = env
-        self.name = "%s-%d" % (kvs.name, len(kvs.workers))
         self.async_window = async_window
         self._window = (
             Semaphore(env.sim, async_window, "async-window")
@@ -178,48 +199,12 @@ class P2KVSSystem:
         )
 
     @classmethod
-    def open(
-        cls,
-        env: Env,
-        n_workers: int = 8,
-        adapter_open=None,
-        obm: bool = True,
-        obm_cap: int = 32,
-        async_window: int = 0,
-        scan_strategy: str = "parallel",
-        name: str = "p2kvs",
-        pin_base: int = 0,
-    ) -> Generator:
-        kvs = yield from P2KVS.open(
-            env,
-            n_workers=n_workers,
-            adapter_open=adapter_open,
-            obm=obm,
-            obm_cap=obm_cap,
-            scan_strategy=scan_strategy,
-            name=name,
-            pin_base=pin_base,
-        )
+    def open(cls, env: Env, async_window: int = 0, **p2kvs_opts) -> Generator:
+        """``p2kvs_opts`` are :meth:`P2KVS.open`'s keywords (``n_workers``,
+        ``adapter_open``, ``obm``, ``obm_cap``, ``scan_strategy``, ``name``,
+        ``pin_base``) with its defaults."""
+        kvs = yield from P2KVS.open(env, **p2kvs_opts)
         return cls(kvs, env, async_window)
-
-    def execute(self, ctx, op: Op, collector: Optional[MetricsCollector] = None) -> Generator:
-        verb, key, payload = op
-        if verb in ("insert", "update"):
-            if self._window is not None:
-                yield from self._async_put(ctx, key, payload, collector)
-            else:
-                yield from self.kvs.put(ctx, key, payload)
-        elif verb == "read":
-            yield from self.kvs.get(ctx, key)
-        elif verb == "scan":
-            yield from self.kvs.scan(ctx, key, payload)
-        elif verb == "range":
-            yield from self.kvs.range_query(ctx, key, payload)
-        elif verb == "rmw":
-            yield from self.kvs.get(ctx, key)
-            yield from self.kvs.put(ctx, key, payload)
-        else:
-            raise ValueError("unknown verb %r" % verb)
 
     def _async_put(self, ctx, key, value, collector) -> Generator:
         # The window slot is intentionally released by the completion
@@ -247,91 +232,54 @@ class P2KVSSystem:
     def user_bytes_written(self) -> float:
         return sum(a.counters.get("user_bytes_written") for a in self.kvs.adapters)
 
-    def memory_bytes(self) -> int:
-        return self.kvs.memory_bytes()
 
-    def close(self) -> Generator:
-        yield from self.kvs.close()
-
-
-class KVellSystem:
+class KVellSystem(System):
     def __init__(self, store: KVellLike):
-        self.store = store
-        self.name = "kvell-%d" % store.n_workers
+        super().__init__(store, "kvell-%d" % store.n_workers)
 
     @classmethod
     def open(cls, env: Env, n_workers: int = 8, page_cache_bytes: int = 4 * 1024 * 1024) -> Generator:
-        store = KVellLike(env, n_workers=n_workers, page_cache_bytes=page_cache_bytes)
-        return cls(store)
-        yield  # pragma: no cover
-
-    def execute(self, ctx, op: Op) -> Generator:
-        verb, key, payload = op
-        if verb in ("insert", "update"):
-            yield from self.store.put(ctx, key, payload)
-        elif verb == "read":
-            yield from self.store.get(ctx, key)
-        elif verb == "scan":
-            yield from self.store.scan(ctx, key, payload)
-        elif verb == "range":
-            yield from self.store.range_query(ctx, key, payload)
-        elif verb == "rmw":
-            yield from self.store.get(ctx, key)
-            yield from self.store.put(ctx, key, payload)
-        else:
-            raise ValueError("unknown verb %r" % verb)
-
-    def user_bytes_written(self) -> float:
-        return self.store.counters.get("user_bytes_written")
-
-    def memory_bytes(self) -> int:
-        return self.store.memory_bytes()
-
-    def close(self) -> Generator:
-        yield from self.store.close()
+        # KVell opens synchronously; delegating to an empty iterable keeps
+        # open() a generator like every other system's.
+        yield from ()
+        return cls(KVellLike(env, n_workers=n_workers, page_cache_bytes=page_cache_bytes))
 
 
-class WiredTigerSystem:
+class WiredTigerSystem(System):
     """Vanilla WiredTiger: one B+-tree instance, direct user threads."""
 
     def __init__(self, store: WiredTigerLike):
-        self.store = store
-        self.name = "wiredtiger"
+        super().__init__(store, "wiredtiger")
 
     @classmethod
     def open(cls, env: Env, name: str = "wt") -> Generator:
         store = yield from WiredTigerLike.open(env, name)
         return cls(store)
 
-    def execute(self, ctx, op: Op) -> Generator:
-        verb, key, payload = op
-        if verb in ("insert", "update"):
-            yield from self.store.put(ctx, key, payload)
-        elif verb == "read":
-            yield from self.store.get(ctx, key)
-        elif verb == "scan":
-            yield from self.store.scan(ctx, key, payload)
-        elif verb == "range":
-            yield from self.store.range_query(ctx, key, payload)
-        elif verb == "rmw":
-            yield from self.store.get(ctx, key)
-            yield from self.store.put(ctx, key, payload)
-        else:
-            raise ValueError("unknown verb %r" % verb)
-
-    def user_bytes_written(self) -> float:
-        return self.store.counters.get("user_bytes_written")
-
-    def memory_bytes(self) -> int:
-        return self.store.memory_bytes()
-
-    def close(self) -> Generator:
-        yield from self.store.close()
-
 
 # ---------------------------------------------------------------------------
 # Load generation
 # ---------------------------------------------------------------------------
+
+
+def run_zoned(env: Env, zone: str) -> None:
+    """Run the simulation until it drains, inside host-profiler zone ``zone``.
+
+    The one place an outer zone brackets ``sim.run()``.  The zone is closed
+    by unwinding to the ``enter()`` token in a ``finally``: when the run
+    raises (a non-``KVError`` in a user thread, ``CrashTriggered``) the zone
+    must not stay open, or every later run under the same profiler would be
+    nested beneath it.
+    """
+    _p = _perf_zones.PROFILER
+    if _p is None:
+        env.sim.run()
+        return
+    token = _p.enter(zone)
+    try:
+        env.sim.run()
+    finally:
+        _p.unwind(token)
 
 
 def open_system(env: Env, factory: Generator):
@@ -343,12 +291,7 @@ def open_system(env: Env, factory: Generator):
         box.append(system)
 
     env.sim.spawn(opener())
-    _p = _perf_zones.PROFILER
-    if _p is not None:
-        _p.enter("harness.open")
-    env.sim.run()
-    if _p is not None:
-        _p.leave()
+    run_zoned(env, "harness.open")
     return box[0]
 
 
@@ -378,34 +321,27 @@ def run_closed_loop(
         sampler.start()
     n_ops = sum(len(s) for s in streams)
     procs = []
-    per_instance = isinstance(system, MultiInstanceSystem)
-    is_p2kvs = isinstance(system, P2KVSSystem)
+    execute = system.execute
+    harness_spans = not system.emits_request_spans
+    async_window = system.async_window
+    async_sink = collector if measure else None
 
-    def user_thread(ctx, stream, thread_index):
+    def user_thread(ctx, stream, store):
         count = 0
         sim = env.sim
         tracer = sim.tracer
         record_latency = collector.record_latency
-        async_window = is_p2kvs and system.async_window
         for op in stream:
             started = sim._now
-            # p2KVS emits its own request spans (with routing args) from the
-            # accessing layer; for every other system the harness emits one
-            # per op so the critical-path extractor has walk endpoints.
             span = (
                 tracer.begin(
                     "request:%s" % op[0], "request", ctx.track, args={"op": op[0]}
                 )
-                if tracer.enabled and not is_p2kvs
+                if tracer.enabled and harness_spans
                 else None
             )
             try:
-                if per_instance:
-                    yield from system.execute(ctx, op, thread_index)
-                elif is_p2kvs:
-                    yield from system.execute(ctx, op, collector if measure else None)
-                else:
-                    yield from system.execute(ctx, op)
+                yield from execute(ctx, op, store, async_sink)
             except KVError as exc:
                 # Degradation, not termination: a typed error fails the op
                 # and the user thread moves on (only fault-injection runs
@@ -414,6 +350,7 @@ def run_closed_loop(
                     collector.record_error(exc.code)
             if span is not None:
                 span.finish()
+            # A windowed async write records its own latency on completion.
             if measure and not (async_window and op[0] in ("insert", "update")):
                 record_latency(_VERB_CLASS[op[0]], sim._now - started)
             count += 1
@@ -423,13 +360,13 @@ def run_closed_loop(
     for i, stream in enumerate(streams):
         core = (i % env.cpu.n_cores) if pin_users else None
         ctx = env.cpu.new_thread("user-%d" % i, pinned=core)
-        procs.append(env.sim.spawn(user_thread(ctx, stream, i)))
+        procs.append(env.sim.spawn(user_thread(ctx, stream, system.store_for(i))))
 
     box = []
 
     def finisher():
         yield env.sim.all_of(procs)
-        if is_p2kvs and system.async_window:
+        if async_window:
             yield from system.drain()
         if sampler is not None:
             sampler.sample_once()  # final row at the window's end time
@@ -445,12 +382,7 @@ def run_closed_loop(
             on_done()
 
     env.sim.spawn(finisher())
-    _p = _perf_zones.PROFILER
-    if _p is not None:
-        _p.enter("harness.run" if measure else "harness.preload")
-    env.sim.run()
-    if _p is not None:
-        _p.leave()
+    run_zoned(env, "harness.run" if measure else "harness.preload")
     return box[0]
 
 
@@ -492,18 +424,10 @@ def run_open_loop(
         )
 
     env.sim.spawn(arrivals())
-    _p = _perf_zones.PROFILER
-    if _p is not None:
-        _p.enter("harness.run")
-    env.sim.run()
-    if _p is not None:
-        _p.leave()
+    run_zoned(env, "harness.run")
     return box[0]
 
 
 def preload(env: Env, system, ops: Sequence[Op], n_threads: int = 8) -> None:
     """Load a dataset before the measured window (not timed)."""
-    streams: List[List[Op]] = [[] for _ in range(n_threads)]
-    for i, op in enumerate(ops):
-        streams[i % n_threads].append(op)
-    run_closed_loop(env, system, streams, measure=False)
+    run_closed_loop(env, system, split_stream(ops, n_threads), measure=False)

@@ -12,9 +12,9 @@ Python engine are the hardware this repo runs on, and speed work on them
   per-subsystem wall-time tree (:mod:`repro.perf.report`).
 * :mod:`repro.perf.sampling` — an optional ``sys.setprofile`` stack sampler
   emitting collapsed stacks and speedscope JSON flamegraphs.
-* :mod:`repro.perf.tax` — the instrument-tax harness: runs a pinned
-  workload with each observability layer toggled and reports per-layer
-  wall-clock overhead.
+* :mod:`repro.perf.tax` — the instrument-tax harness: times a
+  caller-supplied workload once per observability layer and reports
+  per-layer wall-clock overhead.
 
 **Determinism contract.**  This is the only package in ``src/`` allowed to
 read host clocks (the ``wall-clock`` lint rule exempts exactly

@@ -22,7 +22,8 @@ requests never enter the system, which is the whole point of shedding.
 
 from typing import Generator, List, Optional, Sequence
 
-from repro.perf import zones as _perf_zones
+from repro.harness.runner import run_zoned
+from repro.workloads.microbench import split_stream
 
 __all__ = ["partition_offered_counts", "preload_plane", "run_service_load"]
 
@@ -44,10 +45,7 @@ def preload_plane(env, plane, ops: Sequence, n_threads: int = 4) -> None:
 
     procs = []
     for shard, shard_ops in enumerate(per_shard):
-        chunks: List[List] = [[] for _ in range(n_threads)]
-        for j, op in enumerate(shard_ops):
-            chunks[j % n_threads].append(op)
-        for t, chunk in enumerate(chunks):
+        for t, chunk in enumerate(split_stream(shard_ops, n_threads)):
             if not chunk:
                 continue
             ctx = env.cpu.new_thread("svc-preload-%d-%d" % (shard, t))
@@ -57,12 +55,7 @@ def preload_plane(env, plane, ops: Sequence, n_threads: int = 4) -> None:
         yield env.sim.all_of(procs)
 
     env.sim.spawn(waiter(), name="svc-preload")
-    _p = _perf_zones.PROFILER
-    if _p is not None:
-        _p.enter("service.preload")
-    env.sim.run()
-    if _p is not None:
-        _p.leave()
+    run_zoned(env, "service.preload")
 
 
 def partition_offered_counts(partitioner, ops: Sequence) -> List[int]:
@@ -132,10 +125,5 @@ def run_service_load(
         ]
 
     env.sim.spawn(driver(), name="svc-load")
-    _p = _perf_zones.PROFILER
-    if _p is not None:
-        _p.enter("service.run")
-    env.sim.run()
-    if _p is not None:
-        _p.leave()
+    run_zoned(env, "service.run")
     return box

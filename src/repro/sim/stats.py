@@ -42,6 +42,11 @@ class Histogram:
         self._samples.append(value)
         self._sorted = False
 
+    def merge(self, other: "Histogram") -> None:
+        """Fold every sample of ``other`` into this histogram."""
+        self._samples.extend(other._samples)
+        self._sorted = False
+
     def _ensure_sorted(self) -> None:
         if not self._sorted:
             self._samples.sort()

@@ -18,7 +18,7 @@ then checks the three promises:
 * multi-key batches and cross-instance transactions are all-or-nothing.
 
 The whole campaign is deterministic: the report (``--out``) is byte-identical
-across reruns with the same ``--fault-seed``, which ``make faults-smoke``
+across reruns with the same ``--fault-seed``, which ``make smoke``
 asserts by running it twice and comparing.  Exit status is non-zero when any
 oracle violation is found.  See docs/FAULTS.md.
 """
@@ -31,7 +31,6 @@ from typing import Generator, List, Optional
 
 from repro.engine.batch import WriteBatch
 from repro.engine.db import LSMEngine
-from repro.engine.env import make_env
 from repro.engine.options import rocksdb_options
 from repro.core.adapters import adapter_factory
 from repro.core.framework import P2KVS
@@ -51,10 +50,12 @@ from repro.monitor import (
     score_detection,
     write_detection_report,
 )
-from repro.sim.device import OPTANE_905P, SATA_860PRO
-from repro.tools.common import finish_profile, observability_parent, start_profile
-
-DEVICES = {"nvme": OPTANE_905P, "sata": SATA_860PRO}
+from repro.tools.common import (
+    finish_profile,
+    make_env_from_args,
+    observability_parent,
+    start_profile,
+)
 
 N_THREADS = 3
 OPS_PER_THREAD = 120
@@ -135,23 +136,17 @@ def _writer(env, shadow: ShadowMap, tid: int, put, write_batch) -> Generator:
             batch = WriteBatch()
             for key, value in items:
                 batch.put(key, value)
-            token = shadow.begin(items)
-            try:
-                yield from write_batch(ctx, batch)
-            except KVError as exc:
-                shadow.nack(token, exc)
-                continue
-            shadow.ack(token)
+            attempt = write_batch(ctx, batch)
         else:
-            key = b"fb-%d-%03d" % (tid, i % KEY_SPACE)
-            value = _value(tid, i)
-            token = shadow.begin([(key, value)])
-            try:
-                yield from put(ctx, key, value)
-            except KVError as exc:
-                shadow.nack(token, exc)
-                continue
-            shadow.ack(token)
+            items = [(b"fb-%d-%03d" % (tid, i % KEY_SPACE), _value(tid, i))]
+            attempt = put(ctx, *items[0])
+        token = shadow.begin(items)
+        try:
+            yield from attempt
+        except KVError as exc:
+            shadow.nack(token, exc)
+            continue
+        shadow.ack(token)
 
 
 # ---------------------------------------------------------------------------
@@ -159,39 +154,20 @@ def _writer(env, shadow: ShadowMap, tid: int, put, write_batch) -> Generator:
 # ---------------------------------------------------------------------------
 
 
-def _engine_store():
-    """(open, put, write_batch, reopen) hooks for the bare LSM engine."""
-
-    def open_store(env):
-        return LSMEngine.open(env, "db", rocksdb_options(**ENGINE_SHAPE))
-
-    def put(store):
-        return lambda ctx, key, value: store.put(ctx, key, value)
-
-    def write_batch(store):
-        return lambda ctx, batch: store.write(ctx, batch)
-
-    return open_store, put, write_batch
+def _open_engine(env):
+    return LSMEngine.open(env, "db", rocksdb_options(**ENGINE_SHAPE))
 
 
-def _p2kvs_store():
-    def open_store(env):
-        return P2KVS.open(
-            env,
-            n_workers=4,
-            adapter_open=adapter_factory("rocksdb", **ENGINE_SHAPE),
-        )
-
-    def put(store):
-        return lambda ctx, key, value: store.put(ctx, key, value)
-
-    def write_batch(store):
-        return lambda ctx, batch: store.write_batch(ctx, batch)
-
-    return open_store, put, write_batch
+def _open_p2kvs(env):
+    return P2KVS.open(
+        env,
+        n_workers=4,
+        adapter_open=adapter_factory("rocksdb", **ENGINE_SHAPE),
+    )
 
 
-STORES = {"engine": _engine_store, "p2kvs": _p2kvs_store}
+#: store under test -> (open, the name of its atomic multi-key write method).
+STORES = {"engine": (_open_engine, "write"), "p2kvs": (_open_p2kvs, "write_batch")}
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +177,9 @@ STORES = {"engine": _engine_store, "p2kvs": _p2kvs_store}
 
 def run_scenario(spec: dict, fault_seed: int) -> dict:
     seed = scenario_seed(spec["name"], fault_seed)
-    open_store, put_of, batch_of = STORES[spec["store"]]()
-    env = make_env(n_cores=N_CORES, device_spec=DEVICES[spec["device"]])
+    open_store, batch_method = STORES[spec["store"]]
+    machine = argparse.Namespace(cores=N_CORES, device=spec["device"])
+    env = make_env_from_args(machine)
     shadow = ShadowMap()
 
     policy = FaultPolicy(seed, **spec["policy"]) if "policy" in spec else None
@@ -221,7 +198,7 @@ def run_scenario(spec: dict, fault_seed: int) -> dict:
         monitor.start()
         procs = [
             env.sim.spawn(
-                _writer(env, shadow, tid, put_of(store), batch_of(store)),
+                _writer(env, shadow, tid, store.put, getattr(store, batch_method)),
                 "fb-writer-%d" % tid,
             )
             for tid in range(N_THREADS)
@@ -248,7 +225,7 @@ def run_scenario(spec: dict, fault_seed: int) -> dict:
     # Recovery happens on a FRESH machine with no faults installed: the
     # campaign verifies what recovery does with the damage, not whether it
     # survives further damage while recovering.
-    env2 = make_env(n_cores=N_CORES, device_spec=DEVICES[spec["device"]])
+    env2 = make_env_from_args(machine)
     restore_durable_state(env2.disk, durable)
     recovered = {}
     recovery = {}

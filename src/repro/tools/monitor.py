@@ -10,13 +10,13 @@ Two modes::
     # re-render a previously written monitor document
     python -m repro.tools.monitor --replay monitor.json
 
-The run mode is a thin veneer over ``repro.tools.serve`` with the monitor
-always attached: it runs the scenario, prints the incident narrative, and
-checks expectations — ``--expect-clean`` fails the run if any page-severity
-alert fired, and a ``--fault-rate`` run fails if the injected fault went
-undetected.  Everything printed or written is deterministic: reruns and
+The run mode is ``repro.tools.serve``'s scenario with the monitor always
+attached: it prints the incident narrative and checks expectations —
+``--expect-clean`` fails the run if any page-severity alert fired, and a
+``--fault-rate`` run fails if the injected fault went undetected.
+Everything printed or written is deterministic: reruns and
 ``--schedule-seed`` perturbations produce byte-identical documents, which
-``make monitor-smoke`` asserts on every CI run.  See docs/MONITOR.md.
+``make smoke`` asserts on every CI run.  See docs/MONITOR.md.
 """
 
 import argparse
@@ -25,6 +25,7 @@ import sys
 from typing import List, Optional
 
 from repro.monitor import render_narrative, write_detection_report
+from repro.service import scenario_names
 from repro.tools import serve as serve_tool
 from repro.tools.common import finish_profile, observability_parent, start_profile
 
@@ -32,16 +33,16 @@ __all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Shared flag group: run mode is a veneer over serve, so the sanitizer,
-    # profiler and schedule-seed flags pass straight through to it; the
-    # stats/trace/critpath families stay serve-only (their artifacts belong
-    # to the full SLO run, not the monitor narrative).
+    # The stats/trace/critpath families stay serve-only: their artifacts
+    # belong to the full SLO run, not the monitor narrative.
     parser = argparse.ArgumentParser(
         prog="repro.tools.monitor",
         description="run a monitored service scenario, or replay a monitor "
         "document (docs/MONITOR.md)",
         parents=[
-            observability_parent(trace=False, stats=False, critpath=False)
+            observability_parent(
+                trace=False, stats=False, critpath=False, monitor="window"
+            )
         ],
     )
     parser.add_argument(
@@ -52,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scenario",
+        choices=scenario_names(),
         default="uniform",
         help="pinned serve scenario to run (default: uniform)",
     )
@@ -59,12 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ops", type=int, default=1500)
     parser.add_argument("--rate", type=float, default=1000000.0)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--monitor-window-ms",
-        type=float,
-        default=0.1,
-        help="telemetry window in milliseconds of simulated time",
-    )
     parser.add_argument(
         "--fault-rate",
         type=float,
@@ -100,34 +96,16 @@ def _replay(path: str) -> int:
     return 0
 
 
-def _serve_argv(args) -> List[str]:
-    argv = [
-        "--scenario", args.scenario,
-        "--shards", str(args.shards),
-        "--ops", str(args.ops),
-        "--rate", repr(args.rate),
-        "--seed", str(args.seed),
-        "--monitor",
-        "--monitor-window-ms", repr(args.monitor_window_ms),
-    ]
-    if args.fault_rate > 0.0:
-        argv += ["--fault-rate", repr(args.fault_rate),
-                 "--fault-seed", str(args.fault_seed)]
-    if args.schedule_seed is not None:
-        argv += ["--schedule-seed", str(args.schedule_seed)]
-    if args.sanitize:
-        argv += ["--sanitize"]
-    return argv
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.replay:
         return _replay(args.replay)
 
-    # Reuse the serve tool's scenario runner end to end (same defaults,
-    # same report) with the monitor attached.
-    serve_args = serve_tool.build_parser().parse_args(_serve_argv(args))
+    # serve's scenario runner end to end: its defaults for every flag this
+    # tool does not expose, the monitor on, and the monitor document (serve's
+    # --monitor-out) written to this tool's --json.
+    serve_args = serve_tool.build_parser().parse_args([])
+    vars(serve_args).update(vars(args), monitor=True, monitor_out=args.json)
     profiler = start_profile(args)
     report = serve_tool.run_scenario(serve_args)
     finish_profile(args, profiler)
@@ -151,12 +129,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(render_narrative(health, detection))
 
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(json.dumps(
-                {"health": health, "detection": detection},
-                sort_keys=True, indent=2,
-            ))
-            fh.write("\n")
         print("wrote %s" % args.json)
     if args.detection_out:
         write_detection_report(detection, args.detection_out)

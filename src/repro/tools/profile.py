@@ -13,9 +13,9 @@ wall-clock column times):
   observability layer (off, trace, metrics, sanitize, critpath, monitor)
   and report each layer's wall overhead over the bare run.
 
-All host-clock reads happen inside ``repro.perf``; this module only
-orchestrates.  Profiling never changes simulated results (tested
-byte-for-byte in tests/test_perf.py).
+All host-clock reads happen inside ``repro.perf``; this module pins the
+workload (``PINNED``, ``run_workload``) and orchestrates.  Profiling never
+changes simulated results (tested byte-for-byte in tests/test_perf.py).
 
 Examples::
 
@@ -31,10 +31,61 @@ import sys
 from typing import List, Optional
 
 from repro.perf import StackSampler, format_zone_tree, zones as _zones
-from repro.perf.tax import LAYERS, PINNED, format_tax, measure_tax, run_workload
-from repro.tools.common import observability_parent
+from repro.perf.tax import LAYERS, format_tax, measure_tax
+from repro.tools.common import (
+    ObservedRun,
+    make_env_from_args,
+    observability_parent,
+    open_system_from_args,
+)
+from repro.workloads import fillrandom, split_stream
 
-__all__ = ["build_parser", "main"]
+__all__ = ["PINNED", "build_parser", "main", "run_workload"]
+
+#: the pinned workload every mode runs (dbbench fillrandom on SATA), spelled
+#: as the flags the shared driver reads.
+PINNED = dict(
+    system="p2kvs",
+    workers=8,
+    no_obm=False,
+    async_window=0,
+    threads=8,
+    cores=44,
+    device="sata",
+    value_size=4096,
+    num=2000,
+    seed=0,
+)
+
+
+def run_workload(
+    layer: str = "off",
+    num: Optional[int] = None,
+    schedule_seed: Optional[int] = None,
+) -> None:
+    """Run the pinned workload once with the observability ``layer`` attached.
+
+    Each call builds a fresh env/system so no layer sees another's state.
+    ``schedule_seed`` perturbs same-time event delivery (the tool's shared
+    determinism flag): the workload must behave identically for every N.
+    """
+    if layer not in LAYERS:
+        raise ValueError("unknown layer %r (choose from %s)" % (layer, LAYERS))
+    args = argparse.Namespace(
+        **PINNED, schedule_seed=schedule_seed, sanitize=layer == "sanitize"
+    )
+    run = ObservedRun(
+        make_env_from_args(args),
+        tracer=layer == "trace",
+        edgelog=layer == "critpath",
+        stats_interval_ms=10.0 if layer == "metrics" else None,
+    )
+    if layer == "monitor":
+        run.attach_monitor(window_ms=5.0)
+    ops = fillrandom(PINNED["num"] if num is None else num, args.value_size, args.seed)
+    run.closed_loop(
+        open_system_from_args(run.env, args), split_stream(ops, args.threads)
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_tax(args) -> int:
-    report = measure_tax(num=args.num, schedule_seed=args.schedule_seed)
+    report = measure_tax(
+        lambda layer: run_workload(layer, args.num, args.schedule_seed)
+    )
     print(format_tax(report))
     if args.tax_json:
         with open(args.tax_json, "w") as f:

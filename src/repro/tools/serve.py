@@ -17,26 +17,19 @@ ledger, and optionally writes the full report as deterministic JSON
 
 The report is a pure function of the arguments: rerunning with the same
 flags — or any ``--schedule-seed`` — produces byte-identical files, which
-``make serve-smoke`` checks on every CI run.  The tracing
-(``--trace-out``), stats (``--stats``), critical-path (``--critpath``) and
-fault-injection (``--fault-rate``) hooks all work unchanged: shards are
-ordinary p2KVS deployments on one simulated machine.
+``make smoke`` checks on every CI run.  The shared observability flags
+(``--trace-out``, ``--stats``, ``--critpath``, ``--monitor``) and fault
+injection (``--fault-rate``) all work unchanged: shards are ordinary p2KVS
+deployments on one simulated machine.
 """
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
-from repro.critpath import install_edgelog
 from repro.faults import FaultPolicy, install_faults
 from repro.harness.report import format_table
-from repro.monitor import (
-    attach_service_monitor,
-    ground_truth_from_env,
-    render_narrative,
-    score_detection,
-)
+from repro.monitor import render_narrative
 from repro.service import (
     ServicePlane,
     build_scenario,
@@ -49,18 +42,13 @@ from repro.service import (
 )
 from repro.service.scenarios import SCENARIOS
 from repro.tools.common import (
-    DEVICES,
-    check_sanitizer,
-    critpath_trace_extras,
-    export_critpath,
-    export_stats,
+    ObservedRun,
+    add_machine_args,
     finish_profile,
-    install_stats_if_requested,
-    make_env_from_args,
     observability_parent,
+    print_artifacts,
     start_profile,
 )
-from repro.trace import install_tracer, write_chrome_trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,14 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=int, default=2, help="p2kvs workers per shard"
     )
-    parser.add_argument("--cores", type=int, default=44, help="simulated CPU cores")
-    parser.add_argument("--device", choices=sorted(DEVICES), default="nvme")
-    parser.add_argument(
-        "--page-cache-mb",
-        type=float,
-        default=None,
-        help="OS page cache size in MB (default: effectively unlimited)",
-    )
+    add_machine_args(parser)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--fault-rate",
@@ -134,12 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_scenario(args) -> dict:
-    env = make_env_from_args(args)
-    tracer = (
-        install_tracer(env) if (args.trace_out or args.critpath) else None
-    )
-    edgelog = install_edgelog(env) if args.critpath else None
-    sampler = install_stats_if_requested(env, args)
+    run = ObservedRun.from_args(args)
+    env = run.env
     spec = build_scenario(
         args.scenario,
         n_ops=args.ops,
@@ -166,11 +143,8 @@ def run_scenario(args) -> dict:
             policy=FaultPolicy(args.fault_seed, error_rate=args.fault_rate),
             seed=args.fault_seed,
         )
-    monitor = None
     if args.monitor or args.monitor_out:
-        monitor = attach_service_monitor(
-            env, plane, window=args.monitor_window_ms / 1e3
-        )
+        run.attach_monitor(args.monitor_window_ms, plane)
     t0 = env.sim.now
     run_facts = run_service_load(
         env,
@@ -179,42 +153,14 @@ def run_scenario(args) -> dict:
         spec["arrivals"],
         rebalance_at=spec["rebalance_at"],
         rebalance_moves=spec["rebalance_moves"],
-        monitor=monitor,
+        monitor=run.monitor,
     )
-    window = (t0, t0 + run_facts["makespan"])
-    check_sanitizer(env)
+    run.close_window(t0, run_facts["makespan"])
     report = build_slo_report(plane, run_facts, spec)
     report["shards_opened"] = plane.shard_names()
-    if monitor is not None:
-        report["health"] = monitor.timeline()
-        # Scored even on clean runs: a clean scenario with page alerts is a
-        # false-positive finding, which the monitor smoke gate checks.
-        report["detection"] = score_detection(
-            monitor, ground_truth_from_env(env), args.scenario
-        )
-    extras = {}
-    if monitor is not None and args.monitor_out:
-        with open(args.monitor_out, "w") as fh:
-            fh.write(json.dumps(
-                {"health": report["health"], "detection": report["detection"]},
-                sort_keys=True, indent=2,
-            ))
-            fh.write("\n")
-        extras["monitor_file"] = args.monitor_out
-    if tracer is not None and args.trace_out:
-        spans, flows = (
-            critpath_trace_extras(edgelog, tracer, window)
-            if edgelog is not None
-            else ((), ())
-        )
-        extras["trace_file"] = write_chrome_trace(
-            tracer, args.trace_out, extra_spans=spans, flows=flows
-        )
-    if edgelog is not None:
-        export_critpath(edgelog, tracer, window, args.critpath_out, extras)
-    if sampler is not None:
-        export_stats(env, sampler, args.stats_out, extras)
-    report["_artifacts"] = extras
+    if run.monitor is not None:
+        report.update(run.score_monitor(args.scenario))
+    report["_artifacts"] = run.export({})
     return report
 
 
@@ -317,14 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if "health" in report:
         print()
         print(render_narrative(report["health"], report.get("detection")))
-    if "monitor_file" in artifacts:
-        print("wrote monitor %s" % artifacts["monitor_file"])
-    if "critpath" in artifacts:
-        print("wrote critpath %s" % artifacts["critpath_file"])
-    if "trace_file" in artifacts:
-        print("wrote trace %s" % artifacts["trace_file"])
-    for path in sorted(artifacts.get("stats_files", {}).values()):
-        print("wrote stats %s" % path)
+    print_artifacts(artifacts)
     if args.json:
         write_report(report, args.json)
         print("wrote %s" % args.json)

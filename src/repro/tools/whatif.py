@@ -26,17 +26,19 @@ from typing import List, Optional
 from repro.critpath import (
     EXPERIMENTS,
     check_prediction,
-    critpath_report,
-    install_edgelog,
     predicted_delta,
     predicted_saving,
 )
-from repro.engine import make_env
-from repro.harness import run_closed_loop
 from repro.harness.report import format_blame_table, format_qps, format_table
-from repro.tools.common import DEVICES, check_sanitizer
-from repro.tools.dbbench import SYSTEMS, _build_system
-from repro.trace import install_tracer
+from repro.tools.common import (
+    DEVICES,
+    ObservedRun,
+    add_machine_args,
+    add_system_args,
+    make_env_from_args,
+    observability_parent,
+    open_system_from_args,
+)
 from repro.workloads import fillrandom, split_stream
 
 
@@ -45,21 +47,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.tools.whatif",
         description="critical-path what-if profiler (predicted vs. measured "
         "virtual speedups on a pinned fillrandom workload)",
+        # The tool installs its own tracer + edgelog and owns its report, so
+        # of the shared group only the determinism flags apply.
+        parents=[
+            observability_parent(
+                trace=False, stats=False, critpath=False, profile=False
+            )
+        ],
     )
-    parser.add_argument("--system", choices=SYSTEMS, default="p2kvs")
     parser.add_argument("--num", type=int, default=4000, help="write ops")
-    parser.add_argument("--threads", type=int, default=4, help="user threads")
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--value-size", type=int, default=112)
-    parser.add_argument("--cores", type=int, default=8)
-    parser.add_argument("--device", choices=sorted(DEVICES), default="nvme")
-    parser.add_argument("--no-obm", action="store_true")
-    parser.add_argument("--async-window", type=int, default=0)
+    add_system_args(parser, system="p2kvs", threads=4, workers=4)
+    add_machine_args(parser, cores=8, page_cache=False)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--schedule-seed", type=int, default=None, metavar="N",
-        help="perturb same-time event delivery order with seed N",
-    )
     parser.add_argument(
         "--experiments",
         default="wal-cpu-0.8x,memtable-0.9x,channels+1",
@@ -83,40 +83,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_env(args, experiment=None):
+def _run(args, experiment=None, with_critpath: bool = False):
+    """One pinned fillrandom run; returns (metrics, critpath report or None)."""
     spec = DEVICES[args.device]
     if experiment is not None and experiment.kind == "channels":
         spec = replace(spec, channels=spec.channels + experiment.delta)
-    env = make_env(n_cores=args.cores, device_spec=spec)
-    if args.schedule_seed is not None:
-        env.sim.perturb_schedule(args.schedule_seed)
+    env = make_env_from_args(args, spec)
     if experiment is not None:
         if experiment.kind == "cpu":
             env.cpu.category_scale = {experiment.category: experiment.factor}
         elif experiment.kind == "device":
             env.device.category_scale = {experiment.category: experiment.factor}
-    return env
-
-
-def _run(args, experiment=None, with_critpath: bool = False):
-    """One pinned fillrandom run; returns (metrics, critpath report or None)."""
-    env = _build_env(args, experiment)
-    tracer = edgelog = None
-    if with_critpath:
-        tracer = install_tracer(env)
-        edgelog = install_edgelog(env)
-    system = _build_system(env, args)
-    t0 = env.sim.now
-    metrics = run_closed_loop(
-        env,
-        system,
+    run = ObservedRun(env, tracer=with_critpath, edgelog=with_critpath)
+    metrics = run.closed_loop(
+        open_system_from_args(env, args),
         split_stream(fillrandom(args.num, args.value_size, args.seed), args.threads),
     )
-    check_sanitizer(env)
-    report = None
-    if with_critpath:
-        report = critpath_report(edgelog, tracer, (t0, t0 + metrics.elapsed))
-    return metrics, report
+    return metrics, run.critpath_report() if with_critpath else None
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -419,7 +419,7 @@ def test_whatif_extra_channel_prediction_within_tolerance(whatif_baseline):
     """Acceptance criterion 2: adding one device channel — predicted from
     device queueing blame on the makespan path, within 25% of measured."""
     args, metrics, report = whatif_baseline
-    from repro.tools.dbbench import DEVICES
+    from repro.tools.common import DEVICES
 
     channels = DEVICES[args.device].channels
     experiment = EXPERIMENTS["channels+1"]

@@ -25,7 +25,8 @@ import pytest
 
 from repro.perf import zones as _perf_zones
 from repro.systems import system_names
-from repro.tools import dbbench, serve
+from repro.tools import dbbench, serve, whatif, ycsb
+from repro.tools import monitor as monitor_tool
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "fingerprints.json")
 UPDATE = os.environ.get("REPRO_UPDATE_GOLDENS") == "1"
@@ -101,10 +102,10 @@ _DBBENCH_COMMON = ["--threads", "4", "--workers", "2", "--device", "nvme",
                    "--seed", "0", "--num", "500"]
 
 
-def _dbbench_result(bench: str, extra=(), **run_kwargs) -> dict:
+def _dbbench_result(bench: str, extra=()) -> dict:
     argv = ["--benchmarks", bench] + _DBBENCH_COMMON + list(extra)
     args = dbbench.build_parser().parse_args(argv)
-    return dbbench.run_benchmark(bench, args, **run_kwargs)
+    return dbbench.run_benchmark(bench, args)
 
 
 @pytest.mark.parametrize("system", system_names())
@@ -148,8 +149,8 @@ def test_dbbench_profiler_off_path():
 def _critpath_blame(extra=(), tmp_base="golden-critpath"):
     result = _dbbench_result(
         "fillrandom",
-        ["--system", "p2kvs"] + list(extra),
-        critpath_base=tmp_base,
+        ["--system", "p2kvs", "--critpath", "--critpath-out", tmp_base]
+        + list(extra),
     )
     return result["critpath"]
 
@@ -182,3 +183,69 @@ def test_serve_report_golden():
 def test_serve_report_schedule_seed_invariant():
     report = _serve_report(["--schedule-seed", "9"])
     check("serve:uniform:2shard", fingerprint(report))
+
+
+# -- the run path every CLI shares (tools.common) ----------------------------
+#
+# These go through main(argv) and read the --json artifact back, so they pin
+# what a *user* of each tool gets — parser, driver loop, observer install
+# order, exports — not one internal function's return value.
+
+
+def _main_json(tool, argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert tool.main(list(argv) + ["--json", str(out)]) == 0
+    capsys.readouterr()
+    return json.loads(out.read_text())
+
+
+def test_ycsb_result_golden(tmp_path, capsys):
+    results = _main_json(
+        ycsb,
+        ["--workload", "A", "--system", "p2kvs", "--workers", "2", "--threads",
+         "4", "--records", "500", "--ops", "500", "--seed", "0"],
+        tmp_path, capsys,
+    )
+    check("ycsb:A:p2kvs", fingerprint(results[0]))
+
+
+def test_dbbench_observed_golden(tmp_path, capsys):
+    """Every plane attached at once: the base columns equal the unobserved
+    run's (observers never perturb the simulation), and the artifact keys
+    plus every exported plane's content are pinned."""
+    plain = _dbbench_result("fillrandom", ["--system", "p2kvs"])
+    argv = ["--benchmarks", "fillrandom", "--system", "p2kvs"] + _DBBENCH_COMMON
+    observed = _main_json(
+        dbbench,
+        argv + ["--trace-out", str(tmp_path / "t.json"), "--critpath",
+                "--critpath-out", str(tmp_path / "cp"), "--stats",
+                "--stats-out", str(tmp_path / "s")],
+        tmp_path, capsys,
+    )[0]
+    check("dbbench:fillrandom:p2kvs",
+          fingerprint({k: observed[k] for k in plain}))
+    artifacts = sorted(set(observed) - set(plain))
+    assert sorted(observed["stats_files"]) == ["csv", "json", "prom"]
+    for path in [observed["trace_file"], observed["critpath_file"]] + list(
+        observed["stats_files"].values()
+    ):
+        assert os.path.exists(path), path
+    check("dbbench:fillrandom:p2kvs:observed",
+          fingerprint({"artifact_keys": artifacts, "result": observed}))
+
+
+def test_whatif_payload_golden(tmp_path, capsys):
+    payload = _main_json(
+        whatif,
+        ["--system", "p2kvs", "--workers", "2", "--threads", "4", "--num",
+         "500", "--experiments", "wal-write-0.8x"],
+        tmp_path, capsys,
+    )
+    check("whatif:wal-write-0.8x", fingerprint(payload))
+
+
+def test_monitor_document_golden(tmp_path, capsys):
+    document = _main_json(
+        monitor_tool, ["--scenario", "uniform", "--ops", "300"], tmp_path, capsys
+    )
+    check("monitor:uniform", fingerprint(document))

@@ -99,6 +99,28 @@ def test_unwind_closes_to_token_depth():
     assert snap["unattributed_ns"] >= 0
 
 
+def test_outer_zone_unwinds_when_the_run_raises():
+    """A run that raises must not leave its outer ``harness.run`` zone open,
+    or every later run under the same profiler nests beneath it."""
+    from repro.engine import make_env
+    from repro.harness import run_closed_loop
+    from repro.systems import open_system
+
+    def run(ops):
+        env = make_env(n_cores=4)
+        return run_closed_loop(env, open_system("rocksdb", env), [ops])
+
+    with zones.attach() as prof:
+        with pytest.raises(ValueError):
+            run([("explode", b"k", b"v")])  # unknown verb: not a KVError
+        assert prof._stack == []
+        run([("insert", b"k", b"v")])
+    snap = prof.snapshot()
+    assert snap["zones"]["harness.run"]["count"] == 2
+    assert prof._stack == []
+    assert sum(z["self_ns"] for z in snap["zones"].values()) == snap["attributed_ns"]
+
+
 def test_snapshot_window_and_coverage_bounds():
     p = ZoneProfiler()
     snap = p.snapshot()
@@ -255,7 +277,7 @@ def test_tax_layers_and_format():
 
 
 def test_tax_unknown_layer_rejected():
-    from repro.perf.tax import run_workload
+    from repro.tools.profile import run_workload
 
     with pytest.raises(ValueError):
         run_workload("nosuch")

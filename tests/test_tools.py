@@ -284,7 +284,7 @@ class TestStrictSystemOptions:
 
 
 class TestSharedFlagGroup:
-    """The six CLIs share one argparse parent: same spelling everywhere."""
+    """The seven CLIs share one argparse parent: same spelling everywhere."""
 
     SHARED = {
         "dbbench": ("trace_out", "stats", "stats_interval_ms", "stats_out",
@@ -296,7 +296,9 @@ class TestSharedFlagGroup:
         "serve": ("trace_out", "stats", "critpath", "sanitize", "profile",
                   "schedule_seed", "monitor", "monitor_window_ms",
                   "monitor_out"),
-        "monitor": ("sanitize", "profile", "profile_out", "schedule_seed"),
+        "monitor": ("sanitize", "profile", "profile_out", "schedule_seed",
+                    "monitor_window_ms"),
+        "whatif": ("sanitize", "schedule_seed"),
         "faultbench": ("profile", "profile_out"),
         "profile": ("schedule_seed",),
     }
@@ -326,6 +328,19 @@ class TestSharedFlagGroup:
                     )
                 else:
                     defaults[dest] = (tool, args[dest])
+
+    def test_monitor_rejects_unknown_scenario_under_its_own_name(self, capsys):
+        from repro.tools import monitor
+
+        with pytest.raises(SystemExit) as exc:
+            monitor.main(["--scenario", "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro.tools.monitor: error" in err and "nosuch" in err
+
+    def test_monitor_keeps_only_the_window_flag_of_its_family(self):
+        args = self._parser("monitor").parse_args([])
+        assert not hasattr(args, "monitor") and not hasattr(args, "monitor_out")
 
     def test_parent_families_opt_out(self):
         from repro.tools.common import observability_parent
