@@ -71,7 +71,8 @@ PROFILED_BENCH = $(PY) -m repro.tools.dbbench --benchmarks fillrandom \
 # * faults (docs/FAULTS.md): the crash/fault campaign passes every scenario
 #   with zero oracle violations; writes results/faults-report.json.
 # * serve (docs/SERVICE.md): 1-shard and 4-shard SLO reports are a pure
-#   function of the flags; writes results/serve-report.{json,csv}.
+#   function of the flags; writes results/serve-report.{json,csv}.  The
+#   4-shard run also completes with --stats and fault retries on together.
 # * monitor (docs/MONITOR.md): a clean scenario raises zero page alerts, a
 #   fault-injected run detects its fault with finite MTTD; writes
 #   results/monitor-report.json and results/detection_report.json.
@@ -99,6 +100,7 @@ smoke:
 	    results/serve-report.json,\
 	    $(SERVE) --scenario hotkey --shards 4 --json $$out --csv results/serve-report.csv > /dev/null,\
 	    $(SERVE) --scenario hotkey --shards 4 --schedule-seed 7 --json $$out > /dev/null)
+	$(SERVE) --scenario hotkey --shards 4 --stats --stats-out results/.smoke-stats --fault-rate 0.05 > /dev/null
 	$(call same-bytes,clean monitor document identical under perturbation,\
 	    results/.smoke-monitor-clean.json,\
 	    $(MONITOR) --expect-clean --json $$out > /dev/null,\

@@ -486,20 +486,21 @@ class YieldWaitInCriticalRule(LintRule):
 
 @register
 class AdhocMetricsRule(LintRule):
-    """Engine/core/storage instrumentation must go through the env's
-    StatsRegistry (``env.metrics`` — see docs/METRICS.md): a bare
-    ``Counter()``/``Histogram()`` or a benchmark collector threaded into a
-    component is invisible to the sampler and the exporters, so the metric
-    silently disappears from every stats artifact."""
+    """Engine/core/storage/baseline instrumentation must go through the
+    env's StatsRegistry (``env.metrics`` — see docs/METRICS.md): a bare
+    ``CounterGroup()``/``Histogram()`` or a benchmark collector threaded
+    into a component is invisible to the sampler and the exporters, so the
+    metric silently disappears from every stats artifact."""
 
     name = "adhoc-metrics"
     description = (
-        "no ad-hoc Counter()/Histogram() construction or collector.record(...)"
-        " calls in engine/core/storage — register instruments on env.metrics"
+        "no ad-hoc CounterGroup()/Histogram() construction or "
+        "collector.record(...) calls in engine/core/storage/baselines — "
+        "register instruments on env.metrics"
     )
-    scopes = ("repro.engine", "repro.core", "repro.storage")
+    scopes = ("repro.engine", "repro.core", "repro.storage", "repro.baselines")
 
-    ADHOC_CONSTRUCTORS = {"Counter", "Histogram"}
+    ADHOC_CONSTRUCTORS = {"CounterGroup", "Histogram"}
     COLLECTOR_METHODS = {"record", "record_latency", "note_memory"}
 
     def check(self, module: ModuleUnderLint) -> Iterator[Diagnostic]:

@@ -21,10 +21,10 @@ work across foreground and background threads.
 
 from typing import Dict, Generator, List, Tuple
 
+from repro.core.router import fnv1a
 from repro.engine.env import Env
 from repro.errors import KVError, KVStatus
 from repro.sim.queues import FIFOQueue
-from repro.sim.stats import Counter, Histogram
 from repro.storage.block_cache import BlockCache
 from repro.storage.btree import BPlusTree
 
@@ -106,16 +106,16 @@ class KVellLike:
                                pinned=i % env.cpu.n_cores)
             for i in range(n_workers)
         ]
-        self.counters = Counter()
-        self.batch_sizes = Histogram()
+        self.counters = env.metrics.group(name, fresh=True)
+        self.batch_sizes = env.metrics.histogram(
+            "%s.batch_size" % name, fresh=True
+        )
         for i in range(n_workers):
             env.sim.spawn(self._worker_loop(i), "kvell-worker-%d" % i)
 
     # -- routing -----------------------------------------------------------
 
     def _route(self, key: bytes) -> int:
-        from repro.core.router import fnv1a
-
         return fnv1a(key) % self.n_workers
 
     # -- public API ------------------------------------------------------------

@@ -19,7 +19,6 @@ from typing import Generator, List, Tuple
 from repro.engine.batch import WriteBatch
 from repro.engine.env import Env
 from repro.errors import KVStatus
-from repro.sim.stats import Counter
 from repro.sim.sync import Lock
 from repro.storage.block_cache import BlockCache
 from repro.storage.btree import BPlusTree
@@ -60,7 +59,7 @@ class WiredTigerLike:
         self.log_writer = LogWriter(env.disk.open_file("%s/wt-wal" % name))
         self.checkpoint_bytes = checkpoint_bytes
         self._dirty_bytes = 0
-        self.counters = Counter()
+        self.counters = env.metrics.group("engine.%s" % name, fresh=True)
         self.closing = False
 
     # -- lifecycle -----------------------------------------------------------

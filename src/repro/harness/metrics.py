@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from repro.sim.stats import Histogram
+from repro.metrics.registry import Histogram
 from repro.trace.attribution import fig06_from_spans
 
 __all__ = ["Metrics", "MetricsCollector", "scoped_collector"]

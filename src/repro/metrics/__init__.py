@@ -23,7 +23,7 @@ from repro.metrics.registry import (
     CounterStat,
     EventLog,
     GaugeStat,
-    LogHistogram,
+    Histogram,
     StatsRegistry,
 )
 from repro.metrics.sampler import DEFAULT_INTERVAL, Sampler, install_stats
@@ -34,7 +34,7 @@ __all__ = [
     "DEFAULT_INTERVAL",
     "EventLog",
     "GaugeStat",
-    "LogHistogram",
+    "Histogram",
     "PERF_FIELDS",
     "PerfContext",
     "Sampler",

@@ -13,6 +13,7 @@ from repro.metrics.registry import StatsRegistry
 from repro.metrics.sampler import Sampler
 
 __all__ = [
+    "BUCKET_BOUNDS",
     "prometheus_text",
     "snapshot_json",
     "timeseries_csv",
@@ -20,6 +21,10 @@ __all__ = [
 ]
 
 _PROM_BAD = re.compile(r"[^a-zA-Z0-9_]")
+
+#: Prometheus ``le`` bucket bounds: 64 doubling steps from 1 ns (~18 s of
+#: latency, or 1 to ~1.8e10 of any other unit scaled by 1e-9).
+BUCKET_BOUNDS = tuple(1e-9 * 2.0 ** i for i in range(64))
 
 #: per-shard service metrics (``service.shard-3.completed``) become one
 #: Prometheus family with a ``shard`` label instead of N distinct names.
@@ -80,12 +85,13 @@ def prometheus_text(registry: StatsRegistry) -> str:
     metrics (``service.shard-3.completed``), which collapse into one family
     per metric carrying a ``shard`` label — the idiomatic Prometheus shape,
     so a dashboard can ``sum by (shard)`` instead of regex-matching names.
-    Every :class:`LogHistogram` is emitted as a native ``histogram`` — the
-    full cumulative ``_bucket{le="..."}`` series over the log-spaced bounds
-    plus the mandatory ``+Inf`` bucket (which includes the overflow count,
-    so it always equals ``_count``).  Sections and series are sorted by
-    name (labelled families after the plain names, series by shard number),
-    so the output of a deterministic run is byte-identical across reruns.
+    Every histogram is emitted as a native ``histogram`` — the cumulative
+    ``_bucket{le="..."}`` series counted from the exact samples at export
+    time over the log-spaced :data:`BUCKET_BOUNDS`, plus the mandatory
+    ``+Inf`` bucket (always equal to ``_count``).  Sections and series are
+    sorted by name (labelled families after the plain names, series by
+    shard number), so the output of a deterministic run is byte-identical
+    across reruns.
     """
     lines = []
     _emit_prom_section(lines, registry.counter_values(), "counter")
@@ -95,13 +101,9 @@ def prometheus_text(registry: StatsRegistry) -> str:
         prom = _prom_name(name)
         lines.append("# HELP %s histogram %s" % (prom, name))
         lines.append("# TYPE %s histogram" % prom)
-        cumulative = 0
-        for bound, n in zip(hist._BOUNDS, hist.buckets):
-            cumulative += n
-            lines.append(
-                '%s_bucket{le="%.17g"} %d' % (prom, bound, cumulative)
-            )
-        lines.append('%s_bucket{le="+Inf"} %d' % (prom, cumulative + hist.overflow))
+        for bound, n in zip(BUCKET_BOUNDS, hist.cumulative(BUCKET_BOUNDS)):
+            lines.append('%s_bucket{le="%.17g"} %d' % (prom, bound, n))
+        lines.append('%s_bucket{le="+Inf"} %d' % (prom, hist.count))
         lines.append("%s_sum %.17g" % (prom, hist.sum))
         lines.append("%s_count %d" % (prom, hist.count))
     return "\n".join(lines) + "\n"

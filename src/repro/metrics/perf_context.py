@@ -33,6 +33,9 @@ PERF_FIELDS = (
     "stall_wait_seconds",
     "queue_wait_seconds",
     "batch_size",
+    "io_retries",
+    "request_retries",
+    "poisoned_requests",
 )
 
 #: Figure 6 wait categories -> PerfContext field (see ThreadContext.account_wait).
@@ -72,6 +75,9 @@ class PerfContext:
         self.stall_wait_seconds = 0.0
         self.queue_wait_seconds = 0.0
         self.batch_size = 0.0
+        self.io_retries = 0.0
+        self.request_retries = 0.0
+        self.poisoned_requests = 0.0
 
     def add(self, field: str, amount: float = 1.0) -> None:
         setattr(self, field, getattr(self, field) + amount)
@@ -96,6 +102,9 @@ class PerfContext:
         self.stall_wait_seconds += other.stall_wait_seconds
         self.queue_wait_seconds += other.queue_wait_seconds
         self.batch_size += other.batch_size
+        self.io_retries += other.io_retries
+        self.request_retries += other.request_retries
+        self.poisoned_requests += other.poisoned_requests
         return self
 
     def as_dict(self) -> Dict[str, float]:

@@ -8,8 +8,8 @@ component-prefixed names at open time:
   :class:`CounterGroup` holding a component's whole counter family);
 * **gauges** — zero-state callables evaluated at read time (queue depths,
   memtable bytes, in-flight IOs); the sim-time sampler snapshots these;
-* **histograms** — log-bucketed, mergeable :class:`LogHistogram` instances
-  (p50/p95/p99/max without retaining raw samples);
+* **histograms** — exact-sample, mergeable :class:`Histogram` instances
+  (nearest-rank p50/p95/p99 over every recorded value);
 * **providers** — dict-valued cumulative sources (e.g. the device's
   per-category byte counters) that windowed consumers difference;
 * **events** — begin/end occurrences with sim timestamps (write stalls,
@@ -21,21 +21,16 @@ effect on event ordering.  Only the opt-in sampler (``repro.metrics.sampler``)
 schedules anything.
 """
 
-from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Tuple
-
-# LogHistogram geometry (module-level: class bodies can't reference their own
-# attributes from a comprehension).
-_HIST_SMALLEST = 1e-9
-_HIST_GROWTH = 2.0
-_HIST_N_BUCKETS = 64
+import math
+from bisect import bisect_right
+from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "CounterGroup",
     "CounterStat",
     "EventLog",
     "GaugeStat",
-    "LogHistogram",
+    "Histogram",
     "StatsRegistry",
 ]
 
@@ -66,107 +61,62 @@ class GaugeStat:
         return float(self.fn())
 
 
-class LogHistogram:
-    """Log-bucketed histogram: bounded memory, mergeable, percentile reads.
+class Histogram:
+    """Exact-sample histogram: every recorded value is kept (one float per
+    observation), so percentiles are true nearest-rank order statistics.
 
-    Buckets have geometrically growing upper bounds ``SMALLEST * GROWTH**i``
-    (covering ~1 ns to ~18 s of latency, or 1 to ~1.8e10 of any other unit
-    after scaling by ``SMALLEST``); values beyond the last bound land in an
-    overflow bucket.  Exact ``count``/``sum``/``min``/``max`` are kept on the
-    side, so ``max`` is precise and percentiles that resolve to the overflow
-    bucket report the observed maximum rather than infinity.
+    ``count`` and the running ``sum`` are O(1) reads (the monitor polls
+    them every window); ``min``/``max``/``percentile`` sort lazily, once
+    per batch of new samples.
     """
 
-    SMALLEST = _HIST_SMALLEST
-    GROWTH = _HIST_GROWTH
-    N_BUCKETS = _HIST_N_BUCKETS
-
-    _BOUNDS: Tuple[float, ...] = tuple(
-        _HIST_SMALLEST * _HIST_GROWTH ** i for i in range(_HIST_N_BUCKETS)
-    )
-
-    __slots__ = ("buckets", "overflow", "count", "sum", "min_value", "max_value")
+    __slots__ = ("_samples", "_n_sorted", "sum")
 
     def __init__(self):
-        self.buckets = [0] * self.N_BUCKETS
-        self.overflow = 0
-        self.count = 0
+        self._samples: List[float] = []
+        self._n_sorted = 0
         self.sum = 0.0
-        self.min_value = 0.0
-        self.max_value = 0.0
 
     def record(self, value: float) -> None:
-        if self.count == 0:
-            self.min_value = self.max_value = value
-        else:
-            if value < self.min_value:
-                self.min_value = value
-            if value > self.max_value:
-                self.max_value = value
-        self.count += 1
+        self._samples.append(value)
         self.sum += value
-        idx = self._bucket_index(value)
-        if idx is None:
-            self.overflow += 1
-        else:
-            self.buckets[idx] += 1
 
-    @classmethod
-    def _bucket_index(cls, value: float) -> Optional[int]:
-        """First bucket whose upper bound is >= value; None = overflow."""
-        if value <= cls._BOUNDS[0]:
-            return 0
-        if value > cls._BOUNDS[-1]:
-            return None
-        return bisect_left(cls._BOUNDS, value)
-
-    def merge(self, other: "LogHistogram") -> "LogHistogram":
-        """Fold ``other`` into self (both stay log-bucketed); returns self."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.min_value = other.min_value
-            self.max_value = other.max_value
-        else:
-            self.min_value = min(self.min_value, other.min_value)
-            self.max_value = max(self.max_value, other.max_value)
-        self.count += other.count
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Fold every sample of ``other`` into self; returns self."""
+        self._samples.extend(other._samples)
         self.sum += other.sum
-        for i, n in enumerate(other.buckets):
-            self.buckets[i] += n
-        self.overflow += other.overflow
         return self
+
+    def _sorted(self) -> List[float]:
+        samples = self._samples
+        if self._n_sorted != len(samples):
+            samples.sort()
+            self._n_sorted = len(samples)
+        return samples
+
+    @property
+    def count(self) -> int:
+        return len(self._samples)
 
     @property
     def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    @property
-    def max(self) -> float:
-        return self.max_value
+        return self.sum / len(self._samples) if self._samples else 0.0
 
     @property
     def min(self) -> float:
-        return self.min_value
+        return self._sorted()[0] if self._samples else 0.0
+
+    @property
+    def max(self) -> float:
+        return self._sorted()[-1] if self._samples else 0.0
 
     def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over the buckets, p in [0, 100].
-
-        Returns the upper bound of the bucket holding the rank, clamped to
-        the exact observed [min, max]; ranks landing in the overflow bucket
-        report the observed maximum.
-        """
-        if self.count == 0:
+        """Nearest-rank percentile, p in [0, 100]: the sample at rank
+        ``ceil(p/100 * count)`` of the sorted observations."""
+        if not self._samples:
             return 0.0
-        rank = max(1, -(-int(p * self.count) // 100))  # ceil(p/100 * count)
-        rank = min(rank, self.count)
-        seen = 0
-        for i, n in enumerate(self.buckets):
-            seen += n
-            if seen >= rank:
-                bound = self._BOUNDS[i]
-                return max(self.min_value, min(bound, self.max_value))
-        return self.max_value  # rank sits in the overflow bucket
+        rank = max(1, math.ceil(p / 100.0 * len(self._samples)))
+        return self._sorted()[rank - 1]
 
     @property
     def p50(self) -> float:
@@ -180,12 +130,17 @@ class LogHistogram:
     def p99(self) -> float:
         return self.percentile(99)
 
+    def cumulative(self, bounds) -> List[int]:
+        """``count(sample <= bound)`` per bound (Prometheus ``le`` buckets)."""
+        samples = self._sorted()
+        return [bisect_right(samples, bound) for bound in bounds]
+
     def summary(self) -> Dict[str, float]:
         return {
             "count": self.count,
             "sum": self.sum,
-            "min": self.min_value,
-            "max": self.max_value,
+            "min": self.min,
+            "max": self.max,
             "mean": self.mean,
             "p50": self.p50,
             "p95": self.p95,
@@ -196,10 +151,9 @@ class LogHistogram:
 class CounterGroup:
     """A component's named counter family, registered under one prefix.
 
-    API-compatible with :class:`repro.sim.stats.Counter` (``add``/``get``/
-    ``as_dict``) so component code and tests keep reading e.g.
-    ``engine.counters.get("flushes")`` unchanged, while every counter is
-    also visible registry-wide as ``<prefix>.<name>``.
+    Component code and tests read e.g. ``engine.counters.get("flushes")``;
+    a group opened through :meth:`StatsRegistry.group` is also visible
+    registry-wide as ``<prefix>.<name>``.
     """
 
     __slots__ = ("prefix", "_values")
@@ -300,7 +254,7 @@ class StatsRegistry:
     def __init__(self):
         self.counters: Dict[str, CounterStat] = {}
         self.gauges: Dict[str, GaugeStat] = {}
-        self.histograms: Dict[str, LogHistogram] = {}
+        self.histograms: Dict[str, Histogram] = {}
         self.groups: Dict[str, CounterGroup] = {}
         self.providers: Dict[str, Callable[[], Dict[str, float]]] = {}
         self.events = EventLog()
@@ -322,10 +276,10 @@ class StatsRegistry:
         self.gauges[name] = stat
         return stat
 
-    def histogram(self, name: str, fresh: bool = False) -> LogHistogram:
+    def histogram(self, name: str, fresh: bool = False) -> Histogram:
         hist = self.histograms.get(name)
         if hist is None or fresh:
-            hist = self.histograms[name] = LogHistogram()
+            hist = self.histograms[name] = Histogram()
         return hist
 
     def group(self, prefix: str, fresh: bool = False) -> CounterGroup:
@@ -333,7 +287,7 @@ class StatsRegistry:
 
         ``fresh=True`` replaces any group left by a previous instance with
         the same name — a re-opened engine after a simulated crash starts
-        its counters at zero, exactly like its pre-registry ``Counter()``.
+        its counters at zero.
         """
         grp = self.groups.get(prefix)
         if grp is None or fresh:

@@ -10,7 +10,7 @@ one value per series per ``window`` seconds of simulated time.
 * a **gauge** series windows to the instantaneous value at the window end
   (queue depth, active write stalls);
 * a **hist_mean** series windows to the mean of the observations that
-  landed in the window (``Δsum / Δcount`` of a log-bucketed histogram) —
+  landed in the window (``Δsum / Δcount`` of a registry histogram) —
   the windowed latency signal the rate-of-change rule watches.
 
 Windows land at the *end of the instant* (the probes are read by a

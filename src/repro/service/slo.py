@@ -17,8 +17,8 @@ Accounting identities (pinned by ``tests/test_service.py``):
 * ``shed >= rebalance_shed`` — migration sheds are a sub-category of
   sheds, not an extra bucket.
 
-Latency quantiles come from the registry's log-bucketed histograms
-(~4% bucket resolution, exact min/max), reported in microseconds.  All
+Latency quantiles are exact nearest-rank order statistics over every
+latency the lanes recorded, reported in microseconds rounded to 1 ns.  All
 floats are rounded before serialisation so the JSON is byte-stable.
 """
 

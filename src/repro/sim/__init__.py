@@ -32,7 +32,7 @@ from repro.sim.device import (
     StorageDevice,
 )
 from repro.sim.queues import FIFOQueue, PriorityQueue, QueueEmpty
-from repro.sim.stats import Counter, Histogram, TimeSeries, UtilizationTracker
+from repro.sim.stats import TimeSeries, UtilizationTracker
 from repro.sim.sync import Barrier, Condition, Lock, Semaphore
 
 __all__ = [
@@ -41,12 +41,10 @@ __all__ = [
     "Barrier",
     "CPUSet",
     "Condition",
-    "Counter",
     "DeviceSpec",
     "Event",
     "FIFOQueue",
     "HDD_WD100EFAX",
-    "Histogram",
     "Lock",
     "OPTANE_905P",
     "PriorityQueue",

@@ -285,7 +285,7 @@ class Process(Event):
         )
 
     def _resume_ok(self, _event: Optional[Event]) -> None:
-        """First step (and legacy success-only resume): no receive hooks."""
+        """First step: no receive hooks."""
         sim = self.sim
         sim.current_process = self
         try:

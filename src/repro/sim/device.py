@@ -18,8 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
+from repro.metrics.registry import CounterGroup
 from repro.sim.core import Event, SimError, Simulator
-from repro.sim.stats import Counter, TimeSeries
+from repro.sim.stats import TimeSeries
 from repro.sim.wakeup import wake
 
 __all__ = [
@@ -104,9 +105,11 @@ class StorageDevice:
         #: fault-injection knob (see repro.faults): when installed, consulted
         #: once per submission; None is the zero-overhead off path.
         self.fault_policy = None
-        self.bytes_by_category = Counter()
-        self.bytes_by_kind = Counter()
-        self.io_count = Counter()
+        # Plain (unregistered) groups: make_env exposes them as the
+        # ``device.*`` providers, not as registry counter rows.
+        self.bytes_by_category = CounterGroup("device.bytes_by_category")
+        self.bytes_by_kind = CounterGroup("device.bytes_by_kind")
+        self.io_count = CounterGroup("device.io_count")
         self.busy_channel_time = 0.0
         self.bandwidth_series: Dict[str, TimeSeries] = {}
         self._series_bin = series_bin

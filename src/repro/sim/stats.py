@@ -1,87 +1,14 @@
-"""Measurement primitives: counters, latency histograms, time series.
+"""Time-binned measurement primitives of the simulated hardware.
 
-These power the paper's evaluation plots: QPS and latency percentiles
-(Figures 12-23), time-binned IO bandwidth and CPU utilization (Figures 4, 5,
-21), and per-category latency breakdowns (Figure 6).
+These power the paper's over-time plots: IO bandwidth and CPU utilization
+per time bin (Figures 4, 5, 21).  Counters and latency histograms live in
+:mod:`repro.metrics.registry` (``CounterGroup``, ``Histogram``).
 """
 
-import math
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Counter", "Histogram", "TimeSeries", "UtilizationTracker"]
-
-
-class Counter:
-    """Named monotonic counters grouped under one object."""
-
-    def __init__(self) -> None:
-        self._values: Dict[str, float] = defaultdict(float)
-
-    def add(self, name: str, amount: float = 1.0) -> None:
-        self._values[name] += amount
-
-    def get(self, name: str) -> float:
-        return self._values.get(name, 0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self._values)
-
-
-class Histogram:
-    """Latency histogram storing raw samples (experiments are small enough).
-
-    Percentiles use the nearest-rank method on the sorted samples.
-    """
-
-    def __init__(self) -> None:
-        self._samples: List[float] = []
-        self._sorted = True
-
-    def record(self, value: float) -> None:
-        self._samples.append(value)
-        self._sorted = False
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold every sample of ``other`` into this histogram."""
-        self._samples.extend(other._samples)
-        self._sorted = False
-
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            self._samples.sort()
-            self._sorted = True
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    @property
-    def mean(self) -> float:
-        return sum(self._samples) / len(self._samples) if self._samples else 0.0
-
-    @property
-    def max(self) -> float:
-        return max(self._samples) if self._samples else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, p in [0, 100]."""
-        if not self._samples:
-            return 0.0
-        self._ensure_sorted()
-        rank = max(1, math.ceil(p / 100.0 * len(self._samples)))
-        return self._samples[rank - 1]
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99)
+__all__ = ["TimeSeries", "UtilizationTracker"]
 
 
 class TimeSeries:

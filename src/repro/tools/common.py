@@ -358,7 +358,7 @@ class ObservedRun:
         ``--sanitize`` recorded any finding in it."""
         self.window = (t0, t0 + elapsed)
         checker = self.env.sim.monitor
-        if checker is not None and hasattr(checker, "check"):
+        if checker is not None:
             checker.check()
 
     def critpath_report(self) -> dict:

@@ -1,18 +1,25 @@
-"""Unit tests for the observability layer: histogram bucket math, counter
+"""Unit tests for the observability layer: the exact histogram, counter
 groups, event log, perf contexts, the sim-time sampler, the exporters, and
 the collector slot discipline (reset / release / scoped_collector)."""
 
+import ast
 import json
+import math
+import pathlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import repro
 from repro.engine import LSMEngine, make_env, rocksdb_options
 from repro.harness.metrics import MetricsCollector, scoped_collector
 from tests.conftest import run_process
 from repro.metrics import (
     CounterGroup,
     EventLog,
-    LogHistogram,
+    Histogram,
+    PERF_FIELDS,
     PerfContext,
     Sampler,
     StatsRegistry,
@@ -22,76 +29,121 @@ from repro.metrics import (
     timeseries_csv,
     write_stats_files,
 )
+from repro.metrics.export import BUCKET_BOUNDS
+from repro.tools import serve
 
 # ---------------------------------------------------------------------------
-# LogHistogram bucket math
+# Histogram: exact samples, nearest-rank percentiles
 # ---------------------------------------------------------------------------
 
 
 def test_histogram_empty():
-    h = LogHistogram()
+    h = Histogram()
     assert h.count == 0
     assert h.percentile(50) == 0.0
     assert h.p99 == 0.0
     assert h.mean == 0.0
-    assert h.max == 0.0
+    assert h.min == h.max == 0.0
     assert h.summary()["count"] == 0
 
 
 def test_histogram_single_sample_is_exact():
-    h = LogHistogram()
+    h = Histogram()
     h.record(3.5e-4)
-    # With one sample, every percentile clamps to the observed value.
-    assert h.p50 == pytest.approx(3.5e-4)
-    assert h.p99 == pytest.approx(3.5e-4)
-    assert h.min == h.max == pytest.approx(3.5e-4)
-    assert h.mean == pytest.approx(3.5e-4)
+    assert h.p50 == h.p99 == h.min == h.max == h.mean == 3.5e-4
 
 
-def test_histogram_percentiles_are_bucket_bounds_within_minmax():
-    h = LogHistogram()
-    for v in (1e-6, 2e-6, 4e-6, 8e-6, 1.6e-5, 3.2e-5):
+def test_histogram_percentiles_are_recorded_samples():
+    h = Histogram()
+    for v in (3.2e-5, 1e-6, 8e-6, 2e-6, 1.6e-5, 4e-6):  # any arrival order
         h.record(v)
-    # Percentile answers sit on bucket upper bounds, clamped to [min, max].
-    assert h.min <= h.p50 <= h.p95 <= h.p99 <= h.max
-    assert h.p99 == pytest.approx(3.2e-5)
-    assert h.count == 6
+    # Nearest rank: ceil(p/100 * 6) -> ranks 3, 6, 6 of the sorted samples.
+    assert (h.p50, h.p95, h.p99) == (4e-6, 3.2e-5, 3.2e-5)
+    assert (h.min, h.max, h.count) == (1e-6, 3.2e-5, 6)
     assert h.sum == pytest.approx(6.3e-5)
 
 
-def test_histogram_overflow_reports_observed_max():
-    h = LogHistogram()
-    huge = LogHistogram._BOUNDS[-1] * 100.0  # beyond the last bucket bound
+def test_histogram_beyond_last_prometheus_bound_stays_exact():
+    h = Histogram()
+    huge = BUCKET_BOUNDS[-1] * 100.0
     h.record(1e-3)
     h.record(huge)
-    assert h.overflow == 1
-    assert h.p99 == pytest.approx(huge)  # rank in overflow bucket -> max
-    assert h.max == pytest.approx(huge)
+    assert h.p99 == h.max == huge
+    assert h.cumulative(BUCKET_BOUNDS)[-1] == 1  # only +Inf holds it
 
 
 def test_histogram_merge_matches_combined_recording():
-    a, b, combined = LogHistogram(), LogHistogram(), LogHistogram()
+    a, b, combined = Histogram(), Histogram(), Histogram()
     for i in range(1, 50):
         v = i * 1e-6
         (a if i % 2 else b).record(v)
         combined.record(v)
-    a.merge(b)
+    assert a.merge(b) is a
     assert a.count == combined.count
     assert a.sum == pytest.approx(combined.sum)
     assert a.min == combined.min and a.max == combined.max
-    assert a.buckets == combined.buckets
     assert a.summary() == combined.summary()
 
 
 def test_histogram_merge_empty_cases():
-    a, b = LogHistogram(), LogHistogram()
+    a, b = Histogram(), Histogram()
     a.merge(b)  # empty into empty
     assert a.count == 0
     b.record(2.0e-6)
-    a.merge(b)  # non-empty into empty adopts min/max
-    assert (a.min, a.max, a.count) == (2.0e-6, 2.0e-6, 1)
-    b.merge(LogHistogram())  # empty into non-empty is a no-op
+    a.merge(b)  # non-empty into empty
+    assert (a.min, a.max, a.count, a.sum) == (2.0e-6, 2.0e-6, 1, 2.0e-6)
+    b.merge(Histogram())  # empty into non-empty is a no-op
     assert b.count == 1
+
+
+_SAMPLES = st.lists(
+    st.floats(min_value=0.0, max_value=1e3, allow_nan=False), max_size=60
+)
+
+
+@given(xs=_SAMPLES, p=st.floats(min_value=0.0, max_value=100.0))
+def test_histogram_percentile_is_nearest_rank(xs, p):
+    h = Histogram()
+    for x in xs:
+        h.record(x)
+    if not xs:
+        assert h.percentile(p) == 0.0
+        return
+    assert h.percentile(p) == sorted(xs)[max(1, math.ceil(p / 100.0 * len(xs))) - 1]
+
+
+@given(a=_SAMPLES, b=_SAMPLES)
+def test_histogram_merge_equals_recording_both(a, b):
+    merged, direct = Histogram(), Histogram()
+    other = Histogram()
+    for x in a:
+        merged.record(x)
+        direct.record(x)
+    for x in b:
+        other.record(x)
+        direct.record(x)
+    merged.merge(other)
+    assert merged.count == direct.count == len(a) + len(b)
+    assert merged.sum == pytest.approx(direct.sum)
+    for p in (0, 50, 95, 99, 99.9, 100):
+        assert merged.percentile(p) == direct.percentile(p)
+    assert (merged.min, merged.max) == (direct.min, direct.max)
+
+
+@given(xs=st.lists(st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
+                   max_size=60))
+def test_prometheus_buckets_match_brute_force(xs):
+    reg = StatsRegistry()
+    hist = reg.histogram("lat")
+    for x in xs:
+        hist.record(x)
+    text = prometheus_text(reg)
+    lines = [l for l in text.splitlines() if l.startswith("p2kvs_lat_bucket")]
+    counts = [int(l.rsplit(" ", 1)[1]) for l in lines]
+    assert counts[:-1] == [sum(1 for x in xs if x <= b) for b in BUCKET_BOUNDS]
+    assert counts == sorted(counts)  # cumulative, monotone
+    assert lines[-1] == 'p2kvs_lat_bucket{le="+Inf"} %d' % len(xs)
+    assert "p2kvs_lat_count %d" % len(xs) in text
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +275,64 @@ def test_perf_context_add_merge_as_dict():
     assert q.wal_bytes == 128.0
 
 
+def test_perf_context_unrolled_init_and_merge_cover_every_field():
+    p = PerfContext()
+    for i, field in enumerate(PERF_FIELDS):
+        p.add(field, i + 1.0)
+    assert PerfContext().merge(p).merge(p).as_dict() == {
+        field: 2.0 * (i + 1) for i, field in enumerate(PERF_FIELDS)
+    }
+
+
+def _is_perf_receiver(node) -> bool:
+    """``perf`` / ``batch_perf`` / ``<anything>.perf``."""
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return name == "perf" or name.endswith("_perf")
+
+
+def test_every_perf_field_written_in_src_is_declared():
+    # PerfContext has __slots__: a write to an undeclared field only blows
+    # up when that code path runs with --stats (as the three retry fields
+    # did), so pin the write sites to PERF_FIELDS statically.
+    written = set()
+    for path in sorted((pathlib.Path(repro.__file__).parent).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add"
+                and _is_perf_receiver(node.func.value)
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                written.add(node.args[0].value)
+            elif (
+                isinstance(node, ast.AugAssign)
+                and isinstance(node.target, ast.Attribute)
+                and _is_perf_receiver(node.target.value)
+            ):
+                written.add(node.target.attr)
+    assert {"io_retries", "wal_appends", "batch_size"} <= written  # scan works
+    assert written <= set(PERF_FIELDS)
+
+
+def test_serve_stats_with_fault_retries_exports_them(tmp_path, capsys):
+    # Observers on *and* faults on: the combination that used to crash with
+    # AttributeError: 'PerfContext' object has no attribute 'io_retries'.
+    trace = tmp_path / "trace.json"
+    assert serve.main([
+        "--scenario", "uniform", "--shards", "2", "--ops", "300",
+        "--key-space", "200", "--stats", "--fault-rate", "0.05",
+        "--stats-out", str(tmp_path / "stats"), "--trace-out", str(trace),
+    ]) == 0
+    perf_blocks = [
+        event["args"]["perf"]
+        for event in json.loads(trace.read_text())["traceEvents"]
+        if "perf" in event.get("args", {})
+    ]
+    assert sum(block.get("io_retries", 0) for block in perf_blocks) > 0
+
+
 # ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------
@@ -335,20 +445,18 @@ def test_prometheus_text_format():
 
 
 def test_prometheus_histogram_buckets_are_cumulative():
-    from repro.metrics.registry import LogHistogram
-
     reg = StatsRegistry()
     hist = reg.histogram("lat")
     for v in (1e-6, 2e-6, 5e-6, 1e-3):
         hist.record(v)
-    hist.record(1e12)  # overflow bucket
+    hist.record(1e12)  # beyond the last finite bound
     text = prometheus_text(reg)
     lines = [l for l in text.splitlines() if l.startswith("p2kvs_lat_bucket")]
     # One line per log-spaced bound, plus +Inf.
-    assert len(lines) == LogHistogram.N_BUCKETS + 1
+    assert len(lines) == len(BUCKET_BOUNDS) + 1
     counts = [int(l.rsplit(" ", 1)[1]) for l in lines]
     assert counts == sorted(counts)  # cumulative, monotone
-    assert counts[-2] == 4  # last finite bound: everything but the overflow
+    assert counts[-2] == 4  # last finite bound: everything but the 1e12
     assert lines[-1] == 'p2kvs_lat_bucket{le="+Inf"} 5'
     assert "p2kvs_lat_count 5" in text
     # Byte-stable across repeated exports.

@@ -8,6 +8,7 @@ correctness, and byte-identical SLO reports across reruns and under
 """
 
 import json
+import math
 
 import pytest
 
@@ -358,6 +359,26 @@ class TestServeCLI:
         csv_text = (tmp_path / "r.csv").read_text()
         assert csv_text.startswith("shard,instance,admitted,shed")
         assert len(csv_text.strip().split("\n")) == 4  # header + 2 shards + total
+
+    def test_slo_quantiles_are_exact_nearest_rank(self, tmp_path, capsys, monkeypatch):
+        recorded = {}
+        record = ServicePlane._record_latency
+
+        def spy(plane, op_class, latency):
+            recorded.setdefault(op_class, []).append(latency)
+            record(plane, op_class, latency)
+
+        monkeypatch.setattr(ServicePlane, "_record_latency", spy)
+        assert serve.main(_serve_args(tmp_path, "q")) == 0
+        report = json.loads((tmp_path / "q.json").read_text())
+        assert sorted(recorded) == ["read", "write"]
+        for cls, values in recorded.items():
+            values.sort()
+            for key, p in (("p50_us", 50), ("p99_us", 99), ("p999_us", 99.9)):
+                rank = max(1, math.ceil(p / 100.0 * len(values)))
+                assert report["latency"][cls][key] == round(values[rank - 1] * 1e6, 3)
+        assert serve.main(_serve_args(tmp_path, "q9", ["--schedule-seed", "9"])) == 0
+        assert (tmp_path / "q.json").read_bytes() == (tmp_path / "q9.json").read_bytes()
 
     def test_fault_injection_surfaces_per_shard(self, tmp_path, capsys):
         rc = serve.main(
