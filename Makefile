@@ -60,11 +60,19 @@ SERVE = $(PY) -m repro.tools.serve --ops 300 --rate 600000 --key-space 200 \
     --value-size 64 --partitions 8 --queue-cap 16 --dispatchers 2 --workers 2 \
     --cores 16
 MONITOR = $(PY) -m repro.tools.monitor --scenario uniform --ops 400
+YCSB_E = $(PY) -m repro.tools.ycsb --workload E --system p2kvs --workers 2 \
+    --threads 1 --records 800 --ops 200
 PROFILED_BENCH = $(PY) -m repro.tools.dbbench --benchmarks fillrandom \
     --system p2kvs --workers 2 --threads 4 --num 500 --cores 8 --seed 0
 
 # * perturbation: the quickstart prints the same bytes for three same-time
 #   shuffle seeds.
+# * scan: YCSB-E (SCAN forked to both workers, merged) writes the same JSON
+#   under a shuffled schedule.  One client and memtable-resident records,
+#   because raw floats are compared: with block loads the tie order moves the
+#   last ulp of the latency sums, and with several clients scans race inserts
+#   (tests/test_golden.py gates the block-loading case under perturbation at
+#   10 significant digits, and pins a 4-client run).
 # * critical path / what-if (docs/CRITPATH.md): a pinned fillrandom run has a
 #   non-empty blame table and speedup predictions within tolerance of the
 #   measured re-runs; writes results/whatif-report.{txt,json}.
@@ -85,6 +93,10 @@ smoke:
 	    results/.smoke-quickstart,$(QUICKSTART) 1 > $$out,$(QUICKSTART) 2 > $$out)
 	$(call same-bytes,quickstart identical for schedule seeds 1 and 3,\
 	    results/.smoke-quickstart,$(QUICKSTART) 1 > $$out,$(QUICKSTART) 3 > $$out)
+	$(call same-bytes,YCSB-E scan report identical under perturbation,\
+	    results/.smoke-ycsb-e.json,\
+	    $(YCSB_E) --json $$out > /dev/null,\
+	    $(YCSB_E) --schedule-seed 7 --json $$out > /dev/null)
 	$(PY) -m repro.tools.whatif --system p2kvs --workers 8 --threads 8 \
 	    --device sata --value-size 4096 --num 2000 \
 	    --experiments wal-write-0.8x,channels+1 --check \

@@ -20,6 +20,7 @@ duplicate resolution.
 """
 
 import heapq
+from itertools import chain
 from typing import Generator, List, Tuple
 
 __all__ = ["merge_sorted_results", "serial_global_scan"]
@@ -28,11 +29,13 @@ Pair = Tuple[bytes, bytes]
 
 
 def merge_sorted_results(results: List[List[Pair]], limit: int = None) -> List[Pair]:
-    """Merge per-instance sorted (key, value) lists; optionally truncate."""
-    merged = list(heapq.merge(*results, key=lambda kv: kv[0]))
-    if limit is not None:
-        return merged[:limit]
-    return merged
+    """Merge per-instance sorted (key, value) lists; optionally truncate.
+
+    Keys are unique across instances, so sorting the concatenation never
+    compares values, and Timsort merges the presorted runs it finds.
+    """
+    merged = sorted(chain.from_iterable(results))
+    return merged if limit is None else merged[:limit]
 
 
 def serial_global_scan(ctx, adapters, begin: bytes, count: int) -> Generator:

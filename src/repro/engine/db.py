@@ -690,53 +690,37 @@ class LSMEngine:
                 )
         return MergingIterator(cursors, snapshot_seq)
 
-    def scan(
-        self, ctx, begin: bytes, count: int, snapshot_seq: Optional[int] = None
+    def _iterate(
+        self, ctx, begin: bytes, snapshot_seq: Optional[int], limit=None, end=None
     ) -> Generator:
-        """SCAN(begin, count): up to ``count`` pairs starting at begin."""
+        """One sub-scan: seek every source, merge, charge per entry merged."""
         if snapshot_seq is None:
             snapshot_seq = self.visible_seq
-        self.counters.add("scan_requests")
         iterator = self._make_iterator(snapshot_seq)
         yield self.env.cpu.exec(
             ctx, self.costs.seek_per_source * len(iterator._cursors), "read"
         )
         yield from iterator.seek(begin)
-        out = []
-        while len(out) < count:
-            pair = yield from iterator.next_user()
-            if pair is None:
-                break
-            out.append(pair)
+        out = yield from iterator.collect(limit, end)
         if iterator.entries_scanned:
             yield self.env.cpu.exec(
                 ctx, self.costs.next_per_entry * iterator.entries_scanned, "read"
             )
         return out
 
+    def scan(
+        self, ctx, begin: bytes, count: int, snapshot_seq: Optional[int] = None
+    ) -> Generator:
+        """SCAN(begin, count): up to ``count`` pairs starting at begin."""
+        self.counters.add("scan_requests")
+        return (yield from self._iterate(ctx, begin, snapshot_seq, limit=count))
+
     def range_query(
         self, ctx, begin: bytes, end: bytes, snapshot_seq: Optional[int] = None
     ) -> Generator:
         """RANGE(begin, end): all pairs with begin <= key <= end."""
-        if snapshot_seq is None:
-            snapshot_seq = self.visible_seq
         self.counters.add("range_requests")
-        iterator = self._make_iterator(snapshot_seq)
-        yield self.env.cpu.exec(
-            ctx, self.costs.seek_per_source * len(iterator._cursors), "read"
-        )
-        yield from iterator.seek(begin)
-        out = []
-        while True:
-            pair = yield from iterator.next_user()
-            if pair is None or pair[0] > end:
-                break
-            out.append(pair)
-        if iterator.entries_scanned:
-            yield self.env.cpu.exec(
-                ctx, self.costs.next_per_entry * iterator.entries_scanned, "read"
-            )
-        return out
+        return (yield from self._iterate(ctx, begin, snapshot_seq, end=end))
 
     # ------------------------------------------------------------------
     # Admin operations

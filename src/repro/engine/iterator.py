@@ -1,50 +1,36 @@
 """Cursors and the merging iterator for scans.
 
-All cursors follow one protocol: ``yield from cursor.seek(key)`` positions at
-the first entry with user key >= key, ``cursor.current`` is the entry tuple
-``(key, seq, vtype, value)`` or None, and ``yield from cursor.advance()``
-steps forward (possibly charging block IO).  :class:`MergingIterator`
-heap-merges any number of cursors in internal-key order, hides shadowed
-versions and tombstones, and applies the snapshot filter — the read-side
-equivalent of RocksDB's MergeIterator that p2KVS's serial SCAN strategy
-builds across instances (paper Section 4.4).
+Every cursor (:class:`repro.storage.memtable.MemTableCursor`,
+:class:`repro.storage.sstable.TableCursor`, :class:`LevelCursor`) follows one
+contract:
+
+* ``yield from cursor.seek(key)`` positions at the first entry with user key
+  >= key (None = the start); ``cursor.current`` is then the entry tuple
+  ``(key, seq, vtype, value)``, or None when exhausted.
+* ``cursor.step()`` is synchronous: it moves to the next entry of the block
+  (or array) already in hand and returns True, or returns False, leaving the
+  cursor where it was, when the next entry lies past that block.
+* ``yield from cursor.advance()`` moves to the next entry wherever it is.
+  **IO happens only in** ``seek`` **and** ``advance``: a block load, and so a
+  simulated yield, is paid per block crossed, never per entry stepped.
+
+:class:`MergingIterator` heap-merges any number of cursors in internal-key
+order, hides shadowed versions and tombstones, and applies the snapshot
+filter — the read-side equivalent of RocksDB's MergeIterator that p2KVS's
+serial SCAN strategy builds across instances (paper Section 4.4).  Its one
+loop, :meth:`MergingIterator.collect`, runs a whole sub-scan in a single
+generator frame.
 """
 
-import heapq
 from bisect import bisect_left
+from heapq import heapify, heappop, heapreplace
 from typing import Generator, List, Optional, Tuple
 
-from repro.storage.memtable import MAX_SEQ, MemTable, VTYPE_DELETE
+from repro.storage.memtable import MAX_SEQ, MemTableCursor, VTYPE_DELETE
 
 __all__ = ["LevelCursor", "MemTableCursor", "MergingIterator"]
 
 Entry = Tuple[bytes, int, int, bytes]
-
-
-class MemTableCursor:
-    """Cursor over a MemTable (pure in-memory; no IO charges)."""
-
-    def __init__(self, memtable: MemTable):
-        self._memtable = memtable
-        self._iter = None
-        self.current: Optional[Entry] = None
-
-    def seek(self, key: Optional[bytes]) -> Generator:
-        if key is None:
-            self._iter = self._memtable.entries()
-        else:
-            self._iter = self._memtable.iter_from(key)
-        self._step()
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    def advance(self) -> Generator:
-        self._step()
-        return
-        yield  # pragma: no cover
-
-    def _step(self) -> None:
-        self.current = next(self._iter, None)
 
 
 class LevelCursor:
@@ -52,6 +38,7 @@ class LevelCursor:
 
     def __init__(self, files: List, cache, device, page_cache=None):
         self._files = files  # List[FileMeta] sorted by smallest key
+        self._largest = [f.largest for f in files]
         self._cache = cache
         self._device = device
         self._page_cache = page_cache
@@ -67,7 +54,7 @@ class LevelCursor:
             self._idx = 0
         else:
             # First file whose largest >= key.
-            self._idx = bisect_left([f.largest for f in self._files], key)
+            self._idx = bisect_left(self._largest, key)
         yield from self._open_and_seek(key)
 
     def _open_and_seek(self, key: Optional[bytes]) -> Generator:
@@ -85,6 +72,13 @@ class LevelCursor:
         self._cursor = None
         self.current = None
 
+    def step(self) -> bool:
+        cursor = self._cursor
+        if cursor is None or not cursor.step():
+            return False
+        self.current = cursor.current
+        return True
+
     def advance(self) -> Generator:
         if self._cursor is None:
             return
@@ -99,53 +93,66 @@ class LevelCursor:
 class MergingIterator:
     """Merges cursors in internal-key order with MVCC visibility rules.
 
-    ``yield from it.seek(begin)`` then repeated ``yield from it.next_user()``
-    returning ``(key, value)`` pairs (tombstoned and shadowed keys skipped),
-    or None when exhausted.
+    ``yield from it.seek(begin)`` then ``yield from it.collect(limit, end)``
+    returning the next visible ``(key, value)`` pairs (tombstoned and
+    shadowed keys skipped); a later ``collect`` continues where this one
+    stopped.
     """
 
     def __init__(self, cursors: List, snapshot_seq: int = MAX_SEQ):
         self._cursors = cursors
         self._snapshot = snapshot_seq
-        self._heap: List[Tuple[Tuple[bytes, int], int]] = []
+        # (user key, -seq, cursor index) of each live cursor's entry.
+        self._heap: List[Tuple[bytes, int, int]] = []
         self._last_user_key: Optional[bytes] = None
         self.entries_scanned = 0  # merged entries examined (for cost charging)
 
     def seek(self, begin: Optional[bytes]) -> Generator:
-        self._heap = []
+        self._heap = heap = []
         self._last_user_key = None
         for i, cursor in enumerate(self._cursors):
             yield from cursor.seek(begin)
-            self._push(i)
+            entry = cursor.current
+            if entry is not None:
+                heap.append((entry[0], -entry[1], i))
+        heapify(heap)
 
-    def _push(self, i: int) -> None:
-        entry = self._cursors[i].current
-        if entry is not None:
-            heapq.heappush(self._heap, ((entry[0], MAX_SEQ - entry[1]), i))
-
-    def _pop_entry(self) -> Generator:
-        """Pop the smallest entry across cursors; returns entry or None."""
-        if not self._heap:
-            return None
-        _, i = heapq.heappop(self._heap)
-        entry = self._cursors[i].current
-        yield from self._cursors[i].advance()
-        self._push(i)
-        self.entries_scanned += 1
-        return entry
+    def collect(
+        self, limit: Optional[int] = None, end: Optional[bytes] = None
+    ) -> Generator:
+        """Up to ``limit`` visible pairs, stopping after the first one past
+        ``end`` (which is examined and charged, but not returned)."""
+        heap = self._heap
+        cursors = self._cursors
+        snapshot = self._snapshot
+        last = self._last_user_key
+        out: List[Tuple[bytes, bytes]] = []
+        scanned = 0
+        while heap and (limit is None or len(out) < limit):
+            i = heap[0][2]
+            cursor = cursors[i]
+            key, seq, vtype, value = cursor.current
+            if not cursor.step():
+                yield from cursor.advance()
+            entry = cursor.current
+            if entry is None:
+                heappop(heap)
+            else:
+                heapreplace(heap, (entry[0], -entry[1], i))
+            scanned += 1
+            if seq > snapshot or key == last:
+                continue  # invisible to this snapshot / older, shadowed version
+            last = key
+            if vtype == VTYPE_DELETE:
+                continue  # tombstone hides the key
+            if end is not None and key > end:
+                break
+            out.append((key, value))
+        self._last_user_key = last
+        self.entries_scanned += scanned
+        return out
 
     def next_user(self) -> Generator:
         """Next visible (key, value) pair, or None at the end."""
-        while True:
-            entry = yield from self._pop_entry()
-            if entry is None:
-                return None
-            key, seq, vtype, value = entry
-            if seq > self._snapshot:
-                continue  # invisible to this snapshot
-            if key == self._last_user_key:
-                continue  # older, shadowed version
-            self._last_user_key = key
-            if vtype == VTYPE_DELETE:
-                continue  # tombstone hides the key
-            return key, value
+        pairs = yield from self.collect(limit=1)
+        return pairs[0] if pairs else None

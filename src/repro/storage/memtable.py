@@ -15,12 +15,13 @@ against a sorted-dict model).
 
 import random
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Tuple
+from typing import Generator, Iterator, List, Optional, Tuple
 
 from repro.perf import zones as _perf_zones
 
 __all__ = [
     "MemTable",
+    "MemTableCursor",
     "SkipList",
     "TOMBSTONE",
     "VTYPE_DELETE",
@@ -202,17 +203,56 @@ class MemTable:
         for (key, inv_seq), (vtype, value) in zip(self._keys, self._vals):
             yield key, MAX_SEQ - inv_seq, vtype, value
 
-    def iter_from(self, key: bytes) -> Iterator[Tuple[bytes, int, int, bytes]]:
-        keys = self._keys
-        vals = self._vals
-        for i in range(bisect_left(keys, (key, 0)), len(keys)):
-            k, inv_seq = keys[i]
-            vtype, value = vals[i]
-            yield k, MAX_SEQ - inv_seq, vtype, value
-
     def __len__(self) -> int:
         return self.entry_count
 
     @property
     def empty(self) -> bool:
         return self.entry_count == 0
+
+
+class MemTableCursor:
+    """Cursor over a MemTable's sorted arrays (in memory: never needs IO).
+
+    Follows the cursor contract of :mod:`repro.engine.iterator`.  The cursor
+    is an index into arrays that writers ``insert`` into while a scan is
+    suspended on another source's block load, so ``step`` re-finds its entry
+    by internal key whenever the array length changed since it last looked.
+    """
+
+    def __init__(self, memtable: MemTable):
+        self._keys = memtable._keys
+        self._vals = memtable._vals
+        self._idx = 0
+        self._len = 0
+        self.current: Optional[Tuple[bytes, int, int, bytes]] = None
+
+    def seek(self, key: Optional[bytes]) -> Generator:
+        keys = self._keys
+        self._len = len(keys)
+        self._idx = (0 if key is None else bisect_left(keys, (key, 0))) - 1
+        self.step()
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def step(self) -> bool:
+        keys = self._keys
+        i = self._idx + 1
+        if len(keys) != self._len:
+            self._len = len(keys)
+            entry = self.current
+            if entry is not None:
+                i = bisect_left(keys, (entry[0], MAX_SEQ - entry[1])) + 1
+        self._idx = i
+        if i < self._len:
+            key, inv_seq = keys[i]
+            vtype, value = self._vals[i]
+            self.current = (key, MAX_SEQ - inv_seq, vtype, value)
+        else:
+            self.current = None
+        return True
+
+    def advance(self) -> Generator:
+        self.step()
+        return
+        yield  # pragma: no cover

@@ -169,9 +169,8 @@ class SSTable:
 class TableCursor:
     """Forward cursor over a table's entries, loading blocks lazily.
 
-    Drive with ``yield from cursor.seek(key)`` then repeated
-    ``yield from cursor.advance()``; ``cursor.current`` is the entry or None
-    when exhausted.
+    Follows the cursor contract of :mod:`repro.engine.iterator`: ``step()``
+    moves within the loaded block, ``advance()`` crosses into the next one.
     """
 
     def __init__(self, table: SSTable, cache, device, page_cache=None):
@@ -219,6 +218,15 @@ class TableCursor:
         self.current = (
             self._entries[self._pos] if self._entries is not None else None
         )
+
+    def step(self) -> bool:
+        entries = self._entries
+        pos = self._pos + 1
+        if entries is None or pos >= len(entries):
+            return False
+        self._pos = pos
+        self.current = entries[pos]
+        return True
 
     def advance(self) -> Generator:
         if self._entries is None:

@@ -120,6 +120,51 @@ class TestReadersVsWriters:
         assert [k for k, _ in pairs] == [key(i) for i in range(100)]
         assert all(v == b"base" for _, v in pairs)
 
+    def test_cold_scans_racing_inserts_see_their_snapshot(self):
+        """Every block load suspends the scan (no block cache, 1-byte page
+        cache) while a writer inserts keys *below* the memtable cursor's
+        position, shifting the arrays under it; each scan must still return
+        exactly the keys visible at its snapshot — the active memtable's last
+        entry included."""
+        env = make_env(n_cores=8, page_cache_bytes=1)
+        options = rocksdb_options(**dict(TINY, block_cache_bytes=0, block_size=128))
+        engine = run_process(env, LSMEngine.open(env, "db", options))
+        ctx = env.cpu.new_thread("u")
+
+        def setup():
+            for i in range(100, 400):  # mostly on disk, the tail in memtable
+                yield from engine.put(ctx, key(i), b"base")
+
+        run_process(env, setup())
+        assert not engine.memtable.empty
+        writer_ctx = env.cpu.new_thread("w")
+        reader_ctx = env.cpu.new_thread("r")
+        wrong = []
+
+        def writer():
+            for i in range(99, 39, -1):
+                yield from engine.put(writer_ctx, key(i), b"racing")
+
+        def scanner():
+            for _ in range(6):
+                snap = engine.snapshot()
+                pairs = yield from engine.scan(
+                    reader_ctx, key(0), 1000, snapshot_seq=snap
+                )
+                engine.release_snapshot(snap)
+                got = [k for k, _ in pairs]
+                raced = [k for k in got if k < key(100)]
+                if got[len(raced):] != [key(i) for i in range(100, 400)]:
+                    wrong.append(got)
+                if raced != sorted(set(raced)):
+                    wrong.append(raced)
+
+        env.sim.spawn(writer())
+        env.sim.spawn(scanner())
+        env.sim.run()
+        assert wrong == []
+        assert env.device.io_count.get("read") > 100  # the scans did suspend
+
     def test_many_concurrent_writers_never_lose_a_write(self):
         env = make_env(n_cores=16)
         engine = open_engine(env)

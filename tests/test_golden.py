@@ -23,10 +23,14 @@ import os
 
 import pytest
 
+from repro.engine.env import make_env
+from repro.harness import P2KVSSystem, open_system, preload, run_closed_loop
 from repro.perf import zones as _perf_zones
 from repro.systems import system_names
 from repro.tools import dbbench, serve, whatif, ycsb
 from repro.tools import monitor as monitor_tool
+from repro.workloads import fillrandom, make_key
+from tests.conftest import run_process
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "fingerprints.json")
 UPDATE = os.environ.get("REPRO_UPDATE_GOLDENS") == "1"
@@ -207,6 +211,69 @@ def test_ycsb_result_golden(tmp_path, capsys):
         tmp_path, capsys,
     )
     check("ycsb:A:p2kvs", fingerprint(results[0]))
+
+
+_YCSB_E_ARGV = ["--workload", "E", "--system", "p2kvs", "--workers", "2",
+                "--seed", "0"]
+
+
+def test_ycsb_scan_golden(tmp_path, capsys):
+    """SCAN through the merging iterator over memtables + multi-block SSTs
+    (~1 300 block loads): pins seek/next CPU charges and block-load order."""
+    results = _main_json(
+        ycsb,
+        _YCSB_E_ARGV + ["--threads", "4", "--records", "4000", "--ops", "300"],
+        tmp_path, capsys,
+    )
+    check("ycsb:E:p2kvs", fingerprint(results[0]))
+
+
+@pytest.mark.parametrize("extra", ([], ["--schedule-seed", "7"],
+                                   ["--schedule-seed", "3"]))
+def test_ycsb_scan_schedule_seed_invariant(extra, tmp_path, capsys):
+    """One client thread, so no scan races an insert (with several, a
+    different tie order legitimately shows a scan different data and every
+    mixed YCSB run moves); each SCAN still forks to both workers and loads
+    ~800 blocks, and the tie order among those must not matter."""
+    results = _main_json(
+        ycsb,
+        _YCSB_E_ARGV + ["--threads", "1", "--records", "1000", "--ops", "200"]
+        + extra,
+        tmp_path, capsys,
+    )
+    check("ycsb:E:p2kvs:1thread", fingerprint(results[0]))
+
+
+def test_range_query_golden():
+    """RANGE forked to both p2KVS workers and merged: pins the returned
+    pairs, the simulated latency of every RANGE and the device reads."""
+    env = make_env(n_cores=8)
+    system = open_system(env, P2KVSSystem.open(env, n_workers=2))
+    preload(env, system, fillrandom(4000), n_threads=2)
+    streams = [
+        [("range", make_key(t * 900 + i * 37), make_key(t * 900 + i * 37 + 60))
+         for i in range(20)]
+        for t in range(4)
+    ]
+    metrics = run_closed_loop(env, system, streams)
+    ctx = env.cpu.new_thread("golden-range")
+    pairs = run_process(
+        env, system.store.range_query(ctx, make_key(1000), make_key(1200))
+    )
+    check(
+        "range:p2kvs",
+        fingerprint(
+            {
+                "elapsed": metrics.elapsed,
+                "latency": metrics.latency_of("scan").summary(),
+                "device_read_bytes": metrics.device_read_bytes,
+                "cpu_busy": metrics.cpu_busy,
+                "pairs": [(k.decode(), hashlib.sha256(v).hexdigest()[:8])
+                          for k, v in pairs],
+                "now": env.sim.now,
+            }
+        )
+    )
 
 
 def test_dbbench_observed_golden(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Unit tests for the VersionSet/manifest and the merging iterator."""
 
-import pytest
+import heapq
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine.env import make_env
 from repro.engine.iterator import LevelCursor, MemTableCursor, MergingIterator
 from repro.engine.options import EngineOptions
 from repro.engine.version import FileMeta, VersionEdit, VersionSet
@@ -177,6 +181,156 @@ class TestMergingIterator:
         cursors = [t1.cursor(None, env.device), t2.cursor(None, env.device)]
         pairs = self.run_iterator(env, cursors, begin=key(8), limit=4)
         assert [k for k, _ in pairs] == [key(8), key(9), key(10), key(11)]
+
+
+class TestMemTableCursor:
+    def test_insert_below_a_suspended_cursor(self):
+        """A writer inserting a smaller key while the scan is suspended (on
+        another source's block load) must neither replay nor drop an entry."""
+        memtable = MemTable()
+        for seq, k in enumerate((b"b", b"c", b"d"), start=1):
+            memtable.add(seq, VTYPE_VALUE, k, b"")
+        cursor = MemTableCursor(memtable)
+        list(cursor.seek(b"b"))
+        memtable.add(4, VTYPE_VALUE, b"a", b"")
+        seen = []
+        while cursor.current is not None:
+            seen.append(cursor.current[0])
+            list(cursor.advance())
+        assert seen == [b"b", b"c", b"d"]
+
+    def test_insert_ahead_of_a_suspended_cursor_is_visited(self):
+        memtable = MemTable()
+        memtable.add(1, VTYPE_VALUE, b"b", b"")
+        memtable.add(2, VTYPE_VALUE, b"d", b"")
+        cursor = MemTableCursor(memtable)
+        list(cursor.seek(None))
+        memtable.add(3, VTYPE_VALUE, b"c", b"")
+        assert cursor.step() and cursor.current[:2] == (b"c", 3)
+        assert cursor.step() and cursor.current[:2] == (b"d", 2)
+        assert cursor.step() and cursor.current is None
+
+
+class RecordingCache:
+    """A block cache that always misses and logs every (table, block) asked."""
+
+    def __init__(self):
+        self.loads = []
+
+    def get(self, cache_key):
+        self.loads.append(cache_key)
+        return None
+
+    def put(self, cache_key, block, nbytes):
+        pass
+
+
+def oracle_merge(cursors, begin, snapshot, limit, end):
+    """The per-entry merge (heappop, advance(), heappush for every entry) that
+    ``MergingIterator.collect`` replaced, kept as the reference."""
+    heap, out, scanned, last = [], [], 0, None
+
+    def push(i):
+        entry = cursors[i].current
+        if entry is not None:
+            heapq.heappush(heap, ((entry[0], MAX_SEQ - entry[1]), i))
+
+    for i, cursor in enumerate(cursors):
+        yield from cursor.seek(begin)
+        push(i)
+    while heap and (limit is None or len(out) < limit):
+        _, i = heapq.heappop(heap)
+        k, seq, vtype, value = cursors[i].current
+        yield from cursors[i].advance()
+        push(i)
+        scanned += 1
+        if seq > snapshot or k == last:
+            continue
+        last = k
+        if vtype == VTYPE_DELETE:
+            continue
+        if end is not None and k > end:
+            break
+        out.append((k, value))
+    return out, scanned
+
+
+def collect_merge(cursors, begin, snapshot, limit, end):
+    iterator = MergingIterator(cursors, snapshot)
+    yield from iterator.seek(begin)
+    out = yield from iterator.collect(limit, end)
+    return out, iterator.entries_scanned
+
+
+_KEY_IDS = st.integers(0, 24)
+_BOUND = st.none() | _KEY_IDS.map(key)
+
+
+class TestCollectMatchesPerEntryMerge:
+    @staticmethod
+    def build_cursors(writes, env, cache):
+        """Sources 0-1: memtables; 2: one multi-block SSTable; 3: a level of
+        two files.  ``writes[n] = (source, key id, is_delete)`` has seq n+1."""
+        by_source = {0: [], 1: [], 2: [], 3: []}
+        for seq, (source, key_id, is_delete) in enumerate(writes, start=1):
+            by_source[source].append(
+                (key(key_id), seq, VTYPE_DELETE if is_delete else VTYPE_VALUE,
+                 b"s%d-%d" % (source, seq))
+            )
+        cursors = []
+        for source in (0, 1):
+            memtable = MemTable()
+            for k, seq, vtype, value in by_source[source]:
+                memtable.add(seq, vtype, k, value)
+            cursors.append(MemTableCursor(memtable))
+
+        def table(number, entries):
+            builder = SSTableBuilder(number, block_target=48)  # 1-2 per block
+            for k, seq, vtype, value in sorted(
+                entries, key=lambda e: (e[0], -e[1])
+            ):
+                builder.add(k, seq, vtype, value)
+            return builder.finish()
+
+        if by_source[2]:
+            cursors.append(table(2, by_source[2]).cursor(cache, env.device))
+        halves = [
+            [e for e in by_source[3] if e[0] < key(12)],
+            [e for e in by_source[3] if e[0] >= key(12)],
+        ]
+        files = [
+            FileMeta.from_table(table(3 + n, half))
+            for n, half in enumerate(halves) if half
+        ]
+        cursors.append(LevelCursor(files, cache, env.device))
+        return cursors
+
+    @given(
+        writes=st.lists(
+            st.tuples(st.integers(0, 3), _KEY_IDS, st.booleans()), max_size=80
+        ),
+        begin=_BOUND,
+        end=_BOUND,
+        limit=st.none() | st.integers(0, 30),
+        snapshot=st.integers(0, 80) | st.just(MAX_SEQ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_pairs_charges_and_block_loads(
+        self, writes, begin, end, limit, snapshot
+    ):
+        outcomes = []
+        for merge in (oracle_merge, collect_merge):
+            env = make_env(n_cores=2)
+            cache = RecordingCache()
+            cursors = self.build_cursors(writes, env, cache)
+            pairs, scanned = run_process(
+                env, merge(cursors, begin, snapshot, limit, end)
+            )
+            outcomes.append(
+                (pairs, scanned, cache.loads, env.device.io_count.get("read"),
+                 env.sim.now)
+            )
+        assert outcomes[0] == outcomes[1]
 
 
 class TestLevelCursor:
