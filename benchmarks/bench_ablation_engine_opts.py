@@ -5,11 +5,9 @@ under concurrent writers — the optimizations the paper's analysis says stop
 mattering once lock overhead dominates (Amdahl's-law argument of Section 3.3).
 """
 
-from benchmarks.common import assert_shapes, lsm_options, once, report
-from repro.engine import make_env
-from repro.harness import SingleInstanceSystem, open_system, run_closed_loop
+from benchmarks.common import assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_qps, format_table
-from repro.workloads import fillrandom, split_stream
+from repro.workloads import fillrandom
 
 N_OPS = 16000
 
@@ -30,13 +28,7 @@ VARIANTS = {
 
 
 def run_variant(overrides: dict, n_threads: int) -> float:
-    env = make_env(n_cores=44)
-    system = open_system(
-        env, SingleInstanceSystem.open(env, lsm_options(**overrides))
-    )
-    return run_closed_loop(
-        env, system, split_stream(fillrandom(N_OPS), n_threads)
-    ).qps
+    return run_case("rocksdb", fillrandom(N_OPS), n_threads, engine=overrides)[0].qps
 
 
 def run_ablation():

@@ -6,11 +6,9 @@ measures throughput and p99: throughput grows then saturates with the cap,
 while very large caps buy little throughput for worse tails.
 """
 
-from benchmarks.common import assert_shapes, lsm_adapter, once, report
-from repro.engine import make_env
-from repro.harness import P2KVSSystem, open_system, run_closed_loop
+from benchmarks.common import assert_shapes, open_case, once, report, run_case
 from repro.harness.report import ShapeCheck, format_qps, format_table
-from repro.workloads import fillrandom, split_stream
+from repro.workloads import fillrandom
 
 CAPS = [1, 4, 16, 32, 128]
 N_THREADS = 32
@@ -18,19 +16,11 @@ N_OPS = 16000
 
 
 def run_cap(cap: int):
-    env = make_env(n_cores=44)
-    system = open_system(
-        env,
-        P2KVSSystem.open(
-            env, n_workers=4, adapter_open=lsm_adapter("rocksdb"), obm_cap=cap
-        ),
-    )
-    metrics = run_closed_loop(
-        env, system, split_stream(fillrandom(N_OPS), N_THREADS)
-    )
-    hist = metrics.latency_of("write")
+    # Opened first: the average batch size is read off the framework itself.
+    system, env = open_case("p2kvs", workers=4, obm_cap=cap)
+    metrics, _ = run_case(system, fillrandom(N_OPS), N_THREADS, env=env)
     avg_batch = system.kvs.obm_stats()["avg_batch"]
-    return metrics.qps, hist.p99, avg_batch
+    return metrics.qps, metrics.latency_of("write").p99, avg_batch
 
 
 def run_ablation():

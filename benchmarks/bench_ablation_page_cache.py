@@ -8,24 +8,10 @@ reads favor many direct threads (vanilla RocksDB), cold-cache reads favor
 p2KVS's overlapped worker IO.
 """
 
-from benchmarks.common import (
-    READ_KEYS,
-    assert_shapes,
-    lsm_adapter,
-    lsm_options,
-    once,
-    report,
-)
+from benchmarks.common import READ_KEYS, assert_shapes, once, report, run_case
 from repro.engine import make_env
-from repro.harness import (
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-)
 from repro.harness.report import ShapeCheck, format_qps, format_table
-from repro.workloads import fillrandom, readrandom, split_stream
+from repro.workloads import fillrandom, readrandom
 
 N_THREADS = 32
 N_READS = 10000
@@ -37,33 +23,27 @@ CACHE_SIZES = {
 }
 
 
-def run_case(kind: str, page_cache_bytes: int, n_threads: int = N_THREADS) -> float:
-    env = make_env(n_cores=44, page_cache_bytes=page_cache_bytes)
-    if kind == "rocksdb":
-        system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
-    else:
-        system = open_system(
-            env,
-            P2KVSSystem.open(env, n_workers=8, adapter_open=lsm_adapter("rocksdb")),
-        )
-    preload(env, system, fillrandom(READ_KEYS), n_threads=8)
-    metrics = run_closed_loop(
-        env, system, split_stream(readrandom(N_READS, READ_KEYS), n_threads)
-    )
-    return metrics.qps
+def run_cell(kind: str, page_cache_bytes: int, n_threads: int = N_THREADS) -> float:
+    return run_case(
+        kind,
+        readrandom(N_READS, READ_KEYS),
+        n_threads,
+        env=make_env(n_cores=44, page_cache_bytes=page_cache_bytes),
+        preload=fillrandom(READ_KEYS),
+    )[0].qps
 
 
 def run_ablation():
     out = {}
     for label, nbytes in CACHE_SIZES.items():
-        out[("rocksdb", label)] = run_case("rocksdb", nbytes)
-        out[("p2kvs", label)] = run_case("p2kvs", nbytes)
+        out[("rocksdb", label)] = run_cell("rocksdb", nbytes)
+        out[("p2kvs", label)] = run_cell("p2kvs", nbytes)
     # Single-threaded (latency-bound) probes isolate the residency effect
     # from the 32-thread read-lock bound.
-    out[("rocksdb-1thr", "cold (256 KB)")] = run_case(
+    out[("rocksdb-1thr", "cold (256 KB)")] = run_cell(
         "rocksdb", CACHE_SIZES["cold (256 KB)"], n_threads=1
     )
-    out[("rocksdb-1thr", "warm (all)")] = run_case(
+    out[("rocksdb-1thr", "warm (all)")] = run_cell(
         "rocksdb", CACHE_SIZES["warm (all)"], n_threads=1
     )
     return out

@@ -8,9 +8,7 @@ rate cap and compares tail latency and throughput: the cap trades a little
 steady-state bandwidth for a flatter tail.
 """
 
-from benchmarks.common import assert_shapes, lsm_options, once, report
-from repro.engine import make_env
-from repro.harness import SingleInstanceSystem, open_system, run_open_loop
+from benchmarks.common import assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_table
 from repro.workloads import fillrandom
 
@@ -25,12 +23,13 @@ VARIANTS = {
 
 
 def run_variant(limit):
-    env = make_env(n_cores=44)
-    system = open_system(
-        env,
-        SingleInstanceSystem.open(env, lsm_options(compaction_rate_limit=limit)),
+    metrics, _ = run_case(
+        "rocksdb",
+        fillrandom(N_OPS),
+        None,
+        rate=RATE,
+        engine={"compaction_rate_limit": limit},
     )
-    metrics = run_open_loop(env, system, list(fillrandom(N_OPS)), RATE)
     hist = metrics.latency_of("write")
     return {
         "p99": hist.p99,

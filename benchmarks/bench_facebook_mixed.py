@@ -7,15 +7,7 @@ confirm the headline conclusion carries over from the fixed-size
 micro-benchmarks to a realistic size mix.
 """
 
-from benchmarks.common import READ_KEYS, assert_shapes, lsm_adapter, lsm_options, once, report
-from repro.engine import make_env
-from repro.harness import (
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-)
+from benchmarks.common import READ_KEYS, assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_qps, format_table
 from repro.workloads import facebook_mixed_workload, fillrandom
 
@@ -23,25 +15,11 @@ N_THREADS = 32
 N_OPS = 10000
 
 
-def run_case(kind: str, get_ratio: float, put_ratio: float) -> float:
-    env = make_env(n_cores=44)
-    if kind == "rocksdb":
-        system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
-    else:
-        system = open_system(
-            env,
-            P2KVSSystem.open(env, n_workers=8, adapter_open=lsm_adapter("rocksdb")),
-        )
-    preload(env, system, fillrandom(READ_KEYS), n_threads=8)
-    ops = list(
-        facebook_mixed_workload(
-            N_OPS, READ_KEYS, get_ratio=get_ratio, put_ratio=put_ratio, seed=9
-        )
+def run_mix(kind: str, get_ratio: float, put_ratio: float) -> float:
+    ops = facebook_mixed_workload(
+        N_OPS, READ_KEYS, get_ratio=get_ratio, put_ratio=put_ratio, seed=9
     )
-    streams = [[] for _ in range(N_THREADS)]
-    for i, op in enumerate(ops):
-        streams[i % N_THREADS].append(op)
-    return run_closed_loop(env, system, streams).qps
+    return run_case(kind, ops, N_THREADS, preload=fillrandom(READ_KEYS))[0].qps
 
 
 MIXES = {
@@ -53,8 +31,8 @@ MIXES = {
 def run_bench():
     out = {}
     for label, (get_ratio, put_ratio) in MIXES.items():
-        out[("rocksdb", label)] = run_case("rocksdb", get_ratio, put_ratio)
-        out[("p2kvs", label)] = run_case("p2kvs", get_ratio, put_ratio)
+        out[("rocksdb", label)] = run_mix("rocksdb", get_ratio, put_ratio)
+        out[("p2kvs", label)] = run_mix("p2kvs", get_ratio, put_ratio)
     return out
 
 

@@ -5,12 +5,11 @@ The paper's motivating observation: replacing an HDD with an SSD boosts
 moves (CPU-bound), at 1 and 8 user threads.
 """
 
-from benchmarks.common import assert_shapes, lsm_options, once, report
+from benchmarks.common import assert_shapes, once, report, run_case
 from repro.engine import make_env
-from repro.harness import SingleInstanceSystem, open_system, preload, run_closed_loop
 from repro.harness.report import ShapeCheck, format_qps, format_table
 from repro.sim.device import HDD_WD100EFAX, OPTANE_905P, SATA_860PRO
-from repro.workloads import fillrandom, fillseq, overwrite, readrandom, readseq, split_stream
+from repro.workloads import fillrandom, fillseq, overwrite, readrandom, readseq
 
 DEVICES = [
     ("HDD", HDD_WD100EFAX),
@@ -26,32 +25,33 @@ PRELOAD = 8000
 COLD_CACHE = 256 * 1024
 
 
+#: mode -> (measured ops, whether they run over the preloaded dataset)
+MODES = {
+    "fillseq": (lambda: fillseq(N_WRITE), False),
+    "fillrandom": (lambda: fillrandom(N_WRITE), False),
+    "overwrite": (lambda: overwrite(N_WRITE, PRELOAD), True),
+    "readseq": (lambda: readseq(N_READ), True),
+    "readrandom": (lambda: readrandom(N_READ, PRELOAD), True),
+}
+
+
 def run_mode(spec, mode: str, n_threads: int) -> float:
-    env = make_env(n_cores=44, device_spec=spec, page_cache_bytes=COLD_CACHE)
-    system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
-    if mode == "fillseq":
-        ops = fillseq(N_WRITE)
-    elif mode == "fillrandom":
-        ops = fillrandom(N_WRITE)
-    elif mode == "overwrite":
-        preload(env, system, fillrandom(PRELOAD), n_threads=4)
-        ops = overwrite(N_WRITE, PRELOAD)
-    elif mode == "readseq":
-        preload(env, system, fillrandom(PRELOAD), n_threads=4)
-        ops = readseq(N_READ)
-    else:  # readrandom
-        preload(env, system, fillrandom(PRELOAD), n_threads=4)
-        ops = readrandom(N_READ, PRELOAD)
-    metrics = run_closed_loop(env, system, split_stream(ops, n_threads))
-    return metrics.qps
+    make_ops, preloaded = MODES[mode]
+    return run_case(
+        "rocksdb",
+        make_ops(),
+        n_threads,
+        env=make_env(n_cores=44, device_spec=spec, page_cache_bytes=COLD_CACHE),
+        preload=fillrandom(PRELOAD) if preloaded else None,
+        preload_threads=4,
+    )[0].qps
 
 
 def run_fig01():
-    modes = ["fillseq", "fillrandom", "overwrite", "readseq", "readrandom"]
     out = {}
     for n_threads in (1, 8):
         for device_name, spec in DEVICES:
-            for mode in modes:
+            for mode in MODES:
                 out[(n_threads, device_name, mode)] = run_mode(spec, mode, n_threads)
     return out
 
@@ -66,22 +66,13 @@ def test_fig01_device_scaling(benchmark):
                     "%d thread(s)" % n_threads,
                     device_name,
                 ]
-                + [
-                    format_qps(out[(n_threads, device_name, mode)])
-                    for mode in (
-                        "fillseq",
-                        "fillrandom",
-                        "overwrite",
-                        "readseq",
-                        "readrandom",
-                    )
-                ]
+                + [format_qps(out[(n_threads, device_name, mode)]) for mode in MODES]
             )
     report(
         "fig01",
         "Figure 1: RocksDB throughput by device (128-byte KVs)\n"
         + format_table(
-            ["threads", "device", "fillseq", "fillrandom", "overwrite", "readseq", "readrandom"],
+            ["threads", "device"] + list(MODES),
             rows,
         ),
     )

@@ -5,23 +5,22 @@ The paper's point: small-KV writes saturate the user's CPU core while using
 a sliver of SSD bandwidth; large-KV writes shift the load to compaction IO.
 """
 
-from benchmarks.common import assert_shapes, lsm_options, once, report
+from benchmarks.common import assert_shapes, once, report, run_case
 from repro.engine import make_env
-from repro.harness.timeline import render_stacked
-from repro.harness import SingleInstanceSystem, open_system, run_closed_loop
 from repro.harness.report import ShapeCheck, format_table
-from repro.workloads import fillrandom, fillseq, split_stream
+from repro.harness.timeline import render_stacked
+from repro.workloads import fillrandom, fillseq
 
 N_OPS_SMALL = 10000
 N_OPS_LARGE = 4000
 
 
-def run_case(value_size: int, sequential: bool):
-    env = make_env(n_cores=44, series_bin=0.002)
-    system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
+def run_writer(value_size: int, sequential: bool):
     n_ops = N_OPS_SMALL if value_size <= 128 else N_OPS_LARGE
     ops = fillseq(n_ops, value_size) if sequential else fillrandom(n_ops, value_size)
-    metrics = run_closed_loop(env, system, split_stream(ops, 1))
+    metrics, env = run_case(
+        "rocksdb", ops, 1, env=make_env(n_cores=44, series_bin=0.002)
+    )
     user_busy = metrics.cpu_busy_by_kind.get("user", 0.0) / metrics.elapsed
     bg_busy = metrics.cpu_busy_by_kind.get("background", 0.0) / metrics.elapsed
     compaction_share = (
@@ -47,9 +46,9 @@ def run_case(value_size: int, sequential: bool):
 
 def run_fig04():
     return {
-        ("128B", "seq"): run_case(112, True),
-        ("128B", "rand"): run_case(112, False),
-        ("1KB", "rand"): run_case(1008, False),
+        ("128B", "seq"): run_writer(112, True),
+        ("128B", "rand"): run_writer(112, False),
+        ("1KB", "rand"): run_writer(1008, False),
     }
 
 

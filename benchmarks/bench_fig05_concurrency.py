@@ -6,35 +6,20 @@ threads (synchronization-bound); the multi-instance configuration scales
 better; pinning threads to cores helps ~10-15%.
 """
 
-from benchmarks.common import assert_shapes, lsm_options, once, report
-from repro.engine import make_env
-from repro.harness import (
-    MultiInstanceSystem,
-    SingleInstanceSystem,
-    open_system,
-    run_closed_loop,
-)
+from benchmarks.common import assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_qps, format_table
-from repro.workloads import fillrandom, split_stream
+from repro.workloads import fillrandom
 
 THREADS = [1, 4, 8, 16, 24, 32]
 TOTAL_OPS = 24000  # constant across thread counts, like the paper's 10M
 
 
 def run_single(n_threads: int, pin: bool = False):
-    env = make_env(n_cores=44)
-    system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
-    streams = split_stream(fillrandom(TOTAL_OPS), n_threads)
-    return run_closed_loop(env, system, streams, pin_users=pin)
+    return run_case("rocksdb", fillrandom(TOTAL_OPS), n_threads, pin_users=pin)[0]
 
 
 def run_multi(n_threads: int):
-    env = make_env(n_cores=44)
-    system = open_system(
-        env, MultiInstanceSystem.open(env, n_threads, lsm_options)
-    )
-    streams = split_stream(fillrandom(TOTAL_OPS), n_threads)
-    return run_closed_loop(env, system, streams)
+    return run_case("multi", fillrandom(TOTAL_OPS), n_threads, workers=n_threads)[0]
 
 
 def run_fig05():

@@ -5,8 +5,7 @@ Others, and shows lock overhead growing from ~0 at 1 thread to 81.4% at 32
 threads while useful WAL+MemTable work shrinks from 90% to 16.3%.
 """
 
-from benchmarks.common import assert_shapes, lsm_options, once, report
-from repro.engine import LSMEngine, make_env
+from benchmarks.common import assert_shapes, open_case, once, report
 from repro.harness.report import ShapeCheck, format_table
 from repro.trace.attribution import CATEGORIES, fig06_from_contexts
 from repro.workloads import fillrandom, split_stream
@@ -16,16 +15,10 @@ OPS_PER_THREAD = 1500
 
 
 def breakdown_for(n_threads: int):
-    env = make_env(n_cores=44)
-    box = []
-
-    def opener():
-        engine = yield from LSMEngine.open(env, "db", lsm_options())
-        box.append(engine)
-
-    env.sim.spawn(opener())
-    env.sim.run()
-    engine = box[0]
+    # Registry-built, hand-driven: the breakdown is read off the writers' own
+    # thread contexts, which run_case's user threads do not hand back.
+    system, env = open_case("rocksdb")
+    engine = system.engine
     streams = split_stream(fillrandom(OPS_PER_THREAD * n_threads), n_threads)
     contexts = []
     procs = []

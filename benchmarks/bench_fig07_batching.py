@@ -6,8 +6,8 @@ with batch size: request-level batching improves both IO efficiency and
 software overhead.
 """
 
-from benchmarks.common import assert_shapes, lsm_options, once, report
-from repro.engine import LSMEngine, WriteBatch, make_env
+from benchmarks.common import assert_shapes, open_case, once, report
+from repro.engine import WriteBatch, make_env
 from repro.harness.report import ShapeCheck, format_table
 from repro.workloads import make_key, make_value
 
@@ -17,18 +17,13 @@ TOTAL_RECORDS = 12000
 
 
 def run_batch_size(records_per_batch: int):
-    env = make_env(n_cores=8)
-    box = []
-
-    def opener():
-        # WAL stage only, as in the paper's probe (no memtable/indexing).
-        options = lsm_options(enable_memtable=False)
-        engine = yield from LSMEngine.open(env, "db", options)
-        box.append(engine)
-
-    env.sim.spawn(opener())
-    env.sim.run()
-    engine = box[0]
+    # Registry-built, hand-driven: the probe submits WriteBatches of a chosen
+    # size to the engine directly, below the System verbs run_case drives.
+    # WAL stage only, as in the paper's probe (no memtable/indexing).
+    system, env = open_case(
+        "rocksdb", env=make_env(n_cores=8), engine={"enable_memtable": False}
+    )
+    engine = system.engine
     ctx = env.cpu.new_thread("writer")
     n_batches = TOTAL_RECORDS // records_per_batch
 

@@ -8,50 +8,35 @@ multi-instance (10.5x at 32 threads) than single-instance (3.7x), because
 the shared concurrent skiplist synchronization saturates.
 """
 
-from benchmarks.common import assert_shapes, lsm_options, once, report
-from repro.engine import make_env
-from repro.harness import (
-    MultiInstanceSystem,
-    SingleInstanceSystem,
-    open_system,
-    run_closed_loop,
-)
+from benchmarks.common import assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_qps, format_table
-from repro.workloads import fillrandom, split_stream
+from repro.workloads import fillrandom
 
 THREADS = [1, 4, 8, 16, 32]
 TOTAL_OPS = 16000
 
 
-def run_case(stage: str, mode: str, n_threads: int) -> float:
-    """stage: 'wal' | 'memtable'; mode: 'single' | 'multi'."""
-    overrides = (
-        dict(enable_memtable=False)
-        if stage == "wal"
-        else dict(enable_wal=False, disable_flush=True)
-    )
-    env = make_env(n_cores=44)
-    if mode == "single":
-        system = open_system(
-            env, SingleInstanceSystem.open(env, lsm_options(**overrides))
-        )
-    else:
-        system = open_system(
-            env,
-            MultiInstanceSystem.open(
-                env, n_threads, lambda: lsm_options(**overrides)
-            ),
-        )
-    streams = split_stream(fillrandom(TOTAL_OPS), n_threads)
-    return run_closed_loop(env, system, streams).qps
+#: the engine switches that isolate each stage
+STAGES = {
+    "wal": dict(enable_memtable=False),
+    "memtable": dict(enable_wal=False, disable_flush=True),
+}
+
+
+def run_stage(stage: str, mode: str, n_threads: int) -> float:
+    """mode: 'single' (one RocksDB) | 'multi' (one instance per thread)."""
+    kind, opts = ("rocksdb", {}) if mode == "single" else ("multi", {"workers": n_threads})
+    return run_case(
+        kind, fillrandom(TOTAL_OPS), n_threads, engine=STAGES[stage], **opts
+    )[0].qps
 
 
 def run_fig08():
     out = {}
-    for stage in ("wal", "memtable"):
+    for stage in STAGES:
         for mode in ("single", "multi"):
             for n in THREADS:
-                out[(stage, mode, n)] = run_case(stage, mode, n)
+                out[(stage, mode, n)] = run_stage(stage, mode, n)
     return out
 
 

@@ -7,58 +7,27 @@ drives the SSD far harder than RocksDB/PebblesDB (<20% utilization).
 The micro-benchmark uses 16 user threads with p2KVS's async interface.
 """
 
-from benchmarks.common import (
-    LARGE,
-    assert_shapes,
-    lsm_adapter,
-    lsm_options,
-    measured_run,
-    once,
-    report,
-)
-from repro.engine import make_env, pebblesdb_options
-from repro.harness import (
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-)
+from benchmarks.common import LARGE, assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_qps, format_table
-from repro.workloads import fillrandom, split_stream
+from repro.workloads import fillrandom
 
 N_THREADS = 16
 N_OPS = LARGE
 
 
-def run_system(kind: str):
-    env = make_env(n_cores=44)
-    if kind == "rocksdb":
-        system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
-    elif kind == "pebblesdb":
-        system = open_system(
-            env,
-            SingleInstanceSystem.open(
-                env, lsm_options(pebblesdb_options), name="pebbles"
-            ),
-        )
-    else:  # p2kvs-N
-        n_workers = int(kind.split("-")[1])
-        system = open_system(
-            env,
-            P2KVSSystem.open(
-                env,
-                n_workers=n_workers,
-                adapter_open=lsm_adapter("rocksdb"),
-                async_window=512,
-            ),
-        )
-    streams = split_stream(fillrandom(N_OPS), N_THREADS)
-    return measured_run(env, system, streams), env
+#: figure label -> (registry name, options); p2KVS uses its async interface.
+SYSTEMS = {
+    "rocksdb": ("rocksdb", {}),
+    "pebblesdb": ("pebblesdb", {}),
+    "p2kvs-4": ("p2kvs", dict(workers=4, async_window=512)),
+    "p2kvs-8": ("p2kvs", dict(workers=8, async_window=512)),
+}
 
 
 def run_fig12():
     out, envs = {}, {}
-    for kind in ("rocksdb", "pebblesdb", "p2kvs-4", "p2kvs-8"):
-        out[kind], envs[kind] = run_system(kind)
+    for label, (kind, opts) in SYSTEMS.items():
+        out[label], envs[label] = run_case(kind, fillrandom(N_OPS), N_THREADS, **opts)
     return out, envs
 
 

@@ -7,14 +7,7 @@ same latency.  (Rates here are against the scaled simulator's capacities:
 RocksDB saturates around 400 KQPS, p2KVS-8 far above.)
 """
 
-from benchmarks.common import assert_shapes, lsm_adapter, lsm_options, once, report
-from repro.engine import make_env
-from repro.harness import (
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    run_open_loop,
-)
+from benchmarks.common import assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_table
 from repro.workloads import fillrandom
 
@@ -23,25 +16,16 @@ N_OPS = 4000
 
 
 def run_point(kind: str, rate: float):
-    env = make_env(n_cores=44)
-    if kind == "rocksdb":
-        system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
-    else:
-        system = open_system(
-            env,
-            P2KVSSystem.open(env, n_workers=8, adapter_open=lsm_adapter("rocksdb")),
-        )
-    ops = list(fillrandom(N_OPS))
-    metrics = run_open_loop(env, system, ops, rate)
+    metrics, _ = run_case(kind, fillrandom(N_OPS), None, rate=rate)
     hist = metrics.latency_of("write")
     return hist.mean, hist.p99
 
 
 def run_fig13():
     out = {}
-    for kind in ("rocksdb", "p2kvs-8"):
+    for label, kind in (("rocksdb", "rocksdb"), ("p2kvs-8", "p2kvs")):
         for rate in RATES:
-            out[(kind, rate)] = run_point(kind, rate)
+            out[(label, rate)] = run_point(kind, rate)
     return out
 
 

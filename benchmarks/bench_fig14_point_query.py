@@ -6,53 +6,32 @@ linearly with offered threads, up to 7.5x over the OBM-disabled case and
 5.4x over RocksDB (Fig 14b).
 """
 
-from benchmarks.common import (
-    READ_KEYS,
-    assert_shapes,
-    lsm_adapter,
-    lsm_options,
-    once,
-    report,
-)
-from repro.engine import make_env
-from repro.harness import (
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-)
+from benchmarks.common import READ_KEYS, assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_qps, format_table
-from repro.workloads import fillrandom, readrandom, split_stream
+from repro.workloads import fillrandom, readrandom
 
 THREADS = [8, 16, 32, 64]
 N_READS = 16000
 
 
-def run_case(kind: str, n_threads: int) -> float:
-    env = make_env(n_cores=44)
-    if kind == "rocksdb":
-        system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
-    else:
-        obm = kind == "p2kvs-obm"
-        system = open_system(
-            env,
-            P2KVSSystem.open(
-                env, n_workers=8, adapter_open=lsm_adapter("rocksdb"), obm=obm
-            ),
-        )
-    preload(env, system, fillrandom(READ_KEYS), n_threads=8)
-    metrics = run_closed_loop(
-        env, system, split_stream(readrandom(N_READS, READ_KEYS), n_threads)
-    )
-    return metrics.qps
+SYSTEMS = {
+    "rocksdb": ("rocksdb", {}),
+    "p2kvs-noobm": ("p2kvs", dict(obm=False)),
+    "p2kvs-obm": ("p2kvs", dict(obm=True)),
+}
 
 
 def run_fig14():
     out = {}
-    for kind in ("rocksdb", "p2kvs-noobm", "p2kvs-obm"):
+    for label, (kind, opts) in SYSTEMS.items():
         for n in THREADS:
-            out[(kind, n)] = run_case(kind, n)
+            out[(label, n)] = run_case(
+                kind,
+                readrandom(N_READS, READ_KEYS),
+                n,
+                preload=fillrandom(READ_KEYS),
+                **opts
+            )[0].qps
     return out
 
 

@@ -6,72 +6,42 @@ to parity at large scan sizes where p2KVS's over-read saturates the SSD.
 Both SCAN strategies of Section 4.4 are exercised.
 """
 
-from benchmarks.common import (
-    READ_KEYS,
-    assert_shapes,
-    lsm_adapter,
-    lsm_options,
-    once,
-    report,
-)
-from repro.engine import make_env
-from repro.harness import (
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-)
+import random
+
+from benchmarks.common import READ_KEYS, assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_qps, format_table
-from repro.workloads import fillrandom, make_key, split_stream
+from repro.workloads import fillrandom, make_key
 
 SCAN_SIZES = [10, 100, 1000]
 N_QUERIES = {10: 1200, 100: 400, 1000: 60}
 
 
-def build_ops(kind: str, size: int):
+def build_ops(op_kind: str, size: int):
     """RANGE ops use explicit [begin, end] bounds covering ~size keys."""
-    import random
-
     rng = random.Random(7)
     ops = []
     for _ in range(N_QUERIES[size]):
         begin_id = rng.randrange(READ_KEYS - size)
-        if kind == "range":
+        if op_kind == "range":
             ops.append(("range", make_key(begin_id), make_key(begin_id + size - 1)))
         else:
             ops.append(("scan", make_key(begin_id), size))
     return ops
 
 
-def run_case(system_kind: str, op_kind: str, size: int, scan_strategy="parallel"):
-    env = make_env(n_cores=44)
-    if system_kind == "rocksdb":
-        system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
-    else:
-        system = open_system(
-            env,
-            P2KVSSystem.open(
-                env,
-                n_workers=8,
-                adapter_open=lsm_adapter("rocksdb"),
-                scan_strategy=scan_strategy,
-            ),
-        )
-    preload(env, system, fillrandom(READ_KEYS), n_threads=8)
-    ops = build_ops(op_kind, size)
-    metrics = run_closed_loop(env, system, split_stream(ops, 1))
-    return metrics.qps
+def run_query(kind: str, op_kind: str, size: int, **opts):
+    return run_case(
+        kind, build_ops(op_kind, size), 1, preload=fillrandom(READ_KEYS), **opts
+    )[0].qps
 
 
 def run_fig15():
     out = {}
     for size in SCAN_SIZES:
-        out[("rocksdb", "range", size)] = run_case("rocksdb", "range", size)
-        out[("p2kvs", "range", size)] = run_case("p2kvs", "range", size)
-        out[("rocksdb", "scan", size)] = run_case("rocksdb", "scan", size)
-        out[("p2kvs", "scan", size)] = run_case("p2kvs", "scan", size)
-        out[("p2kvs-serial", "scan", size)] = run_case(
+        for kind in ("rocksdb", "p2kvs"):
+            for op_kind in ("range", "scan"):
+                out[(kind, op_kind, size)] = run_query(kind, op_kind, size)
+        out[("p2kvs-serial", "scan", size)] = run_query(
             "p2kvs", "scan", size, scan_strategy="serial"
         )
     return out

@@ -8,21 +8,7 @@ PebblesDB is excluded just as the paper excludes it (it cannot sustain the
 load phase).
 """
 
-from benchmarks.common import (
-    assert_shapes,
-    lsm_adapter,
-    lsm_options,
-    once,
-    report,
-)
-from repro.engine import make_env
-from repro.harness import (
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-)
+from benchmarks.common import assert_shapes, once, report, run_ycsb
 from repro.harness.report import ShapeCheck, format_qps, format_table
 from repro.workloads import YCSBWorkload
 
@@ -32,48 +18,22 @@ RECORDS = 16000
 OPS = {"LOAD": 16000, "A": 10000, "B": 10000, "C": 10000, "D": 10000, "E": 1200, "F": 10000}
 
 
-def build_streams(workload_name: str, n_threads: int):
-    workload = YCSBWorkload(workload_name, RECORDS, seed=3)
-    if workload_name == "LOAD":
-        ops = list(workload.load_ops())
-    else:
-        ops = [
-            ("scan", key, payload) if verb == "scan" else (verb, key, payload)
-            for verb, key, payload in workload.ops(OPS[workload_name])
-        ]
-    streams = [[] for _ in range(n_threads)]
-    for i, op in enumerate(ops):
-        streams[i % n_threads].append(op)
-    return workload, streams
-
-
-def run_case(system_kind: str, workload_name: str, n_threads: int) -> float:
-    env = make_env(n_cores=44)
-    if system_kind == "rocksdb":
-        system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
-    else:
-        n_workers = int(system_kind.split("-")[1])
-        system = open_system(
-            env,
-            P2KVSSystem.open(
-                env, n_workers=n_workers, adapter_open=lsm_adapter("rocksdb")
-            ),
-        )
-    workload, streams = build_streams(workload_name, n_threads)
-    if workload_name != "LOAD":
-        preload(env, system, workload.load_ops(), n_threads=8)
-    metrics = run_closed_loop(env, system, streams)
-    return metrics.qps
+SYSTEMS = {
+    "rocksdb": ("rocksdb", {}),
+    "p2kvs-4": ("p2kvs", dict(workers=4)),
+    "p2kvs-8": ("p2kvs", dict(workers=8)),
+}
 
 
 def run_fig16():
     out = {}
     for n_threads in THREAD_COUNTS:
-        for system_kind in ("rocksdb", "p2kvs-4", "p2kvs-8"):
+        for label, (kind, opts) in SYSTEMS.items():
             for workload_name in WORKLOAD_NAMES:
-                out[(system_kind, workload_name, n_threads)] = run_case(
-                    system_kind, workload_name, n_threads
-                )
+                workload = YCSBWorkload(workload_name, RECORDS, seed=3)
+                out[(label, workload_name, n_threads)] = run_ycsb(
+                    kind, workload, OPS[workload_name], n_threads, **opts
+                )[0].qps
     return out
 
 

@@ -7,9 +7,7 @@ at one instance; gains shrink for read workloads at 8 workers (SSD nearly
 exhausted).  8 workers is the sweet spot.
 """
 
-from benchmarks.common import assert_shapes, lsm_adapter, once, report
-from repro.engine import make_env
-from repro.harness import P2KVSSystem, open_system, preload, run_closed_loop
+from benchmarks.common import assert_shapes, once, report, run_ycsb
 from repro.harness.report import ShapeCheck, format_table
 from repro.workloads import YCSBWorkload
 
@@ -20,24 +18,11 @@ RECORDS = 16000
 OPS = 10000
 
 
-def run_case(workload_name: str, n_workers: int, obm: bool) -> float:
-    env = make_env(n_cores=44)
-    system = open_system(
-        env,
-        P2KVSSystem.open(
-            env, n_workers=n_workers, adapter_open=lsm_adapter("rocksdb"), obm=obm
-        ),
-    )
+def run_cell(workload_name: str, n_workers: int, obm: bool) -> float:
     workload = YCSBWorkload(workload_name, RECORDS, seed=5)
-    if workload_name == "LOAD":
-        ops = list(workload.load_ops())[:OPS]
-    else:
-        preload(env, system, workload.load_ops(), n_threads=8)
-        ops = list(workload.ops(OPS))
-    streams = [[] for _ in range(N_THREADS)]
-    for i, op in enumerate(ops):
-        streams[i % N_THREADS].append(op)
-    return run_closed_loop(env, system, streams).qps
+    return run_ycsb(
+        "p2kvs", workload, OPS, N_THREADS, workers=n_workers, obm=obm
+    )[0].qps
 
 
 def run_fig17():
@@ -45,7 +30,7 @@ def run_fig17():
     for workload_name in WORKLOADS:
         for n_workers in WORKERS:
             for obm in (False, True):
-                out[(workload_name, n_workers, obm)] = run_case(
+                out[(workload_name, n_workers, obm)] = run_cell(
                     workload_name, n_workers, obm
                 )
     return out

@@ -6,21 +6,8 @@ read-side OBM stays effective, and p2KVS's overall speedup over RocksDB at
 1 KB is lower than at 128 B.
 """
 
-from benchmarks.common import (
-    assert_shapes,
-    lsm_adapter,
-    lsm_options,
-    once,
-    report,
-)
-from repro.engine import make_env
-from repro.harness import (
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-)
+from benchmarks.bench_fig14_point_query import SYSTEMS
+from benchmarks.common import assert_shapes, once, report, run_ycsb
 from repro.harness.report import ShapeCheck, format_table
 from repro.workloads import YCSBWorkload
 
@@ -31,41 +18,17 @@ RECORDS = {"128B": 16000, "1KB": 6000, "4KB": 2000}
 OPS = {"128B": 8000, "1KB": 4000, "4KB": 1500}
 
 
-def run_case(kind: str, workload_name: str, size_label: str) -> float:
-    value_size = VALUE_SIZES[size_label]
-    env = make_env(n_cores=44)
-    if kind == "rocksdb":
-        system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
-    else:
-        obm = kind == "p2kvs-obm"
-        system = open_system(
-            env,
-            P2KVSSystem.open(
-                env, n_workers=8, adapter_open=lsm_adapter("rocksdb"), obm=obm
-            ),
-        )
-    workload = YCSBWorkload(
-        workload_name, RECORDS[size_label], value_size=value_size, seed=11
-    )
-    if workload_name == "LOAD":
-        ops = list(workload.load_ops())[: OPS[size_label]]
-    else:
-        preload(env, system, workload.load_ops(), n_threads=8)
-        ops = list(workload.ops(OPS[size_label]))
-    streams = [[] for _ in range(N_THREADS)]
-    for i, op in enumerate(ops):
-        streams[i % N_THREADS].append(op)
-    return run_closed_loop(env, system, streams).qps
-
-
 def run_fig18():
     out = {}
-    for size_label in VALUE_SIZES:
+    for size_label, value_size in VALUE_SIZES.items():
         for workload_name in WORKLOADS:
-            for kind in ("rocksdb", "p2kvs-noobm", "p2kvs-obm"):
-                out[(kind, workload_name, size_label)] = run_case(
-                    kind, workload_name, size_label
+            for label, (kind, opts) in SYSTEMS.items():
+                workload = YCSBWorkload(
+                    workload_name, RECORDS[size_label], value_size=value_size, seed=11
                 )
+                out[(label, workload_name, size_label)] = run_ycsb(
+                    kind, workload, OPS[size_label], N_THREADS, **opts
+                )[0].qps
     return out
 
 

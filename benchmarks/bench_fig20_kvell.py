@@ -5,15 +5,7 @@ point-query mixes (B, D) are similar; KVell's big page cache and in-memory
 indexes win the read-only C.
 """
 
-from benchmarks.common import assert_shapes, lsm_adapter, once, report
-from repro.engine import make_env
-from repro.harness import (
-    KVellSystem,
-    P2KVSSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-)
+from benchmarks.common import assert_shapes, once, report, run_ycsb
 from repro.harness.report import ShapeCheck, format_qps, format_table
 from repro.workloads import YCSBWorkload
 
@@ -23,40 +15,15 @@ RECORDS = 16000
 OPS = {"LOAD": 12000, "A": 8000, "B": 8000, "C": 8000, "D": 8000, "E": 800, "F": 8000}
 
 
-def run_case(kind: str, n_workers: int, workload_name: str) -> float:
-    env = make_env(n_cores=44)
-    if kind == "kvell":
-        system = open_system(
-            env,
-            KVellSystem.open(env, n_workers=n_workers, page_cache_bytes=4 * 1024 * 1024),
-        )
-    else:
-        system = open_system(
-            env,
-            P2KVSSystem.open(
-                env, n_workers=n_workers, adapter_open=lsm_adapter("rocksdb")
-            ),
-        )
-    workload = YCSBWorkload(workload_name, RECORDS, seed=13)
-    if workload_name == "LOAD":
-        ops = list(workload.load_ops())[: OPS[workload_name]]
-    else:
-        preload(env, system, workload.load_ops(), n_threads=8)
-        ops = list(workload.ops(OPS[workload_name]))
-    streams = [[] for _ in range(N_THREADS)]
-    for i, op in enumerate(ops):
-        streams[i % N_THREADS].append(op)
-    return run_closed_loop(env, system, streams).qps
-
-
 def run_fig20():
     out = {}
-    for workload_name in WORKLOADS:
-        out[("kvell-8", workload_name)] = run_case("kvell", 8, workload_name)
-        out[("p2kvs-8", workload_name)] = run_case("p2kvs", 8, workload_name)
-    for workload_name in ("LOAD", "C"):
-        out[("kvell-4", workload_name)] = run_case("kvell", 4, workload_name)
-        out[("p2kvs-4", workload_name)] = run_case("p2kvs", 4, workload_name)
+    for n_workers, workload_names in ((8, WORKLOADS), (4, ("LOAD", "C"))):
+        for workload_name in workload_names:
+            for kind in ("kvell", "p2kvs"):
+                workload = YCSBWorkload(workload_name, RECORDS, seed=13)
+                out[("%s-%d" % (kind, n_workers), workload_name)] = run_ycsb(
+                    kind, workload, OPS[workload_name], N_THREADS, workers=n_workers
+                )[0].qps
     return out
 
 

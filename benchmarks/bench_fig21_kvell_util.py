@@ -8,32 +8,20 @@ KVell worker core runs above 80% — p2KVS spreads load across the multicore
 machine instead of leaning on single-core speed.
 """
 
-from benchmarks.common import LARGE, assert_shapes, lsm_adapter, once, report
-from repro.engine import make_env
-from repro.harness import KVellSystem, P2KVSSystem, open_system, run_closed_loop
+from benchmarks.common import LARGE, assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_table
-from repro.workloads import fillrandom, split_stream
+from repro.workloads import fillrandom
 
 N_THREADS = 64
 N_OPS = LARGE
 
 
-def run_case(kind: str):
-    env = make_env(n_cores=44)
-    if kind == "kvell":
-        system = open_system(
-            env, KVellSystem.open(env, n_workers=8, page_cache_bytes=4 * 1024 * 1024)
-        )
-    else:
-        system = open_system(
-            env,
-            P2KVSSystem.open(
-                env, n_workers=8, adapter_open=lsm_adapter("rocksdb"), async_window=512
-            ),
-        )
-    metrics = run_closed_loop(
-        env, system, split_stream(fillrandom(N_OPS), N_THREADS)
-    )
+#: p2KVS uses its async write interface, as in Figure 12.
+SYSTEMS = {"kvell": {}, "p2kvs": dict(async_window=512)}
+
+
+def run_writes(kind: str):
+    metrics, _ = run_case(kind, fillrandom(N_OPS), N_THREADS, **SYSTEMS[kind])
     ordered = sorted(metrics.per_core_util, reverse=True)
     busiest = ordered[:8]
     # CPU burned OUTSIDE the 8 worker cores: the per-instance background
@@ -43,7 +31,7 @@ def run_case(kind: str):
 
 
 def run_fig21():
-    return {kind: run_case(kind) for kind in ("kvell", "p2kvs")}
+    return {kind: run_writes(kind) for kind in SYSTEMS}
 
 
 def test_fig21_hardware_utilization(benchmark):

@@ -6,57 +6,31 @@ though LevelDB has no pipelined write or multiget (OBM reads fall back to
 concurrently-submitted gets).
 """
 
-from benchmarks.common import (
-    READ_KEYS,
-    assert_shapes,
-    lsm_adapter,
-    lsm_options,
-    once,
-    report,
-)
-from repro.engine import make_env, leveldb_options
-from repro.harness import (
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-)
+from benchmarks.common import READ_KEYS, assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_qps, format_table
-from repro.workloads import fillrandom, readrandom, split_stream
+from repro.workloads import fillrandom, readrandom
 
 THREADS = [1, 2, 4, 8, 16]
 WRITE_OPS = 16000
 READ_OPS = 12000
 
 
-def run_case(kind: str, mode: str, n_threads: int) -> float:
-    env = make_env(n_cores=44)
-    if kind == "leveldb":
-        system = open_system(
-            env, SingleInstanceSystem.open(env, lsm_options(leveldb_options))
-        )
-    else:
-        system = open_system(
-            env,
-            P2KVSSystem.open(
-                env, n_workers=n_threads, adapter_open=lsm_adapter("leveldb")
-            ),
-        )
+def run_mode(kind: str, mode: str, n_threads: int, **opts) -> float:
     if mode == "write":
-        ops = fillrandom(WRITE_OPS)
+        ops, preload = fillrandom(WRITE_OPS), None
     else:
-        preload(env, system, fillrandom(READ_KEYS), n_threads=8)
-        ops = readrandom(READ_OPS, READ_KEYS)
-    return run_closed_loop(env, system, split_stream(ops, n_threads)).qps
+        ops, preload = readrandom(READ_OPS, READ_KEYS), fillrandom(READ_KEYS)
+    return run_case(kind, ops, n_threads, preload=preload, **opts)[0].qps
 
 
 def run_fig22():
     out = {}
     for mode in ("write", "read"):
         for n in THREADS:
-            out[("leveldb", mode, n)] = run_case("leveldb", mode, n)
-            out[("p2kvs", mode, n)] = run_case("p2kvs", mode, n)
+            out[("leveldb", mode, n)] = run_mode("leveldb", mode, n)
+            out[("p2kvs", mode, n)] = run_mode(
+                "p2kvs", mode, n, workers=n, flavor="leveldb"
+            )
     return out
 
 

@@ -7,58 +7,61 @@ OBM-write is disabled (no batch-write support); OBM-read still submits
 batched gets concurrently.
 """
 
-from benchmarks.common import READ_KEYS, assert_shapes, once, report
+from benchmarks.common import READ_KEYS, assert_shapes, open_case, once, report, run_case
 from repro.baselines import wiredtiger_adapter_factory
 from repro.engine import make_env
-from repro.harness import (
-    P2KVSSystem,
-    WiredTigerSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-)
+from repro.harness import P2KVSSystem, open_system
 from repro.harness.report import ShapeCheck, format_qps, format_table
-from repro.workloads import fillrandom, readrandom, split_stream
+from repro.workloads import fillrandom, readrandom
 
 THREADS = [1, 2, 4, 8, 16]
 WRITE_OPS = 12000
 READ_OPS = 12000
 
 
-def run_case(kind: str, mode: str, n_threads: int) -> float:
+def open_vanilla(env, cache_bytes: int, n_threads: int):
+    system, _ = open_case("wiredtiger", env=env)
+    system.store.page_cache.capacity_bytes = cache_bytes
+    return system
+
+
+def open_p2kvs_over_wiredtiger(env, cache_bytes: int, n_threads: int):
+    # Built by hand: p2KVS over WiredTiger instances is not a registered
+    # configuration (the registry's p2kvs flavors are the LSM presets).
+    return open_system(
+        env,
+        P2KVSSystem.open(
+            env,
+            n_workers=n_threads,
+            adapter_open=wiredtiger_adapter_factory(cache_bytes=cache_bytes),
+        ),
+    )
+
+
+OPENERS = {"wiredtiger": open_vanilla, "p2kvs": open_p2kvs_over_wiredtiger}
+
+
+def run_mode(kind: str, mode: str, n_threads: int) -> float:
     # The paper's WiredTiger read test is device-bound (its 15x read gain
     # comes from overlapping the per-instance page IO); use cold caches.
     cold = mode == "read"
     env = make_env(
         n_cores=44, page_cache_bytes=(512 * 1024 if cold else 1 << 40)
     )
-    cache_bytes = 256 * 1024 if cold else 8 * 1024 * 1024
-    if kind == "wiredtiger":
-        system = open_system(env, WiredTigerSystem.open(env))
-        system.store.page_cache.capacity_bytes = cache_bytes
-    else:
-        system = open_system(
-            env,
-            P2KVSSystem.open(
-                env,
-                n_workers=n_threads,
-                adapter_open=wiredtiger_adapter_factory(cache_bytes=cache_bytes),
-            ),
-        )
+    system = OPENERS[kind](env, 256 * 1024 if cold else 8 * 1024 * 1024, n_threads)
     if mode == "write":
-        ops = fillrandom(WRITE_OPS)
+        ops, preload = fillrandom(WRITE_OPS), None
     else:
-        preload(env, system, fillrandom(READ_KEYS), n_threads=8)
-        ops = readrandom(READ_OPS, READ_KEYS)
-    return run_closed_loop(env, system, split_stream(ops, n_threads)).qps
+        ops, preload = readrandom(READ_OPS, READ_KEYS), fillrandom(READ_KEYS)
+    return run_case(system, ops, n_threads, env=env, preload=preload)[0].qps
 
 
 def run_fig23():
     out = {}
     for mode in ("write", "read"):
         for n in THREADS:
-            out[("wiredtiger", mode, n)] = run_case("wiredtiger", mode, n)
-            out[("p2kvs", mode, n)] = run_case("p2kvs", mode, n)
+            for kind in OPENERS:
+                out[(kind, mode, n)] = run_mode(kind, mode, n)
     return out
 
 

@@ -6,60 +6,19 @@ waiting); p2KVS-4 ~762% and p2KVS-8 ~1239% (workers + per-instance
 background threads), with modest, stable memory (<1.5 GB; scaled here).
 """
 
-from benchmarks.common import (
-    MEDIUM,
-    assert_shapes,
-    lsm_adapter,
-    lsm_options,
-    once,
-    report,
-)
-from repro.engine import make_env, pebblesdb_options
-from repro.harness import (
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    run_closed_loop,
-)
+from benchmarks.bench_fig12_write import SYSTEMS
+from benchmarks.common import MEDIUM, assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_table
-from repro.workloads import fillrandom, split_stream
+from repro.workloads import fillrandom
 
 N_THREADS = 16
 N_OPS = MEDIUM
 
 
-def run_system(kind: str):
-    env = make_env(n_cores=44)
-    if kind == "rocksdb":
-        system = open_system(env, SingleInstanceSystem.open(env, lsm_options()))
-    elif kind == "pebblesdb":
-        system = open_system(
-            env,
-            SingleInstanceSystem.open(
-                env, lsm_options(pebblesdb_options), name="pebbles"
-            ),
-        )
-    else:
-        n_workers = int(kind.split("-")[1])
-        system = open_system(
-            env,
-            P2KVSSystem.open(
-                env,
-                n_workers=n_workers,
-                adapter_open=lsm_adapter("rocksdb"),
-                async_window=512,
-            ),
-        )
-    metrics = run_closed_loop(
-        env, system, split_stream(fillrandom(N_OPS), N_THREADS)
-    )
-    return metrics
-
-
 def run_table2():
     return {
-        kind: run_system(kind)
-        for kind in ("rocksdb", "pebblesdb", "p2kvs-4", "p2kvs-8")
+        label: run_case(kind, fillrandom(N_OPS), N_THREADS, **opts)[0]
+        for label, (kind, opts) in SYSTEMS.items()
     }
 
 

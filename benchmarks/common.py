@@ -7,30 +7,32 @@ qualitative shape (who wins, roughly by what factor).
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/ --benchmark-only    # or: make figures (also diffs results/)
+
+Every case of every figure goes through :func:`run_case`: a registry name
+(``repro.systems``) plus options, an op stream and a client count in, the
+measured window's ``Metrics`` and the machine out.  No figure assembles a
+system or a measuring window itself; a figure's module holds only its sweep,
+its op streams and its table.  ``run_case`` is therefore also the one seam
+where ROADMAP item 2's dataset images slot in: it alone sees the whole key
+of a preload — (system, options, preload stream) — so "restore the image
+instead of replaying the preload" is a change to its ``preload`` step, not
+to twenty figures.
 
 Absolute numbers are simulated quantities at scaled-down data sizes; see
 EXPERIMENTS.md for the paper-vs-measured record.
 """
 
 import os
+from itertools import islice
 from typing import List
 
-from repro.core import adapter_factory
 from repro.engine import make_env
-from repro.harness import (
-    KVellSystem,
-    MultiInstanceSystem,
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-    scaled_options,
-)
+from repro.harness import run_closed_loop, run_open_loop
 from repro.harness.metrics import scoped_collector
-from repro.harness.report import ShapeCheck, format_qps, format_table
-from repro.workloads import fillrandom, split_stream
+from repro.harness.report import ShapeCheck, format_table
+from repro.systems import describe_options, open_system
+from repro.workloads import split_stream
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -45,27 +47,60 @@ READ_KEYS = 24000
 #: 16-byte keys + 112-byte values = the paper's 128-byte KV pairs.
 VALUE_SIZE = 112
 
-#: the scaled LSM shape shared by all systems (see DESIGN.md Section 5).
-SHAPE = dict(
-    write_buffer_size=64 * 1024,
-    target_file_size=64 * 1024,
-    max_bytes_for_level_base=256 * 1024,
-    block_cache_bytes=512 * 1024,
-)
+#: what the figure suite lays over ``repro.systems.BENCH_SHAPE`` on every
+#: LSM-backed system: a block cache scaled with the datasets above (the
+#: registry's own default is ``EngineOptions``' 8 MiB, which would hold them).
+FIGURE_ENGINE = {"block_cache_bytes": 512 * 1024}
 
 
-def lsm_options(maker=None, **overrides):
-    merged = dict(SHAPE)
-    merged.update(overrides)
-    if maker is None:
-        return scaled_options(**merged)
-    return scaled_options(maker, **merged)
+def open_case(kind: str, *, env=None, engine=None, **system_opts):
+    """Open registry system ``kind`` the way every figure does; returns
+    ``(system, env)``.  ``env`` defaults to the paper's 44-core machine and
+    ``engine`` (``EngineOptions`` fields) goes on top of :data:`FIGURE_ENGINE`."""
+    if env is None:
+        env = make_env(n_cores=44)
+    if engine is not None or "engine" in describe_options(kind):
+        system_opts["engine"] = {**FIGURE_ENGINE, **(engine or {})}
+    return open_system(kind, env, **system_opts), env
 
 
-def lsm_adapter(flavor: str = "rocksdb", **overrides):
-    merged = dict(SHAPE)
-    merged.update(overrides)
-    return adapter_factory(flavor, **merged)
+def run_case(kind, ops, threads, *, env=None, preload=None, preload_threads=8,
+             engine=None, rate=None, pin_users=False, **system_opts):
+    """One case of one figure; returns ``(Metrics, env)``.
+
+    ``kind`` is a registry name opened through :func:`open_case` with
+    ``engine``/``system_opts``, or — for the few figures that must touch the
+    system itself — one already opened on ``env``.  ``preload`` ops are loaded
+    unmeasured by ``preload_threads`` clients; then ``ops`` run round-robin
+    over ``threads`` closed-loop clients, or as open-loop Poisson arrivals at
+    ``rate`` ops/s.  Each window holds the env's measuring slot through
+    ``scoped_collector``, so a case that raises leaves the env usable.
+    """
+    system = kind
+    if isinstance(kind, str):
+        system, env = open_case(kind, env=env, engine=engine, **system_opts)
+    elif env is None or engine is not None or system_opts:
+        raise TypeError("an opened system comes with its env and takes no options")
+
+    def window(drive, *args, **kwargs):
+        with scoped_collector(env, system.name) as collector:
+            return drive(env, system, *args, collector=collector, **kwargs)
+
+    if preload is not None:
+        window(run_closed_loop, split_stream(preload, preload_threads), measure=False)
+    if rate is not None:
+        return window(run_open_loop, list(ops), rate), env
+    return window(run_closed_loop, split_stream(ops, threads), pin_users=pin_users), env
+
+
+def run_ycsb(kind, workload, n_ops, threads, **case_opts):
+    """A YCSB cell: LOAD measures the first ``n_ops`` inserts of the load
+    phase itself; every other mix runs ``n_ops`` over the preloaded records."""
+    if workload.spec.name == "LOAD":
+        return run_case(kind, islice(workload.load_ops(), n_ops), threads, **case_opts)
+    return run_case(
+        kind, workload.ops(n_ops), threads, preload=workload.load_ops(), **case_opts
+    )
 
 
 def report(name: str, text: str) -> None:
@@ -75,14 +110,6 @@ def report(name: str, text: str) -> None:
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "%s.txt" % name), "w") as f:
         f.write(text + "\n")
-
-
-def measured_run(env, system, streams, **kwargs):
-    """Closed-loop run under a scoped collector: the env's measuring slot is
-    released even when the run (or a shape assertion inside it) raises, so a
-    failed bench cannot wedge the env for the next window."""
-    with scoped_collector(env, system.name) as collector:
-        return run_closed_loop(env, system, streams, collector=collector, **kwargs)
 
 
 def assert_shapes(name: str, checks: List[ShapeCheck], env=None) -> None:

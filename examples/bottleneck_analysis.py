@@ -11,16 +11,11 @@ Run:  python examples/bottleneck_analysis.py
 
 from repro.engine import LSMEngine, make_env, rocksdb_options
 from repro.harness.report import format_qps, format_table
+from repro.systems import BENCH_SHAPE
 from repro.workloads import fillrandom, split_stream
 
 TOTAL_OPS = 12000
 THREADS = [1, 2, 4, 8, 16, 32]
-
-OPTIONS = dict(
-    write_buffer_size=64 * 1024,
-    target_file_size=64 * 1024,
-    max_bytes_for_level_base=256 * 1024,
-)
 
 
 def run_threads(n_threads):
@@ -28,7 +23,7 @@ def run_threads(n_threads):
     box = []
 
     def opener():
-        engine = yield from LSMEngine.open(env, "db", rocksdb_options(**OPTIONS))
+        engine = yield from LSMEngine.open(env, "db", rocksdb_options(**BENCH_SHAPE))
         box.append(engine)
 
     env.sim.spawn(opener())

@@ -8,13 +8,8 @@ Run:  python examples/device_timeline.py
 
 from repro.engine import LSMEngine, make_env, rocksdb_options
 from repro.harness.timeline import render_stacked
+from repro.systems import BENCH_SHAPE
 from repro.workloads import fillrandom
-
-OPTIONS = dict(
-    write_buffer_size=64 * 1024,
-    target_file_size=64 * 1024,
-    max_bytes_for_level_base=256 * 1024,
-)
 
 
 def run_case(value_size: int, n_ops: int):
@@ -22,7 +17,7 @@ def run_case(value_size: int, n_ops: int):
     box = []
 
     def opener():
-        engine = yield from LSMEngine.open(env, "db", rocksdb_options(**OPTIONS))
+        engine = yield from LSMEngine.open(env, "db", rocksdb_options(**BENCH_SHAPE))
         box.append(engine)
 
     env.sim.spawn(opener())

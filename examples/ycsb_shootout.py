@@ -8,69 +8,37 @@ miniature.
 Run:  python examples/ycsb_shootout.py
 """
 
-from repro.engine import make_env, pebblesdb_options, rocksdb_options
-from repro.core import adapter_factory
-from repro.harness import (
-    KVellSystem,
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-)
+from repro.engine import make_env
+from repro.harness import preload, run_closed_loop
 from repro.harness.report import format_qps, format_table
+from repro.systems import open_system
 from repro.workloads import YCSBWorkload
 
 RECORDS = 8000
 OPS = 5000
 N_THREADS = 16
 
-SHAPE = dict(
-    write_buffer_size=64 * 1024,
-    target_file_size=64 * 1024,
-    max_bytes_for_level_base=256 * 1024,
-)
-
-
-def build(env, kind):
-    if kind == "RocksDB":
-        return open_system(
-            env, SingleInstanceSystem.open(env, rocksdb_options(**SHAPE))
-        )
-    if kind == "PebblesDB":
-        return open_system(
-            env,
-            SingleInstanceSystem.open(
-                env, pebblesdb_options(**SHAPE), name="pebbles"
-            ),
-        )
-    if kind == "KVell-8":
-        return open_system(env, KVellSystem.open(env, n_workers=8))
-    return open_system(
-        env,
-        P2KVSSystem.open(
-            env, n_workers=8, adapter_open=adapter_factory("rocksdb", **SHAPE)
-        ),
-    )
+#: label -> registry name (repro.systems); KVell and p2KVS default to 8 workers.
+SYSTEMS = {
+    "RocksDB": "rocksdb",
+    "PebblesDB": "pebblesdb",
+    "KVell-8": "kvell",
+    "p2KVS-8": "p2kvs",
+}
 
 
 def run(kind, workload_name):
     env = make_env(n_cores=44)
-    system = build(env, kind)
+    system = open_system(SYSTEMS[kind], env)
     workload = YCSBWorkload(workload_name, RECORDS, seed=21)
     preload(env, system, workload.load_ops(), n_threads=8)
-    ops = list(workload.ops(OPS))
-    streams = [[] for _ in range(N_THREADS)]
-    for i, op in enumerate(ops):
-        streams[i % N_THREADS].append(op)
-    return run_closed_loop(env, system, streams).qps
+    return run_closed_loop(env, system, workload.split(OPS, N_THREADS)).qps
 
 
 def main():
-    systems = ["RocksDB", "PebblesDB", "KVell-8", "p2KVS-8"]
     workloads = ["A", "B", "C"]
     rows = []
-    for kind in systems:
+    for kind in SYSTEMS:
         rows.append(
             [kind] + [format_qps(run(kind, w)) for w in workloads]
         )

@@ -18,7 +18,6 @@ from repro.harness.runner import (
     preload,
     run_closed_loop,
     run_open_loop,
-    scaled_options,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "print_shape_checks",
     "run_closed_loop",
     "run_open_loop",
-    "scaled_options",
 ]

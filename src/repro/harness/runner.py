@@ -25,7 +25,6 @@ from repro.baselines.wiredtiger import WiredTigerLike
 from repro.core.framework import P2KVS
 from repro.engine.db import LSMEngine
 from repro.engine.env import Env
-from repro.engine.options import EngineOptions, rocksdb_options
 from repro.errors import KVError
 from repro.harness.metrics import Metrics, MetricsCollector
 from repro.perf import zones as _perf_zones
@@ -42,7 +41,6 @@ __all__ = [
     "run_closed_loop",
     "run_open_loop",
     "run_zoned",
-    "scaled_options",
 ]
 
 Op = Tuple[str, bytes, object]
@@ -57,19 +55,6 @@ _VERB_CLASS = {
 }
 
 MEMORY_SAMPLE_EVERY = 256
-
-
-def scaled_options(maker: Callable = rocksdb_options, **overrides) -> EngineOptions:
-    """The scaled-down LSM shape used by the benchmarks (DESIGN.md Section 5)."""
-    defaults = dict(
-        write_buffer_size=64 * 1024,
-        target_file_size=64 * 1024,
-        max_bytes_for_level_base=256 * 1024,
-        level_size_multiplier=8,
-        block_cache_bytes=2 * 1024 * 1024,
-    )
-    defaults.update(overrides)
-    return maker(**defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +377,11 @@ def run_open_loop(
     ops: Sequence[Op],
     rate: float,
     seed: int = 42,
+    collector: Optional[MetricsCollector] = None,
 ) -> Metrics:
     """Poisson arrivals at ``rate`` ops/second (Figure 13's load sweep)."""
-    collector = MetricsCollector(env, system.name)
+    if collector is None:
+        collector = MetricsCollector(env, system.name)
     user_bytes0 = system.user_bytes_written()
     collector.start()
     rng = random.Random(seed)

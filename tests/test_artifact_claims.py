@@ -13,14 +13,10 @@ versions live in ``benchmarks/``.
 
 import pytest
 
+from repro import systems
 from repro.engine import LSMEngine, make_env, rocksdb_options
-from repro.harness import (
-    P2KVSSystem,
-    SingleInstanceSystem,
-    open_system,
-    run_closed_loop,
-    scaled_options,
-)
+from repro.harness import P2KVSSystem, open_system, run_closed_loop
+from repro.systems import BENCH_SHAPE
 from repro.workloads import fillrandom, split_stream
 
 TOTAL_OPS = 12000
@@ -28,7 +24,7 @@ TOTAL_OPS = 12000
 
 def run_rocksdb(n_threads: int):
     env = make_env(n_cores=44)
-    system = open_system(env, SingleInstanceSystem.open(env, scaled_options()))
+    system = systems.open_system("rocksdb", env)
     return run_closed_loop(
         env, system, split_stream(fillrandom(TOTAL_OPS), n_threads)
     )
@@ -49,7 +45,8 @@ class TestClaimC1:
         box = []
 
         def opener():
-            box.append((yield from LSMEngine.open(env, "db", scaled_options())))
+            options = rocksdb_options(**BENCH_SHAPE)
+            box.append((yield from LSMEngine.open(env, "db", options)))
 
         env.sim.spawn(opener())
         env.sim.run()

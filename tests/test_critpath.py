@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.core import adapter_factory
 from repro.critpath import (
     EXPERIMENTS,
     EdgeLog,
@@ -27,13 +26,14 @@ from repro.critpath import (
 )
 from repro.critpath.extract import CriticalPath, Segment, aggregate_blame
 from repro.engine import make_env
-from repro.harness import P2KVSSystem, open_system, preload, run_closed_loop
+from repro.harness import preload, run_closed_loop
 from repro.harness.report import format_blame_table
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPUSet
 from repro.sim.device import OPTANE_905P, StorageDevice
 from repro.sim.queues import FIFOQueue
 from repro.sim.sync import Lock
+from repro.systems import open_system
 from repro.tools import whatif
 from repro.trace import install_tracer
 from repro.trace.attribution import fig06_from_spans
@@ -294,19 +294,7 @@ def _ycsb_run(n_records=300, n_ops=400, threads=2):
     env = make_env(n_cores=8)
     tracer = install_tracer(env)
     edgelog = install_edgelog(env)
-    system = open_system(
-        env,
-        P2KVSSystem.open(
-            env,
-            n_workers=4,
-            adapter_open=adapter_factory(
-                "rocksdb",
-                write_buffer_size=64 * 1024,
-                target_file_size=64 * 1024,
-                max_bytes_for_level_base=256 * 1024,
-            ),
-        ),
-    )
+    system = open_system("p2kvs", env, workers=4)
     workload = YCSBWorkload("A", n_records, value_size=112, seed=5)
     preload(env, system, workload.load_ops(), n_threads=threads)
     ops = list(workload.ops(n_ops))

@@ -12,14 +12,14 @@ from repro.analysis.perturb import (
     fingerprint,
     run_perturbed,
 )
-from repro.core import adapter_factory
 from repro.critpath import critpath_report, install_edgelog
 from repro.engine import LSMEngine, make_env, rocksdb_options
-from repro.harness import KVellSystem, P2KVSSystem, open_system, preload, run_closed_loop
+from repro.harness import preload, run_closed_loop
 from repro.harness.report import format_blame_table
 from repro.trace import install_tracer
 from repro.metrics import install_stats, timeseries_csv
 from repro.sim.core import Simulator
+from repro.systems import BENCH_SHAPE, open_system
 from repro.workloads import YCSBWorkload
 from tests.conftest import run_process
 
@@ -29,19 +29,7 @@ THREADS = 2
 
 
 def _open_p2kvs(env):
-    return open_system(
-        env,
-        P2KVSSystem.open(
-            env,
-            n_workers=4,
-            adapter_open=adapter_factory(
-                "rocksdb",
-                write_buffer_size=64 * 1024,
-                target_file_size=64 * 1024,
-                max_bytes_for_level_base=256 * 1024,
-            ),
-        ),
-    )
+    return open_system("p2kvs", env, workers=4)
 
 
 def _db_fingerprint(env, system, keys):
@@ -125,7 +113,7 @@ def test_kvell_repeat_runs_identical():
 
     def run_once():
         env = make_env(n_cores=8)
-        system = open_system(env, KVellSystem.open(env, n_workers=4))
+        system = open_system("kvell", env, workers=4)
         workload = YCSBWorkload("A", 300, value_size=112, seed=3)
         preload(env, system, workload.load_ops(), n_threads=2)
         ops = list(workload.ops(400))
@@ -271,12 +259,7 @@ def test_critpath_does_not_perturb_stats_outputs():
 def test_write_group_leader_handoff_is_fifo(env):
     """With grouping disabled every writer must lead in arrival order —
     the hand-off pops the pending deque FIFO, never by dict/set order."""
-    options = rocksdb_options(
-        write_buffer_size=64 * 1024,
-        target_file_size=64 * 1024,
-        max_bytes_for_level_base=256 * 1024,
-    )
-    options.group_commit = False
+    options = rocksdb_options(group_commit=False, **BENCH_SHAPE)
     engine = run_process(env, LSMEngine.open(env, "db", options))
     leaders = []
     original_lead = engine.coordinator._lead

@@ -23,13 +23,14 @@ import os
 
 import pytest
 
+from benchmarks.common import run_case, run_ycsb
 from repro.engine.env import make_env
 from repro.harness import P2KVSSystem, open_system, preload, run_closed_loop
 from repro.perf import zones as _perf_zones
 from repro.systems import system_names
 from repro.tools import dbbench, serve, whatif, ycsb
 from repro.tools import monitor as monitor_tool
-from repro.workloads import fillrandom, make_key
+from repro.workloads import YCSBWorkload, facebook_mixed_workload, fillrandom, make_key
 from tests.conftest import run_process
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "fingerprints.json")
@@ -274,6 +275,43 @@ def test_range_query_golden():
             }
         )
     )
+
+
+# -- figure-shaped cases (benchmarks.common.run_case) ------------------------
+#
+# Scaled-down cells of the figure suite, built through the same ``run_case``
+# the figures use, so a change that moves a figure moves a tier-1 golden too
+# (``make figures`` is the full-size gate).  Same contract as the dbbench
+# goldens above: pinned as run, no ``--schedule-seed`` variant — concurrent
+# clients race writes, so a different tie order legitimately moves them.
+
+
+def _case_facts(metrics, env) -> dict:
+    return {
+        "elapsed": metrics.elapsed,
+        "qps": metrics.qps,
+        "latency": {cls: metrics.latency[cls].summary() for cls in sorted(metrics.latency)},
+        "device_bytes": dict(sorted(metrics.device_bytes.items())),
+        "cpu_busy": metrics.cpu_busy,
+        "now": env.sim.now,
+    }
+
+
+def test_figure_facebook_write_heavy_golden():
+    """bench_facebook_mixed's write-heavy RocksDB cell in miniature: 16
+    clients, 20/77/3 get/put/scan over SST-resident data, so scans suspended
+    on block loads race inserts (the cell PR 15 moved with no gate watching)."""
+    ops = facebook_mixed_workload(2500, 8000, get_ratio=0.20, put_ratio=0.77, seed=9)
+    metrics, env = run_case("rocksdb", ops, 16, preload=fillrandom(8000))
+    check("figure:facebook-write-heavy:rocksdb", fingerprint(_case_facts(metrics, env)))
+
+
+def test_figure_ycsb_a_golden():
+    """bench_fig16's RocksDB YCSB-A cell at 32 threads in miniature (the cell
+    that drifted 5 % between the seed and PR 11)."""
+    workload = YCSBWorkload("A", 6000, seed=3)
+    metrics, env = run_ycsb("rocksdb", workload, 4000, 32)
+    check("figure:ycsb-a:rocksdb:32threads", fingerprint(_case_facts(metrics, env)))
 
 
 def test_dbbench_observed_golden(tmp_path, capsys):

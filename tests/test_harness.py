@@ -15,13 +15,13 @@ from repro.harness import (
     preload,
     run_closed_loop,
     run_open_loop,
-    scaled_options,
 )
+from repro.systems import BENCH_SHAPE
 from repro.workloads import fillrandom, make_key, readrandom, split_stream
 
 
 def small_opts():
-    return scaled_options(write_buffer_size=16 * 1024)
+    return rocksdb_options(**{**BENCH_SHAPE, "write_buffer_size": 16 * 1024})
 
 
 class TestSystems:
@@ -114,6 +114,42 @@ class TestRunners:
         assert metrics.io_amplification >= metrics.write_amplification
         assert 0 < metrics.bandwidth_utilization < 1.5
         assert metrics.cpu_utilization > 0
+
+
+class TestRunCase:
+    """benchmarks.common.run_case, the figure suite's one case path."""
+
+    def test_a_case_that_raises_releases_the_measuring_slot(self):
+        from benchmarks.common import open_case, run_case
+
+        system, env = open_case("rocksdb")
+        with pytest.raises(ValueError):
+            run_case(system, [("explode", b"k", None)], 1, env=env)
+        assert env._active_collector is None
+        # The next window on the same env starts cleanly, preload included.
+        metrics, _ = run_case(
+            system, readrandom(50, 100), 2, env=env, preload=fillrandom(100)
+        )
+        assert metrics.n_ops == 50
+
+    def test_open_loop_case_is_scoped_too(self):
+        from benchmarks.common import open_case, run_case
+
+        system, env = open_case("rocksdb")
+        with pytest.raises(ValueError):
+            run_case(system, [("explode", b"k", None)], None, env=env, rate=1e5)
+        assert env._active_collector is None
+        metrics, _ = run_case(system, fillrandom(50), None, env=env, rate=1e5)
+        assert metrics.latency_of("write").count == 50
+
+    def test_engine_overrides_reach_the_engine_and_stay_strict(self):
+        from benchmarks.common import FIGURE_ENGINE, open_case
+
+        system, _ = open_case("rocksdb", engine={"pipelined_write": False})
+        assert system.engine.options.pipelined_write is False
+        assert system.engine.options.block_cache_bytes == FIGURE_ENGINE["block_cache_bytes"]
+        with pytest.raises(ValueError, match="engine"):
+            open_case("kvell", engine={"pipelined_write": False})
 
 
 class TestMetricsCollector:

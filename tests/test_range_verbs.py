@@ -3,17 +3,8 @@
 import pytest
 
 from repro.baselines import KVellLike
-from repro.harness import (
-    KVellSystem,
-    MultiInstanceSystem,
-    P2KVSSystem,
-    SingleInstanceSystem,
-    WiredTigerSystem,
-    open_system,
-    preload,
-    run_closed_loop,
-    scaled_options,
-)
+from repro.harness import preload, run_closed_loop
+from repro.systems import open_system
 from repro.workloads import fillrandom, make_key
 from tests.conftest import run_process
 
@@ -21,18 +12,11 @@ N_KEYS = 200
 
 
 def build(env, kind):
-    if kind == "single":
-        return open_system(env, SingleInstanceSystem.open(env, scaled_options()))
-    if kind == "multi":
-        return open_system(env, MultiInstanceSystem.open(env, 2, scaled_options))
-    if kind == "p2kvs":
-        return open_system(env, P2KVSSystem.open(env, n_workers=2))
-    if kind == "kvell":
-        return open_system(env, KVellSystem.open(env, n_workers=2))
-    return open_system(env, WiredTigerSystem.open(env))
+    opts = {"workers": 2} if kind in ("multi", "p2kvs", "kvell") else {}
+    return open_system(kind, env, **opts)
 
 
-@pytest.mark.parametrize("kind", ["single", "p2kvs", "kvell", "wiredtiger"])
+@pytest.mark.parametrize("kind", ["rocksdb", "p2kvs", "kvell", "wiredtiger"])
 def test_range_verb_returns_bounded_sorted_pairs(env, kind):
     system = build(env, kind)
     preload(env, system, fillrandom(N_KEYS), n_threads=2)

@@ -96,12 +96,11 @@ class TestFacebookWorkload:
             list(facebook_mixed_workload(10, 100, get_ratio=0.9, put_ratio=0.2))
 
     def test_runs_through_harness(self, env):
-        from repro.harness import SingleInstanceSystem, open_system, preload, run_closed_loop, scaled_options
+        from repro.harness import preload, run_closed_loop
+        from repro.systems import open_system
         from repro.workloads import fillrandom, split_stream
 
-        system = open_system(
-            env, SingleInstanceSystem.open(env, scaled_options())
-        )
+        system = open_system("rocksdb", env)
         preload(env, system, fillrandom(500), n_threads=2)
         ops = list(facebook_mixed_workload(300, key_space=500, seed=4))
         metrics = run_closed_loop(env, system, split_stream(ops, 2))

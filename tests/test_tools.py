@@ -241,13 +241,14 @@ class TestStrictSystemOptions:
 
         env = make_env(n_cores=4)
         with pytest.raises(ValueError) as exc:
-            open_system("rocksdb", env, workers=2)
+            open_system("wiredtiger", env, workers=2)
         assert "no options" in str(exc.value)
 
     def test_describe_options_reflects_opener_signatures(self):
         from repro.systems import describe_options, system_names
 
-        assert describe_options("rocksdb") == {}
+        assert describe_options("rocksdb") == {"engine": None}
+        assert describe_options("wiredtiger") == {}
         p2 = describe_options("p2kvs")
         assert p2["workers"] == 8 and p2["async_window"] == 0
         assert "sync_wal" in p2 and "instance" in p2
@@ -281,6 +282,129 @@ class TestStrictSystemOptions:
         epilog = dbbench.build_parser().epilog
         assert "p2kvs" in epilog and "async_window" in epilog
         assert ycsb.build_parser().epilog == epilog
+
+    def test_engine_is_an_option_of_exactly_the_lsm_backed_systems(self):
+        from repro.systems import describe_options, system_names
+
+        lsm_backed = {"rocksdb", "leveldb", "pebblesdb", "multi", "p2kvs"}
+        assert {n for n in system_names() if "engine" in describe_options(n)} == lsm_backed
+        listed = {
+            line.split()[0]
+            for line in dbbench.build_parser().epilog.splitlines()[1:]
+            if "engine" in line.split()[-1]
+        }
+        assert listed == lsm_backed
+
+    def test_engine_override_typo_raises_with_did_you_mean(self):
+        from repro.engine import make_env
+        from repro.systems import open_system
+
+        with pytest.raises(ValueError) as exc:
+            open_system("rocksdb", make_env(n_cores=4), engine={"blok_cache_bytes": 1})
+        assert "did you mean 'block_cache_bytes'" in str(exc.value)
+
+
+#: the hand-built side of the equivalence below: the scaled shape the figures
+#: passed before they opened through the registry, spelled out in bytes on
+#: purpose — an independent copy, not an import of ``BENCH_SHAPE``.
+_HAND_SHAPE = dict(
+    write_buffer_size=65536,
+    target_file_size=65536,
+    max_bytes_for_level_base=262144,
+    block_cache_bytes=524288,
+)
+
+
+def _hand_built(name, env):
+    """What ``benchmarks/`` wrote out per figure before ``run_case``."""
+    from repro.core import adapter_factory
+    from repro.engine import leveldb_options, pebblesdb_options, rocksdb_options
+    from repro.harness import (
+        KVellSystem,
+        MultiInstanceSystem,
+        P2KVSSystem,
+        SingleInstanceSystem,
+        WiredTigerSystem,
+    )
+
+    return {
+        "rocksdb": lambda: SingleInstanceSystem.open(env, rocksdb_options(**_HAND_SHAPE)),
+        "leveldb": lambda: SingleInstanceSystem.open(env, leveldb_options(**_HAND_SHAPE)),
+        "pebblesdb": lambda: SingleInstanceSystem.open(
+            env, pebblesdb_options(**_HAND_SHAPE), name="pebbles"
+        ),
+        "multi": lambda: MultiInstanceSystem.open(
+            env, 4, lambda: rocksdb_options(**_HAND_SHAPE)
+        ),
+        "p2kvs": lambda: P2KVSSystem.open(
+            env,
+            n_workers=4,
+            adapter_open=adapter_factory("rocksdb", **_HAND_SHAPE),
+            async_window=64,
+        ),
+        "kvell": lambda: KVellSystem.open(
+            env, n_workers=4, page_cache_bytes=4 * 1024 * 1024
+        ),
+        "wiredtiger": lambda: WiredTigerSystem.open(env),
+    }[name]()
+
+
+_REGISTRY_OPTS = {
+    "multi": dict(workers=4),
+    "p2kvs": dict(workers=4, async_window=64),
+    "kvell": dict(workers=4),
+}
+
+
+def _fill_read_facts(env, system):
+    """A 600-op seeded fill+read, then every key read back: the facts two
+    builds of one configuration must agree on exactly."""
+    import hashlib
+
+    from repro.harness import run_closed_loop
+    from repro.workloads import fillrandom, readrandom, split_stream
+    from tests.conftest import run_process
+
+    fill = split_stream(fillrandom(400, 2032, seed=5), 4)
+    filled = run_closed_loop(env, system, fill)
+    read = run_closed_loop(env, system, split_stream(readrandom(200, 400, seed=6), 4))
+    digest = hashlib.sha256()
+    ctx = env.cpu.new_thread("read-back")
+    for i, stream in enumerate(fill):
+        store = system.store_for(i)
+        for _verb, key, _value in stream:
+            digest.update(key + (run_process(env, store.get(ctx, key)) or b"<missing>"))
+    return {
+        "now": env.sim.now,
+        "qps": (filled.qps, read.qps),
+        "device_bytes": (sorted(filled.device_bytes.items()), sorted(read.device_bytes.items())),
+        "write_amp": filled.io_amplification,
+        "digest": digest.hexdigest(),
+    }
+
+
+class TestRegistryEquivalence:
+    """The registry with ``engine=`` builds byte-for-byte the systems the
+    figure suite used to assemble by hand — the proof behind replacing the
+    per-figure ladders with ``benchmarks.common.run_case``."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["rocksdb", "leveldb", "pebblesdb", "multi", "p2kvs", "kvell", "wiredtiger"],
+    )
+    def test_registry_equals_hand_built(self, name):
+        from repro.engine import make_env
+        from repro.harness import open_system as run_open
+        from repro.systems import describe_options, open_system
+
+        opts = dict(_REGISTRY_OPTS.get(name, {}))
+        if "engine" in describe_options(name):
+            opts["engine"] = {"block_cache_bytes": 512 * 1024}
+        env_a, env_b = make_env(n_cores=8), make_env(n_cores=8)
+        by_name = _fill_read_facts(env_a, open_system(name, env_a, **opts))
+        by_hand = _fill_read_facts(env_b, run_open(env_b, _hand_built(name, env_b)))
+        assert by_name == by_hand
+        assert by_name["digest"] != ""
 
 
 class TestSharedFlagGroup:
