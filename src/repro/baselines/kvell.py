@@ -21,11 +21,11 @@ work across foreground and background threads.
 
 from typing import Dict, Generator, List, Tuple
 
-from repro.core.router import fnv1a
 from repro.engine.env import Env
 from repro.errors import KVError, KVStatus
 from repro.sim.queues import FIFOQueue
 from repro.storage.block_cache import BlockCache
+from repro.storage.bloom import fnv1a
 from repro.storage.btree import BPlusTree
 
 __all__ = ["KVellLike"]

@@ -7,20 +7,15 @@ for the partitioning ablation (the paper mentions dynamic key-ranges as an
 alternative matching certain access patterns).
 
 The hash must be deterministic across runs (Python's builtin ``hash`` is
-salted), so we use FNV-1a.
+salted), so we use FNV-1a (the one in :mod:`repro.storage.bloom`).
 """
 
 from bisect import bisect_right
 from typing import List
 
-__all__ = ["HashRouter", "PrefixRouter", "RangeRouter", "fnv1a"]
+from repro.storage.bloom import fnv1a
 
-
-def fnv1a(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for b in data:
-        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+__all__ = ["HashRouter", "PrefixRouter", "RangeRouter"]
 
 
 class HashRouter:

@@ -20,6 +20,8 @@ snapshot needs it; tombstones are dropped only at the bottommost level.
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.engine.version import FileMeta, Version
@@ -28,6 +30,9 @@ from repro.storage.memtable import MAX_SEQ, VTYPE_DELETE
 __all__ = ["Compaction", "dedup_entries", "pick_compaction"]
 
 Entry = Tuple[bytes, int, int, bytes]
+
+_KEY = itemgetter(0)
+_SEQ = itemgetter(1)
 
 
 @dataclass
@@ -158,11 +163,19 @@ def _pick_flsm(engine) -> Optional[Compaction]:
     return None
 
 
-def merge_sorted_runs(runs: List[List[Entry]]) -> Iterator[Entry]:
-    """Merge entry runs already sorted in internal-key order."""
-    import heapq
+def merge_sorted_runs(runs: List[List[Entry]]) -> List[Entry]:
+    """Merge entry runs into one list in internal-key order (key ascending,
+    seq descending within a key).
 
-    return heapq.merge(*runs, key=lambda e: (e[0], MAX_SEQ - e[1]))
+    Two stable C-level sorts over the chained runs, minor key first, instead
+    of a k-way heap merge calling a Python key function per entry.
+    ``(key, seq)`` is unique across an engine's files, so the result is the
+    one total order whatever order the runs come in.
+    """
+    entries = list(chain.from_iterable(runs))
+    entries.sort(key=_SEQ, reverse=True)
+    entries.sort(key=_KEY)
+    return entries
 
 
 def dedup_entries(

@@ -938,10 +938,6 @@ class LSMEngine:
                     site="compaction-read", counters=self.counters,
                 )
                 runs.append(entries)
-            merged = merge_sorted_runs(runs)
-            survivors = dedup_entries(
-                merged, sorted(self.snapshots), compaction.drop_tombstones
-            )
             outputs = []
             builder = None
             chunk = 0
@@ -950,6 +946,11 @@ class LSMEngine:
             _p = _perf_zones.PROFILER
             if _p is not None:
                 _p.enter("engine.compaction.merge")
+            # Inside the zone: merge_sorted_runs sorts eagerly.
+            merged = merge_sorted_runs(runs)
+            survivors = dedup_entries(
+                merged, sorted(self.snapshots), compaction.drop_tombstones
+            )
             for key, seq, vtype, value in survivors:
                 if builder is None:
                     builder = SSTableBuilder(

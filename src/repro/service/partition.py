@@ -16,7 +16,7 @@ run, every process, and every shard count (the stability property
 from bisect import bisect_right
 from typing import List
 
-from repro.core.router import fnv1a
+from repro.storage.bloom import fnv1a
 
 __all__ = ["HashPartitioner", "RangePartitioner"]
 

@@ -39,6 +39,28 @@ event's pending delivery instead of a fresh heap entry), which the
 perturbation-invariance contract — ``perturb_schedule`` reruns must be
 byte-identical — already requires models to be robust to.  The golden
 fingerprint suite (tests/test_golden.py) pins this.
+
+Same-dispatch rule: a delivery runs inside the dispatch that caused it, with
+no heap pop of its own, only when it is provably the entry the loop would
+pop next, so the order of process steps is that of a kernel that queues
+every delivery (tests/test_sim_core.py keeps such a loop as the oracle).
+Two cases, both decided in :meth:`Simulator.run` and nowhere else.
+
+A completion in kernel context (``CPUSet._finish``, ``StorageDevice._finish``)
+hands the event it releases back to the loop, which triggers and delivers it
+at once if (1) the heap is empty or its top is *strictly later* than ``now``
+— an entry at ``now`` was queued earlier and goes first — and (2) no
+perturbation RNG is installed (a shuffled rank would have to be drawn and
+compared); otherwise the loop calls ``succeed()`` and the delivery queues as
+ever.  The ``_seq`` the entry would have taken is spent either way, so
+numbering does not depend on the path taken.
+
+A process that yields an already-triggered event (uncontended
+``Lock.acquire``, one-party ``Barrier``, non-empty ``queue.get``) queues its
+delivery as ever; the loop then pops that entry at once if it is the heap
+top, provided (3) no error is pending — the next iteration would raise
+before delivering — and the process was resumed as the *only* waiter of its
+event: with several, every sibling runs before any of them runs twice.
 """
 
 import heapq
@@ -247,7 +269,7 @@ class Process(Event):
     between plain generator functions.
     """
 
-    __slots__ = ("gen", "name", "held_locks", "_send")
+    __slots__ = ("gen", "name", "held_locks", "_send", "_wake")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
@@ -260,6 +282,9 @@ class Process(Event):
         #: bound gen.send, cached once: resumes are the hottest call site in
         #: the kernel and must not re-resolve the method per step.
         self._send = gen.send
+        #: bound _resume, cached for the same reason: it is stored in the
+        #: waiter slot of every event this process yields.
+        self._wake = self._resume
         self.name = name or getattr(gen, "__name__", "process")
         #: sim locks currently owned by this process (repro.sim.sync
         #: maintains this); a process must release them before returning.
@@ -300,11 +325,16 @@ class Process(Event):
             return
         sim.current_process = None
         if isinstance(target, Event):
-            target.add_callback(self._resume)
+            target.add_callback(self._wake)
         else:
             self._step_fail(target)
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Event) -> Optional[Event]:
+        """Run one step.  Returns the event the process now waits on when
+        that event had already triggered with nobody registered (uncontended
+        ``Lock.acquire``, non-empty ``queue.get``): its delivery has been
+        queued as always, and :meth:`Simulator.run` may find it on top of
+        the heap and deliver it within the same dispatch."""
         sim = self.sim
         monitor = sim.monitor
         if monitor is not None:
@@ -327,10 +357,20 @@ class Process(Event):
             sim.current_process = None
             return
         sim.current_process = None
-        if isinstance(target, Event):
-            target.add_callback(self._resume)
-        else:
+        try:
+            waiters = target._cb
+        except AttributeError:
             self._step_fail(target)
+            return None
+        if waiters is not None:
+            target.add_callback(self._wake)
+            return None
+        # add_callback for the single-waiter case, inline.
+        target._cb = self._wake
+        if target._value is _PENDING:
+            return None
+        sim._queue_callbacks(target)
+        return target
 
     def _on_stop(self, value: Any) -> None:
         """Generator returned: trigger the process event (current_process is
@@ -530,7 +570,10 @@ class Simulator:
         Equivalent to ``timeout(delay).add_callback(fn)`` with the same heap
         ordering key, minus the Timeout event and per-burst closure.  No
         process waits on the entry, so it carries no wakeup edge; ``fn``
-        annotates the event it releases (see :func:`repro.sim.wakeup.wake`).
+        stamps the edge on the event it releases and returns it (see
+        :func:`repro.sim.wakeup.annotated`) for :meth:`run` to trigger — in
+        the same dispatch when the ordering contract allows, through
+        ``succeed()`` otherwise; a ``fn`` that releases nothing returns None.
         """
         self._seq += 1
         rng = self._perturb_rng
@@ -567,9 +610,9 @@ class Simulator:
         limit = _INF if until is None else until
         # Host profiler, hoisted once per run() call (installed before the
         # loop starts; see repro.perf.zones).  The zone wraps one dispatch —
-        # the synchronous host work of delivering an event, including every
-        # process step it triggers — and unwind() guarantees the zone stack
-        # survives exceptions tearing through a callback.
+        # the synchronous host work of one heap pop, including every process
+        # step it triggers — and unwind() guarantees the zone stack survives
+        # exceptions tearing through a callback.
         perf = _perf_zones.PROFILER
         while heap:
             if self._pending_error is not None:
@@ -586,21 +629,61 @@ class Simulator:
                 tok = perf.enter("kernel.dispatch")
             target = entry[3]
             if type(target) is tuple:
-                target[0](target[1])
+                # A deferred call.  A completion hands back the event it
+                # releases, edge already stamped (see _call_later).
+                target = target[0](target[1])
+                if target is not None:
+                    if (
+                        (heap and heap[0][0] <= when)
+                        or self._perturb_rng is not None
+                        or target._value is not _PENDING
+                    ):
+                        # Not provably next (or already triggered, which
+                        # succeed() reports): queue like any other release.
+                        target.succeed()
+                        target = None
+                    else:
+                        # The entry succeed() would push is the next one
+                        # popped: trigger as succeed() does and deliver
+                        # below — its seq spent, its heap round trip not.
+                        target._value = None
+                        target._ok = True
+                        monitor = self.monitor
+                        if monitor is not None:
+                            monitor.on_send(target)
+                        self._seq += 1
             else:
                 value = entry[4]
                 if value is not _PENDING and target._value is _PENDING:
                     # A timer-style entry: trigger the event now.
                     target._value = value
                     target._ok = True
+            while target is not None:
                 cb = target._cb
-                if cb is not None:
-                    target._cb = None
-                    if type(cb) is list:
-                        for fn in cb:
-                            fn(target)
-                    else:
-                        cb(target)
+                if cb is None:
+                    break
+                target._cb = None
+                if type(cb) is list:
+                    # Several waiters: each runs before any of them runs
+                    # again, so none is followed within this dispatch.
+                    for fn in cb:
+                        fn(target)
+                    break
+                # A resumed process hands back the already-triggered event it
+                # now waits on (see Process._resume).  If that event's queued
+                # delivery is the heap top it is the next entry popped: pop
+                # it here.  (Anything else a callback returns is not a
+                # triggered event on top of the heap, and is ignored.)
+                target = cb(target)
+                if (
+                    target is None
+                    or not heap
+                    or heap[0][3] is not target
+                    or target._value is _PENDING
+                    or self._pending_error is not None
+                ):
+                    break
+                pop(heap)
             if perf is not None:
                 perf.unwind(tok)
         if self._pending_error is not None:

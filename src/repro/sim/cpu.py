@@ -21,7 +21,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.sim.core import Event, SimError, Simulator
 from repro.sim.stats import UtilizationTracker
-from repro.sim.wakeup import wake
+from repro.sim.wakeup import annotated
 from repro.trace.tracer import thread_track
 
 __all__ = ["CPUSet", "ThreadContext"]
@@ -63,23 +63,11 @@ class ThreadContext:
         #: observability layer is on (see repro.metrics.perf_context).
         self.perf = None
 
-    # account_busy/account_wait are the single funnel for every Figure 6
-    # input (CPU bursts, lock hold/wait, WAL flush waits, stalls).  When
-    # tracing is on, each accounted interval is also emitted as a span on
-    # this thread's track — every caller accounts dt = now - start, so the
-    # interval is exactly [now - dt, now].
-
-    def account_busy(self, category: str, dt: float) -> None:
-        self.busy_time += dt
-        self.busy_by_category[category] += dt
-        perf = self.perf
-        if perf is not None:
-            perf.cpu_busy_seconds += dt
-        if self.sim is not None and dt > 0:
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                now = self.sim.now
-                tracer.complete(category, "busy", self.track, now - dt, now)
+    # CPUSet._finish (busy) and account_wait are the funnel for every
+    # Figure 6 input (CPU bursts, lock hold/wait, WAL flush waits, stalls).
+    # When tracing is on, each accounted interval is also emitted as a span
+    # on this thread's track — every caller accounts dt = now - start, so
+    # the interval is exactly [now - dt, now].
 
     def account_wait(self, category: str, dt: float) -> None:
         self.wait_by_category[category] += dt
@@ -152,36 +140,54 @@ class CPUSet:
     # -- execution -----------------------------------------------------------
 
     def exec(self, ctx: ThreadContext, duration: float, category: str = "other") -> Event:
-        """Occupy a core for ``duration`` seconds; yield the returned event."""
+        """Occupy a core for ``duration`` seconds; yield the returned event.
+
+        A burst that finds its core free starts right here (the common case:
+        one call from the model to the heap entry); one that has to wait is
+        started by :meth:`_finish` through :meth:`_start`."""
         if duration < 0:
             raise SimError("negative CPU burst")
         if self.category_scale:
             duration *= self.category_scale.get(category, 1.0)
         sim = self.sim
         ev = Event(sim)
+        proc = sim.current_process
         edgelog = sim.edgelog
         if edgelog is not None:
-            edgelog.bind_track(ctx.track, sim.current_process)
-        item = (ctx, duration, category, ev, sim._now, sim.current_process)
-        core = self._pick_core(ctx)
-        if core is not None:
-            self._start(core, item)
-        elif ctx.pinned is not None:
-            self._pinned_waiting[ctx.pinned].append(item)
+            edgelog.bind_track(ctx.track, proc)
+        now = sim._now
+        # Core choice: the pinned core; else the core this thread last ran
+        # on (warm cache); else whatever _pick_free_core finds, at the price
+        # of a migration.
+        busy = self._busy
+        core = ctx.pinned
+        if core is None:
+            core = last = ctx.last_core
+            if core is None or busy[core]:
+                core = self._pick_free_core()
+                if core is None:
+                    self._global_waiting.append((ctx, duration, category, ev, now, proc))
+                    return ev
+                if last is not None:
+                    duration += self.migration_overhead
+                ctx.last_core = core
+        elif busy[core]:
+            self._pinned_waiting[core].append((ctx, duration, category, ev, now, proc))
+            return ev
         else:
-            self._global_waiting.append(item)
+            ctx.last_core = core
+        busy[core] = True
+        sim._call_later(
+            duration, self._finish, (core, ctx, now, duration, category, ev, now, proc)
+        )
         return ev
 
-    def _pick_core(self, ctx: ThreadContext) -> Optional[int]:
-        if ctx.pinned is not None:
-            return ctx.pinned if not self._busy[ctx.pinned] else None
-        # Prefer the core this thread last ran on (warm cache), then any
-        # free core nobody is pinned to, then any free core at all.
-        if ctx.last_core is not None and not self._busy[ctx.last_core]:
-            return ctx.last_core
+    def _pick_free_core(self) -> Optional[int]:
+        """Any free core nobody is pinned to, then any free core at all."""
         fallback = None
+        busy = self._busy
         for c in range(self.n_cores):
-            if not self._busy[c]:
+            if not busy[c]:
                 if c not in self._pinned_cores:
                     return c
                 if fallback is None:
@@ -189,6 +195,7 @@ class CPUSet:
         return fallback
 
     def _start(self, core: int, item: Tuple) -> None:
+        """Start a burst that waited for ``core`` (see :meth:`exec`)."""
         ctx, duration, category, ev, queued_at, initiator = item
         sim = self.sim
         now = sim._now
@@ -208,7 +215,7 @@ class CPUSet:
             (core, ctx, now, duration, category, ev, queued_at, initiator),
         )
 
-    def _finish(self, item: Tuple) -> None:
+    def _finish(self, item: Tuple) -> Event:
         core, ctx, started, duration, category, ev, queued_at, initiator = item
         sim = self.sim
         end = sim._now
@@ -224,7 +231,14 @@ class CPUSet:
                 end,
                 args={"thread": ctx.name},
             )
-        ctx.account_busy(category, duration)
+        # The thread's busy accounting (Figure 6's CPU input), and its span.
+        ctx.busy_time += duration
+        ctx.busy_by_category[category] += duration
+        perf = ctx.perf
+        if perf is not None:
+            perf.cpu_busy_seconds += duration
+        if duration > 0 and tracer.enabled:
+            tracer.complete(category, "busy", ctx.track, end - duration, end)
         self.busy_by_kind[ctx.kind] += duration
         self._busy[core] = False
         pinned = self._pinned_waiting[core]
@@ -232,15 +246,9 @@ class CPUSet:
             self._start(core, pinned.popleft())
         elif self._global_waiting:
             self._start(core, self._global_waiting.popleft())
-        wake(
-            ev,
-            resource="cpu",
-            category=category,
-            kind="resource",
-            begin=started,
-            queued_at=queued_at,
-            initiator=initiator,
-            track=self._tracks[core],
+        return annotated(
+            ev, "cpu", category, "resource", started, queued_at, initiator,
+            self._tracks[core],
         )
 
     # -- metrics -------------------------------------------------------------

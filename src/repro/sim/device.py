@@ -21,7 +21,7 @@ from typing import Deque, Dict, Optional, Tuple
 from repro.metrics.registry import CounterGroup
 from repro.sim.core import Event, SimError, Simulator
 from repro.sim.stats import TimeSeries
-from repro.sim.wakeup import wake
+from repro.sim.wakeup import annotated
 
 __all__ = [
     "DeviceSpec",
@@ -219,7 +219,7 @@ class StorageDevice:
             label = self._kc_labels[(kind, category)] = "%s:%s" % (kind, category)
         return label
 
-    def _finish(self, item: Tuple) -> None:
+    def _finish(self, item: Tuple) -> Optional[Event]:
         channel, kind, nbytes, ev, category, started, queued_at, initiator, fault = item
         sim = self.sim
         now = sim._now
@@ -253,7 +253,7 @@ class StorageDevice:
             else:
                 self._free_channels.append(channel)
             ev.fail(exc)
-            return
+            return None
         self.bytes_by_category.add(category, nbytes)
         self.bytes_by_kind.add(kind, nbytes)
         self.bytes_by_kind.add(self._kc(kind, category), nbytes)
@@ -277,15 +277,15 @@ class StorageDevice:
             self._start(channel, self._queue.popleft())
         else:
             self._free_channels.append(channel)
-        wake(
+        return annotated(
             ev,
-            resource="device",
-            category=self._kc(kind, category),
-            kind="resource",
-            begin=started,
-            queued_at=queued_at,
-            initiator=initiator,
-            track=self._ch_tracks[channel],
+            "device",
+            self._kc(kind, category),
+            "resource",
+            started,
+            queued_at,
+            initiator,
+            self._ch_tracks[channel],
         )
 
     # -- metrics -----------------------------------------------------------------

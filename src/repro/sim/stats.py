@@ -39,12 +39,17 @@ class TimeSeries:
             # iteration of the split loop below (seg_end == end).
             self._bins[first_bin] += (end - start) * amount_per_second
             return
+        # Walk the bins by index.  Re-deriving the bin from t stalls on a
+        # boundary whose quotient rounds down (0.0049 / 1e-4 is 48.99...,
+        # so t == bin_end and the loop would never advance).
         t = start
+        idx = first_bin
         while t < end:
-            bin_end = (int(t / width) + 1) * width
-            seg_end = min(end, bin_end)
-            self._bins[int(t / width)] += (seg_end - t) * amount_per_second
-            t = seg_end
+            seg_end = min(end, (idx + 1) * width)
+            if seg_end > t:
+                self._bins[idx] += (seg_end - t) * amount_per_second
+                t = seg_end
+            idx += 1
 
     def rates(self) -> List[Tuple[float, float]]:
         """Return [(bin_start_time, amount_per_second)] for populated bins."""

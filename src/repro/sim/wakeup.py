@@ -1,4 +1,4 @@
-"""The edge-emitting release helper for simulation primitives.
+"""The edge-emitting release helpers for simulation primitives.
 
 Every place the simulation layer releases a blocked waiter must call
 :func:`wake` instead of ``event.succeed()`` so that, when an
@@ -8,19 +8,23 @@ waiter started waiting*.  The ``unlabeled-wakeup`` lint rule
 (:mod:`repro.analysis.lint`) enforces this for all of ``repro.sim`` — a bare
 ``succeed()`` on a waiter event is a critical-path blind spot.
 
-With no EdgeLog installed this is exactly ``event.succeed(value)``: no
+A completion that runs in kernel context (the target of
+``Simulator._call_later``: a CPU burst or device IO finishing) does not
+trigger its event at all: it returns :func:`annotated` ``(event, ...)`` and
+``Simulator.run`` triggers it, within the same dispatch when the ordering
+contract of :mod:`repro.sim.core` allows.
+
+With no EdgeLog installed ``wake`` is exactly ``event.succeed(value)``: no
 allocation, no bookkeeping, no behavioural difference.
 """
 
 from typing import Optional
 
-__all__ = ["wake"]
+__all__ = ["annotated", "wake"]
 
 
-def wake(
+def annotated(
     event,
-    value=None,
-    *,
     resource: str,
     category: str = "",
     kind: str = "handoff",
@@ -29,7 +33,7 @@ def wake(
     initiator=None,
     track: Optional[str] = None,
 ):
-    """Succeed ``event``, annotating it with a wakeup edge when recording.
+    """Stamp ``event`` with its wakeup edge when recording; return it.
 
     ``resource`` names what released the waiter (``"lock:mem-stage"``,
     ``"cpu"``, ``"device"``, ``"queue:obm-0"``...); ``category`` carries the
@@ -51,4 +55,22 @@ def wake(
             initiator=initiator,
             track=track,
         )
+    return event
+
+
+def wake(
+    event,
+    value=None,
+    *,
+    resource: str,
+    category: str = "",
+    kind: str = "handoff",
+    begin: Optional[float] = None,
+    queued_at: Optional[float] = None,
+    initiator=None,
+    track: Optional[str] = None,
+):
+    """Succeed ``event``, annotated with its wakeup edge (see
+    :func:`annotated` for the arguments)."""
+    annotated(event, resource, category, kind, begin, queued_at, initiator, track)
     event.succeed(value)  # lint: disable=unlabeled-wakeup

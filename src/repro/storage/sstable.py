@@ -248,6 +248,8 @@ class SSTableBuilder:
         self.block_target = block_target
         self.bits_per_key = bits_per_key
         self._blocks: List[Block] = []
+        #: bytes of the finished blocks (estimated_size is read per entry).
+        self._blocks_bytes = 0
         self._current: List[Entry] = []
         self._current_bytes = 0
         self._keys: List[bytes] = []
@@ -274,6 +276,7 @@ class SSTableBuilder:
     def _finish_block(self) -> None:
         if self._current:
             self._blocks.append(Block(self._current, self._current_bytes))
+            self._blocks_bytes += self._current_bytes
             self._current = []
             self._current_bytes = 0
 
@@ -283,7 +286,7 @@ class SSTableBuilder:
 
     @property
     def estimated_size(self) -> int:
-        return sum(b.nbytes for b in self._blocks) + self._current_bytes
+        return self._blocks_bytes + self._current_bytes
 
     @property
     def empty(self) -> bool:

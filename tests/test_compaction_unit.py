@@ -31,6 +31,43 @@ class TestMergeSortedRuns:
         assert list(merge_sorted_runs([])) == []
         assert list(merge_sorted_runs([[], []])) == []
 
+    @given(
+        versions=st.lists(
+            st.tuples(
+                st.sampled_from([b"", b"a", b"ab", b"b", b"k1", b"k2"]),
+                st.booleans(),  # is_delete
+                st.integers(0, 3),  # which run holds this version
+            ),
+            max_size=40,
+        ),
+        snapshots=st.lists(st.integers(0, 41), max_size=3),
+        bottom=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_heap_merge_it_replaced(self, versions, snapshots, bottom):
+        """The k-way ``heapq.merge`` under a per-entry key function, kept as
+        the oracle: same merged order (duplicate keys across runs,
+        tombstones), hence the same survivors under live snapshots."""
+        import heapq
+
+        def heap_merge(runs):
+            return list(heapq.merge(*runs, key=lambda e: (e[0], MAX_SEQ - e[1])))
+
+        runs = [[], [], [], []]
+        for seq, (key, is_delete, run) in enumerate(versions, start=1):
+            runs[run].append(
+                entry(key, seq, VTYPE_DELETE if is_delete else VTYPE_VALUE,
+                      b"" if is_delete else b"v%d" % seq)
+            )
+        runs = [internal_sorted(run) for run in runs]
+        merged = merge_sorted_runs(runs)
+        assert merged == heap_merge(runs)
+        assert merged == heap_merge(runs[::-1])  # run order is immaterial
+        live = sorted(set(snapshots))
+        assert list(dedup_entries(merged, live, bottom)) == list(
+            dedup_entries(heap_merge(runs), live, bottom)
+        )
+
 
 class TestDedup:
     def test_keeps_only_newest_without_snapshots(self):

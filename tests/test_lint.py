@@ -327,6 +327,25 @@ def test_unlabeled_wakeup_miss_on_wake_helper():
     ) == []
 
 
+def test_unlabeled_wakeup_miss_on_annotated_completion():
+    # A kernel-context completion stamps its edge and hands the event back
+    # to Simulator.run; triggering it itself is still a finding.
+    good = """
+        from repro.sim.wakeup import annotated
+
+        def _finish(self, item):
+            return annotated(item.ev, "cpu", item.category, "resource")
+        """
+    bad = """
+        from repro.sim.wakeup import annotated
+
+        def _finish(self, item):
+            annotated(item.ev, "cpu", item.category, "resource").succeed()
+        """
+    assert _rules(good, module="repro.sim.mycpu") == []
+    assert _rules(bad, module="repro.sim.mycpu") == ["unlabeled-wakeup"]
+
+
 def test_unlabeled_wakeup_scoped_to_sim_package():
     # Engine/harness code completes futures directly; only the kernel's
     # waiter releases must be edge-labeled.

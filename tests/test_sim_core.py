@@ -1,8 +1,26 @@
 """Tests for the event loop, events and processes."""
 
-import pytest
+import heapq
 
-from repro.sim import Simulator, SimError
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.sanitizer import install_sanitizer
+from repro.critpath import EdgeLog, install_edgelog
+from repro.sim import (
+    Barrier,
+    Condition,
+    CPUSet,
+    DeviceSpec,
+    FIFOQueue,
+    Lock,
+    Simulator,
+    SimError,
+    StorageDevice,
+)
+from repro.sim.core import _PENDING
+from repro.trace import Tracer, install_tracer
 
 
 def test_timeout_advances_clock():
@@ -242,3 +260,355 @@ def test_wait_on_already_completed_process():
     sim.spawn(late(proc))
     sim.run()
     assert out == [(5.0, "quick")]
+
+
+# ---------------------------------------------------------------------------
+# Same-dispatch delivery: pinned cases
+# ---------------------------------------------------------------------------
+
+
+def _burst_then_lock(sim, log):
+    """One process: a burst (in-place completion when nothing else is due),
+    then an uncontended lock (already-triggered event, followed in place)."""
+    cpu = CPUSet(sim, 1)
+    ctx = cpu.new_thread("t")
+    lock = Lock(sim)
+
+    def proc():
+        yield cpu.exec(ctx, 1.0, "work")
+        log.append(("burst", sim.now))
+        yield lock.acquire()
+        log.append(("lock", sim.now))
+        lock.release()
+
+    sim.spawn(proc())
+
+
+def test_last_burst_of_a_run_is_delivered_before_run_returns():
+    # The completion is the last heap entry: nothing may be left parked
+    # outside the heap when `while heap` ends.
+    sim, log = Simulator(), []
+    _burst_then_lock(sim, log)
+    sim.run()
+    assert log == [("burst", 1.0), ("lock", 1.0)]
+    assert not sim._heap
+
+
+def test_run_until_delivers_the_whole_instant_it_stops_at():
+    sim, log = Simulator(), []
+    _burst_then_lock(sim, log)
+
+    def later():  # keeps the heap non-empty past `until`
+        yield sim.timeout(2.0)
+
+    sim.spawn(later())
+    sim.run(until=1.0)
+    assert log == [("burst", 1.0), ("lock", 1.0)]
+    assert sim.now == 1.0
+    sim.run()
+    assert sim.now == 2.0
+
+
+def test_externally_triggered_burst_event_is_still_an_error():
+    sim = Simulator()
+    cpu = CPUSet(sim, 1)
+    cpu.exec(cpu.new_thread("t"), 1.0).succeed()
+    with pytest.raises(SimError, match="already triggered"):
+        sim.run()
+
+
+def test_callback_return_values_are_not_mistaken_for_hand_offs():
+    # Only an already-triggered event on top of the heap is followed: a
+    # callback returning a fresh timer must not get it popped untriggered.
+    sim, timers, out = Simulator(), [], []
+
+    def make_timer(_ev):
+        timers.append(sim.timeout(0.0, value="fired"))
+        return timers[0]
+
+    trigger = sim.event()
+    trigger.add_callback(make_timer)
+    trigger.succeed()
+    sim.run()  # the timer's entry was the heap top when make_timer returned
+    assert timers[0].triggered
+
+    def waiter():
+        out.append((yield timers[0]))
+
+    sim.spawn(waiter())
+    sim.run()
+    assert out == ["fired"]
+
+
+# ---------------------------------------------------------------------------
+# Differential kernel-order test: the real loop against one that queues
+# every delivery (the parent kernel's loop, kept here as the oracle)
+# ---------------------------------------------------------------------------
+
+
+class QueueingSimulator(Simulator):
+    """Reference loop: a completion's event always goes through succeed(),
+    and whatever a callback returns is ignored — one heap pop per delivery."""
+
+    def run(self, until=None):
+        heap = self._heap
+        limit = float("inf") if until is None else until
+        while heap:
+            if self._pending_error is not None:
+                err, self._pending_error = self._pending_error, None
+                raise err
+            entry = heapq.heappop(heap)
+            if entry[0] > limit:
+                heapq.heappush(heap, entry)
+                self._now = until
+                return
+            self._now = entry[0]
+            target, value = entry[3], entry[4]
+            if type(target) is tuple:
+                released = target[0](target[1])
+                if released is not None:
+                    released.succeed()
+                continue
+            if value is not _PENDING and target._value is _PENDING:
+                target._value, target._ok = value, True
+            cb, target._cb = target._cb, None
+            for fn in cb if type(cb) is list else [cb] if cb is not None else []:
+                fn(target)
+        if self._pending_error is not None:
+            err, self._pending_error = self._pending_error, None
+            raise err
+        if until is not None:
+            self._now = max(self._now, until)
+
+
+#: burst / timeout / IO durations come from a small grid, so completions
+#: collide at one instant all the time (index 0: the zero-length burst).
+GRID = (0.0, 1e-6, 2e-6, 3e-6)
+N_SHARED = 2  # locks, queues and shared events a program may name
+
+_dur = st.integers(0, len(GRID) - 1)
+_idx = st.integers(0, N_SHARED - 1)
+_op = st.one_of(
+    st.tuples(st.just("burst"), _dur),
+    st.tuples(st.just("timeout"), _dur),
+    st.tuples(st.just("io"), st.sampled_from(["read", "write"]), st.integers(0, 3)),
+    st.tuples(st.just("lock"), _idx, _dur),
+    st.tuples(st.just("cond_wait")),
+    st.tuples(st.just("notify_all")),
+    st.tuples(st.just("barrier1")),
+    st.tuples(st.just("barrier_all")),
+    st.tuples(st.just("put"), _idx),
+    st.tuples(st.just("get"), _idx),
+    st.tuples(st.just("all_of"), _dur, _dur),
+    st.tuples(st.just("fail_self")),
+    st.tuples(st.just("wait_shared"), _idx),
+    st.tuples(st.just("fire_shared"), _idx, st.booleans()),
+    st.tuples(st.just("join_child"), _dur),
+    st.tuples(st.just("join_finished")),
+    st.tuples(st.just("crash")),
+)
+_program = st.fixed_dictionaries(
+    {
+        "cores": st.integers(1, 3),
+        "channels": st.integers(1, 2),
+        #: per process: (pinned core or None, ops); more processes than cores.
+        "procs": st.lists(
+            st.tuples(st.one_of(st.none(), st.integers(0, 2)), st.lists(_op, max_size=8)),
+            min_size=1,
+            max_size=5,
+        ),
+        "sampler_ticks": st.integers(0, 4),
+    }
+)
+
+
+class HookRecorder:
+    """A ``sim.monitor`` that records every hook call the kernel makes."""
+
+    def __init__(self, sim):
+        self.sim, self.calls = sim, []
+        sim.monitor = self
+
+    def __getattr__(self, hook):
+        return lambda *args: self.calls.append(
+            (hook, self.sim.now, [getattr(a, "name", type(a).__name__) for a in args])
+        )
+
+
+def _run_program(program, sim_cls, install=(), seed=None, until=None):
+    """Run ``program`` on ``sim_cls``; return everything observable."""
+    sim = sim_cls()
+    observers = [fn(sim) for fn in install]
+    if seed is not None:
+        sim.perturb_schedule(seed)
+    cpu = CPUSet(sim, program["cores"], migration_overhead=GRID[1])
+    dev = StorageDevice(sim, DeviceSpec("d", 1e6, 1e6, GRID[1], GRID[1], program["channels"]))
+    locks = [Lock(sim, "l%d" % i) for i in range(N_SHARED)]
+    queues = [FIFOQueue(sim, "q%d" % i) for i in range(N_SHARED)]
+    shared = [sim.event() for _ in range(N_SHARED)]
+    cond = Condition(sim)
+    trace = []
+
+    def child(name, dur):
+        yield sim.timeout(GRID[dur])
+        trace.append((sim.now, name, "child"))
+        return dur
+
+    n_all = sum(1 for _pin, ops in program["procs"] if ("barrier_all",) in ops)
+    barrier_all = Barrier(sim, max(1, n_all))
+    arrived = set()
+    finished = sim.spawn(child("finished", 0))
+    def proc(name, ctx, ops):
+        for step, op in enumerate(ops):
+            kind, got = op[0], None
+            if kind == "burst":
+                yield cpu.exec(ctx, GRID[op[1]], "c%d" % op[1])
+            elif kind == "timeout":
+                yield sim.timeout(GRID[op[1]])
+            elif kind == "io":
+                yield dev.submit(op[1], op[2])
+            elif kind == "lock":
+                yield locks[op[1]].acquire(ctx, "lk")
+                trace.append((sim.now, name, step, "locked"))
+                yield cpu.exec(ctx, GRID[op[2]], "held")
+                locks[op[1]].release()
+            elif kind == "cond_wait":
+                yield cond.wait(ctx, "cv")
+            elif kind == "notify_all":
+                cond.notify_all()
+            elif kind == "barrier1":
+                yield Barrier(sim, 1).arrive()
+            elif kind == "barrier_all" and name not in arrived:
+                arrived.add(name)
+                yield barrier_all.arrive()
+            elif kind == "put":
+                queues[op[1]].put((name, step))
+            elif kind == "get":
+                got = yield queues[op[1]].get()
+            elif kind == "all_of":
+                got = yield sim.all_of(
+                    [cpu.exec(ctx, GRID[op[1]], "j"), sim.timeout(GRID[op[2]]), dev.read(1)]
+                )
+            elif kind == "fail_self":
+                try:
+                    yield sim.event().fail(ValueError(name))
+                except ValueError as exc:
+                    got = repr(exc)
+            elif kind == "wait_shared":
+                try:
+                    got = yield shared[op[1]]
+                except ValueError as exc:
+                    got = repr(exc)
+            elif kind == "fire_shared" and not shared[op[1]].triggered:
+                if op[2]:
+                    shared[op[1]].succeed(name)
+                else:
+                    shared[op[1]].fail(ValueError(name))
+            elif kind == "join_child":
+                got = yield sim.spawn(child(name, op[1]))
+            elif kind == "join_finished":
+                got = yield finished
+            elif kind == "crash":
+                sim._crash(RuntimeError("%s step %d" % (name, step)))
+            trace.append((sim.now, name, step, got))
+
+    def sampler():
+        for tick in range(program["sampler_ticks"]):
+            yield sim.timeout_late(GRID[1])
+            trace.append((sim.now, "sampler", tick, cpu.busy_cores(), dev.in_flight()))
+
+    ctxs = []
+    for i, (pin, ops) in enumerate(program["procs"]):
+        pin = None if pin is None or pin >= program["cores"] else pin
+        ctxs.append(cpu.new_thread("p%d" % i, pinned=pin))
+        sim.spawn(proc("p%d" % i, ctxs[-1], ops), name="p%d" % i)
+    sim.spawn(sampler(), name="sampler")
+    try:
+        sim.run(until=until)
+        if until is not None:
+            trace.append(("until", sim.now))
+            sim.run()
+        outcome = None
+    except (RuntimeError, SimError) as exc:
+        outcome = repr(exc)
+    result = {
+        "trace": trace,
+        "outcome": outcome,
+        "now": sim.now,
+        "seq": sim._seq,
+        #: the next rank a shuffled schedule would draw: same number of draws.
+        "next_rank": None if seed is None else sim._perturb_rng.random(),
+        "core_busy": [t.busy_time for t in cpu.trackers],
+        "busy_by_kind": dict(cpu.busy_by_kind),
+        "threads": [
+            (c.busy_time, dict(c.busy_by_category), dict(c.wait_by_category), c.last_core)
+            for c in ctxs
+        ],
+        "io_count": dev.io_count.as_dict(),
+        "bytes_by_kind": dev.bytes_by_kind.as_dict(),
+        "busy_channel_time": dev.busy_channel_time,
+    }
+    for observer in observers:
+        if isinstance(observer, Tracer):
+            result["spans"] = [
+                (s.name, s.cat, s.track, s.start, s.end) for s in observer.events
+            ]
+        elif isinstance(observer, HookRecorder):
+            result["hooks"] = observer.calls
+        elif isinstance(observer, EdgeLog):
+            result["resumes"] = sorted(
+                (p.name, t, seq, None if e is None else (e.seq, e.kind, e.label, e.begin, e.queued_at))
+                for p, hist in observer.history.items()
+                for t, seq, e in hist
+            )
+    return result
+
+
+_OBSERVERS = [
+    (),
+    (install_tracer,),
+    (install_edgelog,),
+    (install_sanitizer,),
+    (HookRecorder,),
+    (install_tracer, install_edgelog, install_sanitizer),
+]
+
+
+def _pinned(*procs):
+    return {"cores": 1, "channels": 1, "procs": [(None, list(p)) for p in procs], "sampler_ticks": 0}
+
+
+@pytest.mark.no_sanitize
+@settings(max_examples=300, deadline=None)
+@given(_program, st.sampled_from(_OBSERVERS), st.one_of(st.none(), st.integers(0, 3)))
+# One program per condition of the rule, so each keeps a case that fails
+# without it: a completion that ties with a queued delivery ("strictly
+# later"); two waiters of one event, the first going on to an event that has
+# already triggered (siblings first); an error pending at such a hand-off.
+@example(_pinned([("burst", 1)], [("timeout", 1)]), (), None)
+@example(
+    _pinned(
+        [("wait_shared", 0), ("barrier1",)],
+        [("wait_shared", 0), ("barrier1",)],
+        [("timeout", 1), ("fire_shared", 0, True), ("timeout", 1)],
+    ),
+    (),
+    None,
+)
+@example(_pinned([("burst", 1), ("crash",), ("barrier1",)]), (), None)
+def test_same_dispatch_delivery_matches_the_queueing_kernel(program, install, seed):
+    real = _run_program(program, Simulator, install, seed)
+    assert real == _run_program(program, QueueingSimulator, install, seed)
+    # ... and what observers see is all they change.
+    plain = _run_program(program, Simulator, (), seed)
+    assert {k: real[k] for k in plain} == plain
+
+
+@pytest.mark.no_sanitize
+@settings(max_examples=60, deadline=None)
+@given(_program, st.integers(0, 6))
+def test_run_until_matches_the_queueing_kernel(program, ticks):
+    until = ticks * GRID[1]
+    assert _run_program(program, Simulator, until=until) == _run_program(
+        program, QueueingSimulator, until=until
+    )

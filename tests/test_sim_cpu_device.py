@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.analysis.sanitizer import install_sanitizer
 from repro.critpath import install_edgelog
 from repro.sim import (
     CPUSet,
     DeviceSpec,
     HDD_WD100EFAX,
+    Lock,
     OPTANE_905P,
     SimError,
     Simulator,
@@ -295,6 +297,58 @@ class TestObserverInvariance:
         plain = self._account(None)
         assert self._account(install_edgelog) == plain
         assert self._account(install_tracer) == plain
+
+    @staticmethod
+    def _both_paths(install):
+        """Two threads on one core: t1's first burst ends with t2's delivery
+        still queued at the same instant (queued path), every later
+        completion is alone at its instant (delivered in place), and t2
+        ends on an uncontended lock (followed in place)."""
+        sim = Simulator()
+        if install is not None:
+            install(sim)
+        cpu = CPUSet(sim, 1, series_bin=0.1)
+        dev = StorageDevice(sim, DeviceSpec("d", 100.0, 100.0, 0.1, 0.1, channels=1))
+        lock = Lock(sim, "l")
+        steps = []
+
+        def proc(name, io):
+            ctx = cpu.new_thread(name)
+            yield cpu.exec(ctx, 0.25, "work")
+            steps.append((sim.now, name, "burst"))
+            yield dev.submit(io, 10, category=io)
+            steps.append((sim.now, name, "io"))
+            yield lock.acquire(ctx, "lk")
+            steps.append((sim.now, name, "lock"))
+            lock.release()
+
+        def tie():  # a delivery queued at t=0.25, before t1's burst ends
+            yield sim.timeout(0.25)
+            steps.append((sim.now, "tie", "timeout"))
+
+        sim.spawn(tie())
+        sim.spawn(proc("t1", "read"))
+        sim.spawn(proc("t2", "write"))
+        sim.run()
+        return {
+            "steps": steps,
+            "series": [t.series() for t in cpu.trackers],
+            "busy_by_kind": dict(cpu.busy_by_kind),
+            "waits": [dict(t.wait_by_category) for t in cpu.threads],
+            "io_count": dev.io_count.as_dict(),
+            "busy_channel_time": dev.busy_channel_time,
+            "seq": sim._seq,
+        }
+
+    def test_in_place_and_queued_deliveries_account_alike(self):
+        plain = self._both_paths(None)
+        assert [s for s in plain["steps"] if s[0] == 0.25] == [
+            (0.25, "tie", "timeout"),
+            (0.25, "t1", "burst"),
+        ]
+        assert self._both_paths(install_edgelog) == plain
+        assert self._both_paths(install_tracer) == plain
+        assert self._both_paths(install_sanitizer) == plain
 
     def test_zero_length_burst_creates_no_utilisation_bin(self):
         series = self._account(None)["series"]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.sim import OPTANE_905P, Simulator, StorageDevice
 from repro.storage.block_cache import BlockCache
-from repro.storage.bloom import BloomFilter
+from repro.storage.bloom import BloomFilter, fnv1a, fnv1a_many
 from repro.storage.memtable import DELETED, FOUND, MAX_SEQ, NOT_FOUND, VTYPE_DELETE, VTYPE_VALUE
 from repro.storage.sstable import SSTableBuilder
 
@@ -50,6 +50,30 @@ class TestBloom:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             BloomFilter(10, bits_per_key=0)
+
+    def test_fnv1a_reference_vectors(self):
+        # Published 64-bit FNV-1a test vectors.
+        assert fnv1a(b"") == 0xCBF29CE484222325
+        assert fnv1a(b"a") == 0xAF63DC4C8601EC8C
+        assert fnv1a(b"foobar") == 0x85944171F73967E8
+
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda width: st.lists(st.binary(min_size=width, max_size=width), max_size=50)
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batched_fnv1a_is_the_scalar_one(self, keys):
+        assert list(fnv1a_many(keys)) == [fnv1a(k) for k in keys]
+
+    @given(st.sets(st.binary(max_size=24), max_size=80), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_from_keys_sets_the_bits_add_sets(self, keys, bits_per_key):
+        # Mixed key lengths: from_keys hashes each length group in one batch.
+        one_by_one = BloomFilter(len(keys), bits_per_key)
+        for k in keys:
+            one_by_one.add(k)
+        assert BloomFilter.from_keys(keys, bits_per_key)._bits == one_by_one._bits
 
 
 class TestBlockCache:

@@ -82,6 +82,15 @@ class TestTimeSeries:
         assert rates[1.0] == pytest.approx(10.0)
         assert rates[2.0] == pytest.approx(5.0)
 
+    def test_add_interval_terminates_on_a_boundary_that_rounds_down(self):
+        # 0.0049 / 1e-4 == 48.99999999999999: deriving the bin from t put
+        # the walk back in bin 48, whose end is t itself — an endless loop.
+        ts = TimeSeries(bin_width=1e-4)
+        start, end = 0.004899000000000326, 0.004900000000000326
+        ts.add_interval(start, end, 1.0)
+        assert ts.total() == pytest.approx(end - start)
+        assert len(ts.rates()) == 2
+
     def test_add_interval_empty(self):
         ts = TimeSeries(bin_width=1.0)
         ts.add_interval(2.0, 2.0, 100.0)
