@@ -53,6 +53,7 @@ def collect_batch(
             "obm:merge",
             "obm",
             track,
-            args={"size": len(batch), "class": first.merge_class},
+            ("size", "class"),
+            (len(batch), first.merge_class),
         )
     return batch

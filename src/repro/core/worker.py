@@ -198,7 +198,8 @@ class Worker:
                         "retry:%s" % batch[0].op,
                         "worker",
                         self.ctx.track,
-                        args={"error": exc.code, "attempt": attempts},
+                        ("error", "attempt"),
+                        (exc.code, attempts),
                     )
                 yield self.env.sim.timeout(RETRY_BACKOFF * (1 << (attempts - 1)))
 
@@ -221,7 +222,8 @@ class Worker:
                     "poisoned:%s" % batch[0].op,
                     "worker",
                     self.ctx.track,
-                    args={"error": exc.code, "requests": poisoned},
+                    ("error", "requests"),
+                    (exc.code, poisoned),
                 )
 
     def _execute(self, batch: List[Request]) -> Generator:

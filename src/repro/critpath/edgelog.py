@@ -10,8 +10,8 @@ An :class:`EdgeLog` is an opt-in kernel hook (``sim.edgelog``, installed by
   :func:`repro.sim.wakeup.wake`, timeouts and joins are annotated by the
   kernel itself, and any un-annotated ``succeed()`` (engine-level futures)
   falls back to a generic ``"event"`` hand-off edge;
-* :meth:`on_resume` appends ``(time, seq, edge)`` to the woken process's
-  resume history; :meth:`on_spawn` records each process's parent.
+* :meth:`on_resume` appends time, seq and causing edge to the woken
+  process's resume history; :meth:`on_spawn` records each process's parent.
 
 Two invariants make the log useful:
 
@@ -26,11 +26,19 @@ Two invariants make the log useful:
   from any resume to its cause with a strictly decreasing sequence bound —
   guaranteed termination, no cycles.
 
-Memory is bounded by ``max_records``: past the cap new resume entries are
-counted in :attr:`dropped` instead of stored (the extractor reports the
-loss), mirroring the tracer's bounded event buffer.
+Memory is bounded by ``max_records``: past the cap new resume entries —
+and the edges only they could reach — are counted in :attr:`dropped`
+instead of stored (the extractor reports the loss), mirroring the tracer's
+bounded event buffer.
+
+Storage mirrors the tracer's too (docs/CRITPATH.md): an edge is one
+fixed-width row of the flat ``edges`` list, ``Event._edge`` holds the row
+number (of this log: install it before the run starts), a process's history
+is three parallel lists, and :class:`Edge` is a view :meth:`EdgeLog.edge`
+builds on demand — nothing per record for the cyclic collector to walk.
 """
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Edge", "EdgeLog"]
@@ -100,42 +108,21 @@ class Edge:
         )
 
 
-#: resume-history entry: (sim time, global seq, causing edge or None).
-Resume = Tuple[float, int, Optional[Edge]]
-
-
-def _resume_key(resume: Resume):
-    """Canonical order for resumes that share one simulated instant.
-
-    Same-time event delivery order is exactly what ``--schedule-seed``
-    perturbs, so a walk that breaks time-ties by sequence number would blame
-    different (equally defensible, zero-lead) concurrent activities under
-    different seeds.  Ranking tied resumes by edge *content* — resource
-    intervals over hand-offs, then labels and interval endpoints — keeps the
-    extracted paths, and therefore the blame table, schedule-invariant.
-    """
-    edge = resume[2]
-    if edge is None:
-        return (0, "", "", 0.0, 0.0, "", "")
-    return (
-        2 if edge.kind == "resource" else 1,
-        edge.resource,
-        edge.category,
-        edge.begin,
-        edge.queued_at,
-        getattr(edge.waker, "name", None) or "",
-        getattr(edge.initiator, "name", None) or "",
-    )
-
-
 class EdgeLog:
     """Bounded, opt-in record of wakeup edges and per-process resume history."""
+
+    #: slots per edge in :attr:`edges`.
+    WIDTH = len(Edge.__slots__)
 
     def __init__(self, sim, max_records: int = 4_000_000):
         self.sim = sim
         self.max_records = max_records
-        #: per-process resume history, ascending in (time, seq).
-        self.history: Dict[object, List[Resume]] = {}
+        #: stored edges, WIDTH slots each in :class:`Edge`'s field order;
+        #: ``Event._edge`` and the resume histories hold row numbers.
+        self.edges: List[object] = []
+        #: per-process resume history, ascending in (time, seq), as three
+        #: parallel lists: times, seqs, causing edge rows (None: no edge).
+        self.history: Dict[object, Tuple[List[float], List[int], List[Optional[int]]]] = {}
         #: per-process (spawn_time, parent_process_or_None, spawn_seq).
         self.spawns: Dict[object, Tuple[float, Optional[object], int]] = {}
         #: tracer track -> [(bind_time, Process)...]: which Process was
@@ -161,34 +148,30 @@ class EdgeLog:
         initiator=None,
         via=None,
         track: Optional[str] = None,
-    ) -> Edge:
+    ) -> None:
         """Stamp ``event`` with the edge describing its (imminent) trigger.
 
         Called by release sites *before* ``event.succeed()``; re-annotating
         replaces a less specific earlier edge (e.g. a device RAM read
         relabelling its underlying timeout).
         """
+        if self.n_resumes >= self.max_records:
+            # An edge is reachable only through a stored resume (or another
+            # edge's ``via``); once resumes are dropped, so are edges.
+            self.dropped += 1
+            return
         now = self.sim.now
         if begin is None:
             begin = now
         if queued_at is None:
             queued_at = begin
         self._seq += 1
+        event._edge = self.n_edges
         self.n_edges += 1
-        edge = Edge(
-            self._seq,
-            kind,
-            resource,
-            category,
-            begin,
-            queued_at,
-            self.sim.current_process,
-            initiator,
-            via,
-            track,
-        )
-        event._edge = edge
-        return edge
+        self.edges.extend((
+            self._seq, kind, resource, category, begin, queued_at,
+            self.sim.current_process, initiator, via, track,
+        ))
 
     def on_resume(self, proc, event, now: float) -> None:
         """Record that ``proc`` was resumed by ``event`` at ``now``."""
@@ -199,8 +182,10 @@ class EdgeLog:
         self.n_resumes += 1
         hist = self.history.get(proc)
         if hist is None:
-            hist = self.history[proc] = []
-        hist.append((now, self._seq, event._edge))
+            hist = self.history[proc] = ([], [], [])
+        hist[0].append(now)
+        hist[1].append(self._seq)
+        hist[2].append(event._edge)
 
     def on_spawn(self, proc, parent, now: float) -> None:
         self._seq += 1
@@ -223,51 +208,75 @@ class EdgeLog:
         """The current global sequence counter (upper bound for walks)."""
         return self._seq
 
+    def fields(self, row: int) -> List[object]:
+        """Stored edge ``row``'s slots, in :class:`Edge`'s field order."""
+        return self.edges[row * self.WIDTH:(row + 1) * self.WIDTH]
+
+    def edge(self, row: Optional[int]) -> Optional[Edge]:
+        """Stored edge ``row`` (what ``Event._edge`` or a resume holds) as a
+        view, built on demand and never kept; None for None."""
+        return None if row is None else Edge(*self.fields(row))
+
+    def _resume_key(self, row: Optional[int]):
+        """Canonical order for resumes that share one simulated instant.
+
+        Same-time event delivery order is exactly what ``--schedule-seed``
+        perturbs, so a walk that breaks time-ties by sequence number would
+        blame different (equally defensible, zero-lead) concurrent
+        activities under different seeds.  Ranking tied resumes by edge
+        *content* — resource intervals over hand-offs, then labels and
+        interval endpoints — keeps the extracted paths, and therefore the
+        blame table, schedule-invariant.
+        """
+        if row is None:
+            return (0, "", "", 0.0, 0.0, "", "")
+        (_seq, kind, resource, category, begin, queued_at, waker, initiator,
+         *_rest) = self.fields(row)
+        return (
+            2 if kind == "resource" else 1,
+            resource,
+            category,
+            begin,
+            queued_at,
+            getattr(waker, "name", None) or "",
+            getattr(initiator, "name", None) or "",
+        )
+
     def last_resume(
         self, proc, seq_limit: int, t_limit: float
-    ) -> Optional[Resume]:
+    ) -> Optional[Tuple[float, int, Optional[int]]]:
         """The latest resume of ``proc`` with ``seq < seq_limit`` and
-        ``time <= t_limit``, or None."""
+        ``time <= t_limit`` as ``(time, seq, edge row or None)``, or None."""
         hist = self.history.get(proc)
-        if not hist:
+        if hist is None:
             return None
+        times, seqs, rows = hist
         # History is ascending in both time and seq; binary search on seq.
-        lo, hi = 0, len(hist)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if hist[mid][1] < seq_limit:
-                lo = mid + 1
-            else:
-                hi = mid
-        idx = lo - 1
-        while idx >= 0 and hist[idx][0] > t_limit:
+        idx = bisect_left(seqs, seq_limit) - 1
+        while idx >= 0 and times[idx] > t_limit:
             idx -= 1
         if idx < 0:
             return None
         # Among resumes at the same instant, pick the canonical one (see
         # _resume_key) rather than the latest-delivered one.
-        t_star = hist[idx][0]
-        best = hist[idx]
-        best_key = _resume_key(best)
+        t_star = times[idx]
+        best, best_key = idx, self._resume_key(rows[idx])
         j = idx - 1
-        while j >= 0 and hist[j][0] == t_star:
-            key = _resume_key(hist[j])
+        while j >= 0 and times[j] == t_star:
+            key = self._resume_key(rows[j])
             if key > best_key:
-                best, best_key = hist[j], key
+                best, best_key = j, key
             j -= 1
-        return best
+        return t_star, seqs[best], rows[best]
 
     def track_proc_at(self, track: str, t: float):
         """The Process bound to ``track`` at time ``t``, or None."""
         hist = self.track_bindings.get(track)
         if not hist:
             return None
-        proc = None
-        for bind_time, candidate in hist:
-            if bind_time > t:
-                break
-            proc = candidate
-        return proc
+        # Bindings ascend in time: the last one at or before t.
+        idx = bisect_right(hist, t, key=lambda bound: bound[0])
+        return hist[idx - 1][1] if idx else None
 
     def counts(self) -> Dict[str, int]:
         """Deterministic volume summary (the determinism suite fingerprints

@@ -108,12 +108,13 @@ class CriticalPath:
         )
 
 
-def _resolve_via(edge):
+def _resolve_via(edgelog, edge: Optional[int]) -> Optional[int]:
     """Follow join edges to the child event that actually completed them."""
     hops = 0
-    while edge is not None and edge.via is not None and hops < _MAX_VIA_HOPS:
-        nxt = edge.via._edge
-        if nxt is None or nxt is edge:
+    while edge is not None and hops < _MAX_VIA_HOPS:
+        *_rest, via, _track = edgelog.fields(edge)
+        nxt = None if via is None else via._edge
+        if nxt is None or nxt == edge:
             break
         edge = nxt
         hops += 1
@@ -155,87 +156,92 @@ def walk_back(edgelog, proc, t_end: float, t_start: float) -> List[Segment]:
             # up to T is untracked; charge it to plain execution.
             emit("run", t_resume, T)
             T = t_resume
-        edge = _resolve_via(edge)
+        edge = _resolve_via(edgelog, edge)
         if edge is None:
             S = resume_seq
             continue
-        if edge.kind == "resource":
-            emit(edge.label, edge.begin, T, edge.track)
-            if edge.begin > edge.queued_at:
-                queue_label = edge.resource + "_queue"
-                if edge.category:
-                    queue_label += ":" + edge.category
-                emit(queue_label, edge.queued_at, min(edge.begin, T), edge.track)
-            T = min(T, edge.queued_at)
-            if edge.initiator is not None and edge.initiator is not P:
-                P = edge.initiator
-            S = edge.seq
+        (S, kind, resource, category, begin, queued_at, waker, initiator, _via,
+         track) = edgelog.fields(edge)
+        if kind != "resource" and waker is not None and waker is not P:
+            # Hand-off: zero width; the waker's history explains the wait.
+            P = waker
             continue
-        # Hand-off: zero width; the waker's history explains the wait.
-        if edge.waker is not None and edge.waker is not P:
-            P, S = edge.waker, edge.seq
+        label = "%s:%s" % (resource, category) if category else resource
+        if kind == "resource":
+            emit(label, begin, T, track)
+            if begin > queued_at:
+                queue_label = resource + "_queue"
+                if category:
+                    queue_label += ":" + category
+                emit(queue_label, queued_at, min(begin, T), track)
+            T = min(T, queued_at)
+            if initiator is not None and initiator is not P:
+                P = initiator
             continue
         # Self- or kernel-wake: blame the waited interval to the hand-off
         # resource itself and keep walking this process's earlier history.
-        if edge.queued_at < T:
-            emit(edge.label, edge.queued_at, T)
-            T = edge.queued_at
-        S = edge.seq
+        if queued_at < T:
+            emit(label, queued_at, T)
+            T = queued_at
     return segments
 
 
 Window = Tuple[float, float]
 
 
-def _request_spans(tracer, window: Optional[Window]) -> List:
-    """Synchronous request spans inside the window, in recorded order."""
+def _request_spans(tracer, window: Optional[Window]) -> List[tuple]:
+    """Synchronous request spans inside the window, in recorded order, each
+    as ``(end, start, track, name)``."""
     spans = []
-    for span in tracer.events:
-        if span.cat != "request" or span.aid is not None or span.end is None:
+    for name, cat, track, start, end, aid, _keys in tracer.records():
+        if cat != "request" or aid is not None:
             continue
-        if window is not None and (span.start < window[0] or span.end > window[1]):
+        if window is not None and (start < window[0] or end > window[1]):
             continue
-        spans.append(span)
+        spans.append((end, start, track, name))
     return spans
 
 
 def request_paths(
-    edgelog, tracer, window: Optional[Window] = None, limit: Optional[int] = None
+    edgelog, tracer, window: Optional[Window] = None, limit: Optional[int] = None,
+    spans: Optional[List[tuple]] = None,
 ) -> List[CriticalPath]:
     """Extract one critical path per completed request span, completion
-    back to arrival."""
+    back to arrival (``spans``: the window's, if the caller has them)."""
+    if spans is None:
+        spans = _request_spans(tracer, window)
     paths = []
-    for span in _request_spans(tracer, window):
-        proc = edgelog.track_proc_at(span.track, span.end)
+    for end, start, track, name in spans:
+        proc = edgelog.track_proc_at(track, end)
         if proc is None:
             continue
-        segments = walk_back(edgelog, proc, span.end, span.start)
-        paths.append(CriticalPath(span.name, span.start, span.end, segments))
+        segments = walk_back(edgelog, proc, end, start)
+        paths.append(CriticalPath(name, start, end, segments))
         if limit is not None and len(paths) >= limit:
             break
     return paths
 
 
-def makespan_path(edgelog, tracer, window: Window) -> Optional[CriticalPath]:
+def makespan_path(
+    edgelog, tracer, window: Window, spans: Optional[List[tuple]] = None
+) -> Optional[CriticalPath]:
     """The backbone path: from the last request completion in the window all
     the way back to the window start.
 
     Throughput over the window is governed by this chain, not by per-request
     sums (requests overlap); the what-if profiler predicts against it.
     """
-    last = None
-    for span in _request_spans(tracer, window):
-        # Deterministic argmax: break end-time ties by start then track.
-        key = (span.end, span.start, span.track)
-        if last is None or key > (last.end, last.start, last.track):
-            last = span
-    if last is None:
+    if spans is None:
+        spans = _request_spans(tracer, window)
+    if not spans:
         return None
-    proc = edgelog.track_proc_at(last.track, last.end)
+    # Deterministic argmax: break end-time ties by start then track.
+    end, _start, track = max(span[:3] for span in spans)
+    proc = edgelog.track_proc_at(track, end)
     if proc is None:
         return None
-    segments = walk_back(edgelog, proc, last.end, window[0])
-    return CriticalPath("makespan", window[0], last.end, segments)
+    segments = walk_back(edgelog, proc, end, window[0])
+    return CriticalPath("makespan", window[0], end, segments)
 
 
 def aggregate_blame(paths: Iterable[CriticalPath]) -> Dict[str, object]:
@@ -271,14 +277,15 @@ def aggregate_blame(paths: Iterable[CriticalPath]) -> Dict[str, object]:
 def critpath_report(edgelog, tracer, window: Window) -> Dict[str, object]:
     """The full extraction: per-request blame ranking, makespan-path blame,
     and log volume counters.  This dict is what tools export as JSON."""
-    paths = request_paths(edgelog, tracer, window)
+    spans = _request_spans(tracer, window)
+    paths = request_paths(edgelog, tracer, window, spans=spans)
     report: Dict[str, object] = {
         "window": [window[0], window[1]],
         "n_requests": len(paths),
         "blame": aggregate_blame(paths),
         "counts": edgelog.counts(),
     }
-    backbone = makespan_path(edgelog, tracer, window)
+    backbone = makespan_path(edgelog, tracer, window, spans=spans)
     if backbone is not None:
         report["makespan"] = {
             "t_start": backbone.t_start,
@@ -339,9 +346,9 @@ def path_trace_extras(
     extra_spans: List[Span] = []
     points: List[Tuple[str, float]] = []
     for seg in reversed(path.segments):  # chronological order
-        span = Span(None, seg.label, "critpath", track, seg.start, None)
-        span.end = seg.end
-        extra_spans.append(span)
+        extra_spans.append(
+            Span(None, seg.label, "critpath", track, seg.start, None, end=seg.end)
+        )
         mid = (seg.start + seg.end) / 2.0
         points.append((seg.track if seg.track is not None else track, mid))
     flows = [(1, points)] if len(points) >= 2 else []

@@ -69,11 +69,8 @@ def pick_compaction(engine) -> Optional[Compaction]:
                 "compaction:pick",
                 "compaction",
                 "engine:%s" % engine.name,
-                args={
-                    "level": compaction.level,
-                    "target": compaction.target,
-                    "files": len(compaction.all_inputs),
-                },
+                ("level", "target", "files"),
+                (compaction.level, compaction.target, len(compaction.all_inputs)),
             )
     return compaction
 

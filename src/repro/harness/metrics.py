@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.metrics.registry import Histogram
-from repro.trace.attribution import fig06_from_spans
+from repro.trace.attribution import fig06_breakdown, span_totals
 
 __all__ = ["Metrics", "MetricsCollector", "scoped_collector"]
 
@@ -132,6 +132,8 @@ class MetricsCollector:
         self._kind0: Dict[str, float] = {}
         self._rw0 = (0.0, 0.0)
         self._core0: List[float] = []
+        #: len(tracer.rows) when the window opened: nothing before overlaps it.
+        self._rows0 = 0
         self.memory_peak = 0
 
     # -- registry reads ----------------------------------------------------
@@ -163,6 +165,8 @@ class MetricsCollector:
             self._gauge("device.read_bytes_total"),
             self._gauge("device.write_bytes_total"),
         )
+        tracer = self.env.sim.tracer
+        self._rows0 = len(tracer.rows) if tracer.enabled else 0
 
     def release(self) -> None:
         """Give up the env's measuring slot if this collector holds it."""
@@ -183,6 +187,7 @@ class MetricsCollector:
         self._kind0 = {}
         self._rw0 = (0.0, 0.0)
         self._core0 = []
+        self._rows0 = 0
         self.memory_peak = 0
 
     def record_latency(self, verb_class: str, seconds: float) -> None:
@@ -251,8 +256,8 @@ class MetricsCollector:
             tracks = {
                 t.track for t in env.cpu.threads if t.kind in ("user", "worker")
             }
-            metrics.extra["latency_attribution"] = fig06_from_spans(
-                tracer, tracks=tracks, window=(self._t0, env.sim.now)
+            metrics.extra["latency_attribution"] = fig06_breakdown(
+                *span_totals(tracer, tracks, (self._t0, env.sim.now), self._rows0)
             )
         return metrics
 

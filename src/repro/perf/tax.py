@@ -19,9 +19,10 @@ wall-clock lint rule exempts.  Nothing this module returns may flow back
 into a simulation (enforced by the host-time-leak checker).
 """
 
+import gc
 import sys
 from time import perf_counter_ns
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 __all__ = ["LAYERS", "format_tax", "measure_tax"]
 
@@ -30,28 +31,61 @@ LAYERS = ("off", "trace", "metrics", "sanitize", "critpath", "monitor")
 
 
 def measure_tax(
-    run: Callable[[str], None],
+    run: Callable[[str], Any],
+    ops: int,
     layers: Sequence[str] = LAYERS,
     warmup: bool = True,
 ) -> dict:
-    """Time ``run(layer)`` once per layer; returns the tax report.
+    """Time ``run(layer)`` (``ops`` operations) once per layer; returns the
+    tax report.
 
     The report is host data: ``base_wall_ns`` (the ``off`` run), and one row
     per layer with ``wall_ns`` and ``overhead_pct`` relative to the baseline
-    (None when ``off`` itself was not measured).
+    (None when ``off`` itself was not measured), plus what the cyclic
+    collector made of the layer: ``gc_full`` (full collections during the
+    run), ``gc_ms`` (time inside collections of any generation) and
+    ``tracked_per_kop`` (GC-tracked objects the run holds at its end, per
+    1000 ops — each is walked by every full collection).  ``run`` returns
+    whatever keeps its state alive; it is dropped once counted.
     """
     if warmup:
         run("off")
     rows: List[dict] = []
     base: Optional[int] = None
-    for layer in layers:
-        print("tax: running layer %s ..." % layer, file=sys.stderr)
-        t0 = perf_counter_ns()
-        run(layer)
-        wall = perf_counter_ns() - t0
-        if layer == "off":
-            base = wall
-        rows.append({"layer": layer, "wall_ns": wall})
+    seen = {"full": 0, "ns": 0, "since": 0}
+
+    def on_collection(phase: str, info: dict) -> None:
+        if phase == "start":
+            seen["since"] = perf_counter_ns()
+        else:
+            seen["ns"] += perf_counter_ns() - seen["since"]
+            seen["full"] += info["generation"] == 2
+
+    gc.callbacks.append(on_collection)
+    try:
+        for layer in layers:
+            print("tax: running layer %s ..." % layer, file=sys.stderr)
+            gc.collect()  # every layer starts from a collected heap
+            seen.update(full=0, ns=0)
+            tracked0 = len(gc.get_objects())
+            t0 = perf_counter_ns()
+            alive = run(layer)
+            wall = perf_counter_ns() - t0
+            tracked = len(gc.get_objects()) - tracked0
+            del alive
+            if layer == "off":
+                base = wall
+            rows.append(
+                {
+                    "layer": layer,
+                    "wall_ns": wall,
+                    "gc_full": seen["full"],
+                    "gc_ms": round(seen["ns"] / 1e6, 1),
+                    "tracked_per_kop": round(1000.0 * tracked / ops, 1),
+                }
+            )
+    finally:
+        gc.callbacks.remove(on_collection)
     for row in rows:
         row["overhead_pct"] = (
             round(100.0 * (row["wall_ns"] / base - 1.0), 1)
@@ -62,16 +96,23 @@ def measure_tax(
 
 
 def format_tax(report: dict) -> str:
-    """Fixed-width table of the tax report (layer, wall ms, overhead %)."""
-    lines = ["%-10s %10s %10s" % ("layer", "wall ms", "overhead")]
+    """Fixed-width table of the tax report (layer, wall ms, overhead %, and
+    the collector's share: full collections, ms collecting, tracked/kop)."""
+    lines = [
+        "%-10s %10s %10s %8s %8s %12s"
+        % ("layer", "wall ms", "overhead", "gc full", "gc ms", "tracked/kop")
+    ]
     for row in report["layers"]:
         pct = row.get("overhead_pct")
         lines.append(
-            "%-10s %10.1f %10s"
+            "%-10s %10.1f %10s %8d %8.1f %12.1f"
             % (
                 row["layer"],
                 row["wall_ns"] / 1e6,
                 ("%+.1f%%" % pct) if pct is not None else "-",
+                row["gc_full"],
+                row["gc_ms"],
+                row["tracked_per_kop"],
             )
         )
     return "\n".join(lines)

@@ -229,7 +229,8 @@ class CPUSet:
                 self._tracks[core],
                 started,
                 end,
-                args={"thread": ctx.name},
+                ("thread",),
+                (ctx.name,),
             )
         # The thread's busy accounting (Figure 6's CPU input), and its span.
         ctx.busy_time += duration

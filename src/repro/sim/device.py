@@ -246,7 +246,8 @@ class StorageDevice:
                     self._ch_tracks[channel],
                     started,
                     now,
-                    args={"bytes": moved, "fault": exc.code},
+                    ("bytes", "fault"),
+                    (moved, exc.code),
                 )
             if self._queue:
                 self._start(channel, self._queue.popleft())
@@ -271,7 +272,8 @@ class StorageDevice:
                 self._ch_tracks[channel],
                 started,
                 now,
-                args={"bytes": nbytes},
+                ("bytes",),
+                (nbytes,),
             )
         if self._queue:
             self._start(channel, self._queue.popleft())

@@ -46,14 +46,7 @@ def annotated(
     edgelog = event.sim.edgelog
     if edgelog is not None:
         edgelog.annotate(
-            event,
-            resource,
-            category=category,
-            kind=kind,
-            begin=begin,
-            queued_at=queued_at,
-            initiator=initiator,
-            track=track,
+            event, resource, category, kind, begin, queued_at, initiator, None, track
         )
     return event
 

@@ -159,7 +159,8 @@ class MemTable:
                     "memtable:add",
                     "memtable",
                     self._track,
-                    args={"seq": seq, "bytes": len(key) + len(value)},
+                    ("seq", "bytes"),
+                    (seq, len(key) + len(value)),
                 )
         _p = _perf_zones.PROFILER
         if _p is not None:

@@ -77,7 +77,8 @@ class LogWriter:
                 "wal:append",
                 "wal",
                 self._track,
-                args={"bytes": len(data), "gsn": gsn, "rtype": rtype},
+                ("bytes", "gsn", "rtype"),
+                (len(data), gsn, rtype),
             )
         self.vfile.append(data)
         return len(data)

@@ -62,8 +62,9 @@ def run_workload(
     layer: str = "off",
     num: Optional[int] = None,
     schedule_seed: Optional[int] = None,
-) -> None:
-    """Run the pinned workload once with the observability ``layer`` attached.
+) -> ObservedRun:
+    """Run the pinned workload once with the observability ``layer`` attached;
+    returns the finished run (its env and planes still alive).
 
     Each call builds a fresh env/system so no layer sees another's state.
     ``schedule_seed`` perturbs same-time event delivery (the tool's shared
@@ -86,6 +87,7 @@ def run_workload(
     run.closed_loop(
         open_system_from_args(run.env, args), split_stream(ops, args.threads)
     )
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_tax(args) -> int:
     report = measure_tax(
-        lambda layer: run_workload(layer, args.num, args.schedule_seed)
+        lambda layer: run_workload(layer, args.num, args.schedule_seed),
+        ops=PINNED["num"] if args.num is None else args.num,
     )
     print(format_tax(report))
     if args.tax_json:

@@ -58,32 +58,34 @@ def span_totals(
     tracer,
     tracks: Optional[Iterable[str]] = None,
     window: Optional[Window] = None,
+    since: int = 0,
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
     """Sum busy/wait span durations per raw accounting category.
 
     ``tracks`` restricts to a set of track names (e.g. the user threads);
     ``window`` clips each span to the overlap with ``[t0, t1]`` so a
     measured window excludes preload spans and trailing background work.
+    ``since`` (``len(tracer.rows)`` when the window opened) skips what was
+    recorded before it: rows are in finish-time order, so none overlaps.
     """
     track_set = set(tracks) if tracks is not None else None
     busy: Dict[str, float] = defaultdict(float)
     wait: Dict[str, float] = defaultdict(float)
-    for span in tracer.events:
-        if span.cat == "busy":
+    for name, cat, track, start, end, _aid, _keys in tracer.records(since):
+        if cat == "busy":
             into = busy
-        elif span.cat == "wait":
+        elif cat == "wait":
             into = wait
         else:
             continue
-        if track_set is not None and span.track not in track_set:
+        if track_set is not None and track not in track_set:
             continue
-        start, end = span.start, span.end
         if window is not None:
             start = max(start, window[0])
             end = min(end, window[1])
             if end <= start:
                 continue
-        into[span.name] += end - start
+        into[name] += end - start
     return dict(busy), dict(wait)
 
 

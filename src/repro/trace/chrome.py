@@ -23,6 +23,7 @@ self-terminating flavor, so it round-trips through ``json.loads``.
 """
 
 import json
+from itertools import chain
 from typing import Dict, List, Tuple
 
 __all__ = ["to_chrome_events", "write_chrome_trace"]
@@ -48,7 +49,7 @@ def to_chrome_events(tracer, extra_spans=(), flows=()) -> List[dict]:
     extra_spans = list(extra_spans)
     flows = list(flows)
     ids = _track_ids(
-        [span.track for span in tracer.events]
+        [track for _name, _cat, track, *_rest in tracer.records()]
         + [span.track for span in extra_spans]
     )
     events: List[dict] = []
@@ -76,7 +77,7 @@ def to_chrome_events(tracer, extra_spans=(), flows=()) -> List[dict]:
                 "args": {"name": track.split(":", 1)[-1]},
             }
         )
-    for span in list(tracer.events) + extra_spans:
+    for span in chain(tracer.spans(), extra_spans):
         pid, tid = ids[span.track]
         ts = span.start * TIME_SCALE
         base = {

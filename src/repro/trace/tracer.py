@@ -31,9 +31,16 @@ Span kinds:
 
 Only *finished* spans are recorded; a span still open when the trace is
 exported is silently absent.
+
+Storage (docs/TRACING.md): a finished span is one fixed-width row of the flat
+``rows`` list, its argument values in ``vals``; no object is kept per span,
+because the cyclic collector walks every tracked one.  :class:`Span` is the
+handle ``begin()`` returns (dead once ``finish()`` has written its row) and
+the view ``spans()``/``events`` build on demand, never cached.
 """
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.perf import zones as _perf_zones
 
@@ -53,7 +60,8 @@ def thread_track(name: str) -> str:
 
 
 class Span:
-    """One named interval of simulated time on a track."""
+    """One named interval of simulated time on a track: the open handle
+    ``begin()`` hands out, or a transient view of one recorded row."""
 
     __slots__ = ("name", "cat", "track", "start", "end", "args", "aid", "_tracer")
 
@@ -66,13 +74,14 @@ class Span:
         start: float,
         args: Optional[Dict[str, Any]],
         aid: Optional[int] = None,
+        end: Optional[float] = None,
     ):
         self._tracer = tracer
         self.name = name
         self.cat = cat
         self.track = track
         self.start = start
-        self.end: Optional[float] = None
+        self.end = end
         self.args = args
         self.aid = aid  # async-event id; None for synchronous spans
 
@@ -96,8 +105,15 @@ class Span:
         if self.end is None:
             if args:
                 self.set(**args)
-            self.end = self._tracer.sim.now
-            self._tracer._record(self)
+            tracer, keys, vals = self._tracer, None, ()
+            self.end = tracer.sim.now
+            if self.args is not None:
+                keys, vals = tuple(self.args), self.args.values()
+                keys = tracer._keysets.setdefault(keys, keys)  # one per key set
+            tracer.complete(
+                self.name, self.cat, self.track, self.start, self.end,
+                keys, vals, self.aid,
+            )
         return self
 
     def __repr__(self) -> str:
@@ -139,13 +155,21 @@ class Tracer:
     """
 
     enabled = True
+    #: slots per span in :attr:`rows`.
+    WIDTH = 7
 
     def __init__(self, sim, max_events: int = 2_000_000):
         self.sim = sim
         self.max_events = max_events
-        self.events: List[Span] = []  # finished spans, in finish-time order
         self.dropped = 0
         self._next_aid = 1
+        #: finished spans in finish-time order, WIDTH slots each: name, cat,
+        #: track, start, end, aid (None: synchronous), argument names (None,
+        #: or a tuple every row of its call site / key set shares).  The rows'
+        #: argument values sit end to end in ``vals``, in row order.
+        self.rows: List[Any] = []
+        self.vals: List[Any] = []
+        self._keysets: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     # -- recording ----------------------------------------------------------
 
@@ -179,37 +203,45 @@ class Tracer:
         track: str,
         start: float,
         end: float,
-        args: Optional[Dict[str, Any]] = None,
-    ) -> Span:
-        """Record an already-elapsed ``[start, end]`` interval in one call."""
-        span = Span(self, name, cat, track, start, args)
-        span.end = end
-        self._record(span)
-        return span
+        keys: Optional[Tuple[str, ...]] = None,
+        vals: Iterable[Any] = (),
+        aid: Optional[int] = None,
+    ) -> None:
+        """Record an already-elapsed ``[start, end]`` interval in one call;
+        ``keys`` (a constant tuple, one object for all of a call site's rows)
+        name the ``vals``, ``aid`` is :meth:`Span.finish` recording itself."""
+        row = (name, cat, track, start, end, aid, keys)
+        _p = _perf_zones.PROFILER
+        if _p is not None:
+            _p.enter("obs.trace")
+        rows = self.rows
+        if len(rows) >= self.WIDTH * self.max_events:
+            self.dropped += 1
+        else:
+            rows.extend(row)
+            if keys:
+                self.vals.extend(vals)
+        if _p is not None:
+            _p.leave()
 
     def instant(
         self,
         name: str,
         cat: str,
         track: str,
-        args: Optional[Dict[str, Any]] = None,
-    ) -> Span:
+        keys: Optional[Tuple[str, ...]] = None,
+        vals: Iterable[Any] = (),
+    ) -> None:
         """Record a zero-width marker at the current sim time."""
         now = self.sim.now
-        return self.complete(name, cat, track, now, now, args)
-
-    def _record(self, span: Span) -> None:
-        _p = _perf_zones.PROFILER
-        if _p is not None:
-            _p.enter("obs.trace")
-        if len(self.events) >= self.max_events:
-            self.dropped += 1
-        else:
-            self.events.append(span)
-        if _p is not None:
-            _p.leave()
+        self.complete(name, cat, track, now, now, keys, vals)
 
     # -- querying -----------------------------------------------------------
+
+    def records(self, since: int = 0) -> Iterator[tuple]:
+        """The rows as ``(name, cat, track, start, end, aid, keys)`` tuples —
+        what consumers read — from ``since``, an earlier ``len(rows)``, on."""
+        return zip(*[islice(self.rows, since, None)] * self.WIDTH)
 
     def spans(
         self,
@@ -217,22 +249,28 @@ class Tracer:
         cat: Optional[str] = None,
         name: Optional[str] = None,
     ) -> Iterator[Span]:
-        """Iterate recorded spans, optionally filtered."""
-        for span in self.events:
-            if track is not None and span.track != track:
-                continue
-            if cat is not None and span.cat != cat:
-                continue
-            if name is not None and span.name != name:
-                continue
-            yield span
+        """Iterate recorded spans as views, optionally filtered."""
+        at = 0  # where the current row's values start in self.vals
+        for n, c, t, start, end, aid, keys in self.records():
+            args = None
+            if keys is not None:
+                args = dict(zip(keys, self.vals[at:at + len(keys)]))
+                at += len(keys)
+            if track in (None, t) and cat in (None, c) and name in (None, n):
+                yield Span(None, n, c, t, start, args, aid, end)
+
+    @property
+    def events(self) -> List[Span]:
+        """Every recorded span, as a fresh list of views."""
+        return list(self.spans())
 
     def tracks(self) -> List[str]:
         """Every track that has at least one recorded event, sorted."""
-        return sorted({span.track for span in self.events})
+        return sorted(set(self.rows[2::self.WIDTH]))
 
     def clear(self) -> None:
-        self.events.clear()
+        self.rows.clear()
+        self.vals.clear()
         self.dropped = 0
 
 
@@ -250,10 +288,10 @@ class NullTracer:
     def async_begin(self, name, cat, track, args=None) -> _NullSpan:
         return NULL_SPAN
 
-    def complete(self, name, cat, track, start, end, args=None) -> _NullSpan:
+    def complete(self, name, cat, track, start, end, keys=None, vals=()) -> _NullSpan:
         return NULL_SPAN
 
-    def instant(self, name, cat, track, args=None) -> _NullSpan:
+    def instant(self, name, cat, track, keys=None, vals=()) -> _NullSpan:
         return NULL_SPAN
 
     def spans(self, track=None, cat=None, name=None):

@@ -9,9 +9,12 @@ acceptance criteria (WAL speedup and +1 device channel within tolerance).
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.critpath import (
     EXPERIMENTS,
+    Edge,
     EdgeLog,
     check_prediction,
     critpath_report,
@@ -28,6 +31,7 @@ from repro.critpath.extract import CriticalPath, Segment, aggregate_blame
 from repro.engine import make_env
 from repro.harness import preload, run_closed_loop
 from repro.harness.report import format_blame_table
+from repro.metrics import install_stats
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPUSet
 from repro.sim.device import OPTANE_905P, StorageDevice
@@ -35,10 +39,12 @@ from repro.sim.queues import FIFOQueue
 from repro.sim.sync import Lock
 from repro.systems import open_system
 from repro.tools import whatif
-from repro.trace import install_tracer
+from repro.trace import Tracer, install_tracer
 from repro.trace.attribution import fig06_from_spans
 from repro.trace.chrome import to_chrome_events
 from repro.workloads import YCSBWorkload, fillrandom, split_stream
+from tests.test_sim_core import _program, _run_program
+from tests.test_trace import ListTracer, span_rows
 
 
 def _segs(segments):
@@ -92,7 +98,11 @@ def test_edgelog_bounded_by_max_records():
     sim.spawn(ticker(), "ticker")
     sim.run()
     assert log.counts()["resumes"] == 5
-    assert log.counts()["dropped"] == 45
+    # 45 resumes past the cap, and the 47 edges stamped after it (the 46
+    # remaining timers and the process's own completion): an edge is only
+    # reachable through a stored resume, so it is dropped with them.
+    assert log.counts()["dropped"] == 45 + 47
+    assert log.counts()["edges"] == len(log.edges) // log.WIDTH == 5
 
 
 def test_burst_and_io_stamp_exactly_one_edge():
@@ -104,10 +114,10 @@ def test_burst_and_io_stamp_exactly_one_edge():
     cpu = CPUSet(sim, n_cores=1)
     ev = cpu.exec(cpu.new_thread("t"), 1.0, "work")
     sim.run()
-    assert log.n_edges == 1 and ev._edge.label == "cpu:work"
+    assert log.n_edges == 1 and log.edge(ev._edge).label == "cpu:work"
     ev = StorageDevice(sim, OPTANE_905P).write(4096, category="wal")
     sim.run()
-    assert log.n_edges == 2 and ev._edge.label == "device:write:wal"
+    assert log.n_edges == 2 and log.edge(ev._edge).label == "device:write:wal"
 
 
 def test_track_bindings_are_time_qualified():
@@ -430,3 +440,177 @@ def test_check_prediction_tolerance_band():
     assert not check_prediction(0.10, 0.20)
     assert check_prediction(0.0, 0.015)  # absolute floor for near-zero deltas
     assert not check_prediction(0.0, 0.05)
+
+
+# ---------------------------------------------------------------------------
+# Bounded memory, and the differential recorder test: the row-storing log
+# against one that keeps an Edge object per edge and a tuple per resume (the
+# parent's recorder, kept here as the oracle)
+# ---------------------------------------------------------------------------
+
+
+def test_cap_hit_mid_run_bounds_edges_too_and_the_report_still_tiles():
+    env = make_env(n_cores=8)
+    tracer = install_tracer(env)
+    edgelog = install_edgelog(env, max_records=3000)
+    system = open_system("p2kvs", env, workers=4)
+    ops = list(fillrandom(600, seed=5))
+    t0 = env.sim.now
+    first = run_closed_loop(env, system, split_stream(ops[:300], 2))
+    at_cap = edgelog.counts()
+    assert at_cap["resumes"] == 3000 and at_cap["dropped"] > 0
+    assert at_cap["edges"] == len(edgelog.edges) // edgelog.WIDTH
+    run_closed_loop(env, system, split_stream(ops[300:], 2))
+    counts = edgelog.counts()
+    assert counts["dropped"] > at_cap["dropped"]
+    # Nothing per-event grew (spawns and track bindings are per process).
+    for kept in ("edges", "resumes", "processes"):
+        assert counts[kept] == at_cap[kept]
+    assert len(edgelog.edges) == at_cap["edges"] * edgelog.WIDTH
+    # Every stored resume names a stored edge; the walk past the recorded
+    # history is covered by a "start" segment, so the tiling stays exact.
+    for _times, _seqs, rows in edgelog.history.values():
+        assert all(row is None or 0 <= row < counts["edges"] for row in rows)
+    report = critpath_report(edgelog, tracer, (t0, env.sim.now))
+    assert report["n_requests"] == 600 and report["counts"] == counts
+    labels = [row["label"] for row in report["makespan"]["blame"]["rows"]]
+    assert "start" in labels
+    assert report["makespan"]["covered"] == pytest.approx(
+        report["makespan"]["t_end"] - t0, rel=1e-9
+    )
+    for path in request_paths(edgelog, tracer, (t0, t0 + first.elapsed)):
+        assert path.covered == pytest.approx(path.span, rel=1e-9, abs=1e-12)
+
+
+class ObjectEdgeLog(EdgeLog):
+    """Reference recorder: the Edge object itself on ``Event._edge`` and in
+    a ``(time, seq, edge)`` tuple per resume; ``history``/``fields`` present
+    them to the inherited queries, which read rows."""
+
+    def __init__(self, sim, max_records=4_000_000):
+        self.sim, self.max_records, self.resumes = sim, max_records, {}
+        self.spawns, self.track_bindings, self._lists = {}, {}, (0, {})
+        self.n_edges = self.n_resumes = self.dropped = self._seq = 0
+
+    def annotate(self, event, resource, category="", kind="handoff", begin=None,
+                 queued_at=None, initiator=None, via=None, track=None):
+        if self.n_resumes >= self.max_records:
+            self.dropped += 1
+            return
+        begin = self.sim.now if begin is None else begin
+        queued_at = begin if queued_at is None else queued_at
+        self._seq += 1
+        self.n_edges += 1
+        event._edge = Edge(self._seq, kind, resource, category, begin, queued_at,
+                           self.sim.current_process, initiator, via, track)
+
+    def on_resume(self, proc, event, now):
+        if self.n_resumes >= self.max_records:
+            self.dropped += 1
+            return
+        self._seq += 1
+        self.n_resumes += 1
+        self.resumes.setdefault(proc, []).append((now, self._seq, event._edge))
+
+    @property
+    def history(self):
+        if self._lists[0] != self.n_resumes:  # transposed once per query phase
+            lists = {p: tuple(map(list, zip(*h))) for p, h in self.resumes.items()}
+            self._lists = self.n_resumes, lists
+        return self._lists[1]
+
+    def fields(self, edge):
+        return [getattr(edge, name) for name in Edge.__slots__]
+
+
+def _named(obj):
+    """Processes and events differ between two runs; their names do not."""
+    return getattr(obj, "name", None) or type(obj).__name__
+
+
+def _log_facts(log):
+    """Everything a log recorded, keyed by names and spawn order."""
+    histories = [
+        (proc.name, t, seq, edge if edge is None else [
+            value if type(value) in (int, float, str, type(None)) else _named(value)
+            for value in log.fields(edge)
+        ])
+        for proc, hist in log.history.items()
+        for t, seq, edge in zip(*hist)
+    ]
+    spawns = [(p.name, t, parent and parent.name, seq)
+              for p, (t, parent, seq) in log.spawns.items()]
+    bindings = {track: [(t, p.name) for t, p in bound]
+                for track, bound in log.track_bindings.items()}
+    walks = [
+        [(s.label, s.start, s.end, s.track) for s in walk_back(log, p, log.sim.now, 0.0)]
+        for p in log.spawns
+    ]
+    return histories, spawns, bindings, walks, log.counts(), log.seq
+
+
+def _check_queries_against_scans(log):
+    """``last_resume`` and ``track_proc_at`` bisect; the scans they replaced
+    are the reference, at every recorded seq and instant and just off them."""
+    for proc, (times, seqs, rows) in log.history.items():
+        resumes = list(zip(times, seqs, rows))
+        for seq_limit in {s + d for s in seqs for d in (0, 1)}:
+            for t_limit in {t + d for t in times for d in (-1e-9, 0.0)}:
+                ok = [r for r in resumes if r[1] < seq_limit and r[0] <= t_limit]
+                # The latest instant's resumes, latest-delivered first: the
+                # canonical one is the first of the greatest key.
+                tied = [r for r in reversed(ok) if r[0] == ok[-1][0]]
+                want = max(tied, key=lambda r: log._resume_key(r[2])) if ok else None
+                assert log.last_resume(proc, seq_limit, t_limit) == want
+    for track, bound in log.track_bindings.items():
+        for t in {t + d for t, _proc in bound for d in (-1e-9, 0.0, 1e-9)}:
+            scanned = [proc for bind_time, proc in bound if bind_time <= t]
+            assert log.track_proc_at(track, t) is (scanned[-1] if scanned else None)
+
+
+@pytest.mark.no_sanitize
+@settings(max_examples=100, deadline=None)
+@given(_program, st.one_of(st.none(), st.integers(0, 3)), st.sampled_from([0, 1, 9, 10**6]))
+def test_rows_record_what_the_object_log_recorded(program, seed, cap):
+    logs = []
+
+    def installer(cls):
+        def install(sim):
+            sim.edgelog = cls(sim, max_records=cap)
+            logs.append(sim.edgelog)
+
+        return install
+
+    results = [
+        _run_program(program, Simulator, (installer(cls),), seed)
+        for cls in (EdgeLog, ObjectEdgeLog)
+    ]
+    assert results[0] == results[1]
+    assert _log_facts(logs[0]) == _log_facts(logs[1])
+    _check_queries_against_scans(logs[0])
+
+
+def test_both_recorder_pairs_export_the_same_bytes():
+    """End to end on the simulated stack: rows against objects, through the
+    collector's attribution, the critical-path report and the Chrome trace
+    with the makespan path drawn in."""
+    exports = []
+    for tracer_cls, log_cls in ((Tracer, EdgeLog), (ListTracer, ObjectEdgeLog)):
+        env = make_env(n_cores=8)
+        tracer = env.sim.tracer = tracer_cls(env.sim)
+        edgelog = env.sim.edgelog = log_cls(env.sim)
+        install_stats(env, interval_ms=0.1)  # perf contexts: nested dict args
+        system = open_system("p2kvs", env, workers=4)
+        workload = YCSBWorkload("A", 300, value_size=112, seed=5)
+        preload(env, system, workload.load_ops(), n_threads=2)
+        t0 = env.sim.now
+        metrics = run_closed_loop(env, system, split_stream(list(workload.ops(400)), 2))
+        window = (t0, t0 + metrics.elapsed)
+        extras, flows = path_trace_extras(makespan_path(edgelog, tracer, window))
+        exports.append((
+            span_rows(tracer),
+            metrics.extra["latency_attribution"],
+            json.dumps(critpath_report(edgelog, tracer, window)),
+            json.dumps(to_chrome_events(tracer, extra_spans=extras, flows=flows)),
+        ))
+    assert exports[0] == exports[1]

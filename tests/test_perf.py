@@ -16,7 +16,7 @@ from repro.analysis.lint import lint_source
 from repro.perf import zones
 from repro.perf.report import coverage, format_zone_tree, zone_tree
 from repro.perf.sampling import StackSampler
-from repro.perf.tax import LAYERS, format_tax
+from repro.perf.tax import LAYERS, format_tax, measure_tax
 from repro.perf.zones import ZoneProfiler
 from tests.test_flow import rule_names
 
@@ -267,13 +267,35 @@ def test_tax_layers_and_format():
     report = {
         "base_wall_ns": 10_000_000,
         "layers": [
-            {"layer": "off", "wall_ns": 10_000_000, "overhead_pct": 0.0},
-            {"layer": "trace", "wall_ns": 12_000_000, "overhead_pct": 20.0},
+            {"layer": "off", "wall_ns": 10_000_000, "overhead_pct": 0.0,
+             "gc_full": 0, "gc_ms": 0.5, "tracked_per_kop": 310.0},
+            {"layer": "trace", "wall_ns": 12_000_000, "overhead_pct": 20.0,
+             "gc_full": 2, "gc_ms": 41.5, "tracked_per_kop": 16555.5},
         ],
     }
     text = format_tax(report)
     assert "off" in text and "trace" in text
     assert "+20.0%" in text
+    assert "gc full" in text and "41.5" in text and "16555.5" in text
+
+
+def test_tax_counts_what_the_collector_did():
+    """A layer that keeps tracked objects alive and forces a full collection
+    shows up in its row; the callback is gone afterwards."""
+    import gc
+
+    def run(layer):
+        kept = [[i] for i in range(3000)] if layer == "hoard" else None
+        if layer == "hoard":
+            gc.collect()
+        return kept
+
+    before = list(gc.callbacks)
+    report = measure_tax(run, ops=1000, layers=("off", "hoard"))
+    assert gc.callbacks == before
+    off, hoard = report["layers"]
+    assert off["gc_full"] == 0 and hoard["gc_full"] == 1 and hoard["gc_ms"] > 0
+    assert hoard["tracked_per_kop"] - off["tracked_per_kop"] >= 3000
 
 
 def test_tax_unknown_layer_rejected():

@@ -559,7 +559,7 @@ def _run_program(program, sim_cls, install=(), seed=None, until=None):
             result["resumes"] = sorted(
                 (p.name, t, seq, None if e is None else (e.seq, e.kind, e.label, e.begin, e.queued_at))
                 for p, hist in observer.history.items()
-                for t, seq, e in hist
+                for t, seq, e in zip(hist[0], hist[1], map(observer.edge, hist[2]))
             )
     return result
 
