@@ -20,20 +20,30 @@ duplicate resolution.
 """
 
 import heapq
+from bisect import bisect_right
 from itertools import chain
+from operator import itemgetter
 from typing import Generator, List, Tuple
 
 __all__ = ["merge_sorted_results", "serial_global_scan"]
 
 Pair = Tuple[bytes, bytes]
+_key = itemgetter(0)
 
 
 def merge_sorted_results(results: List[List[Pair]], limit: int = None) -> List[Pair]:
     """Merge per-instance sorted (key, value) lists; optionally truncate.
 
     Keys are unique across instances, so sorting the concatenation never
-    compares values, and Timsort merges the presorted runs it finds.
+    compares values, and Timsort merges the presorted runs it finds.  Under a
+    ``limit`` every list is first cut at the largest of the k lists' m-th keys,
+    ``m = ceil(limit / k)``: ``k * m >= limit`` pairs lie at or below it.
     """
+    if limit and results:
+        m = -(-limit // len(results))
+        if min(map(len, results)) >= m:
+            cap = max([p[m - 1][0] for p in results])
+            results = [p[: bisect_right(p, cap, key=_key)] for p in results]
     merged = sorted(chain.from_iterable(results))
     return merged if limit is None else merged[:limit]
 

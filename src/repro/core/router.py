@@ -17,6 +17,11 @@ from repro.storage.bloom import fnv1a
 
 __all__ = ["HashRouter", "PrefixRouter", "RangeRouter"]
 
+#: bound on the hash router's memo.  It sits above the read benchmarks' key space
+#: (24 000), and a dict of 21 846 to 43 690 entries has one table size (1.31 MB):
+#: perfbench's 32 000-key fill keeps that table, only longer preloads are cut.
+ROUTE_CACHE_MAX = 1 << 15
+
 
 class HashRouter:
     """worker_id = FNV1a(key) % n_workers."""
@@ -33,6 +38,8 @@ class HashRouter:
         cache = self._route_cache
         worker = cache.get(key)
         if worker is None:
+            if len(cache) >= ROUTE_CACHE_MAX:
+                cache.clear()
             worker = cache[key] = fnv1a(key) % self.n_workers
         return worker
 

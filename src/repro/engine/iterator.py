@@ -7,23 +7,32 @@ contract:
 * ``yield from cursor.seek(key)`` positions at the first entry with user key
   >= key (None = the start); ``cursor.current`` is then the entry tuple
   ``(key, seq, vtype, value)``, or None when exhausted.
-* ``cursor.step()`` is synchronous: it moves to the next entry of the block
-  (or array) already in hand and returns True, or returns False, leaving the
-  cursor where it was, when the next entry lies past that block.
+* ``cursor.run(bound, room)`` is synchronous and returns a *run*: the entries
+  from the current one on that lie in the block (or memtable array) in hand,
+  sort strictly before ``bound`` in internal-key order (``bound`` is another
+  cursor's heap entry ``(key, -seq, index)``, or None) and number at most
+  ``room`` (None = any).  The current entry is always in it, so a tie goes
+  back to the heap, which breaks it by index.
+* ``cursor.skip(n)`` consumes ``n`` entries; it returns False, leaving the
+  cursor on the block's last entry, when the next one lies past the block.
 * ``yield from cursor.advance()`` moves to the next entry wherever it is.
   **IO happens only in** ``seek`` **and** ``advance``: a block load, and so a
-  simulated yield, is paid per block crossed, never per entry stepped.
+  simulated yield, is paid per block crossed, never per entry.
+* ``cursor.table`` is the SSTable the cursor stands in (None: a memtable).  A
+  run from a **plain** one (one version per user key, no tombstone) whose
+  ``max_seq`` the snapshot covers is sliced: only its first entry can be shadowed.
 
 :class:`MergingIterator` heap-merges any number of cursors in internal-key
 order, hides shadowed versions and tombstones, and applies the snapshot
 filter — the read-side equivalent of RocksDB's MergeIterator that p2KVS's
 serial SCAN strategy builds across instances (paper Section 4.4).  Its one
 loop, :meth:`MergingIterator.collect`, runs a whole sub-scan in a single
-generator frame.
+generator frame, one heap operation per run.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heapreplace
+from operator import itemgetter
 from typing import Generator, List, Optional, Tuple
 
 from repro.storage.memtable import MAX_SEQ, MemTableCursor, VTYPE_DELETE
@@ -31,6 +40,7 @@ from repro.storage.memtable import MAX_SEQ, MemTableCursor, VTYPE_DELETE
 __all__ = ["LevelCursor", "MemTableCursor", "MergingIterator"]
 
 Entry = Tuple[bytes, int, int, bytes]
+_user_key = itemgetter(0)
 
 
 class LevelCursor:
@@ -44,6 +54,7 @@ class LevelCursor:
         self._page_cache = page_cache
         self._idx = 0
         self._cursor = None
+        self.table = None  # the file the cursor stands in
         self.current: Optional[Entry] = None
 
     def seek(self, key: Optional[bytes]) -> Generator:
@@ -59,8 +70,8 @@ class LevelCursor:
 
     def _open_and_seek(self, key: Optional[bytes]) -> Generator:
         while self._idx < len(self._files):
-            meta = self._files[self._idx]
-            self._cursor = meta.table.cursor(
+            self.table = self._files[self._idx].table
+            self._cursor = self.table.cursor(
                 self._cache, self._device, self._page_cache
             )
             yield from self._cursor.seek(key)
@@ -72,12 +83,13 @@ class LevelCursor:
         self._cursor = None
         self.current = None
 
-    def step(self) -> bool:
-        cursor = self._cursor
-        if cursor is None or not cursor.step():
-            return False
-        self.current = cursor.current
-        return True
+    def run(self, bound, room: Optional[int]) -> List[Entry]:
+        return self._cursor.run(bound, room)
+
+    def skip(self, n: int) -> bool:
+        moved = self._cursor.skip(n)
+        self.current = self._cursor.current
+        return moved
 
     def advance(self) -> Generator:
         if self._cursor is None:
@@ -128,26 +140,59 @@ class MergingIterator:
         last = self._last_user_key
         out: List[Tuple[bytes, bytes]] = []
         scanned = 0
-        while heap and (limit is None or len(out) < limit):
+        past_end = False
+        room = limit  # pairs still wanted (None: any number)
+        while heap and room != 0 and not past_end:
             i = heap[0][2]
             cursor = cursors[i]
-            key, seq, vtype, value = cursor.current
-            if not cursor.step():
+            if room == 1:  # next_user: the current entry is the run, filtered in place
+                key, seq, vtype, value = cursor.current
+                used = 1
+                if seq <= snapshot and key != last:
+                    last = key
+                    if vtype != VTYPE_DELETE:
+                        past_end = end is not None and key > end
+                        if not past_end:
+                            out.append((key, value))
+            else:
+                # Up to the runner-up, the root's smaller child, all is this cursor's.
+                n = len(heap)
+                bound = None if n == 1 else heap[1] if n == 2 else min(heap[1], heap[2])
+                run = cursor.run(bound, room)
+                used = len(run)
+                table = cursor.table if used > 1 else None  # one entry: no slice
+                if table is not None and table.plain and table.max_seq <= snapshot:
+                    # All visible, live, distinct keys: only the first can be shadowed.
+                    first = 1 if run[0][0] == last else 0
+                    cut = used
+                    if end is not None and run[-1][0] > end:
+                        cut = bisect_right(run, end, first, key=_user_key)
+                        used = cut + 1  # run[cut], first pair past ``end``, is examined
+                        past_end = True
+                    out.extend([(e[0], e[3]) for e in run[first:cut]])
+                    last = run[used - 1][0]
+                else:
+                    used = 0
+                    for key, seq, vtype, value in run:
+                        used += 1
+                        if seq > snapshot or key == last:
+                            continue  # invisible to this snapshot / shadowed
+                        last = key
+                        if vtype == VTYPE_DELETE:
+                            continue  # tombstone hides the key
+                        if end is not None and key > end:
+                            past_end = True
+                            break
+                        out.append((key, value))
+            scanned += used
+            if not cursor.skip(used):
                 yield from cursor.advance()
             entry = cursor.current
             if entry is None:
                 heappop(heap)
             else:
                 heapreplace(heap, (entry[0], -entry[1], i))
-            scanned += 1
-            if seq > snapshot or key == last:
-                continue  # invisible to this snapshot / older, shadowed version
-            last = key
-            if vtype == VTYPE_DELETE:
-                continue  # tombstone hides the key
-            if end is not None and key > end:
-                break
-            out.append((key, value))
+            room = limit and limit - len(out)
         self._last_user_key = last
         self.entries_scanned += scanned
         return out

@@ -215,11 +215,13 @@ class MemTable:
 class MemTableCursor:
     """Cursor over a MemTable's sorted arrays (in memory: never needs IO).
 
-    Follows the cursor contract of :mod:`repro.engine.iterator`.  The cursor
-    is an index into arrays that writers ``insert`` into while a scan is
-    suspended on another source's block load, so ``step`` re-finds its entry
-    by internal key whenever the array length changed since it last looked.
+    Follows the cursor contract of :mod:`repro.engine.iterator` with the array
+    as the block in hand (``skip`` never reports an edge).  Writers ``insert``
+    into it while a scan is suspended on another source's block load, so ``run``
+    and ``skip`` re-find the entry by internal key when its length changed.
     """
+
+    table = None  # no SSTable behind it: the merge filters every entry
 
     def __init__(self, memtable: MemTable):
         self._keys = memtable._keys
@@ -231,22 +233,33 @@ class MemTableCursor:
     def seek(self, key: Optional[bytes]) -> Generator:
         keys = self._keys
         self._len = len(keys)
-        self._idx = (0 if key is None else bisect_left(keys, (key, 0))) - 1
-        self.step()
+        self._idx = 0 if key is None else bisect_left(keys, (key, 0))
+        self.skip(0)
         return
         yield  # pragma: no cover - makes this a generator
 
-    def step(self) -> bool:
+    def _anchor(self) -> int:
         keys = self._keys
-        i = self._idx + 1
         if len(keys) != self._len:
             self._len = len(keys)
-            entry = self.current
-            if entry is not None:
-                i = bisect_left(keys, (entry[0], MAX_SEQ - entry[1])) + 1
-        self._idx = i
+            self._idx = bisect_left(keys, (self.current[0], MAX_SEQ - self.current[1]))
+        return self._idx
+
+    def run(self, bound, room: Optional[int]) -> List[tuple]:
+        keys = self._keys
+        i = self._anchor()
+        hi = self._len if room is None or i + room > self._len else i + room
+        if bound is not None:  # a heap entry (key, -seq, ...), as an internal key
+            hi = bisect_left(keys, (bound[0], MAX_SEQ + bound[1]), i + 1, hi)
+        return [
+            (key, MAX_SEQ - inv_seq, vtype, value)
+            for (key, inv_seq), (vtype, value) in zip(keys[i:hi], self._vals[i:hi])
+        ]
+
+    def skip(self, n: int) -> bool:
+        i = self._idx = self._anchor() + n
         if i < self._len:
-            key, inv_seq = keys[i]
+            key, inv_seq = self._keys[i]
             vtype, value = self._vals[i]
             self.current = (key, MAX_SEQ - inv_seq, vtype, value)
         else:
@@ -254,6 +267,7 @@ class MemTableCursor:
         return True
 
     def advance(self) -> Generator:
-        self.step()
+        if self.current is not None:
+            self.skip(1)
         return
         yield  # pragma: no cover

@@ -12,6 +12,7 @@ same table object can be shared by any number of simulated readers.
 """
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Generator, List, Optional, Tuple
 
 from repro.perf import zones as _perf_zones
@@ -42,6 +43,20 @@ def _internal_key(entry: Entry) -> Tuple[bytes, int]:
     return (entry[0], MAX_SEQ - entry[1])
 
 
+_user_key = itemgetter(0)
+
+
+def lower_bound(entries: List[Entry], key: bytes, seq: int, lo: int = 0, hi=None) -> int:
+    """``bisect_left(entries, (key, MAX_SEQ - seq), lo, hi, key=_internal_key)``
+    with no interpreted call per probe: bisect on the user key, then pass the
+    versions of ``key`` newer than ``seq``, if any."""
+    n = len(entries) if hi is None else hi
+    pos = bisect_left(entries, key, lo, n, key=_user_key)
+    while pos < n and entries[pos][1] > seq and entries[pos][0] == key:
+        pos += 1
+    return pos
+
+
 class Block:
     """One data block: a sorted slice of entries plus its on-disk size."""
 
@@ -64,19 +79,22 @@ class SSTable:
         blocks: List[Block],
         bloom: BloomFilter,
         entry_count: int,
+        max_seq: int,
+        plain: bool,
     ):
         self.number = number
         self.blocks = blocks
         self.bloom = bloom
         self.entry_count = entry_count
+        self.max_seq = max_seq
+        #: one version per user key and no tombstone (scans slice such tables)
+        self.plain = plain
         # Index: last internal key per block, for binary search.
         self._index: List[Tuple[bytes, int]] = [
             _internal_key(b.entries[-1]) for b in blocks
         ]
         self.smallest: bytes = blocks[0].entries[0][0]
         self.largest: bytes = blocks[-1].entries[-1][0]
-        self.min_seq = min(e[1] for b in blocks for e in b.entries)
-        self.max_seq = max(e[1] for b in blocks for e in b.entries)
         index_bytes = len(blocks) * 24
         self.file_size = sum(b.nbytes for b in blocks) + bloom.nbytes + index_bytes
 
@@ -136,12 +154,11 @@ class SSTable:
             return NOT_FOUND, None
         if not self.bloom.may_contain(key):
             return NOT_FOUND, None
-        target = (key, MAX_SEQ - snapshot_seq)
-        idx = bisect_left(self._index, target)
+        idx = bisect_left(self._index, (key, MAX_SEQ - snapshot_seq))
         while idx < len(self.blocks):
             block = yield from self.load_block(idx, cache, device, page_cache, perf)
             entries = block.entries
-            pos = bisect_left(entries, target, key=_internal_key)
+            pos = lower_bound(entries, key, snapshot_seq)
             if pos < len(entries):
                 entry = entries[pos]
                 if entry[0] != key:
@@ -169,8 +186,8 @@ class SSTable:
 class TableCursor:
     """Forward cursor over a table's entries, loading blocks lazily.
 
-    Follows the cursor contract of :mod:`repro.engine.iterator`: ``step()``
-    moves within the loaded block, ``advance()`` crosses into the next one.
+    Follows the cursor contract of :mod:`repro.engine.iterator`: ``run`` and
+    ``skip`` stay inside the loaded block, ``advance()`` crosses into the next.
     """
 
     def __init__(self, table: SSTable, cache, device, page_cache=None):
@@ -188,8 +205,7 @@ class TableCursor:
         if key is None:
             self._block_idx, self._pos = 0, 0
         else:
-            target = (key, 0)
-            self._block_idx = bisect_left(self.table._index, target)
+            self._block_idx = bisect_left(self.table._index, (key, 0))
             self._pos = 0
         if self._block_idx >= len(self.table.blocks):
             self.current = None
@@ -200,7 +216,7 @@ class TableCursor:
         )
         self._entries = block.entries
         if key is not None:
-            self._pos = bisect_left(self._entries, (key, 0), key=_internal_key)
+            self._pos = bisect_left(self._entries, key, key=_user_key)
         yield from self._settle()
 
     def _settle(self) -> Generator:
@@ -219,14 +235,22 @@ class TableCursor:
             self._entries[self._pos] if self._entries is not None else None
         )
 
-    def step(self) -> bool:
+    def run(self, bound, room: Optional[int]) -> List[Entry]:
         entries = self._entries
-        pos = self._pos + 1
-        if entries is None or pos >= len(entries):
-            return False
-        self._pos = pos
-        self.current = entries[pos]
-        return True
+        pos = self._pos
+        hi = len(entries) if room is None or pos + room > len(entries) else pos + room
+        # Mostly the whole window sorts before the bound; bisect only if not.
+        if bound is not None and entries[hi - 1][0] >= bound[0]:
+            hi = lower_bound(entries, bound[0], -bound[1], pos + 1, hi)
+        return entries[pos:hi]
+
+    def skip(self, n: int) -> bool:
+        self._pos += n
+        if self._pos < len(self._entries):
+            self.current = self._entries[self._pos]
+            return True
+        self._pos -= 1  # on the block's last entry, as advance() expects
+        return False
 
     def advance(self) -> Generator:
         if self._entries is None:
@@ -255,6 +279,8 @@ class SSTableBuilder:
         self._keys: List[bytes] = []
         self._entry_count = 0
         self._last_internal: Optional[Tuple[bytes, int]] = None
+        self._max_seq = 0
+        self._tombstones = False
 
     def add(self, key: bytes, seq: int, vtype: int, value: bytes) -> None:
         _p = _perf_zones.PROFILER
@@ -268,6 +294,10 @@ class SSTableBuilder:
         self._current_bytes += entry_disk_size(key, value)
         self._keys.append(key)
         self._entry_count += 1
+        if seq > self._max_seq:
+            self._max_seq = seq
+        if vtype == VTYPE_DELETE:
+            self._tombstones = True
         if self._current_bytes >= self.block_target:
             self._finish_block()
         if _p is not None:
@@ -296,5 +326,9 @@ class SSTableBuilder:
         self._finish_block()
         if not self._blocks:
             raise ValueError("cannot finish an empty SSTable")
-        bloom = BloomFilter.from_keys(set(self._keys), self.bits_per_key)
-        return SSTable(self.number, self._blocks, bloom, self._entry_count)
+        distinct = set(self._keys)
+        bloom = BloomFilter.from_keys(distinct, self.bits_per_key)
+        plain = not self._tombstones and len(distinct) == self._entry_count
+        return SSTable(
+            self.number, self._blocks, bloom, self._entry_count, self._max_seq, plain
+        )

@@ -1,10 +1,17 @@
 """Functional tests for the p2KVS framework: routing, OBM, ranges, async."""
 
+from itertools import chain
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import P2KVS, HashRouter, RangeRouter, adapter_factory
+from repro.core.range_query import merge_sorted_results
+from repro.core.router import ROUTE_CACHE_MAX
 from repro.engine import WriteBatch
 from repro.engine.env import make_env
+from repro.storage.bloom import fnv1a
 from tests.conftest import run_process
 
 
@@ -34,6 +41,17 @@ class TestRouter:
         counts = router.histogram(key(i) for i in range(8000))
         assert min(counts) > 0.7 * (8000 / 8)
         assert max(counts) < 1.3 * (8000 / 8)
+
+    def test_hash_router_memo_is_bounded(self):
+        """A stream of distinct keys longer than the bound (a fill) routes as
+        the bare hash does and never holds more than the bound."""
+        router = HashRouter(8)
+        peak = 0
+        for i in range(2 * ROUTE_CACHE_MAX + 10):
+            assert router.route(key(i)) == fnv1a(key(i)) % 8
+            peak = max(peak, len(router._route_cache))
+        assert peak == ROUTE_CACHE_MAX
+        assert router.route(key(3)) == fnv1a(key(3)) % 8  # re-memoised after a clear
 
     def test_hash_router_rejects_zero_workers(self):
         with pytest.raises(ValueError):
@@ -242,6 +260,73 @@ class TestRangeQueries:
 
         pairs = run_process(env, work())
         assert pairs == [(key(i), value(i)) for i in range(5, 10)]
+
+    @given(
+        lengths=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+        shuffle=st.randoms(use_true_random=False),
+        limit=st.none() | st.integers(0, 100),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(lengths=[4, 4], shuffle=None, limit=4)  # one list holds the answer
+    def test_merge_sorts_only_what_it_returns_but_returns_the_same(
+        self, lengths, shuffle, limit
+    ):
+        """1-8 disjoint sorted lists of uneven length (empty ones, ones shorter
+        than ceil(limit / k), limits from 0 to past everything) against the
+        sort of the whole concatenation."""
+        owners = [i for i, n in enumerate(lengths) for _ in range(n)]
+        if shuffle is not None:
+            shuffle.shuffle(owners)
+        results = [[] for _ in lengths]
+        for k, owner in enumerate(owners):
+            results[owner].append((key(k), value(k)))
+        before = [list(pairs) for pairs in results]
+        expected = sorted(chain.from_iterable(results))
+        assert merge_sorted_results(results, limit) == (
+            expected if limit is None else expected[:limit]
+        )
+        assert results == before  # the callers' lists are not cut in place
+
+    def test_parallel_and_serial_strategies_agree_on_a_churned_dataset(self):
+        """p2KVS-8 over small memtables (flushes and compactions under the
+        scans), keys overwritten and deleted: both SCAN strategies and RANGE
+        return the pairs a dict model predicts."""
+        answers = []
+        for strategy in ("parallel", "serial"):
+            env = make_env(n_cores=16)
+            kvs = open_p2kvs(
+                env, n_workers=8, scan_strategy=strategy,
+                adapter_open=adapter_factory("rocksdb", write_buffer_size=768),
+            )
+            ctx = env.cpu.new_thread("u")
+
+            def work():
+                for i in range(400):
+                    yield from kvs.put(ctx, key(i), value(i))
+                for i in range(0, 400, 3):
+                    yield from kvs.put(ctx, key(i), value(i + 1000))
+                for i in range(0, 400, 7):
+                    yield from kvs.delete(ctx, key(i))
+                scans = []
+                for begin, count in ((0, 50), (120, 1), (203, 64), (390, 50)):
+                    scans.append((yield from kvs.scan(ctx, key(begin), count)))
+                scans.append((yield from kvs.range_query(ctx, key(40), key(95))))
+                return scans
+
+            answers.append(run_process(env, work()))
+        live = [
+            (key(i), value(i + 1000 if i % 3 == 0 else i))
+            for i in range(400) if i % 7
+        ]
+
+        def from_key(begin):
+            return [pair for pair in live if pair[0] >= key(begin)]
+
+        assert answers[0] == answers[1] == [
+            from_key(0)[:50], from_key(120)[:1], from_key(203)[:64],
+            from_key(390)[:50],
+            [pair for pair in from_key(40) if pair[0] <= key(95)],
+        ]
 
 
 class TestLevelDBFlavor:

@@ -1,5 +1,7 @@
 """Tests for SSTable build, point lookup, cursors, bloom and block cache."""
 
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from repro.sim import OPTANE_905P, Simulator, StorageDevice
 from repro.storage.block_cache import BlockCache
 from repro.storage.bloom import BloomFilter, fnv1a, fnv1a_many
 from repro.storage.memtable import DELETED, FOUND, MAX_SEQ, NOT_FOUND, VTYPE_DELETE, VTYPE_VALUE
-from repro.storage.sstable import SSTableBuilder
+from repro.storage.sstable import SSTableBuilder, _internal_key, lower_bound
 
 
 def key(i):
@@ -243,3 +245,61 @@ class TestSSTable:
 
         ok, _ = run(check)
         assert ok
+
+
+_VERSIONS = st.sets(
+    st.tuples(st.integers(0, 12), st.integers(1, 30)), min_size=1, max_size=60
+)
+_SNAPSHOT = st.integers(0, 31) | st.just(MAX_SEQ)
+
+
+def versioned_entries(versions):
+    """Internal order (key asc, seq desc); every fourth seq is a tombstone."""
+    return [
+        (key(i), seq, VTYPE_VALUE if seq % 4 else VTYPE_DELETE, b"v%d@%d" % (i, seq))
+        for i, seq in sorted(versions, key=lambda v: (v[0], -v[1]))
+    ]
+
+
+class TestBisectWithoutACallbackPerProbe:
+    @given(versions=_VERSIONS, probe=st.integers(-1, 13), seq=_SNAPSHOT)
+    @settings(max_examples=300, deadline=None)
+    def test_lower_bound_is_the_internal_key_bisect(self, versions, probe, seq):
+        entries = versioned_entries(versions)
+        for lo in range(len(entries) + 1):
+            assert lower_bound(entries, key(probe), seq, lo) == bisect_left(
+                entries, (key(probe), MAX_SEQ - seq), lo, key=_internal_key
+            )
+
+    @given(versions=_VERSIONS, snapshot=_SNAPSHOT)
+    @settings(max_examples=100, deadline=None)
+    def test_get_and_seek_over_multi_version_blocks(self, versions, snapshot):
+        """Two entries a block, so a key's versions straddle blocks and a probe
+        past a block's last version falls through to the next block's head."""
+        entries = versioned_entries(versions)
+        builder = SSTableBuilder(1, block_target=48)
+        for entry in entries:
+            builder.add(*entry)
+        table = builder.finish()
+
+        def probe_all(dev):
+            got = []
+            for i in range(-1, 14):
+                got.append((yield from table.get(key(i), snapshot, None, dev)))
+                cursor = table.cursor(None, dev)
+                yield from cursor.seek(key(i))
+                got.append(cursor.current)
+            return got
+
+        expected = []
+        for i in range(-1, 14):
+            visible = [e for e in entries if e[0] == key(i) and e[1] <= snapshot]
+            if not visible:
+                expected.append((NOT_FOUND, None))
+            elif visible[0][2] == VTYPE_DELETE:
+                expected.append((DELETED, None))
+            else:
+                expected.append((FOUND, visible[0][3]))
+            expected.append(next((e for e in entries if e[0] >= key(i)), None))
+        got, _ = run(probe_all)
+        assert got == expected

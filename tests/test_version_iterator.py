@@ -2,7 +2,7 @@
 
 import heapq
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.env import make_env
@@ -193,11 +193,11 @@ class TestMemTableCursor:
         cursor = MemTableCursor(memtable)
         list(cursor.seek(b"b"))
         memtable.add(4, VTYPE_VALUE, b"a", b"")
-        seen = []
-        while cursor.current is not None:
-            seen.append(cursor.current[0])
-            list(cursor.advance())
-        assert seen == [b"b", b"c", b"d"]
+        assert [e[0] for e in cursor.run(None, 2)] == [b"b", b"c"]
+        assert cursor.skip(2) and cursor.current[0] == b"d"
+        memtable.add(5, VTYPE_VALUE, b"aa", b"")
+        assert [e[0] for e in cursor.run(None, None)] == [b"d"]
+        assert cursor.skip(1) and cursor.current is None
 
     def test_insert_ahead_of_a_suspended_cursor_is_visited(self):
         memtable = MemTable()
@@ -206,18 +206,41 @@ class TestMemTableCursor:
         cursor = MemTableCursor(memtable)
         list(cursor.seek(None))
         memtable.add(3, VTYPE_VALUE, b"c", b"")
-        assert cursor.step() and cursor.current[:2] == (b"c", 3)
-        assert cursor.step() and cursor.current[:2] == (b"d", 2)
-        assert cursor.step() and cursor.current is None
+        assert [e[:2] for e in cursor.run(None, None)] == [
+            (b"b", 1), (b"c", 3), (b"d", 2)
+        ]
+        assert cursor.skip(1) and cursor.current[:2] == (b"c", 3)
+        assert cursor.skip(1) and cursor.current[:2] == (b"d", 2)
+        assert cursor.skip(1) and cursor.current is None
+
+    def test_run_stops_strictly_before_the_bound_but_never_empty(self):
+        memtable = MemTable()
+        for seq, k in enumerate((b"a", b"b", b"b", b"c"), start=1):
+            memtable.add(seq, VTYPE_VALUE, k, b"")
+        cursor = MemTableCursor(memtable)
+        list(cursor.seek(None))
+        # bounds are heap entries: (user key, -seq, cursor index)
+        assert [e[:2] for e in cursor.run((b"b", -2, 9), None)] == [
+            (b"a", 1), (b"b", 3)
+        ]
+        assert [e[:2] for e in cursor.run((b"a", -1, 9), None)] == [(b"a", 1)]
+        assert [e[:2] for e in cursor.run((b"c", -9, 9), 2)] == [
+            (b"a", 1), (b"b", 3)
+        ]
 
 
 class RecordingCache:
-    """A block cache that always misses and logs every (table, block) asked."""
+    """A block cache that always misses and logs every (table, block) asked;
+    ``on_load(n)`` runs inside the n-th lookup, i.e. while the scan that asked
+    is about to suspend on the block load."""
 
-    def __init__(self):
+    def __init__(self, on_load=None):
         self.loads = []
+        self.on_load = on_load
 
     def get(self, cache_key):
+        if self.on_load is not None:
+            self.on_load(len(self.loads))
         self.loads.append(cache_key)
         return None
 
@@ -262,33 +285,86 @@ def collect_merge(cursors, begin, snapshot, limit, end):
     return out, iterator.entries_scanned
 
 
+def collect_twice(split):
+    """``collect`` up to ``split`` pairs, then a second ``collect`` on the same
+    iterator for the rest: ``last``, the heap and every cursor carry over."""
+
+    def merge(cursors, begin, snapshot, limit, end):
+        iterator = MergingIterator(cursors, snapshot)
+        yield from iterator.seek(begin)
+        first = split if limit is None else min(split, limit)
+        out = yield from iterator.collect(first, end)
+        if len(out) == first:  # stopped by the limit, not by ``end``
+            out += yield from iterator.collect(
+                None if limit is None else limit - first, end
+            )
+        return out, iterator.entries_scanned
+
+    return merge
+
+
+def next_user_merge(cursors, begin, snapshot, limit, end):
+    """The serial strategy's access pattern: one ``collect(limit=1)`` per pair."""
+    assert end is None
+    iterator = MergingIterator(cursors, snapshot)
+    yield from iterator.seek(begin)
+    out = []
+    while limit is None or len(out) < limit:
+        pair = yield from iterator.next_user()
+        if pair is None:
+            break
+        out.append(pair)
+    return out, iterator.entries_scanned
+
+
 _KEY_IDS = st.integers(0, 24)
 _BOUND = st.none() | _KEY_IDS.map(key)
+_SOURCES = st.integers(0, 3)
 
 
 class TestCollectMatchesPerEntryMerge:
     @staticmethod
-    def build_cursors(writes, env, cache):
+    def build_cursors(writes, env, cache, plain=(), block_target=48, ties=1,
+                      bands=1):
         """Sources 0-1: memtables; 2: one multi-block SSTable; 3: a level of
-        two files.  ``writes[n] = (source, key id, is_delete)`` has seq n+1."""
-        by_source = {0: [], 1: [], 2: [], 3: []}
-        for seq, (source, key_id, is_delete) in enumerate(writes, start=1):
-            by_source[source].append(
-                (key(key_id), seq, VTYPE_DELETE if is_delete else VTYPE_VALUE,
-                 b"s%d-%d" % (source, seq))
+        two files.  ``writes[n] = (source, key id, is_delete)`` has seq
+        ``n // ties + 1`` (``ties=2``: neighbours share a seq, so two sources
+        can hold the same internal key).  A source in ``plain`` keeps one
+        version per key and no delete.  ``bands`` folds the key ids into that
+        many disjoint ranges shared by 4 / bands sources each (4: every source
+        has its own, so runs are long; 1: all interleave).  Returns the
+        cursors and the two memtables."""
+        by_source = {0: {}, 1: {}, 2: {}, 3: {}}
+        width = 24 // bands
+        for n, (source, key_id, is_delete) in enumerate(writes):
+            seq = n // ties + 1
+            key_id = source * bands // 4 * width + key_id % width
+            entries = by_source[source]
+            if source in plain:
+                if any(k == key(key_id) for k, _ in entries):
+                    continue
+                is_delete = False
+            entries.setdefault(
+                (key(key_id), seq),
+                (VTYPE_DELETE if is_delete else VTYPE_VALUE,
+                 b"s%d-%d" % (source, n)),
             )
-        cursors = []
+        by_source = {
+            source: [(k, seq, vtype, value) for (k, seq), (vtype, value)
+                     in sorted(entries.items(), key=lambda e: (e[0][0], -e[0][1]))]
+            for source, entries in by_source.items()
+        }
+        cursors, memtables = [], []
         for source in (0, 1):
             memtable = MemTable()
             for k, seq, vtype, value in by_source[source]:
                 memtable.add(seq, vtype, k, value)
+            memtables.append(memtable)
             cursors.append(MemTableCursor(memtable))
 
         def table(number, entries):
-            builder = SSTableBuilder(number, block_target=48)  # 1-2 per block
-            for k, seq, vtype, value in sorted(
-                entries, key=lambda e: (e[0], -e[1])
-            ):
+            builder = SSTableBuilder(number, block_target=block_target)
+            for k, seq, vtype, value in entries:
                 builder.add(k, seq, vtype, value)
             return builder.finish()
 
@@ -303,34 +379,113 @@ class TestCollectMatchesPerEntryMerge:
             for n, half in enumerate(halves) if half
         ]
         cursors.append(LevelCursor(files, cache, env.device))
-        return cursors
+        return cursors, memtables
 
     @given(
-        writes=st.lists(
-            st.tuples(st.integers(0, 3), _KEY_IDS, st.booleans()), max_size=80
-        ),
+        writes=st.lists(st.tuples(_SOURCES, _KEY_IDS, st.booleans()), max_size=80),
         begin=_BOUND,
         end=_BOUND,
         limit=st.none() | st.integers(0, 30),
         snapshot=st.integers(0, 80) | st.just(MAX_SEQ),
+        plain=st.sets(_SOURCES),
+        block_target=st.sampled_from((48, 200, 4096)),
+        ties=st.sampled_from((1, 1, 2)),
+        bands=st.sampled_from((1, 2, 4)),
+        split=st.integers(0, 10),
+        late=st.lists(st.tuples(st.integers(0, 1), _KEY_IDS, st.booleans()), max_size=4),
+        late_at=st.integers(0, 6),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
+    # (a) a tombstone past ``end`` does not end the scan, so the shadowed first
+    # entry of the next plain run lies past ``end`` (alone, and followed).
+    @example(writes=[(2, 1, False), (0, 1, True)], begin=None, end=key(0),
+             limit=None, snapshot=MAX_SEQ, plain={2}, block_target=4096, ties=1,
+             bands=1, split=0, late=[], late_at=0)
+    @example(writes=[(2, 1, False), (0, 1, True), (2, 2, False), (2, 3, False)],
+             begin=None, end=key(0), limit=None, snapshot=MAX_SEQ, plain={2},
+             block_target=4096, ties=1, bands=1, split=0, late=[], late_at=0)
+    # (b) a run ending exactly at a block edge (two entries a block) with the
+    # limit reached on its last pair: the next block is still loaded.
+    @example(writes=[(2, 0, False), (2, 1, False), (2, 2, False), (2, 3, False)],
+             begin=None, end=None, limit=2, snapshot=MAX_SEQ, plain={2},
+             block_target=48, ties=1, bands=1, split=1, late=[], late_at=0)
+    # (c) an internal-key tie across two sources, the later source first in
+    # key order: its run must stop before the tie, not at it.
+    @example(writes=[(3, 4, False), (0, 20, False), (3, 5, False), (2, 5, False)],
+             begin=None, end=None, limit=None, snapshot=MAX_SEQ, plain={2, 3},
+             block_target=4096, ties=2, bands=1, split=1, late=[], late_at=0)
+    # (d) a memtable that grows (below, at and ahead of its cursor) while the
+    # scan is suspended on the second block load.
+    @example(writes=[(0, 3, False), (0, 9, False), (2, 1, False), (2, 2, False),
+                     (2, 5, False), (2, 6, False)],
+             begin=None, end=None, limit=None, snapshot=MAX_SEQ, plain={2},
+             block_target=48, ties=1, bands=1, split=2,
+             late=[(0, 0, False), (0, 3, False), (0, 7, False), (0, 9, True)],
+             late_at=1)
+    # (g) the runner-up is the heap's *second* child: after heapify the heap
+    # is [key 0 (source 0), key 9 (source 1), key 3 (source 2)].
+    @example(writes=[(0, 0, False), (0, 5, False), (1, 9, False), (2, 3, False)],
+             begin=None, end=None, limit=None, snapshot=MAX_SEQ, plain=set(),
+             block_target=4096, ties=1, bands=1, split=0, late=[], late_at=0)
+    # (e) a plain table newer than the snapshot must still be filtered, and
+    # (f) a run in one large block must stop at the room the limit leaves.
+    @example(writes=[(2, 0, False), (2, 1, False), (2, 2, False)], begin=None,
+             end=None, limit=None, snapshot=1, plain={2}, block_target=4096,
+             ties=1, bands=1, split=0, late=[], late_at=0)
+    @example(writes=[(2, 0, False), (2, 1, False), (2, 2, False), (2, 3, False),
+                     (2, 4, False)], begin=None, end=None, limit=3,
+             snapshot=MAX_SEQ, plain={2}, block_target=4096, ties=1, bands=1,
+             split=1, late=[], late_at=0)
     def test_same_pairs_charges_and_block_loads(
-        self, writes, begin, end, limit, snapshot
+        self, writes, begin, end, limit, snapshot, plain, block_target, ties,
+        bands, split, late, late_at,
     ):
+        merges = [oracle_merge, collect_merge, collect_twice(split)]
+        if end is None:
+            merges.append(next_user_merge)
         outcomes = []
-        for merge in (oracle_merge, collect_merge):
+        for merge in merges:
             env = make_env(n_cores=2)
             cache = RecordingCache()
-            cursors = self.build_cursors(writes, env, cache)
+            cursors, memtables = self.build_cursors(
+                writes, env, cache, plain, block_target, ties, bands
+            )
+
+            def grow(n, memtables=memtables):
+                if n == late_at:
+                    for m, (source, key_id, is_delete) in enumerate(late):
+                        memtables[source].add(
+                            len(writes) + 1 + m,
+                            VTYPE_DELETE if is_delete else VTYPE_VALUE,
+                            key(key_id), b"late%d" % m,
+                        )
+
+            cache.on_load = grow
             pairs, scanned = run_process(
                 env, merge(cursors, begin, snapshot, limit, end)
             )
             outcomes.append(
                 (pairs, scanned, cache.loads, env.device.io_count.get("read"),
-                 env.sim.now)
+                 env.sim.now, [cursor.current for cursor in cursors])
             )
-        assert outcomes[0] == outcomes[1]
+        for outcome in outcomes[1:]:
+            assert outcome == outcomes[0]
+
+    def test_the_strategy_reaches_both_paths(self):
+        """Sanity of the generator above: a plain source builds a plain table
+        (which a covering snapshot lets ``collect`` slice), a delete or a
+        second version does not."""
+        env = make_env(n_cores=2)
+        writes = [(2, 1, False), (2, 1, False), (3, 2, True), (3, 13, False)]
+        cursors, _ = self.build_cursors(writes, env, None, plain={2})
+        assert cursors[2].table.plain and cursors[2].table.max_seq == 1
+        cursors, _ = self.build_cursors(writes, env, None)
+        assert not cursors[2].table.plain
+        level = cursors[3]
+        run_process(env, level.seek(None))
+        assert not level.table.plain  # the file with the tombstone
+        run_process(env, level.seek(key(12)))
+        assert level.table.plain  # ... and the cursor follows the file
 
 
 class TestLevelCursor:
