@@ -3,7 +3,7 @@
 Two halves, one goal — keep the reproduction trustworthy:
 
 * :mod:`repro.analysis.lint` — static AST rules (``python -m
-  repro.tools.lint`` / ``make lint``) that reject nondeterminism at the
+  repro.tools.check --lint-only`` / ``make lint``) that reject nondeterminism at the
   source level: wall clocks, global RNGs, unordered-set iteration, unpaired
   lock acquire/release, condvar waits without a guard loop.
 * :mod:`repro.analysis.sanitizer` — runtime monitors wired into the sim
@@ -25,7 +25,6 @@ from repro.analysis.callgraph import Project, load_project
 from repro.analysis.flow import (
     FLOW_CHECKERS,
     FlowChecker,
-    analyze_paths,
     analyze_project,
     flow_rules,
     register_flow,
@@ -43,7 +42,6 @@ __all__ = [
     "RULES",
     "Sanitizer",
     "SanitizerError",
-    "analyze_paths",
     "analyze_project",
     "flow_rules",
     "install_sanitizer",

@@ -32,9 +32,9 @@ together; see docs/ANALYSIS.md.
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import FunctionInfo, Project, load_project
+from repro.analysis.callgraph import FunctionInfo, Project
 from repro.analysis.lint import (
     Diagnostic,
     GlobalRandomRule,
@@ -49,7 +49,6 @@ from repro.analysis.lint import (
 __all__ = [
     "FLOW_CHECKERS",
     "FlowChecker",
-    "analyze_paths",
     "analyze_project",
     "flow_rules",
     "register_flow",
@@ -1107,23 +1106,3 @@ def analyze_project(
             out.append(diagnostic)
     out.sort(key=lambda d: (d.path, d.line, d.col, d.rule, d.message))
     return out
-
-
-def analyze_paths(
-    paths: Iterable[str], checkers: Optional[Sequence[FlowChecker]] = None
-) -> List[Diagnostic]:
-    """Load ``paths`` into a project and run the flow checkers."""
-    return analyze_project(load_project(list(paths)), checkers)
-
-
-def analyze_source(
-    source: str,
-    module: str = "repro.engine.testmodule",
-    path: str = "<memory>",
-    checkers: Optional[Sequence[FlowChecker]] = None,
-) -> List[Diagnostic]:
-    """Analyze one in-memory module (unit-test convenience)."""
-    project = Project.from_modules(
-        [ModuleUnderLint(source, module, path)]
-    )
-    return analyze_project(project, checkers)

@@ -3,8 +3,8 @@
 The whole reproduction rests on the simulator being deterministic: one stray
 ``time.time()``, one module-level ``random.random()``, or one iteration over
 an unordered set that reaches a scheduling decision silently corrupts every
-figure.  ``python -m repro.tools.lint`` (or ``make lint``) runs every
-registered rule over ``src/`` and fails on any diagnostic.
+figure.  ``python -m repro.tools.check --lint-only`` (or ``make lint``) runs
+every registered rule over ``src/`` and fails on any diagnostic.
 
 Adding a rule is one class::
 

@@ -68,7 +68,7 @@ class _Partition:
 
 
 class _Request:
-    __slots__ = ("op", "key", "value", "begin", "count", "future", "submit_time")
+    __slots__ = ("op", "key", "value", "begin", "count", "future")
 
     def __init__(self, op, key=None, value=None, begin=None, count=0):
         self.op = op
@@ -77,7 +77,6 @@ class _Request:
         self.begin = begin
         self.count = count
         self.future = None
-        self.submit_time = 0.0
 
 
 class KVellLike:
@@ -123,7 +122,6 @@ class KVellLike:
     def _submit(self, ctx, request: _Request, worker_id: int) -> Generator:
         yield self.env.cpu.exec(ctx, SUBMIT_COST, "submit")
         request.future = self.env.sim.event()
-        request.submit_time = self.env.sim.now
         self.queues[worker_id].put(request)
         result = yield request.future
         return result

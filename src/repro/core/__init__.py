@@ -13,7 +13,7 @@ from repro.core.adapters import EngineAdapter, adapter_factory, open_lsm_adapter
 from repro.core.framework import P2KVS
 from repro.core.obm import DEFAULT_BATCH_CAP, collect_batch
 from repro.core.requests import Request
-from repro.core.router import HashRouter, PrefixRouter, RangeRouter
+from repro.core.router import HashRouter, RangeRouter
 from repro.core.txn import GsnManager, TransactionLog
 from repro.core.worker import Worker
 
@@ -23,7 +23,6 @@ __all__ = [
     "GsnManager",
     "HashRouter",
     "P2KVS",
-    "PrefixRouter",
     "RangeRouter",
     "Request",
     "TransactionLog",

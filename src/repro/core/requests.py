@@ -68,7 +68,6 @@ class Request:
         "snapshot_isolated",
         "future",
         "callback",
-        "submit_time",
         "trace",
         "trace_queue",
         "perf",
@@ -103,7 +102,6 @@ class Request:
         self.snapshot_isolated = snapshot_isolated
         self.future = None  # Event, attached at submit time
         self.callback = callback
-        self.submit_time = 0.0
         self.trace = None  # end-to-end request span, when tracing
         self.trace_queue = None  # queue-residency span, when tracing
         self.perf = None  # PerfContext, when env.metrics.perf_enabled

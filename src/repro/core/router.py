@@ -15,7 +15,7 @@ from typing import List
 
 from repro.storage.bloom import fnv1a
 
-__all__ = ["HashRouter", "PrefixRouter", "RangeRouter"]
+__all__ = ["HashRouter", "RangeRouter"]
 
 #: bound on the hash router's memo.  It sits above the read benchmarks' key space
 #: (24 000), and a dict of 21 846 to 43 690 entries has one table size (1.31 MB):
@@ -48,64 +48,6 @@ class HashRouter:
         h = fnv1a(key)
         return {"router": "hash", "hash": h, "worker": h % self.n_workers}
 
-    def histogram(self, keys) -> List[int]:
-        """Requests per worker for a key stream (used by skew analyses)."""
-        counts = [0] * self.n_workers
-        for key in keys:
-            counts[self.route(key)] += 1
-        return counts
-
-
-class PrefixRouter:
-    """Semantic placement: route by key prefix (column/table semantics).
-
-    The paper contrasts p2KVS's semantics-free hash sharding with database
-    practice, where "specific interface semantics (e.g., column) ... are
-    used to determine the instances where key-value pairs are placed"
-    (Section 6).  This router implements that practice for comparison: keys
-    whose prefix (up to the first ``separator``) matches a configured
-    column go to that column's worker; unmatched keys fall back to a hash
-    over the remaining workers.
-    """
-
-    def __init__(self, columns: dict, n_workers: int, separator: bytes = b":"):
-        if not columns:
-            raise ValueError("need at least one column mapping")
-        if any(w >= n_workers for w in columns.values()):
-            raise ValueError("column mapped to nonexistent worker")
-        self.columns = dict(columns)
-        self.n_workers = n_workers
-        self.separator = separator
-        self._fallback = [
-            w for w in range(n_workers) if w not in set(columns.values())
-        ] or list(range(n_workers))
-
-    def column_of(self, key: bytes) -> bytes:
-        head, sep, _ = key.partition(self.separator)
-        return head if sep else b""
-
-    def route(self, key: bytes) -> int:
-        worker = self.columns.get(self.column_of(key))
-        if worker is not None:
-            return worker
-        return self._fallback[fnv1a(key) % len(self._fallback)]
-
-    def explain(self, key: bytes) -> dict:
-        column = self.column_of(key)
-        matched = column in self.columns
-        return {
-            "router": "prefix",
-            "column": column.decode("latin-1"),
-            "matched": matched,
-            "worker": self.route(key),
-        }
-
-    def histogram(self, keys) -> List[int]:
-        counts = [0] * self.n_workers
-        for key in keys:
-            counts[self.route(key)] += 1
-        return counts
-
 
 class RangeRouter:
     """Static key-range partitioning over sorted boundary keys.
@@ -127,9 +69,3 @@ class RangeRouter:
 
     def explain(self, key: bytes) -> dict:
         return {"router": "range", "worker": self.route(key)}
-
-    def histogram(self, keys) -> List[int]:
-        counts = [0] * self.n_workers
-        for key in keys:
-            counts[self.route(key)] += 1
-        return counts

@@ -85,9 +85,8 @@ class Worker:
 
     def submit(self, request: Request) -> None:
         sim = self.env.sim
-        request.submit_time = sim._now
         tracer = sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             # Residency spans overlap (many requests sit queued at once), so
             # each gets an async span on the queue's track.
             request.trace_queue = tracer.async_begin(
@@ -124,11 +123,7 @@ class Worker:
             yield cpu.exec(ctx, DISPATCH_COST, "dispatch")
             if obm_enabled:
                 batch = collect_batch(
-                    request,
-                    queue,
-                    obm_cap,
-                    tracer=tracer if tracer.enabled else None,
-                    track=ctx.track,
+                    request, queue, obm_cap, tracer=tracer, track=ctx.track
                 )
             else:
                 batch = [request]
@@ -147,7 +142,7 @@ class Worker:
             else:
                 batch_perf = None
             span = None
-            if tracer.enabled:
+            if tracer is not None:
                 for r in batch:
                     if r.trace_queue is not None:
                         r.trace_queue.finish()
@@ -193,7 +188,7 @@ class Worker:
                 if self.ctx.perf is not None:
                     self.ctx.perf.add("request_retries")
                 tracer = self.env.sim.tracer
-                if tracer.enabled:
+                if tracer is not None:
                     tracer.instant(
                         "retry:%s" % batch[0].op,
                         "worker",
@@ -217,7 +212,7 @@ class Worker:
             if self.ctx.perf is not None:
                 self.ctx.perf.add("poisoned_requests", poisoned)
             tracer = self.env.sim.tracer
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.instant(
                     "poisoned:%s" % batch[0].op,
                     "worker",

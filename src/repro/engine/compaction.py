@@ -51,10 +51,6 @@ class Compaction:
     def input_bytes(self) -> int:
         return sum(f.file_size for f in self.all_inputs)
 
-    @property
-    def input_entries(self) -> int:
-        return sum(f.entry_count for f in self.all_inputs)
-
 
 def pick_compaction(engine) -> Optional[Compaction]:
     """Choose the most urgent compaction, or None if the tree is in shape."""
@@ -64,7 +60,7 @@ def pick_compaction(engine) -> Optional[Compaction]:
         compaction = _pick_leveled(engine)
     if compaction is not None:
         tracer = engine.env.sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.instant(
                 "compaction:pick",
                 "compaction",

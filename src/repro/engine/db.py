@@ -43,12 +43,6 @@ __all__ = ["LSMEngine"]
 RecordFilter = Callable[[int, int], bool]  # (rtype, gsn) -> keep?
 
 
-def _name_seed(name: str) -> int:
-    import zlib
-
-    return zlib.crc32(name.encode()) & 0xFFFF
-
-
 #: monotonic engine-instance counter: sanitizer access keys must be unique
 #: per *instance*, not per name — after a simulated crash the re-opened
 #: engine shares its name with the dead one, but its state is new, so its
@@ -75,9 +69,7 @@ class LSMEngine:
         #: without which a snapshot could observe half of a WriteBatch.
         self.visible_seq = 0
         self._publish_pending: List[Tuple[int, int]] = []
-        self.memtable = MemTable(
-            seed=_name_seed(name), sim=env.sim, track="memtable:%s" % name
-        )
+        self.memtable = MemTable(sim=env.sim, track="memtable:%s" % name)
         self.immutables: List[Tuple[MemTable, int]] = []  # (memtable, min WAL)
         self.log_file_number = 0
         #: oldest WAL that may hold entries of the *active* memtable.  Under
@@ -444,9 +436,7 @@ class LSMEngine:
         # entries (not merely the segment active right now).
         self.immutables.append((self.memtable, self.memtable_min_log))
         self.memtable = MemTable(
-            seed=self.versions.next_file_number & 0xFFFF,
-            sim=self.env.sim,
-            track="memtable:%s" % self.name,
+            sim=self.env.sim, track="memtable:%s" % self.name
         )
         self._new_wal()
         self.flush_cond.notify_all()
@@ -823,7 +813,7 @@ class LSMEngine:
                     "bytes": memtable.approximate_size,
                 },
             )
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         number = self.versions.new_file_number()
@@ -923,7 +913,7 @@ class LSMEngine:
                     "input_bytes": compaction.input_bytes,
                 },
             )
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         for meta in compaction.all_inputs:
@@ -1042,7 +1032,3 @@ class LSMEngine:
             for meta in version.level_files(level):
                 total += meta.table.bloom.nbytes + len(meta.table.blocks) * 24
         return total
-
-    def num_level_files(self) -> List[int]:
-        version = self.versions.current
-        return [len(version.level_files(i)) for i in range(version.num_levels())]

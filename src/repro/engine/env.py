@@ -64,9 +64,7 @@ def make_env(
     (a page cache that holds the whole scaled dataset by default — shrink
     ``page_cache_bytes`` for cold-cache experiments) and an Optane 905p."""
     sim = Simulator()
-    cpu = CPUSet(
-        sim, n_cores, migration_overhead=migration_overhead, series_bin=series_bin
-    )
+    cpu = CPUSet(sim, n_cores, migration_overhead=migration_overhead)
     device = StorageDevice(sim, device_spec or OPTANE_905P, series_bin=series_bin)
     disk = DiskImage(sim, device, page_cache_bytes=page_cache_bytes)
     env = Env(sim=sim, cpu=cpu, device=device, disk=disk)

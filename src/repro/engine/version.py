@@ -66,13 +66,6 @@ class Version:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    def max_populated_level(self) -> int:
-        top = 0
-        for i, files in enumerate(self.levels):
-            if files:
-                top = i
-        return top
-
     def overlapping(
         self, level: int, begin: Optional[bytes], end: Optional[bytes]
     ) -> List[FileMeta]:

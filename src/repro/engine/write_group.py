@@ -144,7 +144,7 @@ class WriteGroupCoordinator:
                 writer.ctx.track,
                 args={"group": len(group.members)},
             )
-            if tracer.enabled
+            if tracer is not None
             else None
         )
         yield from self._insert_batch(writer, len(group.members))
@@ -204,7 +204,7 @@ class WriteGroupCoordinator:
         tracer = self.sim.tracer
         lead_span = (
             tracer.begin("wg:lead", "write_group", ctx.track)
-            if tracer.enabled
+            if tracer is not None
             else None
         )
 

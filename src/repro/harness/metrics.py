@@ -14,8 +14,7 @@ the sim-time sampler consume.
 Windowing contract: at most one collector may be *measuring* an env at a
 time (overlapping windows would double-count cumulative deltas).  Use
 :func:`scoped_collector` to guarantee the slot is released even when a run
-raises, or :meth:`MetricsCollector.reset` to reuse/abandon a collector
-explicitly.
+raises; :meth:`MetricsCollector.release` gives the slot up explicitly.
 """
 
 from contextlib import contextmanager
@@ -114,8 +113,8 @@ class MetricsCollector:
     windows — e.g. compaction bytes trailing from a preload phase would be
     double-counted into both results.  Sequential windows (preload collector
     finished, then a measured collector) are fine.  :meth:`start` asserts
-    this contract; :meth:`reset` releases the slot and clears accumulated
-    state, and :func:`scoped_collector` wraps both in a context manager.
+    this contract; :meth:`release` gives the slot up, and
+    :func:`scoped_collector` does so on every exit from its ``with`` block.
     """
 
     def __init__(self, env, system_name: str):
@@ -151,7 +150,7 @@ class MetricsCollector:
         assert active is None or active is self, (
             "env already has an active MetricsCollector (%r); overlapping "
             "windows double-count cumulative deltas — finish it, or use "
-            "reset()/scoped_collector() to release the slot"
+            "release()/scoped_collector() to release the slot"
             % (active.system_name,)
         )
         self.env._active_collector = self
@@ -160,35 +159,18 @@ class MetricsCollector:
         self._kind0 = self._provider("device.bytes_by_kind")
         self._cpu0 = self._gauge("cpu.busy_seconds_total")
         self._cpu_kind0 = self._provider("cpu.busy_by_kind")
-        self._core0 = [t.busy_time for t in self.env.cpu.trackers]
+        self._core0 = list(self.env.cpu.core_busy_time)
         self._rw0 = (
             self._gauge("device.read_bytes_total"),
             self._gauge("device.write_bytes_total"),
         )
         tracer = self.env.sim.tracer
-        self._rows0 = len(tracer.rows) if tracer.enabled else 0
+        self._rows0 = len(tracer.rows) if tracer is not None else 0
 
     def release(self) -> None:
         """Give up the env's measuring slot if this collector holds it."""
         if getattr(self.env, "_active_collector", None) is self:
             self.env._active_collector = None
-
-    def reset(self) -> None:
-        """Release the measuring slot and drop all accumulated state, so
-        this collector can :meth:`start` a fresh window (or be abandoned
-        without wedging the env for the next collector)."""
-        self.release()
-        self.latency = {}
-        self.errors = {}
-        self._t0 = None
-        self._dev0 = {}
-        self._cpu0 = 0.0
-        self._cpu_kind0 = {}
-        self._kind0 = {}
-        self._rw0 = (0.0, 0.0)
-        self._core0 = []
-        self._rows0 = 0
-        self.memory_peak = 0
 
     def record_latency(self, verb_class: str, seconds: float) -> None:
         hist = self.latency.get(verb_class)
@@ -237,8 +219,8 @@ class MetricsCollector:
             cpu_busy=self._gauge("cpu.busy_seconds_total") - self._cpu0,
             cpu_busy_by_kind=busy_by_kind,
             per_core_util=[
-                (tracker.busy_time - before) / max(elapsed, 1e-12)
-                for tracker, before in zip(env.cpu.trackers, self._core0)
+                (busy - before) / max(elapsed, 1e-12)
+                for busy, before in zip(env.cpu.core_busy_time, self._core0)
             ],
             memory_bytes=max(memory_bytes, self.memory_peak),
             n_cores=env.cpu.n_cores,
@@ -249,7 +231,7 @@ class MetricsCollector:
             # runs predating the fault plane.
             metrics.extra["errors"] = dict(sorted(self.errors.items()))
         tracer = env.sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             # Span-derived Figure 6 breakdown over the measured window, for
             # the foreground path (user + worker threads; background flush /
             # compaction threads are outside the per-request attribution).

@@ -16,7 +16,6 @@ __all__ = [
     "format_qps",
     "format_stall_timeline",
     "format_table",
-    "print_section",
 ]
 
 
@@ -168,13 +167,6 @@ def format_stall_timeline(
     return "\n".join(lines)
 
 
-def print_section(title: str) -> None:
-    print()
-    print("=" * 72)
-    print(title)
-    print("=" * 72)
-
-
 @dataclass
 class ShapeCheck:
     """One qualitative claim from the paper, checked against the simulation."""
@@ -204,13 +196,3 @@ class ShapeCheck:
             bound,
             "OK" if self.ok else "MISS",
         ]
-
-
-def print_shape_checks(checks: Sequence[ShapeCheck]) -> None:
-    print()
-    print(
-        format_table(
-            ["shape check", "paper", "measured", "accept band", "verdict"],
-            [c.row() for c in checks],
-        )
-    )

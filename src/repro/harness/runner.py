@@ -322,7 +322,7 @@ def run_closed_loop(
                 tracer.begin(
                     "request:%s" % op[0], "request", ctx.track, args={"op": op[0]}
                 )
-                if tracer.enabled and harness_spans
+                if tracer is not None and harness_spans
                 else None
             )
             try:

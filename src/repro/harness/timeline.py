@@ -1,14 +1,14 @@
-"""ASCII rendering of time series (bandwidth/CPU over time).
+"""ASCII rendering of time series (bandwidth over time).
 
-The paper's Figures 4, 5b and 21a are over-time plots; the device and CPU
-models record per-bin series, and this module renders them as terminal
-sparkline charts so benches and examples can show the *dynamics* (periodic
-flushes, compaction bursts) and not just averages.
+The paper's Figures 4, 5b and 21a are over-time plots; the device model
+records per-bin series (``StorageDevice.bandwidth_series``), and this module
+renders them as terminal sparkline charts so benches and examples can show
+the *dynamics* (periodic flushes, compaction bursts) and not just averages.
 """
 
 from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["render_series", "render_stacked", "sparkline"]
+__all__ = ["render_stacked", "sparkline"]
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
@@ -41,24 +41,6 @@ def _resample(points: Sequence[Tuple[float, float]], width: int) -> List[float]:
         sums[bucket] += rate
         counts[bucket] += 1
     return [sums[i] / counts[i] if counts[i] else 0.0 for i in range(width)]
-
-
-def render_series(
-    points: Sequence[Tuple[float, float]],
-    label: str,
-    width: int = 60,
-    unit_scale: float = 1e6,
-    unit: str = "MB/s",
-) -> str:
-    """Render one (time, rate) series as a labeled sparkline with its peak."""
-    values = _resample(points, width)
-    peak = max(values) if values else 0.0
-    return "%-12s %s  peak %.1f %s" % (
-        label,
-        sparkline(values),
-        peak / unit_scale,
-        unit,
-    )
 
 
 def render_stacked(

@@ -8,12 +8,7 @@ docs/MONITOR.md for the rule catalogue and a worked walkthrough, and
 ``python -m repro.tools.monitor`` for the CLI.
 """
 
-from repro.monitor.monitor import (
-    DEFAULT_WINDOW,
-    HealthMonitor,
-    Incident,
-    install_monitor,
-)
+from repro.monitor.monitor import DEFAULT_WINDOW, HealthMonitor, Incident
 from repro.monitor.rules import (
     BurnRate,
     QueueSaturation,
@@ -47,7 +42,6 @@ __all__ = [
     "attach_service_monitor",
     "attach_store_monitor",
     "ground_truth_from_env",
-    "install_monitor",
     "render_narrative",
     "score_detection",
     "write_detection_report",

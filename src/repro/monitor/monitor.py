@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 from repro.monitor.windows import DEFAULT_RETENTION, SeriesTap, WindowStore
 from repro.perf import zones as _perf_zones
 
-__all__ = ["DEFAULT_WINDOW", "HealthMonitor", "Incident", "install_monitor"]
+__all__ = ["DEFAULT_WINDOW", "HealthMonitor", "Incident"]
 
 #: 100 us of virtual time — small enough that the pinned scenarios span
 #: dozens of windows, large enough that every healthy window shows progress.
@@ -227,8 +227,3 @@ class HealthMonitor:
             "incidents": [incident.as_dict() for incident in self.incidents],
             "alerts": self.alert_counts(),
         }
-
-
-def install_monitor(env, window: float = DEFAULT_WINDOW, **kwargs) -> HealthMonitor:
-    """Build a bare monitor (no series/rules) for one env."""
-    return HealthMonitor(env, window=window, **kwargs)

@@ -25,11 +25,7 @@ sort key).  Profiler-attached runs are byte-identical to unprofiled runs —
 asserted in ``tests/test_perf.py`` across reruns and ``--schedule-seed``.
 """
 
-from repro.perf.report import (
-    coverage,
-    format_zone_tree,
-    zone_tree,
-)
+from repro.perf.report import format_zone_tree, zone_tree
 from repro.perf.sampling import StackSampler
 from repro.perf.zones import (
     PROFILER,
@@ -44,7 +40,6 @@ __all__ = [
     "StackSampler",
     "ZoneProfiler",
     "attach",
-    "coverage",
     "format_zone_tree",
     "install",
     "uninstall",

@@ -18,12 +18,7 @@ inside at least one zone; the gap to the profiler's wall window prints as
 
 from typing import Dict, List
 
-__all__ = ["coverage", "format_zone_tree", "zone_tree"]
-
-
-def coverage(snapshot: dict) -> float:
-    """Fraction of the wall window attributed to zones, in [0, 1]."""
-    return snapshot.get("coverage", 0.0)
+__all__ = ["format_zone_tree", "zone_tree"]
 
 
 def zone_tree(snapshot: dict) -> dict:

@@ -54,13 +54,6 @@ class StackSampler:
         sys.setprofile(self._prev_hook)
         self._prev_hook = None
 
-    def __enter__(self) -> "StackSampler":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
     # -- hook ------------------------------------------------------------
 
     def _hook(self, frame, event: str, arg) -> None:

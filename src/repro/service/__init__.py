@@ -16,11 +16,7 @@ from repro.service.load import (
     preload_plane,
     run_service_load,
 )
-from repro.service.partition import (
-    HashPartitioner,
-    RangePartitioner,
-    uniform_boundaries,
-)
+from repro.service.partition import HashPartitioner
 from repro.service.plane import ServicePlane
 from repro.service.router import ServiceRouter
 from repro.service.scenarios import SCENARIOS, build_scenario, scenario_names
@@ -32,7 +28,6 @@ __all__ = [
     "HashPartitioner",
     "PartitionDirectory",
     "PoissonArrivals",
-    "RangePartitioner",
     "ServicePlane",
     "ServiceRouter",
     "ShardLane",
@@ -43,6 +38,5 @@ __all__ = [
     "render_slo_csv",
     "run_service_load",
     "scenario_names",
-    "uniform_boundaries",
     "write_report",
 ]

@@ -57,7 +57,6 @@ class ServicePlane:
         env,
         n_shards: int = 4,
         n_partitions: int = 32,
-        partitioner=None,
         queue_cap: int = 48,
         n_dispatchers: int = 4,
         key_space: int = 0,
@@ -67,8 +66,8 @@ class ServicePlane:
         self.env = env
         self.n_shards = n_shards
         self.key_space = key_space
-        self.partitioner = partitioner or HashPartitioner(n_partitions)
-        self.directory = PartitionDirectory(self.partitioner.n_partitions, n_shards)
+        self.partitioner = HashPartitioner(n_partitions)
+        self.directory = PartitionDirectory(n_partitions, n_shards)
         self.router = ServiceRouter(self.partitioner, self.directory)
         self.counters = env.metrics.group("service", fresh=True)
         self._latency: Dict[str, object] = {}
@@ -235,38 +234,6 @@ class ServicePlane:
             shard_load[target] += partition_load[partition]
             moves.append((partition, source, target))
         return moves
-
-    # -- health --------------------------------------------------------------
-
-    def health_snapshot(self) -> dict:
-        """Point-in-time per-shard and plane-level health rollup.
-
-        Pure registry/lane reads — safe at any instant, including after the
-        sim has stopped.  This is what the monitor's service attachment and
-        the serve report's ``health`` block are built from.
-        """
-        shards = []
-        for lane in self.lanes:
-            shards.append(
-                {
-                    "shard": lane.shard_id,
-                    "queue_depth": lane.queued,
-                    "max_queue_depth": lane.max_depth,
-                    "outstanding": lane.outstanding,
-                    "admitted": lane.counters.get("admitted"),
-                    "completed": lane.counters.get("completed"),
-                    "shed": lane.counters.get("shed"),
-                    "errors": lane.counters.get("errors"),
-                }
-            )
-        totals = {
-            key: sum(s[key] for s in shards)
-            for key in ("admitted", "completed", "shed", "errors", "outstanding")
-        }
-        totals["offered"] = self.counters.get("offered")
-        totals["partitions_moved"] = self.counters.get("partitions_moved")
-        totals["migrating_partitions"] = len(self._migrating)
-        return {"shards": shards, "totals": totals}
 
     # -- lifecycle -----------------------------------------------------------
 

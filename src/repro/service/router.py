@@ -12,7 +12,7 @@ Routing is a pure lookup (no simulated time, no RNG): the deterministic
 partition function plus a list index into the directory.
 """
 
-from typing import List, Tuple
+from typing import Tuple
 
 __all__ = ["ServiceRouter"]
 
@@ -43,10 +43,3 @@ class ServiceRouter:
         detail["shard"] = self.directory.shard_of(detail["partition"])
         detail["directory_version"] = self.directory.version
         return detail
-
-    def shard_histogram(self, keys) -> List[int]:
-        """Requests per shard for a key stream, under current placement."""
-        counts = [0] * self.directory.n_shards
-        for key in keys:
-            counts[self.shard_of(key)] += 1
-        return counts

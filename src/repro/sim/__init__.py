@@ -31,8 +31,8 @@ from repro.sim.device import (
     DeviceSpec,
     StorageDevice,
 )
-from repro.sim.queues import FIFOQueue, PriorityQueue, QueueEmpty
-from repro.sim.stats import TimeSeries, UtilizationTracker
+from repro.sim.queues import FIFOQueue, QueueEmpty
+from repro.sim.stats import TimeSeries
 from repro.sim.sync import Barrier, Condition, Lock, Semaphore
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "HDD_WD100EFAX",
     "Lock",
     "OPTANE_905P",
-    "PriorityQueue",
     "Process",
     "QueueEmpty",
     "SATA_860PRO",
@@ -58,5 +57,4 @@ __all__ = [
     "ThreadContext",
     "TimeSeries",
     "Timeout",
-    "UtilizationTracker",
 ]

@@ -27,10 +27,9 @@ semantics allow:
 Hook contract (``sim.tracer``, ``sim.monitor``, ``sim.edgelog``,
 ``repro.perf.zones.PROFILER``; holds for all of ``repro.sim``): one branch
 per probe site when off, same path when on.  A probe site is
-``if hook is not None: hook.probe(...)`` (``tracer.enabled`` for the
-tracer) inside the one code path every run takes; an installed observer
-adds its call and changes nothing else, so the accounting a run does never
-depends on who is watching.
+``if hook is not None: hook.probe(...)`` inside the one code path every run
+takes; an installed observer adds its call and changes nothing else, so the
+accounting a run does never depends on who is watching.
 
 Ordering contract: all fast paths preserve the heap ordering key.  The only
 tolerated difference vs. the historical kernel is *within* a single sim-time
@@ -68,7 +67,6 @@ from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.perf import zones as _perf_zones
-from repro.trace.tracer import NULL_TRACER
 
 # lint: disable-file=unlabeled-wakeup -- the kernel defines succeed() and
 # annotates its own wakeups (timeouts, joins, process completion) inline.
@@ -491,9 +489,8 @@ class Simulator:
         self._heap: List = []
         self._seq = 0  # tie-break so heap order is FIFO and deterministic
         self._pending_error: Optional[BaseException] = None
-        #: span recorder; the no-op default costs one branch per probe site
-        #: and never advances simulated time (see repro.trace).
-        self.tracer = NULL_TRACER
+        #: span recorder (see repro.trace); None = zero overhead.
+        self.tracer = None
         #: analysis hook (see repro.analysis.sanitizer); None = zero overhead.
         self.monitor = None
         #: wakeup-edge recorder (see repro.critpath); None = zero overhead.

@@ -14,13 +14,15 @@ measures.
 
 Per-thread accounting of busy and wait time by category feeds the latency
 breakdown of Figure 6 (WAL / MemTable / WAL lock / MemTable lock / Others).
+Per-core busy seconds (``core_busy_time``) feed the window-average CPU
+utilization of Figures 4, 5a and 21b; CPU *over time* is the opt-in sampler's
+``cpu.busy_cores`` gauge (:mod:`repro.metrics.sampler`), not recorded here.
 """
 
 from collections import defaultdict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.sim.core import Event, SimError, Simulator
-from repro.sim.stats import UtilizationTracker
 from repro.sim.wakeup import annotated
 from repro.trace.tracer import thread_track
 
@@ -75,7 +77,7 @@ class ThreadContext:
             self.perf.add_wait(category, dt)
         if self.sim is not None and dt > 0:
             tracer = self.sim.tracer
-            if tracer.enabled:
+            if tracer is not None:
                 now = self.sim.now
                 tracer.complete(category, "wait", self.track, now - dt, now)
 
@@ -95,19 +97,15 @@ class CPUSet:
         sim: Simulator,
         n_cores: int,
         migration_overhead: float = 1.5e-6,
-        series_bin: Optional[float] = None,
     ):
         if n_cores < 1:
             raise SimError("need at least one core")
         self.sim = sim
         self.n_cores = n_cores
         self.migration_overhead = migration_overhead
-        self.trackers: List[UtilizationTracker] = [
-            UtilizationTracker(series_bin) for _ in range(n_cores)
-        ]
-        # busy_kind[c] tracks which thread kind currently occupies core c so
-        # utilization can be split into user/worker/background time.
-        self.busy_until: List[float] = [0.0] * n_cores
+        #: seconds each core has spent occupied; the measured window's
+        #: per-core utilization (repro.harness.metrics) is a delta of these.
+        self.core_busy_time: List[float] = [0.0] * n_cores
         self._busy: List[bool] = [False] * n_cores
         self._pinned_waiting: List[Deque[Tuple]] = [deque() for _ in range(n_cores)]
         self._global_waiting: Deque[Tuple] = deque()
@@ -219,9 +217,9 @@ class CPUSet:
         core, ctx, started, duration, category, ev, queued_at, initiator = item
         sim = self.sim
         end = sim._now
-        self.trackers[core].mark_busy(started, end)
+        self.core_busy_time[core] += end - started
         tracer = sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             # Core-occupancy view: one row per core, labelled by the burst.
             tracer.complete(
                 category,
@@ -238,7 +236,7 @@ class CPUSet:
         perf = ctx.perf
         if perf is not None:
             perf.cpu_busy_seconds += duration
-        if duration > 0 and tracer.enabled:
+        if duration > 0 and tracer is not None:
             tracer.complete(category, "busy", ctx.track, end - duration, end)
         self.busy_by_kind[ctx.kind] += duration
         self._busy[core] = False
@@ -255,17 +253,8 @@ class CPUSet:
     # -- metrics -------------------------------------------------------------
 
     def total_busy_time(self) -> float:
-        return sum(t.busy_time for t in self.trackers)
+        return sum(self.core_busy_time)
 
     def busy_cores(self) -> int:
         """Cores occupied right now (the sampler's CPU gauge)."""
         return sum(1 for busy in self._busy if busy)
-
-    def utilization(self, elapsed: float) -> float:
-        """Aggregate utilization across cores, in [0, n_cores]."""
-        if elapsed <= 0:
-            return 0.0
-        return self.total_busy_time() / elapsed
-
-    def per_core_utilization(self, elapsed: float) -> List[float]:
-        return [t.utilization(elapsed) for t in self.trackers]

@@ -239,7 +239,7 @@ class StorageDevice:
                 series.add(now, moved)
             self.io_count.add("%s:fault" % kind)
             tracer = sim.tracer
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.complete(
                     self._kc(kind, category),
                     "device",
@@ -265,7 +265,7 @@ class StorageDevice:
             series = self.bandwidth_series[category] = TimeSeries(self._series_bin)
         series.add(now, nbytes)
         tracer = sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.complete(
                 self._kc(kind, category),
                 "device",
@@ -300,18 +300,3 @@ class StorageDevice:
         if kind is None:
             return self.bytes_by_kind.get("read") + self.bytes_by_kind.get("write")
         return self.bytes_by_kind.get(kind)
-
-    def bandwidth_utilization(self, elapsed: float) -> float:
-        """Fraction of aggregate sequential bandwidth actually moved.
-
-        Uses the write bandwidth as the reference ceiling (the paper's
-        bandwidth-utilization plots are for write-dominated workloads).
-        """
-        if elapsed <= 0:
-            return 0.0
-        return self.total_bytes() / (self.spec.write_bandwidth * elapsed)
-
-    def channel_utilization(self, elapsed: float) -> float:
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_channel_time / (self.spec.channels * elapsed)

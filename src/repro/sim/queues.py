@@ -13,7 +13,7 @@ from typing import Any, Deque, Optional, Tuple
 from repro.sim.core import Event, Simulator
 from repro.sim.wakeup import wake
 
-__all__ = ["FIFOQueue", "PriorityQueue", "QueueEmpty"]
+__all__ = ["FIFOQueue", "QueueEmpty"]
 
 
 class QueueEmpty(Exception):
@@ -29,8 +29,7 @@ class FIFOQueue:
     """An unbounded FIFO queue of items with blocking get.
 
     Items put while a getter is waiting are handed directly to the getter
-    (FIFO among getters).  Tracks high-water mark and cumulative counts for
-    metrics.
+    (FIFO among getters).
     """
 
     def __init__(self, sim: Simulator, name: str = "queue"):
@@ -41,8 +40,6 @@ class FIFOQueue:
         self._resource = "queue:%s" % name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Tuple[Event, float]] = deque()
-        self.total_enqueued = 0
-        self.max_depth = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -61,15 +58,11 @@ class FIFOQueue:
         monitor = sim.monitor
         if monitor is not None:
             monitor.on_sync(self)
-        self.total_enqueued += 1
         if self._getters:
             ev, since = self._getters.popleft()
             wake(ev, item, resource=self._resource, queued_at=since)
             return
-        items = self._items
-        items.append(item)
-        if len(items) > self.max_depth:
-            self.max_depth = len(items)
+        self._items.append(item)
 
     def get(self) -> Event:
         """Return an event yielding the next item (blocks while empty)."""
@@ -104,71 +97,3 @@ class FIFOQueue:
         if not self._items:
             raise QueueEmpty(self.name)
         return self._items.popleft()
-
-
-class PriorityQueue:
-    """A priority queue of ``(priority, item)`` with blocking get.
-
-    Lower priority values pop first; equal priorities pop FIFO (a sequence
-    number breaks ties deterministically).  Useful for deadline- or
-    class-based worker scheduling experiments on top of the p2KVS queues.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "pqueue"):
-        import heapq
-
-        self._heapq = heapq
-        self.sim = sim
-        self.name = name
-        self._san_key = "queue:%s#%d" % (name, next(_instance_counter))
-        self._items: list = []
-        self._getters: Deque[Tuple[Event, float]] = deque()
-        self._seq = 0
-        self.total_enqueued = 0
-        self.max_depth = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def empty(self) -> bool:
-        return not self._items
-
-    def put(self, item: Any, priority: float = 0.0) -> None:
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_sync(self)
-        self.total_enqueued += 1
-        if self._getters:
-            ev, since = self._getters.popleft()
-            wake(ev, item, resource="queue:%s" % self.name, queued_at=since)
-            return
-        self._seq += 1
-        self._heapq.heappush(self._items, (priority, self._seq, item))
-        if len(self._items) > self.max_depth:
-            self.max_depth = len(self._items)
-
-    def get(self) -> Event:
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_sync(self)
-        ev = self.sim.event()
-        if self._items:
-            wake(ev, self._heapq.heappop(self._items)[2], resource="queue:%s" % self.name)
-        else:
-            self._getters.append((ev, self.sim.now))
-        return ev
-
-    def peek(self) -> Optional[Any]:
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_access(self._san_key, write=False, site="PriorityQueue.peek")
-        return self._items[0][2] if self._items else None
-
-    def try_pop(self) -> Any:
-        monitor = self.sim.monitor
-        if monitor is not None:
-            monitor.on_access(self._san_key, write=True, site="PriorityQueue.try_pop")
-        if not self._items:
-            raise QueueEmpty(self.name)
-        return self._heapq.heappop(self._items)[2]

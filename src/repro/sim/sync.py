@@ -113,10 +113,6 @@ class Semaphore:
         self._in_use = 0
         self._waiters: Deque[Tuple[Event, float]] = deque()
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
     def acquire(self) -> Event:
         ev = self.sim.event()
         monitor = self.sim.monitor

@@ -1,4 +1,4 @@
-"""Skiplist-backed MemTable.
+"""The MemTable: a multi-version sorted write buffer.
 
 The MemTable stores multi-versioned entries ``(key, seq, vtype, value)``
 ordered by ``(key asc, seq desc)`` — the same internal-key ordering LevelDB
@@ -9,11 +9,11 @@ and survive until compaction drops them at the bottom level.
 The paper's Figure 6 attributes ~2.9 us of each write to "inserting key-value
 pairs into MemTable, of which more than 90% is updating the skiplist index";
 the engine charges that cost from its cost model, while this module provides
-the *functional* skiplist (a real probabilistic skiplist, property-tested
-against a sorted-dict model).
+the *functional* ordered map as a bisect-maintained sorted array.  The
+skiplist it stands for lives in ``tests/test_memtable.py`` as the model
+:class:`MemTable` and :class:`MemTableCursor` are property-tested against.
 """
 
-import random
 from bisect import bisect_left
 from typing import Generator, Iterator, List, Optional, Tuple
 
@@ -22,8 +22,6 @@ from repro.perf import zones as _perf_zones
 __all__ = [
     "MemTable",
     "MemTableCursor",
-    "SkipList",
-    "TOMBSTONE",
     "VTYPE_DELETE",
     "VTYPE_VALUE",
     "NOT_FOUND",
@@ -41,86 +39,6 @@ DELETED = "deleted"
 
 MAX_SEQ = 2**63 - 1
 
-
-class _Tombstone:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<TOMBSTONE>"
-
-
-TOMBSTONE = _Tombstone()
-
-_MAX_LEVEL = 12
-_BRANCHING = 4  # P(level promotion) = 1/4, as in LevelDB
-
-
-class SkipList:
-    """A probabilistic skiplist mapping orderable keys to values.
-
-    Deterministic given the seed, so simulation runs are reproducible.
-    Supports insert (no overwrite of equal keys expected by the memtable,
-    which encodes uniqueness via the sequence number), exact ``get``, and
-    ``iter_from`` for ordered range traversal.
-    """
-
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
-        # Node: [key, value, forward_0, forward_1, ...]
-        self._head: List = [None, None] + [None] * _MAX_LEVEL
-        self._level = 1
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def _random_level(self) -> int:
-        level = 1
-        while level < _MAX_LEVEL and self._rng.randrange(_BRANCHING) == 0:
-            level += 1
-        return level
-
-    def insert(self, key, value) -> None:
-        update = [self._head] * _MAX_LEVEL
-        node = self._head
-        for i in range(self._level - 1, -1, -1):
-            while node[2 + i] is not None and node[2 + i][0] < key:
-                node = node[2 + i]
-            update[i] = node
-        level = self._random_level()
-        if level > self._level:
-            self._level = level
-        new_node = [key, value] + [None] * level
-        for i in range(level):
-            new_node[2 + i] = update[i][2 + i]
-            update[i][2 + i] = new_node
-        self._len += 1
-
-    def get(self, key):
-        """Return the value for an exactly-equal key, else None."""
-        node = self._find_ge(key)
-        if node is not None and node[0] == key:
-            return node[1]
-        return None
-
-    def _find_ge(self, key) -> Optional[List]:
-        node = self._head
-        for i in range(self._level - 1, -1, -1):
-            while node[2 + i] is not None and node[2 + i][0] < key:
-                node = node[2 + i]
-        return node[2]
-
-    def iter_from(self, key=None) -> Iterator[Tuple]:
-        """Yield (key, value) pairs in key order, starting at >= key."""
-        node = self._head[2] if key is None else self._find_ge(key)
-        while node is not None:
-            yield node[0], node[1]
-            node = node[2]
-
-    def __iter__(self) -> Iterator[Tuple]:
-        return self.iter_from(None)
-
-
 # Per-entry bookkeeping overhead used for the memtable's approximate size —
 # sequence number, type tag and skiplist node pointers.
 ENTRY_OVERHEAD = 24
@@ -131,16 +49,14 @@ class MemTable:
 
     Internally a bisect-maintained sorted array of internal keys with a
     parallel value array: identical ordering and visibility semantics to the
-    reference :class:`SkipList` (which remains the property-tested model),
-    but inserts and probes are C-level ``bisect``/``memmove`` operations —
-    the memtable's *simulated* skiplist cost is charged by the engine's cost
-    model, not by host-side pointer chasing.
+    reference skiplist in ``tests/test_memtable.py`` (the differential test
+    there compares the two), but inserts and probes are C-level
+    ``bisect``/``memmove`` operations — the memtable's *simulated* skiplist
+    cost is charged by the engine's cost model, not by host-side pointer
+    chasing.
     """
 
-    def __init__(self, seed: int = 0, sim=None, track: str = ""):
-        # ``seed`` is accepted for API compatibility with the SkipList-backed
-        # implementation (its RNG was private, so dropping the draws cannot
-        # perturb any other seeded stream).
+    def __init__(self, sim=None, track: str = ""):
         self._keys: List[Tuple[bytes, int]] = []
         self._vals: List[Tuple[int, bytes]] = []
         # Simulator handle (optional) so inserts can emit trace instants.
@@ -154,7 +70,7 @@ class MemTable:
     def add(self, seq: int, vtype: int, key: bytes, value: bytes) -> None:
         if self._sim is not None:
             tracer = self._sim.tracer
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.instant(
                     "memtable:add",
                     "memtable",

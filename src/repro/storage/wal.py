@@ -72,7 +72,7 @@ class LogWriter:
             data = encode_record(payload, rtype, gsn)
             _p.leave()
         tracer = self.vfile.disk.sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.instant(
                 "wal:append",
                 "wal",
@@ -89,7 +89,7 @@ class LogWriter:
 
     def flush(self, category: str = "wal"):
         tracer = self.vfile.disk.sim.tracer
-        if tracer.enabled:
+        if tracer is not None:
             return self._traced_flush(tracer, category)
         return self.vfile.flush(category)
 

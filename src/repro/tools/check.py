@@ -9,10 +9,10 @@ Usage::
     python -m repro.tools.check --baseline analysis-baseline.json
     python -m repro.tools.check --update-baseline   # regrandfather findings
 
-One pipeline, one exit-code convention for every static check in the repo
-(``python -m repro.tools.lint`` delegates here): exit 0 when every finding
-is fixed, suppressed inline, or baselined; 1 on any new finding; 2 on bad
-usage.  Output order is deterministic — byte-identical across reruns.
+One pipeline, one exit-code convention for every static check in the repo:
+exit 0 when every finding is fixed, suppressed inline, or baselined; 1 on any
+new finding; 2 on bad usage.  Output order is deterministic — byte-identical
+across reruns.
 See docs/ANALYSIS.md for the rule catalogue and the baseline workflow.
 """
 

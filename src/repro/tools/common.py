@@ -30,6 +30,7 @@ stdout is byte-identical with or without it.
 
 import argparse
 import json
+import os
 import sys
 
 from repro.critpath import critpath_report, install_edgelog, makespan_path, path_trace_extras
@@ -497,7 +498,5 @@ def trace_path(base: str, name: str, multiple: bool) -> str:
     """BASE.ext -> BASE-name.ext when one invocation writes several runs."""
     if not multiple:
         return base
-    root, dot, ext = base.rpartition(".")
-    if dot:
-        return "%s-%s.%s" % (root, name, ext)
-    return "%s-%s" % (base, name)
+    root, ext = os.path.splitext(base)  # the basename's extension only
+    return "%s-%s%s" % (root, name, ext)

@@ -13,8 +13,8 @@ Two invariants keep tracing honest:
   workload end at the *identical* simulated time (asserted by
   ``tests/test_trace.py``).
 * **Zero-overhead default**: every :class:`~repro.sim.core.Simulator` starts
-  with the :data:`NULL_TRACER`, whose ``enabled`` is False.  Hot paths guard
-  with ``if tracer.enabled:`` so the disabled cost is one attribute load and
+  with ``sim.tracer = None``.  Probe sites guard with
+  ``if tracer is not None:`` so the disabled cost is one attribute load and
   a branch.
 
 Span kinds:
@@ -45,9 +45,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.perf import zones as _perf_zones
 
 __all__ = [
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Tracer",
     "thread_track",
@@ -126,27 +123,6 @@ class Span:
         )
 
 
-class _NullSpan:
-    """Shared do-nothing span handed out by the null tracer."""
-
-    __slots__ = ()
-    aid = None
-    finished = False
-    duration = 0.0
-
-    def set(self, **args: Any) -> "_NullSpan":
-        return self
-
-    def finish(self, **args: Any) -> "_NullSpan":
-        return self
-
-    def __repr__(self) -> str:
-        return "<NULL_SPAN>"
-
-
-NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Collects finished spans and instants, in simulated time.
 
@@ -154,7 +130,6 @@ class Tracer:
     counted in ``dropped`` instead of stored (the exporter reports the loss).
     """
 
-    enabled = True
     #: slots per span in :attr:`rows`.
     WIDTH = 7
 
@@ -272,36 +247,3 @@ class Tracer:
         self.rows.clear()
         self.vals.clear()
         self.dropped = 0
-
-
-class NullTracer:
-    """The zero-overhead default: records nothing, returns no-op spans."""
-
-    enabled = False
-    events: Iterable[Span] = ()
-    dropped = 0
-    sim = None
-
-    def begin(self, name, cat, track, args=None) -> _NullSpan:
-        return NULL_SPAN
-
-    def async_begin(self, name, cat, track, args=None) -> _NullSpan:
-        return NULL_SPAN
-
-    def complete(self, name, cat, track, start, end, keys=None, vals=()) -> _NullSpan:
-        return NULL_SPAN
-
-    def instant(self, name, cat, track, keys=None, vals=()) -> _NullSpan:
-        return NULL_SPAN
-
-    def spans(self, track=None, cat=None, name=None):
-        return iter(())
-
-    def tracks(self):
-        return []
-
-    def clear(self) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()

@@ -9,7 +9,6 @@ across p2KVS's hash partitions — the skew-tolerance claim of Section 4.2).
 """
 
 import random
-from typing import List
 
 __all__ = [
     "LatestGenerator",
@@ -110,10 +109,6 @@ class ScrambledZipfianGenerator:
     def next_id(self) -> int:
         rank = self._zipf.next_id()
         return _fnv64(rank) % self.n_items
-
-    def hot_ids(self, k: int) -> List[int]:
-        """The k hottest item ids after scrambling (for skew analyses)."""
-        return [_fnv64(rank) % self.n_items for rank in range(k)]
 
 
 def _fnv64(value: int) -> int:

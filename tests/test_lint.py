@@ -405,23 +405,23 @@ def test_lint_paths_on_tree(tmp_path):
 
 
 def test_cli_reports_and_exits_nonzero(tmp_path, capsys):
-    from repro.tools.lint import main
+    from repro.tools.check import main
 
     pkg = tmp_path / "repro" / "sim"
     pkg.mkdir(parents=True)
     (pkg / "bad.py").write_text("import random\nx = random.random()\n")
-    assert main([str(tmp_path)]) == 1
+    assert main(["--lint-only", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "global-random" in out
 
     (pkg / "bad.py").write_text("x = 1\n")
-    assert main([str(tmp_path)]) == 0
+    assert main(["--lint-only", str(tmp_path)]) == 0
 
 
 def test_cli_list_rules(capsys):
-    from repro.tools.lint import main
+    from repro.tools.check import main
 
-    assert main(["--list-rules"]) == 0
+    assert main(["--lint-only", "--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "wall-clock" in out and "lock-pairing" in out
 

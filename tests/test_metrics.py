@@ -1,6 +1,6 @@
 """Unit tests for the observability layer: the exact histogram, counter
 groups, event log, perf contexts, the sim-time sampler, the exporters, and
-the collector slot discipline (reset / release / scoped_collector)."""
+the collector slot discipline (release / scoped_collector)."""
 
 import ast
 import json
@@ -521,18 +521,6 @@ def test_collector_overlap_asserts_and_release_frees_slot(env):
     a.release()
     b.start()  # slot is free again
     b.release()
-
-
-def test_collector_reset_clears_state(env):
-    c = MetricsCollector(env, "sys")
-    c.start()
-    c.record_latency("write", 1e-5)
-    c.reset()
-    assert getattr(env, "_active_collector", None) is None
-    assert c.latency == {}
-    c.start()  # a reset collector can measure a fresh window
-    metrics = c.finish(n_ops=0, user_bytes_written=0.0, memory_bytes=0)
-    assert metrics.n_ops == 0
 
 
 def test_scoped_collector_releases_on_exception(env):

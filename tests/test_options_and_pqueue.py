@@ -1,4 +1,5 @@
-"""Tests for engine options/presets and the sim priority queue."""
+"""Tests for engine options/presets (the priority queue that shared this
+file went with PR 20; the file keeps its name so test ids stay stable)."""
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.engine.options import (
     pebblesdb_options,
     rocksdb_options,
 )
-from repro.sim import PriorityQueue, QueueEmpty, Simulator
 
 
 class TestEngineOptions:
@@ -60,55 +60,3 @@ class TestEngineOptions:
         alone = costs.memtable_insert_cost(1000, concurrency=1)
         crowded = costs.memtable_insert_cost(1000, concurrency=32)
         assert crowded > alone
-
-
-class TestPriorityQueue:
-    def test_lower_priority_pops_first(self):
-        q = PriorityQueue(Simulator())
-        q.put("low", priority=5)
-        q.put("urgent", priority=1)
-        q.put("mid", priority=3)
-        assert q.try_pop() == "urgent"
-        assert q.try_pop() == "mid"
-        assert q.try_pop() == "low"
-
-    def test_fifo_within_priority(self):
-        q = PriorityQueue(Simulator())
-        for tag in ("a", "b", "c"):
-            q.put(tag, priority=1)
-        assert [q.try_pop() for _ in range(3)] == ["a", "b", "c"]
-
-    def test_blocking_get(self):
-        sim = Simulator()
-        q = PriorityQueue(sim)
-        got = []
-
-        def consumer():
-            item = yield q.get()
-            got.append((item, sim.now))
-
-        def producer():
-            yield sim.timeout(2.0)
-            q.put("x", priority=9)
-
-        sim.spawn(consumer())
-        sim.spawn(producer())
-        sim.run()
-        assert got == [("x", 2.0)]
-
-    def test_peek_and_empty(self):
-        q = PriorityQueue(Simulator())
-        assert q.empty
-        assert q.peek() is None
-        with pytest.raises(QueueEmpty):
-            q.try_pop()
-        q.put("only", priority=2)
-        assert q.peek() == "only"
-        assert len(q) == 1
-
-    def test_counters(self):
-        q = PriorityQueue(Simulator())
-        for i in range(4):
-            q.put(i, priority=i)
-        assert q.total_enqueued == 4
-        assert q.max_depth == 4

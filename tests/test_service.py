@@ -7,6 +7,7 @@ correctness, and byte-identical SLO reports across reruns and under
 ``--schedule-seed`` perturbation.
 """
 
+import collections
 import json
 import math
 
@@ -18,14 +19,12 @@ from repro.service import (
     HashPartitioner,
     PartitionDirectory,
     PoissonArrivals,
-    RangePartitioner,
     ServicePlane,
     ServiceRouter,
     build_scenario,
     build_slo_report,
     preload_plane,
     run_service_load,
-    uniform_boundaries,
 )
 from repro.tools import serve
 from repro.workloads.keygen import make_key, make_value
@@ -53,7 +52,8 @@ class TestHashPartitioner:
     def test_histogram_counts_every_key(self):
         p = HashPartitioner(8)
         keys = [make_key(i) for i in range(100)]
-        hist = p.histogram(keys)
+        tally = collections.Counter(p.partition(key) for key in keys)
+        hist = [tally[i] for i in range(p.n_partitions)]
         assert sum(hist) == 100
         assert len(hist) == 8
 
@@ -65,34 +65,6 @@ class TestHashPartitioner:
     def test_rejects_zero_partitions(self):
         with pytest.raises(ValueError):
             HashPartitioner(0)
-
-
-class TestRangePartitioner:
-    def test_bisect_placement(self):
-        p = RangePartitioner([b"b", b"d"])
-        assert p.n_partitions == 3
-        assert p.partition(b"a") == 0
-        assert p.partition(b"b") == 1  # boundary key goes right
-        assert p.partition(b"c") == 1
-        assert p.partition(b"z") == 2
-
-    def test_rejects_unsorted_boundaries(self):
-        with pytest.raises(ValueError):
-            RangePartitioner([b"d", b"b"])
-
-    def test_uniform_boundaries_cover_key_space(self):
-        bounds = uniform_boundaries(800, 8)
-        p = RangePartitioner(bounds)
-        hist = p.histogram(make_key(i) for i in range(800))
-        assert sum(hist) == 800
-        # Evenly spaced boundaries over a dense id space: every partition
-        # gets its 1/8th share.
-        assert hist == [100] * 8
-
-    def test_preserves_adjacency(self):
-        p = RangePartitioner(uniform_boundaries(800, 8))
-        parts = [p.partition(make_key(i)) for i in range(800)]
-        assert parts == sorted(parts)
 
 
 class TestPartitionDirectory:

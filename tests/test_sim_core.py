@@ -538,7 +538,7 @@ def _run_program(program, sim_cls, install=(), seed=None, until=None):
         "seq": sim._seq,
         #: the next rank a shuffled schedule would draw: same number of draws.
         "next_rank": None if seed is None else sim._perturb_rng.random(),
-        "core_busy": [t.busy_time for t in cpu.trackers],
+        "core_busy": list(cpu.core_busy_time),
         "busy_by_kind": dict(cpu.busy_by_kind),
         "threads": [
             (c.busy_time, dict(c.busy_by_category), dict(c.wait_by_category), c.last_core)

@@ -99,10 +99,9 @@ class TestCPUSet:
 
         sim.spawn(proc())
         sim.run(until=8.0)
-        assert cpu.utilization(8.0) == pytest.approx(0.5)
-        per_core = cpu.per_core_utilization(8.0)
-        assert per_core[0] == pytest.approx(0.5)
-        assert per_core[1] == 0.0
+        assert cpu.total_busy_time() / 8.0 == pytest.approx(0.5)
+        assert cpu.core_busy_time[0] / 8.0 == pytest.approx(0.5)
+        assert cpu.core_busy_time[1] == 0.0
 
     def test_migration_overhead_applies_when_switching_cores(self):
         sim = Simulator()
@@ -244,6 +243,8 @@ class TestDevice:
         assert dev.total_bytes() == 3500
 
     def test_bandwidth_utilization(self):
+        """What ``Metrics.bandwidth_utilization`` divides: bytes moved over
+        the write bandwidth times the window."""
         sim = Simulator()
         spec = DeviceSpec("d", 1000.0, 1000.0, 0.0, 0.0, channels=1)
         dev = StorageDevice(sim, spec)
@@ -253,7 +254,8 @@ class TestDevice:
 
         sim.spawn(proc())
         sim.run(until=1.0)
-        assert dev.bandwidth_utilization(1.0) == pytest.approx(0.5)
+        assert dev.total_bytes() / (spec.write_bandwidth * 1.0) == pytest.approx(0.5)
+        assert dev.busy_channel_time == pytest.approx(0.5)
 
     def test_negative_io_rejected(self):
         sim = Simulator()
@@ -270,13 +272,13 @@ class TestObserverInvariance:
         sim = Simulator()
         if install is not None:
             install(sim)
-        cpu = CPUSet(sim, 2, series_bin=0.1)
+        cpu = CPUSet(sim, 2)
         dev = StorageDevice(sim, DeviceSpec("d", 100.0, 100.0, 0.1, 0.1, channels=1))
         ctx = cpu.new_thread("t")
 
         def proc():
             yield sim.timeout(0.35)
-            yield cpu.exec(ctx, 0.0, "noop")  # alone in bin 0.3: must leave no bin
+            yield cpu.exec(ctx, 0.0, "noop")
             yield dev.read(10, category="read")
             yield dev.write(10, category="wal")
             yield cpu.exec(ctx, 0.25, "work")
@@ -284,8 +286,7 @@ class TestObserverInvariance:
         sim.spawn(proc())
         sim.run()
         return {
-            "series": [t.series() for t in cpu.trackers],
-            "busy_time": [t.busy_time for t in cpu.trackers],
+            "busy_time": list(cpu.core_busy_time),
             "busy_by_category": dict(ctx.busy_by_category),
             "io_count": dev.io_count.as_dict(),
             "bytes_by_kind": dev.bytes_by_kind.as_dict(),
@@ -307,7 +308,7 @@ class TestObserverInvariance:
         sim = Simulator()
         if install is not None:
             install(sim)
-        cpu = CPUSet(sim, 1, series_bin=0.1)
+        cpu = CPUSet(sim, 1)
         dev = StorageDevice(sim, DeviceSpec("d", 100.0, 100.0, 0.1, 0.1, channels=1))
         lock = Lock(sim, "l")
         steps = []
@@ -332,7 +333,7 @@ class TestObserverInvariance:
         sim.run()
         return {
             "steps": steps,
-            "series": [t.series() for t in cpu.trackers],
+            "busy_time": list(cpu.core_busy_time),
             "busy_by_kind": dict(cpu.busy_by_kind),
             "waits": [dict(t.wait_by_category) for t in cpu.threads],
             "io_count": dev.io_count.as_dict(),
@@ -349,7 +350,3 @@ class TestObserverInvariance:
         assert self._both_paths(install_edgelog) == plain
         assert self._both_paths(install_tracer) == plain
         assert self._both_paths(install_sanitizer) == plain
-
-    def test_zero_length_burst_creates_no_utilisation_bin(self):
-        series = self._account(None)["series"]
-        assert [rate for core in series for _, rate in core if rate == 0.0] == []

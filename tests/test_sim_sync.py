@@ -167,8 +167,6 @@ def test_queue_fifo_order_and_counters():
     for i in range(5):
         q.put(i)
     assert len(q) == 5
-    assert q.max_depth == 5
-    assert q.total_enqueued == 5
     assert q.peek() == 0
     assert q.try_pop() == 0
     assert q.try_pop() == 1

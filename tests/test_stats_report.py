@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness.report import ShapeCheck, format_qps, format_table
 from repro.metrics.registry import CounterGroup, Histogram
-from repro.sim.stats import TimeSeries, UtilizationTracker
+from repro.sim.stats import TimeSeries
 
 
 class TestCounterGroup:
@@ -72,53 +72,11 @@ class TestTimeSeries:
         rates = dict(ts.rates())
         assert rates[0.0] == pytest.approx(15.0)
         assert rates[1.0] == pytest.approx(7.0)
-        assert ts.total() == pytest.approx(22.0)
-
-    def test_add_interval_splits_across_bins(self):
-        ts = TimeSeries(bin_width=1.0)
-        ts.add_interval(0.5, 2.5, amount_per_second=10.0)
-        rates = dict(ts.rates())
-        assert rates[0.0] == pytest.approx(5.0)
-        assert rates[1.0] == pytest.approx(10.0)
-        assert rates[2.0] == pytest.approx(5.0)
-
-    def test_add_interval_terminates_on_a_boundary_that_rounds_down(self):
-        # 0.0049 / 1e-4 == 48.99999999999999: deriving the bin from t put
-        # the walk back in bin 48, whose end is t itself — an endless loop.
-        ts = TimeSeries(bin_width=1e-4)
-        start, end = 0.004899000000000326, 0.004900000000000326
-        ts.add_interval(start, end, 1.0)
-        assert ts.total() == pytest.approx(end - start)
-        assert len(ts.rates()) == 2
-
-    def test_add_interval_empty(self):
-        ts = TimeSeries(bin_width=1.0)
-        ts.add_interval(2.0, 2.0, 100.0)
-        assert ts.total() == 0.0
+        assert sum(rates.values()) * ts.bin_width == pytest.approx(22.0)
 
     def test_rejects_bad_bin(self):
         with pytest.raises(ValueError):
             TimeSeries(bin_width=0)
-
-
-class TestUtilizationTracker:
-    def test_busy_accumulates(self):
-        t = UtilizationTracker()
-        t.mark_busy(0.0, 2.0)
-        t.mark_busy(3.0, 4.0)
-        assert t.busy_time == pytest.approx(3.0)
-        assert t.utilization(6.0) == pytest.approx(0.5)
-
-    def test_series_when_configured(self):
-        t = UtilizationTracker(series_bin=1.0)
-        t.mark_busy(0.0, 0.5)
-        series = dict(t.series())
-        assert series[0.0] == pytest.approx(0.5)
-
-    def test_rejects_negative_interval(self):
-        t = UtilizationTracker()
-        with pytest.raises(ValueError):
-            t.mark_busy(2.0, 1.0)
 
 
 class TestReport:

@@ -1,6 +1,6 @@
 """Tests for the ASCII time-series renderer."""
 
-from repro.harness.timeline import render_series, render_stacked, sparkline
+from repro.harness.timeline import render_stacked, sparkline
 
 
 class TestSparkline:
@@ -26,18 +26,21 @@ class TestSparkline:
 
 
 class TestRenderSeries:
+    """One series through ``render_stacked``: its own peak is the shared one."""
+
     def test_resamples_and_labels(self):
         points = [(i * 0.1, float(i)) for i in range(100)]
-        out = render_series(points, "wal", width=20, unit_scale=1.0, unit="B/s")
+        out = render_stacked({"wal": points}, width=20, unit_scale=1.0, unit="B/s")
         assert out.startswith("wal")
         assert "peak" in out and "B/s" in out
+        assert "\n" not in out
 
     def test_empty_series(self):
-        out = render_series([], "x")
+        out = render_stacked({"x": []})
         assert "peak 0.0" in out
 
     def test_single_point(self):
-        out = render_series([(0.0, 42.0)], "x", unit_scale=1.0)
+        out = render_stacked({"x": [(0.0, 42.0)]}, unit_scale=1.0)
         assert "42.0" in out
 
 

@@ -492,3 +492,20 @@ class TestSharedFlagGroup:
         capsys.readouterr()
         assert rc1 == rc2 == 0
         assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize(
+    "base, multiple, expected",
+    [
+        ("trace.json", True, "trace-A.json"),
+        ("trace.json", False, "trace.json"),
+        # A dot in a directory is not the file's extension.
+        ("./stats", True, "./stats-A"),
+        ("../out/critpath", True, "../out/critpath-A"),
+        ("runs.d/trace", True, "runs.d/trace-A"),
+    ],
+)
+def test_trace_path_names_each_run_of_one_invocation(base, multiple, expected):
+    from repro.tools.common import trace_path
+
+    assert trace_path(base, "A", multiple) == expected
