@@ -3,8 +3,11 @@
 The whole reproduction rests on the simulator being deterministic: one stray
 ``time.time()``, one module-level ``random.random()``, or one iteration over
 an unordered set that reaches a scheduling decision silently corrupts every
-figure.  ``python -m repro.tools.check --lint-only`` (or ``make lint``) runs
-every registered rule over ``src/`` and fails on any diagnostic.
+figure.  Two rules guard the error contract the same way: no ``except`` may
+swallow a simulated crash, and no retry of a retryable ``KVError`` may spin
+forever.  Every rule looks at one function (or one module) at a time.
+``python -m repro.tools.check`` (or ``make check``) runs every registered
+rule over ``src/`` and fails on any diagnostic.
 
 Adding a rule is one class::
 
@@ -38,9 +41,6 @@ __all__ = [
     "lint_source",
     "register",
 ]
-
-#: modules where simulated time and seeded RNGs are the only legal clocks.
-SIM_SCOPES = ("repro.sim", "repro.engine", "repro.core")
 
 _DISABLE_LINE = re.compile(r"#\s*lint:\s*disable=([\w,\-]+)")
 _DISABLE_FILE = re.compile(r"#\s*lint:\s*disable-file=([\w,\-]+)")
@@ -246,12 +246,25 @@ class GlobalRandomRule(LintRule):
 
     name = "global-random"
     description = (
-        "no module-level random functions, os.urandom, uuid or secrets in "
-        "simulation modules — use a seeded random.Random instance"
+        "no module-level random functions, os.urandom, uuid, secrets or id() "
+        "in the simulation stack — use a seeded random.Random instance"
     )
-    scopes = SIM_SCOPES
+    # Every package whose values can reach a scheduling decision: a banned
+    # source here needs no dataflow proof that it does.
+    scopes = (
+        "repro.sim",
+        "repro.engine",
+        "repro.core",
+        "repro.storage",
+        "repro.service",
+        "repro.faults",
+        "repro.baselines",
+        "repro.workloads",
+    )
 
     FORBIDDEN = {
+        # an object address: differs from run to run
+        "id",
         "random.random",
         "random.randint",
         "random.randrange",
@@ -283,7 +296,7 @@ class GlobalRandomRule(LintRule):
                     yield self.diag(
                         module,
                         node,
-                        "%s() is process-global randomness; use a seeded "
+                        "%s() differs from run to run; use a seeded "
                         "random.Random(seed) instance" % name,
                     )
 
@@ -565,48 +578,148 @@ class UnlabeledWakeupRule(LintRule):
                 )
 
 
-@register
-class BareExceptInWorkerRule(LintRule):
-    """The accessing layer degrades through *typed* errors: workers catch
-    ``KVError`` and poison the failed requests.  A blanket ``except`` (or
-    ``except Exception``) would also swallow ``CrashTriggered`` and kernel
-    programming errors, turning a simulated power loss into a worker that
-    silently keeps serving — see docs/FAULTS.md."""
+_RETRYABLE_ERRORS = {"KVError", "IOFailure", "TimedOut", "Stalled"}
+_CRASH_SWALLOWERS = {"CrashTriggered", "Exception", "BaseException"}
 
-    name = "bare-except-in-worker"
-    description = (
-        "no bare except / except Exception / except BaseException in "
-        "repro.core — catch KVError (or narrower) so crashes and bugs "
-        "propagate"
-    )
-    scopes = ("repro.core",)
 
-    BLANKET = {"Exception", "BaseException"}
-
-    def _blanket_name(self, expr: Optional[ast.AST]) -> Optional[str]:
-        if expr is None:
-            return "bare except:"
-        if isinstance(expr, ast.Name) and expr.id in self.BLANKET:
-            return "except %s" % expr.id
-        if isinstance(expr, ast.Tuple):
-            for element in expr.elts:
-                if isinstance(element, ast.Name) and element.id in self.BLANKET:
-                    return "except (... %s ...)" % element.id
+def _caught_names(expr: Optional[ast.AST]) -> Optional[Set[str]]:
+    """Last name components an ``except`` clause catches; None when bare."""
+    if expr is None:
         return None
+    names: Set[str] = set()
+    elements = expr.elts if isinstance(expr, ast.Tuple) else [expr]
+    for element in elements:
+        name = _dotted(element)
+        if name:
+            names.add(name.rsplit(".", 1)[-1])
+    return names
+
+
+@register
+class CrashSwallowedRule(LintRule):
+    """The error contract (docs/FAULTS.md): components degrade through typed
+    ``KVError``s, and a simulated power loss (``CrashTriggered``) must abort
+    the run.  A handler that can catch it — ``except CrashTriggered``,
+    ``except Exception``, a bare ``except:`` — must re-raise."""
+
+    name = "crash-swallowed"
+    description = (
+        "this except clause can catch CrashTriggered and does not "
+        "re-raise; a simulated power loss would be silently ignored"
+    )
+    scopes = None
 
     def check(self, module: ModuleUnderLint) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
+        for func in _functions(module.tree):
+            yield from self._check_handlers(module, func)
+
+    def _check_handlers(self, module: ModuleUnderLint, func: ast.AST) -> Iterator[Diagnostic]:
+        for node in _own_nodes(func):
             if not isinstance(node, ast.ExceptHandler):
                 continue
-            blanket = self._blanket_name(node.type)
-            if blanket is not None:
-                yield self.diag(
-                    module,
-                    node,
-                    "%s swallows CrashTriggered and kernel bugs along with "
-                    "IO errors; catch KVError (or narrower) and let "
-                    "everything else propagate" % blanket,
+            caught = _caught_names(node.type)
+            if caught is None:
+                caught = {"<bare>"}
+            swallowers = caught & (_CRASH_SWALLOWERS | {"<bare>"})
+            if not swallowers:
+                continue
+            if any(isinstance(n, ast.Raise) for n in ast.walk(node)):
+                continue
+            label = sorted(swallowers)[0]
+            yield self.diag(
+                module,
+                node,
+                "except %s in %r can swallow CrashTriggered without "
+                "re-raising; a simulated power loss must abort the run, "
+                "not be absorbed" % (
+                    "(bare)" if label == "<bare>" else label, func.name),
+            )
+
+
+@register
+class UnboundedRetryRule(LintRule):
+    """A ``while True`` retry of a retryable ``KVError`` must give up after
+    some attempts and back off between them, or a persistent fault turns
+    into a simulation that never terminates."""
+
+    name = "unbounded-retry"
+    description = (
+        "a retry loop on a retryable KVError must bound its attempts "
+        "and back off between them"
+    )
+    scopes = None
+
+    def check(self, module: ModuleUnderLint) -> Iterator[Diagnostic]:
+        for func in _functions(module.tree):
+            yield from self._check_retry_loops(module, func)
+
+    def _check_retry_loops(self, module: ModuleUnderLint, func: ast.AST) -> Iterator[Diagnostic]:
+        for loop in _own_nodes(func):
+            if not isinstance(loop, ast.While):
+                continue
+            if not (
+                isinstance(loop.test, ast.Constant) and loop.test.value is True
+            ):
+                # A real loop condition is itself a bound (worker shutdown
+                # flags, drain conditions); only `while True` retries must
+                # carry their own.
+                continue
+            if self._consumes_new_work(loop):
+                continue
+            has_backoff = any(
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "timeout"
+                for n in ast.walk(loop)
+            )
+            for node in ast.walk(loop):
+                if not isinstance(node, ast.ExceptHandler):
+                    continue
+                caught = _caught_names(node.type)
+                if not caught or not (caught & _RETRYABLE_ERRORS):
+                    continue
+                last = node.body[-1] if node.body else None
+                if isinstance(last, (ast.Raise, ast.Return, ast.Break)):
+                    continue  # handler fails fast: not a retry
+                has_bound = any(
+                    isinstance(n, (ast.Raise, ast.Return, ast.Break))
+                    for n in ast.walk(node)
                 )
+                error = sorted(caught & _RETRYABLE_ERRORS)[0]
+                if not has_bound:
+                    yield self.diag(
+                        module,
+                        node,
+                        "retry of a retryable %s in %r never gives up: no "
+                        "attempt bound (raise/return/break) is reachable "
+                        "from the handler" % (error, func.name),
+                    )
+                if not has_backoff:
+                    yield self.diag(
+                        module,
+                        node,
+                        "retry of a retryable %s in %r has no backoff: add "
+                        "a sim timeout between attempts" % (error, func.name),
+                    )
+
+    @staticmethod
+    def _consumes_new_work(loop: ast.While) -> bool:
+        """A loop that dequeues or condvar-waits before its try block is a
+        service loop (fresh work each iteration), not a retry loop."""
+        first_try = None
+        for node in loop.body:
+            if isinstance(node, ast.Try):
+                first_try = node.lineno
+                break
+        for node in ast.walk(loop):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("get", "wait")
+            ):
+                if first_try is None or node.lineno < first_try:
+                    return True
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,9 @@ class WiredTigerLike:
             )
             self.log_writer.append(encoded, RECORD_STANDALONE, 0)
             if self.log_writer.pending_bytes >= 64 * 1024:
-                yield from self.log_writer.flush("wal")  # lint: disable=blocking-while-locked  (by design: WiredTiger's single-writer WAL flushes under the write lock -- the contention p2KVS removes)
+                # By design: WiredTiger's single-writer WAL flushes under the
+                # write lock -- the contention p2KVS removes.
+                yield from self.log_writer.flush("wal")
             yield self.env.cpu.exec(ctx, INSERT_CPU, "memtable")
             if vtype == VTYPE_DELETE:
                 self.tree.delete(key)

@@ -20,7 +20,6 @@ from repro.metrics.export import (
 from repro.metrics.perf_context import PERF_FIELDS, PerfContext
 from repro.metrics.registry import (
     CounterGroup,
-    CounterStat,
     EventLog,
     GaugeStat,
     Histogram,
@@ -30,7 +29,6 @@ from repro.metrics.sampler import DEFAULT_INTERVAL, Sampler, install_stats
 
 __all__ = [
     "CounterGroup",
-    "CounterStat",
     "DEFAULT_INTERVAL",
     "EventLog",
     "GaugeStat",

@@ -4,8 +4,8 @@ Every :class:`~repro.engine.env.Env` carries a :class:`StatsRegistry`
 (``env.metrics``).  Components register their instruments under dotted,
 component-prefixed names at open time:
 
-* **counters** — cheap monotonic floats (``registry.counter("...")`` or a
-  :class:`CounterGroup` holding a component's whole counter family);
+* **counters** — cheap monotonic floats, a component's whole family in one
+  :class:`CounterGroup` (``registry.group("...")``);
 * **gauges** — zero-state callables evaluated at read time (queue depths,
   memtable bytes, in-flight IOs); the sim-time sampler snapshots these;
 * **histograms** — exact-sample, mergeable :class:`Histogram` instances
@@ -27,25 +27,11 @@ from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "CounterGroup",
-    "CounterStat",
     "EventLog",
     "GaugeStat",
     "Histogram",
     "StatsRegistry",
 ]
-
-
-class CounterStat:
-    """One named monotonic counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        self.value += amount
 
 
 class GaugeStat:
@@ -252,7 +238,6 @@ class StatsRegistry:
     """All live metrics of one simulated machine, by dotted name."""
 
     def __init__(self):
-        self.counters: Dict[str, CounterStat] = {}
         self.gauges: Dict[str, GaugeStat] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.groups: Dict[str, CounterGroup] = {}
@@ -264,12 +249,6 @@ class StatsRegistry:
         self.sampler = None
 
     # -- registration ------------------------------------------------------
-
-    def counter(self, name: str) -> CounterStat:
-        stat = self.counters.get(name)
-        if stat is None:
-            stat = self.counters[name] = CounterStat(name)
-        return stat
 
     def gauge(self, name: str, fn: Callable[[], float]) -> GaugeStat:
         stat = GaugeStat(name, fn)
@@ -300,8 +279,8 @@ class StatsRegistry:
     # -- reads -------------------------------------------------------------
 
     def counter_values(self) -> Dict[str, float]:
-        """All counters (standalone + group-expanded), sorted by name."""
-        out = {name: stat.value for name, stat in self.counters.items()}
+        """Every group's counters as ``<prefix>.<name>``, sorted by name."""
+        out: Dict[str, float] = {}
         for prefix, grp in self.groups.items():
             for key, value in grp.as_dict().items():
                 out["%s.%s" % (prefix, key)] = value

@@ -19,10 +19,9 @@ Python engine are the hardware this repo runs on, and speed work on them
 **Determinism contract.**  This is the only package in ``src/`` allowed to
 read host clocks (the ``wall-clock`` lint rule exempts exactly
 ``repro.perf``), and nothing it returns may flow into a simulation
-decision: the ``host-time-leak`` flow checker fails the build if any
-``repro.perf`` return value reaches a sim-side sink (timeout/exec/submit/
-sort key).  Profiler-attached runs are byte-identical to unprofiled runs —
-asserted in ``tests/test_perf.py`` across reruns and ``--schedule-seed``.
+decision (timeout/exec/submit/sort key): profiler-attached runs are
+byte-identical to unprofiled runs — asserted in ``tests/test_perf.py``
+across reruns and ``--schedule-seed``.
 """
 
 from repro.perf.report import format_zone_tree, zone_tree

@@ -16,7 +16,8 @@ bytecode-cache effects.
 
 Host clocks live here by design: ``repro.perf`` is the one package the
 wall-clock lint rule exempts.  Nothing this module returns may flow back
-into a simulation (enforced by the host-time-leak checker).
+into a simulation (the profile-on/off byte-identity tests in
+tests/test_perf.py hold that).
 """
 
 import gc

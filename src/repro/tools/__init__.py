@@ -14,6 +14,5 @@ machine, observers, artifacts):
 * ``profile`` — host wall-clock zone profile, flame graph and the
   per-observer instrument tax.
 * ``faultbench`` — fault-injection and crash-recovery campaign.
-* ``check`` — static analysis: determinism lint (``--lint-only``) plus the
-  whole-program flow checkers.
+* ``check`` — static analysis: the determinism lint rules.
 """

@@ -1,5 +1,6 @@
-"""Determinism-lint unit tests: one hit and one miss per rule, plus
-suppression, scoping and the CLI."""
+"""Determinism-lint unit tests: a hit and a miss fixture for every rule (the
+real source of its recorded catch where history has one), plus suppression,
+scoping and the CLI."""
 
 import textwrap
 
@@ -16,19 +17,132 @@ def _rules(code, module="repro.sim.testmodule"):
     return [d.rule for d in _diags(code, module=module)]
 
 
+# ---------------------------------------------------------------------------
+# one hit and one miss fixture per rule
+# ---------------------------------------------------------------------------
+
+# The first three rules caught real defects in this repository's history;
+# their hit fixtures are the flagged lines, verbatim, inside a stub of the
+# enclosing function, and the miss fixture is the fix that followed.  The
+# other rules have never fired on a committed tree, or fired only where the
+# finding became a reasoned suppression (docs/ANALYSIS.md, "Rule record").
+
+#: 8be0c1d:src/repro/baselines/kvell.py:201,256 — KVell issued its page
+#: reads in set order; the fix sorts them.
+KVELL_READ_PAGES = '''
+def _process_batch(self, ctx, partition, batch):
+    ios = []
+    read_pages = set()
+    for page_key in read_pages:
+        ios.append(
+            self.env.device.read(PAGE_SIZE, category="read", random=True)
+        )
+        self.page_cache.put(page_key, True, PAGE_SIZE)
+'''
+KVELL_READ_PAGES_FIXED = KVELL_READ_PAGES.replace(
+    "for page_key in read_pages:", "for page_key in sorted(read_pages):"
+)
+
+#: 8be0c1d:src/repro/core/worker.py:54 and e9d3564:src/repro/baselines/kvell.py:110
+#: (the same line in both) — a batch-size histogram no exporter could see.
+BATCH_SIZES = '''
+def __init__(self, env, name):
+    self.counters = Counter()
+    self.batch_sizes = Histogram()
+'''
+BATCH_SIZES_FIXED = '''
+def __init__(self, env, name):
+    self.counters = env.metrics.group(name, fresh=True)
+    self.batch_sizes = env.metrics.histogram(
+        "%s.batch_size" % name, fresh=True
+    )
+'''
+
+#: 8be0c1d:src/repro/sim/sync.py:42 — one of the 16 waiter releases that
+#: bypassed the wakeup edge log until they went through wake().
+LOCK_ACQUIRE = '''
+def acquire(self, ctx=None, category: Optional[str] = None) -> Event:
+    """Return an event that triggers once the lock is held by the caller."""
+    ev = self.sim.event()
+    if not self._locked:
+        self._locked = True
+        ev.succeed()
+    else:
+        self._waiters.append((ev, ctx, category, self.sim.now))
+    return ev
+'''
+LOCK_ACQUIRE_FIXED = LOCK_ACQUIRE.replace(
+    "ev.succeed()", 'wake(ev, resource=self._resource, category=category or "")'
+)
+
+#: rule -> (module, hit source, miss source).
+FIXTURES = {
+    "unordered-iter": (
+        "repro.baselines.kvell", KVELL_READ_PAGES, KVELL_READ_PAGES_FIXED
+    ),
+    "adhoc-metrics": ("repro.core.worker", BATCH_SIZES, BATCH_SIZES_FIXED),
+    "unlabeled-wakeup": ("repro.sim.sync", LOCK_ACQUIRE, LOCK_ACQUIRE_FIXED),
+    "wall-clock": (
+        "repro.service.pacer",
+        "import time\nstart = time.time()\n",
+        "def proc(sim):\n    start = sim.now\n",
+    ),
+    "global-random": (
+        "repro.workloads.keys",
+        "import random\nx = random.random()\n",
+        "import random\nrng = random.Random(42)\nx = rng.random()\n",
+    ),
+    "lock-pairing": (
+        "repro.engine.db",
+        "def f(self, ctx):\n    yield self.lock.acquire(ctx)\n",
+        "def f(self, ctx):\n    yield self.lock.acquire(ctx)\n"
+        "    self.lock.release()\n",
+    ),
+    "condvar-wait-loop": (
+        "repro.engine.db",
+        "def f(self, ctx):\n    yield self.cond.wait(ctx)\n",
+        "def f(self, ctx):\n    while not self.ready:\n"
+        "        yield self.cond.wait(ctx)\n",
+    ),
+    "yield-in-critical": (
+        "repro.engine.db",
+        "def f(self, ctx):\n    yield self.lock.acquire(ctx)\n"
+        "    while not self.ready:\n        yield self.cond.wait(ctx)\n"
+        "    self.lock.release()\n",
+        "def f(self, ctx):\n    yield self.lock.acquire(ctx)\n"
+        "    self.lock.release()\n"
+        "    while not self.ready:\n        yield self.cond.wait(ctx)\n",
+    ),
+    "crash-swallowed": (
+        "repro.service.plane",
+        "def drain(self):\n    try:\n        self.step()\n"
+        "    except Exception:\n        self.log('oops')\n",
+        "def drain(self):\n    try:\n        self.step()\n"
+        "    except Exception:\n        self.log('oops')\n        raise\n",
+    ),
+    "unbounded-retry": (
+        "repro.core.worker",
+        "def submit(self, env, ctx):\n    while True:\n        try:\n"
+        "            yield from self.io(ctx)\n            return\n"
+        "        except KVError:\n            yield env.sim.timeout(0.001)\n",
+        "def submit(self, env, ctx):\n    for _ in range(3):\n        try:\n"
+        "            yield from self.io(ctx)\n            return\n"
+        "        except KVError:\n            yield env.sim.timeout(0.001)\n",
+    ),
+}
+
+
 def test_registry_has_required_rules():
-    names = {rule.name for rule in RULES}
-    assert {
-        "wall-clock",
-        "global-random",
-        "unordered-iter",
-        "lock-pairing",
-        "condvar-wait-loop",
-        "yield-in-critical",
-        "adhoc-metrics",
-        "unlabeled-wakeup",
-    } <= names
-    assert len(names) >= 5
+    names = [rule.name for rule in RULES]
+    assert len(set(names)) == len(names)
+    assert set(names) == set(FIXTURES)
+
+
+@pytest.mark.parametrize("rule", sorted(rule.name for rule in RULES))
+def test_every_rule_has_a_hit_and_a_miss_fixture(rule):
+    module, hit, miss = FIXTURES[rule]
+    assert _rules(hit, module=module) == [rule]
+    assert _rules(miss, module=module) == []
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +196,16 @@ def test_global_random_miss_on_seeded_instance():
 
 def test_global_random_urandom_hit():
     assert _rules("import os\nx = os.urandom(8)\n") == ["global-random"]
+
+
+def test_global_random_covers_the_simulation_stack():
+    # The scopes a value can reach a scheduling decision from — the service
+    # plane included — and id(), an object address, is banned with the RNGs.
+    for code in ("import random\nx = random.random()\n", "key = id(x)\n"):
+        assert _rules(code, module="repro.service.plane") == ["global-random"]
+        assert _rules(code, module="repro.storage.sstable") == ["global-random"]
+        assert _rules(code, module="repro.tools.dbbench") == []
+    assert "id()" in _diags("key = id(x)\n", module="repro.service.plane")[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +487,167 @@ def test_unlabeled_wakeup_line_suppression():
 
 
 # ---------------------------------------------------------------------------
+# crash-swallowed
+# ---------------------------------------------------------------------------
+
+
+def test_crash_swallowed_hit_and_reraise_negative():
+    bad = """
+    def drain(self):
+        try:
+            self.step()
+        except Exception:
+            self.log("oops")
+    """
+    good = """
+    from repro.faults.plane import CrashTriggered
+
+    def drain(self):
+        try:
+            self.step()
+        except CrashTriggered:
+            self.note()
+            raise
+        except Exception:
+            self.log("oops")
+            raise
+    """
+    assert _rules(bad, module="repro.service.crashfix") == ["crash-swallowed"]
+    assert _rules(good, module="repro.service.crashfix") == []
+
+
+def test_crash_swallowed_bare_except_hit():
+    assert _rules(
+        """
+        def drain(self):
+            try:
+                self.step()
+            except:
+                pass
+        """,
+        module="repro.engine.crashfix",
+    ) == ["crash-swallowed"]
+
+
+def test_crash_swallowed_sees_service_plane_handlers():
+    """One rule over every module: the worker loops of repro.core and a
+    handler in the service plane are held to the same contract."""
+    code = """
+    def drain(self):
+        try:
+            self.step()
+        except Exception:
+            self.log("oops")
+    """
+    for module in ("repro.core.worker", "repro.service.crashfix"):
+        diags = _diags(code, module=module)
+        assert [d.rule for d in diags] == ["crash-swallowed"]
+        assert "'drain'" in diags[0].message
+
+
+# ---------------------------------------------------------------------------
+# unbounded-retry
+# ---------------------------------------------------------------------------
+
+
+def test_unbounded_retry_no_bound_hit():
+    diags = _diags(
+        """
+        from repro.errors import KVError
+
+        def submit(self, env, ctx):
+            while True:
+                try:
+                    yield from self.io(ctx)
+                    return
+                except KVError:
+                    yield env.sim.timeout(0.001)
+        """,
+        module="repro.core.retryfix",
+    )
+    assert [d.rule for d in diags] == ["unbounded-retry"]
+    assert "never gives up" in diags[0].message
+
+
+def test_unbounded_retry_no_backoff_hit():
+    diags = _diags(
+        """
+        from repro.errors import KVError
+
+        def submit(self, ctx):
+            attempts = 0
+            while True:
+                try:
+                    self.io(ctx)
+                    return
+                except KVError:
+                    attempts = attempts + 1
+                    if attempts >= 3:
+                        raise
+        """,
+        module="repro.core.retryfix",
+    )
+    assert [d.rule for d in diags] == ["unbounded-retry"]
+    assert "no backoff" in diags[0].message
+
+
+def test_retry_negative_bounded_with_backoff():
+    assert _rules(
+        """
+        from repro.errors import KVError
+
+        def submit(self, env, ctx):
+            attempts = 0
+            while True:
+                try:
+                    yield from self.io(ctx)
+                    return
+                except KVError:
+                    attempts = attempts + 1
+                    if attempts >= 3:
+                        raise
+                    yield env.sim.timeout(0.001 * attempts)
+        """,
+        module="repro.core.retryfix",
+    ) == []
+
+
+def test_retry_negative_service_loop_exempt():
+    # A dispatcher that dequeues fresh work each iteration is not a retry
+    # loop, even though it catches retryable errors forever.
+    assert _rules(
+        """
+        from repro.errors import KVError
+
+        def dispatcher(self, ctx):
+            while True:
+                item = yield self.queue.get(ctx)
+                try:
+                    yield from self.handle(item)
+                except KVError:
+                    self.counters.add("retries")
+        """,
+        module="repro.service.loopfix",
+    ) == []
+
+
+def test_retry_negative_shutdown_flag_is_a_bound():
+    assert _rules(
+        """
+        from repro.errors import KVError
+
+        def flush_loop(self, env, ctx):
+            while not self.closing:
+                try:
+                    yield from self.flush_once(ctx)
+                except KVError:
+                    yield env.sim.timeout(0.01)
+        """,
+        module="repro.engine.loopfix",
+    ) == []
+
+
+# ---------------------------------------------------------------------------
 # suppressions, scoping, runner
 # ---------------------------------------------------------------------------
 
@@ -392,6 +677,20 @@ def test_wall_clock_covers_all_of_src_except_repro_perf():
     assert lint_source(code, module="repro.perf.tax") == []
 
 
+def test_lint_catches_wall_clock_in_service():
+    """A wall-clock read that paces simulated time in the service plane is
+    banned at the source — no dataflow proof that it reaches the sink."""
+    code = """
+    import time
+
+    def pace(self, env, ctx):
+        now = time.time()
+        yield env.sim.timeout(now)
+    """
+    lint_diags = lint_source(textwrap.dedent(code), module="repro.service.taintfix")
+    assert [d.rule for d in lint_diags] == ["wall-clock"]
+
+
 def test_lint_paths_on_tree(tmp_path):
     pkg = tmp_path / "repro" / "sim"
     pkg.mkdir(parents=True)
@@ -410,20 +709,28 @@ def test_cli_reports_and_exits_nonzero(tmp_path, capsys):
     pkg = tmp_path / "repro" / "sim"
     pkg.mkdir(parents=True)
     (pkg / "bad.py").write_text("import random\nx = random.random()\n")
-    assert main(["--lint-only", str(tmp_path)]) == 1
+    assert main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "global-random" in out
+    assert "bad.py:2:4: [global-random]" in out
 
     (pkg / "bad.py").write_text("x = 1\n")
-    assert main(["--lint-only", str(tmp_path)]) == 0
+    assert main([str(tmp_path)]) == 0
 
 
 def test_cli_list_rules(capsys):
     from repro.tools.check import main
 
-    assert main(["--lint-only", "--list-rules"]) == 0
+    assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "wall-clock" in out and "lock-pairing" in out
+    for rule in RULES:
+        assert rule.name in out
+
+
+def test_cli_takes_only_paths_and_list_rules():
+    from repro.tools.check import build_parser
+
+    dests = {action.dest for action in build_parser()._actions}
+    assert dests == {"help", "paths", "list_rules"}
 
 
 def test_repo_source_tree_is_clean():

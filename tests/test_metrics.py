@@ -159,11 +159,11 @@ def test_counter_group_api_and_registry_expansion():
     assert grp.get("flushes") == 1.0
     assert grp.get("missing") == 0.0
     assert grp.as_dict() == {"flushes": 1.0, "wal_bytes": 4096.0}
-    reg.counter("standalone").add(2)
+    reg.group("obm").add("rebalances", 2)
     values = reg.counter_values()
     assert values["engine.db-0.flushes"] == 1.0
     assert values["engine.db-0.wal_bytes"] == 4096.0
-    assert values["standalone"] == 2.0
+    assert values["obm.rebalances"] == 2.0
     assert list(values) == sorted(values)  # export order is sorted
 
 
@@ -412,7 +412,7 @@ def test_install_stats_enables_perf_and_installs_sampler():
 def _populated_registry():
     reg = StatsRegistry()
     reg.group("engine.db-0").add("flushes", 3)
-    reg.counter("obm.rebalances").add(1)
+    reg.group("obm").add("rebalances", 1)
     reg.gauge("obm.queue_depth", lambda: 4.0)
     reg.histogram("w0.batch").record(2e-6)
     reg.provider("device.bytes", lambda: {"wal": 100.0, "flush": 200.0})

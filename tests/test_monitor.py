@@ -296,18 +296,18 @@ def _run_monitored_sim(schedule_seed=None):
     env = make_env(n_cores=2)
     if schedule_seed is not None:
         env.sim.perturb_schedule(schedule_seed)
-    work = env.metrics.counter("toy.work")
+    work = env.metrics.group("toy")
     mon = HealthMonitor(env, window=1e-3)
-    mon.add_series("toy.work", "counter", lambda: work.value)
+    mon.add_series("toy.work", "counter", lambda: work.get("work"))
     mon.add_rule(ShardSilence("toy-silence", "toy.work", for_windows=2))
 
     def workload():
         for _ in range(5):
-            work.add(3)
+            work.add("work", 3)
             yield env.sim.timeout(1e-3)
         # Go silent for 4 windows, then resume.
         yield env.sim.timeout(4e-3)
-        work.add(1)
+        work.add("work")
         yield env.sim.timeout(1e-3)
         mon.stop(flush=True)
 
@@ -335,14 +335,14 @@ class TestHealthMonitor:
 
     def test_finalize_synthesizes_silence_windows(self):
         env = make_env(n_cores=2)
-        work = env.metrics.counter("toy.work")
+        work = env.metrics.group("toy")
         mon = HealthMonitor(env, window=1e-3)
-        mon.add_series("toy.work", "counter", lambda: work.value)
+        mon.add_series("toy.work", "counter", lambda: work.get("work"))
         mon.add_rule(ShardSilence("toy-silence", "toy.work", for_windows=2))
 
         def workload():
             for _ in range(3):
-                work.add(1)
+                work.add("work")
                 yield env.sim.timeout(1e-3)
             # Without a stop the ticker would run the heap forever; the
             # crash path (faultbench) instead aborts the whole sim.
@@ -457,7 +457,7 @@ class TestPrometheusShardLabels:
         for shard in (0, 1):
             grp = registry.group("service.shard-%d" % shard)
             grp.add("completed", 10 + shard)
-        registry.counter("service.offered").add(30)
+        registry.group("service").add("offered", 30)
         text = prometheus_text(registry)
         assert 'p2kvs_service_completed{shard="0"} 10' in text
         assert 'p2kvs_service_completed{shard="1"} 11' in text

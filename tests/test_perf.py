@@ -18,7 +18,6 @@ from repro.perf.report import format_zone_tree, zone_tree
 from repro.perf.sampling import StackSampler
 from repro.perf.tax import LAYERS, format_tax, measure_tax
 from repro.perf.zones import ZoneProfiler
-from tests.test_flow import rule_names
 
 
 @pytest.fixture(autouse=True)
@@ -397,7 +396,7 @@ def test_disabled_probes_never_touch_the_profiler(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# lint / flow integration: the repro.perf allowlist and host-time-leak
+# lint integration: the repro.perf allowlist
 # ---------------------------------------------------------------------------
 
 
@@ -417,37 +416,3 @@ def test_wall_clock_rule_exempts_repro_perf_only():
     # bare-name calls are caught even outside the classic sim scopes
     tools = lint_source(code, module="repro.tools.newtool")
     assert "wall-clock" in [d.rule for d in tools]
-
-
-def test_host_time_leak_flagged():
-    names = rule_names(
-        repro__perf__zones="""
-        def wall_ns():
-            return 123
-        """,
-        repro__engine__perffix="""
-        from repro.perf.zones import wall_ns
-
-        def pace(self, env, ctx):
-            budget = wall_ns()
-            yield env.sim.timeout(budget)
-        """,
-    )
-    assert names == ["host-time-leak"]
-
-
-def test_host_time_leak_negative_outside_sinks():
-    # reading a snapshot for reporting is fine; only sim sinks are errors
-    names = rule_names(
-        repro__perf__zones="""
-        def wall_ns():
-            return 123
-        """,
-        repro__engine__perfok="""
-        from repro.perf.zones import wall_ns
-
-        def report(self):
-            return {"wall": wall_ns()}
-        """,
-    )
-    assert names == []
