@@ -133,6 +133,20 @@ PROFILED_BENCH = $(PY) -m repro.tools.dbbench --benchmarks fillrandom \
 #   pinned run's wall time, the instrument tax table covers every layer, and
 #   --profile leaves the sim report alone; writes results/profile-report.json,
 #   results/profile-flame.speedscope.json and results/profile-tax.json.
+# * tax gate (TAX_GATE below): no observer but the sanitizer (a vector clock
+#   per process and a record per tracked access, by design) holds more than
+#   50 GC-tracked objects per 1 000 ops above the unobserved run — a count,
+#   so the gate means the same on any host.
+define TAX_GATE
+import json
+rows = {row["layer"]: row["tracked_per_kop"] for row in json.load(open("results/profile-tax.json"))["layers"]}
+over = ["%s %+.1f" % (layer, n - rows["off"]) for layer, n in rows.items()
+        if layer not in ("off", "sanitize") and n > rows["off"] + 50]
+print("smoke: tax gate: " + ("FAILED: tracked/kop above off + 50: " + ", ".join(over) if over
+                             else "every observer but sanitize within off + 50 tracked/kop"))
+raise SystemExit(1 if over else 0)
+endef
+export TAX_GATE
 smoke:
 	$(call same-bytes,quickstart identical for schedule seeds 1 and 2,\
 	    results/.smoke-quickstart,$(QUICKSTART) 1 > $$out,$(QUICKSTART) 2 > $$out)
@@ -167,8 +181,9 @@ smoke:
 	@$(PY) -m repro.tools.profile --check-coverage 90 \
 	    --json results/profile-report.json \
 	    --flame-out results/profile-flame.speedscope.json | tail -n 2
-	@$(PY) -m repro.tools.profile --tax --num 500 \
+	@$(PY) -m repro.tools.profile --tax --num 8000 \
 	    --tax-json results/profile-tax.json 2> /dev/null
+	@$(PY) -c "$$TAX_GATE"
 	$(call same-bytes,sim report identical under --profile,\
 	    results/.smoke-profile-plain.json,\
 	    $(PROFILED_BENCH) --json $$out > /dev/null,\

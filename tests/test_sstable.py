@@ -1,14 +1,15 @@
 """Tests for SSTable build, point lookup, cursors, bloom and block cache."""
 
+import zlib
 from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import OPTANE_905P, Simulator, StorageDevice
 from repro.storage.block_cache import BlockCache
-from repro.storage.bloom import BloomFilter, fnv1a, fnv1a_many
+from repro.storage.bloom import BloomFilter, fnv1a, fnv1a_many, probe_pair
 from repro.storage.memtable import DELETED, FOUND, MAX_SEQ, NOT_FOUND, VTYPE_DELETE, VTYPE_VALUE
 from repro.storage.sstable import SSTableBuilder, _internal_key, lower_bound
 
@@ -42,11 +43,11 @@ class TestBloom:
     def test_no_false_negatives(self):
         keys = [key(i) for i in range(1000)]
         bf = BloomFilter.from_keys(keys)
-        assert all(bf.may_contain(k) for k in keys)
+        assert all(bf.may_contain(probe_pair(k)) for k in keys)
 
     def test_low_false_positive_rate(self):
         bf = BloomFilter.from_keys([key(i) for i in range(1000)])
-        fps = sum(bf.may_contain(key(i)) for i in range(10000, 20000))
+        fps = sum(bf.may_contain(probe_pair(key(i))) for i in range(10000, 20000))
         assert fps / 10000 < 0.05
 
     def test_rejects_bad_params(self):
@@ -68,14 +69,29 @@ class TestBloom:
     def test_batched_fnv1a_is_the_scalar_one(self, keys):
         assert list(fnv1a_many(keys)) == [fnv1a(k) for k in keys]
 
-    @given(st.sets(st.binary(max_size=24), max_size=80), st.integers(1, 12))
-    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.binary(max_size=24), max_size=80), st.integers(1, 16))
+    @example([b"k"], 1)  # one key: the 64-bit floor
+    @example([b"k"], 16)
+    @example([b"same", b"same", b"other", b"same"], 3)  # duplicates
+    @example([b"", b"a", b"ab", b"abc" * 8, b"a"], 10)
+    @settings(max_examples=200, deadline=None)
     def test_from_keys_sets_the_bits_add_sets(self, keys, bits_per_key):
         # Mixed key lengths: from_keys hashes each length group in one batch.
-        one_by_one = BloomFilter(len(keys), bits_per_key)
-        for k in keys:
-            one_by_one.add(k)
-        assert BloomFilter.from_keys(keys, bits_per_key)._bits == one_by_one._bits
+        assert BloomFilter.from_keys(keys, bits_per_key)._bits == oracle_bits(
+            keys, bits_per_key
+        )
+
+
+def oracle_bits(keys, bits_per_key):
+    """The scalar build ``from_keys`` replaced, one key and one probe at a
+    time (``BloomFilter.add``/``_set_bits`` before the batched build)."""
+    bf = BloomFilter(len(keys), bits_per_key)
+    for k in keys:
+        h1, h2 = zlib.crc32(k) & 0xFFFFFFFF, fnv1a(k) | 1
+        for i in range(bf.n_probes):
+            pos = (h1 + i * h2) % bf.n_bits
+            bf._bits[pos >> 3] |= 1 << (pos & 7)
+    return bf._bits
 
 
 class TestBlockCache:
@@ -303,3 +319,30 @@ class TestBisectWithoutACallbackPerProbe:
             expected.append(next((e for e in entries if e[0] >= key(i)), None))
         got, _ = run(probe_all)
         assert got == expected
+
+
+class TestFilterBuiltAtFirstProbe:
+    @given(
+        versions=_VERSIONS,
+        block_target=st.sampled_from([48, 256, 4096]),
+        bits_per_key=st.integers(1, 16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lazy_filter_is_the_eager_one(self, versions, block_target, bits_per_key):
+        """Several versions a key and tombstones, so the distinct-key count
+        (what the filter is sized and built from) is below the entry count."""
+        entries = versioned_entries(versions)
+        builder = SSTableBuilder(1, block_target=block_target, bits_per_key=bits_per_key)
+        for entry in entries:
+            builder.add(*entry)
+        table = builder.finish()
+        eager = BloomFilter.from_keys({e[0] for e in entries}, bits_per_key)
+        assert table._bloom is None
+        # The size an eagerly built filter gave the file, before any build.
+        index_bytes = 24 * len(table.blocks)
+        assert table.file_size == (
+            sum(b.nbytes for b in table.blocks) + len(eager._bits) + index_bytes
+        )
+        run(lambda dev: table.get(entries[-1][0], MAX_SEQ, None, dev))
+        assert table._bloom._bits == eager._bits
+        assert len(table._bloom._bits) == table.filter_bytes
