@@ -355,6 +355,33 @@ class UnorderedIterRule(LintRule):
                         )
 
 
+def _lock_calls(func: ast.AST) -> Tuple[dict, dict]:
+    """Receiver -> its acquire calls (``acquire`` or the non-suspending
+    ``acquire_now``), receiver -> its release calls, in one function body."""
+    acquires: Dict[str, List[ast.Call]] = {}
+    releases: Dict[str, List[ast.Call]] = {}
+    for node in _own_nodes(func):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            recv = _dotted(node.func.value)
+            if recv and node.func.attr in ("acquire", "acquire_now"):
+                acquires.setdefault(recv, []).append(node)
+            elif recv and node.func.attr == "release":
+                releases.setdefault(recv, []).append(node)
+    return acquires, releases
+
+
+def _waits(func: ast.AST) -> Iterator[ast.Yield]:
+    """Every ``yield X.wait(...)`` in one function body."""
+    for node in _own_nodes(func):
+        if (
+            isinstance(node, ast.Yield)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "wait"
+        ):
+            yield node
+
+
 @register
 class LockPairingRule(LintRule):
     """A lexical acquire/release imbalance in one function is how leaked
@@ -362,37 +389,24 @@ class LockPairingRule(LintRule):
 
     name = "lock-pairing"
     description = (
-        "every X.acquire(...) must have a matching X.release() in the same "
-        "function body"
+        "every X.acquire(...) or X.acquire_now(...) must have a matching "
+        "X.release() in the same function body"
     )
     scopes = None
 
     def check(self, module: ModuleUnderLint) -> Iterator[Diagnostic]:
         for func in _functions(module.tree):
-            acquires: Dict[str, List[ast.Call]] = {}
-            releases: Dict[str, int] = {}
-            for node in _own_nodes(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                if not isinstance(node.func, ast.Attribute):
-                    continue
-                recv = _dotted(node.func.value)
-                if not recv:
-                    continue
-                if node.func.attr == "acquire":
-                    acquires.setdefault(recv, []).append(node)
-                elif node.func.attr == "release":
-                    releases[recv] = releases.get(recv, 0) + 1
+            acquires, releases = _lock_calls(func)
             for recv, calls in acquires.items():
-                n_rel = releases.get(recv, 0)
+                n_rel = len(releases.get(recv, ()))
                 if len(calls) != n_rel:
                     yield self.diag(
                         module,
                         calls[0],
-                        "%s.acquire() appears %d time(s) but %s.release() "
+                        "%s.%s() appears %d time(s) but %s.release() "
                         "%d time(s) in %r; pair them lexically (try/finally) "
                         "or suppress with a reason if released elsewhere"
-                        % (recv, len(calls), recv, n_rel, func.name),
+                        % (recv, calls[0].func.attr, len(calls), recv, n_rel, func.name),
                     )
 
 
@@ -414,16 +428,7 @@ class CondvarWaitLoopRule(LintRule):
             for node in _own_nodes(func):
                 for child in ast.iter_child_nodes(node):
                     parents[child] = node
-            for node in _own_nodes(func):
-                if not isinstance(node, ast.Yield) or node.value is None:
-                    continue
-                call = node.value
-                if not (
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "wait"
-                ):
-                    continue
+            for node in _waits(func):
                 ancestor = parents.get(node)
                 in_while = False
                 while ancestor is not None:
@@ -448,43 +453,24 @@ class YieldWaitInCriticalRule(LintRule):
 
     name = "yield-in-critical"
     description = (
-        "no yield X.wait(...) between Y.acquire() and Y.release() — release "
-        "the lock before sleeping, then re-check the guard"
+        "no yield X.wait(...) between Y.acquire() (or Y.acquire_now()) and "
+        "Y.release() — release the lock before sleeping, then re-check the guard"
     )
     scopes = None
 
     def check(self, module: ModuleUnderLint) -> Iterator[Diagnostic]:
         for func in _functions(module.tree):
             spans: List[Tuple[int, int]] = []
-            acquires: Dict[str, List[int]] = {}
-            releases: Dict[str, List[int]] = {}
-            for node in _own_nodes(func):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                    recv = _dotted(node.func.value)
-                    if not recv:
-                        continue
-                    if node.func.attr == "acquire":
-                        acquires.setdefault(recv, []).append(node.lineno)
-                    elif node.func.attr == "release":
-                        releases.setdefault(recv, []).append(node.lineno)
-            for recv, acq_lines in acquires.items():
-                rel_lines = sorted(releases.get(recv, []))
-                for a in sorted(acq_lines):
+            acquires, releases = _lock_calls(func)
+            for recv, calls in acquires.items():
+                rel_lines = sorted(r.lineno for r in releases.get(recv, ()))
+                for a in sorted(c.lineno for c in calls):
                     nxt = [r for r in rel_lines if r > a]
                     if nxt:
                         spans.append((a, nxt[0]))
             if not spans:
                 continue
-            for node in _own_nodes(func):
-                if not isinstance(node, ast.Yield) or node.value is None:
-                    continue
-                call = node.value
-                if not (
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "wait"
-                ):
-                    continue
+            for node in _waits(func):
                 for a, r in spans:
                     if a < node.lineno < r:
                         yield self.diag(

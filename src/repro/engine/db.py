@@ -575,7 +575,7 @@ class LSMEngine:
             ctx.perf.memtable_probes += 1
         # The instance-wide read critical section (block-cache LRU + version
         # bookkeeping): concurrent readers of one instance serialize here.
-        yield self.read_lock.acquire(ctx, "read_lock")
+        yield from self.read_lock.acquire_now(ctx, "read_lock")
         yield self.env.cpu.exec(ctx, self.costs.read_serial, "read")
         self.read_lock.release()
         yield self.env.cpu.exec(ctx, self.costs.get_memtable_probe, "read")
@@ -608,7 +608,7 @@ class LSMEngine:
         self.counters.add("read_requests", len(keys))
         if ctx.perf is not None:
             ctx.perf.memtable_probes += len(keys)
-        yield self.read_lock.acquire(ctx, "read_lock")
+        yield from self.read_lock.acquire_now(ctx, "read_lock")
         yield self.env.cpu.exec(
             ctx,
             self.costs.read_serial + self.costs.read_serial_per_key * len(keys),

@@ -278,8 +278,8 @@ class WriteGroupCoordinator:
             if opts.concurrent_memtable:
                 group.barrier = Barrier(self.sim, parties=n)
                 # Leader wakes each follower (the unlock cost the paper files
-                # under WAL lock overhead).
-                yield self.cpu.exec(
+                # under WAL lock overhead; zero-length without followers).
+                yield from self.cpu.exec_now(
                     ctx, costs.wakeup_per_follower * (n - 1), "wal_lock"
                 )
                 for w, wseqs in zip(members[1:], seqs[1:]):
@@ -289,7 +289,7 @@ class WriteGroupCoordinator:
                 yield from self._insert_batch(leader, n)
                 self._member_done(group)
                 waited_since = self.sim.now
-                yield group.barrier.arrive()
+                yield from group.barrier.arrive_now()
                 ctx.account_wait("memtable_lock", self.sim.now - waited_since)
             else:
                 if opts.pipelined_write:
@@ -382,7 +382,7 @@ class WriteGroupCoordinator:
         engine.active_inserters -= 1
         # Serial global-metadata update: every concurrent memtable writer
         # funnels through this instance-wide critical section.
-        yield engine.mem_meta_lock.acquire(writer.ctx, "memtable_lock")
+        yield from engine.mem_meta_lock.acquire_now(writer.ctx, "memtable_lock")
         yield self.cpu.exec(
             writer.ctx, self.costs.memtable_metadata_sync, "memtable"
         )

@@ -43,7 +43,8 @@ Same-dispatch rule: a delivery runs inside the dispatch that caused it, with
 no heap pop of its own, only when it is provably the entry the loop would
 pop next, so the order of process steps is that of a kernel that queues
 every delivery (tests/test_sim_core.py keeps such a loop as the oracle).
-Two cases, both decided in :meth:`Simulator.run` and nowhere else.
+Three cases, two decided in :meth:`Simulator.run`, the third by
+:meth:`Simulator.can_continue`, and nowhere else.
 
 A completion in kernel context (``CPUSet._finish``, ``StorageDevice._finish``)
 hands the event it releases back to the loop, which triggers and delivers it
@@ -60,6 +61,13 @@ delivery as ever; the loop then pops that entry at once if it is the heap
 top, provided (3) no error is pending — the next iteration would raise
 before delivering — and the process was resumed as the *only* waiter of its
 event: with several, every sibling runs before any of them runs twice.
+
+A wait that cannot wait (``Lock.acquire_now`` on a free lock,
+``Barrier.arrive_now`` by the last party, nobody else waiting,
+``CPUSet.exec_now`` of a zero-length burst on a free core) does not suspend
+when :meth:`Simulator.can_continue` — the second case's conditions, checked
+before the yield — holds; it does the suspending path's bookkeeping in its
+order, hooks and ``_seq`` included (:meth:`Simulator._resume_in_step`).
 """
 
 import heapq
@@ -67,6 +75,7 @@ from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.perf import zones as _perf_zones
+from repro.sim.wakeup import annotated
 
 # lint: disable-file=unlabeled-wakeup -- the kernel defines succeed() and
 # annotates its own wakeups (timeouts, joins, process completion) inline.
@@ -499,6 +508,8 @@ class Simulator:
         self.current_process: Optional["Process"] = None
         #: seeded RNG for schedule perturbation; None keeps FIFO tie-break.
         self._perturb_rng = None
+        #: True while run() resumes the waiters of one event in turn.
+        self._fanout = False
 
     def perturb_schedule(self, seed: int) -> None:
         """Randomize delivery order of same-time events (seeded, reproducible).
@@ -585,6 +596,38 @@ class Simulator:
             ),
         )
 
+    def can_continue(self) -> bool:
+        """Would a triggered event yielded now come straight back to its yielder?"""
+        heap = self._heap
+        if heap and heap[0][0] <= self._now:
+            return False
+        return self._perturb_rng is None and self._pending_error is None and not self._fanout
+
+    def _resume_in_step(self, event: Optional[Event], completion: bool, *edge) -> None:
+        """Trigger ``event`` (made if an observer needs one) with ``edge`` as
+        ``wake()`` — or :meth:`run`, for a ``completion`` — would, and resume
+        the current process on it in its step, spending the ``_seq`` and
+        making the hook calls of the suspend :meth:`can_continue` allowed."""
+        self._seq += 2
+        monitor, edgelog = self.monitor, self.edgelog
+        if monitor is None and edgelog is None:
+            return
+        event = event or Event(self)
+        event._value, event._ok = None, True
+        proc = self.current_process
+        self.current_process = None if completion else proc
+        annotated(event, *edge)
+        if monitor is not None:
+            monitor.on_send(event)
+        if edgelog is not None and not completion and event._edge is None:
+            edgelog.annotate(event, "event")  # as succeed() does
+        self.current_process = None
+        if monitor is not None:
+            monitor.on_receive(proc, event)
+        if edgelog is not None:
+            edgelog.on_resume(proc, event, self._now)
+        self.current_process = proc
+
     def _crash(self, exc: BaseException) -> None:
         if self._pending_error is None:
             self._pending_error = exc
@@ -663,8 +706,10 @@ class Simulator:
                 if type(cb) is list:
                     # Several waiters: each runs before any of them runs
                     # again, so none is followed within this dispatch.
+                    self._fanout = True
                     for fn in cb:
                         fn(target)
+                    self._fanout = False
                     break
                 # A resumed process hands back the already-triggered event it
                 # now waits on (see Process._resume).  If that event's queued

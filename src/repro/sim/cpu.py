@@ -180,6 +180,25 @@ class CPUSet:
         )
         return ev
 
+    def exec_now(self, ctx: ThreadContext, duration: float, category: str = "other"):
+        """:meth:`exec` for ``yield from``: nothing to wait on for a zero-length
+        burst on the thread's free core when ``sim.can_continue()``."""
+        sim = self.sim
+        core = ctx.pinned if ctx.pinned is not None else ctx.last_core
+        if duration or core is None or self._busy[core] or not sim.can_continue():
+            return (self.exec(ctx, duration, category),)
+        proc, now, track = sim.current_process, sim._now, self._tracks[core]
+        if sim.edgelog is not None:
+            sim.edgelog.bind_track(ctx.track, proc)
+        ctx.last_core = core
+        # _finish for 0 s: += 0.0 leaves every total as is but makes the keys
+        if sim.tracer is not None:
+            sim.tracer.complete(category, "core", track, now, now, ("thread",), (ctx.name,))
+        ctx.busy_by_category[category] += 0.0
+        self.busy_by_kind[ctx.kind] += 0.0
+        sim._resume_in_step(None, True, "cpu", category, "resource", now, now, proc, track)
+        return ()
+
     def _pick_free_core(self) -> Optional[int]:
         """Any free core nobody is pinned to, then any free core at all."""
         fallback = None

@@ -70,6 +70,22 @@ class Lock:
             self._waiters.append((ev, ctx, category, sim.now, proc))
         return ev
 
+    def acquire_now(self, ctx=None, category: Optional[str] = None) -> Tuple[Event, ...]:
+        """:meth:`acquire` for ``yield from``: nothing to wait on when the lock
+        is free and ``sim.can_continue()`` (it is taken in the step)."""
+        sim = self.sim
+        if self._locked or not sim.can_continue():
+            return (self.acquire(ctx, category),)  # lint: disable=lock-pairing  (the caller releases)
+        proc, monitor = sim.current_process, sim.monitor
+        if monitor is not None:
+            monitor.on_lock_request(self, proc)
+        self._locked = True
+        self._grant(proc)
+        if monitor is not None:
+            monitor.on_sync(self)
+        sim._resume_in_step(None, False, self._resource, category or "")
+        return ()
+
     def _grant(self, proc) -> None:
         self._owner = proc
         if proc is not None:
@@ -212,3 +228,17 @@ class Barrier:
         if self._arrived >= self.parties:
             wake(ev, resource="barrier:%s" % self.name)  # cold: once per barrier
         return ev
+
+    def arrive_now(self) -> Tuple[Event, ...]:
+        """:meth:`arrive` for ``yield from``: nothing to wait on for the last
+        arrival when nobody else waits and ``sim.can_continue()``."""
+        sim, ev = self.sim, self._event
+        last = self._arrived + 1 == self.parties and ev._cb is None
+        if not (last and sim.can_continue()):
+            return (self.arrive(),)
+        if sim.monitor is not None:
+            sim.monitor.on_sync(self)
+        self._arrived += 1
+        ev._value, ev._ok = None, True
+        sim._resume_in_step(ev, False, "barrier:%s" % self.name)
+        return ()

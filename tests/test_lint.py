@@ -132,6 +132,25 @@ FIXTURES = {
 }
 
 
+#: the non-suspending acquire takes the lock as surely as the suspending one.
+ACQUIRE_NOW = "def f(self, ctx):\n    yield from self.lock.acquire_now(ctx)\n"
+WAIT_LOOP = "    while not self.ready:\n        yield self.cond.wait(ctx)\n"
+RELEASE = "    self.lock.release()\n"
+#: rule -> more (module, hit source, miss source) triples.
+MORE_FIXTURES = {
+    "lock-pairing": [
+        ("repro.engine.write_group", ACQUIRE_NOW, ACQUIRE_NOW + RELEASE),
+    ],
+    "yield-in-critical": [
+        (
+            "repro.engine.write_group",
+            ACQUIRE_NOW + WAIT_LOOP + RELEASE,
+            ACQUIRE_NOW + RELEASE + WAIT_LOOP,
+        ),
+    ],
+}
+
+
 def test_registry_has_required_rules():
     names = [rule.name for rule in RULES]
     assert len(set(names)) == len(names)
@@ -140,9 +159,9 @@ def test_registry_has_required_rules():
 
 @pytest.mark.parametrize("rule", sorted(rule.name for rule in RULES))
 def test_every_rule_has_a_hit_and_a_miss_fixture(rule):
-    module, hit, miss = FIXTURES[rule]
-    assert _rules(hit, module=module) == [rule]
-    assert _rules(miss, module=module) == []
+    for module, hit, miss in [FIXTURES[rule]] + MORE_FIXTURES.get(rule, []):
+        assert _rules(hit, module=module) == [rule]
+        assert _rules(miss, module=module) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Tests for the event loop, events and processes."""
 
+import collections
 import heapq
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sanitizer import install_sanitizer
+from repro.analysis.sanitizer import Sanitizer, install_sanitizer
 from repro.critpath import EdgeLog, install_edgelog
 from repro.sim import (
     Barrier,
@@ -348,7 +350,11 @@ def test_callback_return_values_are_not_mistaken_for_hand_offs():
 
 class QueueingSimulator(Simulator):
     """Reference loop: a completion's event always goes through succeed(),
-    and whatever a callback returns is ignored — one heap pop per delivery."""
+    whatever a callback returns is ignored — one heap pop per delivery — and
+    no wait completes inside the step that asked for it."""
+
+    def can_continue(self):
+        return False
 
     def run(self, until=None):
         heap = self._heap
@@ -397,6 +403,12 @@ _op = st.one_of(
     st.tuples(st.just("notify_all")),
     st.tuples(st.just("barrier1")),
     st.tuples(st.just("barrier_all")),
+    # the non-suspending forms, and a process whose first step uses them
+    st.tuples(st.just("burst_now"), _dur),
+    st.tuples(st.just("lock_now"), _idx, _dur),
+    st.tuples(st.just("barrier1_now")),
+    st.tuples(st.just("barrier_all_now")),
+    st.tuples(st.just("join_first_step"), _idx),
     st.tuples(st.just("put"), _idx),
     st.tuples(st.just("get"), _idx),
     st.tuples(st.just("all_of"), _dur, _dur),
@@ -454,7 +466,18 @@ def _run_program(program, sim_cls, install=(), seed=None, until=None):
         trace.append((sim.now, name, "child"))
         return dur
 
-    n_all = sum(1 for _pin, ops in program["procs"] if ("barrier_all",) in ops)
+    def first_step(name, i, ctx):  # runs on its joiner's thread context
+        yield from locks[i].acquire_now(None, "lk")
+        trace.append((sim.now, name, "locked"))
+        locks[i].release()
+        yield from cpu.exec_now(ctx, GRID[0], "first")
+        yield from Barrier(sim, 1).arrive_now()
+        trace.append((sim.now, name, "passed"))
+
+    n_all = sum(
+        1 for _pin, ops in program["procs"]
+        if ("barrier_all",) in ops or ("barrier_all_now",) in ops
+    )
     barrier_all = Barrier(sim, max(1, n_all))
     arrived = set()
     finished = sim.spawn(child("finished", 0))
@@ -481,6 +504,21 @@ def _run_program(program, sim_cls, install=(), seed=None, until=None):
             elif kind == "barrier_all" and name not in arrived:
                 arrived.add(name)
                 yield barrier_all.arrive()
+            elif kind == "burst_now":
+                yield from cpu.exec_now(ctx, GRID[op[1]], "c%d" % op[1])
+            elif kind == "lock_now":
+                yield from locks[op[1]].acquire_now(ctx, "lk")
+                trace.append((sim.now, name, step, "locked"))
+                yield from cpu.exec_now(ctx, GRID[op[2]], "held")
+                locks[op[1]].release()
+            elif kind == "barrier1_now":
+                yield from Barrier(sim, 1).arrive_now()
+            elif kind == "barrier_all_now" and name not in arrived:
+                arrived.add(name)
+                yield from barrier_all.arrive_now()
+            elif kind == "join_first_step":
+                first = "%s/first%d" % (name, step)
+                got = yield sim.spawn(first_step(first, op[1], ctx), name=first)
             elif kind == "put":
                 queues[op[1]].put((name, step))
             elif kind == "get":
@@ -556,10 +594,25 @@ def _run_program(program, sim_cls, install=(), seed=None, until=None):
         elif isinstance(observer, HookRecorder):
             result["hooks"] = observer.calls
         elif isinstance(observer, EdgeLog):
+            name = lambda p: getattr(p, "name", None)  # noqa: E731
             result["resumes"] = sorted(
-                (p.name, t, seq, None if e is None else (e.seq, e.kind, e.label, e.begin, e.queued_at))
+                (p.name, t, seq, None if e is None else (
+                    e.seq, e.kind, e.label, e.begin, e.queued_at, name(e.waker),
+                    name(e.initiator), e.track,
+                ))
                 for p, hist in observer.history.items()
                 for t, seq, e in zip(hist[0], hist[1], map(observer.edge, hist[2]))
+            )
+            result["bindings"] = {
+                track: [(t, p.name) for t, p in hist]
+                for track, hist in observer.track_bindings.items()
+            }
+        elif isinstance(observer, Sanitizer):
+            # vector clocks, keyed by process name instead of id()
+            name = lambda pid: observer._procs[pid].name  # noqa: E731
+            result["clocks"] = sorted(
+                (name(pid), sorted((name(q), n) for q, n in clock.items()))
+                for pid, clock in observer._clocks.items()
             )
     return result
 
@@ -596,6 +649,47 @@ def _pinned(*procs):
     None,
 )
 @example(_pinned([("burst", 1), ("crash",), ("barrier1",)]), (), None)
+# The same for can_continue(): a wait completed in place ties with an entry
+# at its instant; two waiters of one event, the first going on to a free lock
+# and a one-party barrier; an error pending; a shuffled schedule; and what an
+# in-place wait owes the observers and _seq, first steps and a shared thread
+# context included.
+@example(_pinned([("timeout", 1), ("lock_now", 0, 0)], [("timeout", 1)]), (), None)
+@example(_pinned([("timeout", 1), ("lock_now", 0, 0)]), (), 1)
+@example(
+    _pinned(
+        [("wait_shared", 0), ("lock_now", 0, 0), ("barrier1_now",)],
+        [("wait_shared", 0), ("lock_now", 1, 0), ("barrier1_now",)],
+        [("timeout", 1), ("fire_shared", 0, True), ("timeout", 1)],
+    ),
+    (),
+    None,
+)
+@example(_pinned([("timeout", 1), ("crash",), ("barrier1_now",)]), (), None)
+# ... and the forms' own conditions: someone else waits at the barrier; the
+# thread's core is busy.
+@example(_pinned([("barrier_all_now",)], [("timeout", 1), ("barrier_all_now",)]), (), None)
+@example(
+    _pinned([("timeout", 1), ("burst", 3)], [("burst", 0), ("timeout", 2), ("burst_now", 0)]),
+    (),
+    None,
+)
+@example(
+    _pinned([("burst", 1), ("burst_now", 0), ("lock_now", 0, 0), ("join_first_step", 0)]),
+    _OBSERVERS[-1],
+    None,
+)
+@example(
+    _pinned([("burst", 1), ("burst_now", 0), ("lock_now", 0, 0), ("join_first_step", 0)]),
+    (HookRecorder,),
+    None,
+)
+# a pinned thread whose first burst is zero-length and taken in the step
+@example(
+    {"cores": 1, "channels": 1, "procs": [(0, [("burst_now", 0)])], "sampler_ticks": 0},
+    (),
+    None,
+)
 def test_same_dispatch_delivery_matches_the_queueing_kernel(program, install, seed):
     real = _run_program(program, Simulator, install, seed)
     assert real == _run_program(program, QueueingSimulator, install, seed)
@@ -612,3 +706,55 @@ def test_run_until_matches_the_queueing_kernel(program, ticks):
     assert _run_program(program, Simulator, until=until) == _run_program(
         program, QueueingSimulator, until=until
     )
+
+
+# ---------------------------------------------------------------------------
+# Where it applies: p2KVS write groups (one worker per instance, so no
+# followers) never suspend on a wait that cannot wait
+# ---------------------------------------------------------------------------
+
+
+def test_p2kvs_fill_write_groups_wait_in_step(monkeypatch):
+    """One instance, one client thread, 300 puts = 300 write groups: the
+    zero-length wake-up burst, the metadata lock and the one-party barrier of
+    every group complete inside the leader's step — none falls back to its
+    suspending form, so none leaves a no-op delivery (or a completion) on
+    the heap."""
+    from repro.engine import make_env
+    from repro.harness import run_closed_loop
+    from repro.systems import open_system
+    from repro.workloads import fillrandom
+
+    counts = collections.Counter()
+    for cls, name in (
+        (Simulator, "_resume_in_step"), (Lock, "acquire"), (Barrier, "arrive"), (CPUSet, "exec")
+    ):
+        def counted(self, *args, _form=getattr(cls, name), _name=name):
+            caller = sys._getframe(1).f_code.co_name
+            if caller.endswith("_now"):
+                counts[caller, _name] += 1
+            return _form(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    env = make_env(n_cores=8)
+    system = open_system("p2kvs", env, workers=1)
+    run_closed_loop(env, system, [list(fillrandom(300, value_size=112, seed=1))])
+    assert counts == {
+        ("exec_now", "_resume_in_step"): 300,
+        ("acquire_now", "_resume_in_step"): 300,
+        ("arrive_now", "_resume_in_step"): 300,
+    }
+
+
+def test_a_lock_taken_in_step_is_owned_like_a_granted_one():
+    sim, seen = Simulator(), []
+    lock = Lock(sim, "l")
+
+    def proc():
+        yield from lock.acquire_now()  # alone at t=0: taken in the step
+        seen.append((lock.owner is sim.current_process, sim.current_process.held_locks))
+
+    sim.spawn(proc(), name="holder")
+    with pytest.raises(SimError, match="exited while holding"):
+        sim.run()
+    assert seen == [(True, [lock])]

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.sanitizer import install_sanitizer
 from repro.critpath import install_edgelog
 from repro.sim import (
+    Barrier,
     CPUSet,
     DeviceSpec,
     HDD_WD100EFAX,
@@ -350,3 +351,71 @@ class TestObserverInvariance:
         assert self._both_paths(install_edgelog) == plain
         assert self._both_paths(install_tracer) == plain
         assert self._both_paths(install_sanitizer) == plain
+
+    @staticmethod
+    def _in_step(install, in_step):
+        """A write group without followers, three times over: a burst, then
+        the zero-length wake-up burst, the free metadata lock and the
+        one-party barrier — completed inside the step (``in_step``, every
+        one of them alone at its instant) or through the suspending forms."""
+        sim = Simulator()
+        observer = install(sim) if install is not None else None
+        cpu = CPUSet(sim, 1)
+        lock = Lock(sim, "meta")
+        ctx = cpu.new_thread("t", pinned=0)
+        returned = []
+
+        def wait(now_form, suspending_form):
+            events = now_form() if in_step else (suspending_form(),)
+            returned.append(len(events))
+            yield from events
+
+        def proc():
+            for _ in range(3):
+                yield cpu.exec(ctx, 0.25, "work")
+                yield from wait(
+                    lambda: cpu.exec_now(ctx, 0.0, "wal_lock"),
+                    lambda: cpu.exec(ctx, 0.0, "wal_lock"),
+                )
+                yield from wait(
+                    lambda: lock.acquire_now(ctx, "memtable_lock"),
+                    lambda: lock.acquire(ctx, "memtable_lock"),
+                )
+                yield cpu.exec(ctx, 0.1, "memtable")
+                lock.release()
+                barrier = Barrier(sim, 1)
+                yield from wait(barrier.arrive_now, barrier.arrive)
+
+        sim.spawn(proc())
+        sim.run()
+        if hasattr(observer, "events"):  # a tracer: its spans
+            observed = [(s.name, s.cat, s.track, s.start, s.end) for s in observer.events]
+        else:  # an edge log: how many records it had no room for
+            observed = getattr(observer, "dropped", None)
+        return returned, observed, {
+            "now": sim.now,
+            "busy_time": list(cpu.core_busy_time),
+            "busy_by_kind": dict(cpu.busy_by_kind),
+            "busy_by_category": dict(ctx.busy_by_category),
+            "waits": dict(ctx.wait_by_category),
+            "seq": sim._seq,
+        }
+
+    def test_waits_completed_in_step_account_alike(self):
+        returned, _, suspending = self._in_step(None, in_step=False)
+        assert returned == [1] * 9
+        assert suspending["busy_by_category"]["wal_lock"] == 0.0  # the key exists
+        for install in (None, install_edgelog, install_tracer, install_sanitizer):
+            returned, _, accounting = self._in_step(install, in_step=True)
+            assert returned == [0] * 9  # nothing left to wait on
+            assert accounting == suspending
+        # ... the tracer sees the zero-width core instants of both forms ...
+        spans = self._in_step(install_tracer, in_step=True)[1]
+        assert spans == self._in_step(install_tracer, in_step=False)[1]
+        assert ("wal_lock", "core", "cores:core-0", 0.25, 0.25) in spans
+        # ... and a full edge log is handed as many records by both.
+        def full(sim):
+            return install_edgelog(sim, max_records=0)
+
+        dropped = self._in_step(full, in_step=True)[1]
+        assert dropped == self._in_step(full, in_step=False)[1] > 0
