@@ -148,26 +148,32 @@ class P2KVS:
     # Submission plumbing
     # ------------------------------------------------------------------
 
-    def _trace_args(self, request: Request, worker_id: int) -> dict:
+    def _trace_args(self, request: Request, worker_id: Optional[int]) -> dict:
+        """The request span's args.  A keyed request is routed by the
+        router's ``explain`` (its ``worker``), which hashes the key once for
+        both the decision and the args."""
         args = {"worker": worker_id, "op": request.op}
         if request.key is not None:
             args["key"] = repr(request.key)
-            explain = getattr(self.router, "explain", None)
-            if explain is not None:
-                args.update(explain(request.key))
+            args.update(self.router.explain(request.key))
         return args
 
-    def _submit_and_wait(self, ctx, request: Request, worker_id: int) -> Generator:
+    def _submit_and_wait(
+        self, ctx, request: Request, worker_id: Optional[int] = None
+    ) -> Generator:
+        """Submit ``request`` to worker ``worker_id`` (None: route it by its
+        key) and wait for its result."""
         env = self.env
         sim = env.sim
         tracer = sim.tracer
         if tracer is not None:
+            args = self._trace_args(request, worker_id)
+            worker_id = args["worker"]
             request.trace = tracer.begin(
-                "request:%s" % request.op,
-                "request",
-                ctx.track,
-                args=self._trace_args(request, worker_id),
+                "request:%s" % request.op, "request", ctx.track, args=args
             )
+        elif worker_id is None:
+            worker_id = self.router.route(request.key)
         prev_perf = ctx.perf
         if env.metrics.perf_enabled:
             # The request's perf context also rides the submitting user
@@ -183,34 +189,41 @@ class P2KVS:
             ctx.perf = prev_perf
         if request.trace is not None:
             if request.perf is not None:
-                request.trace.set(perf=request.perf.as_dict())
-            request.trace.finish()
+                request.trace.finish(perf=request.perf.as_dict())
+            else:
+                request.trace.finish()
         return result
 
-    def _submit_async(self, ctx, request: Request, worker_id: int) -> Generator:
+    def _submit_async(
+        self, ctx, request: Request, worker_id: Optional[int] = None
+    ) -> Generator:
+        """Submit ``request`` (``worker_id`` as in :meth:`_submit_and_wait`)
+        without waiting; its callback runs on completion."""
         tracer = self.env.sim.tracer
         if self.env.metrics.perf_enabled:
             request.perf = PerfContext()
         if tracer is not None:
+            args = self._trace_args(request, worker_id)
+            worker_id = args["worker"]
             # Async requests overlap on the submitting thread's track, so the
             # span is an async pair, closed from the completion callback.
             span = tracer.async_begin(
-                "request:%s" % request.op,
-                "request",
-                ctx.track,
-                args=self._trace_args(request, worker_id),
+                "request:%s" % request.op, "request", ctx.track, args=args
             )
             request.trace = span
             user_callback = request.callback
 
             def _finish_trace(result):
                 if request.perf is not None:
-                    span.set(perf=request.perf.as_dict())
-                span.finish()
+                    span.finish(perf=request.perf.as_dict())
+                else:
+                    span.finish()
                 if user_callback is not None:
                     user_callback(result)
 
             request.callback = _finish_trace
+        elif worker_id is None:
+            worker_id = self.router.route(request.key)
         yield self.env.cpu.exec(ctx, SUBMIT_COST, "submit")
         self.workers[worker_id].submit(request)
 
@@ -246,9 +259,7 @@ class P2KVS:
     def put(self, ctx, key: bytes, value: bytes) -> Generator:
         gsn = self.gsn.allocate()
         request = Request(OP_PUT, key=key, value=value, gsn=gsn)
-        status = yield from self._submit_and_wait(
-            ctx, request, self.router.route(key)
-        )
+        status = yield from self._submit_and_wait(ctx, request)
         status.raise_for_error()
 
     #: UPDATE is a PUT to an existing key (paper Table 1's UPDATE/RMW mix).
@@ -257,17 +268,13 @@ class P2KVS:
     def delete(self, ctx, key: bytes) -> Generator:
         gsn = self.gsn.allocate()
         request = Request(OP_DELETE, key=key, gsn=gsn)
-        status = yield from self._submit_and_wait(
-            ctx, request, self.router.route(key)
-        )
+        status = yield from self._submit_and_wait(ctx, request)
         status.raise_for_error()
 
     def get_status(self, ctx, key: bytes) -> Generator:
         """Point lookup with the full status: ok / not_found / error."""
         request = Request(OP_GET, key=key)
-        return (
-            yield from self._submit_and_wait(ctx, request, self.router.route(key))
-        )
+        return (yield from self._submit_and_wait(ctx, request))
 
     def get(self, ctx, key: bytes) -> Generator:
         """Point-lookup sugar: value bytes or None; raises on typed errors."""
@@ -280,7 +287,7 @@ class P2KVS:
         """Asynchronous write: returns after enqueue; callback on completion."""
         gsn = self.gsn.allocate()
         request = Request(OP_PUT, key=key, value=value, gsn=gsn, callback=callback)
-        yield from self._submit_async(ctx, request, self.router.route(key))
+        yield from self._submit_async(ctx, request)
 
     # ------------------------------------------------------------------
     # Range queries (Section 4.4)

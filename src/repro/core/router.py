@@ -8,6 +8,11 @@ alternative matching certain access patterns).
 
 The hash must be deterministic across runs (Python's builtin ``hash`` is
 salted), so we use FNV-1a (the one in :mod:`repro.storage.bloom`).
+
+A router has two verbs: ``route(key)``, the worker id, and ``explain(key)``,
+the same decision unpacked for a traced request's span (its ``worker`` entry
+is what ``route`` returns).  A traced request is routed by ``explain`` alone,
+so its key is hashed once; ``route`` keeps its memo for the untraced path.
 """
 
 from bisect import bisect_right

@@ -160,7 +160,7 @@ class EdgeLog:
             # edge's ``via``); once resumes are dropped, so are edges.
             self.dropped += 1
             return
-        now = self.sim.now
+        now = self.sim._now
         if begin is None:
             begin = now
         if queued_at is None:
@@ -199,7 +199,7 @@ class EdgeLog:
         if hist is None:
             hist = self.track_bindings[track] = []
         if not hist or hist[-1][1] is not proc:
-            hist.append((self.sim.now, proc))
+            hist.append((self.sim._now, proc))
 
     # -- queries (see repro.critpath.extract) ------------------------------
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.metrics.registry import Histogram
-from repro.trace.attribution import fig06_breakdown, span_totals
 
 __all__ = ["Metrics", "MetricsCollector", "scoped_collector"]
 
@@ -131,8 +130,6 @@ class MetricsCollector:
         self._kind0: Dict[str, float] = {}
         self._rw0 = (0.0, 0.0)
         self._core0: List[float] = []
-        #: len(tracer.rows) when the window opened: nothing before overlaps it.
-        self._rows0 = 0
         self.memory_peak = 0
 
     # -- registry reads ----------------------------------------------------
@@ -164,8 +161,6 @@ class MetricsCollector:
             self._gauge("device.read_bytes_total"),
             self._gauge("device.write_bytes_total"),
         )
-        tracer = self.env.sim.tracer
-        self._rows0 = len(tracer.rows) if tracer is not None else 0
 
     def release(self) -> None:
         """Give up the env's measuring slot if this collector holds it."""
@@ -230,17 +225,6 @@ class MetricsCollector:
             # Only when nonzero: fault-free results stay byte-identical to
             # runs predating the fault plane.
             metrics.extra["errors"] = dict(sorted(self.errors.items()))
-        tracer = env.sim.tracer
-        if tracer is not None:
-            # Span-derived Figure 6 breakdown over the measured window, for
-            # the foreground path (user + worker threads; background flush /
-            # compaction threads are outside the per-request attribution).
-            tracks = {
-                t.track for t in env.cpu.threads if t.kind in ("user", "worker")
-            }
-            metrics.extra["latency_attribution"] = fig06_breakdown(
-                *span_totals(tracer, tracks, (self._t0, env.sim.now), self._rows0)
-            )
         return metrics
 
 

@@ -52,8 +52,10 @@ at once if (1) the heap is empty or its top is *strictly later* than ``now``
 — an entry at ``now`` was queued earlier and goes first — and (2) no
 perturbation RNG is installed (a shuffled rank would have to be drawn and
 compared); otherwise the loop calls ``succeed()`` and the delivery queues as
-ever.  The ``_seq`` the entry would have taken is spent either way, so
-numbering does not depend on the path taken.
+ever.  The ``_seq`` the entry would have taken is spent either way, and so
+is ``succeed()``'s edge-log fallback for an event left un-annotated (which
+only a full log does), so numbering and ``EdgeLog.dropped`` do not depend on
+the path taken.
 
 A process that yields an already-triggered event (uncontended
 ``Lock.acquire``, one-party ``Barrier``, non-empty ``queue.get``) queues its
@@ -619,7 +621,7 @@ class Simulator:
         annotated(event, *edge)
         if monitor is not None:
             monitor.on_send(event)
-        if edgelog is not None and not completion and event._edge is None:
+        if edgelog is not None and event._edge is None:
             edgelog.annotate(event, "event")  # as succeed() does
         self.current_process = None
         if monitor is not None:
@@ -691,6 +693,11 @@ class Simulator:
                         monitor = self.monitor
                         if monitor is not None:
                             monitor.on_send(target)
+                        edgelog = self.edgelog
+                        if edgelog is not None and target._edge is None:
+                            # succeed()'s fallback: fires only when the
+                            # completion's own edge found the log full.
+                            edgelog.annotate(target, "event")
                         self._seq += 1
             else:
                 value = entry[4]

@@ -23,7 +23,6 @@ from collections import defaultdict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.sim.core import Event, SimError, Simulator
-from repro.sim.wakeup import annotated
 from repro.trace.tracer import thread_track
 
 __all__ = ["CPUSet", "ThreadContext"]
@@ -78,7 +77,7 @@ class ThreadContext:
         if self.sim is not None and dt > 0:
             tracer = self.sim.tracer
             if tracer is not None:
-                now = self.sim.now
+                now = self.sim._now
                 tracer.complete(category, "wait", self.track, now - dt, now)
 
     def __repr__(self) -> str:
@@ -152,7 +151,11 @@ class CPUSet:
         proc = sim.current_process
         edgelog = sim.edgelog
         if edgelog is not None:
-            edgelog.bind_track(ctx.track, proc)
+            # bind_track's own test, without the call: a thread mostly runs
+            # one process, so the track's last binding is usually it.
+            bound = edgelog.track_bindings.get(ctx.track)
+            if not bound or bound[-1][1] is not proc:
+                edgelog.bind_track(ctx.track, proc)
         now = sim._now
         # Core choice: the pinned core; else the core this thread last ran
         # on (warm cache); else whatever _pick_free_core finds, at the price
@@ -193,7 +196,7 @@ class CPUSet:
         ctx.last_core = core
         # _finish for 0 s: += 0.0 leaves every total as is but makes the keys
         if sim.tracer is not None:
-            sim.tracer.complete(category, "core", track, now, now, ("thread",), (ctx.name,))
+            sim.tracer.burst(category, track, ctx.name, now, now, ctx.track, 0.0)
         ctx.busy_by_category[category] += 0.0
         self.busy_by_kind[ctx.kind] += 0.0
         sim._resume_in_step(None, True, "cpu", category, "resource", now, now, proc, track)
@@ -237,26 +240,18 @@ class CPUSet:
         sim = self.sim
         end = sim._now
         self.core_busy_time[core] += end - started
+        track = self._tracks[core]
         tracer = sim.tracer
         if tracer is not None:
-            # Core-occupancy view: one row per core, labelled by the burst.
-            tracer.complete(
-                category,
-                "core",
-                self._tracks[core],
-                started,
-                end,
-                ("thread",),
-                (ctx.name,),
-            )
-        # The thread's busy accounting (Figure 6's CPU input), and its span.
+            # Core-occupancy view (one row per core, labelled by the burst)
+            # and the thread's busy span.
+            tracer.burst(category, track, ctx.name, started, end, ctx.track, duration)
+        # The thread's busy accounting (Figure 6's CPU input).
         ctx.busy_time += duration
         ctx.busy_by_category[category] += duration
         perf = ctx.perf
         if perf is not None:
             perf.cpu_busy_seconds += duration
-        if duration > 0 and tracer is not None:
-            tracer.complete(category, "busy", ctx.track, end - duration, end)
         self.busy_by_kind[ctx.kind] += duration
         self._busy[core] = False
         pinned = self._pinned_waiting[core]
@@ -264,10 +259,12 @@ class CPUSet:
             self._start(core, pinned.popleft())
         elif self._global_waiting:
             self._start(core, self._global_waiting.popleft())
-        return annotated(
-            ev, "cpu", category, "resource", started, queued_at, initiator,
-            self._tracks[core],
-        )
+        edgelog = sim.edgelog
+        if edgelog is not None:  # what wakeup.annotated would stamp
+            edgelog.annotate(
+                ev, "cpu", category, "resource", started, queued_at, initiator, None, track
+            )
+        return ev
 
     # -- metrics -------------------------------------------------------------
 

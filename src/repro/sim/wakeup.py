@@ -10,9 +10,10 @@ waiter started waiting*.  The ``unlabeled-wakeup`` lint rule
 
 A completion that runs in kernel context (the target of
 ``Simulator._call_later``: a CPU burst or device IO finishing) does not
-trigger its event at all: it returns :func:`annotated` ``(event, ...)`` and
-``Simulator.run`` triggers it, within the same dispatch when the ordering
-contract of :mod:`repro.sim.core` allows.
+trigger its event at all: it returns :func:`annotated` ``(event, ...)`` —
+``CPUSet._finish``, the commonest, stamps the same edge with
+``EdgeLog.annotate`` inline — and ``Simulator.run`` triggers it, within the
+same dispatch when the ordering contract of :mod:`repro.sim.core` allows.
 
 With no EdgeLog installed ``wake`` is exactly ``event.succeed(value)``: no
 allocation, no bookkeeping, no behavioural difference.

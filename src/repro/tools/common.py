@@ -53,7 +53,7 @@ from repro.monitor import (
 from repro.perf import format_zone_tree, zones as _perf_zones
 from repro.sim.device import HDD_WD100EFAX, OPTANE_905P, SATA_860PRO
 from repro.systems import describe_options, open_system, system_names
-from repro.trace import install_tracer, write_chrome_trace
+from repro.trace import fig06_breakdown, install_tracer, span_totals, write_chrome_trace
 
 __all__ = [
     "DEVICES",
@@ -338,19 +338,30 @@ class ObservedRun:
 
     def closed_loop(self, system, streams):
         """Drive ``streams`` closed-loop as the measured window."""
-        monitor = self.monitor
-        t0 = self.env.sim.now
+        env, monitor, tracer = self.env, self.monitor, self.tracer
+        t0 = env.sim.now
+        since = len(tracer.rows) if tracer is not None else 0  # none overlaps
         if monitor is not None:
             monitor.start()
-        metrics = run_closed_loop(
-            self.env,
-            system,
-            streams,
+
+        def on_done():
+            # Runs inside the sim right after the collector's finish, so the
+            # attribution covers exactly its window: the spans recorded since
+            # it opened, clipped to [t0, now], on the foreground threads
+            # (background flush/compaction is outside per-request latency).
+            if tracer is not None:
+                tracks = {
+                    t.track for t in env.cpu.threads if t.kind in ("user", "worker")
+                }
+                self.attribution = fig06_breakdown(
+                    *span_totals(tracer, tracks, (t0, env.sim.now), since)
+                )
             # The monitor ticker must be stopped from *inside* the sim or the
             # event loop never drains (its LateTimeout reschedules forever).
-            on_done=(lambda: monitor.stop(flush=True)) if monitor else None,
-        )
-        self.attribution = metrics.extra.get("latency_attribution")
+            if monitor is not None:
+                monitor.stop(flush=True)
+
+        metrics = run_closed_loop(env, system, streams, on_done=on_done)
         self.close_window(t0, metrics.elapsed)
         return metrics
 

@@ -25,8 +25,9 @@ Span kinds:
 * ``async_begin()``/``finish()`` — a span that may *overlap* others on its
   track (queue residency: many requests sit in one worker queue at once).
   Exported as ``"b"``/``"e"`` async event pairs.
-* ``complete()`` — record an already-elapsed interval in one call (used by
-  the CPU model, which learns the burst interval only at its end).
+* ``complete()`` — record an already-elapsed interval in one call (waits and
+  device IOs, learnt only at their end); ``burst()`` records a CPU burst's
+  core-occupancy and busy intervals in one call.
 * ``instant()`` — a zero-width marker (WAL append, memtable insert).
 
 Only *finished* spans are recorded; a span still open when the trace is
@@ -49,6 +50,9 @@ __all__ = [
     "Tracer",
     "thread_track",
 ]
+
+#: the argument names of a core-occupancy row.
+_THREAD = ("thread",)
 
 
 def thread_track(name: str) -> str:
@@ -101,16 +105,27 @@ class Span:
         """Close the span at the current simulated time and record it."""
         if self.end is None:
             if args:
-                self.set(**args)
-            tracer, keys, vals = self._tracer, None, ()
-            self.end = tracer.sim.now
-            if self.args is not None:
-                keys, vals = tuple(self.args), self.args.values()
+                if self.args is None:
+                    self.args = args
+                else:
+                    self.args.update(args)
+            tracer = self._tracer
+            self.end = end = tracer.sim._now
+            _p = _perf_zones.PROFILER
+            if _p is not None:
+                _p.enter("obs.trace")
+            rows = tracer.rows
+            if len(rows) >= tracer._full:
+                tracer.dropped += 1
+            elif self.args is None:
+                rows += (self.name, self.cat, self.track, self.start, end, self.aid, None)
+            else:
+                keys = tuple(self.args)
                 keys = tracer._keysets.setdefault(keys, keys)  # one per key set
-            tracer.complete(
-                self.name, self.cat, self.track, self.start, self.end,
-                keys, vals, self.aid,
-            )
+                rows += (self.name, self.cat, self.track, self.start, end, self.aid, keys)
+                tracer.vals.extend(self.args.values())
+            if _p is not None:
+                _p.leave()
         return self
 
     def __repr__(self) -> str:
@@ -136,6 +151,8 @@ class Tracer:
     def __init__(self, sim, max_events: int = 2_000_000):
         self.sim = sim
         self.max_events = max_events
+        #: len(rows) at the cap, which every row writer tests against.
+        self._full = self.WIDTH * max_events
         self.dropped = 0
         self._next_aid = 1
         #: finished spans in finish-time order, WIDTH slots each: name, cat,
@@ -156,7 +173,7 @@ class Tracer:
         args: Optional[Dict[str, Any]] = None,
     ) -> Span:
         """Open a synchronous (nesting) span at the current sim time."""
-        return Span(self, name, cat, track, self.sim.now, args)
+        return Span(self, name, cat, track, self.sim._now, args)
 
     def async_begin(
         self,
@@ -169,7 +186,10 @@ class Tracer:
         residency); exported as a Chrome async event pair."""
         aid = self._next_aid
         self._next_aid += 1
-        return Span(self, name, cat, track, self.sim.now, args, aid=aid)
+        return Span(self, name, cat, track, self.sim._now, args, aid=aid)
+
+    # The writers below (and Span.finish) each write their rows in place: one
+    # call per record at the site that produces it, none re-dispatched.
 
     def complete(
         self,
@@ -180,22 +200,52 @@ class Tracer:
         end: float,
         keys: Optional[Tuple[str, ...]] = None,
         vals: Iterable[Any] = (),
-        aid: Optional[int] = None,
     ) -> None:
         """Record an already-elapsed ``[start, end]`` interval in one call;
         ``keys`` (a constant tuple, one object for all of a call site's rows)
-        name the ``vals``, ``aid`` is :meth:`Span.finish` recording itself."""
-        row = (name, cat, track, start, end, aid, keys)
+        name the ``vals``."""
         _p = _perf_zones.PROFILER
         if _p is not None:
             _p.enter("obs.trace")
         rows = self.rows
-        if len(rows) >= self.WIDTH * self.max_events:
+        if len(rows) >= self._full:
             self.dropped += 1
         else:
-            rows.extend(row)
+            rows += (name, cat, track, start, end, None, keys)
             if keys:
                 self.vals.extend(vals)
+        if _p is not None:
+            _p.leave()
+
+    def burst(
+        self,
+        category: str,
+        core_track: str,
+        thread: str,
+        start: float,
+        end: float,
+        track: str,
+        duration: float,
+    ) -> None:
+        """One CPU burst's rows: the core's occupancy ``[start, end]``
+        labelled with the ``thread`` name, then, if ``duration > 0``, the
+        thread's busy interval ``[end - duration, end]`` on its ``track`` —
+        what two :meth:`complete` calls would record, each row kept or
+        dropped at the cap on its own."""
+        _p = _perf_zones.PROFILER
+        if _p is not None:
+            _p.enter("obs.trace")
+        rows = self.rows
+        if len(rows) >= self._full:
+            self.dropped += 1
+        else:
+            rows += (category, "core", core_track, start, end, None, _THREAD)
+            self.vals.append(thread)
+        if duration > 0:
+            if len(rows) >= self._full:
+                self.dropped += 1
+            else:
+                rows += (category, "busy", track, end - duration, end, None, None)
         if _p is not None:
             _p.leave()
 
@@ -208,8 +258,19 @@ class Tracer:
         vals: Iterable[Any] = (),
     ) -> None:
         """Record a zero-width marker at the current sim time."""
-        now = self.sim.now
-        self.complete(name, cat, track, now, now, keys, vals)
+        _p = _perf_zones.PROFILER
+        if _p is not None:
+            _p.enter("obs.trace")
+        rows = self.rows
+        if len(rows) >= self._full:
+            self.dropped += 1
+        else:
+            now = self.sim._now
+            rows += (name, cat, track, now, now, None, keys)
+            if keys:
+                self.vals.extend(vals)
+        if _p is not None:
+            _p.leave()
 
     # -- querying -----------------------------------------------------------
 

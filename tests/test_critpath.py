@@ -39,6 +39,7 @@ from repro.sim.queues import FIFOQueue
 from repro.sim.sync import Lock
 from repro.systems import open_system
 from repro.tools import whatif
+from repro.tools.common import ObservedRun
 from repro.trace import Tracer, install_tracer
 from repro.trace.attribution import fig06_from_spans
 from repro.trace.chrome import to_chrome_events
@@ -592,24 +593,24 @@ def test_rows_record_what_the_object_log_recorded(program, seed, cap):
 
 def test_both_recorder_pairs_export_the_same_bytes():
     """End to end on the simulated stack: rows against objects, through the
-    collector's attribution, the critical-path report and the Chrome trace
-    with the makespan path drawn in."""
+    run's attribution, the critical-path report and the Chrome trace with the
+    makespan path drawn in."""
     exports = []
     for tracer_cls, log_cls in ((Tracer, EdgeLog), (ListTracer, ObjectEdgeLog)):
-        env = make_env(n_cores=8)
-        tracer = env.sim.tracer = tracer_cls(env.sim)
-        edgelog = env.sim.edgelog = log_cls(env.sim)
+        run = ObservedRun(make_env(n_cores=8))
+        env = run.env
+        tracer = run.tracer = env.sim.tracer = tracer_cls(env.sim)
+        edgelog = run.edgelog = env.sim.edgelog = log_cls(env.sim)
         install_stats(env, interval_ms=0.1)  # perf contexts: nested dict args
         system = open_system("p2kvs", env, workers=4)
         workload = YCSBWorkload("A", 300, value_size=112, seed=5)
         preload(env, system, workload.load_ops(), n_threads=2)
-        t0 = env.sim.now
-        metrics = run_closed_loop(env, system, split_stream(list(workload.ops(400)), 2))
-        window = (t0, t0 + metrics.elapsed)
+        run.closed_loop(system, split_stream(list(workload.ops(400)), 2))
+        window = run.window
         extras, flows = path_trace_extras(makespan_path(edgelog, tracer, window))
         exports.append((
             span_rows(tracer),
-            metrics.extra["latency_attribution"],
+            run.attribution,
             json.dumps(critpath_report(edgelog, tracer, window)),
             json.dumps(to_chrome_events(tracer, extra_spans=extras, flows=flows)),
         ))

@@ -607,6 +607,7 @@ def _run_program(program, sim_cls, install=(), seed=None, until=None):
                 track: [(t, p.name) for t, p in hist]
                 for track, hist in observer.track_bindings.items()
             }
+            result["dropped"] = observer.dropped
         elif isinstance(observer, Sanitizer):
             # vector clocks, keyed by process name instead of id()
             name = lambda pid: observer._procs[pid].name  # noqa: E731
@@ -617,12 +618,18 @@ def _run_program(program, sim_cls, install=(), seed=None, until=None):
     return result
 
 
+def _full_edgelog(sim):
+    """An edge log that runs out of room within a few steps."""
+    return install_edgelog(sim, max_records=3)
+
+
 _OBSERVERS = [
     (),
     (install_tracer,),
     (install_edgelog,),
     (install_sanitizer,),
     (HookRecorder,),
+    (_full_edgelog,),
     (install_tracer, install_edgelog, install_sanitizer),
 ]
 
@@ -682,6 +689,13 @@ def _pinned(*procs):
 @example(
     _pinned([("burst", 1), ("burst_now", 0), ("lock_now", 0, 0), ("join_first_step", 0)]),
     (HookRecorder,),
+    None,
+)
+# an edge log already full when a burst completes in place, in the dispatch
+# loop and inside the step: both still count succeed()'s fallback as dropped
+@example(
+    _pinned([("timeout", 1), ("timeout", 1), ("timeout", 1), ("burst", 1), ("burst_now", 0)]),
+    (_full_edgelog,),
     None,
 )
 # a pinned thread whose first burst is zero-length and taken in the step

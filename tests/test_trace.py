@@ -3,6 +3,7 @@ Chrome export, and the span-derived Figure 6 attribution."""
 
 import gc
 import json
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +14,7 @@ from repro.core import P2KVS
 from repro.critpath import install_edgelog
 from repro.engine import LSMEngine, make_env, rocksdb_options
 from repro.harness import run_closed_loop
+from repro.harness.metrics import MetricsCollector
 from repro.metrics import install_stats
 from repro.sim.core import Simulator
 from repro.systems import open_system
@@ -20,15 +22,18 @@ from repro.trace import (
     CATEGORIES,
     Span,
     Tracer,
+    fig06_breakdown,
     fig06_from_contexts,
     fig06_from_spans,
     install_tracer,
+    span_totals,
     thread_track,
     to_chrome_events,
     uninstall_tracer,
     write_chrome_trace,
 )
 from repro.tools import dbbench
+from repro.tools.common import ObservedRun
 from repro.workloads import fillrandom, split_stream
 from tests.conftest import run_process
 from tests.test_sim_core import _program, _run_program
@@ -309,6 +314,42 @@ class TestFig06Attribution:
         assert busy_full == pytest.approx(1.0)
         assert busy_half["categories"]["WAL"] == pytest.approx(0.5)
 
+    def test_observed_run_attribution_is_the_collectors(self, monkeypatch):
+        """ObservedRun computes the window's attribution where it reports it;
+        the collector's own computation, which it replaced, is the oracle —
+        over two windows on one env, so the first window's rows precede the
+        second's ``since``."""
+        oracle = []
+
+        class OracleCollector(MetricsCollector):
+            def start(self):
+                super().start()
+                tracer = self.env.sim.tracer
+                self._rows0 = len(tracer.rows) if tracer is not None else 0
+
+            def finish(self, *args):
+                metrics = super().finish(*args)
+                env = self.env
+                tracks = {
+                    t.track for t in env.cpu.threads if t.kind in ("user", "worker")
+                }
+                oracle.append(fig06_breakdown(*span_totals(
+                    env.sim.tracer, tracks, (self._t0, env.sim.now), self._rows0
+                )))
+                return metrics
+
+        monkeypatch.setattr("repro.harness.runner.MetricsCollector", OracleCollector)
+        run = ObservedRun(make_env(n_cores=8), tracer=True)
+        system = open_system("p2kvs", run.env, workers=2)
+        ops = list(fillrandom(600, value_size=112, seed=4))
+        seen = []
+        for window in (ops[:300], ops[300:]):
+            rows_before = len(run.tracer.rows)
+            run.closed_loop(system, split_stream(window, 4))
+            seen.append(run.attribution)
+        assert rows_before > 0 and seen[1]["total"] > 0
+        assert seen == oracle
+
     def test_metrics_attribution_only_with_tracer(self):
         rc = dbbench.main(
             ["--num", "300", "--threads", "2", "--workers", "2",
@@ -394,7 +435,7 @@ class ListSpan(Span):
         if self.end is None:
             if args:
                 self.set(**args)
-            self.end = self._tracer.sim.now
+            self.end = self._tracer.sim._now
             self._tracer.record(self)
         return self
 
@@ -411,7 +452,7 @@ class ListTracer:
         self.events, self.dropped, self._next_aid = [], 0, 1
 
     def begin(self, name, cat, track, args=None, aid=None):
-        return ListSpan(self, name, cat, track, self.sim.now, args, aid)
+        return ListSpan(self, name, cat, track, self.sim._now, args, aid)
 
     def async_begin(self, name, cat, track, args=None):
         self._next_aid += 1
@@ -422,7 +463,12 @@ class ListTracer:
         self.record(ListSpan(self, name, cat, track, start, args, None, end))
 
     def instant(self, name, cat, track, keys=None, vals=()):
-        self.complete(name, cat, track, self.sim.now, self.sim.now, keys, vals)
+        self.complete(name, cat, track, self.sim._now, self.sim._now, keys, vals)
+
+    def burst(self, category, core_track, thread, start, end, track, duration):
+        self.complete(category, "core", core_track, start, end, ("thread",), (thread,))
+        if duration > 0:
+            self.complete(category, "busy", track, end - duration, end)
 
     def record(self, span):
         if len(self.events) >= self.max_events:
@@ -460,17 +506,18 @@ _trace_op = st.one_of(
     st.tuples(st.just("set"), st.integers(0, 7), _some_args),
     st.tuples(st.just("finish"), st.integers(0, 7), _some_args),
     st.tuples(st.sampled_from(["complete", "instant"]), _label, _track, _args),
+    st.tuples(st.just("burst"), _label, _track, st.sampled_from([0.0, 0.25])),
     st.tuples(st.just("clear")),
 )
 
 
 def _drive(tracer_cls, ops, cap):
     """Run ``ops`` against a fresh recorder on a hand-cranked clock."""
-    sim = SimpleNamespace(now=0.0)
+    sim = SimpleNamespace(_now=0.0)
     tracer, handles = tracer_cls(sim, max_events=cap), []
     for op in ops:
         if op[0] == "tick":
-            sim.now += 0.5
+            sim._now += 0.5
         elif op[0] in ("begin", "async_begin"):
             args = None if op[3] is None else dict(op[3])  # set() mutates it
             handles.append(getattr(tracer, op[0])(op[1], "c", op[2], args))
@@ -484,8 +531,10 @@ def _drive(tracer_cls, ops, cap):
         elif op[0] in ("complete", "instant"):
             keys = None if op[3] is None else tuple(op[3])
             vals = () if op[3] is None else tuple(op[3].values())
-            when = (sim.now - 0.25, sim.now) if op[0] == "complete" else ()
+            when = (sim._now - 0.25, sim._now) if op[0] == "complete" else ()
             getattr(tracer, op[0])(op[1], "c", op[2], *when, keys, vals)
+        elif op[0] == "burst":
+            tracer.burst(op[1], op[2], "th", sim._now - 0.5, sim._now, "t:th", op[3])
         elif op[0] == "clear":
             tracer.clear()
     return tracer
@@ -504,7 +553,7 @@ def test_rows_record_what_the_object_list_recorded(ops, cap):
 def test_a_record_is_what_the_span_was_at_finish():
     """The object list recorded the handle itself, so a set() after finish()
     rewrote history; a row is written once."""
-    tracer = Tracer(SimpleNamespace(now=1.0))
+    tracer = Tracer(SimpleNamespace(_now=1.0))
     handle = tracer.begin("a", "c", "t:0", {"n": 1}).finish(k=2)
     handle.set(late=3)
     assert handle.args == {"n": 1, "k": 2, "late": 3}
@@ -535,16 +584,22 @@ def test_kernel_spans_are_the_same_rows(program, seed, cap):
     assert seen[0].dropped == seen[1].dropped
 
 
-def _retained_growth(observe):
-    """GC-tracked objects a 2 000-op p2kvs-8 fill leaves behind, the
-    collector paused so nothing is untracked or freed behind the count."""
+def _observed_fill(observe):
+    """A 2 000-op p2kvs-8 fill over 16 threads, ready to run; with
+    ``observe`` under tracer, edge log and a 0.1 ms sampler (perf contexts)."""
     env = make_env()
     planes = None
     if observe:
         planes = install_tracer(env), install_edgelog(env)
         install_stats(env, interval_ms=0.1)
     system = open_system("p2kvs", env, workers=8)
-    streams = split_stream(list(fillrandom(2000, seed=3)), 16)
+    return env, system, split_stream(list(fillrandom(2000, seed=3)), 16), planes
+
+
+def _retained_growth(observe):
+    """GC-tracked objects a 2 000-op p2kvs-8 fill leaves behind, the
+    collector paused so nothing is untracked or freed behind the count."""
+    env, system, streams, planes = _observed_fill(observe)
     gc.collect()
     gc.disable()
     try:
@@ -569,3 +624,38 @@ def test_observers_retain_no_tracked_object_per_record():
     records = len(tracer.rows) // tracer.WIDTH + edgelog.n_edges + edgelog.n_resumes
     assert records > 50_000
     assert (observed - plain) / records < 0.01
+
+
+#: the modules whose functions an observer record is paid for in.
+OBSERVER_MODULES = (
+    "repro.trace", "repro.critpath", "repro.sim.wakeup", "repro.metrics.perf_context",
+)
+#: trace rows and wakeup edges of that fill: 16.97 and 8.06 a op.
+ROWS, EDGES = 33_942, 16_124
+
+
+@pytest.mark.no_sanitize
+def test_an_observer_record_costs_about_one_call():
+    """The observers' host cost, host-independent: Python calls into the
+    observer modules per op of the fill.  Writing each record at the site
+    that produces it — one tracer call per CPU burst, rows written in place,
+    an edge stamped without a helper, a track bound only when its process
+    changes — took them from 70.5 to 48.1 an op; the records themselves must
+    not change."""
+    env, system, streams, (tracer, edgelog) = _observed_fill(observe=True)
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get("__name__", "").startswith(
+            OBSERVER_MODULES
+        ):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        run_closed_loop(env, system, streams)
+    finally:
+        sys.setprofile(None)
+    assert (len(tracer.rows) // tracer.WIDTH, edgelog.n_edges) == (ROWS, EDGES)
+    assert calls / 2000 <= 52
