@@ -36,7 +36,6 @@ from repro.errors import (
     IOFailure,
     KVError,
     KVStatus,
-    Stalled,
     TimedOut,
 )
 from repro.systems import open_system, register_system, system_names
@@ -55,7 +54,6 @@ __all__ = [
     "NOT_FOUND",
     "P2KVS",
     "RangeRouter",
-    "Stalled",
     "TimedOut",
     "WiredTigerLike",
     "WriteBatch",

@@ -564,7 +564,7 @@ class UnlabeledWakeupRule(LintRule):
                 )
 
 
-_RETRYABLE_ERRORS = {"KVError", "IOFailure", "TimedOut", "Stalled"}
+_RETRYABLE_ERRORS = {"KVError", "IOFailure", "TimedOut"}
 _CRASH_SWALLOWERS = {"CrashTriggered", "Exception", "BaseException"}
 
 

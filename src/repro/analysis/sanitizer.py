@@ -116,10 +116,8 @@ class Sanitizer:
     :meth:`check` raises :class:`SanitizerError` if any were recorded.
     """
 
-    def __init__(self, lock_order: bool = True, races: bool = True):
+    def __init__(self):
         self.sim = None
-        self.lock_order_enabled = lock_order
-        self.races_enabled = races
         self.deadlock_reports: List[dict] = []
         self.race_reports: List[dict] = []
         self._graph = _LockOrderGraph()
@@ -223,7 +221,7 @@ class Sanitizer:
     # ------------------------------------------------------------------
 
     def on_lock_request(self, lock, proc) -> None:
-        if not self.lock_order_enabled or proc is None:
+        if proc is None:
             return
         for held in proc.held_locks:
             cycle = self._graph.add_edge(held, lock)
@@ -262,7 +260,7 @@ class Sanitizer:
     # ------------------------------------------------------------------
 
     def on_access(self, key: str, write: bool, site: str = "") -> None:
-        if not self.races_enabled or self.sim is None:
+        if self.sim is None:
             return
         cur = self.sim.current_process
         if cur is None:
@@ -361,7 +359,7 @@ class Sanitizer:
             raise SanitizerError(self.format_report())
 
 
-def install_sanitizer(env_or_sim, lock_order: bool = True, races: bool = True) -> Sanitizer:
+def install_sanitizer(env_or_sim) -> Sanitizer:
     """Attach a fresh Sanitizer to an Env or a Simulator and return it."""
     sim = getattr(env_or_sim, "sim", env_or_sim)
-    return Sanitizer(lock_order=lock_order, races=races).attach(sim)
+    return Sanitizer().attach(sim)

@@ -38,7 +38,10 @@ INDEX_INSERT_CPU = 2.4e-6
 INDEX_SEARCH_CPU = 1.6e-6
 IO_SUBMIT_CPU = 0.5e-6
 SUBMIT_COST = 0.3e-6
-DEFAULT_IO_BATCH = 32
+#: slot size a page is divided into (the paper's 128-byte KV pairs).
+ITEM_SIZE = 128
+#: requests a worker drains from its queue per IO batch.
+IO_BATCH = 32
 
 _SHUTDOWN = object()
 
@@ -46,13 +49,13 @@ _SHUTDOWN = object()
 class _Partition:
     """One worker's slab store + index."""
 
-    def __init__(self, worker_id: int, item_size_hint: int):
+    def __init__(self, worker_id: int):
         self.worker_id = worker_id
         self.index = BPlusTree(order=64)  # key -> (page_no, value)
         #: page_no -> {key: value}: the slab contents that the device IOs
         #: commit; this is what a post-crash slab scan rebuilds the index from.
         self.pages: Dict[int, Dict[bytes, bytes]] = {}
-        self.items_per_page = max(1, PAGE_SIZE // max(item_size_hint, 16))
+        self.items_per_page = PAGE_SIZE // ITEM_SIZE
         self.open_page = 0
         self.open_slots = self.items_per_page
         self.page_count = 1
@@ -87,16 +90,13 @@ class KVellLike:
         env: Env,
         n_workers: int = 8,
         page_cache_bytes: int = 4 * 1024 * 1024,
-        item_size_hint: int = 128,
-        io_batch: int = DEFAULT_IO_BATCH,
         name: str = "kvell",
     ):
         self.env = env
         self.name = name
         self.n_workers = n_workers
-        self.io_batch = io_batch
         self.page_cache = BlockCache(page_cache_bytes)
-        self.partitions = [_Partition(i, item_size_hint) for i in range(n_workers)]
+        self.partitions = [_Partition(i) for i in range(n_workers)]
         self.queues = [
             FIFOQueue(env.sim, "kvell-%d" % i) for i in range(n_workers)
         ]
@@ -193,7 +193,7 @@ class KVellLike:
             if first is _SHUTDOWN:
                 return
             batch = [first]
-            while len(batch) < self.io_batch and not queue.empty:
+            while len(batch) < IO_BATCH and not queue.empty:
                 head = queue.peek()
                 if head is _SHUTDOWN:
                     break

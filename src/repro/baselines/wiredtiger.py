@@ -38,6 +38,8 @@ WAL_ENCODE = 0.9e-6
 CHECKPOINT_ENTRY_CPU = 0.2e-6
 #: entries per leaf page at 128-byte items.
 ITEMS_PER_PAGE = 28
+#: dirty bytes between checkpoints.
+CHECKPOINT_BYTES = 4 * 1024 * 1024
 
 
 class WiredTigerLike:
@@ -47,7 +49,6 @@ class WiredTigerLike:
         self,
         env: Env,
         name: str,
-        checkpoint_bytes: int = 4 * 1024 * 1024,
         cache_bytes: int = 8 * 1024 * 1024,
     ):
         self.env = env
@@ -57,7 +58,7 @@ class WiredTigerLike:
         self.read_lock = Lock(env.sim, "%s-reader" % name)
         self.page_cache = BlockCache(cache_bytes)
         self.log_writer = LogWriter(env.disk.open_file("%s/wt-wal" % name))
-        self.checkpoint_bytes = checkpoint_bytes
+        self.checkpoint_bytes = CHECKPOINT_BYTES
         self._dirty_bytes = 0
         self.counters = env.metrics.group("engine.%s" % name, fresh=True)
         self.closing = False

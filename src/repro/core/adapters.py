@@ -31,9 +31,8 @@ class EngineAdapter:
 
     # -- capabilities ------------------------------------------------------
 
-    @property
-    def supports_batch_write(self) -> bool:
-        return self.engine.options.supports_batch_write
+    #: every LSM preset builds one WriteBatch per OBM-write.
+    supports_batch_write = True
 
     @property
     def supports_multiget(self) -> bool:

@@ -203,7 +203,7 @@ def _request_spans(tracer, window: Optional[Window]) -> List[tuple]:
 
 
 def request_paths(
-    edgelog, tracer, window: Optional[Window] = None, limit: Optional[int] = None,
+    edgelog, tracer, window: Optional[Window] = None,
     spans: Optional[List[tuple]] = None,
 ) -> List[CriticalPath]:
     """Extract one critical path per completed request span, completion
@@ -217,8 +217,6 @@ def request_paths(
             continue
         segments = walk_back(edgelog, proc, end, start)
         paths.append(CriticalPath(name, start, end, segments))
-        if limit is not None and len(paths) >= limit:
-            break
     return paths
 
 

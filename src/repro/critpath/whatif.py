@@ -150,12 +150,7 @@ def predicted_delta(
     return elapsed / (elapsed - saving) - 1.0
 
 
-def check_prediction(
-    predicted: float,
-    measured: float,
-    rel_tol: float = 0.25,
-    abs_floor: float = 0.02,
-) -> bool:
+def check_prediction(predicted: float, measured: float) -> bool:
     """True when the prediction is within tolerance of the measured delta:
     25% relative, with a 2-percentage-point absolute floor for tiny deltas."""
-    return abs(predicted - measured) <= max(rel_tol * abs(measured), abs_floor)
+    return abs(predicted - measured) <= max(0.25 * abs(measured), 0.02)

@@ -24,6 +24,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from repro.engine.options import MAX_LEVELS
 from repro.engine.version import FileMeta, Version
 from repro.storage.memtable import MAX_SEQ, VTYPE_DELETE
 
@@ -81,7 +82,7 @@ def _level_scores(engine) -> List[Tuple[float, int]]:
     scores = [
         (len(version.level_files(0)) / float(opts.l0_compaction_trigger), 0)
     ]
-    for level in range(1, opts.max_levels - 1):
+    for level in range(1, MAX_LEVELS - 1):
         score = version.level_bytes(level) / float(opts.max_bytes_for_level(level))
         scores.append((score, level))
     scores.sort(reverse=True)
@@ -140,7 +141,7 @@ def _pick_flsm(engine) -> Optional[Compaction]:
     if len(l0) >= opts.l0_compaction_trigger and not _busy(engine, l0):
         return Compaction(0, 1, list(l0), [],
                           drop_tombstones=_is_bottom(version, 1))
-    for level in range(1, opts.max_levels - 1):
+    for level in range(1, MAX_LEVELS - 1):
         files = version.level_files(level)
         if not files:
             continue

@@ -63,8 +63,6 @@ class CostModel:
     get_memtable_probe: float = 0.8e-6
     #: bloom + index probe per SSTable consulted.
     get_table_probe: float = 0.5e-6
-    #: binary search inside a loaded data block.
-    get_block_search: float = 0.5e-6
     #: amortized per-key CPU on the multiget path.
     multiget_per_key: float = 1.1e-6
     #: the instance-wide read critical section: shared block-cache LRU
@@ -95,10 +93,10 @@ class CostModel:
     # caching cannot move a single ulp.  ``compare=False`` keeps the caches
     # out of the frozen dataclass's __eq__/__hash__.
     _wal_cost_cache: Dict[int, float] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
     _mem_cost_cache: Dict[Tuple[int, int], float] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def wal_record_cost(self, nbytes: int) -> float:

@@ -24,12 +24,18 @@ from repro.engine.compaction import (
     merge_sorted_runs,
     pick_compaction,
 )
+from repro.engine.costs import CostModel
 from repro.engine.env import Env
 from repro.engine.iterator import LevelCursor, MemTableCursor, MergingIterator
-from repro.engine.options import EngineOptions
+from repro.engine.options import (
+    MAX_WRITE_BUFFER_NUMBER,
+    SLOWDOWN_DELAY,
+    WAL_FLUSH_BYTES,
+    EngineOptions,
+)
 from repro.engine.version import FileMeta, VersionEdit, VersionSet
 from repro.engine.write_group import WriteGroupCoordinator
-from repro.errors import Corruption, IOFailure, KVStatus, Stalled, TimedOut
+from repro.errors import Corruption, IOFailure, KVStatus, TimedOut
 from repro.faults.retry import retry_io
 from repro.perf import zones as _perf_zones
 from repro.sim.sync import Condition, Lock
@@ -59,7 +65,7 @@ class LSMEngine:
         self.name = name
         self._san_key = "engine:%s#%d" % (name, next(_instance_counter))
         self.options = options or EngineOptions()
-        self.costs = self.options.costs
+        self.costs = CostModel()
         self.versions = VersionSet(env, name, self.options)
         self.block_cache = BlockCache(self.options.block_cache_bytes)
         self.seq = 0  # last *allocated* sequence number
@@ -213,17 +219,15 @@ class LSMEngine:
             yield from self.log_writer.flush("wal")
 
     def _start_background(self) -> None:
-        sim = self.env.sim
-        for i in range(self.options.n_flush_threads):
-            ctx = self.env.cpu.new_thread("%s-flush-%d" % (self.name, i), "background")
-            self._bg_threads.append(sim.spawn(self._flush_loop(ctx), "%s-flush" % self.name))
-        for i in range(self.options.n_compaction_threads):
-            ctx = self.env.cpu.new_thread(
-                "%s-compact-%d" % (self.name, i), "background"
-            )
-            self._bg_threads.append(
-                sim.spawn(self._compaction_loop(ctx), "%s-compact" % self.name)
-            )
+        sim, cpu = self.env.sim, self.env.cpu
+        # One flush and one compaction thread; the "-0" keeps the track names
+        # traces have always carried.
+        ctx = cpu.new_thread("%s-flush-0" % self.name, "background")
+        self._bg_threads.append(sim.spawn(self._flush_loop(ctx), "%s-flush" % self.name))
+        ctx = cpu.new_thread("%s-compact-0" % self.name, "background")
+        self._bg_threads.append(
+            sim.spawn(self._compaction_loop(ctx), "%s-compact" % self.name)
+        )
 
     def close(self) -> Generator:
         """Flush the WAL tail and stop background threads."""
@@ -323,7 +327,7 @@ class LSMEngine:
         if writer is None:
             writer = self.log_writer
         opts = self.options
-        if opts.sync_wal or writer.pending_bytes >= opts.wal_flush_bytes:
+        if opts.sync_wal or writer.pending_bytes >= WAL_FLUSH_BYTES:
             faults = self.env.faults
             if faults is not None:
                 faults.crash_site("wal-flush", torn_file=writer.vfile)
@@ -358,7 +362,7 @@ class LSMEngine:
         events = self.env.metrics.events
         while not self.closing:
             l0 = len(self.versions.current.level_files(0))
-            if len(self.immutables) >= opts.max_write_buffer_number:
+            if len(self.immutables) >= MAX_WRITE_BUFFER_NUMBER:
                 self.counters.add("stall_memtable")
                 yield from self._stalled_wait(ctx, events, "memtable")
                 continue
@@ -378,7 +382,7 @@ class LSMEngine:
                 reason="l0_slowdown",
             )
             waited_since = self.env.sim.now
-            yield self.env.sim.timeout(opts.slowdown_delay)
+            yield self.env.sim.timeout(SLOWDOWN_DELAY)
             events.end(token, self.env.sim.now)
             self._stall_depth -= 1
             ctx.account_wait("stall", self.env.sim.now - waited_since)
@@ -393,22 +397,7 @@ class LSMEngine:
         token = events.begin(
             "write_stall", self.env.sim.now, engine=self.name, reason=reason
         )
-        timeout = self.options.stall_timeout
-        wait_ev = self.stall_cond.wait(ctx, "stall")  # lint: disable=condvar-wait-loop  (caller's while re-checks)
-        if timeout is None:
-            yield wait_ev
-        else:
-            which, _value = yield self.env.sim.any_of(
-                [wait_ev, self.env.sim.timeout(timeout)]
-            )
-            if which == 1:
-                events.end(token, self.env.sim.now)
-                self._stall_depth -= 1
-                self.counters.add("stall_timeouts")
-                raise Stalled(
-                    "write stalled on %s for %.3fs" % (reason, timeout),
-                    site="%s:%s" % (self.name, reason),
-                )
+        yield self.stall_cond.wait(ctx, "stall")  # lint: disable=condvar-wait-loop  (caller's while re-checks)
         events.end(token, self.env.sim.now)
         self._stall_depth -= 1
 
@@ -454,7 +443,7 @@ class LSMEngine:
         l0 = len(self.versions.current.level_files(0))
         backlogged = (
             l0 >= self.options.l0_slowdown_trigger
-            or len(self.immutables) >= self.options.max_write_buffer_number
+            or len(self.immutables) >= MAX_WRITE_BUFFER_NUMBER
         )
         if backlogged and self._backlog_token is None:
             self._backlog_token = self.env.metrics.events.begin(
@@ -823,9 +812,7 @@ class LSMEngine:
             else None
         )
         number = self.versions.new_file_number()
-        builder = SSTableBuilder(
-            number, self.options.block_size, self.options.bloom_bits_per_key
-        )
+        builder = SSTableBuilder(number, self.options.block_size)
         chunk = 0
         for key, seq, vtype, value in memtable.entries():
             builder.add(key, seq, vtype, value)
@@ -950,9 +937,7 @@ class LSMEngine:
             for key, seq, vtype, value in survivors:
                 if builder is None:
                     builder = SSTableBuilder(
-                        self.versions.new_file_number(),
-                        self.options.block_size,
-                        self.options.bloom_bits_per_key,
+                        self.versions.new_file_number(), self.options.block_size
                     )
                 builder.add(key, seq, vtype, value)
                 chunk += 1

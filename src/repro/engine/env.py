@@ -56,7 +56,6 @@ def _register_machine_stats(env: "Env") -> None:
 def make_env(
     n_cores: int = 44,
     device_spec: Optional[DeviceSpec] = None,
-    migration_overhead: float = 1.5e-6,
     series_bin: float = 0.05,
     page_cache_bytes: int = 1 << 40,
 ) -> Env:
@@ -64,7 +63,7 @@ def make_env(
     (a page cache that holds the whole scaled dataset by default — shrink
     ``page_cache_bytes`` for cold-cache experiments) and an Optane 905p."""
     sim = Simulator()
-    cpu = CPUSet(sim, n_cores, migration_overhead=migration_overhead)
+    cpu = CPUSet(sim, n_cores)
     device = StorageDevice(sim, device_spec or OPTANE_905P, series_bin=series_bin)
     disk = DiskImage(sim, device, page_cache_bytes=page_cache_bytes)
     env = Env(sim=sim, cpu=cpu, device=device, disk=disk)

@@ -5,23 +5,34 @@ with 10k-200k operations exercise the same flush/compaction cadence the
 paper's 100M-operation runs do (see DESIGN.md Section 5).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
-
-from repro.engine.costs import CostModel
 
 __all__ = ["EngineOptions", "rocksdb_options", "leveldb_options", "pebblesdb_options"]
 
 KIB = 1024
 MIB = 1024 * KIB
 
+# Engine parameters every configuration runs with (no figure varies them).
+#: memtables (active + immutable) before writers stall on flush.
+MAX_WRITE_BUFFER_NUMBER = 2
+#: buffered WAL bytes that trigger a log flush under async logging.
+WAL_FLUSH_BYTES = 64 * KIB
+#: LSM depth: levels 0 .. MAX_LEVELS - 1.
+MAX_LEVELS = 7
+#: level i >= 1 holds max_bytes_for_level_base * LEVEL_SIZE_MULTIPLIER**(i-1).
+LEVEL_SIZE_MULTIPLIER = 8
+#: writers one group commit carries at most.
+MAX_GROUP_SIZE = 32
+#: duration of one slowdown pause injected ahead of a write when L0 is at the
+#: slowdown trigger (RocksDB's delayed write rate, simplified).
+SLOWDOWN_DELAY = 0.5e-3
+
 
 @dataclass
 class EngineOptions:
     # --- memtable ---------------------------------------------------------
     write_buffer_size: int = 256 * KIB
-    #: memtables (active + immutable) before writers stall on flush.
-    max_write_buffer_number: int = 2
     #: RocksDB's concurrent skiplist (Section 2.2); LevelDB lacks it.
     concurrent_memtable: bool = True
 
@@ -32,9 +43,7 @@ class EngineOptions:
     #: pure index-update scalability is measured without compaction stalls.
     disable_flush: bool = False
     sync_wal: bool = False  # paper uses async logging (Section 3.4)
-    wal_flush_bytes: int = 64 * KIB
     group_commit: bool = True
-    max_group_size: int = 32
     #: RocksDB pipelines the WAL and MemTable stages of successive groups.
     pipelined_write: bool = False
 
@@ -43,48 +52,30 @@ class EngineOptions:
     l0_compaction_trigger: int = 4
     l0_slowdown_trigger: int = 8
     l0_stop_trigger: int = 12
-    #: total bytes allowed in L1; level i holds base * multiplier**(i-1).
+    #: total bytes allowed in L1 (see LEVEL_SIZE_MULTIPLIER).
     max_bytes_for_level_base: int = 1 * MIB
-    level_size_multiplier: int = 8
-    max_levels: int = 7
-    #: duration of one slowdown pause injected ahead of a write when L0 is
-    #: at the slowdown trigger (RocksDB's delayed write rate, simplified).
-    slowdown_delay: float = 0.5e-3
-    #: deadline for one full-stop stall episode: a writer blocked longer
-    #: than this raises ``Stalled`` instead of waiting forever (useful when
-    #: fault injection wedges the flush path).  None = wait indefinitely.
-    stall_timeout: Optional[float] = None
     #: SILK-style IO scheduling (the latency-spike mitigation the paper's
     #: related work cites): cap compaction's device-write rate in bytes/s so
     #: foreground WAL/flush IO is never starved.  None = unthrottled.
     compaction_rate_limit: Optional[int] = None
-    compaction_style: str = "leveled"  # "leveled" | "flsm" (PebblesDB)
-    #: FLSM only: a level compacts when it accumulates this many overlapping
-    #: runs (PebblesDB's guard-fill threshold); data moves down one level per
-    #: merge without rewriting the level below - the write-amp saving.
-    flsm_max_runs: int = 4
+    #: "leveled" | "flsm" (PebblesDB: a level's overlapping runs merge and
+    #: move down one level once it exceeds its byte budget, without
+    #: rewriting the level below - the write-amp saving).
+    compaction_style: str = "leveled"
 
     # --- tables / cache -----------------------------------------------------------
     block_size: int = 4 * KIB
     block_cache_bytes: int = 8 * MIB
-    bloom_bits_per_key: int = 10
-
-    # --- background threads ---------------------------------------------------------
-    n_flush_threads: int = 1
-    n_compaction_threads: int = 1
 
     # --- feature flags used by the p2KVS portability layer ----------------------------
-    supports_batch_write: bool = True
     supports_multiget: bool = True
-
-    costs: CostModel = field(default_factory=CostModel)
 
     def max_bytes_for_level(self, level: int) -> int:
         """Capacity of level >= 1."""
         if level < 1:
             raise ValueError("levels >= 1 have byte budgets")
         return self.max_bytes_for_level_base * (
-            self.level_size_multiplier ** (level - 1)
+            LEVEL_SIZE_MULTIPLIER ** (level - 1)
         )
 
     def clone(self, **overrides) -> "EngineOptions":
@@ -96,7 +87,6 @@ def rocksdb_options(**overrides) -> EngineOptions:
     return EngineOptions(
         concurrent_memtable=True,
         pipelined_write=True,
-        supports_batch_write=True,
         supports_multiget=True,
     ).clone(**overrides)
 
@@ -107,7 +97,6 @@ def leveldb_options(**overrides) -> EngineOptions:
     return EngineOptions(
         concurrent_memtable=False,
         pipelined_write=False,
-        supports_batch_write=True,
         supports_multiget=False,
     ).clone(**overrides)
 
@@ -119,7 +108,6 @@ def pebblesdb_options(**overrides) -> EngineOptions:
     return EngineOptions(
         concurrent_memtable=False,
         pipelined_write=False,
-        supports_batch_write=True,
         supports_multiget=False,
         compaction_style="flsm",
     ).clone(**overrides)

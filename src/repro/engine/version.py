@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Generator, List, Optional, Tuple
 
 from repro.engine.env import Env
-from repro.engine.options import EngineOptions
+from repro.engine.options import MAX_LEVELS, EngineOptions
 from repro.errors import Corruption
 from repro.faults.retry import retry_io
 from repro.storage.sstable import SSTable
@@ -111,12 +111,12 @@ class VersionSet:
         self.env = env
         self.name = name
         self.options = options
-        self.current = Version([[] for _ in range(options.max_levels)])
+        self.current = Version([[] for _ in range(MAX_LEVELS)])
         self.next_file_number = 1
         self.log_number = 0
         self._manifest = LogWriter(env.disk.open_file(self._manifest_path()))
         #: round-robin compaction cursors per level (leveled style).
-        self.compact_cursor: List[Optional[bytes]] = [None] * options.max_levels
+        self.compact_cursor: List[Optional[bytes]] = [None] * MAX_LEVELS
 
     def _manifest_path(self) -> str:
         return "%s/MANIFEST" % self.name
@@ -180,7 +180,7 @@ class VersionSet:
                 max_number = max(max_number, number)
             if edit["log_number"] is not None:
                 self.log_number = edit["log_number"]
-        levels: List[List[FileMeta]] = [[] for _ in range(self.options.max_levels)]
+        levels: List[List[FileMeta]] = [[] for _ in range(MAX_LEVELS)]
         for level, number in live:
             blob = self.blob_name(number)
             if not self.env.disk.blob_exists(blob):

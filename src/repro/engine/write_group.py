@@ -19,6 +19,7 @@ This file is where the paper's scalability pathology lives:
 from collections import deque
 from typing import Deque, Generator, List, Optional
 
+from repro.engine.options import MAX_GROUP_SIZE
 from repro.errors import KVError
 from repro.sim.sync import Barrier, Lock
 
@@ -83,7 +84,7 @@ class WriteGroupCoordinator:
         self.sim = engine.env.sim
         self.cpu = engine.env.cpu
         self.opts = engine.options
-        self.costs = engine.options.costs
+        self.costs = engine.costs
         self._pending: Deque[Writer] = deque()
         self._leader_busy = False
         self._mem_stage_lock = Lock(self.sim, "mem-stage")
@@ -212,7 +213,7 @@ class WriteGroupCoordinator:
         yield from engine.maybe_stall(ctx)
 
         members = [leader]
-        group_cap = opts.max_group_size if opts.group_commit else 1
+        group_cap = MAX_GROUP_SIZE if opts.group_commit else 1
         while self._pending and len(members) < group_cap:
             members.append(self._pending.popleft())
         group = _Group(members)

@@ -5,10 +5,10 @@ than a zoo of exceptions; this module is the pythonic equivalent.  Two parts:
 
 * ``KVError`` and friends — the *typed* operational failures a simulated
   store can hit: device IO errors (``IOFailure``, possibly torn), checksum
-  mismatches (``Corruption``), injected timeouts (``TimedOut``) and write
-  stalls that outlive their deadline (``Stalled``).  Programmer errors (bad
-  arguments, unknown verbs) remain ordinary ``ValueError``/``TypeError`` —
-  the split mirrors RocksDB's Status-vs-assert line.
+  mismatches (``Corruption``) and injected timeouts (``TimedOut``).
+  Programmer errors (bad arguments, unknown verbs) remain ordinary
+  ``ValueError``/``TypeError`` — the split mirrors RocksDB's
+  Status-vs-assert line.
 
 * ``KVStatus`` — the value-or-status result that request futures and the
   ``get_status``/``multiget_status`` APIs carry.  It removes the historical
@@ -28,7 +28,6 @@ __all__ = [
     "IOFailure",
     "Corruption",
     "TimedOut",
-    "Stalled",
     "KVStatus",
     "NOT_FOUND",
 ]
@@ -98,13 +97,6 @@ class TimedOut(KVError):
     """An operation exceeded its deadline (e.g. an injected device hang)."""
 
     code = "timed_out"
-    retryable = True
-
-
-class Stalled(KVError):
-    """A write stalled on backpressure longer than ``stall_timeout``."""
-
-    code = "stalled"
     retryable = True
 
 

@@ -54,17 +54,14 @@ class CrashPoint:
 
 
 class FaultPlane:
-    """Per-env fault state: the crash point, retry tuning, fault counters."""
+    """Per-env fault state: the crash point and the fault counters."""
 
-    def __init__(self, env, policy=None, crash=None, seed=0,
-                 max_io_attempts=4, backoff_base=20e-6):
+    def __init__(self, env, policy=None, crash=None, seed=0):
         self.env = env
         self.policy = policy
         self.crash = crash
         # Decorrelate from the policy rng: same seed, different stream.
         self.rng = random.Random((seed * 2654435761 + 97) & 0xFFFFFFFF)
-        self.max_io_attempts = max_io_attempts
-        self.backoff_base = backoff_base
         self.counters = env.metrics.group("faults", fresh=True)
         #: Durable-state snapshot captured at the crash site, or None.
         self.snapshot = None
@@ -125,9 +122,9 @@ def restore_durable_state(disk, snapshot):
     return disk
 
 
-def install_faults(env, policy=None, crash=None, seed=0, **tuning):
+def install_faults(env, policy=None, crash=None, seed=0):
     """Attach a fault plane (and optionally a device fault policy) to an env."""
-    plane = FaultPlane(env, policy=policy, crash=crash, seed=seed, **tuning)
+    plane = FaultPlane(env, policy=policy, crash=crash, seed=seed)
     env.faults = plane
     if policy is not None:
         env.device.fault_policy = policy

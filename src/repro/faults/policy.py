@@ -15,6 +15,9 @@ from repro.errors import IOFailure, TimedOut
 
 __all__ = ["FaultPolicy"]
 
+#: how many times longer a spiked IO takes.
+SPIKE_FACTOR = 8.0
+
 
 class FaultPolicy:
     """Decide, per device IO, whether to inject a fault.
@@ -22,7 +25,7 @@ class FaultPolicy:
     Rates are per-submission probabilities, checked in order: transient
     error (a share of which present as timeouts), torn write (writes only;
     a seeded prefix of the transfer still reaches the platter), latency
-    spike (the IO succeeds but takes ``spike_factor``× longer).
+    spike (the IO succeeds but takes ``SPIKE_FACTOR``× longer).
 
     ``kinds`` / ``categories`` restrict targeting (e.g. only ``write`` IOs,
     only the ``wal`` category); ``max_faults`` caps total injections so a
@@ -30,14 +33,13 @@ class FaultPolicy:
     """
 
     def __init__(self, seed, error_rate=0.0, torn_rate=0.0, spike_rate=0.0,
-                 spike_factor=8.0, timeout_share=0.25,
+                 timeout_share=0.25,
                  kinds=("read", "write"), categories=None, max_faults=None):
         self.seed = seed
         self.rng = random.Random(seed)
         self.error_rate = error_rate
         self.torn_rate = torn_rate
         self.spike_rate = spike_rate
-        self.spike_factor = spike_factor
         self.timeout_share = timeout_share
         self.kinds = tuple(kinds)
         self.categories = None if categories is None else frozenset(categories)
@@ -88,5 +90,5 @@ class FaultPolicy:
         r -= self.torn_rate
         if r < self.spike_rate:
             self._count("spike")
-            return ("spike", self.spike_factor)
+            return ("spike", SPIKE_FACTOR)
         return None

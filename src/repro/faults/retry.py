@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from repro.errors import IOFailure, TimedOut
 
-__all__ = ["retry_io", "DEFAULT_MAX_ATTEMPTS", "DEFAULT_BACKOFF"]
+__all__ = ["retry_io", "MAX_ATTEMPTS", "BACKOFF"]
 
-DEFAULT_MAX_ATTEMPTS = 4
-DEFAULT_BACKOFF = 20e-6
+#: attempts per IO, and the backoff before the second (doubling after).
+MAX_ATTEMPTS = 4
+BACKOFF = 20e-6
 
 
-def retry_io(env, make, site, counters=None, perf=None,
-             max_attempts=None, backoff=None):
+def retry_io(env, make, site, counters=None, perf=None):
     """Run ``make()`` — which must return a *fresh* Event or generator per
     call — retrying transient failures.  Returns the successful result.
 
@@ -29,10 +29,6 @@ def retry_io(env, make, site, counters=None, perf=None,
     events and touches no instruments.
     """
     plane = env.faults
-    if max_attempts is None:
-        max_attempts = plane.max_io_attempts if plane is not None else DEFAULT_MAX_ATTEMPTS
-    if backoff is None:
-        backoff = plane.backoff_base if plane is not None else DEFAULT_BACKOFF
     attempt = 1
     while True:
         try:
@@ -50,8 +46,8 @@ def retry_io(env, make, site, counters=None, perf=None,
                 perf.add("io_retries")
             if plane is not None:
                 plane.counters.add("io_retries")
-            if attempt >= max_attempts:
+            if attempt >= MAX_ATTEMPTS:
                 exc.details["attempts"] = attempt
                 raise
-            yield env.sim.timeout(backoff * (1 << (attempt - 1)))
+            yield env.sim.timeout(BACKOFF * (1 << (attempt - 1)))
             attempt += 1

@@ -73,7 +73,13 @@ def format_attribution(breakdown: dict) -> str:
     return format_table(["category", "share", "time"], rows)
 
 
-def format_blame_table(blame: dict, max_rows: int = 15) -> str:
+#: labels a blame table lists before folding the rest into one row.
+BLAME_ROWS = 15
+#: windows of simulated time a stall timeline folds its samples into.
+TIMELINE_BINS = 20
+
+
+def format_blame_table(blame: dict) -> str:
     """Render a critical-path blame ranking.
 
     ``blame`` is the dict produced by
@@ -88,11 +94,11 @@ def format_blame_table(blame: dict, max_rows: int = 15) -> str:
             "%.1f%%" % (row["share"] * 100.0),
             row["paths"],
         ]
-        for row in blame["rows"][:max_rows]
+        for row in blame["rows"][:BLAME_ROWS]
     ]
     hidden = len(blame["rows"]) - len(rows)
     if hidden > 0:
-        rest = sum(row["seconds"] for row in blame["rows"][max_rows:])
+        rest = sum(row["seconds"] for row in blame["rows"][BLAME_ROWS:])
         rows.append(["(%d more)" % hidden, "%.3f ms" % (rest * 1e3), "", ""])
     rows.append(
         [
@@ -105,37 +111,31 @@ def format_blame_table(blame: dict, max_rows: int = 15) -> str:
     return format_table(["critical-path blame", "time", "share", "paths"], rows)
 
 
-def format_stall_timeline(
-    sampler,
-    events=None,
-    n_bins: int = 20,
-    n_cores: Optional[int] = None,
-) -> str:
+def format_stall_timeline(sampler, events, n_cores: int) -> str:
     """ASCII stall/utilization timeline from the sim-time sampler's series.
 
-    Folds the sampled rows into ``n_bins`` equal windows of simulated time
-    and renders, per window, a core-utilization bar (``#`` = busy fraction,
-    against ``n_cores`` or the observed peak), the mean OBM queue depth, and
-    how many write-stall / compaction-backlog events (from the registry's
-    :class:`~repro.metrics.registry.EventLog`) overlap the window.
+    Folds the sampled rows into :data:`TIMELINE_BINS` equal windows of
+    simulated time and renders, per window, a core-utilization bar (``#`` =
+    busy fraction of ``n_cores``), the mean OBM queue depth, and how many
+    write-stall / compaction-backlog events (from the registry's
+    :class:`~repro.metrics.registry.EventLog` ``events``) overlap the window.
     """
+    n_bins = TIMELINE_BINS
     samples = sampler.samples
     if not samples:
         return "(no samples)"
     t0, t1 = samples[0][0], samples[-1][0]
     span = max(t1 - t0, 1e-12)
     busy = [row.get("cpu.busy_cores", 0.0) for _t, row in samples]
-    scale = float(n_cores) if n_cores else max(max(busy), 1.0)
+    scale = float(n_cores)
     bins: List[List[int]] = [[] for _ in range(n_bins)]
     for i, (t, _row) in enumerate(samples):
         b = min(int((t - t0) / span * n_bins), n_bins - 1)
         bins[b].append(i)
-    intervals = []
-    if events is not None:
-        intervals = [
-            (kind, begin, end if end is not None else t1)
-            for kind, begin, end, _detail in events.entries
-        ]
+    intervals = [
+        (kind, begin, end if end is not None else t1)
+        for kind, begin, end, _detail in events.entries
+    ]
     bar_w = 24
     lines = ["%-10s  %-*s  %6s  %6s  %s" % ("t (ms)", bar_w, "busy cores", "util", "obm qd", "events")]
     for b, idxs in enumerate(bins):

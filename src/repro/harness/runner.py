@@ -138,18 +138,18 @@ class SingleInstanceSystem(System):
 class MultiInstanceSystem(System):
     """N independent instances; thread i owns instance i (Section 3.2)."""
 
-    def __init__(self, engines: List[LSMEngine], name: str = "multi"):
-        super().__init__(engines[0], name)
+    def __init__(self, engines: List[LSMEngine]):
+        super().__init__(engines[0], "multi")
         self.engines = engines
 
     @classmethod
-    def open(cls, env: Env, n_instances: int, options_maker=None, name: str = "multi") -> Generator:
+    def open(cls, env: Env, n_instances: int, options_maker=None) -> Generator:
         engines = []
         for i in range(n_instances):
             options = options_maker() if options_maker else None
-            engine = yield from LSMEngine.open(env, "%s/db-%d" % (name, i), options)
+            engine = yield from LSMEngine.open(env, "multi/db-%d" % i, options)
             engines.append(engine)
-        return cls(engines, name)
+        return cls(engines)
 
     def engine_for(self, thread_index: int) -> LSMEngine:
         return self.engines[thread_index % len(self.engines)]
@@ -223,11 +223,11 @@ class KVellSystem(System):
         super().__init__(store, "kvell-%d" % store.n_workers)
 
     @classmethod
-    def open(cls, env: Env, n_workers: int = 8, page_cache_bytes: int = 4 * 1024 * 1024) -> Generator:
+    def open(cls, env: Env, n_workers: int = 8) -> Generator:
         # KVell opens synchronously; delegating to an empty iterable keeps
         # open() a generator like every other system's.
         yield from ()
-        return cls(KVellLike(env, n_workers=n_workers, page_cache_bytes=page_cache_bytes))
+        return cls(KVellLike(env, n_workers=n_workers))
 
 
 class WiredTigerSystem(System):
@@ -237,8 +237,8 @@ class WiredTigerSystem(System):
         super().__init__(store, "wiredtiger")
 
     @classmethod
-    def open(cls, env: Env, name: str = "wt") -> Generator:
-        store = yield from WiredTigerLike.open(env, name)
+    def open(cls, env: Env) -> Generator:
+        store = yield from WiredTigerLike.open(env, "wt")
         return cls(store)
 
 
@@ -376,7 +376,6 @@ def run_open_loop(
     system,
     ops: Sequence[Op],
     rate: float,
-    seed: int = 42,
     collector: Optional[MetricsCollector] = None,
 ) -> Metrics:
     """Poisson arrivals at ``rate`` ops/second (Figure 13's load sweep)."""
@@ -384,7 +383,7 @@ def run_open_loop(
         collector = MetricsCollector(env, system.name)
     user_bytes0 = system.user_bytes_written()
     collector.start()
-    rng = random.Random(seed)
+    rng = random.Random(42)
     box = []
 
     def one_op(ctx, op):

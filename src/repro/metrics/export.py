@@ -73,9 +73,9 @@ def _emit_prom_section(lines, values, mtype):
             lines.append('%s{shard="%d"} %.17g' % (prom, shard, value))
 
 
-def snapshot_json(registry: StatsRegistry, indent: int = 2) -> str:
+def snapshot_json(registry: StatsRegistry) -> str:
     """The full registry snapshot as a JSON document."""
-    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
+    return json.dumps(registry.snapshot(), indent=2, sort_keys=True)
 
 
 def prometheus_text(registry: StatsRegistry) -> str:

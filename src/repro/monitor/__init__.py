@@ -5,7 +5,7 @@ engine (thresholds, rate-of-change, multi-window SLO burn rate, queue
 saturation, silence watchdog) evaluated in sim time, and scored fault
 detection (MTTD against the fault plane's injection ground truth).  See
 docs/MONITOR.md for the rule catalogue and a worked walkthrough, and
-``python -m repro.tools.monitor`` for the CLI.
+``python -m repro.tools.serve --monitor`` for the CLI.
 """
 
 from repro.monitor.monitor import DEFAULT_WINDOW, HealthMonitor, Incident

@@ -26,7 +26,7 @@ Two lifecycle details matter:
 
 from typing import Dict, List, Optional
 
-from repro.monitor.windows import DEFAULT_RETENTION, SeriesTap, WindowStore
+from repro.monitor.windows import SeriesTap, WindowStore
 from repro.perf import zones as _perf_zones
 
 __all__ = ["DEFAULT_WINDOW", "HealthMonitor", "Incident"]
@@ -73,13 +73,12 @@ class Incident:
 class HealthMonitor:
     """Windowed telemetry + rules engine over one env's stats registry."""
 
-    def __init__(self, env, window: float = DEFAULT_WINDOW,
-                 retention: int = DEFAULT_RETENTION, ewma_alpha: float = 0.3):
+    def __init__(self, env, window: float = DEFAULT_WINDOW):
         if window <= 0:
             raise ValueError("monitor window must be positive")
         self.env = env
         self.window = window
-        self.store = WindowStore(retention=retention, ewma_alpha=ewma_alpha)
+        self.store = WindowStore()
         self.taps: List[SeriesTap] = []
         self.rules: List = []
         self.incidents: List[Incident] = []

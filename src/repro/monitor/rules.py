@@ -33,13 +33,6 @@ __all__ = [
     "Threshold",
 ]
 
-_OPS = {
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-}
-
 Transition = Optional[Tuple[str, dict]]
 
 
@@ -71,18 +64,14 @@ class Rule:
 
 
 class Threshold(Rule):
-    """Fire when ``series OP limit`` holds for ``for_windows`` consecutive
+    """Fire when ``series >= limit`` holds for ``for_windows`` consecutive
     windows; resolve on the first non-breaching window."""
 
-    def __init__(self, name, series, limit, op=">=", for_windows=1,
-                 severity="page"):
+    def __init__(self, name, series, limit, for_windows=1, severity="page"):
         super().__init__(name, series, severity)
-        if op not in _OPS:
-            raise ValueError("unknown op %r" % (op,))
         if for_windows < 1:
             raise ValueError("for_windows must be >= 1")
         self.limit = float(limit)
-        self.op = op
         self.for_windows = for_windows
         self.streak = 0
 
@@ -90,14 +79,14 @@ class Threshold(Rule):
         value = store.last(self.series)
         if value is None:
             return None
-        breach = _OPS[self.op](value, self.limit)
+        breach = value >= self.limit
         self.streak = self.streak + 1 if breach else 0
         if not self.fired and self.streak >= self.for_windows:
             self.fired = True
             return ("fire", {
                 "value": round(value, 9),
                 "limit": self.limit,
-                "op": self.op,
+                "op": ">=",
                 "streak": self.streak,
                 "windows": _evidence_rows(store, self.series, self.for_windows),
             })
@@ -119,7 +108,7 @@ class QueueSaturation(Threshold):
                  severity="warn"):
         if cap <= 0:
             raise ValueError("queue cap must be positive")
-        super().__init__(name, series, limit=fraction * cap, op=">=",
+        super().__init__(name, series, limit=fraction * cap,
                          for_windows=for_windows, severity=severity)
         self.cap = cap
         self.fraction = fraction

@@ -67,7 +67,7 @@ def _page_rules(monitor: HealthMonitor, silence_series: str,
                 silence_windows: int, stall_windows: int,
                 silence_unless=None) -> None:
     monitor.add_rule(Threshold(
-        "device-error-rate", "device.io_retries", limit=1, op=">=",
+        "device-error-rate", "device.io_retries", limit=1,
         for_windows=1, severity="page",
     ))
     monitor.add_rule(ShardSilence(
@@ -75,14 +75,12 @@ def _page_rules(monitor: HealthMonitor, silence_series: str,
         severity="page", unless_series=silence_unless,
     ))
     monitor.add_rule(Threshold(
-        "write-stall-stuck", "engine.stall_active", limit=1, op=">=",
+        "write-stall-stuck", "engine.stall_active", limit=1,
         for_windows=stall_windows, severity="page",
     ))
 
 
-def attach_service_monitor(env, plane, window: float = DEFAULT_WINDOW,
-                           silence_windows: int = 4,
-                           stall_windows: int = 8) -> HealthMonitor:
+def attach_service_monitor(env, plane, window: float = DEFAULT_WINDOW) -> HealthMonitor:
     """Wire the default health plane over a :class:`ServicePlane`."""
     monitor = HealthMonitor(env, window=window)
 
@@ -129,7 +127,7 @@ def attach_service_monitor(env, plane, window: float = DEFAULT_WINDOW,
 
     # Pages: broken things only — all four stay silent on the pinned
     # clean scenarios (the zero-false-positive contract).
-    _page_rules(monitor, "service.completed", silence_windows, stall_windows,
+    _page_rules(monitor, "service.completed", silence_windows=4, stall_windows=8,
                 silence_unless="service.migration_active")
     monitor.add_rule(BurnRate(
         "slo-error-burn", "service.errors", "service.offered",
@@ -154,11 +152,9 @@ def attach_service_monitor(env, plane, window: float = DEFAULT_WINDOW,
     return monitor
 
 
-def attach_store_monitor(env, window: float = DEFAULT_WINDOW,
-                         silence_windows: int = 3,
-                         stall_windows: int = 12) -> HealthMonitor:
+def attach_store_monitor(env, window: float = DEFAULT_WINDOW) -> HealthMonitor:
     """Wire the single-store rule set (the fault campaign's monitor)."""
     monitor = HealthMonitor(env, window=window)
     _machine_series(monitor, env)
-    _page_rules(monitor, "device.io_total", silence_windows, stall_windows)
+    _page_rules(monitor, "device.io_total", silence_windows=3, stall_windows=12)
     return monitor

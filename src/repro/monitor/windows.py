@@ -101,11 +101,10 @@ class SeriesTap:
 class WindowStore:
     """Bounded per-series ring of ``(t_end, dt, value)`` windows + EWMAs."""
 
-    def __init__(self, retention: int = DEFAULT_RETENTION, ewma_alpha: float = 0.3):
+    def __init__(self, retention: int = DEFAULT_RETENTION):
         if retention < 2:
             raise ValueError("retention must hold at least two windows")
         self.retention = retention
-        self.ewma_alpha = ewma_alpha
         self._rows: Dict[str, deque] = {}
         self._ewmas: Dict[str, EWMA] = {}
         self._dropped: Dict[str, int] = {}
@@ -114,7 +113,7 @@ class WindowStore:
         rows = self._rows.get(name)
         if rows is None:
             rows = self._rows[name] = deque()
-            self._ewmas[name] = EWMA(self.ewma_alpha)
+            self._ewmas[name] = EWMA()
         if len(rows) >= self.retention:
             rows.popleft()
             self._dropped[name] = self._dropped.get(name, 0) + 1

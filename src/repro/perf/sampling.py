@@ -27,6 +27,9 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = ["StackSampler"]
 
+#: frames kept per sampled stack (root side first).
+MAX_DEPTH = 80
+
 #: (function name, filename, first line) — one flamegraph frame.
 Frame = Tuple[str, str, int]
 
@@ -34,9 +37,8 @@ Frame = Tuple[str, str, int]
 class StackSampler:
     """Wall-time stack sampler over a ``sys.setprofile`` hook."""
 
-    def __init__(self, interval_us: float = 250.0, max_depth: int = 80):
+    def __init__(self, interval_us: float = 250.0):
         self.interval_ns = max(1, int(interval_us * 1000))
-        self.max_depth = max_depth
         #: stack (root..leaf tuple of Frames) -> accumulated weight in ns.
         self.samples: Dict[Tuple[Frame, ...], int] = {}
         self.n_samples = 0
@@ -64,7 +66,7 @@ class StackSampler:
         self._last = now
         stack: List[Frame] = []
         depth = 0
-        while frame is not None and depth < self.max_depth:
+        while frame is not None and depth < MAX_DEPTH:
             code = frame.f_code
             if code.co_filename != __file__:  # skip the sampler's own frame
                 stack.append(

@@ -35,7 +35,6 @@ def measure_tax(
     run: Callable[[str], Any],
     ops: int,
     layers: Sequence[str] = LAYERS,
-    warmup: bool = True,
 ) -> dict:
     """Time ``run(layer)`` (``ops`` operations) once per layer; returns the
     tax report.
@@ -49,8 +48,7 @@ def measure_tax(
     1000 ops — each is walked by every full collection).  ``run`` returns
     whatever keeps its state alive; it is dropped once counted.
     """
-    if warmup:
-        run("off")
+    run("off")  # warm-up: imports, caches and first-call costs
     rows: List[dict] = []
     base: Optional[int] = None
     seen = {"full": 0, "ns": 0, "since": 0}

@@ -28,12 +28,17 @@ from repro.workloads.microbench import split_stream
 __all__ = ["partition_offered_counts", "preload_plane", "run_service_load"]
 
 
-def preload_plane(env, plane, ops: Sequence, n_threads: int = 4) -> None:
+#: loader threads per shard while a dataset is preloaded.
+PRELOAD_THREADS = 4
+
+
+def preload_plane(env, plane, ops: Sequence) -> None:
     """Load a dataset through the router before the measured window.
 
     Routes every op to its owning shard and loads shards in parallel
-    (``n_threads`` loader threads per shard), bypassing admission — the
-    dataset must exist regardless of queue caps.  Not timed, not counted.
+    (:data:`PRELOAD_THREADS` loader threads per shard), bypassing admission
+    — the dataset must exist regardless of queue caps.  Not timed, not
+    counted.
     """
     per_shard: List[List] = [[] for _ in range(plane.n_shards)]
     for op in ops:
@@ -45,7 +50,7 @@ def preload_plane(env, plane, ops: Sequence, n_threads: int = 4) -> None:
 
     procs = []
     for shard, shard_ops in enumerate(per_shard):
-        for t, chunk in enumerate(split_stream(shard_ops, n_threads)):
+        for t, chunk in enumerate(split_stream(shard_ops, PRELOAD_THREADS)):
             if not chunk:
                 continue
             ctx = env.cpu.new_thread("svc-preload-%d-%d" % (shard, t))

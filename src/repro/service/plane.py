@@ -60,7 +60,6 @@ class ServicePlane:
         queue_cap: int = 48,
         n_dispatchers: int = 4,
         key_space: int = 0,
-        system: str = "p2kvs",
         system_opts: Optional[dict] = None,
     ):
         self.env = env
@@ -83,7 +82,7 @@ class ServicePlane:
         workers_per_shard = opts.get("workers", 8)
         self.shards = [
             open_system(
-                system,
+                "p2kvs",
                 env,
                 instance="shard-%d" % i,
                 # Disjoint pin ranges: shard i's workers own their cores

@@ -43,7 +43,7 @@ Same-dispatch rule: a delivery runs inside the dispatch that caused it, with
 no heap pop of its own, only when it is provably the entry the loop would
 pop next, so the order of process steps is that of a kernel that queues
 every delivery (tests/test_sim_core.py keeps such a loop as the oracle).
-Three cases, two decided in :meth:`Simulator.run`, the third by
+Two cases, one decided in :meth:`Simulator.run`, the other by
 :meth:`Simulator.can_continue`, and nowhere else.
 
 A completion in kernel context (``CPUSet._finish``, ``StorageDevice._finish``)
@@ -59,16 +59,15 @@ the path taken.
 
 A process that yields an already-triggered event (uncontended
 ``Lock.acquire``, one-party ``Barrier``, non-empty ``queue.get``) queues its
-delivery as ever; the loop then pops that entry at once if it is the heap
-top, provided (3) no error is pending — the next iteration would raise
-before delivering — and the process was resumed as the *only* waiter of its
-event: with several, every sibling runs before any of them runs twice.
+delivery, which the loop pops like any other entry.
 
 A wait that cannot wait (``Lock.acquire_now`` on a free lock,
 ``Barrier.arrive_now`` by the last party, nobody else waiting,
 ``CPUSet.exec_now`` of a zero-length burst on a free core) does not suspend
-when :meth:`Simulator.can_continue` — the second case's conditions, checked
-before the yield — holds; it does the suspending path's bookkeeping in its
+when :meth:`Simulator.can_continue` holds: the first case's conditions, plus
+no error pending (the next iteration would raise before delivering) and not
+one waiter of a fan-out (every sibling runs before any of them runs twice),
+checked before the yield.  It does the suspending path's bookkeeping in its
 order, hooks and ``_seq`` included (:meth:`Simulator._resume_in_step`).
 """
 
@@ -338,12 +337,8 @@ class Process(Event):
         else:
             self._step_fail(target)
 
-    def _resume(self, event: Event) -> Optional[Event]:
-        """Run one step.  Returns the event the process now waits on when
-        that event had already triggered with nobody registered (uncontended
-        ``Lock.acquire``, non-empty ``queue.get``): its delivery has been
-        queued as always, and :meth:`Simulator.run` may find it on top of
-        the heap and deliver it within the same dispatch."""
+    def _resume(self, event: Event) -> None:
+        """Run one step and register for the event the process yields."""
         sim = self.sim
         monitor = sim.monitor
         if monitor is not None:
@@ -370,16 +365,14 @@ class Process(Event):
             waiters = target._cb
         except AttributeError:
             self._step_fail(target)
-            return None
+            return
         if waiters is not None:
             target.add_callback(self._wake)
-            return None
+            return
         # add_callback for the single-waiter case, inline.
         target._cb = self._wake
-        if target._value is _PENDING:
-            return None
-        sim._queue_callbacks(target)
-        return target
+        if target._value is not _PENDING:
+            sim._queue_callbacks(target)
 
     def _on_stop(self, value: Any) -> None:
         """Generator returned: trigger the process event (current_process is
@@ -705,34 +698,19 @@ class Simulator:
                     # A timer-style entry: trigger the event now.
                     target._value = value
                     target._ok = True
-            while target is not None:
+            if target is not None:
                 cb = target._cb
-                if cb is None:
-                    break
-                target._cb = None
-                if type(cb) is list:
-                    # Several waiters: each runs before any of them runs
-                    # again, so none is followed within this dispatch.
-                    self._fanout = True
-                    for fn in cb:
-                        fn(target)
-                    self._fanout = False
-                    break
-                # A resumed process hands back the already-triggered event it
-                # now waits on (see Process._resume).  If that event's queued
-                # delivery is the heap top it is the next entry popped: pop
-                # it here.  (Anything else a callback returns is not a
-                # triggered event on top of the heap, and is ignored.)
-                target = cb(target)
-                if (
-                    target is None
-                    or not heap
-                    or heap[0][3] is not target
-                    or target._value is _PENDING
-                    or self._pending_error is not None
-                ):
-                    break
-                pop(heap)
+                if cb is not None:
+                    target._cb = None
+                    if type(cb) is list:
+                        # Several waiters: each runs before any of them runs
+                        # again, so none continues within its step.
+                        self._fanout = True
+                        for fn in cb:
+                            fn(target)
+                        self._fanout = False
+                    else:
+                        cb(target)
             if perf is not None:
                 perf.unwind(tok)
         if self._pending_error is not None:

@@ -58,13 +58,9 @@ def wake(
     *,
     resource: str,
     category: str = "",
-    kind: str = "handoff",
-    begin: Optional[float] = None,
     queued_at: Optional[float] = None,
-    initiator=None,
-    track: Optional[str] = None,
 ):
-    """Succeed ``event``, annotated with its wakeup edge (see
+    """Succeed ``event``, annotated with its handoff wakeup edge (see
     :func:`annotated` for the arguments)."""
-    annotated(event, resource, category, kind, begin, queued_at, initiator, track)
+    annotated(event, resource, category, "handoff", None, queued_at)
     event.succeed(value)  # lint: disable=unlabeled-wakeup

@@ -2,7 +2,7 @@
 
 Uses double hashing (Kirsch-Mitzenmacher) over two independent digests so
 probe positions are deterministic across runs regardless of PYTHONHASHSEED.
-Default 10 bits/key with 7 probes gives ~1% false positives, matching the
+10 bits/key with 7 probes gives ~1% false positives, matching the
 LevelDB/RocksDB defaults the paper's engines run with.
 """
 
@@ -13,6 +13,9 @@ from typing import Iterable, Sequence, Tuple
 from repro.perf import zones as _perf_zones
 
 __all__ = ["BloomFilter", "fnv1a", "fnv1a_many", "probe_pair"]
+
+BITS_PER_KEY = 10
+N_PROBES = 7
 
 
 def fnv1a(data: bytes) -> int:
@@ -73,20 +76,17 @@ def probe_pair(key: bytes) -> Tuple[int, int]:
 
 
 class BloomFilter:
-    def __init__(self, n_keys: int, bits_per_key: int = 10, n_probes: int = 7):
-        if bits_per_key < 1:
-            raise ValueError("bits_per_key must be >= 1")
-        self.n_bits = max(64, n_keys * bits_per_key)
-        self.n_probes = n_probes
+    def __init__(self, n_keys: int):
+        self.n_bits = max(64, n_keys * BITS_PER_KEY)
         self._bits = bytearray((self.n_bits + 7) // 8)
 
     @staticmethod
-    def nbytes_for(n_keys: int, bits_per_key: int) -> int:
+    def nbytes_for(n_keys: int) -> int:
         """Bitmap bytes of a filter over ``n_keys`` distinct keys, unbuilt."""
-        return (max(64, n_keys * bits_per_key) + 7) // 8
+        return (max(64, n_keys * BITS_PER_KEY) + 7) // 8
 
     @classmethod
-    def from_keys(cls, keys: Iterable[bytes], bits_per_key: int = 10) -> "BloomFilter":
+    def from_keys(cls, keys: Iterable[bytes]) -> "BloomFilter":
         """A filter over ``keys`` (distinct: the filter is sized by their
         count), built a probe index at a time.
 
@@ -96,7 +96,7 @@ class BloomFilter:
         reversed string packs it into the bitmap (bit ``pos`` set).
         """
         keys = list(keys)
-        bf = cls(len(keys), bits_per_key)
+        bf = cls(len(keys))
         n = bf.n_bits
         by_len: dict = {}  # fnv1a_many hashes keys of one length at a time
         for key in keys:
@@ -108,7 +108,7 @@ class BloomFilter:
             pos += [crc32(key) % n for key in group]
             step += [(h2 | 1) % n for h2 in fnv1a_many(group)]
         flags = bytearray(b"0") * n
-        for i in range(bf.n_probes):
+        for i in range(N_PROBES):
             if i:
                 pos = [(p + d) % n for p, d in zip(pos, step)]
             for p in pos:
@@ -126,7 +126,7 @@ class BloomFilter:
         n_bits = self.n_bits
         h1, h2 = pair
         hit = True
-        for i in range(self.n_probes):
+        for i in range(N_PROBES):
             pos = (h1 + i * h2) % n_bits
             if not bits[pos >> 3] & (1 << (pos & 7)):
                 hit = False

@@ -78,18 +78,16 @@ class SSTable:
         number: int,
         blocks: List[Block],
         distinct: int,
-        bits_per_key: int,
         entry_count: int,
         max_seq: int,
         plain: bool,
     ):
         self.number = number
         self.blocks = blocks
-        self.bits_per_key = bits_per_key
         #: the bloom filter, built from ``blocks`` on the first probe
         self._bloom: Optional[BloomFilter] = None
         #: its size, known from the distinct-key count before it is built
-        self.filter_bytes = BloomFilter.nbytes_for(distinct, bits_per_key)
+        self.filter_bytes = BloomFilter.nbytes_for(distinct)
         self.entry_count = entry_count
         self.max_seq = max_seq
         #: one version per user key and no tombstone (scans slice such tables)
@@ -155,7 +153,7 @@ class SSTable:
         if _p is not None:
             _p.enter("storage.sst.build")
         keys = {entry[0] for block in self.blocks for entry in block.entries}
-        self._bloom = BloomFilter.from_keys(keys, self.bits_per_key)
+        self._bloom = BloomFilter.from_keys(keys)
         if _p is not None:
             _p.leave()
         return self._bloom
@@ -191,9 +189,10 @@ class SSTable:
 
     # -- bulk read (compaction) ------------------------------------------------
 
-    def read_all_entries(self, device, category: str = "compaction") -> Generator:
-        """Sequential full-file read; returns the flat entry list."""
-        yield device.read(self.file_size, category=category, random=False)
+    def read_all_entries(self, device) -> Generator:
+        """Sequential full-file read (a compaction input); returns the flat
+        entry list."""
+        yield device.read(self.file_size, category="compaction", random=False)
         out: List[Entry] = []
         for block in self.blocks:
             out.extend(block.entries)
@@ -286,11 +285,9 @@ class SSTableBuilder:
         self,
         number: int,
         block_target: int = DEFAULT_BLOCK_TARGET,
-        bits_per_key: int = 10,
     ):
         self.number = number
         self.block_target = block_target
-        self.bits_per_key = bits_per_key
         self._blocks: List[Block] = []
         #: bytes of the finished blocks (estimated_size is read per entry).
         self._blocks_bytes = 0
@@ -349,5 +346,5 @@ class SSTableBuilder:
         if not self._blocks:
             raise ValueError("cannot finish an empty SSTable")
         plain = not self._tombstones and self._distinct == self._entry_count
-        return SSTable(self.number, self._blocks, self._distinct, self.bits_per_key,
+        return SSTable(self.number, self._blocks, self._distinct,
                        self._entry_count, self._max_seq, plain)

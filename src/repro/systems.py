@@ -240,10 +240,10 @@ def _open_p2kvs(
 
 
 @register_system("kvell")
-def _open_kvell(env, workers: int = 8, page_cache_bytes: int = 4 * 1024 * 1024):
-    return KVellSystem.open(env, n_workers=workers, page_cache_bytes=page_cache_bytes)
+def _open_kvell(env, workers: int = 8):
+    return KVellSystem.open(env, n_workers=workers)
 
 
 @register_system("wiredtiger")
 def _open_wiredtiger(env):
-    return WiredTigerSystem.open(env, name="wt")
+    return WiredTigerSystem.open(env)

@@ -7,8 +7,8 @@ machine, observers, artifacts):
   (rocksdb / leveldb / pebblesdb / multi / p2kvs / kvell / wiredtiger) on a
   configurable simulated machine.
 * ``ycsb`` — YCSB workload runner (Table 1 mixes).
-* ``serve`` — SLO benchmark for the sharded service plane.
-* ``monitor`` — health-monitored scenarios, and replay of a monitor document.
+* ``serve`` — SLO benchmark for the sharded service plane; with
+  ``--monitor`` also the health-monitored scenarios.
 * ``whatif`` — critical-path what-if profiler: predicted vs. measured
   virtual speedups.
 * ``profile`` — host wall-clock zone profile, flame graph and the

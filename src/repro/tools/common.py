@@ -86,17 +86,14 @@ def observability_parent(
     profile: bool = True,
     sanitize: bool = True,
     schedule_seed: bool = True,
-    monitor=False,
+    monitor: bool = False,
 ) -> argparse.ArgumentParser:
     """One argparse parent carrying the shared observability flag group.
 
     Use via ``argparse.ArgumentParser(parents=[observability_parent(...)])``.
     A fresh parent is built per call, so parsers never share Action state.
     Families a tool cannot honor are opted out by keyword; a tool may never
-    redefine one of these flags itself.  ``monitor`` is off by default,
-    ``True`` for the whole family, and ``"window"`` for the tool whose run
-    mode *is* the monitor (always attached, document written by its own
-    ``--json``): it keeps the window flag only.
+    redefine one of these flags itself.  ``monitor`` is opt-in.
     """
     parent = argparse.ArgumentParser(add_help=False)
     add = parent.add_argument_group("observability / determinism").add_argument
@@ -152,7 +149,7 @@ def observability_parent(
             help="attach the lock-order and data-race sanitizers; exit non-zero "
             "on any finding (see docs/ANALYSIS.md)",
         )
-    if monitor is True:  # docs/MONITOR.md
+    if monitor:  # docs/MONITOR.md
         add(
             "--monitor",
             action="store_true",
@@ -160,7 +157,6 @@ def observability_parent(
             "rules, see docs/MONITOR.md); embeds the incident timeline in the "
             "report and prints the incident narrative",
         )
-    if monitor:
         add(
             "--monitor-window-ms",
             type=float,
@@ -169,7 +165,6 @@ def observability_parent(
             help="monitor telemetry window in milliseconds of simulated time "
             "(default: 0.1)",
         )
-    if monitor is True:
         add(
             "--monitor-out",
             metavar="PATH",
@@ -423,7 +418,7 @@ class ObservedRun:
             result["counters"] = env.metrics.counter_values()
             result["events"] = env.metrics.events.summary()
             result["stall_timeline"] = format_stall_timeline(
-                self.sampler, env.metrics.events, n_cores=env.cpu.n_cores
+                self.sampler, env.metrics.events, env.cpu.n_cores
             )
         return result
 

@@ -41,6 +41,9 @@ from repro.workloads import (
 
 BENCHMARKS = ("fillseq", "fillrandom", "overwrite", "readseq", "readrandom", "scan")
 
+#: entries per scan of the ``scan`` benchmark.
+SCAN_SIZE = 100
+
 #: benchmarks that need a preloaded dataset before the measured phase.
 NEEDS_PRELOAD = {"overwrite", "readseq", "readrandom", "scan"}
 
@@ -60,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--num", type=int, default=10000, help="ops per benchmark")
     parser.add_argument("--value-size", type=int, default=112)
-    parser.add_argument("--scan-size", type=int, default=100)
     add_system_args(parser)
     add_machine_args(parser)
     parser.add_argument("--seed", type=int, default=0)
@@ -81,7 +83,7 @@ def _ops_for(name: str, args):
     if name == "readrandom":
         return readrandom(n, key_space=n, seed=seed)
     if name == "scan":
-        return scans(max(1, n // args.scan_size), n, args.scan_size, seed)
+        return scans(max(1, n // SCAN_SIZE), n, SCAN_SIZE, seed)
     raise SystemExit("unknown benchmark %r (choose from %s)" % (name, BENCHMARKS))
 
 

@@ -144,13 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(flamegraph.pl input)",
     )
     parser.add_argument(
-        "--sample-interval-us",
-        type=float,
-        default=250.0,
-        metavar="US",
-        help="stack-sampler interval in microseconds (default 250)",
-    )
-    parser.add_argument(
         "--tax",
         action="store_true",
         help="measure the instrument tax instead: wall overhead of each "
@@ -177,7 +170,7 @@ def _run_tax(args) -> int:
 
 def _run_zones(args) -> int:
     sampler = (
-        StackSampler(interval_us=args.sample_interval_us)
+        StackSampler()
         if (args.flame_out or args.collapsed_out)
         else None
     )

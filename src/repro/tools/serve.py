@@ -7,6 +7,8 @@ Examples::
     python -m repro.tools.serve --scenario migration --shards 4 \
         --trace-out service.json --stats
     python -m repro.tools.serve --scenario diurnal --csv slo.csv
+    python -m repro.tools.serve --monitor --expect-clean
+    python -m repro.tools.serve --fault-rate 0.02 --monitor-out monitor.json
 
 Runs one of the pinned scenarios (see ``--scenario`` and
 docs/SERVICE.md): N p2KVS shards behind a partition router, an open-loop
@@ -21,6 +23,12 @@ flags — or any ``--schedule-seed`` — produces byte-identical files, which
 (``--trace-out``, ``--stats``, ``--critpath``, ``--monitor``) and fault
 injection (``--fault-rate``) all work unchanged: shards are ordinary p2KVS
 deployments on one simulated machine.
+
+With the health monitor on (``--monitor``, ``--monitor-out`` or
+``--expect-clean``; docs/MONITOR.md) the run prints the incident narrative
+and checks expectations: ``--expect-clean`` fails the run if any
+page-severity alert fired, and a ``--fault-rate`` run fails if the injected
+fault went undetected.
 """
 
 import argparse
@@ -107,6 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fault-seed", type=int, default=0, help="fault injection RNG seed"
     )
+    parser.add_argument(
+        "--expect-clean",
+        action="store_true",
+        help="attach the monitor and exit non-zero if any page-severity "
+        "alert fired (the clean pinned scenarios must raise none)",
+    )
     parser.add_argument("--json", metavar="PATH", help="write the SLO report as JSON")
     parser.add_argument(
         "--csv", metavar="PATH", help="write the per-shard ledger as CSV"
@@ -143,7 +157,7 @@ def run_scenario(args) -> dict:
             policy=FaultPolicy(args.fault_seed, error_rate=args.fault_rate),
             seed=args.fault_seed,
         )
-    if args.monitor or args.monitor_out:
+    if args.monitor or args.monitor_out or args.expect_clean:
         run.attach_monitor(args.monitor_window_ms, plane)
     t0 = env.sim.now
     run_facts = run_service_load(
@@ -271,7 +285,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.csv, "w") as fh:
             fh.write(render_slo_csv(report))
         print("wrote %s" % args.csv)
-    return 0
+    status = 0
+    if "health" in report:
+        pages = report["health"]["alerts"]["page"]
+        if args.expect_clean and pages > 0:
+            print("FAIL: expected a clean run, %d page(s) fired" % pages, file=sys.stderr)
+            status = 1
+        detection = report["detection"]
+        if detection["ground_truth"] is not None and not detection["detected"]:
+            print("FAIL: injected fault was not detected", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

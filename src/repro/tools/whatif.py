@@ -66,17 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated list from: %s" % ", ".join(EXPERIMENTS),
     )
     parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="relative tolerance for --check (default 0.25; a 2pp absolute "
-        "floor always applies for near-zero deltas)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="exit non-zero if the blame table is empty or any prediction "
-        "misses the measured delta by more than the tolerance",
+        "misses the measured delta by more than the tolerance (25%% "
+        "relative, 2pp absolute floor for near-zero deltas)",
     )
     parser.add_argument("--json", metavar="PATH", help="write results as JSON")
     parser.add_argument("--out", metavar="PATH", help="also write the text report")
@@ -126,9 +120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "path_blame_seconds": saving,
                 "predicted_delta": predicted,
                 "measured_delta": measured,
-                "within_tolerance": check_prediction(
-                    predicted, measured, rel_tol=args.tolerance
-                ),
+                "within_tolerance": check_prediction(predicted, measured),
             }
         )
 

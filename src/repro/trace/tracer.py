@@ -279,20 +279,15 @@ class Tracer:
         what consumers read — from ``since``, an earlier ``len(rows)``, on."""
         return zip(*[islice(self.rows, since, None)] * self.WIDTH)
 
-    def spans(
-        self,
-        track: Optional[str] = None,
-        cat: Optional[str] = None,
-        name: Optional[str] = None,
-    ) -> Iterator[Span]:
-        """Iterate recorded spans as views, optionally filtered."""
+    def spans(self, cat: Optional[str] = None) -> Iterator[Span]:
+        """Iterate recorded spans as views, optionally of one category."""
         at = 0  # where the current row's values start in self.vals
         for n, c, t, start, end, aid, keys in self.records():
             args = None
             if keys is not None:
                 args = dict(zip(keys, self.vals[at:at + len(keys)]))
                 at += len(keys)
-            if track in (None, t) and cat in (None, c) and name in (None, n):
+            if cat in (None, c):
                 yield Span(None, n, c, t, start, args, aid, end)
 
     @property

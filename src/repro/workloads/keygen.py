@@ -23,8 +23,8 @@ __all__ = [
 ZIPFIAN_CONSTANT = 0.99
 
 
-def make_key(i: int, prefix: bytes = b"user") -> bytes:
-    return prefix + b"%016d" % i
+def make_key(i: int) -> bytes:
+    return b"user%016d" % i
 
 
 def make_value(i: int, size: int) -> bytes:
@@ -64,11 +64,11 @@ class ZipfianGenerator:
     ZipfianGenerator with a precomputed zeta(n).
     """
 
-    def __init__(self, n_items: int, seed: int = 0, theta: float = ZIPFIAN_CONSTANT):
+    def __init__(self, n_items: int, seed: int = 0):
         if n_items < 1:
             raise ValueError("need at least one item")
         self.n_items = n_items
-        self.theta = theta
+        theta = ZIPFIAN_CONSTANT
         self._rng = random.Random(seed)
         self._zetan = self._zeta(n_items, theta)
         self._zeta2 = self._zeta(2, theta)
@@ -94,7 +94,7 @@ class ZipfianGenerator:
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < 1.0 + 0.5 ** ZIPFIAN_CONSTANT:
             return 1
         return int(self.n_items * (self._eta * u - self._eta + 1) ** self._alpha)
 

@@ -163,7 +163,7 @@ class TestKVell:
 
     def test_inserts_coalesce_into_pages(self, env):
         """Concurrent inserts fill the open slab page and share page IOs."""
-        kvell = KVellLike(env, n_workers=1, item_size_hint=128)
+        kvell = KVellLike(env, n_workers=1)
 
         def writer(tid):
             ctx = env.cpu.new_thread("u%d" % tid)

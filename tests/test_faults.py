@@ -19,7 +19,7 @@ from repro.faults import (
     snapshot_durable_state,
     uninstall_faults,
 )
-from repro.faults.retry import retry_io
+from repro.faults.retry import MAX_ATTEMPTS, retry_io
 from repro.sim import OPTANE_905P, Simulator, StorageDevice
 from repro.storage.vfs import DiskImage
 from repro.systems import describe_options, open_system, system_names
@@ -158,12 +158,12 @@ class TestRetryIO:
 
         def attempt():
             try:
-                yield from retry_io(env, make, site="test", max_attempts=2)
+                yield from retry_io(env, make, site="test")
             except TimedOut as exc:
                 return exc
 
         exc = run_process(env, attempt())
-        assert exc.details["attempts"] == 2
+        assert exc.details["attempts"] == MAX_ATTEMPTS
 
     def test_non_retryable_raises_immediately(self, env):
         calls = []

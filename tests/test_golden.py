@@ -29,7 +29,6 @@ from repro.harness import P2KVSSystem, open_system, preload, run_closed_loop
 from repro.perf import zones as _perf_zones
 from repro.systems import system_names
 from repro.tools import dbbench, serve, whatif, ycsb
-from repro.tools import monitor as monitor_tool
 from repro.workloads import YCSBWorkload, facebook_mixed_workload, fillrandom, make_key
 from tests.conftest import run_process
 
@@ -356,7 +355,8 @@ def test_whatif_payload_golden(tmp_path, capsys):
 
 
 def test_monitor_document_golden(tmp_path, capsys):
-    document = _main_json(
-        monitor_tool, ["--scenario", "uniform", "--ops", "300"], tmp_path, capsys
-    )
-    check("monitor:uniform", fingerprint(document))
+    out = tmp_path / "monitor.json"
+    argv = ["--scenario", "uniform", "--ops", "300", "--monitor-out", str(out)]
+    assert serve.main(argv) == 0
+    capsys.readouterr()
+    check("monitor:uniform", fingerprint(json.loads(out.read_text())))

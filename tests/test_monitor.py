@@ -30,7 +30,7 @@ from repro.monitor import (
     render_narrative,
     score_detection,
 )
-from repro.tools import faultbench, monitor as monitor_tool, serve
+from repro.tools import faultbench, serve
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ class TestWindowStore:
         assert store.window_count("s") == 5
 
     def test_last_and_ewma(self):
-        store = WindowStore(ewma_alpha=1.0)
+        store = WindowStore()
         assert store.last("s") is None
         assert store.ewma("s") is None
         store.append("s", 1.0, 1.0, 4.0)
@@ -478,20 +478,23 @@ class TestPrometheusShardLabels:
 # CLI integration: monitored serve scenarios + the faultbench scorecard
 # ---------------------------------------------------------------------------
 
-_MON_ARGS = ["--ops", "400", "--shards", "2"]
+_MON_ARGS = ["--ops", "400", "--shards", "2", "--monitor"]
 
 
 def _mon_args(tmp_path, tag, extra=()):
-    return _MON_ARGS + ["--json", str(tmp_path / ("%s.json" % tag))] + list(extra)
+    return _MON_ARGS + ["--monitor-out", str(tmp_path / ("%s.json" % tag))] + list(extra)
 
 
 class TestMonitorCLI:
+    """The monitor runs as ``serve --monitor``: its document is
+    ``--monitor-out``, ``--expect-clean`` and an undetected fault fail the run."""
+
     def test_document_byte_identical_across_reruns_and_seeds(
         self, tmp_path, capsys
     ):
-        assert monitor_tool.main(_mon_args(tmp_path, "a")) == 0
-        assert monitor_tool.main(_mon_args(tmp_path, "b")) == 0
-        assert monitor_tool.main(
+        assert serve.main(_mon_args(tmp_path, "a")) == 0
+        assert serve.main(_mon_args(tmp_path, "b")) == 0
+        assert serve.main(
             _mon_args(tmp_path, "c", ["--schedule-seed", "7"])
         ) == 0
         a = (tmp_path / "a.json").read_bytes()
@@ -500,12 +503,12 @@ class TestMonitorCLI:
 
     def test_pinned_clean_scenarios_raise_zero_pages(self, tmp_path, capsys):
         # The zero-false-positive contract, over all four pinned scenarios
-        # (scaled down; the full-size runs back this in make monitor-smoke).
+        # (scaled down; the full-size runs back this in make smoke).
         for scenario in ("uniform", "hotkey", "migration", "diurnal"):
             argv = _mon_args(tmp_path, scenario) + [
                 "--scenario", scenario, "--ops", "600", "--expect-clean",
             ]
-            assert monitor_tool.main(argv) == 0, scenario
+            assert serve.main(argv) == 0, scenario
             document = json.loads(
                 (tmp_path / ("%s.json" % scenario)).read_text()
             )
@@ -513,23 +516,39 @@ class TestMonitorCLI:
             assert document["detection"]["false_positives"] == 0, scenario
 
     def test_fault_run_scores_detection(self, tmp_path, capsys):
-        argv = _mon_args(tmp_path, "fault") + [
-            "--fault-rate", "0.02",
-            "--detection-out", str(tmp_path / "detection.json"),
-        ]
-        assert monitor_tool.main(argv) == 0
-        detection = json.loads((tmp_path / "detection.json").read_text())
+        argv = _mon_args(tmp_path, "fault") + ["--fault-rate", "0.02"]
+        assert serve.main(argv) == 0
+        detection = json.loads((tmp_path / "fault.json").read_text())["detection"]
         assert detection["detected"] is True
         assert detection["mttd_s"] > 0
         assert detection["ground_truth"]["kind"] == "device-fault"
 
+    def test_expectations_fail_the_run(self, tmp_path, capsys, monkeypatch):
+        from repro.tools import common
+
+        real = common.score_detection
+
+        def undetected(*args):
+            return dict(real(*args), detected=False)
+
+        monkeypatch.setattr(common, "score_detection", undetected)
+        assert serve.main(_mon_args(tmp_path, "u", ["--fault-rate", "0.02"])) == 1
+        assert "not detected" in capsys.readouterr().err
+        monkeypatch.undo()
+        # The injected fault pages, so the run is not clean.
+        argv = _mon_args(tmp_path, "p", ["--fault-rate", "0.02", "--expect-clean"])
+        assert serve.main(argv) == 1
+        assert "expected a clean run" in capsys.readouterr().err
+
     def test_replay_renders_narrative(self, tmp_path, capsys):
-        assert monitor_tool.main(_mon_args(tmp_path, "r")) == 0
-        capsys.readouterr()
-        assert monitor_tool.main(
-            ["--replay", str(tmp_path / "r.json")]
-        ) == 0
-        assert "monitor:" in capsys.readouterr().out
+        # The written document is enough to re-render the narrative the run
+        # printed: a round trip through the JSON.
+        assert serve.main(_mon_args(tmp_path, "r", ["--fault-rate", "0.02"])) == 0
+        printed = capsys.readouterr().out
+        document = json.loads((tmp_path / "r.json").read_text())
+        narrative = render_narrative(document["health"], document["detection"])
+        assert "monitor:" in narrative and "detection:" in narrative
+        assert narrative in printed
 
     def test_serve_embeds_health_block(self, tmp_path, capsys):
         out = tmp_path / "serve.json"

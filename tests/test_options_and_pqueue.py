@@ -21,14 +21,13 @@ class TestEngineOptions:
         assert rocks.supports_multiget
         assert not level.concurrent_memtable
         assert not level.supports_multiget
-        assert level.supports_batch_write
         assert pebbles.compaction_style == "flsm"
         assert not pebbles.concurrent_memtable
 
     def test_overrides_apply(self):
-        opts = rocksdb_options(write_buffer_size=123, max_group_size=7)
+        opts = rocksdb_options(write_buffer_size=123, l0_stop_trigger=7)
         assert opts.write_buffer_size == 123
-        assert opts.max_group_size == 7
+        assert opts.l0_stop_trigger == 7
         assert opts.concurrent_memtable  # preset preserved
 
     def test_clone_does_not_mutate_original(self):
@@ -38,10 +37,10 @@ class TestEngineOptions:
         assert clone.write_buffer_size == 1
 
     def test_level_byte_budgets_grow_geometrically(self):
-        opts = EngineOptions(max_bytes_for_level_base=100, level_size_multiplier=10)
+        opts = EngineOptions(max_bytes_for_level_base=100)
         assert opts.max_bytes_for_level(1) == 100
-        assert opts.max_bytes_for_level(2) == 1000
-        assert opts.max_bytes_for_level(3) == 10000
+        assert opts.max_bytes_for_level(2) == 800
+        assert opts.max_bytes_for_level(3) == 6400
         with pytest.raises(ValueError):
             opts.max_bytes_for_level(0)
 

@@ -271,7 +271,7 @@ def test_wait_on_already_completed_process():
 
 def _burst_then_lock(sim, log):
     """One process: a burst (in-place completion when nothing else is due),
-    then an uncontended lock (already-triggered event, followed in place)."""
+    then an uncontended lock (an already-triggered event)."""
     cpu = CPUSet(sim, 1)
     ctx = cpu.new_thread("t")
     lock = Lock(sim)
@@ -320,8 +320,8 @@ def test_externally_triggered_burst_event_is_still_an_error():
 
 
 def test_callback_return_values_are_not_mistaken_for_hand_offs():
-    # Only an already-triggered event on top of the heap is followed: a
-    # callback returning a fresh timer must not get it popped untriggered.
+    # Only a completion's return value is a hand-off: a callback returning
+    # a fresh timer must not get it popped untriggered.
     sim, timers, out = Simulator(), [], []
 
     def make_timer(_ev):
@@ -643,19 +643,8 @@ def _pinned(*procs):
 @given(_program, st.sampled_from(_OBSERVERS), st.one_of(st.none(), st.integers(0, 3)))
 # One program per condition of the rule, so each keeps a case that fails
 # without it: a completion that ties with a queued delivery ("strictly
-# later"); two waiters of one event, the first going on to an event that has
-# already triggered (siblings first); an error pending at such a hand-off.
+# later").
 @example(_pinned([("burst", 1)], [("timeout", 1)]), (), None)
-@example(
-    _pinned(
-        [("wait_shared", 0), ("barrier1",)],
-        [("wait_shared", 0), ("barrier1",)],
-        [("timeout", 1), ("fire_shared", 0, True), ("timeout", 1)],
-    ),
-    (),
-    None,
-)
-@example(_pinned([("burst", 1), ("crash",), ("barrier1",)]), (), None)
 # The same for can_continue(): a wait completed in place ties with an entry
 # at its instant; two waiters of one event, the first going on to a free lock
 # and a one-party barrier; an error pending; a shuffled schedule; and what an

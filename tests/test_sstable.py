@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.sim import OPTANE_905P, Simulator, StorageDevice
 from repro.storage.block_cache import BlockCache
-from repro.storage.bloom import BloomFilter, fnv1a, fnv1a_many, probe_pair
+from repro.storage.bloom import N_PROBES, BloomFilter, fnv1a, fnv1a_many, probe_pair
 from repro.storage.memtable import DELETED, FOUND, MAX_SEQ, NOT_FOUND, VTYPE_DELETE, VTYPE_VALUE
 from repro.storage.sstable import SSTableBuilder, _internal_key, lower_bound
 
@@ -50,10 +50,6 @@ class TestBloom:
         fps = sum(bf.may_contain(probe_pair(key(i))) for i in range(10000, 20000))
         assert fps / 10000 < 0.05
 
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            BloomFilter(10, bits_per_key=0)
-
     def test_fnv1a_reference_vectors(self):
         # Published 64-bit FNV-1a test vectors.
         assert fnv1a(b"") == 0xCBF29CE484222325
@@ -69,26 +65,23 @@ class TestBloom:
     def test_batched_fnv1a_is_the_scalar_one(self, keys):
         assert list(fnv1a_many(keys)) == [fnv1a(k) for k in keys]
 
-    @given(st.lists(st.binary(max_size=24), max_size=80), st.integers(1, 16))
-    @example([b"k"], 1)  # one key: the 64-bit floor
-    @example([b"k"], 16)
-    @example([b"same", b"same", b"other", b"same"], 3)  # duplicates
-    @example([b"", b"a", b"ab", b"abc" * 8, b"a"], 10)
+    @given(st.lists(st.binary(max_size=24), max_size=80))
+    @example([b"k"])  # one key: the 64-bit floor
+    @example([b"same", b"same", b"other", b"same"])  # duplicates
+    @example([b"", b"a", b"ab", b"abc" * 8, b"a"])
     @settings(max_examples=200, deadline=None)
-    def test_from_keys_sets_the_bits_add_sets(self, keys, bits_per_key):
+    def test_from_keys_sets_the_bits_add_sets(self, keys):
         # Mixed key lengths: from_keys hashes each length group in one batch.
-        assert BloomFilter.from_keys(keys, bits_per_key)._bits == oracle_bits(
-            keys, bits_per_key
-        )
+        assert BloomFilter.from_keys(keys)._bits == oracle_bits(keys)
 
 
-def oracle_bits(keys, bits_per_key):
+def oracle_bits(keys):
     """The scalar build ``from_keys`` replaced, one key and one probe at a
     time (``BloomFilter.add``/``_set_bits`` before the batched build)."""
-    bf = BloomFilter(len(keys), bits_per_key)
+    bf = BloomFilter(len(keys))
     for k in keys:
         h1, h2 = zlib.crc32(k) & 0xFFFFFFFF, fnv1a(k) | 1
-        for i in range(bf.n_probes):
+        for i in range(N_PROBES):
             pos = (h1 + i * h2) % bf.n_bits
             bf._bits[pos >> 3] |= 1 << (pos & 7)
     return bf._bits
@@ -325,18 +318,17 @@ class TestFilterBuiltAtFirstProbe:
     @given(
         versions=_VERSIONS,
         block_target=st.sampled_from([48, 256, 4096]),
-        bits_per_key=st.integers(1, 16),
     )
     @settings(max_examples=100, deadline=None)
-    def test_lazy_filter_is_the_eager_one(self, versions, block_target, bits_per_key):
+    def test_lazy_filter_is_the_eager_one(self, versions, block_target):
         """Several versions a key and tombstones, so the distinct-key count
         (what the filter is sized and built from) is below the entry count."""
         entries = versioned_entries(versions)
-        builder = SSTableBuilder(1, block_target=block_target, bits_per_key=bits_per_key)
+        builder = SSTableBuilder(1, block_target=block_target)
         for entry in entries:
             builder.add(*entry)
         table = builder.finish()
-        eager = BloomFilter.from_keys({e[0] for e in entries}, bits_per_key)
+        eager = BloomFilter.from_keys({e[0] for e in entries})
         assert table._bloom is None
         # The size an eagerly built filter gave the file, before any build.
         index_bytes = 24 * len(table.blocks)

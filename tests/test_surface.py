@@ -7,17 +7,26 @@ its own definition; import lines and ``__all__`` lists do not count as uses.
 A name only ``tests/`` uses is a mechanism only tests keep alive: delete it
 with its tests, or allowlist it below under the exempt class that keeps it.
 
+The same for settings (docs/PROFILING.md "Value audit"): every field of the
+option records — ``EngineOptions``, ``CostModel``, ``DeviceSpec`` — is loaded
+as an attribute somewhere in ``src/``; a field nothing reads is a value one
+can set to no effect.
+
 Dynamic half: the two off-states PR 20 made the rule cannot quietly come
 back — a fresh kernel has no tracer object, and a default run records no
 per-burst CPU series.
 """
 
 import ast
+import dataclasses
 import pathlib
 
 from repro.engine import make_env
+from repro.engine.costs import CostModel
+from repro.engine.options import EngineOptions
 from repro.harness import run_closed_loop
 from repro.sim.core import Simulator
+from repro.sim.device import DeviceSpec
 from repro.sim.stats import TimeSeries
 from repro.systems import open_system
 from repro.workloads import fillrandom, split_stream
@@ -88,6 +97,21 @@ def test_every_exported_name_is_used_by_production_code():
             sorted(set(ALLOWED) - set(unused)),
         )
     )
+
+
+def test_every_option_record_field_is_read_by_production_code():
+    read = set()  # every attribute src/ loads (a field's declaration is not one)
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [
+        "%s.%s" % (cls.__name__, field.name)
+        for cls in (EngineOptions, CostModel, DeviceSpec)
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    ]
+    assert not unread, "option-record fields nothing in src/ reads: %s" % unread
 
 
 def test_off_means_absent():

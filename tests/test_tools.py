@@ -342,9 +342,7 @@ def _hand_built(name, env):
             adapter_open=adapter_factory("rocksdb", **_HAND_SHAPE),
             async_window=64,
         ),
-        "kvell": lambda: KVellSystem.open(
-            env, n_workers=4, page_cache_bytes=4 * 1024 * 1024
-        ),
+        "kvell": lambda: KVellSystem.open(env, n_workers=4),
         "wiredtiger": lambda: WiredTigerSystem.open(env),
     }[name]()
 
@@ -408,7 +406,7 @@ class TestRegistryEquivalence:
 
 
 class TestSharedFlagGroup:
-    """The seven CLIs share one argparse parent: same spelling everywhere."""
+    """The six run CLIs share one argparse parent: same spelling everywhere."""
 
     SHARED = {
         "dbbench": ("trace_out", "stats", "stats_interval_ms", "stats_out",
@@ -420,8 +418,6 @@ class TestSharedFlagGroup:
         "serve": ("trace_out", "stats", "critpath", "sanitize", "profile",
                   "schedule_seed", "monitor", "monitor_window_ms",
                   "monitor_out"),
-        "monitor": ("sanitize", "profile", "profile_out", "schedule_seed",
-                    "monitor_window_ms"),
         "whatif": ("sanitize", "schedule_seed"),
         "faultbench": ("profile", "profile_out"),
         "profile": ("schedule_seed",),
@@ -453,18 +449,14 @@ class TestSharedFlagGroup:
                 else:
                     defaults[dest] = (tool, args[dest])
 
-    def test_monitor_rejects_unknown_scenario_under_its_own_name(self, capsys):
-        from repro.tools import monitor
+    def test_serve_rejects_unknown_scenario_under_its_own_name(self, capsys):
+        from repro.tools import serve
 
         with pytest.raises(SystemExit) as exc:
-            monitor.main(["--scenario", "nosuch"])
+            serve.main(["--scenario", "nosuch"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "repro.tools.monitor: error" in err and "nosuch" in err
-
-    def test_monitor_keeps_only_the_window_flag_of_its_family(self):
-        args = self._parser("monitor").parse_args([])
-        assert not hasattr(args, "monitor") and not hasattr(args, "monitor_out")
+        assert "repro.tools.serve: error" in err and "nosuch" in err
 
     def test_parent_families_opt_out(self):
         from repro.tools.common import observability_parent
