@@ -189,6 +189,15 @@ def test_serve_report_schedule_seed_invariant():
     check("serve:uniform:2shard", fingerprint(report))
 
 
+def test_serve_migration_golden():
+    """The one scenario that moves partitions mid-run: offered-heat counts,
+    the rebalance plan, the partition-copy filter and directory moves."""
+    report = _serve_report(["--scenario", "migration"])
+    assert [m["partition"] for m in report["moves"]] == [25, 22]
+    assert report["rebalance_shed"] == 36
+    check("serve:migration", fingerprint(report))
+
+
 # -- the run path every CLI shares (tools.common) ----------------------------
 #
 # These go through main(argv) and read the --json artifact back, so they pin
