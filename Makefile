@@ -123,9 +123,10 @@ PROFILED_BENCH = $(PY) -m repro.tools.dbbench --benchmarks fillrandom \
 #   measured re-runs; writes results/whatif-report.{txt,json}.
 # * faults (docs/FAULTS.md): the crash/fault campaign passes every scenario
 #   with zero oracle violations; writes results/faults-report.json.
-# * serve (docs/SERVICE.md): 1-shard and 4-shard SLO reports are a pure
-#   function of the flags; writes results/serve-report.{json,csv}.  The
-#   4-shard run also completes with --stats and fault retries on together.
+# * serve (docs/SERVICE.md): 1-shard, 4-shard and mid-run-migration SLO
+#   reports are a pure function of the flags; writes
+#   results/serve-report.{json,csv}.  The 4-shard run also completes with
+#   --stats and fault retries on together.
 # * monitor (docs/MONITOR.md): under `serve --monitor` a clean scenario raises
 #   zero page alerts, a fault-injected run detects its fault with finite MTTD;
 #   writes results/monitor-report.json (its `detection` key is the scorecard).
@@ -171,6 +172,10 @@ smoke:
 	    results/serve-report.json,\
 	    $(SERVE) --scenario hotkey --shards 4 --json $$out --csv results/serve-report.csv > /dev/null,\
 	    $(SERVE) --scenario hotkey --shards 4 --schedule-seed 7 --json $$out > /dev/null)
+	$(call same-bytes,migration SLO report identical under perturbation,\
+	    results/.smoke-serve-migration.json,\
+	    $(SERVE) --scenario migration --shards 4 --json $$out > /dev/null,\
+	    $(SERVE) --scenario migration --shards 4 --schedule-seed 7 --json $$out > /dev/null)
 	$(SERVE) --scenario hotkey --shards 4 --stats --stats-out results/.smoke-stats --fault-rate 0.05 > /dev/null
 	$(call same-bytes,clean monitor document identical under perturbation,\
 	    results/.smoke-monitor-clean.json,\

@@ -19,6 +19,7 @@ which is why KVell relies on single-core performance where p2KVS spreads
 work across foreground and background threads.
 """
 
+import heapq
 from typing import Dict, Generator, List, Tuple
 
 from repro.engine.env import Env
@@ -145,35 +146,27 @@ class KVellLike:
         return status.value_or(None)
 
     def scan(self, ctx, begin: bytes, count: int) -> Generator:
-        futures = []
-        yield self.env.cpu.exec(ctx, SUBMIT_COST * self.n_workers, "submit")
-        for worker_id in range(self.n_workers):
-            request = _Request("scan", begin=begin, count=count)
-            request.future = self.env.sim.event()
-            self.queues[worker_id].put(request)
-            futures.append(request.future)
-        statuses = yield self.env.sim.all_of(futures)
-        parts = [status.value_or([]) for status in statuses]
-        import heapq
-
-        merged = list(heapq.merge(*parts, key=lambda kv: kv[0]))
+        merged = yield from self._fan_out(ctx, "scan", begin, count)
         return merged[:count]
 
     def range_query(self, ctx, begin: bytes, end: bytes) -> Generator:
         """RANGE across partitions: every worker walks its index between the
         bounds and fetches the scattered pages; results merge sorted."""
-        futures = []
+        return (yield from self._fan_out(ctx, "range", begin, 0, end))
+
+    def _fan_out(self, ctx, op: str, begin: bytes, count: int, end=None) -> Generator:
+        """Send one ``op`` request to every worker (a key range spans every
+        partition) and merge their sorted parts by key.  ``end`` rides in
+        the request's value slot as the upper bound."""
         yield self.env.cpu.exec(ctx, SUBMIT_COST * self.n_workers, "submit")
-        for worker_id in range(self.n_workers):
-            request = _Request("range", begin=begin, count=0)
-            request.value = end  # reuse the slot for the upper bound
+        futures = []
+        for queue in self.queues:
+            request = _Request(op, value=end, begin=begin, count=count)
             request.future = self.env.sim.event()
-            self.queues[worker_id].put(request)
+            queue.put(request)
             futures.append(request.future)
         statuses = yield self.env.sim.all_of(futures)
         parts = [status.value_or([]) for status in statuses]
-        import heapq
-
         return list(heapq.merge(*parts, key=lambda kv: kv[0]))
 
     def close(self) -> Generator:

@@ -26,7 +26,6 @@ from repro.critpath.extract import (
     Segment,
     aggregate_blame,
     critpath_report,
-    fig06_from_blame,
     makespan_path,
     path_trace_extras,
     request_paths,
@@ -39,6 +38,7 @@ from repro.critpath.whatif import (
     predicted_delta,
     predicted_saving,
 )
+from repro.trace.attribution import fig06_from_blame
 
 __all__ = [
     "EXPERIMENTS",

@@ -43,7 +43,6 @@ __all__ = [
     "Segment",
     "aggregate_blame",
     "critpath_report",
-    "fig06_from_blame",
     "makespan_path",
     "path_trace_extras",
     "request_paths",
@@ -292,39 +291,6 @@ def critpath_report(edgelog, tracer, window: Window) -> Dict[str, object]:
             "blame": aggregate_blame([backbone]),
         }
     return report
-
-
-# -- Figure 6 cross-check ---------------------------------------------------
-
-def _fig06_bucket(label: str) -> str:
-    """Map a blame label onto Figure 6's five buckets.
-
-    Lock labels must be checked before the bare wal/memtable substrings:
-    ``lock:mem-stage:wal_lock`` is WAL-lock time, not WAL time.
-    """
-    if "wal_lock" in label:
-        return "WAL lock"
-    if "memtable_lock" in label or "mem-stage" in label:
-        return "MemTable lock"
-    if "wal" in label:
-        return "WAL"
-    if "memtable" in label:
-        return "MemTable"
-    return "Others"
-
-
-def fig06_from_blame(blame: Dict[str, object]) -> Dict[str, object]:
-    """Fold a blame ranking into Figure 6's buckets, same shape as
-    :func:`repro.trace.attribution.fig06_breakdown` — the cross-check that
-    the critical path and the span accounting tell one story."""
-    from repro.trace.attribution import CATEGORIES
-
-    totals = dict.fromkeys(CATEGORIES, 0.0)
-    for row in blame["rows"]:
-        totals[_fig06_bucket(row["label"])] += row["seconds"]
-    total = sum(totals.values())
-    shares = {k: (v / total if total > 0 else 0.0) for k, v in totals.items()}
-    return {"categories": totals, "shares": shares, "total": total}
 
 
 # -- Perfetto surfacing ------------------------------------------------------

@@ -1,8 +1,8 @@
 """Deterministic fault injection and crash-recovery plane.
 
 Everything here is seed-driven and replayable: a given ``--fault-seed``
-names one exact schedule of device errors, torn writes, latency spikes and
-crash points, so a failing campaign reruns identically.  See docs/FAULTS.md.
+names one exact schedule of device errors, torn writes and crash points, so
+a failing campaign reruns identically.  See docs/FAULTS.md.
 """
 
 from repro.faults.oracle import ShadowMap

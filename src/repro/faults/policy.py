@@ -15,31 +15,25 @@ from repro.errors import IOFailure, TimedOut
 
 __all__ = ["FaultPolicy"]
 
-#: how many times longer a spiked IO takes.
-SPIKE_FACTOR = 8.0
-
 
 class FaultPolicy:
     """Decide, per device IO, whether to inject a fault.
 
     Rates are per-submission probabilities, checked in order: transient
-    error (a share of which present as timeouts), torn write (writes only;
-    a seeded prefix of the transfer still reaches the platter), latency
-    spike (the IO succeeds but takes ``SPIKE_FACTOR``× longer).
+    error (a share of which present as timeouts), then torn write (writes
+    only; a seeded prefix of the transfer still reaches the platter).
 
     ``kinds`` / ``categories`` restrict targeting (e.g. only ``write`` IOs,
     only the ``wal`` category); ``max_faults`` caps total injections so a
     campaign scenario cannot degenerate into a permanently-dead device.
     """
 
-    def __init__(self, seed, error_rate=0.0, torn_rate=0.0, spike_rate=0.0,
-                 timeout_share=0.25,
+    def __init__(self, seed, error_rate=0.0, torn_rate=0.0, timeout_share=0.25,
                  kinds=("read", "write"), categories=None, max_faults=None):
         self.seed = seed
         self.rng = random.Random(seed)
         self.error_rate = error_rate
         self.torn_rate = torn_rate
-        self.spike_rate = spike_rate
         self.timeout_share = timeout_share
         self.kinds = tuple(kinds)
         self.categories = None if categories is None else frozenset(categories)
@@ -59,11 +53,9 @@ class FaultPolicy:
         return sum(self.injected.values())
 
     def decide(self, kind, nbytes, category):
-        """Return ``None`` (no fault), ``("fail", exc)`` or ``("spike", mult)``.
-
-        ``exc`` is the fully-built typed error the device event will fail
-        with; torn-write errors carry ``completed_bytes < nbytes``.
-        """
+        """Return ``None`` (no fault) or the fully-built typed error the
+        device event will fail with; torn-write errors carry
+        ``completed_bytes < nbytes``."""
         if kind not in self.kinds:
             return None
         if self.categories is not None and category not in self.categories:
@@ -74,21 +66,15 @@ class FaultPolicy:
         if r < self.error_rate:
             self._count("transient")
             if self.rng.random() < self.timeout_share:
-                return ("fail", TimedOut(
-                    "injected device timeout", site=category, kind=kind))
-            return ("fail", IOFailure(
-                "injected transient IO error", site=category, kind=kind))
+                return TimedOut("injected device timeout", site=category, kind=kind)
+            return IOFailure("injected transient IO error", site=category, kind=kind)
         r -= self.error_rate
         if r < self.torn_rate:
             if kind != "write" or nbytes <= 1:
                 return None
             completed = self.rng.randrange(0, nbytes)
             self._count("torn")
-            return ("fail", IOFailure(
+            return IOFailure(
                 "torn write: %d/%d bytes reached the device" % (completed, nbytes),
-                site=category, torn=True, completed_bytes=completed))
-        r -= self.torn_rate
-        if r < self.spike_rate:
-            self._count("spike")
-            return ("spike", SPIKE_FACTOR)
+                site=category, torn=True, completed_bytes=completed)
         return None

@@ -21,7 +21,6 @@ from repro.monitor.score import (
     ground_truth_from_env,
     render_narrative,
     score_detection,
-    write_detection_report,
 )
 from repro.monitor.service import attach_service_monitor, attach_store_monitor
 from repro.monitor.windows import EWMA, SeriesTap, WindowStore
@@ -44,5 +43,4 @@ __all__ = [
     "ground_truth_from_env",
     "render_narrative",
     "score_detection",
-    "write_detection_report",
 ]

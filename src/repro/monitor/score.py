@@ -16,14 +16,12 @@ Everything here is post-hoc arithmetic over two deterministic records, so
 a scored report is byte-identical across reruns and ``--schedule-seed``.
 """
 
-import json
 from typing import List, Optional
 
 __all__ = [
     "ground_truth_from_env",
     "render_narrative",
     "score_detection",
-    "write_detection_report",
 ]
 
 
@@ -150,10 +148,3 @@ def render_narrative(timeline: dict, detection: Optional[dict] = None) -> str:
                 )
             )
     return "\n".join(lines)
-
-
-def write_detection_report(report: dict, path: str) -> None:
-    """Serialise deterministically (sorted keys, stable rounding)."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2))
-        fh.write("\n")

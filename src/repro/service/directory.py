@@ -1,25 +1,46 @@
-"""The partition directory: partition id → shard id, plus the move log.
+"""The partition directory: key → partition → shard, plus the move log.
 
-This is the service plane's single source of placement truth (Snippet 3's
-"partition directory/metadata").  The router consults it on every request;
-``move_partition`` is the *metadata half* of the manual rebalance
-primitive — :meth:`repro.service.plane.ServicePlane.move_partition` wraps
-it with the data copy and the source-lane quiesce that make the move safe
-under live traffic.
+This is the service plane's single source of placement truth.  SNIPPETS.md
+Snippet 3 names three roles — partition function, partition directory and
+router — and one object fills all of them here:
 
-Placement starts round-robin (``partition % n_shards``), so every shard
-owns the same number of partitions until an operator moves one.  Every
-move is appended to :attr:`moves` and bumps :attr:`version`, giving the
-SLO report a deterministic audit trail.
+* the **partition function** ``partition = FNV1a(key) % n_partitions``, the
+  same deterministic FNV-1a the p2KVS intra-shard router uses, so a hot key
+  concentrates on exactly one partition and the directory can move that
+  partition away from a loaded shard.  It is a pure function of the key
+  bytes — no salted hash, no instance state — so the same key maps to the
+  same partition in every run and every process;
+* the **placement** partition → shard, starting round-robin
+  (``partition % n_shards``) so every shard owns the same number of
+  partitions until an operator moves one;
+* the **route** key → shard the front door looks up on every request.
+  Inside each shard p2KVS's own :class:`~repro.core.router.HashRouter`
+  still distributes keys over the shard's workers, so a key's full path
+  is::
+
+    key ──PartitionDirectory──> shard instance ──HashRouter──> worker ──> engine
+
+Splitting the key space into many more partitions than shards is what makes
+rebalancing a metadata operation: moving one partition relocates 1/N-th of
+the keys without re-hashing the rest of the space.  ``move_partition`` is
+the *metadata half* of the manual rebalance primitive —
+:meth:`repro.service.plane.ServicePlane.move_partition` wraps it with the
+data copy and the source-lane quiesce that make the move safe under live
+traffic.  Every move is appended to :attr:`moves` and bumps
+:attr:`version`, giving the SLO report a deterministic audit trail.
+
+Routing is a pure lookup (no simulated time, no RNG).
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+from repro.storage.bloom import fnv1a
 
 __all__ = ["PartitionDirectory"]
 
 
 class PartitionDirectory:
-    """Maps each of ``n_partitions`` partition ids onto one of ``n_shards``."""
+    """Hashes keys onto ``n_partitions`` partitions placed on ``n_shards``."""
 
     def __init__(self, n_partitions: int, n_shards: int):
         if n_partitions < n_shards:
@@ -37,7 +58,33 @@ class PartitionDirectory:
         #: audit trail: (version, partition, source shard, target shard).
         self.moves: List[Tuple[int, int, int, int]] = []
 
-    def shard_of(self, partition: int) -> int:
+    # -- routing -------------------------------------------------------------
+
+    def partition(self, key: bytes) -> int:
+        """The partition function: ``FNV1a(key) % n_partitions``."""
+        return fnv1a(key) % self.n_partitions
+
+    def route(self, key: bytes) -> Tuple[int, int]:
+        """Return ``(partition, shard)`` for ``key``."""
+        partition = self.partition(key)
+        return partition, self._assignment[partition]
+
+    def shard_of(self, key: bytes) -> int:
+        """The shard that serves ``key`` under the current placement."""
+        return self.route(key)[1]
+
+    def offered_counts(self, ops: Sequence) -> List[int]:
+        """Requests per partition for (a prefix of) an op stream — the
+        partition heat a rebalance plan ranks."""
+        counts = [0] * self.n_partitions
+        for op in ops:
+            counts[self.partition(op[1])] += 1
+        return counts
+
+    # -- placement -----------------------------------------------------------
+
+    def owner(self, partition: int) -> int:
+        """The shard ``partition`` is placed on."""
         return self._assignment[partition]
 
     def partitions_on(self, shard: int) -> List[int]:

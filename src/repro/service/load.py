@@ -25,7 +25,7 @@ from typing import Generator, List, Optional, Sequence
 from repro.harness.runner import run_zoned
 from repro.workloads.microbench import split_stream
 
-__all__ = ["partition_offered_counts", "preload_plane", "run_service_load"]
+__all__ = ["preload_plane", "run_service_load"]
 
 
 #: loader threads per shard while a dataset is preloaded.
@@ -42,7 +42,7 @@ def preload_plane(env, plane, ops: Sequence) -> None:
     """
     per_shard: List[List] = [[] for _ in range(plane.n_shards)]
     for op in ops:
-        per_shard[plane.router.shard_of(op[1])].append(op)
+        per_shard[plane.directory.shard_of(op[1])].append(op)
 
     def loader(ctx, system, chunk) -> Generator:
         for op in chunk:
@@ -61,14 +61,6 @@ def preload_plane(env, plane, ops: Sequence) -> None:
 
     env.sim.spawn(waiter(), name="svc-preload")
     run_zoned(env, "service.preload")
-
-
-def partition_offered_counts(partitioner, ops: Sequence) -> List[int]:
-    """Offered requests per partition for (a prefix of) an op stream."""
-    counts = [0] * partitioner.n_partitions
-    for op in ops:
-        counts[partitioner.partition(op[1])] += 1
-    return counts
 
 
 def run_service_load(
@@ -108,7 +100,7 @@ def run_service_load(
         rebalance_proc = None
         for i, (op, at) in enumerate(zip(ops, schedule)):
             if trigger is not None and i == trigger:
-                heat = partition_offered_counts(plane.partitioner, ops[:i])
+                heat = plane.directory.offered_counts(ops[:i])
                 ctx = env.cpu.new_thread("svc-rebalance")
                 rebalance_proc = env.sim.spawn(
                     plane.rebalance_hottest(ctx, heat, rebalance_moves),

@@ -6,8 +6,8 @@
   ``repro.open_system`` registry with its own ``instance`` namespace
   (``shard-0`` .. ``shard-N-1``) so their on-disk paths, metric prefixes
   and thread names coexist on the shared :class:`~repro.engine.env.Env`;
-* a :class:`~repro.service.router.ServiceRouter` over a partition function
-  and the :class:`~repro.service.directory.PartitionDirectory`;
+* the :class:`~repro.service.directory.PartitionDirectory`, which hashes
+  each key to a partition and places partitions on shards;
 * one :class:`~repro.service.admission.ShardLane` per shard (bounded
   admission + dispatchers), feeding per-class latency histograms
   ``service.latency.<class>`` in the env's stats registry.
@@ -34,8 +34,6 @@ from typing import Dict, Generator, List, Optional, Sequence, Set
 
 from repro.service.admission import ShardLane, request_skew
 from repro.service.directory import PartitionDirectory
-from repro.service.partition import HashPartitioner
-from repro.service.router import ServiceRouter
 from repro.systems import open_system
 
 __all__ = ["ServicePlane"]
@@ -65,9 +63,10 @@ class ServicePlane:
         self.env = env
         self.n_shards = n_shards
         self.key_space = key_space
-        self.partitioner = HashPartitioner(n_partitions)
         self.directory = PartitionDirectory(n_partitions, n_shards)
-        self.router = ServiceRouter(self.partitioner, self.directory)
+        #: the same object under its routing role: ``router.shard_of(key)``
+        #: names the shard that serves ``key``.
+        self.router = self.directory
         self.counters = env.metrics.group("service", fresh=True)
         self._latency: Dict[str, object] = {}
         for cls in ("read", "write", "rmw"):
@@ -132,7 +131,7 @@ class ServicePlane:
         op_class = VERB_CLASS[verb]
         self.counters.add("offered")
         self.counters.add("offered.%s" % op_class)
-        partition, shard = self.router.route(key)
+        partition, shard = self.directory.route(key)
         if partition in self._migrating:
             self.lanes[shard].shed_for_rebalance()
             return False
@@ -147,7 +146,7 @@ class ServicePlane:
 
     def move_partition(self, ctx, partition: int, target_shard: int) -> Generator:
         """Live-move ``partition`` onto ``target_shard`` (see module doc)."""
-        source_shard = self.directory.shard_of(partition)
+        source_shard = self.directory.owner(partition)
         if source_shard == target_shard:
             raise ValueError(
                 "partition %d already on shard %d" % (partition, target_shard)
@@ -188,7 +187,7 @@ class ServicePlane:
         rows = yield from source.scan(ctx, b"", count)
         copied = 0
         for key, value in rows:
-            if self.partitioner.partition(key) != partition:
+            if self.directory.partition(key) != partition:
                 continue
             # The copier's puts interleave with the *target* shard's live
             # traffic; skew them like admitted requests (the copy stream
@@ -216,14 +215,14 @@ class ServicePlane:
         """
         shard_load = [0] * self.n_shards
         for p, load in enumerate(partition_load):
-            shard_load[self.directory.shard_of(p)] += load
+            shard_load[self.directory.owner(p)] += load
         by_heat = sorted(
             range(len(partition_load)),
             key=lambda p: (-partition_load[p], p),
         )
         moves = []
         for partition in by_heat[:n_moves]:
-            source = self.directory.shard_of(partition)
+            source = self.directory.owner(partition)
             candidates = [s for s in range(self.n_shards) if s != source]
             target = min(candidates, key=lambda s: (shard_load[s], s))
             if shard_load[target] >= shard_load[source]:

@@ -22,10 +22,9 @@ latency the lanes recorded, reported in microseconds rounded to 1 ns.  All
 floats are rounded before serialisation so the JSON is byte-stable.
 """
 
-import json
 from typing import Dict, List
 
-__all__ = ["build_slo_report", "render_slo_csv", "write_report"]
+__all__ = ["build_slo_report", "render_slo_csv"]
 
 #: latency classes in report order.
 CLASSES = ("read", "write", "rmw")
@@ -127,10 +126,3 @@ def render_slo_csv(report: dict) -> str:
         )
     )
     return "\n".join(lines) + "\n"
-
-
-def write_report(report: dict, path: str) -> None:
-    """Serialise deterministically (sorted keys, stable rounding)."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2))
-        fh.write("\n")

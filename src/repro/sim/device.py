@@ -190,13 +190,8 @@ class StorageDevice:
         # burns its setup, a torn write moves only its completed prefix.
         moved = nbytes
         if fault is not None:
-            if fault[0] == "fail":
-                moved = getattr(fault[1], "completed_bytes", 0) or 0
-            elif fault[0] == "spike":
-                setup *= fault[1]
+            moved = getattr(fault, "completed_bytes", 0) or 0
         transfer = moved / bandwidth
-        if fault is not None and fault[0] == "spike":
-            transfer *= fault[1]
         if self.category_scale:
             factor = self.category_scale.get(category, 1.0)
             setup *= factor
@@ -224,11 +219,10 @@ class StorageDevice:
         sim = self.sim
         now = sim._now
         self.busy_channel_time += now - started
-        if fault is not None and fault[0] == "fail":
+        if fault is not None:
             # Channel/queue bookkeeping must happen regardless of outcome, or
             # a single injected error would leak a channel forever.
-            exc = fault[1]
-            moved = getattr(exc, "completed_bytes", 0) or 0
+            moved = getattr(fault, "completed_bytes", 0) or 0
             if moved:
                 self.bytes_by_category.add(category, moved)
                 self.bytes_by_kind.add(kind, moved)
@@ -247,13 +241,13 @@ class StorageDevice:
                     started,
                     now,
                     ("bytes", "fault"),
-                    (moved, exc.code),
+                    (moved, fault.code),
                 )
             if self._queue:
                 self._start(channel, self._queue.popleft())
             else:
                 self._free_channels.append(channel)
-            ev.fail(exc)
+            ev.fail(fault)
             return None
         self.bytes_by_category.add(category, nbytes)
         self.bytes_by_kind.add(kind, nbytes)

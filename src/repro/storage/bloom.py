@@ -21,13 +21,13 @@ N_PROBES = 7
 def fnv1a(data: bytes) -> int:
     """64-bit FNV-1a: the repo's one seed-independent byte hash (Python's
     ``hash`` is salted per process) — bloom probes here, key routing in
-    ``core.router``, ``service.partition`` and the KVell baseline.
+    ``core.router``, ``service.directory`` and the KVell baseline.
 
     Deliberately not memoised.  Routers memoise the *route* where keys
     repeat; a shared ``lru_cache`` on the hash itself was measured at +4 %
     on the write path for +19 % peak RSS (every key of every SSTable build
     pinned), and a bounded key -> hash memo shared by the router, the
-    partitioner and the filter probes at +12.7 % on ``fill`` for +7.3 %
+    partition directory and the filter probes at +12.7 % on ``fill`` for +7.3 %
     ``peak_rss_mb`` — most of the benchmark's 10 % bound.  A point lookup
     hashes its key once instead (:func:`probe_pair`, shared by every table
     it probes).

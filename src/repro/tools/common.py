@@ -48,7 +48,6 @@ from repro.monitor import (
     attach_store_monitor,
     ground_truth_from_env,
     score_detection,
-    write_detection_report,
 )
 from repro.perf import format_zone_tree, zones as _perf_zones
 from repro.sim.device import HDD_WD100EFAX, OPTANE_905P, SATA_860PRO
@@ -68,6 +67,7 @@ __all__ = [
     "run_cases",
     "start_profile",
     "trace_path",
+    "write_report",
 ]
 
 #: the simulated device models every benchmark CLI exposes as ``--device``.
@@ -389,7 +389,7 @@ class ObservedRun:
         into ``result``."""
         env, out = self.env, self.out
         if self.document is not None and "monitor" in out:
-            write_detection_report(self.document, out["monitor"])
+            write_report(self.document, out["monitor"])
             result["monitor_file"] = out["monitor"]
         if self.tracer is not None:
             if "trace" in out:
@@ -506,3 +506,12 @@ def trace_path(base: str, name: str, multiple: bool) -> str:
         return base
     root, ext = os.path.splitext(base)  # the basename's extension only
     return "%s-%s%s" % (root, name, ext)
+
+
+def write_report(report: dict, path: str) -> None:
+    """Write a JSON report deterministically: sorted keys, indent 2, one
+    trailing newline — the format of every ``--json``/``--out``/
+    ``--monitor-out`` document a same-bytes gate compares."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(report, sort_keys=True, indent=2))
+        fh.write("\n")

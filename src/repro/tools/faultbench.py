@@ -24,7 +24,6 @@ oracle violation is found.  See docs/FAULTS.md.
 """
 
 import argparse
-import json
 import sys
 import zlib
 from typing import Generator, List, Optional
@@ -48,13 +47,13 @@ from repro.monitor import (
     attach_store_monitor,
     ground_truth_from_env,
     score_detection,
-    write_detection_report,
 )
 from repro.tools.common import (
     finish_profile,
     make_env_from_args,
     observability_parent,
     start_profile,
+    write_report,
 )
 
 N_THREADS = 3
@@ -305,12 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         % len(SCENARIOS),
     )
     parser.add_argument("--out", metavar="PATH", help="write the JSON report")
-    parser.add_argument(
-        "--detection-out",
-        metavar="PATH",
-        help="write the monitor's detection scorecard (per-scenario "
-        "detected/MTTD/false-positives) as JSON",
-    )
     parser.add_argument("--list", action="store_true", help="list scenarios")
     return parser
 
@@ -388,20 +381,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "detection_summary": detection_summary,
     }
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(json.dumps(campaign, sort_keys=True, indent=2))
-            f.write("\n")
+        write_report(campaign, args.out)
         print("wrote %s" % args.out)
-    if args.detection_out:
-        write_detection_report(
-            {
-                "fault_seed": args.fault_seed,
-                "scenarios": [r["detection"] for r in results],
-                "summary": detection_summary,
-            },
-            args.detection_out,
-        )
-        print("wrote %s" % args.detection_out)
     finish_profile(args, profiler)
     print(
         "%d/%d scenarios passed, %d/%d faults detected"

@@ -46,7 +46,6 @@ from repro.service import (
     render_slo_csv,
     run_service_load,
     scenario_names,
-    write_report,
 )
 from repro.service.scenarios import SCENARIOS
 from repro.tools.common import (
@@ -56,6 +55,7 @@ from repro.tools.common import (
     observability_parent,
     print_artifacts,
     start_profile,
+    write_report,
 )
 
 

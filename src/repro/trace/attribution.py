@@ -7,16 +7,20 @@ already accounts busy/wait time per category on every
 accounting is also emitted as spans (cat ``"busy"`` / ``"wait"``, name =
 the accounting category, track = the thread's track).
 
-This module maps those raw categories onto the figure's five buckets, from
-either source:
+This module owns Figure 6's taxonomy — the five buckets, the raw
+category → bucket maps and the critical-path label → bucket rule — and folds
+each source onto it:
 
 * :func:`fig06_from_contexts` — from thread contexts (what
   ``benchmarks/bench_fig06_latency_breakdown.py`` reports);
 * :func:`fig06_from_spans` — the same buckets recomputed purely from
-  recorded spans, optionally restricted to a track subset and a time window.
+  recorded spans, optionally restricted to a track subset and a time window;
+* :func:`fig06_from_blame` — from a critical-path blame ranking
+  (:func:`repro.critpath.aggregate_blame`), the cross-check that the
+  critical path and the span accounting tell one story.
 
-``tests/test_trace.py`` asserts the two agree on the same run, so the trace
-output and the benchmark's numbers stay mutually verifiable.
+``tests/test_trace.py`` asserts the first two agree on the same run, so the
+trace output and the benchmark's numbers stay mutually verifiable.
 """
 
 from collections import defaultdict
@@ -25,6 +29,7 @@ from typing import Dict, Iterable, Optional, Tuple
 __all__ = [
     "CATEGORIES",
     "fig06_breakdown",
+    "fig06_from_blame",
     "fig06_from_contexts",
     "fig06_from_spans",
     "span_totals",
@@ -50,6 +55,24 @@ _WAIT_MAP = {
     "cpu_queue": "Others",
     "stall": "Others",
 }
+
+
+def _label_bucket(label: str) -> str:
+    """Map a critical-path blame label onto Figure 6's five buckets.
+
+    Lock labels must be checked before the bare wal/memtable substrings:
+    ``lock:mem-stage:wal_lock`` is WAL-lock time, not WAL time.
+    """
+    if "wal_lock" in label:
+        return "WAL lock"
+    if "memtable_lock" in label or "mem-stage" in label:
+        return "MemTable lock"
+    if "wal" in label:
+        return "WAL"
+    if "memtable" in label:
+        return "MemTable"
+    return "Others"
+
 
 Window = Tuple[float, float]
 
@@ -102,6 +125,19 @@ def fig06_breakdown(
         totals[bucket] += busy.get(category, 0.0)
     for category, bucket in _WAIT_MAP.items():
         totals[bucket] += wait.get(category, 0.0)
+    return _with_shares(totals)
+
+
+def fig06_from_blame(blame: Dict[str, object]) -> Dict[str, object]:
+    """Fold a critical-path blame ranking into Figure 6's buckets, same
+    shape as :func:`fig06_breakdown`."""
+    totals = dict.fromkeys(CATEGORIES, 0.0)
+    for row in blame["rows"]:
+        totals[_label_bucket(row["label"])] += row["seconds"]
+    return _with_shares(totals)
+
+
+def _with_shares(totals: Dict[str, float]) -> Dict[str, object]:
     total = sum(totals.values())
     shares = {k: (v / total if total > 0 else 0.0) for k, v in totals.items()}
     return {"categories": totals, "shares": shares, "total": total}

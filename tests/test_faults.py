@@ -38,8 +38,8 @@ def key(i):
 
 class TestFaultPolicy:
     def test_same_seed_same_schedule(self):
-        a = FaultPolicy(41, error_rate=0.2, torn_rate=0.1, spike_rate=0.1)
-        b = FaultPolicy(41, error_rate=0.2, torn_rate=0.1, spike_rate=0.1)
+        a = FaultPolicy(41, error_rate=0.2, torn_rate=0.1)
+        b = FaultPolicy(41, error_rate=0.2, torn_rate=0.1)
         seq_a = [a.decide("write", 4096, "wal") for _ in range(200)]
         seq_b = [b.decide("write", 4096, "wal") for _ in range(200)]
         assert [repr(x) for x in seq_a] == [repr(x) for x in seq_b]
@@ -61,8 +61,7 @@ class TestFaultPolicy:
 
     def test_torn_writes_carry_a_completed_prefix(self):
         policy = FaultPolicy(3, torn_rate=1.0)
-        kind, exc = policy.decide("write", 1000, "wal")
-        assert kind == "fail"
+        exc = policy.decide("write", 1000, "wal")
         assert isinstance(exc, IOFailure) and exc.torn
         assert 0 <= exc.completed_bytes < 1000
 

@@ -565,18 +565,19 @@ class TestMonitorCLI:
 
 class TestFaultbenchDetection:
     def test_transient_and_crash_scenarios_detect(self, tmp_path, capsys):
-        out = tmp_path / "detection.json"
+        out = tmp_path / "campaign.json"
         rc = faultbench.main([
             "--fault-seed", "7",
             "--scenario", "engine-nvme-transient",
             "--scenario", "engine-nvme-crash-wal-append",
-            "--detection-out", str(out),
+            "--out", str(out),
         ])
         assert rc == 0
-        scorecard = json.loads(out.read_text())
-        assert scorecard["summary"]["n_scored"] == 2
-        assert scorecard["summary"]["n_detected"] == 2
-        by_name = {d["scenario"]: d for d in scorecard["scenarios"]}
+        campaign = json.loads(out.read_text())
+        assert campaign["detection_summary"]["n_scored"] == 2
+        assert campaign["detection_summary"]["n_detected"] == 2
+        by_name = {r["detection"]["scenario"]: r["detection"]
+                   for r in campaign["scenarios"]}
         transient = by_name["engine-nvme-transient"]
         assert transient["detected_by"] == "device-error-rate"
         crash = by_name["engine-nvme-crash-wal-append"]

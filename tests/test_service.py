@@ -1,7 +1,7 @@
 """Tests for the sharded service plane (repro.service + repro.tools.serve).
 
 Covers the properties docs/SERVICE.md promises: partition-function
-stability, directory move semantics, arrival-schedule determinism, the
+stability, directory placement and move semantics, arrival-schedule determinism, the
 shed-versus-goodput accounting identities, migration read-back
 correctness, and byte-identical SLO reports across reruns and under
 ``--schedule-seed`` perturbation.
@@ -16,61 +16,71 @@ import pytest
 from repro.engine import make_env
 from repro.service import (
     DiurnalArrivals,
-    HashPartitioner,
     PartitionDirectory,
     PoissonArrivals,
     ServicePlane,
-    ServiceRouter,
     build_scenario,
     build_slo_report,
     preload_plane,
     run_service_load,
 )
+from repro.storage.bloom import fnv1a
 from repro.tools import serve
 from repro.workloads.keygen import make_key, make_value
 from tests.conftest import run_process
 
 
-class TestHashPartitioner:
+class TestPartitionDirectory:
     def test_pinned_values(self):
         # The partition function is part of the on-disk/placement contract:
         # these exact values must never drift across refactors.
-        p32 = HashPartitioner(32)
-        assert [p32.partition(make_key(i)) for i in (0, 1, 7, 123, 799)] == [
+        d32 = PartitionDirectory(32, 4)
+        assert [d32.partition(make_key(i)) for i in (0, 1, 7, 123, 799)] == [
             18, 5, 19, 2, 21,
         ]
-        p8 = HashPartitioner(8)
-        assert [p8.partition(make_key(i)) for i in (0, 1, 7, 123, 799)] == [
+        d8 = PartitionDirectory(8, 2)
+        assert [d8.partition(make_key(i)) for i in (0, 1, 7, 123, 799)] == [
             2, 5, 3, 2, 5,
         ]
 
+    def test_partition_is_fnv1a_mod_n(self):
+        d = PartitionDirectory(32, 4)
+        for i in range(200):
+            key = make_key(i)
+            assert d.partition(key) == fnv1a(key) % 32
+            assert d.route(key) == (d.partition(key), d.owner(d.partition(key)))
+
     def test_stable_across_instances(self):
-        a, b = HashPartitioner(16), HashPartitioner(16)
+        # Placement is not part of the partition: any shard count agrees.
+        a, b = PartitionDirectory(16, 2), PartitionDirectory(16, 5)
         for i in range(200):
             assert a.partition(make_key(i)) == b.partition(make_key(i))
 
-    def test_histogram_counts_every_key(self):
-        p = HashPartitioner(8)
-        keys = [make_key(i) for i in range(100)]
-        tally = collections.Counter(p.partition(key) for key in keys)
-        hist = [tally[i] for i in range(p.n_partitions)]
-        assert sum(hist) == 100
-        assert len(hist) == 8
+    def test_keys_spread_across_partitions(self):
+        d = PartitionDirectory(8, 2)
+        counts = d.offered_counts([("read", make_key(i)) for i in range(400)])
+        tally = collections.Counter(d.partition(make_key(i)) for i in range(400))
+        assert counts == [tally[p] for p in range(8)]
+        assert sum(counts) == 400
+        # FNV-1a spreads sequential keys: no partition starves or hoards.
+        assert min(counts) >= 25 and max(counts) <= 75
 
-    def test_explain_matches_partition(self):
-        p = HashPartitioner(32)
-        info = p.explain(make_key(42))
-        assert info["partition"] == p.partition(make_key(42))
+    def test_route_follows_a_move(self):
+        d = PartitionDirectory(8, 2)
+        key = make_key(7)
+        partition, shard = d.route(key)
+        assert d.shard_of(key) == shard == d.owner(partition)
+        d.move_partition(partition, 1 - shard)
+        assert d.route(key) == (partition, 1 - shard)
+        assert d.shard_of(key) == 1 - shard
 
     def test_rejects_zero_partitions(self):
         with pytest.raises(ValueError):
-            HashPartitioner(0)
+            PartitionDirectory(0, 1)
 
-
-class TestPartitionDirectory:
     def test_round_robin_start(self):
         d = PartitionDirectory(8, 3)
-        assert [d.shard_of(p) for p in range(8)] == [0, 1, 2, 0, 1, 2, 0, 1]
+        assert [d.owner(p) for p in range(8)] == [0, 1, 2, 0, 1, 2, 0, 1]
         assert d.partitions_on(0) == [0, 3, 6]
 
     def test_move_bumps_version_and_audits(self):
@@ -78,7 +88,7 @@ class TestPartitionDirectory:
         assert d.version == 0
         source = d.move_partition(0, 1)
         assert source == 0
-        assert d.shard_of(0) == 1
+        assert d.owner(0) == 1
         assert d.version == 1
         assert d.moves == [(1, 0, 0, 1)]
 
@@ -104,23 +114,6 @@ class TestPartitionDirectory:
     def test_needs_a_partition_per_shard(self):
         with pytest.raises(ValueError):
             PartitionDirectory(2, 4)
-
-
-class TestServiceRouter:
-    def test_route_follows_directory(self):
-        partitioner = HashPartitioner(8)
-        directory = PartitionDirectory(8, 2)
-        router = ServiceRouter(partitioner, directory)
-        key = make_key(7)
-        partition, shard = router.route(key)
-        assert partition == partitioner.partition(key)
-        assert shard == directory.shard_of(partition)
-        directory.move_partition(partition, 1 - shard)
-        assert router.route(key) == (partition, 1 - shard)
-
-    def test_rejects_partition_count_mismatch(self):
-        with pytest.raises(ValueError):
-            ServiceRouter(HashPartitioner(8), PartitionDirectory(16, 2))
 
 
 class TestArrivals:
@@ -231,7 +224,7 @@ class TestServicePlaneRun:
         assert report["directory"]["version"] == len(report["moves"])
         assert len(report["moves"]) >= 1
         for move in report["moves"]:
-            assert plane.directory.shard_of(move["partition"]) == move["to_shard"]
+            assert plane.directory.owner(move["partition"]) == move["to_shard"]
 
     def test_migrated_partition_reads_back_from_target(self):
         env = make_env(n_cores=16)
@@ -239,12 +232,12 @@ class TestServicePlaneRun:
         spec = _small_spec("uniform")
         preload_plane(env, plane, spec["preload"])
         partition = 0
-        source = plane.directory.shard_of(partition)
+        source = plane.directory.owner(partition)
         target = 1 - source
         moved_keys = [
             make_key(i)
             for i in range(200)
-            if plane.partitioner.partition(make_key(i)) == partition
+            if plane.directory.partition(make_key(i)) == partition
         ]
         assert moved_keys  # the partition actually owns some of the dataset
 
@@ -255,7 +248,7 @@ class TestServicePlaneRun:
 
         copied = run_process(env, mover())
         assert copied == len(moved_keys)
-        assert plane.directory.shard_of(partition) == target
+        assert plane.directory.owner(partition) == target
 
         def reader():
             ctx = env.cpu.new_thread("test-reader")
@@ -286,6 +279,46 @@ class TestServicePlaneRun:
         env = make_env(n_cores=16)
         plane = _small_plane(env)
         assert plane.shard_names() == ["shard-0-2", "shard-1-2"]
+
+    def test_router_names_the_shard_that_serves_a_key(self):
+        # perfbench's read-back contract: ``plane.router.shard_of(key)`` is
+        # the lane a request for ``key`` goes to and the shard holding it,
+        # before and after a live move.
+        env = make_env(n_cores=16)
+        plane = _small_plane(env)
+        spec = _small_spec("uniform")
+        preload_plane(env, plane, spec["preload"])
+        moved = plane.directory.partition(make_key(0))
+        target = 1 - plane.directory.owner(moved)
+
+        def mover():
+            ctx = env.cpu.new_thread("test-mover")
+            yield from plane.move_partition(ctx, moved, target)
+
+        run_process(env, mover())
+        keys = [make_key(i) for i in range(200)]
+        assert plane.router.shard_of(keys[0]) == target
+
+        def arrivals(lane):
+            return int(lane.counters.get("admitted") + lane.counters.get("shed"))
+
+        for key in keys:
+            before = [arrivals(lane) for lane in plane.lanes]
+            plane.submit(("read", key, None))
+            after = [arrivals(lane) for lane in plane.lanes]
+            served = [s for s in range(2) if after[s] > before[s]]
+            assert served == [plane.router.shard_of(key)]
+
+        def reader():
+            ctx = env.cpu.new_thread("test-reader")
+            values = []
+            for key in keys:
+                shard = plane.shards[plane.router.shard_of(key)]
+                values.append((yield from shard.kvs.get(ctx, key)))
+            return values
+
+        values = run_process(env, reader())
+        assert values == [make_value(i, 64) for i in range(200)]
 
 
 def _serve_args(tmp_path, tag, extra=()):
