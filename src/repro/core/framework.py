@@ -37,7 +37,7 @@ from repro.core.worker import Worker
 from repro.engine.batch import WriteBatch
 from repro.engine.env import Env
 from repro.errors import KVStatus
-from repro.metrics.perf_context import PerfContext
+from repro.metrics.perf_context import PERF_FIELDS, PerfContext, field_values
 from repro.sim.core import Event
 from repro.storage.wal import RECORD_STANDALONE, RECORD_TXN
 
@@ -62,7 +62,7 @@ class P2KVS:
     ):
         self.env = env
         self.workers = workers
-        self.router = router
+        self._use_router(router)
         self.txn_log = txn_log
         self.gsn = gsn
         self.scan_strategy = scan_strategy
@@ -148,15 +148,25 @@ class P2KVS:
     # Submission plumbing
     # ------------------------------------------------------------------
 
-    def _trace_args(self, request: Request, worker_id: Optional[int]) -> dict:
-        """The request span's args.  A keyed request is routed by the
-        router's ``explain`` (its ``worker``), which hashes the key once for
-        both the decision and the args."""
-        args = {"worker": worker_id, "op": request.op}
-        if request.key is not None:
-            args["key"] = repr(request.key)
-            args.update(self.router.explain(request.key))
-        return args
+    def _use_router(self, router) -> None:
+        self.router = router
+        #: a traced request row's argument names, indexed [keyed][perf]: the
+        #: row's own values, then (with perf) the perf counters flat.
+        self._row_keys = tuple(
+            (keys, keys + PERF_FIELDS)
+            for keys in (("worker", "op"), ("worker", "op", "key") + router.EXPLAIN_KEYS)
+        )
+
+    def _request_row(self, request: Request, worker_id: Optional[int]) -> tuple:
+        """A traced request's worker, its row's key sets (without and with
+        perf counters) and its own values.  A keyed request is routed by the
+        router's ``explain``, which hashes the key once for both the
+        decision and the row."""
+        key = request.key
+        if key is None:
+            return worker_id, self._row_keys[0], (worker_id, request.op)
+        worker_id, *fields = self.router.explain(key)
+        return worker_id, self._row_keys[1], (worker_id, request.op, repr(key), *fields)
 
     def _submit_and_wait(
         self, ctx, request: Request, worker_id: Optional[int] = None
@@ -167,11 +177,8 @@ class P2KVS:
         sim = env.sim
         tracer = sim.tracer
         if tracer is not None:
-            args = self._trace_args(request, worker_id)
-            worker_id = args["worker"]
-            request.trace = tracer.begin(
-                "request:%s" % request.op, "request", ctx.track, args=args
-            )
+            started = sim._now
+            worker_id, row_keys, vals = self._request_row(request, worker_id)
         elif worker_id is None:
             worker_id = self.router.route(request.key)
         prev_perf = ctx.perf
@@ -185,13 +192,16 @@ class P2KVS:
         waited_since = sim._now
         result = yield request.future
         ctx.account_wait("request_wait", sim._now - waited_since)
-        if request.perf is not None:
+        perf = request.perf
+        if perf is not None:
             ctx.perf = prev_perf
-        if request.trace is not None:
-            if request.perf is not None:
-                request.trace.finish(perf=request.perf.as_dict())
-            else:
-                request.trace.finish()
+        if tracer is not None:
+            if perf is not None:
+                vals += field_values(perf)
+            tracer.complete(
+                "request:%s" % request.op, "request", ctx.track, started, sim._now,
+                row_keys[perf is not None], vals,
+            )
         return result
 
     def _submit_async(
@@ -199,25 +209,28 @@ class P2KVS:
     ) -> Generator:
         """Submit ``request`` (``worker_id`` as in :meth:`_submit_and_wait`)
         without waiting; its callback runs on completion."""
-        tracer = self.env.sim.tracer
+        sim = self.env.sim
+        tracer = sim.tracer
         if self.env.metrics.perf_enabled:
             request.perf = PerfContext()
         if tracer is not None:
-            args = self._trace_args(request, worker_id)
-            worker_id = args["worker"]
+            started = sim._now
             # Async requests overlap on the submitting thread's track, so the
-            # span is an async pair, closed from the completion callback.
-            span = tracer.async_begin(
-                "request:%s" % request.op, "request", ctx.track, args=args
-            )
-            request.trace = span
+            # span is an async pair, written from the completion callback.
+            aid = next(tracer.aids)
+            worker_id, row_keys, vals = self._request_row(request, worker_id)
+            track = ctx.track
             user_callback = request.callback
 
             def _finish_trace(result):
-                if request.perf is not None:
-                    span.finish(perf=request.perf.as_dict())
-                else:
-                    span.finish()
+                row = vals
+                perf = request.perf
+                if perf is not None:
+                    row += field_values(perf)
+                tracer.complete(
+                    "request:%s" % request.op, "request", track, started, sim._now,
+                    row_keys[perf is not None], row, aid,
+                )
                 if user_callback is not None:
                     user_callback(result)
 
@@ -455,7 +468,7 @@ class P2KVS:
                 old_worker.submit(request)
                 yield request.future
                 moved += 1
-        self.router = new_router
+        self._use_router(new_router)
         return moved
 
     # ------------------------------------------------------------------

@@ -68,8 +68,9 @@ class Request:
         "snapshot_isolated",
         "future",
         "callback",
-        "trace",
-        "trace_queue",
+        "queue_aid",
+        "queued_at",
+        "queue_depth",
         "perf",
         "completed",
     )
@@ -102,8 +103,9 @@ class Request:
         self.snapshot_isolated = snapshot_isolated
         self.future = None  # Event, attached at submit time
         self.callback = callback
-        self.trace = None  # end-to-end request span, when tracing
-        self.trace_queue = None  # queue-residency span, when tracing
+        # When tracing: the queue-residency span's async id (None: none
+        # open), and its start and the queue depth it found, both set with it.
+        self.queue_aid = None
         self.perf = None  # PerfContext, when env.metrics.perf_enabled
         self.completed = False  # set by the worker; poison paths skip done requests
 

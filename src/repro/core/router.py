@@ -10,9 +10,10 @@ The hash must be deterministic across runs (Python's builtin ``hash`` is
 salted), so we use FNV-1a (the one in :mod:`repro.storage.bloom`).
 
 A router has two verbs: ``route(key)``, the worker id, and ``explain(key)``,
-the same decision unpacked for a traced request's span (its ``worker`` entry
-is what ``route`` returns).  A traced request is routed by ``explain`` alone,
-so its key is hashed once; ``route`` keeps its memo for the untraced path.
+the same decision unpacked for a traced request's row: the worker ``route``
+returns, then the fields ``EXPLAIN_KEYS`` names.  A traced request is routed
+by ``explain`` alone, so its key is hashed once; ``route`` keeps its memo for
+the untraced path.
 """
 
 from bisect import bisect_right
@@ -31,6 +32,9 @@ ROUTE_CACHE_MAX = 1 << 15
 class HashRouter:
     """worker_id = FNV1a(key) % n_workers."""
 
+    #: what :meth:`explain` returns after the worker.
+    EXPLAIN_KEYS = ("router", "hash")
+
     def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -48,10 +52,10 @@ class HashRouter:
             worker = cache[key] = fnv1a(key) % self.n_workers
         return worker
 
-    def explain(self, key: bytes) -> dict:
+    def explain(self, key: bytes) -> tuple:
         """Routing decision, unpacked for trace annotations."""
         h = fnv1a(key)
-        return {"router": "hash", "hash": h, "worker": h % self.n_workers}
+        return h % self.n_workers, "hash", h
 
 
 class RangeRouter:
@@ -63,6 +67,8 @@ class RangeRouter:
     measures.
     """
 
+    EXPLAIN_KEYS = ("router",)
+
     def __init__(self, boundaries: List[bytes]):
         if sorted(boundaries) != list(boundaries):
             raise ValueError("boundaries must be sorted")
@@ -72,5 +78,5 @@ class RangeRouter:
     def route(self, key: bytes) -> int:
         return bisect_right(self.boundaries, key)
 
-    def explain(self, key: bytes) -> dict:
-        return {"router": "range", "worker": self.route(key)}
+    def explain(self, key: bytes) -> tuple:
+        return self.route(key), "range"

@@ -311,7 +311,7 @@ def path_trace_extras(
     points: List[Tuple[str, float]] = []
     for seg in reversed(path.segments):  # chronological order
         extra_spans.append(
-            Span(None, seg.label, "critpath", track, seg.start, None, end=seg.end)
+            Span(seg.label, "critpath", track, seg.start, seg.end)
         )
         mid = (seg.start + seg.end) / 2.0
         points.append((seg.track if seg.track is not None else track, mid))

@@ -796,21 +796,11 @@ class LSMEngine:
 
     def _flush_one(self, ctx, memtable: MemTable, min_log: int) -> Generator:
         costs = self.costs
-        tracer = self.env.sim.tracer
-        span = (
-            tracer.begin(
-                "flush",
-                "flush",
-                ctx.track,
-                args={
-                    "engine": self.name,
-                    "entries": len(memtable),
-                    "bytes": memtable.approximate_size,
-                },
-            )
-            if tracer is not None
-            else None
-        )
+        sim = self.env.sim
+        tracer = sim.tracer
+        if tracer is not None:
+            started = sim._now
+            vals = (self.name, len(memtable), memtable.approximate_size)
         number = self.versions.new_file_number()
         builder = SSTableBuilder(number, self.options.block_size)
         chunk = 0
@@ -869,8 +859,11 @@ class LSMEngine:
         self._update_backlog()
         self.stall_cond.notify_all()
         self.compact_cond.notify_all()
-        if span is not None:
-            span.finish(file_size=table.file_size)
+        if tracer is not None:
+            tracer.complete(
+                "flush", "flush", ctx.track, started, sim._now,
+                ("engine", "entries", "bytes", "file_size"), vals + (table.file_size,),
+            )
 
     # ------------------------------------------------------------------
     # Background: compaction
@@ -893,22 +886,11 @@ class LSMEngine:
 
     def _run_compaction(self, ctx, compaction: Compaction) -> Generator:
         costs = self.costs
-        tracer = self.env.sim.tracer
-        span = (
-            tracer.begin(
-                "compaction",
-                "compaction",
-                ctx.track,
-                args={
-                    "engine": self.name,
-                    "level": compaction.level,
-                    "target": compaction.target,
-                    "input_bytes": compaction.input_bytes,
-                },
-            )
-            if tracer is not None
-            else None
-        )
+        sim = self.env.sim
+        tracer = sim.tracer
+        if tracer is not None:
+            started = sim._now
+            vals = (self.name, compaction.level, compaction.target, compaction.input_bytes)
         for meta in compaction.all_inputs:
             self.compacting.add(meta.number)
         try:
@@ -988,10 +970,11 @@ class LSMEngine:
                 "compaction_write_bytes", sum(t.file_size for t in outputs)
             )
             self._update_backlog()
-            if span is not None:
-                span.finish(
-                    output_bytes=sum(t.file_size for t in outputs),
-                    outputs=len(outputs),
+            if tracer is not None:
+                tracer.complete(
+                    "compaction", "compaction", ctx.track, started, sim._now,
+                    ("engine", "level", "target", "input_bytes", "output_bytes", "outputs"),
+                    vals + (sum(t.file_size for t in outputs), len(outputs)),
                 )
         finally:
             for meta in compaction.all_inputs:

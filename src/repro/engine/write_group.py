@@ -137,24 +137,19 @@ class WriteGroupCoordinator:
     def _follow_insert(self, writer: Writer, group: _Group) -> Generator:
         """Concurrent-memtable follower: woken after WAL, inserts its own batch."""
         writer.ctx.account_wait("wal_lock", self.sim.now - writer.enqueue_time)
-        tracer = self.sim.tracer
-        span = (
-            tracer.begin(
-                "wg:follower",
-                "write_group",
-                writer.ctx.track,
-                args={"group": len(group.members)},
-            )
-            if tracer is not None
-            else None
-        )
-        yield from self._insert_batch(writer, len(group.members))
+        sim = self.sim
+        tracer = sim.tracer
+        started, n = sim._now, len(group.members)
+        yield from self._insert_batch(writer, n)
         self._member_done(group)
-        waited_since = self.sim.now
+        waited_since = sim.now
         yield group.barrier.arrive()
-        writer.ctx.account_wait("memtable_lock", self.sim.now - waited_since)
-        if span is not None:
-            span.finish()
+        writer.ctx.account_wait("memtable_lock", sim.now - waited_since)
+        if tracer is not None:
+            tracer.complete(
+                "wg:follower", "write_group", writer.ctx.track, started, sim._now,
+                ("group",), (n,),
+            )
 
     def _member_done(self, group: _Group) -> None:
         """The last group member to finish inserting publishes the group's
@@ -202,12 +197,9 @@ class WriteGroupCoordinator:
         costs = self.costs
         opts = self.opts
         engine = self.engine
-        tracer = self.sim.tracer
-        lead_span = (
-            tracer.begin("wg:lead", "write_group", ctx.track)
-            if tracer is not None
-            else None
-        )
+        sim = self.sim
+        tracer = sim.tracer
+        lead_started = sim._now
 
         # Respect backpressure before starting a group (write stalls).
         yield from engine.maybe_stall(ctx)
@@ -219,8 +211,6 @@ class WriteGroupCoordinator:
         group = _Group(members)
         group_box.append(group)
         n = len(members)
-        if lead_span is not None:
-            lead_span.set(group=n)
 
         # Sequence numbers are allocated in group order (WAL order); they
         # become *visible* to readers only after the group's inserts land.
@@ -232,11 +222,7 @@ class WriteGroupCoordinator:
 
         # --- WAL stage ---
         if opts.enable_wal:
-            wal_span = (
-                tracer.begin("wg:wal", "write_group", ctx.track)
-                if lead_span is not None
-                else None
-            )
+            wal_started = sim._now
             # Capture the segment the appends go to: the active log can
             # rotate (another leader's post-write switch) while this group is
             # still between its WAL and memtable stages.
@@ -257,8 +243,11 @@ class WriteGroupCoordinator:
                 group.pinned = True
             yield self.cpu.exec(ctx, encode_cpu + costs.wal_write_setup, "wal")
             yield from engine.maybe_flush_wal(ctx, log_writer)
-            if wal_span is not None:
-                wal_span.finish(bytes=wal_bytes)
+            if tracer is not None:
+                tracer.complete(
+                    "wg:wal", "write_group", ctx.track, wal_started, sim._now,
+                    ("bytes",), (wal_bytes,),
+                )
         group.wal_done_time = self.sim.now
 
         if opts.pipelined_write:
@@ -266,16 +255,7 @@ class WriteGroupCoordinator:
 
         # --- MemTable stage ---
         if opts.enable_memtable:
-            mem_span = (
-                tracer.begin(
-                    "wg:memtable",
-                    "write_group",
-                    ctx.track,
-                    args={"concurrent": opts.concurrent_memtable},
-                )
-                if lead_span is not None
-                else None
-            )
+            mem_started, concurrent = sim._now, opts.concurrent_memtable
             if opts.concurrent_memtable:
                 group.barrier = Barrier(self.sim, parties=n)
                 # Leader wakes each follower (the unlock cost the paper files
@@ -317,8 +297,11 @@ class WriteGroupCoordinator:
                     )
                 for w in members[1:]:
                     w.role_event.succeed(("done", group))
-            if mem_span is not None:
-                mem_span.finish()
+            if tracer is not None:
+                tracer.complete(
+                    "wg:memtable", "write_group", ctx.track, mem_started, sim._now,
+                    ("concurrent",), (concurrent,),
+                )
         else:
             engine.publish_seqs(group.first_seq, group.last_seq)
             if n > 1:
@@ -332,8 +315,11 @@ class WriteGroupCoordinator:
         if not opts.pipelined_write:
             self._handover()
         yield from self._wait_published(leader)
-        if lead_span is not None:
-            lead_span.finish()
+        if tracer is not None:
+            tracer.complete(
+                "wg:lead", "write_group", ctx.track, lead_started, sim._now,
+                ("group",), (n,),
+            )
 
     def _wait_published(self, writer: Writer) -> Generator:
         """Block until this writer's sequences are visible to readers:

@@ -318,13 +318,6 @@ def run_closed_loop(
         record_latency = collector.record_latency
         for op in stream:
             started = sim._now
-            span = (
-                tracer.begin(
-                    "request:%s" % op[0], "request", ctx.track, args={"op": op[0]}
-                )
-                if tracer is not None and harness_spans
-                else None
-            )
             try:
                 yield from execute(ctx, op, store, async_sink)
             except KVError as exc:
@@ -333,8 +326,11 @@ def run_closed_loop(
                 # ever take this path).
                 if measure:
                     collector.record_error(exc.code)
-            if span is not None:
-                span.finish()
+            if tracer is not None and harness_spans:
+                tracer.complete(
+                    "request:%s" % op[0], "request", ctx.track, started, sim._now,
+                    ("op",), (op[0],),
+                )
             # A windowed async write records its own latency on completion.
             if measure and not (async_window and op[0] in ("insert", "update")):
                 record_latency(_VERB_CLASS[op[0]], sim._now - started)

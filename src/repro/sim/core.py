@@ -277,7 +277,9 @@ class Process(Event):
     between plain generator functions.
     """
 
-    __slots__ = ("gen", "name", "held_locks", "_send", "_wake")
+    #: ``_hist``: the installed edge log's resume history of this process,
+    #: set at its first recorded resume (unset until then).
+    __slots__ = ("gen", "name", "held_locks", "_send", "_wake", "_hist")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim

@@ -61,6 +61,8 @@ def wake(
     queued_at: Optional[float] = None,
 ):
     """Succeed ``event``, annotated with its handoff wakeup edge (see
-    :func:`annotated` for the arguments)."""
-    annotated(event, resource, category, "handoff", None, queued_at)
+    :func:`annotated` for the arguments; stamped here without the call)."""
+    edgelog = event.sim.edgelog
+    if edgelog is not None:
+        edgelog.annotate(event, resource, category, "handoff", None, queued_at)
     event.succeed(value)  # lint: disable=unlabeled-wakeup

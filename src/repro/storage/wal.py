@@ -94,14 +94,11 @@ class LogWriter:
         return self.vfile.flush(category)
 
     def _traced_flush(self, tracer, category: str):
-        span = tracer.begin(
-            "wal:flush",
-            "wal",
-            self._track,
-            args={"bytes": self.vfile.pending_bytes},
-        )
+        started, pending = tracer.sim._now, self.vfile.pending_bytes
         result = yield from self.vfile.flush(category)
-        span.finish()
+        tracer.complete(
+            "wal:flush", "wal", self._track, started, tracer.sim._now, ("bytes",), (pending,)
+        )
         return result
 
 

@@ -601,7 +601,7 @@ def _run_program(program, sim_cls, install=(), seed=None, until=None):
                     name(e.initiator), e.track,
                 ))
                 for p, hist in observer.history.items()
-                for t, seq, e in zip(hist[0], hist[1], map(observer.edge, hist[2]))
+                for t, seq, e in zip(hist[0::3], hist[1::3], map(observer.edge, hist[2::3]))
             )
             result["bindings"] = {
                 track: [(t, p.name) for t, p in hist]
