@@ -23,13 +23,20 @@ import os
 
 import pytest
 
-from benchmarks.common import run_case, run_ycsb
+from benchmarks.common import open_case, run_case, run_ycsb
+from repro.baselines import wiredtiger_adapter_factory
 from repro.engine.env import make_env
 from repro.harness import P2KVSSystem, open_system, preload, run_closed_loop
 from repro.perf import zones as _perf_zones
 from repro.systems import system_names
 from repro.tools import dbbench, serve, whatif, ycsb
-from repro.workloads import YCSBWorkload, facebook_mixed_workload, fillrandom, make_key
+from repro.workloads import (
+    YCSBWorkload,
+    facebook_mixed_workload,
+    fillrandom,
+    make_key,
+    readrandom,
+)
 from tests.conftest import run_process
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "fingerprints.json")
@@ -320,6 +327,41 @@ def test_figure_ycsb_a_golden():
     workload = YCSBWorkload("A", 6000, seed=3)
     metrics, env = run_ycsb("rocksdb", workload, 4000, 32)
     check("figure:ycsb-a:rocksdb:32threads", fingerprint(_case_facts(metrics, env)))
+
+
+def _obm_read_batches(system) -> int:
+    return sum(w.counters.get("obm_read_batches") for w in system.kvs.workers)
+
+
+def test_figure_p2kvs_on_leveldb_read_golden():
+    """bench_fig22's p2KVS-8 read cell in miniature: LevelDB has no
+    multiget, so every OBM read batch takes the one-process-per-key path."""
+    system, env = open_case("p2kvs", workers=8, flavor="leveldb")
+    metrics, _ = run_case(
+        system, readrandom(4000, 6000), 16, env=env, preload=fillrandom(6000)
+    )
+    assert _obm_read_batches(system) > 0
+    check("figure:p2kvs-8:leveldb:readrandom", fingerprint(_case_facts(metrics, env)))
+
+
+def test_figure_p2kvs_on_wiredtiger_golden():
+    """bench_fig23's p2KVS-8 cells in miniature: fill (no batch write, so
+    OBM-write is off) then cold reads (no multiget) on WiredTiger instances."""
+    env = make_env(n_cores=44, page_cache_bytes=512 * 1024)
+    system = open_system(
+        env,
+        P2KVSSystem.open(
+            env,
+            n_workers=8,
+            adapter_open=wiredtiger_adapter_factory(cache_bytes=256 * 1024),
+        ),
+    )
+    facts = {}
+    for phase, ops in (("fill", fillrandom(4000)), ("read", readrandom(4000, 4000))):
+        metrics, _ = run_case(system, ops, 16, env=env)
+        facts[phase] = _case_facts(metrics, env)
+    assert _obm_read_batches(system) > 0
+    check("figure:p2kvs-8:wiredtiger:fill-read", fingerprint(facts))
 
 
 def test_dbbench_observed_golden(tmp_path, capsys):
