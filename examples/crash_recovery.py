@@ -48,8 +48,8 @@ def apply_without_commit(env, kvs, batch, partial=False):
         yield env.sim.all_of(futures)
         # Make the instance WALs durable: the fragments WOULD be
         # recoverable — only the missing COMMIT rolls them back.
-        for adapter in kvs.adapters:
-            yield from adapter.engine.log_writer.flush("wal")
+        for engine in kvs.engines:
+            yield from engine.log_writer.flush("wal")
 
     env.sim.spawn(work())
     env.sim.run()

@@ -5,6 +5,8 @@ Runs the same workload through p2KVS deployed over the RocksDB-like engine,
 the LevelDB-like engine (no multiget: OBM reads fall back to concurrent
 gets) and the WiredTiger-like B+-tree engine (no batch write: OBM-write
 disabled), and prints each configuration's capabilities and throughput.
+Each worker drives its engine directly: the capability columns are the
+engine's own ``supports_batch_write`` / ``supports_multiget`` flags.
 
 Run:  python examples/portability.py
 """
@@ -36,7 +38,7 @@ def run_flavor(name, adapter_open):
     env.sim.spawn(opener())
     env.sim.run()
     kvs = box[0]
-    adapter = kvs.adapters[0]
+    engine = kvs.engines[0]
 
     def phase(ops, n_threads):
         streams = split_stream(ops, n_threads)
@@ -74,8 +76,8 @@ def run_flavor(name, adapter_open):
 
     return [
         name,
-        "yes" if adapter.supports_batch_write else "no (OBM-write off)",
-        "yes" if adapter.supports_multiget else "no (concurrent gets)",
+        "yes" if engine.supports_batch_write else "no (OBM-write off)",
+        "yes" if engine.supports_multiget else "no (concurrent gets)",
         format_qps(write_qps),
         format_qps(read_qps),
     ]

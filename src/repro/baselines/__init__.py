@@ -6,20 +6,16 @@
 * KVell — share-nothing in-memory-indexed B-tree store
   (:class:`~repro.baselines.kvell.KVellLike`).
 * WiredTiger — B+-tree engine with WAL, no batch writes
-  (:class:`~repro.baselines.wiredtiger.WiredTigerLike`), also usable under
-  p2KVS via :func:`~repro.baselines.wiredtiger.wiredtiger_adapter_factory`.
+  (:class:`~repro.baselines.wiredtiger.WiredTigerLike`), also a p2KVS
+  worker's instance as is, opened by
+  :func:`~repro.baselines.wiredtiger.wiredtiger_adapter_factory`.
 """
 
 from repro.baselines.kvell import KVellLike
-from repro.baselines.wiredtiger import (
-    WiredTigerAdapter,
-    WiredTigerLike,
-    wiredtiger_adapter_factory,
-)
+from repro.baselines.wiredtiger import WiredTigerLike, wiredtiger_adapter_factory
 
 __all__ = [
     "KVellLike",
-    "WiredTigerAdapter",
     "WiredTigerLike",
     "wiredtiger_adapter_factory",
 ]

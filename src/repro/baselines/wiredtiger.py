@@ -14,7 +14,8 @@ Functionally the store is a real B+-tree over real bytes with WAL-based crash
 recovery (periodic checkpoints truncate the log).
 """
 
-from typing import Generator, List, Tuple
+from functools import partial
+from typing import Generator, List, Optional, Tuple
 
 from repro.engine.batch import WriteBatch
 from repro.engine.env import Env
@@ -25,7 +26,7 @@ from repro.storage.btree import BPlusTree
 from repro.storage.memtable import VTYPE_DELETE, VTYPE_VALUE
 from repro.storage.wal import LogReader, LogWriter, RECORD_STANDALONE
 
-__all__ = ["WiredTigerLike", "WiredTigerAdapter", "wiredtiger_adapter_factory"]
+__all__ = ["WiredTigerLike", "wiredtiger_adapter_factory"]
 
 PAGE_SIZE = 4096
 #: CPU costs: tree descend + leaf update is pricier than a skiplist insert.
@@ -43,7 +44,14 @@ CHECKPOINT_BYTES = 4 * 1024 * 1024
 
 
 class WiredTigerLike:
-    """A B+-tree storage engine with WAL and exclusive writes."""
+    """A B+-tree storage engine with WAL and exclusive writes; also a p2KVS
+    worker's instance as is (see :mod:`repro.core.adapters`)."""
+
+    supports_batch_write = False
+    supports_multiget = False
+    #: no MVCC snapshots: read-committed transactions are unavailable on
+    #: WiredTiger-backed deployments (the engine is a black box).
+    supports_snapshots = False
 
     def __init__(
         self,
@@ -186,22 +194,16 @@ class WiredTigerLike:
         self.counters.add("reads")
         return value
 
-    def get_status(self, ctx, key: bytes) -> Generator:
+    def get_status(
+        self, ctx, key: bytes, snapshot_seq: Optional[int] = None
+    ) -> Generator:
         """Status-style lookup: the tree stores real bytes, so ``None``
-        means the key is absent, never a stored null."""
+        means the key is absent, never a stored null.  ``snapshot_seq`` is
+        always None (no snapshots)."""
         value = yield from self.get(ctx, key)
         if value is None:
             return KVStatus.not_found()
         return KVStatus.ok(value)
-
-    def multiget(self, ctx, keys: List[bytes]) -> Generator:
-        sim = self.env.sim
-
-        def one(key):
-            return (yield from self.get(ctx, key))
-
-        procs = [sim.spawn(one(key)) for key in keys]
-        return (yield sim.all_of(procs))
 
     def scan(self, ctx, begin: bytes, count: int) -> Generator:
         yield self.env.cpu.exec(ctx, SEARCH_CPU, "read")
@@ -246,80 +248,8 @@ def hash_page(key: bytes) -> int:
     return zlib.crc32(prefix)
 
 
-class WiredTigerAdapter:
-    """Adapter exposing WiredTigerLike behind the worker protocol."""
-
-    def __init__(self, store: WiredTigerLike):
-        self.store = store
-        self.env = store.env
-
-    supports_batch_write = False
-    supports_multiget = False
-    #: no MVCC snapshots: read-committed transactions are unavailable on
-    #: WiredTiger-backed deployments (the engine is a black box).
-    supports_snapshots = False
-
-    def write(self, ctx, batch, gsn=0, rtype=0):
-        return self.store.write(ctx, batch, gsn, rtype)
-
-    def put(self, ctx, key, value):
-        return self.store.put(ctx, key, value)
-
-    def delete(self, ctx, key):
-        return self.store.delete(ctx, key)
-
-    def get(self, ctx, key, snapshot_seq=None):
-        return self.store.get(ctx, key)
-
-    def get_status(self, ctx, key, snapshot_seq=None):
-        return self.store.get_status(ctx, key)
-
-    def multiget(self, ctx, keys, snapshot_seq=None):
-        return self.store.multiget(ctx, keys)
-
-    def multiget_status(self, ctx, keys, snapshot_seq=None):
-        return self.concurrent_gets(ctx, keys, snapshot_seq)
-
-    def concurrent_gets(self, ctx, keys, snapshot_seq=None):
-        """OBM read fallback (no native multiget): each lookup runs as its
-        own process so the page reads overlap.  Returns statuses."""
-        sim = self.env.sim
-
-        def one(key):
-            return (yield from self.store.get_status(ctx, key))
-
-        def gather():
-            procs = [sim.spawn(one(key)) for key in keys]
-            statuses = yield sim.all_of(procs)
-            return statuses
-
-        return gather()
-
-    def scan(self, ctx, begin, count):
-        return self.store.scan(ctx, begin, count)
-
-    def range_query(self, ctx, begin, end):
-        return self.store.range_query(ctx, begin, end)
-
-    def close(self):
-        return self.store.close()
-
-    def memory_bytes(self):
-        return self.store.memory_bytes()
-
-    @property
-    def counters(self):
-        return self.store.counters
-
-
 def wiredtiger_adapter_factory(cache_bytes: int = 8 * 1024 * 1024):
-    """Factory usable as P2KVS's ``adapter_open`` (GSN filter unsupported:
-    WiredTiger-backed deployments recover whole WALs)."""
-
-    def open_adapter(env: Env, name: str, record_filter=None) -> Generator:
-        store = yield from WiredTigerLike.open(
-            env, name, record_filter, cache_bytes=cache_bytes
-        )
-        return WiredTigerAdapter(store)
-
-    return open_adapter
+    """An opener of :class:`WiredTigerLike` instances, usable as P2KVS's
+    ``adapter_open`` (GSN filter unsupported: WiredTiger-backed deployments
+    recover whole WALs)."""
+    return partial(WiredTigerLike.open, cache_bytes=cache_bytes)

@@ -6,10 +6,11 @@
   allocation.
 * :func:`~repro.core.obm.collect_batch` — the opportunistic batching
   mechanism (Algorithm 1).
-* :mod:`~repro.core.adapters` — portability layer over the underlying KVSs.
+* :mod:`~repro.core.adapters` — the worker protocol every underlying KVS
+  speaks (paper Section 4.6), and the LSM engine opener.
 """
 
-from repro.core.adapters import EngineAdapter, adapter_factory, open_lsm_adapter
+from repro.core.adapters import adapter_factory
 from repro.core.framework import P2KVS
 from repro.core.obm import DEFAULT_BATCH_CAP, collect_batch
 from repro.core.requests import Request
@@ -19,7 +20,6 @@ from repro.core.worker import Worker
 
 __all__ = [
     "DEFAULT_BATCH_CAP",
-    "EngineAdapter",
     "GsnManager",
     "HashRouter",
     "P2KVS",
@@ -29,5 +29,4 @@ __all__ = [
     "Worker",
     "adapter_factory",
     "collect_batch",
-    "open_lsm_adapter",
 ]

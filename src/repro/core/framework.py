@@ -57,11 +57,14 @@ class P2KVS:
         router,
         txn_log: TransactionLog,
         gsn: GsnManager,
+        engine_open: Callable,
         scan_strategy: str = "parallel",
         name: str = "p2kvs",
     ):
         self.env = env
         self.workers = workers
+        #: how :meth:`add_worker` opens a new instance like the others.
+        self.engine_open = engine_open
         self._use_router(router)
         self.txn_log = txn_log
         self.gsn = gsn
@@ -97,7 +100,11 @@ class P2KVS:
         Recovery follows Section 4.5: read the durable transaction log,
         compute the committed-GSN set, and open every instance with a WAL
         record filter that discards uncommitted transaction records.
+        ``adapter_open`` is an instance opener (:mod:`repro.core.adapters`;
+        default: the RocksDB preset).
         """
+        if scan_strategy not in ("parallel", "serial"):
+            raise ValueError("unknown scan strategy %r" % scan_strategy)
         if adapter_open is None:
             adapter_open = adapter_factory("rocksdb")
         txn_log = TransactionLog(env, "%s/TXNLOG" % name)
@@ -108,7 +115,7 @@ class P2KVS:
 
         workers = []
         for i in range(n_workers):
-            adapter = yield from adapter_open(
+            engine = yield from adapter_open(
                 env, "%s/db-%d" % (name, i), record_filter
             )
             # ``pin_base`` offsets the pin targets so several deployments
@@ -118,7 +125,7 @@ class P2KVS:
             worker = Worker(
                 i,
                 env,
-                adapter,
+                engine,
                 core=core,
                 obm_enabled=obm,
                 obm_cap=obm_cap,
@@ -134,6 +141,7 @@ class P2KVS:
             router,
             txn_log,
             GsnManager(max_gsn + 1),
+            adapter_open,
             scan_strategy,
             name,
         )
@@ -142,7 +150,7 @@ class P2KVS:
         for worker in self.workers:
             worker.shutdown()
         for worker in self.workers:
-            yield from worker.adapter.close()
+            yield from worker.engine.close()
 
     # ------------------------------------------------------------------
     # Submission plumbing
@@ -316,8 +324,7 @@ class P2KVS:
     def scan(self, ctx, begin: bytes, count: int) -> Generator:
         """SCAN: parallel over-read + filter, or serial global iterator."""
         if self.scan_strategy == "serial":
-            adapters = [w.adapter for w in self.workers]
-            return (yield from serial_global_scan(ctx, adapters, begin, count))
+            return (yield from serial_global_scan(ctx, self.engines, begin, count))
         results = yield from self._fork_to_all(
             ctx, lambda: Request(OP_SCAN, begin=begin, count=count)
         )
@@ -344,9 +351,7 @@ class P2KVS:
         if isolation not in ("atomic", "read_committed"):
             raise ValueError("unknown isolation level %r" % isolation)
         snapshot_isolated = isolation == "read_committed"
-        if snapshot_isolated and not all(
-            getattr(a, "supports_snapshots", False) for a in self.adapters
-        ):
+        if snapshot_isolated and not all(e.supports_snapshots for e in self.engines):
             raise ValueError(
                 "read_committed requires snapshot-capable engines"
             )
@@ -410,7 +415,7 @@ class P2KVS:
     # Runtime scaling (Section 4.2 future work)
     # ------------------------------------------------------------------
 
-    def add_worker(self, ctx, adapter_open=None) -> Generator:
+    def add_worker(self, ctx) -> Generator:
         """Grow the deployment by one worker and rebalance the key space.
 
         The paper notes that extending N "may lead to a reconstruction of
@@ -418,40 +423,37 @@ class P2KVS:
         resharding: drain in-flight work, open instance N, switch the router
         to ``hash % (N+1)``, and migrate every key whose placement changed
         (re-put at the new owner, delete at the old).  Only supported with
-        the default :class:`HashRouter`.
+        the default :class:`HashRouter`.  Instance N is opened, named and
+        pinned like the deployment's others, with worker 0's OBM settings.
         """
-        from repro.core.adapters import adapter_factory as _factory
-
         if not isinstance(self.router, HashRouter):
             raise ValueError("add_worker requires the hash router")
-        if adapter_open is None:
-            adapter_open = _factory("rocksdb")
         # Drain: a barrier request through every queue guarantees all prior
         # requests have been executed before migration starts.
         yield from self._fork_to_all(
             ctx, lambda: Request(OP_RANGE, begin=b"\xff\xff", end=b"\xff\xfe")
         )
         old_n = len(self.workers)
-        adapter = yield from adapter_open(
+        engine = yield from self.engine_open(
             self.env, "%s/db-%d" % (self.name, old_n), None
         )
         template = self.workers[0]
+        pinned = template.ctx.pinned
         worker = Worker(
             old_n,
             self.env,
-            adapter,
-            core=(old_n % self.env.cpu.n_cores)
-            if template.ctx.pinned is not None
-            else None,
+            engine,
+            core=None if pinned is None else (pinned + old_n) % self.env.cpu.n_cores,
             obm_enabled=template.obm_enabled,
             obm_cap=template.obm_cap,
+            prefix=self.name,
         )
         worker.start()
         self.workers.append(worker)
         new_router = HashRouter(old_n + 1)
         moved = 0
         for old_id, old_worker in enumerate(self.workers[:old_n]):
-            pairs = yield from old_worker.adapter.range_query(ctx, b"", b"\xff" * 64)
+            pairs = yield from old_worker.engine.range_query(ctx, b"", b"\xff" * 64)
             to_move = [
                 (key, value)
                 for key, value in pairs
@@ -476,11 +478,11 @@ class P2KVS:
     # ------------------------------------------------------------------
 
     @property
-    def adapters(self):
-        return [w.adapter for w in self.workers]
+    def engines(self):
+        return [w.engine for w in self.workers]
 
     def memory_bytes(self) -> int:
-        return sum(a.memory_bytes() for a in self.adapters)
+        return sum(e.memory_bytes() for e in self.engines)
 
     def queue_depths(self) -> List[int]:
         return [len(w.queue) for w in self.workers]

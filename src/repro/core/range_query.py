@@ -48,16 +48,13 @@ def merge_sorted_results(results: List[List[Pair]], limit: int = None) -> List[P
     return merged if limit is None else merged[:limit]
 
 
-def serial_global_scan(ctx, adapters, begin: bytes, count: int) -> Generator:
+def serial_global_scan(ctx, engines, begin: bytes, count: int) -> Generator:
     """Pull exactly ``count`` pairs through a global merge of per-instance
     iterators, driven sequentially by the calling thread."""
-    iterators = []
-    for adapter in adapters:
-        make_iterator = adapter.iterator_cursors()
-        iterators.append(make_iterator(snapshot_seq=2**63 - 1))
+    iterators = [engine.make_iterator(snapshot_seq=2**63 - 1) for engine in engines]
     heads: List[Tuple[bytes, int, bytes]] = []
     for i, iterator in enumerate(iterators):
-        yield adapters[i].env.cpu.exec(
+        yield engines[i].env.cpu.exec(
             ctx, 1.2e-6 * len(iterator._cursors), "read"
         )
         yield from iterator.seek(begin)

@@ -41,7 +41,7 @@ class Worker:
         self,
         worker_id: int,
         env,
-        adapter,
+        engine,
         core: int,
         obm_enabled: bool = True,
         obm_cap: int = DEFAULT_BATCH_CAP,
@@ -49,7 +49,7 @@ class Worker:
     ):
         self.worker_id = worker_id
         self.env = env
-        self.adapter = adapter
+        self.engine = engine
         self.obm_enabled = obm_enabled
         self.obm_cap = obm_cap
         # The default deployment keeps its historical un-prefixed queue and
@@ -243,12 +243,12 @@ class Worker:
 
     def _release_txn_snapshot(self, request: Request) -> None:
         seq = self.txn_snapshots.pop(request.gsn, None)
-        if seq is not None and getattr(self.adapter, "supports_snapshots", False):
-            self.adapter.release_snapshot(seq)
+        if seq is not None:
+            self.engine.release_snapshot(seq)
         self._complete(request, None)
 
     def _execute_writes(self, batch: List[Request]) -> Generator:
-        if len(batch) == 1 or not self.adapter.supports_batch_write:
+        if len(batch) == 1 or not self.engine.supports_batch_write:
             for request in batch:
                 yield from self._execute_single_write(request)
             return
@@ -262,49 +262,55 @@ class Worker:
                 merged.put(request.key, request.value)
         self.counters.add("obm_write_batches")
         self.counters.add("obm_write_merged", len(batch))
-        yield from self.adapter.write(ctx=self.ctx, batch=merged)
+        yield from self.engine.write(self.ctx, merged)
         for request in batch:
             self._complete(request, None)
 
     def _execute_single_write(self, request: Request) -> Generator:
         if request.op == OP_WRITEBATCH:
-            if request.snapshot_isolated and getattr(
-                self.adapter, "supports_snapshots", False
-            ):
+            if request.snapshot_isolated:
                 # Shield concurrent readers from this transaction's updates
-                # until the framework confirms the global commit.
-                self.txn_snapshots[request.gsn] = self.adapter.snapshot()
-            yield from self.adapter.write(
+                # until the framework confirms the global commit (write_batch
+                # admits read_committed on snapshot-capable engines only).
+                self.txn_snapshots[request.gsn] = self.engine.snapshot()
+            yield from self.engine.write(
                 self.ctx, request.batch, request.gsn, request.rtype
             )
         elif request.op == "DELETE":
-            yield from self.adapter.delete(self.ctx, request.key)
+            yield from self.engine.delete(self.ctx, request.key)
         else:
-            yield from self.adapter.put(self.ctx, request.key, request.value)
+            yield from self.engine.put(self.ctx, request.key, request.value)
         self._complete(request, None)
 
     def _execute_reads(self, batch: List[Request]) -> Generator:
+        engine = self.engine
         snapshot = self._read_snapshot()
         if len(batch) == 1:
-            status = yield from self.adapter.get_status(
-                self.ctx, batch[0].key, snapshot
-            )
+            status = yield from engine.get_status(self.ctx, batch[0].key, snapshot)
             self._complete(batch[0], status)
             return
         self.counters.add("obm_read_batches")
         self.counters.add("obm_read_merged", len(batch))
         keys = [request.key for request in batch]
-        statuses = yield from self.adapter.multiget_status(self.ctx, keys, snapshot)
+        if engine.supports_multiget:
+            statuses = yield from engine.multiget_status(self.ctx, keys, snapshot)
+        else:
+            # No native multiget: submit each get as its own process so the
+            # batch's device reads still overlap (Figures 22-23's read gains).
+            sim = self.env.sim
+            statuses = yield sim.all_of(
+                [sim.spawn(engine.get_status(self.ctx, key, snapshot)) for key in keys]
+            )
         for request, status in zip(batch, statuses):
             self._complete(request, status)
 
     def _execute_scan(self, request: Request) -> Generator:
         if request.op == OP_SCAN:
-            result = yield from self.adapter.scan(
+            result = yield from self.engine.scan(
                 self.ctx, request.begin, request.count
             )
         else:  # RANGE
-            result = yield from self.adapter.range_query(
+            result = yield from self.engine.range_query(
                 self.ctx, request.begin, request.end
             )
         self._complete(request, result)

@@ -58,13 +58,23 @@ _instance_counter = iter(range(1, 1 << 62))
 
 
 class LSMEngine:
-    """One LSM-tree KVS instance on a shared simulated machine."""
+    """One LSM-tree KVS instance on a shared simulated machine.
+
+    Also a p2KVS worker's instance as is (see :mod:`repro.core.adapters`
+    for the protocol and its capability flags)."""
+
+    #: every preset builds one WriteBatch per OBM-write.
+    supports_batch_write = True
+    #: MVCC snapshots, for read-committed transactions.
+    supports_snapshots = True
 
     def __init__(self, env: Env, name: str, options: Optional[EngineOptions] = None):
         self.env = env
         self.name = name
         self._san_key = "engine:%s#%d" % (name, next(_instance_counter))
         self.options = options or EngineOptions()
+        #: RocksDB has a native multiget; LevelDB does not.
+        self.supports_multiget = self.options.supports_multiget
         self.costs = CostModel()
         self.versions = VersionSet(env, name, self.options)
         self.block_cache = BlockCache(self.options.block_cache_bytes)
@@ -634,18 +644,12 @@ class LSMEngine:
                 results[key] = status
         return [results.get(key, KVStatus.not_found()) for key in keys]
 
-    def multiget(
-        self, ctx, keys: List[bytes], snapshot_seq: Optional[int] = None
-    ) -> Generator:
-        """Multiget sugar: value-or-None per key (see multiget_status)."""
-        statuses = yield from self.multiget_status(ctx, keys, snapshot_seq)
-        return [status.value_or(None) for status in statuses]
-
     # ------------------------------------------------------------------
     # Range reads
     # ------------------------------------------------------------------
 
-    def _make_iterator(self, snapshot_seq: int) -> MergingIterator:
+    def make_iterator(self, snapshot_seq: int) -> MergingIterator:
+        """A merge-ready iterator over every source at ``snapshot_seq``."""
         cursors = [MemTableCursor(self.memtable)]
         for memtable, _log in reversed(self.immutables):
             cursors.append(MemTableCursor(memtable))
@@ -681,7 +685,7 @@ class LSMEngine:
         """One sub-scan: seek every source, merge, charge per entry merged."""
         if snapshot_seq is None:
             snapshot_seq = self.visible_seq
-        iterator = self._make_iterator(snapshot_seq)
+        iterator = self.make_iterator(snapshot_seq)
         yield self.env.cpu.exec(
             ctx, self.costs.seek_per_source * len(iterator._cursors), "read"
         )

@@ -187,7 +187,11 @@ class P2KVSSystem(System):
     def open(cls, env: Env, async_window: int = 0, **p2kvs_opts) -> Generator:
         """``p2kvs_opts`` are :meth:`P2KVS.open`'s keywords (``n_workers``,
         ``adapter_open``, ``obm``, ``obm_cap``, ``scan_strategy``, ``name``,
-        ``pin_base``) with its defaults."""
+        ``pin_base``) with its defaults.  ``adapter_open`` opens each worker's
+        instance, which the worker then drives directly: an
+        :func:`~repro.core.adapters.adapter_factory` LSM preset (the
+        default, RocksDB) or
+        :func:`~repro.baselines.wiredtiger.wiredtiger_adapter_factory`."""
         kvs = yield from P2KVS.open(env, **p2kvs_opts)
         return cls(kvs, env, async_window)
 
@@ -215,7 +219,7 @@ class P2KVSSystem(System):
             self._window.release()
 
     def user_bytes_written(self) -> float:
-        return sum(a.counters.get("user_bytes_written") for a in self.kvs.adapters)
+        return sum(e.counters.get("user_bytes_written") for e in self.kvs.engines)
 
 
 class KVellSystem(System):

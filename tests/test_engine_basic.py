@@ -123,9 +123,10 @@ class TestMultiGet:
         def work():
             for i in range(20):
                 yield from engine.put(ctx, key(i), value(i))
-            return (
-                yield from engine.multiget(ctx, [key(3), b"missing", key(7)])
+            statuses = yield from engine.multiget_status(
+                ctx, [key(3), b"missing", key(7)]
             )
+            return [status.value_or(None) for status in statuses]
 
         assert run_process(env, work()) == [value(3), None, value(7)]
 
@@ -135,7 +136,8 @@ class TestMultiGet:
 
         def work():
             yield from engine.put(ctx, b"k", b"v")
-            return (yield from engine.multiget(ctx, [b"k", b"k"]))
+            statuses = yield from engine.multiget_status(ctx, [b"k", b"k"])
+            return [status.value_or(None) for status in statuses]
 
         assert run_process(env, work()) == [b"v", b"v"]
 

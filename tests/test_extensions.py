@@ -5,7 +5,7 @@ read-committed snapshot isolation (Section 4.5) and runtime worker scaling
 import pytest
 
 from repro.baselines import wiredtiger_adapter_factory
-from repro.core import P2KVS
+from repro.core import P2KVS, adapter_factory
 from repro.engine import WriteBatch
 from tests.conftest import run_process
 
@@ -97,7 +97,7 @@ class TestReadCommitted:
         run_process(env, work())
         for worker in kvs.workers:
             assert worker.txn_snapshots == {}
-            assert worker.adapter.engine.snapshots == []
+            assert worker.engine.snapshots == []
 
     def test_rejects_unknown_isolation(self, env):
         kvs = open_p2kvs(env)
@@ -187,6 +187,25 @@ class TestRuntimeScaling:
 
         pairs = run_process(env, query())
         assert pairs == [(key(i), b"v%d" % i) for i in range(10, 20)]
+
+    def test_add_worker_opens_like_the_deployment(self, env):
+        """The new instance is named, pinned and configured like the
+        deployment's others, not like a default RocksDB deployment."""
+        kvs = open_p2kvs(
+            env,
+            n_workers=2,
+            name="svc",
+            pin_base=4,
+            adapter_open=adapter_factory("leveldb", write_buffer_size=4096),
+        )
+        run_process(env, kvs.add_worker(env.cpu.new_thread("u")))
+        worker = kvs.workers[-1]
+        assert worker.counters.prefix == "svc.worker-2"
+        assert "p2kvs.worker-2" not in env.metrics.groups
+        assert worker.ctx.pinned == 6
+        assert worker.engine.name == "svc/db-2"
+        assert worker.engine.options.write_buffer_size == 4096
+        assert not worker.engine.supports_multiget
 
     def test_add_worker_requires_hash_router(self, env):
         from repro.core import RangeRouter

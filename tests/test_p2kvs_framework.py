@@ -115,7 +115,7 @@ class TestBasicOps:
 
         run_process(env, work())
         per_instance = [
-            a.counters.get("records_written") for a in kvs.adapters
+            e.counters.get("records_written") for e in kvs.engines
         ]
         assert all(count > 0 for count in per_instance)
         assert sum(per_instance) == 200

@@ -235,6 +235,13 @@ class TestStrictSystemOptions:
         assert "asycn_window" in msg
         assert "did you mean 'async_window'" in msg
 
+    def test_unknown_scan_strategy_raises(self):
+        from repro.engine import make_env
+        from repro.systems import open_system
+
+        with pytest.raises(ValueError, match="scan strategy 'Serial'"):
+            open_system("p2kvs", make_env(n_cores=4), scan_strategy="Serial")
+
     def test_unknown_option_without_close_match_lists_surface(self):
         from repro.engine import make_env
         from repro.systems import open_system

@@ -107,8 +107,8 @@ class TestTransactions:
             yield env.sim.all_of(futures)
             # Make the instance WALs durable so the fragments *would* be
             # recoverable — the missing COMMIT must still roll them back.
-            for adapter in kvs.adapters:
-                yield from adapter.engine.log_writer.flush("wal")
+            for engine in kvs.engines:
+                yield from engine.log_writer.flush("wal")
             # ... crash happens here: no commit record.
 
         run_process(env, work())
@@ -154,8 +154,8 @@ class TestTransactions:
                 kvs.workers[worker_id].submit(request)
                 futures.append(request.future)
             yield env.sim.all_of(futures)
-            for adapter in kvs.adapters:
-                yield from adapter.engine.log_writer.flush("wal")
+            for engine in kvs.engines:
+                yield from engine.log_writer.flush("wal")
 
         run_process(env, work())
         env.disk.crash()

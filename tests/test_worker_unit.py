@@ -95,7 +95,7 @@ class TestWorkerExecution:
         worker = kvs.workers[0]
         # Merged write batches never form without engine support.
         assert worker.counters.get("obm_write_batches") == 0
-        assert worker.adapter.store.counters.get("records_written") == 32
+        assert worker.engine.counters.get("records_written") == 32
 
     def test_scan_request_executes_alone(self, env):
         kvs = open_p2kvs(env, n_workers=1)
