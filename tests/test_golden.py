@@ -20,6 +20,7 @@ Refresh (only when a sim-side change is intentional)::
 import hashlib
 import json
 import os
+import runpy
 
 import pytest
 
@@ -27,6 +28,7 @@ from benchmarks.common import open_case, run_case, run_ycsb
 from repro.baselines import wiredtiger_adapter_factory
 from repro.engine.env import make_env
 from repro.harness import P2KVSSystem, open_system, preload, run_closed_loop
+from repro.harness.timeline import render_stacked
 from repro.perf import zones as _perf_zones
 from repro.systems import system_names
 from repro.tools import dbbench, serve, whatif, ycsb
@@ -362,6 +364,29 @@ def test_figure_p2kvs_on_wiredtiger_golden():
         facts[phase] = _case_facts(metrics, env)
     assert _obm_read_batches(system) > 0
     check("figure:p2kvs-8:wiredtiger:fill-read", fingerprint(facts))
+
+
+def test_figure_fig04_timeline_golden():
+    """bench_fig04's 1 KB writer in miniature: the stacked WAL / flush /
+    compaction bandwidth timeline of one RocksDB user thread."""
+    env = make_env(n_cores=44, series_bin=0.002)
+    run_case("rocksdb", fillrandom(4000, 1008), 1, env=env)
+    series = env.device.bandwidth_series
+    timeline = render_stacked(
+        {
+            label: series[label].rates()
+            for label in ("wal", "flush", "compaction")
+            if label in series
+        }
+    )
+    assert timeline.count("\n") == 2
+    check("figure:fig04:rocksdb:1KB-timeline", fingerprint(timeline))
+
+
+def test_device_timeline_example_golden(capsys):
+    """examples/device_timeline.py's stdout, byte for byte."""
+    runpy.run_path("examples/device_timeline.py", run_name="__main__")
+    check("example:device_timeline", fingerprint(capsys.readouterr().out))
 
 
 def test_dbbench_observed_golden(tmp_path, capsys):
