@@ -8,7 +8,8 @@ a sliver of SSD bandwidth; large-KV writes shift the load to compaction IO.
 from benchmarks.common import assert_shapes, once, report, run_case
 from repro.engine import make_env
 from repro.harness.report import ShapeCheck, format_table
-from repro.harness.timeline import render_stacked
+from repro.harness.timeline import device_bandwidth, render_stacked
+from repro.trace import install_tracer
 from repro.workloads import fillrandom, fillseq
 
 N_OPS_SMALL = 10000
@@ -18,20 +19,21 @@ N_OPS_LARGE = 4000
 def run_writer(value_size: int, sequential: bool):
     n_ops = N_OPS_SMALL if value_size <= 128 else N_OPS_LARGE
     ops = fillseq(n_ops, value_size) if sequential else fillrandom(n_ops, value_size)
-    metrics, env = run_case(
-        "rocksdb", ops, 1, env=make_env(n_cores=44, series_bin=0.002)
-    )
+    env = make_env(n_cores=44)
+    tracer = install_tracer(env)
+    metrics, _ = run_case("rocksdb", ops, 1, env=env)
     user_busy = metrics.cpu_busy_by_kind.get("user", 0.0) / metrics.elapsed
     bg_busy = metrics.cpu_busy_by_kind.get("background", 0.0) / metrics.elapsed
     compaction_share = (
         metrics.device_bytes.get("compaction", 0.0)
         + metrics.device_bytes.get("flush", 0.0)
     ) / max(1.0, metrics.device_read_bytes + metrics.device_write_bytes)
+    series = device_bandwidth(tracer)
     timeline = render_stacked(
         {
-            label: env.device.bandwidth_series[label].rates()
+            label: series[label]
             for label in ("wal", "flush", "compaction")
-            if label in env.device.bandwidth_series
+            if label in series
         }
     )
     return {

@@ -7,13 +7,16 @@ Run:  python examples/device_timeline.py
 """
 
 from repro.engine import LSMEngine, make_env, rocksdb_options
-from repro.harness.timeline import render_stacked
+from repro.harness.timeline import device_bandwidth, render_stacked
 from repro.systems import BENCH_SHAPE
+from repro.trace import install_tracer
 from repro.workloads import fillrandom
 
 
 def run_case(value_size: int, n_ops: int):
-    env = make_env(n_cores=16, series_bin=0.002)
+    env = make_env(n_cores=16)
+    # The device's trace rows are what the bandwidth timeline is folded from.
+    tracer = install_tracer(env)
     box = []
 
     def opener():
@@ -31,10 +34,11 @@ def run_case(value_size: int, n_ops: int):
 
     env.sim.spawn(writer())
     env.sim.run()
+    by_category = device_bandwidth(tracer)
     series = {
-        label: env.device.bandwidth_series[label].rates()
+        label: by_category[label]
         for label in ("wal", "flush", "compaction")
-        if label in env.device.bandwidth_series
+        if label in by_category
     }
     return env, series
 

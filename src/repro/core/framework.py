@@ -176,6 +176,18 @@ class P2KVS:
         worker_id, *fields = self.router.explain(key)
         return worker_id, self._row_keys[1], (worker_id, request.op, repr(key), *fields)
 
+    def _unkeyed_row(self, ctx, op: str, started: float) -> None:
+        """When traced, record a user request that no one worker serves (a
+        SCAN or RANGE over every instance, a cross-instance write batch) as
+        one unkeyed request row ending now, its worker ``None``."""
+        sim = self.env.sim
+        tracer = sim.tracer
+        if tracer is not None:
+            tracer.complete(
+                "request:%s" % op, "request", ctx.track, started, sim._now,
+                self._row_keys[0][0], (None, op),
+            )
+
     def _submit_and_wait(
         self, ctx, request: Request, worker_id: Optional[int] = None
     ) -> Generator:
@@ -316,19 +328,25 @@ class P2KVS:
 
     def range_query(self, ctx, begin: bytes, end: bytes) -> Generator:
         """RANGE: fork sub-RANGEs to every worker, merge sorted results."""
+        started = self.env.sim._now
         results = yield from self._fork_to_all(
             ctx, lambda: Request(OP_RANGE, begin=begin, end=end)
         )
+        self._unkeyed_row(ctx, OP_RANGE, started)
         return merge_sorted_results(results)
 
     def scan(self, ctx, begin: bytes, count: int) -> Generator:
         """SCAN: parallel over-read + filter, or serial global iterator."""
+        started = self.env.sim._now
         if self.scan_strategy == "serial":
-            return (yield from serial_global_scan(ctx, self.engines, begin, count))
-        results = yield from self._fork_to_all(
-            ctx, lambda: Request(OP_SCAN, begin=begin, count=count)
-        )
-        return merge_sorted_results(results, limit=count)
+            pairs = yield from serial_global_scan(ctx, self.engines, begin, count)
+        else:
+            results = yield from self._fork_to_all(
+                ctx, lambda: Request(OP_SCAN, begin=begin, count=count)
+            )
+            pairs = merge_sorted_results(results, limit=count)
+        self._unkeyed_row(ctx, OP_SCAN, started)
+        return pairs
 
     # ------------------------------------------------------------------
     # Transactions (Section 4.5)
@@ -369,6 +387,7 @@ class P2KVS:
                 status = yield from self._submit_and_wait(ctx, request, worker_id)
                 status.raise_for_error()
             return
+        started = self.env.sim._now
         yield from self.txn_log.log_begin(gsn)
         yield self.env.cpu.exec(ctx, SUBMIT_COST * len(by_worker), "submit")
         futures = []
@@ -408,6 +427,7 @@ class P2KVS:
                 self.workers[worker_id].submit(release)
                 release_futures.append(release.future)
             yield self.env.sim.all_of(release_futures)
+        self._unkeyed_row(ctx, OP_WRITEBATCH, started)
         if failed:
             raise failed[0]
 

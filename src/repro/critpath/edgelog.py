@@ -109,7 +109,7 @@ class Edge:
         self.queued_at = queued_at
         self.waker = waker  # Process that executed the release (handoffs)
         self.initiator = initiator  # Process that requested the activity
-        self.via = via  # child Event a join resolved through (AllOf/AnyOf)
+        self.via = via  # child Event an AllOf join resolved through
         self.track = track  # tracer track rendering this interval, if any
 
     @property

@@ -21,7 +21,7 @@ that point and applies the causing edge:
   holder's WAL device write).  Self- and kernel-wakes instead blame the
   waited interval to the hand-off resource and continue the process's own
   earlier history;
-* **join** edges (AllOf/AnyOf) resolve through the completing child event;
+* **join** edges (AllOf) resolve through the completing child event;
 * gaps with no recorded cause are blamed ``run``/``spawn``/``start``.
 
 Because the edge/resume sequence bound strictly decreases at every step the
@@ -49,7 +49,7 @@ __all__ = [
     "walk_back",
 ]
 
-#: AllOf/AnyOf joins can nest; bound the via-chain resolution.
+#: AllOf joins can nest; bound the via-chain resolution.
 _MAX_VIA_HOPS = 64
 
 

@@ -817,14 +817,7 @@ class LSMEngine:
         if chunk:
             yield self.env.cpu.exec(ctx, costs.flush_per_entry * chunk, "flush")
         table = builder.finish()
-        blob = self.versions.blob_name(number)
-        self.env.disk.put_blob(blob, table, table.file_size)
-        yield from retry_io(
-            self.env,
-            lambda: self.env.device.write(table.file_size, category="flush"),
-            site="flush-sst", counters=self.counters,
-        )
-        self.env.disk.commit_blob(blob)
+        yield from self._write_sst(table, "flush")
         faults = self.env.faults
         if faults is not None:
             # Between SST commit and manifest install: recovery must GC the
@@ -948,15 +941,7 @@ class LSMEngine:
             if builder is not None and not builder.empty:
                 outputs.append(builder.finish())
             for table in outputs:
-                blob = self.versions.blob_name(table.number)
-                self.env.disk.put_blob(blob, table, table.file_size)
-                size = table.file_size
-                yield from retry_io(
-                    self.env,
-                    lambda: self.env.device.write(size, category="compaction"),
-                    site="compaction-sst", counters=self.counters,
-                )
-                self.env.disk.commit_blob(blob)
+                yield from self._write_sst(table, "compaction")
                 yield from self._throttle_compaction(table.file_size)
             edit = VersionEdit(
                 added=[(compaction.target, FileMeta.from_table(t)) for t in outputs],
@@ -983,6 +968,19 @@ class LSMEngine:
         finally:
             for meta in compaction.all_inputs:
                 self.compacting.discard(meta.number)
+
+    def _write_sst(self, table, category: str) -> Generator:
+        """Persist a built SST: stage its blob, write it to the device as
+        ``category`` IO (retried at site ``<category>-sst``), then commit the
+        blob — a crash before the commit leaves an orphan that recovery GCs."""
+        blob = self.versions.blob_name(table.number)
+        self.env.disk.put_blob(blob, table, table.file_size)
+        yield from retry_io(
+            self.env,
+            lambda: self.env.device.write(table.file_size, category=category),
+            site=category + "-sst", counters=self.counters,
+        )
+        self.env.disk.commit_blob(blob)
 
     def _throttle_compaction(self, nbytes: int) -> Generator:
         """SILK-style rate limiting: pace compaction output writes so the

@@ -56,7 +56,6 @@ def _register_machine_stats(env: "Env") -> None:
 def make_env(
     n_cores: int = 44,
     device_spec: Optional[DeviceSpec] = None,
-    series_bin: float = 0.05,
     page_cache_bytes: int = 1 << 40,
 ) -> Env:
     """Build a machine like the paper's testbed: 2x22-core Xeon, 64 GB DRAM
@@ -64,7 +63,7 @@ def make_env(
     ``page_cache_bytes`` for cold-cache experiments) and an Optane 905p."""
     sim = Simulator()
     cpu = CPUSet(sim, n_cores)
-    device = StorageDevice(sim, device_spec or OPTANE_905P, series_bin=series_bin)
+    device = StorageDevice(sim, device_spec or OPTANE_905P)
     disk = DiskImage(sim, device, page_cache_bytes=page_cache_bytes)
     env = Env(sim=sim, cpu=cpu, device=device, disk=disk)
     _register_machine_stats(env)

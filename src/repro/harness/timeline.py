@@ -1,16 +1,43 @@
-"""ASCII rendering of time series (bandwidth over time).
+"""Device bandwidth over time, and its ASCII rendering.
 
-The paper's Figures 4, 5b and 21a are over-time plots; the device model
-records per-bin series (``StorageDevice.bandwidth_series``), and this module
-renders them as terminal sparkline charts so benches and examples can show
-the *dynamics* (periodic flushes, compaction bursts) and not just averages.
+Figure 4 is the paper's one over-time plot drawn from the device model.
+The device records nothing over time itself: every IO is already one
+``device`` trace row (name ``kind:category``, end time, ``bytes``), and
+:func:`device_bandwidth` folds a traced run's rows into fixed-width bins.
+:func:`render_stacked` draws such series as terminal sparkline charts, so
+benches and examples can show the *dynamics* (periodic flushes, compaction
+bursts) and not just averages.
 """
 
+from collections import defaultdict
 from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["render_stacked", "sparkline"]
+__all__ = ["BIN", "device_bandwidth", "render_stacked", "sparkline"]
+
+#: width of a bandwidth bin, in simulated seconds.
+BIN = 0.002
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
+
+
+def device_bandwidth(tracer) -> Dict[str, List[Tuple[float, float]]]:
+    """Per IO category, ``[(bin_start, bytes_per_second)]`` over the bins
+    the tracer's device rows fell in: each IO's bytes count in the bin that
+    holds its completion time.  Raises ``ValueError`` if the tracer dropped
+    rows, since the series would then be short."""
+    if tracer.dropped:
+        raise ValueError(
+            "tracer dropped %d rows: the bandwidth timeline would be short"
+            % tracer.dropped
+        )
+    bins: Dict[str, Dict[int, float]] = defaultdict(lambda: defaultdict(float))
+    for span in tracer.spans("device"):
+        category = span.name.split(":", 1)[1]
+        bins[category][int(span.end / BIN)] += span.args["bytes"]
+    return {
+        category: [(idx * BIN, total / BIN) for idx, total in sorted(per.items())]
+        for category, per in bins.items()
+    }
 
 
 def sparkline(values: Sequence[float], peak: float = None) -> str:

@@ -22,7 +22,7 @@ Typical usage::
     sim.run()
 """
 
-from repro.sim.core import AllOf, AnyOf, Event, Process, SimError, Simulator, Timeout
+from repro.sim.core import AllOf, Event, Process, SimError, Simulator, Timeout
 from repro.sim.cpu import CPUSet, ThreadContext
 from repro.sim.device import (
     HDD_WD100EFAX,
@@ -32,12 +32,10 @@ from repro.sim.device import (
     StorageDevice,
 )
 from repro.sim.queues import FIFOQueue, QueueEmpty
-from repro.sim.stats import TimeSeries
 from repro.sim.sync import Barrier, Condition, Lock, Semaphore
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Barrier",
     "CPUSet",
     "Condition",
@@ -55,6 +53,5 @@ __all__ = [
     "Simulator",
     "StorageDevice",
     "ThreadContext",
-    "TimeSeries",
     "Timeout",
 ]

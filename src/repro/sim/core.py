@@ -83,7 +83,6 @@ from repro.sim.wakeup import annotated
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "LateTimeout",
     "Process",
@@ -459,34 +458,6 @@ class AllOf(Event):
         return on_child
 
 
-class AnyOf(Event):
-    """Triggers when the first of ``events`` triggers; value is (index, value)."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        events = list(events)
-        if not events:
-            raise SimError("AnyOf requires at least one event")
-        for i, ev in enumerate(events):
-            ev.add_callback(self._make_child_callback(i))
-
-    def _make_child_callback(self, index: int) -> Callable[[Event], None]:
-        def on_child(ev: Event) -> None:
-            if self.triggered:
-                return
-            if not ev.ok:
-                self.fail(ev.value)
-            else:
-                edgelog = self.sim.edgelog
-                if edgelog is not None:
-                    edgelog.annotate(self, "join", via=ev)
-                self.succeed((index, ev.value))
-
-        return on_child
-
-
 class Simulator:
     """The event loop: a time-ordered heap of triggered events to deliver."""
 
@@ -545,9 +516,6 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling internals ----------------------------------------------
 

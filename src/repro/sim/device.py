@@ -1,13 +1,20 @@
 """Storage device models.
 
-A :class:`StorageDevice` services read/write requests with
+A :class:`StorageDevice` services each read/write in two stages:
 
-    service_time = base_latency [+ seek if random] + nbytes / bandwidth
+* **setup** — ``latency [+ seek if random]`` on one of ``channels``
+  channels (the SSD's internal parallelism; 1 for the HDD), so setups
+  overlap across channels and requests beyond them queue FIFO;
+* **transfer** — ``nbytes / bandwidth`` on the one pipe of the IO's
+  direction, shared by every channel, so reads and writes each move at most
+  their spec's bandwidth however many IOs are in flight.
 
-and at most ``channels`` requests in flight (the SSD's internal parallelism;
-1 for the HDD).  Requests beyond that queue FIFO.  Bytes are accounted per
-*category* ("wal", "flush", "compaction", "read", ...) and per time bin so
-that the paper's bandwidth plots (Figures 4, 5b, 12c, 21a) can be rebuilt.
+A channel stays held until its IO's transfer ends.  Bytes are accounted per
+*category* ("wal", "flush", "compaction", "read", ...) and per direction;
+the bandwidth figures (5b, 12c, 21a) report window averages of those
+ledgers.  When traced, each IO is also one ``device`` row, which the one
+over-time plot, Figure 4, folds into bandwidth bins
+(:func:`repro.harness.timeline.device_bandwidth`).
 
 The three presets correspond to the devices in the paper's Figure 1:
 a WDC WD100EFAX HDD, a Samsung 860 PRO SATA SSD, and an Intel Optane 905p
@@ -20,7 +27,6 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro.metrics.registry import CounterGroup
 from repro.sim.core import Event, SimError, Simulator
-from repro.sim.stats import TimeSeries
 from repro.sim.wakeup import annotated
 
 __all__ = [
@@ -33,6 +39,10 @@ __all__ = [
 
 MIB = 1024 * 1024
 GIB = 1024 * MIB
+
+#: the argument names of a device trace row, clean and failed.
+_BYTES = ("bytes",)
+_BYTES_FAULT = ("bytes", "fault")
 
 
 @dataclass(frozen=True)
@@ -47,11 +57,13 @@ class DeviceSpec:
     channels: int  # concurrent in-flight IOs (internal parallelism)
     seek_time: float = 0.0  # extra seconds for *random* IOs (HDD head seek)
 
-    def service_time(self, kind: str, nbytes: int, random: bool) -> float:
+    def setup_time(self, kind: str, random: bool) -> float:
+        """An IO's per-channel setup: its direction's latency, plus the seek
+        for a random IO."""
         if kind == "read":
-            t = self.read_latency + nbytes / self.read_bandwidth
+            t = self.read_latency
         elif kind == "write":
-            t = self.write_latency + nbytes / self.write_bandwidth
+            t = self.write_latency
         else:
             raise SimError("unknown IO kind %r" % (kind,))
         if random:
@@ -91,7 +103,7 @@ OPTANE_905P = DeviceSpec(
 class StorageDevice:
     """A shared storage device with bounded internal parallelism."""
 
-    def __init__(self, sim: Simulator, spec: DeviceSpec, series_bin: float = 0.1):
+    def __init__(self, sim: Simulator, spec: DeviceSpec):
         self.sim = sim
         self.spec = spec
         # Free channel *ids* (not just a count) so each in-flight IO can be
@@ -111,8 +123,6 @@ class StorageDevice:
         self.bytes_by_kind = CounterGroup("device.bytes_by_kind")
         self.io_count = CounterGroup("device.io_count")
         self.busy_channel_time = 0.0
-        self.bandwidth_series: Dict[str, TimeSeries] = {}
-        self._series_bin = series_bin
         #: per-channel track names and "kind:category" labels, formatted once
         #: instead of per IO (string formatting was a measurable share of
         #: _finish on the pinned workloads).
@@ -182,15 +192,13 @@ class StorageDevice:
         aggregate throughput can never exceed the spec's bandwidth, no matter
         how many channels are in flight."""
         kind, nbytes, random, ev, category, queued_at, initiator, fault = item
-        setup = self.spec.service_time(kind, 0, random)
+        setup = self.spec.setup_time(kind, random)
         bandwidth = (
             self.spec.read_bandwidth if kind == "read" else self.spec.write_bandwidth
         )
         # A failing IO still occupies the device: an erroring/timing-out IO
         # burns its setup, a torn write moves only its completed prefix.
-        moved = nbytes
-        if fault is not None:
-            moved = getattr(fault, "completed_bytes", 0) or 0
+        moved = nbytes if fault is None else getattr(fault, "completed_bytes", 0)
         transfer = moved / bandwidth
         if self.category_scale:
             factor = self.category_scale.get(category, 1.0)
@@ -205,7 +213,7 @@ class StorageDevice:
         self.sim._call_later(
             transfer_end - started,
             self._finish,
-            (channel, kind, nbytes, ev, category, started, queued_at, initiator, fault),
+            (channel, kind, moved, ev, category, started, queued_at, initiator, fault),
         )
 
     def _kc(self, kind: str, category: str) -> str:
@@ -215,68 +223,45 @@ class StorageDevice:
         return label
 
     def _finish(self, item: Tuple) -> Optional[Event]:
-        channel, kind, nbytes, ev, category, started, queued_at, initiator, fault = item
+        """Account, trace and release the channel of an IO that completed —
+        or failed: a failed IO counts as ``<kind>:fault``, accounts only the
+        bytes it moved (if any), and fails its event."""
+        channel, kind, moved, ev, category, started, queued_at, initiator, fault = item
         sim = self.sim
         now = sim._now
         self.busy_channel_time += now - started
-        if fault is not None:
-            # Channel/queue bookkeeping must happen regardless of outcome, or
-            # a single injected error would leak a channel forever.
-            moved = getattr(fault, "completed_bytes", 0) or 0
-            if moved:
-                self.bytes_by_category.add(category, moved)
-                self.bytes_by_kind.add(kind, moved)
-                self.bytes_by_kind.add(self._kc(kind, category), moved)
-                series = self.bandwidth_series.get(category)
-                if series is None:
-                    series = self.bandwidth_series[category] = TimeSeries(self._series_bin)
-                series.add(now, moved)
-            self.io_count.add("%s:fault" % kind)
-            tracer = sim.tracer
-            if tracer is not None:
-                tracer.complete(
-                    self._kc(kind, category),
-                    "device",
-                    self._ch_tracks[channel],
-                    started,
-                    now,
-                    ("bytes", "fault"),
-                    (moved, fault.code),
-                )
-            if self._queue:
-                self._start(channel, self._queue.popleft())
-            else:
-                self._free_channels.append(channel)
-            ev.fail(fault)
-            return None
-        self.bytes_by_category.add(category, nbytes)
-        self.bytes_by_kind.add(kind, nbytes)
-        self.bytes_by_kind.add(self._kc(kind, category), nbytes)
-        self.io_count.add(kind)
-        self.io_count.add(self._kc(kind, category))
-        series = self.bandwidth_series.get(category)
-        if series is None:
-            series = self.bandwidth_series[category] = TimeSeries(self._series_bin)
-        series.add(now, nbytes)
+        label = self._kc(kind, category)
+        if fault is None:
+            self.io_count.add(kind)
+            self.io_count.add(label)
+        else:
+            self.io_count.add(kind + ":fault")
+        if moved or fault is None:
+            self.bytes_by_category.add(category, moved)
+            self.bytes_by_kind.add(kind, moved)
+            self.bytes_by_kind.add(label, moved)
         tracer = sim.tracer
         if tracer is not None:
+            if fault is None:
+                keys, vals = _BYTES, (moved,)
+            else:
+                keys, vals = _BYTES_FAULT, (moved, fault.code)
             tracer.complete(
-                self._kc(kind, category),
-                "device",
-                self._ch_tracks[channel],
-                started,
-                now,
-                ("bytes",),
-                (nbytes,),
+                label, "device", self._ch_tracks[channel], started, now, keys, vals
             )
+        # Channel/queue bookkeeping happens whatever the outcome, or a single
+        # injected error would leak a channel forever.
         if self._queue:
             self._start(channel, self._queue.popleft())
         else:
             self._free_channels.append(channel)
+        if fault is not None:
+            ev.fail(fault)
+            return None
         return annotated(
             ev,
             "device",
-            self._kc(kind, category),
+            label,
             "resource",
             started,
             queued_at,

@@ -28,10 +28,11 @@ from benchmarks.common import open_case, run_case, run_ycsb
 from repro.baselines import wiredtiger_adapter_factory
 from repro.engine.env import make_env
 from repro.harness import P2KVSSystem, open_system, preload, run_closed_loop
-from repro.harness.timeline import render_stacked
+from repro.harness.timeline import device_bandwidth, render_stacked
 from repro.perf import zones as _perf_zones
 from repro.systems import system_names
 from repro.tools import dbbench, serve, whatif, ycsb
+from repro.trace import install_tracer
 from repro.workloads import (
     YCSBWorkload,
     facebook_mixed_workload,
@@ -369,12 +370,13 @@ def test_figure_p2kvs_on_wiredtiger_golden():
 def test_figure_fig04_timeline_golden():
     """bench_fig04's 1 KB writer in miniature: the stacked WAL / flush /
     compaction bandwidth timeline of one RocksDB user thread."""
-    env = make_env(n_cores=44, series_bin=0.002)
+    env = make_env(n_cores=44)
+    tracer = install_tracer(env)
     run_case("rocksdb", fillrandom(4000, 1008), 1, env=env)
-    series = env.device.bandwidth_series
+    series = device_bandwidth(tracer)
     timeline = render_stacked(
         {
-            label: series[label].rates()
+            label: series[label]
             for label in ("wal", "flush", "compaction")
             if label in series
         }

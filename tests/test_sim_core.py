@@ -209,24 +209,6 @@ def test_all_of_empty_list():
     assert results == [[]]
 
 
-def test_any_of_returns_first():
-    sim = Simulator()
-    results = []
-
-    def child(d):
-        yield sim.timeout(d)
-        return d
-
-    def parent():
-        procs = [sim.spawn(child(d)) for d in (3.0, 1.0, 2.0)]
-        index, value = yield sim.any_of(procs)
-        results.append((sim.now, index, value))
-
-    sim.spawn(parent())
-    sim.run()
-    assert results == [(1.0, 1, 1.0)]
-
-
 def test_run_until_stops_mid_simulation():
     sim = Simulator()
     seen = []

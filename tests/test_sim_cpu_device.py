@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.sanitizer import install_sanitizer
+from repro.errors import IOFailure, KVError, TimedOut
 from repro.critpath import install_edgelog
 from repro.sim import (
     Barrier,
@@ -146,21 +147,29 @@ class TestCPUSet:
         assert sim.now == pytest.approx(4.0)
 
 
+def idle_io_time(spec, kind, nbytes, random=False):
+    """How long one IO takes on an idle device of ``spec``."""
+    sim = Simulator()
+    StorageDevice(sim, spec).submit(kind, nbytes, random=random)
+    sim.run()
+    return sim.now
+
+
 class TestDevice:
     def test_service_time_read_vs_write(self):
         spec = DeviceSpec("d", 100.0, 50.0, 1.0, 2.0, channels=1)
-        assert spec.service_time("read", 100, random=False) == pytest.approx(2.0)
-        assert spec.service_time("write", 100, random=False) == pytest.approx(4.0)
+        assert idle_io_time(spec, "read", 100) == pytest.approx(2.0)
+        assert idle_io_time(spec, "write", 100) == pytest.approx(4.0)
 
     def test_seek_time_applies_to_random_only(self):
         spec = HDD_WD100EFAX
-        seq = spec.service_time("read", 4096, random=False)
-        rnd = spec.service_time("read", 4096, random=True)
+        seq = idle_io_time(spec, "read", 4096, random=False)
+        rnd = idle_io_time(spec, "read", 4096, random=True)
         assert rnd - seq == pytest.approx(spec.seek_time)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SimError):
-            OPTANE_905P.service_time("erase", 1, random=False)
+            idle_io_time(OPTANE_905P, "erase", 1)
 
     def test_single_channel_serializes(self):
         sim = Simulator()
@@ -210,6 +219,47 @@ class TestDevice:
         sim.spawn(proc("write"))
         sim.run()
         assert sorted(done) == [("read", 2.0), ("write", 2.0)]
+
+    def test_failed_ios_move_and_account_only_their_prefix(self):
+        """A failed IO burns its setup, moves only its completed prefix,
+        counts as ``<kind>:fault``, still releases its channel to the next
+        IO, and fails its event; one with no prefix accounts no bytes."""
+
+        class Scripted:
+            def __init__(self, decisions):
+                self.decisions = list(decisions)
+                self.injection_times = []
+
+            def decide(self, kind, nbytes, category):
+                return self.decisions.pop(0)
+
+        sim = Simulator()
+        tracer = install_tracer(sim)
+        dev = StorageDevice(sim, DeviceSpec("d", 100.0, 100.0, 1.0, 1.0, channels=1))
+        dev.fault_policy = Scripted(
+            [TimedOut(), IOFailure(torn=True, completed_bytes=30), None]
+        )
+        outcomes = []
+
+        def proc(nbytes, category):
+            try:
+                yield dev.write(nbytes, category=category)
+                outcomes.append((sim.now, "ok"))
+            except KVError as exc:
+                outcomes.append((sim.now, exc.code))
+
+        sim.spawn(proc(100, "flush"))
+        sim.spawn(proc(100, "wal"))
+        sim.spawn(proc(100, "wal"))
+        sim.run()
+        assert outcomes == [(1.0, "timed_out"), (2.3, "io_error"), (4.3, "ok")]
+        assert dev.bytes_by_category.as_dict() == {"wal": 130}
+        assert dev.io_count.as_dict() == {"write:fault": 2, "write": 1, "write:wal": 1}
+        assert [(s.name, s.args) for s in tracer.spans("device")] == [
+            ("write:flush", {"bytes": 0, "fault": "timed_out"}),
+            ("write:wal", {"bytes": 30, "fault": "io_error"}),
+            ("write:wal", {"bytes": 100}),
+        ]
 
     def test_small_ios_reach_high_iops_via_channels(self):
         sim = Simulator()
@@ -291,7 +341,6 @@ class TestObserverInvariance:
             "busy_by_category": dict(ctx.busy_by_category),
             "io_count": dev.io_count.as_dict(),
             "bytes_by_kind": dev.bytes_by_kind.as_dict(),
-            "bandwidth": {c: s.rates() for c, s in dev.bandwidth_series.items()},
             "seq": sim._seq,
         }
 

@@ -30,24 +30,6 @@ class TestFailurePropagation:
         sim.run()
         assert caught == [(1.0, "child died")]
 
-    def test_any_of_failure_propagates(self):
-        sim = Simulator()
-        caught = []
-
-        def bad():
-            yield sim.timeout(1.0)
-            raise ValueError("nope")
-
-        def parent():
-            try:
-                yield sim.any_of([sim.spawn(bad())])
-            except ValueError:
-                caught.append(sim.now)
-
-        sim.spawn(parent())
-        sim.run()
-        assert caught == [1.0]
-
     def test_exception_chains_through_yield_from(self):
         sim = Simulator()
         caught = []

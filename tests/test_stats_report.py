@@ -4,7 +4,6 @@ import pytest
 
 from repro.harness.report import ShapeCheck, format_qps, format_table
 from repro.metrics.registry import CounterGroup, Histogram
-from repro.sim.stats import TimeSeries
 
 
 class TestCounterGroup:
@@ -61,22 +60,6 @@ class TestHistogram:
         h.record(1.0)
         assert h.p50 == 1.0
         assert h.percentile(100) == 5.0
-
-
-class TestTimeSeries:
-    def test_add_bins_by_time(self):
-        ts = TimeSeries(bin_width=1.0)
-        ts.add(0.5, 10)
-        ts.add(0.9, 5)
-        ts.add(1.1, 7)
-        rates = dict(ts.rates())
-        assert rates[0.0] == pytest.approx(15.0)
-        assert rates[1.0] == pytest.approx(7.0)
-        assert sum(rates.values()) * ts.bin_width == pytest.approx(22.0)
-
-    def test_rejects_bad_bin(self):
-        with pytest.raises(ValueError):
-            TimeSeries(bin_width=0)
 
 
 class TestReport:

@@ -27,7 +27,6 @@ from repro.engine.options import EngineOptions
 from repro.harness import run_closed_loop
 from repro.sim.core import Simulator
 from repro.sim.device import DeviceSpec
-from repro.sim.stats import TimeSeries
 from repro.systems import open_system
 from repro.workloads import fillrandom, split_stream
 
@@ -122,7 +121,3 @@ def test_off_means_absent():
     run_closed_loop(env, system, split_stream(list(fillrandom(200)), 2))
     assert sum(env.cpu.core_busy_time) > 0  # the run did burn CPU
     assert not hasattr(env.cpu, "trackers")
-    # No per-burst time series on the CPU model: scalars and per-core floats.
-    for name, value in vars(env.cpu).items():
-        items = value if isinstance(value, list) else [value]
-        assert not any(isinstance(item, TimeSeries) for item in items), name

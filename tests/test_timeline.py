@@ -1,6 +1,43 @@
-"""Tests for the ASCII time-series renderer."""
+"""Tests for the device bandwidth fold and the ASCII time-series renderer."""
 
-from repro.harness.timeline import render_stacked, sparkline
+import pytest
+
+from repro.engine import make_env
+from repro.harness import run_closed_loop
+from repro.harness.timeline import BIN, device_bandwidth, render_stacked, sparkline
+from repro.systems import open_system
+from repro.trace import install_tracer
+from repro.workloads import fillrandom
+
+
+def _traced_fill(max_events=2_000_000):
+    """One RocksDB writer inserting 3 000 1 KB values: WAL, flush and
+    compaction IO, each one ``device`` trace row."""
+    env = make_env(n_cores=4)
+    tracer = install_tracer(env, max_events=max_events)
+    system = open_system("rocksdb", env)
+    run_closed_loop(env, system, [list(fillrandom(3000, 1008))])
+    return env, tracer
+
+
+class TestDeviceBandwidth:
+    def test_fold_matches_the_device_byte_ledger(self):
+        env, tracer = _traced_fill()
+        ledger = env.device.bytes_by_category.as_dict()
+        assert ledger["flush"] > 0 and ledger["compaction"] > 0
+        series = device_bandwidth(tracer)
+        assert set(series) == set(ledger)
+        for category, points in series.items():
+            starts = [start for start, _ in points]
+            assert starts == sorted(set(starts))
+            # Every bin's rate times the bin width is a whole byte count.
+            assert sum(round(rate * BIN) for _, rate in points) == ledger[category]
+
+    def test_dropped_rows_raise(self):
+        _, tracer = _traced_fill(max_events=500)
+        assert tracer.dropped > 0
+        with pytest.raises(ValueError, match="dropped"):
+            device_bandwidth(tracer)
 
 
 class TestSparkline:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core import P2KVS
 from repro.critpath import install_edgelog
-from repro.engine import LSMEngine, make_env, rocksdb_options
+from repro.engine import LSMEngine, WriteBatch, make_env, rocksdb_options
 from repro.harness import run_closed_loop
 from repro.harness.metrics import MetricsCollector
 from repro.metrics import install_stats
@@ -230,6 +230,43 @@ class TestSpanInvariants:
         assert span.args["worker"] == 0
         assert span.args["op"] == "PUT"
         assert span.args["router"] == "hash"
+
+
+class TestUnkeyedRequestRows:
+    """A p2KVS request that no one worker serves is still one request row."""
+
+    @pytest.mark.parametrize("strategy", ("parallel", "serial"))
+    def test_scan_and_range_write_one_row_each(self, strategy):
+        env = make_env(n_cores=8)
+        system = open_system("p2kvs", env, workers=2, scan_strategy=strategy)
+        run_closed_loop(env, system, split_stream(list(fillrandom(500)), 2))
+        tracer = install_tracer(env)
+        keys = [b"key%06d" % i for i in (3, 90, 170, 260)]
+        streams = [
+            [("scan", keys[0], 10), ("range", keys[1], keys[2]), ("insert", keys[3], b"v")],
+            [("scan", keys[2], 5), ("range", keys[0], keys[3])],
+        ]
+        run_closed_loop(env, system, streams)
+        rows = sorted(
+            (span.name, span.args["worker"]) for span in tracer.spans("request")
+        )
+        assert [name for name, _ in rows] == [
+            "request:PUT", "request:RANGE", "request:RANGE",
+            "request:SCAN", "request:SCAN",
+        ]
+        assert [worker for name, worker in rows if name != "request:PUT"] == [None] * 4
+
+    def test_cross_instance_write_batch_writes_one_row(self):
+        env = make_env(n_cores=8)
+        kvs = run_process(env, P2KVS.open(env, n_workers=2))
+        tracer = install_tracer(env)
+        batch = WriteBatch()
+        for i in range(8):
+            batch.put(b"key%06d" % i, b"v")
+        ctx = env.cpu.new_thread("user-0")
+        run_process(env, kvs.write_batch(ctx, batch))
+        rows = [(span.name, span.args) for span in tracer.spans("request")]
+        assert rows == [("request:WRITEBATCH", {"worker": None, "op": "WRITEBATCH"})]
 
 
 class TestChromeExport:
