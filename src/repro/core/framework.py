@@ -37,7 +37,6 @@ from repro.core.worker import Worker
 from repro.engine.batch import WriteBatch
 from repro.engine.env import Env
 from repro.errors import KVStatus
-from repro.metrics.perf_context import PERF_FIELDS, PerfContext, field_values
 from repro.sim.core import Event
 from repro.storage.wal import RECORD_STANDALONE, RECORD_TXN
 
@@ -158,18 +157,13 @@ class P2KVS:
 
     def _use_router(self, router) -> None:
         self.router = router
-        #: a traced request row's argument names, indexed [keyed][perf]: the
-        #: row's own values, then (with perf) the perf counters flat.
-        self._row_keys = tuple(
-            (keys, keys + PERF_FIELDS)
-            for keys in (("worker", "op"), ("worker", "op", "key") + router.EXPLAIN_KEYS)
-        )
+        #: a traced request row's argument names, indexed [keyed].
+        self._row_keys = (("worker", "op"), ("worker", "op", "key") + router.EXPLAIN_KEYS)
 
     def _request_row(self, request: Request, worker_id: Optional[int]) -> tuple:
-        """A traced request's worker, its row's key sets (without and with
-        perf counters) and its own values.  A keyed request is routed by the
-        router's ``explain``, which hashes the key once for both the
-        decision and the row."""
+        """A traced request's worker, its row's keys and values.  A keyed
+        request is routed by the router's ``explain``, which hashes the key
+        once for both the decision and the row."""
         key = request.key
         if key is None:
             return worker_id, self._row_keys[0], (worker_id, request.op)
@@ -185,7 +179,7 @@ class P2KVS:
         if tracer is not None:
             tracer.complete(
                 "request:%s" % op, "request", ctx.track, started, sim._now,
-                self._row_keys[0][0], (None, op),
+                self._row_keys[0], (None, op),
             )
 
     def _submit_and_wait(
@@ -201,26 +195,16 @@ class P2KVS:
             worker_id, row_keys, vals = self._request_row(request, worker_id)
         elif worker_id is None:
             worker_id = self.router.route(request.key)
-        prev_perf = ctx.perf
-        if env.metrics.perf_enabled:
-            # The request's perf context also rides the submitting user
-            # thread, so submit CPU and the request_wait land in it too.
-            request.perf = ctx.perf = PerfContext()
         yield env.cpu.exec(ctx, SUBMIT_COST, "submit")
         request.future = Event(sim)
         self.workers[worker_id].submit(request)
         waited_since = sim._now
         result = yield request.future
         ctx.account_wait("request_wait", sim._now - waited_since)
-        perf = request.perf
-        if perf is not None:
-            ctx.perf = prev_perf
         if tracer is not None:
-            if perf is not None:
-                vals += field_values(perf)
             tracer.complete(
                 "request:%s" % request.op, "request", ctx.track, started, sim._now,
-                row_keys[perf is not None], vals,
+                row_keys, vals,
             )
         return result
 
@@ -231,8 +215,6 @@ class P2KVS:
         without waiting; its callback runs on completion."""
         sim = self.env.sim
         tracer = sim.tracer
-        if self.env.metrics.perf_enabled:
-            request.perf = PerfContext()
         if tracer is not None:
             started = sim._now
             # Async requests overlap on the submitting thread's track, so the
@@ -243,13 +225,9 @@ class P2KVS:
             user_callback = request.callback
 
             def _finish_trace(result):
-                row = vals
-                perf = request.perf
-                if perf is not None:
-                    row += field_values(perf)
                 tracer.complete(
                     "request:%s" % request.op, "request", track, started, sim._now,
-                    row_keys[perf is not None], row, aid,
+                    row_keys, vals, aid,
                 )
                 if user_callback is not None:
                     user_callback(result)

@@ -71,7 +71,6 @@ class Request:
         "queue_aid",
         "queued_at",
         "queue_depth",
-        "perf",
         "completed",
     )
 
@@ -106,7 +105,6 @@ class Request:
         # When tracing: the queue-residency span's async id (None: none
         # open), and its start and the queue depth it found, both set with it.
         self.queue_aid = None
-        self.perf = None  # PerfContext, when env.metrics.perf_enabled
         self.completed = False  # set by the worker; poison paths skip done requests
 
     @property

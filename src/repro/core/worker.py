@@ -21,7 +21,6 @@ from repro.core.requests import (
 )
 from repro.engine.batch import WriteBatch
 from repro.errors import KVError, KVStatus
-from repro.metrics.perf_context import PerfContext
 from repro.sim.queues import FIFOQueue
 
 __all__ = ["Worker"]
@@ -113,7 +112,6 @@ class Worker:
         record_batch_size = self.batch_sizes.record
         obm_enabled = self.obm_enabled
         obm_cap = self.obm_cap
-        perf_enabled = env.metrics.perf_enabled
         while True:
             request = yield queue.get()
             if request is SHUTDOWN:
@@ -129,16 +127,6 @@ class Worker:
             record_batch_size(n)
             counters.add("batches")
             counters.add("requests", n)
-            if perf_enabled:
-                # One perf context per executed batch: the engine layers below
-                # accumulate into it via ctx.perf, and _complete merges it
-                # into each member request (batch-level work is shared, so
-                # every member sees the whole batch's counts; batch_size
-                # records the denominator).
-                batch_perf = ctx.perf = PerfContext()
-                batch_perf.batch_size += n
-            else:
-                batch_perf = None
             if tracer is not None:
                 started = env.sim._now
                 track = self.queue_track
@@ -151,8 +139,6 @@ class Worker:
                         r.queue_aid = None
                 op = batch[0].op
             yield from self._run_batch(batch)
-            if batch_perf is not None:
-                ctx.perf = None
             if tracer is not None:
                 tracer.complete(
                     "execute:%s" % batch[0].merge_class, "worker", ctx.track,
@@ -185,8 +171,6 @@ class Worker:
                     return
                 attempts += 1
                 self.counters.add("request_retries")
-                if self.ctx.perf is not None:
-                    self.ctx.perf.add("request_retries")
                 tracer = self.env.sim.tracer
                 if tracer is not None:
                     tracer.instant(
@@ -209,8 +193,6 @@ class Worker:
             self._complete(request, status)
         if poisoned:
             self.counters.add("poisoned_requests", poisoned)
-            if self.ctx.perf is not None:
-                self.ctx.perf.add("poisoned_requests", poisoned)
             tracer = self.env.sim.tracer
             if tracer is not None:
                 tracer.instant(
@@ -320,10 +302,6 @@ class Worker:
         # collect per-request outcomes instead of failing fast.
         if not isinstance(result, KVStatus):
             result = KVStatus.ok(result)
-        # Merge the batch's accumulated perf into the request *before* the
-        # future/callback fires, so span attachment sees the final counts.
-        if request.perf is not None and self.ctx.perf is not None:
-            request.perf.merge(self.ctx.perf)
         request.completed = True
         if request.future is not None:
             request.future.succeed(result)

@@ -291,7 +291,7 @@ class LSMEngine:
         if advanced:
             self.publish_cond.notify_all()
 
-    def log_append(self, payload: bytes, rtype: int, gsn: int, perf=None) -> None:
+    def log_append(self, payload: bytes, rtype: int, gsn: int) -> None:
         faults = self.env.faults
         if faults is not None:
             faults.crash_site("wal-append")
@@ -303,9 +303,6 @@ class LSMEngine:
         counters = self.counters
         counters.add("wal_appends")
         counters.add("wal_bytes", nbytes)
-        if perf is not None:
-            perf.wal_appends += 1
-            perf.wal_bytes += nbytes
         self.log_writer.append(payload, rtype, gsn)
 
     def pin_wal(self, number: int) -> None:
@@ -344,7 +341,7 @@ class LSMEngine:
             waited_since = self.env.sim.now
             yield from retry_io(
                 self.env, lambda: writer.flush("wal"), site="wal-flush",
-                counters=self.counters, perf=ctx.perf,
+                counters=self.counters,
             )
             ctx.account_wait("wal", self.env.sim.now - waited_since)
 
@@ -512,7 +509,6 @@ class LSMEngine:
         costs = self.costs
         page_cache = self.env.disk.page_cache
         version = self.versions.current
-        perf = ctx.perf
         pair = None  # the key's filter probe pair, hashed at the first table
         for meta in version.level_files(0):  # newest first
             if not (meta.smallest <= key <= meta.largest):
@@ -526,7 +522,6 @@ class LSMEngine:
                 self.block_cache,
                 self.env.device,
                 page_cache,
-                perf=perf,
                 pair=pair,
             )
             if state != NOT_FOUND:
@@ -550,7 +545,6 @@ class LSMEngine:
                     self.block_cache,
                     self.env.device,
                     page_cache,
-                    perf=perf,
                     pair=pair,
                 )
                 if state != NOT_FOUND:
@@ -570,8 +564,6 @@ class LSMEngine:
         if snapshot_seq is None:
             snapshot_seq = self.visible_seq
         self.counters.add("read_requests")
-        if ctx.perf is not None:
-            ctx.perf.memtable_probes += 1
         # The instance-wide read critical section (block-cache LRU + version
         # bookkeeping): concurrent readers of one instance serialize here.
         yield from self.read_lock.acquire_now(ctx, "read_lock")
@@ -605,8 +597,6 @@ class LSMEngine:
         if snapshot_seq is None:
             snapshot_seq = self.visible_seq
         self.counters.add("read_requests", len(keys))
-        if ctx.perf is not None:
-            ctx.perf.memtable_probes += len(keys)
         yield from self.read_lock.acquire_now(ctx, "read_lock")
         yield self.env.cpu.exec(
             ctx,

@@ -234,9 +234,7 @@ class WriteGroupCoordinator:
                 payload = w.batch.encode()
                 encode_cpu += costs.wal_record_cost(len(payload))
                 wal_bytes += len(payload)
-                # Attribute each member's WAL record to its own request's
-                # perf context, even though the leader writes them all.
-                engine.log_append(payload, w.rtype, w.gsn, perf=w.ctx.perf)
+                engine.log_append(payload, w.rtype, w.gsn)
                 w._wal_number = group.wal_number
             if opts.enable_memtable:
                 engine.pin_wal(group.wal_number)
@@ -377,9 +375,6 @@ class WriteGroupCoordinator:
         self._apply_batch(writer, writer._seqs)  # type: ignore[attr-defined]
 
     def _apply_batch(self, writer: Writer, seqs) -> None:
-        perf = writer.ctx.perf
-        if perf is not None:
-            perf.memtable_inserts += len(writer.batch)
         if writer._wal_number is not None:
             # The insert may land in a memtable newer than the segment the
             # record was logged to (pipelined writes): the active memtable

@@ -243,8 +243,6 @@ class StatsRegistry:
         self.groups: Dict[str, CounterGroup] = {}
         self.providers: Dict[str, Callable[[], Dict[str, float]]] = {}
         self.events = EventLog()
-        #: opt-in per-request drill-down; off = requests carry no PerfContext.
-        self.perf_enabled = False
         #: the sim-time sampler, installed by tools when --stats is given.
         self.sampler = None
 

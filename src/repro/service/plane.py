@@ -32,19 +32,12 @@ stores defer tombstoning to a background cleaner.
 
 from typing import Dict, Generator, List, Optional, Sequence, Set
 
+from repro.harness.runner import VERB_CLASS
 from repro.service.admission import ShardLane, request_skew
 from repro.service.directory import PartitionDirectory
 from repro.systems import open_system
 
 __all__ = ["ServicePlane"]
-
-#: verb → latency class, mirroring the harness's accounting.
-VERB_CLASS = {
-    "insert": "write",
-    "update": "write",
-    "read": "read",
-    "rmw": "rmw",
-}
 
 
 class ServicePlane:

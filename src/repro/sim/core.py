@@ -517,6 +517,16 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
+    def cancel(self, timeout: Event) -> None:
+        """Withdraw a pending ``timeout`` from the schedule: it never fires,
+        so its instant neither keeps :meth:`run` going nor moves the clock,
+        and a process waiting on it never resumes."""
+        heap = self._heap
+        kept = [entry for entry in heap if entry[3] is not timeout]
+        if len(kept) < len(heap):
+            heap[:] = kept
+            heapq.heapify(heap)
+
     # -- scheduling internals ----------------------------------------------
 
     def _push(

@@ -41,7 +41,6 @@ class ThreadContext:
         "wait_by_category",
         "sim",
         "track",
-        "perf",
     )
 
     def __init__(
@@ -60,9 +59,6 @@ class ThreadContext:
         self.busy_time = 0.0
         self.busy_by_category: Dict[str, float] = defaultdict(float)
         self.wait_by_category: Dict[str, float] = defaultdict(float)
-        #: PerfContext of the request/batch this thread is executing, if the
-        #: observability layer is on (see repro.metrics.perf_context).
-        self.perf = None
 
     # CPUSet._finish (busy) and account_wait are the funnel for every
     # Figure 6 input (CPU bursts, lock hold/wait, WAL flush waits, stalls).
@@ -72,8 +68,6 @@ class ThreadContext:
 
     def account_wait(self, category: str, dt: float) -> None:
         self.wait_by_category[category] += dt
-        if self.perf is not None:
-            self.perf.add_wait(category, dt)
         if self.sim is not None and dt > 0:
             tracer = self.sim.tracer
             if tracer is not None:
@@ -249,9 +243,6 @@ class CPUSet:
         # The thread's busy accounting (Figure 6's CPU input).
         ctx.busy_time += duration
         ctx.busy_by_category[category] += duration
-        perf = ctx.perf
-        if perf is not None:
-            perf.cpu_busy_seconds += duration
         self.busy_by_kind[ctx.kind] += duration
         self._busy[core] = False
         pinned = self._pinned_waiting[core]

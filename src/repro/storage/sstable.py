@@ -115,29 +115,16 @@ class SSTable:
 
     # -- point lookup -----------------------------------------------------
 
-    def load_block(self, idx: int, cache, device, page_cache=None, perf=None) -> Generator:
+    def load_block(self, idx: int, cache, device, page_cache=None) -> Generator:
         """Fetch block ``idx``: engine block cache (free) -> OS page cache
-        (one RAM copy) -> device (random block read).
-
-        ``perf`` (a :class:`repro.metrics.PerfContext`) attributes the
-        cache-hit/miss outcome and any device IO to the requesting request;
-        the hit/miss decision is made synchronously here, so attribution
-        cannot be corrupted by interleaved lookups.
-        """
+        (one RAM copy) -> device (random block read)."""
         block = self.blocks[idx]
         cache_key = (self.number, idx)
         if cache is not None and cache.get(cache_key) is not None:
-            if perf is not None:
-                perf.block_cache_hits += 1
             return block
-        if perf is not None:
-            perf.block_cache_misses += 1
         if page_cache is not None and page_cache.get(cache_key) is not None:
             yield device.ram_read(block.nbytes)
         else:
-            if perf is not None:
-                perf.ios_issued += 1
-                perf.io_bytes += block.nbytes
             yield device.read(block.nbytes, category="read", random=True)
             if page_cache is not None:
                 page_cache.put(cache_key, True, block.nbytes)
@@ -159,7 +146,7 @@ class SSTable:
         return self._bloom
 
     def get(self, key: bytes, snapshot_seq: int, cache, device, page_cache=None,
-            perf=None, pair=None) -> Generator:
+            pair=None) -> Generator:
         """Point lookup; returns (state, value) like MemTable.get.
 
         A bloom miss or out-of-range key costs no IO.  The caller charges
@@ -174,7 +161,7 @@ class SSTable:
             return NOT_FOUND, None
         idx = bisect_left(self._index, (key, MAX_SEQ - snapshot_seq))
         while idx < len(self.blocks):
-            block = yield from self.load_block(idx, cache, device, page_cache, perf)
+            block = yield from self.load_block(idx, cache, device, page_cache)
             entries = block.entries
             pos = lower_bound(entries, key, snapshot_seq)
             if pos < len(entries):

@@ -109,8 +109,8 @@ def observability_parent(
         add(
             "--stats",
             action="store_true",
-            help="enable the observability layer: per-request perf contexts plus "
-            "a sim-time gauge sampler over the measured window",
+            help="export the stats registry (JSON, Prometheus text) and a "
+            "sim-time gauge sampler's CSV over the measured window",
         )
         add(
             "--stats-interval-ms",

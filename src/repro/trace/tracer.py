@@ -35,15 +35,12 @@ is absent from the trace.
 Storage (docs/TRACING.md): a span is one fixed-width row of the flat
 ``rows`` list, its argument values in ``vals``; no object is kept per span,
 because the cyclic collector walks every tracked one.  :class:`Span` is the
-view ``spans()``/``events`` build on demand, never cached; a request row's
-flat perf counters are folded back into ``args["perf"]`` by
-:func:`~repro.metrics.perf_context.row_args`, which owns that format.
+view ``spans()``/``events`` build on demand, never cached.
 """
 
 from itertools import count, islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.metrics.perf_context import row_args
 from repro.perf import zones as _perf_zones
 
 __all__ = [
@@ -223,7 +220,7 @@ class Tracer:
             args = None
             if keys is not None:
                 width = len(keys)
-                args = row_args(keys, vals[at:at + width])
+                args = dict(zip(keys, vals[at:at + width]))
                 at += width
             if cat in (None, c):
                 yield Span(n, c, t, start, end, args, aid)

@@ -53,6 +53,27 @@ def test_timeout_value_passthrough():
     assert got == ["hello"]
 
 
+def test_cancelled_timeout_never_fires_nor_moves_the_clock():
+    sim = Simulator()
+    seen = []
+    late = sim.timeout_late(3.0)
+
+    def waiter():
+        yield late
+        seen.append("late")
+
+    def proc():
+        yield sim.timeout(1.0)
+        sim.cancel(late)
+        sim.cancel(late)  # a second withdrawal finds nothing
+        seen.append(sim.now)
+
+    sim.spawn(waiter())
+    sim.spawn(proc())
+    sim.run()
+    assert seen == [1.0] and sim.now == 1.0
+
+
 def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(SimError):
