@@ -236,6 +236,10 @@ class WiredTigerLike:
                 yield self.env.device.read(PAGE_SIZE, category="read", random=True)
         return out
 
+    # Its pairs are rows already (key first, value last).
+    scan_rows = scan
+    range_rows = range_query
+
     def memory_bytes(self) -> int:
         return self.tree.memory_bytes() + self.page_cache.used_bytes
 

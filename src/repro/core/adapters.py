@@ -9,7 +9,13 @@ through the verbs below (generator processes unless noted); both
 * ``write(ctx, batch, gsn, rtype)``, ``put(ctx, key, value)``,
   ``delete(ctx, key)``;
 * ``get_status(ctx, key, snapshot_seq)`` — ``ok(value)`` / ``not_found``;
-* ``scan(ctx, begin, count)``, ``range_query(ctx, begin, end)``;
+* ``scan(ctx, begin, count)``, ``range_query(ctx, begin, end)`` — sorted
+  ``(key, value)`` pairs;
+* ``scan_rows(ctx, begin, count)``, ``range_rows(ctx, begin, end)`` — the
+  same results as *rows*, what a worker hands the framework's merge: sorted
+  tuples whose first item is the key and last item the value (an LSM entry
+  ``(key, seq, vtype, value)``; a pair is one too, so WiredTiger's
+  ``scan_rows`` is its ``scan``);
 * ``close()``; ``memory_bytes()`` and a ``counters`` group (plain calls).
 
 Three capability flags, plain attributes of the instance, shape OBM:

@@ -16,7 +16,9 @@ Hash partitioning scatters adjacent keys across instances, so:
     (like RocksDB's MergeIterator).
 
 Instances hold disjoint key sets, so merging is a plain sorted merge with no
-duplicate resolution.
+duplicate resolution.  The workers hand over *rows* (the instance protocol's
+``scan_rows``/``range_rows``: key first, value last), and the merge builds a
+``(key, value)`` pair only for each row it returns.
 """
 
 import heapq
@@ -31,21 +33,25 @@ Pair = Tuple[bytes, bytes]
 _key = itemgetter(0)
 
 
-def merge_sorted_results(results: List[List[Pair]], limit: int = None) -> List[Pair]:
-    """Merge per-instance sorted (key, value) lists; optionally truncate.
+def merge_sorted_results(results: List[List[tuple]], limit: int = None) -> List[Pair]:
+    """Merge per-instance sorted row lists into (key, value) pairs; optionally
+    truncate.
 
     Keys are unique across instances, so sorting the concatenation never
-    compares values, and Timsort merges the presorted runs it finds.  Under a
-    ``limit`` every list is first cut at the largest of the k lists' m-th keys,
-    ``m = ceil(limit / k)``: ``k * m >= limit`` pairs lie at or below it.
+    compares past the key, and Timsort merges the presorted runs it finds.
+    Under a ``limit`` every list is first cut at the largest of the k lists'
+    m-th keys, ``m = ceil(limit / k)``: ``k * m >= limit`` rows lie at or
+    below it.
     """
     if limit and results:
         m = -(-limit // len(results))
         if min(map(len, results)) >= m:
-            cap = max([p[m - 1][0] for p in results])
-            results = [p[: bisect_right(p, cap, key=_key)] for p in results]
+            cap = max([rows[m - 1][0] for rows in results])
+            results = [rows[: bisect_right(rows, cap, key=_key)] for rows in results]
     merged = sorted(chain.from_iterable(results))
-    return merged if limit is None else merged[:limit]
+    if limit is not None:
+        merged = merged[:limit]
+    return [(row[0], row[-1]) for row in merged]
 
 
 def serial_global_scan(ctx, engines, begin: bytes, count: int) -> Generator:
@@ -55,7 +61,7 @@ def serial_global_scan(ctx, engines, begin: bytes, count: int) -> Generator:
     heads: List[Tuple[bytes, int, bytes]] = []
     for i, iterator in enumerate(iterators):
         yield engines[i].env.cpu.exec(
-            ctx, 1.2e-6 * len(iterator._cursors), "read"
+            ctx, engines[i].costs.seek_per_source * len(iterator._cursors), "read"
         )
         yield from iterator.seek(begin)
         pair = yield from iterator.next_user()

@@ -287,12 +287,13 @@ class Worker:
             self._complete(request, status)
 
     def _execute_scan(self, request: Request) -> Generator:
+        # Rows, not pairs: the framework's merge builds pairs for what it returns.
         if request.op == OP_SCAN:
-            result = yield from self.engine.scan(
+            result = yield from self.engine.scan_rows(
                 self.ctx, request.begin, request.count
             )
         else:  # RANGE
-            result = yield from self.engine.range_query(
+            result = yield from self.engine.range_rows(
                 self.ctx, request.begin, request.end
             )
         self._complete(request, result)

@@ -115,7 +115,7 @@ class LSMEngine:
         self.snapshots: List[int] = []
         self._compaction_pacer = 0.0  # token-bucket tail for the rate limiter
         self._flush_busy = 0
-        self._stall_depth = 0  # writers currently blocked in maybe_stall
+        self._stall_depth = 0  # writers currently blocked in _stall
         self._backlog_token: Optional[int] = None
         self._bg_threads: List = []
         self._register_gauges()
@@ -326,24 +326,29 @@ class LSMEngine:
         if number < self.memtable_min_log:
             self.memtable_min_log = number
 
-    def maybe_flush_wal(self, ctx, writer: Optional[LogWriter] = None) -> Generator:
+    def maybe_flush_wal(self, ctx, writer: Optional[LogWriter] = None):
+        """For ``yield from``: flush ``writer`` when the WAL is synchronous or
+        its buffer is full; ``()`` (nothing to wait on) otherwise."""
         # The caller passes the writer it appended to: the active log can
         # rotate between a group's append and its flush (pipelined writes),
         # and flushing the *new* segment would leave the group's own records
         # buffered — acknowledged but not durable.
         if writer is None:
             writer = self.log_writer
-        opts = self.options
-        if opts.sync_wal or writer.pending_bytes >= WAL_FLUSH_BYTES:
-            faults = self.env.faults
-            if faults is not None:
-                faults.crash_site("wal-flush", torn_file=writer.vfile)
-            waited_since = self.env.sim.now
-            yield from retry_io(
-                self.env, lambda: writer.flush("wal"), site="wal-flush",
-                counters=self.counters,
-            )
-            ctx.account_wait("wal", self.env.sim.now - waited_since)
+        if self.options.sync_wal or writer.pending_bytes >= WAL_FLUSH_BYTES:
+            return self._flush_wal(ctx, writer)
+        return ()
+
+    def _flush_wal(self, ctx, writer: LogWriter) -> Generator:
+        faults = self.env.faults
+        if faults is not None:
+            faults.crash_site("wal-flush", torn_file=writer.vfile)
+        waited_since = self.env.sim.now
+        yield from retry_io(
+            self.env, lambda: writer.flush("wal"), site="wal-flush",
+            counters=self.counters,
+        )
+        ctx.account_wait("wal", self.env.sim.now - waited_since)
 
     def apply_to_memtable(self, batch: WriteBatch, seqs) -> None:
         if not self.options.enable_memtable:
@@ -363,8 +368,22 @@ class LSMEngine:
         for (vtype, key, value), seq in zip(batch, seqs):
             self.memtable.add(seq, vtype, key, value)
 
-    def maybe_stall(self, ctx) -> Generator:
-        """Write backpressure: memtable backlog and L0 buildup."""
+    def maybe_stall(self, ctx):
+        """For ``yield from``: write backpressure (memtable backlog, L0
+        buildup); ``()`` when no stall or slowdown applies."""
+        opts = self.options
+        l0 = len(self.versions.current.level_files(0))
+        if l0 < opts.l0_slowdown_trigger and (
+            self.closing
+            or (
+                len(self.immutables) < MAX_WRITE_BUFFER_NUMBER
+                and l0 < opts.l0_stop_trigger
+            )
+        ):
+            return ()
+        return self._stall(ctx)
+
+    def _stall(self, ctx) -> Generator:
         opts = self.options
         events = self.env.metrics.events
         while not self.closing:
@@ -397,7 +416,7 @@ class LSMEngine:
     def _stalled_wait(self, ctx, events, reason: str) -> Generator:
         """One full-stop stall episode: event-logged wait on the stall cond.
 
-        Inlined into maybe_stall's while loop, which re-checks the stall
+        Inlined into _stall's while loop, which re-checks the stall
         predicates after every wakeup.
         """
         self._stall_depth += 1
@@ -408,7 +427,7 @@ class LSMEngine:
         events.end(token, self.env.sim.now)
         self._stall_depth -= 1
 
-    def post_write(self, ctx, members) -> Generator:
+    def post_write(self, ctx, members) -> None:
         """Group-completion bookkeeping: counters and memtable switch."""
         for w in members:
             self.counters.add("write_requests")
@@ -420,8 +439,6 @@ class LSMEngine:
             and self.memtable.approximate_size >= self.options.write_buffer_size
         ):
             self._switch_memtable()
-        return
-        yield  # pragma: no cover - generator protocol
 
     def _switch_memtable(self) -> None:
         if self.memtable.empty:
@@ -644,35 +661,28 @@ class LSMEngine:
         for memtable, _log in reversed(self.immutables):
             cursors.append(MemTableCursor(memtable))
         version = self.versions.current
-        page_cache = self.env.disk.page_cache
+        cache, device, page_cache = (
+            self.block_cache, self.env.device, self.env.disk.page_cache
+        )
         for meta in version.level_files(0):
-            cursors.append(
-                meta.table.cursor(self.block_cache, self.env.device, page_cache)
-            )
-        for level in range(1, version.num_levels()):
-            files = version.level_files(level)
+            cursors.append(meta.table.cursor(cache, device, page_cache))
+        flsm = self.options.compaction_style == "flsm"
+        for files in version.levels[1:]:
             if not files:
                 continue
-            if self.options.compaction_style == "flsm":
+            if flsm:
                 # Overlapping runs: one cursor per run.
                 for meta in files:
-                    cursors.append(
-                        meta.table.cursor(
-                            self.block_cache, self.env.device, page_cache
-                        )
-                    )
+                    cursors.append(meta.table.cursor(cache, device, page_cache))
             else:
-                cursors.append(
-                    LevelCursor(
-                        files, self.block_cache, self.env.device, page_cache
-                    )
-                )
+                cursors.append(LevelCursor(files, cache, device, page_cache))
         return MergingIterator(cursors, snapshot_seq)
 
     def _iterate(
         self, ctx, begin: bytes, snapshot_seq: Optional[int], limit=None, end=None
     ) -> Generator:
-        """One sub-scan: seek every source, merge, charge per entry merged."""
+        """One sub-scan: seek every source, merge, charge per entry merged;
+        returns the visible entries."""
         if snapshot_seq is None:
             snapshot_seq = self.visible_seq
         iterator = self.make_iterator(snapshot_seq)
@@ -687,19 +697,35 @@ class LSMEngine:
             )
         return out
 
+    def scan_rows(
+        self, ctx, begin: bytes, count: int, snapshot_seq: Optional[int] = None
+    ) -> Generator:
+        """SCAN(begin, count) as rows: up to ``count`` visible entries
+        ``(key, seq, vtype, value)`` starting at begin."""
+        self.counters.add("scan_requests")
+        return self._iterate(ctx, begin, snapshot_seq, limit=count)
+
+    def range_rows(
+        self, ctx, begin: bytes, end: bytes, snapshot_seq: Optional[int] = None
+    ) -> Generator:
+        """RANGE(begin, end) as rows: every visible entry with
+        begin <= key <= end."""
+        self.counters.add("range_requests")
+        return self._iterate(ctx, begin, snapshot_seq, end=end)
+
     def scan(
         self, ctx, begin: bytes, count: int, snapshot_seq: Optional[int] = None
     ) -> Generator:
         """SCAN(begin, count): up to ``count`` pairs starting at begin."""
-        self.counters.add("scan_requests")
-        return (yield from self._iterate(ctx, begin, snapshot_seq, limit=count))
+        rows = yield from self.scan_rows(ctx, begin, count, snapshot_seq)
+        return [(row[0], row[3]) for row in rows]
 
     def range_query(
         self, ctx, begin: bytes, end: bytes, snapshot_seq: Optional[int] = None
     ) -> Generator:
         """RANGE(begin, end): all pairs with begin <= key <= end."""
-        self.counters.add("range_requests")
-        return (yield from self._iterate(ctx, begin, snapshot_seq, end=end))
+        rows = yield from self.range_rows(ctx, begin, end, snapshot_seq)
+        return [(row[0], row[3]) for row in rows]
 
     # ------------------------------------------------------------------
     # Admin operations

@@ -18,6 +18,13 @@ contract:
 * ``yield from cursor.advance()`` moves to the next entry wherever it is.
   **IO happens only in** ``seek`` **and** ``advance``: a block load, and so a
   simulated yield, is paid per block crossed, never per entry.
+* ``seek`` and ``advance`` are plain calls.  When every block they touch is in
+  memory or in the engine's block cache they do the whole step and return
+  ``()``; otherwise they stop at the first block that missed and return a
+  generator that fetches it and does the rest of the step in the same order
+  (the idiom of ``CPUSet.exec_now``).  Either way the caller writes
+  ``yield from``; a caller that composes steps tests the result (``()`` is
+  false, a generator true) and continues in a generator only after a miss.
 * ``cursor.table`` is the SSTable the cursor stands in (None: a memtable).  A
   run from a **plain** one (one version per user key, no tombstone) whose
   ``max_seq`` the snapshot covers is sliced: only its first entry can be shadowed.
@@ -27,7 +34,9 @@ order, hides shadowed versions and tombstones, and applies the snapshot
 filter — the read-side equivalent of RocksDB's MergeIterator that p2KVS's
 serial SCAN strategy builds across instances (paper Section 4.4).  Its one
 loop, :meth:`MergingIterator.collect`, runs a whole sub-scan in a single
-generator frame, one heap operation per run.
+generator frame, one heap operation per run, and returns the visible entries
+themselves (*rows*: key first, value last); pairs are built by whoever
+returns them, for the rows it returns.
 """
 
 from bisect import bisect_left, bisect_right
@@ -57,31 +66,40 @@ class LevelCursor:
         self.table = None  # the file the cursor stands in
         self.current: Optional[Entry] = None
 
-    def seek(self, key: Optional[bytes]) -> Generator:
+    def seek(self, key: Optional[bytes]):
         if not self._files:
             self.current = None
-            return
-        if key is None:
-            self._idx = 0
-        else:
-            # First file whose largest >= key.
-            self._idx = bisect_left(self._largest, key)
-        yield from self._open_and_seek(key)
+            return ()
+        # First file whose largest >= key.
+        self._idx = 0 if key is None else bisect_left(self._largest, key)
+        return self._open(key)
 
-    def _open_and_seek(self, key: Optional[bytes]) -> Generator:
-        while self._idx < len(self._files):
-            self.table = self._files[self._idx].table
-            self._cursor = self.table.cursor(
-                self._cache, self._device, self._page_cache
-            )
-            yield from self._cursor.seek(key)
-            if self._cursor.current is not None:
-                self.current = self._cursor.current
-                return
-            self._idx += 1
-            key = None
-        self._cursor = None
-        self.current = None
+    def _open(self, key: Optional[bytes]):
+        """Seek the file at ``_idx`` (past the last one: exhausted)."""
+        if self._idx >= len(self._files):
+            self._cursor = None
+            self.current = None
+            return ()
+        self.table = self._files[self._idx].table
+        self._cursor = self.table.cursor(
+            self._cache, self._device, self._page_cache
+        )
+        return self._land(self._cursor.seek(key))
+
+    def _land(self, pending):
+        """Take the file cursor's entry once ``pending``, its unfinished step
+        (or ``()``), has run; an exhausted file moves on to the next."""
+        if pending:
+            return self._land_after(pending)
+        if self._cursor.current is not None:
+            self.current = self._cursor.current
+            return ()
+        self._idx += 1
+        return self._open(None)
+
+    def _land_after(self, pending: Generator) -> Generator:
+        yield from pending
+        yield from self._land(())
 
     def run(self, bound, room: Optional[int]) -> List[Entry]:
         return self._cursor.run(bound, room)
@@ -91,24 +109,18 @@ class LevelCursor:
         self.current = self._cursor.current
         return moved
 
-    def advance(self) -> Generator:
+    def advance(self):
         if self._cursor is None:
-            return
-        yield from self._cursor.advance()
-        if self._cursor.current is not None:
-            self.current = self._cursor.current
-            return
-        self._idx += 1
-        yield from self._open_and_seek(None)
+            return ()
+        return self._land(self._cursor.advance())
 
 
 class MergingIterator:
     """Merges cursors in internal-key order with MVCC visibility rules.
 
     ``yield from it.seek(begin)`` then ``yield from it.collect(limit, end)``
-    returning the next visible ``(key, value)`` pairs (tombstoned and
-    shadowed keys skipped); a later ``collect`` continues where this one
-    stopped.
+    returning the next visible entries (tombstoned and shadowed keys
+    skipped); a later ``collect`` continues where this one stopped.
     """
 
     def __init__(self, cursors: List, snapshot_seq: int = MAX_SEQ):
@@ -119,41 +131,64 @@ class MergingIterator:
         self._last_user_key: Optional[bytes] = None
         self.entries_scanned = 0  # merged entries examined (for cost charging)
 
-    def seek(self, begin: Optional[bytes]) -> Generator:
-        self._heap = heap = []
+    def seek(self, begin: Optional[bytes]):
+        """Seek every cursor, in order, and build the heap (a plain call
+        unless a cursor misses the block cache: the cursor contract)."""
+        self._heap = []
         self._last_user_key = None
-        for i, cursor in enumerate(self._cursors):
-            yield from cursor.seek(begin)
+        return self._seek_from(0, begin)
+
+    def _seek_from(self, i: int, begin: Optional[bytes]):
+        heap = self._heap
+        cursors = self._cursors
+        for i in range(i, len(cursors)):
+            cursor = cursors[i]
+            pending = cursor.seek(begin)
+            if pending:
+                return self._seek_after(pending, i, begin)
             entry = cursor.current
             if entry is not None:
                 heap.append((entry[0], -entry[1], i))
         heapify(heap)
+        return ()
+
+    def _seek_after(
+        self, pending: Generator, i: int, begin: Optional[bytes]
+    ) -> Generator:
+        """Cursor ``i``'s seek after its block missed, then the rest."""
+        yield from pending
+        entry = self._cursors[i].current
+        if entry is not None:
+            self._heap.append((entry[0], -entry[1], i))
+        yield from self._seek_from(i + 1, begin)
 
     def collect(
         self, limit: Optional[int] = None, end: Optional[bytes] = None
     ) -> Generator:
-        """Up to ``limit`` visible pairs, stopping after the first one past
-        ``end`` (which is examined and charged, but not returned)."""
+        """Up to ``limit`` visible entries ``(key, seq, vtype, value)``,
+        stopping after the first one past ``end`` (which is examined and
+        charged, but not returned)."""
         heap = self._heap
         cursors = self._cursors
         snapshot = self._snapshot
         last = self._last_user_key
-        out: List[Tuple[bytes, bytes]] = []
+        out: List[Entry] = []
         scanned = 0
         past_end = False
-        room = limit  # pairs still wanted (None: any number)
+        room = limit  # entries still wanted (None: any number)
         while heap and room != 0 and not past_end:
             i = heap[0][2]
             cursor = cursors[i]
             if room == 1:  # next_user: the current entry is the run, filtered in place
-                key, seq, vtype, value = cursor.current
+                entry = cursor.current
+                key, seq, vtype, _value = entry
                 used = 1
                 if seq <= snapshot and key != last:
                     last = key
                     if vtype != VTYPE_DELETE:
                         past_end = end is not None and key > end
                         if not past_end:
-                            out.append((key, value))
+                            out.append(entry)
             else:
                 # Up to the runner-up, the root's smaller child, all is this cursor's.
                 n = len(heap)
@@ -169,11 +204,12 @@ class MergingIterator:
                         cut = bisect_right(run, end, first, key=_user_key)
                         used = cut + 1  # run[cut], first pair past ``end``, is examined
                         past_end = True
-                    out.extend([(e[0], e[3]) for e in run[first:cut]])
+                    out += run[first:cut]
                     last = run[used - 1][0]
                 else:
                     used = 0
-                    for key, seq, vtype, value in run:
+                    for entry in run:
+                        key, seq, vtype, _value = entry
                         used += 1
                         if seq > snapshot or key == last:
                             continue  # invisible to this snapshot / shadowed
@@ -183,7 +219,7 @@ class MergingIterator:
                         if end is not None and key > end:
                             past_end = True
                             break
-                        out.append((key, value))
+                        out.append(entry)
             scanned += used
             if not cursor.skip(used):
                 yield from cursor.advance()
@@ -199,5 +235,5 @@ class MergingIterator:
 
     def next_user(self) -> Generator:
         """Next visible (key, value) pair, or None at the end."""
-        pairs = yield from self.collect(limit=1)
-        return pairs[0] if pairs else None
+        entries = yield from self.collect(limit=1)
+        return (entries[0][0], entries[0][3]) if entries else None

@@ -309,7 +309,7 @@ class WriteGroupCoordinator:
             for w in members[1:]:
                 w.role_event.succeed(("done", group))
 
-        yield from engine.post_write(ctx, members)
+        engine.post_write(ctx, members)
         if not opts.pipelined_write:
             self._handover()
         yield from self._wait_published(leader)
@@ -319,14 +319,16 @@ class WriteGroupCoordinator:
                 ("group",), (n,),
             )
 
-    def _wait_published(self, writer: Writer) -> Generator:
-        """Block until this writer's sequences are visible to readers:
-        a returned write must be readable by its own thread (RocksDB's
-        in-order memtable-writer exit)."""
+    def _wait_published(self, writer: Writer):
+        """For ``yield from``: block until this writer's sequences are visible
+        to readers (``()`` when they already are): a returned write must be
+        readable by its own thread (RocksDB's in-order memtable-writer exit)."""
         seqs = getattr(writer, "_seqs", None)
-        if seqs is None or not len(seqs):
-            return
-        last = seqs[-1]
+        if seqs is None or not len(seqs) or self.engine.visible_seq >= seqs[-1]:
+            return ()
+        return self._await_publish(writer, seqs[-1])
+
+    def _await_publish(self, writer: Writer, last: int) -> Generator:
         engine = self.engine
         while engine.visible_seq < last:
             yield engine.publish_cond.wait(writer.ctx, "publish_wait")

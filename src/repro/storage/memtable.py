@@ -15,7 +15,7 @@ skiplist it stands for lives in ``tests/test_memtable.py`` as the model
 """
 
 from bisect import bisect_left
-from typing import Generator, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.perf import zones as _perf_zones
 
@@ -146,13 +146,12 @@ class MemTableCursor:
         self._len = 0
         self.current: Optional[Tuple[bytes, int, int, bytes]] = None
 
-    def seek(self, key: Optional[bytes]) -> Generator:
+    def seek(self, key: Optional[bytes]):
         keys = self._keys
         self._len = len(keys)
         self._idx = 0 if key is None else bisect_left(keys, (key, 0))
         self.skip(0)
-        return
-        yield  # pragma: no cover - makes this a generator
+        return ()
 
     def _anchor(self) -> int:
         keys = self._keys
@@ -182,8 +181,7 @@ class MemTableCursor:
             self.current = None
         return True
 
-    def advance(self) -> Generator:
+    def advance(self):
         if self.current is not None:
             self.skip(1)
-        return
-        yield  # pragma: no cover
+        return ()

@@ -6,9 +6,13 @@ into ~4 KiB data blocks with a block index and a bloom filter — the LevelDB
 file layout.  Point lookups charge one random block read on a cache miss;
 scans charge sequential block reads; compaction charges one bulk file read.
 
-Tables are pure data plus search logic; all device charging happens through
-the generator methods that take the block cache and device explicitly, so the
-same table object can be shared by any number of simulated readers.
+Tables are pure data plus search logic; the block cache and device are passed
+in explicitly, so the same table object can be shared by any number of
+simulated readers.  A block read is two steps: :meth:`SSTable.cached_block`, a
+synchronous probe of the engine's block cache, and :meth:`SSTable.fetch_block`,
+the generator that charges the page cache or device, run only on a miss.  A
+cursor step whose blocks are all cached is therefore a plain call (the cursor
+contract of :mod:`repro.engine.iterator`).
 """
 
 from bisect import bisect_left
@@ -115,13 +119,18 @@ class SSTable:
 
     # -- point lookup -----------------------------------------------------
 
-    def load_block(self, idx: int, cache, device, page_cache=None) -> Generator:
-        """Fetch block ``idx``: engine block cache (free) -> OS page cache
-        (one RAM copy) -> device (random block read)."""
+    def cached_block(self, idx: int, cache) -> Optional[Block]:
+        """Block ``idx`` if the engine block cache holds it (free), else None:
+        then :meth:`fetch_block` loads it."""
+        if cache is not None and cache.get((self.number, idx)) is not None:
+            return self.blocks[idx]
+        return None
+
+    def fetch_block(self, idx: int, cache, device, page_cache=None) -> Generator:
+        """Load block ``idx`` after a block-cache miss: OS page cache (one RAM
+        copy) or device (random block read), then into the block cache."""
         block = self.blocks[idx]
         cache_key = (self.number, idx)
-        if cache is not None and cache.get(cache_key) is not None:
-            return block
         if page_cache is not None and page_cache.get(cache_key) is not None:
             yield device.ram_read(block.nbytes)
         else:
@@ -161,7 +170,9 @@ class SSTable:
             return NOT_FOUND, None
         idx = bisect_left(self._index, (key, MAX_SEQ - snapshot_seq))
         while idx < len(self.blocks):
-            block = yield from self.load_block(idx, cache, device, page_cache)
+            block = self.cached_block(idx, cache)
+            if block is None:
+                block = yield from self.fetch_block(idx, cache, device, page_cache)
             entries = block.entries
             pos = lower_bound(entries, key, snapshot_seq)
             if pos < len(entries):
@@ -206,40 +217,57 @@ class TableCursor:
         self._entries: Optional[List[Entry]] = None
         self.current: Optional[Entry] = None
 
-    def seek(self, key: Optional[bytes]) -> Generator:
+    def seek(self, key: Optional[bytes]):
         """Position at the first entry with user key >= key (None = start)."""
-        if key is None:
-            self._block_idx, self._pos = 0, 0
-        else:
-            self._block_idx = bisect_left(self.table._index, (key, 0))
-            self._pos = 0
-        if self._block_idx >= len(self.table.blocks):
+        table = self.table
+        idx = 0 if key is None else bisect_left(table._index, (key, 0))
+        self._block_idx, self._pos = idx, 0
+        if idx >= len(table.blocks):
             self.current = None
             self._entries = None
-            return
-        block = yield from self.table.load_block(
+            return ()
+        block = table.cached_block(idx, self.cache)
+        if block is None:
+            return self._fetch_and_seek(key)
+        return self._seek_in(block, key)
+
+    def _fetch_and_seek(self, key: Optional[bytes]) -> Generator:
+        """The rest of :meth:`seek` once its block missed the cache."""
+        block = yield from self.table.fetch_block(
             self._block_idx, self.cache, self.device, self.page_cache
         )
+        yield from self._seek_in(block, key)
+
+    def _seek_in(self, block: Block, key: Optional[bytes]):
         self._entries = block.entries
         if key is not None:
             self._pos = bisect_left(self._entries, key, key=_user_key)
-        yield from self._settle()
+        return self._settle()
 
-    def _settle(self) -> Generator:
+    def _settle(self):
         """Move to the next block(s) if positioned past the current one."""
-        while self._entries is not None and self._pos >= len(self._entries):
+        table = self.table
+        entries = self._entries
+        while entries is not None and self._pos >= len(entries):
             self._block_idx += 1
             self._pos = 0
-            if self._block_idx >= len(self.table.blocks):
-                self._entries = None
+            if self._block_idx >= len(table.blocks):
+                self._entries = entries = None
                 break
-            block = yield from self.table.load_block(
-                self._block_idx, self.cache, self.device, self.page_cache
-            )
-            self._entries = block.entries
-        self.current = (
-            self._entries[self._pos] if self._entries is not None else None
+            block = table.cached_block(self._block_idx, self.cache)
+            if block is None:
+                return self._fetch_and_settle()
+            self._entries = entries = block.entries
+        self.current = entries[self._pos] if entries is not None else None
+        return ()
+
+    def _fetch_and_settle(self) -> Generator:
+        """The rest of :meth:`_settle` once a block missed the cache."""
+        block = yield from self.table.fetch_block(
+            self._block_idx, self.cache, self.device, self.page_cache
         )
+        self._entries = block.entries
+        yield from self._settle()
 
     def run(self, bound, room: Optional[int]) -> List[Entry]:
         entries = self._entries
@@ -258,11 +286,11 @@ class TableCursor:
         self._pos -= 1  # on the block's last entry, as advance() expects
         return False
 
-    def advance(self) -> Generator:
+    def advance(self):
         if self._entries is None:
-            return
+            return ()
         self._pos += 1
-        yield from self._settle()
+        return self._settle()
 
 
 class SSTableBuilder:

@@ -267,26 +267,33 @@ class TestRangeQueries:
         lengths=st.lists(st.integers(0, 12), min_size=1, max_size=8),
         shuffle=st.randoms(use_true_random=False),
         limit=st.none() | st.integers(0, 100),
+        entries=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    @example(lengths=[4, 4], shuffle=None, limit=4)  # one list holds the answer
+    # one list holds the answer
+    @example(lengths=[4, 4], shuffle=None, limit=4, entries=True)
     def test_merge_sorts_only_what_it_returns_but_returns_the_same(
-        self, lengths, shuffle, limit
+        self, lengths, shuffle, limit, entries
     ):
         """1-8 disjoint sorted lists of uneven length (empty ones, ones shorter
         than ceil(limit / k), limits from 0 to past everything) against the
-        sort of the whole concatenation."""
+        sort of the whole concatenation.  The lists hold rows: pairs, or LSM
+        entries ``(key, seq, vtype, value)``; the merge returns pairs."""
         owners = [i for i, n in enumerate(lengths) for _ in range(n)]
         if shuffle is not None:
             shuffle.shuffle(owners)
         results = [[] for _ in lengths]
+        pairs = []
         for k, owner in enumerate(owners):
-            results[owner].append((key(k), value(k)))
-        before = [list(pairs) for pairs in results]
-        expected = sorted(chain.from_iterable(results))
-        assert merge_sorted_results(results, limit) == (
-            expected if limit is None else expected[:limit]
-        )
+            pairs.append((key(k), value(k)))
+            results[owner].append(
+                (key(k), 100 - k, 1, value(k)) if entries else pairs[-1]
+            )
+        before = [list(rows) for rows in results]
+        expected = sorted(pairs)
+        merged = merge_sorted_results(results, limit)
+        assert merged == (expected if limit is None else expected[:limit])
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in merged)
         assert results == before  # the callers' lists are not cut in place
 
     def test_parallel_and_serial_strategies_agree_on_a_churned_dataset(self):

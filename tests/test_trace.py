@@ -4,6 +4,7 @@ Chrome export, and the span-derived Figure 6 attribution."""
 import gc
 import json
 import sys
+from inspect import CO_GENERATOR
 from itertools import count
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core import P2KVS
 from repro.critpath import install_edgelog
 from repro.engine import LSMEngine, WriteBatch, make_env, rocksdb_options
-from repro.harness import run_closed_loop
+from repro.harness import preload, run_closed_loop
 from repro.harness.metrics import MetricsCollector
 from repro.metrics import install_stats
 from repro.perf.tax import count_calls
@@ -35,7 +36,7 @@ from repro.trace import (
 )
 from repro.tools import dbbench
 from repro.tools.common import ObservedRun
-from repro.workloads import fillrandom, split_stream
+from repro.workloads import YCSBWorkload, fillrandom, split_stream
 from tests.conftest import run_process
 from tests.test_sim_core import _program, _run_program
 
@@ -763,8 +764,58 @@ def test_an_observer_record_costs_about_one_call():
 @pytest.mark.no_sanitize
 def test_an_unobserved_op_costs_what_it_did():
     """The other side of that gate: every Python call per op of the same
-    fill with no observer installed (145.6), so no observer change moves
+    fill with no observer installed (141.5, 142.2 before the write path's
+    steps that cannot wait became plain calls), so no observer change moves
     work onto the workloads that run without one."""
     env, system, streams, _ = _observed_fill(observe=False)
     calls = count_calls(lambda: run_closed_loop(env, system, streams))
-    assert calls / 2000 <= 147
+    assert calls / 2000 <= 142
+
+
+def count_generator_frames(run) -> int:
+    """Generator frames created while ``run()`` runs: a ``call`` event on a
+    generator's code for a frame not seen before (each resume is a ``call``
+    too).  The frames are kept until the count ends, so no id is reused, and
+    the collector is paused, so no generator left suspended by an earlier run
+    is finalized (a ``call`` too) inside the count."""
+    frames = {}
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code.co_flags & CO_GENERATOR:
+            frames.setdefault(id(frame), frame)
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return len(frames)
+
+
+def _ycsb_e(n):
+    """p2KVS-8 under YCSB-E (95 % scans of up to 100 keys) after loading
+    ``n`` * 20 / 3 records, perfbench's ``scan`` shape; ready to run."""
+    env = make_env()
+    system = open_system("p2kvs", env, workers=8)
+    workload = YCSBWorkload("E", n * 20 // 3, 112, 3)
+    preload(env, system, list(workload.load_ops()), 8)
+    return env, system, split_stream(list(workload.ops(n)), 16)
+
+
+@pytest.mark.no_sanitize
+def test_a_storage_step_that_cannot_wait_is_a_call():
+    """Generator frames created per op, host-independent.  A cursor step
+    over cached blocks, a merge seek, a WAL with nothing to flush, a write
+    with no backpressure and a sequence already published are plain calls
+    that return ``()``; only a step that waits builds a generator.  Scan:
+    119.38 -> 42.59 an op (five a sub-scan are the worker's, the engine's and
+    the merge's own); the fill: 12.64 -> 9.95."""
+    env, system, streams = _ycsb_e(600)
+    frames = count_generator_frames(lambda: run_closed_loop(env, system, streams))
+    assert frames / 600 <= 42.59
+    env, system, streams, _ = _observed_fill(observe=False)
+    frames = count_generator_frames(lambda: run_closed_loop(env, system, streams))
+    assert frames / 2000 <= 9.96

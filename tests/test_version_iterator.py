@@ -2,13 +2,16 @@
 
 import heapq
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import P2KVS, adapter_factory
 from repro.engine.env import make_env
 from repro.engine.iterator import LevelCursor, MemTableCursor, MergingIterator
 from repro.engine.options import EngineOptions
 from repro.engine.version import FileMeta, VersionEdit, VersionSet
+from repro.storage.block_cache import BlockCache
 from repro.storage.memtable import MAX_SEQ, MemTable, VTYPE_DELETE, VTYPE_VALUE
 from repro.storage.sstable import SSTableBuilder
 from tests.conftest import run_process
@@ -278,11 +281,16 @@ def oracle_merge(cursors, begin, snapshot, limit, end):
     return out, scanned
 
 
+def pairs_of(entries):
+    """``collect`` returns entries ``(key, seq, vtype, value)``; the oracle pairs."""
+    return [(entry[0], entry[3]) for entry in entries]
+
+
 def collect_merge(cursors, begin, snapshot, limit, end):
     iterator = MergingIterator(cursors, snapshot)
     yield from iterator.seek(begin)
     out = yield from iterator.collect(limit, end)
-    return out, iterator.entries_scanned
+    return pairs_of(out), iterator.entries_scanned
 
 
 def collect_twice(split):
@@ -298,7 +306,7 @@ def collect_twice(split):
             out += yield from iterator.collect(
                 None if limit is None else limit - first, end
             )
-        return out, iterator.entries_scanned
+        return pairs_of(out), iterator.entries_scanned
 
     return merge
 
@@ -486,6 +494,276 @@ class TestCollectMatchesPerEntryMerge:
         assert not level.table.plain  # the file with the tombstone
         run_process(env, level.seek(key(12)))
         assert level.table.plain  # ... and the cursor follows the file
+
+
+def walk(cursor, begin, cache):
+    """Seek, then advance one entry a step to the end; returns the entries and,
+    per step, whether it returned a generator and whether its own call (before
+    anything ran) missed the block cache."""
+    entries, steps = [], []
+    misses = cache.misses
+    step = cursor.seek(begin)
+    while True:
+        steps.append((bool(step), cache.misses > misses))
+        yield from step
+        if cursor.current is None:
+            return entries, steps
+        entries.append(cursor.current)
+        misses = cache.misses
+        step = cursor.advance()
+
+
+def source_entries(cursors, memtables):
+    """Per cursor of ``build_cursors`` (the first two over its memtables),
+    every entry it stands over, in internal-key order."""
+    sources = [list(memtable.entries()) for memtable in memtables]
+    for cursor in cursors[2:]:
+        files = cursor._files if isinstance(cursor, LevelCursor) else [cursor]
+        sources.append(
+            [e for f in files for block in f.table.blocks for e in block.entries]
+        )
+    return sources
+
+
+class TestCachedStepsMatchTheOracle:
+    """A cursor step is a plain call that returns ``()`` while every block it
+    touches is in the block cache, and a generator from its first miss on.
+    With a warm cache and with one too small to hold a scan's blocks, every
+    cursor kind walks its source, and ``MergingIterator.seek``/``collect`` and
+    the p2KVS SCAN give the oracle's pairs, ``entries_scanned``, block-cache
+    hits and misses, and device reads and bytes."""
+
+    KINDS = ("warm", "small")
+
+    @staticmethod
+    def prepared(writes, plain, block_target, kind):
+        """A fresh env and cursors; ``warm``: over a cache every block was
+        read into, ``small``: over one that holds two blocks."""
+        env = make_env(n_cores=2)
+        cache = BlockCache(1 << 30 if kind == "warm" else 2 * block_target)
+        build = TestCollectMatchesPerEntryMerge.build_cursors
+        if kind == "warm":
+            for cursor in build(writes, env, cache, plain, block_target)[0]:
+                run_process(env, walk(cursor, None, cache))
+        cursors, memtables = build(writes, env, cache, plain, block_target)
+        return env, cache, cursors, memtables
+
+    @staticmethod
+    def charged(env, cache):
+        return [cache.hits, cache.misses, env.device.io_count.get("read"),
+                env.device.bytes_by_kind.get("read")]
+
+    @staticmethod
+    def delta(before, after):
+        return [b - a for a, b in zip(before, after)]
+
+    @given(
+        writes=st.lists(st.tuples(_SOURCES, _KEY_IDS, st.booleans()), max_size=80),
+        begin=_BOUND,
+        plain=st.sets(_SOURCES),
+        block_target=st.sampled_from((48, 200)),
+        kind=st.sampled_from(KINDS),
+    )
+    @settings(max_examples=150, deadline=None)
+    # A table and a level of many small blocks, two of them cached at a time.
+    @example(writes=[(source, k, False) for source in (2, 3) for k in range(24)],
+             begin=key(5), plain={2, 3}, block_target=48, kind="small")
+    def test_every_cursor_kind_steps_synchronously_until_a_miss(
+        self, writes, begin, plain, block_target, kind
+    ):
+        env, cache, cursors, memtables = self.prepared(
+            writes, plain, block_target, kind
+        )
+        for cursor, source in zip(cursors, source_entries(cursors, memtables)):
+            before = self.charged(env, cache)
+            entries, steps = run_process(env, walk(cursor, begin, cache))
+            assert entries == [e for e in source if begin is None or e[0] >= begin]
+            hits, misses, reads, nbytes = self.delta(before, self.charged(env, cache))
+            assert all(returned == missed for returned, missed in steps)
+            assert reads == misses and (nbytes > 0) == (misses > 0)
+            if kind == "warm" or isinstance(cursor, MemTableCursor):
+                assert misses == 0 and not any(returned for returned, _ in steps)
+            if isinstance(cursor, MemTableCursor):
+                assert hits == 0
+            elif kind == "small" and len(entries) > 4 and block_target == 48:
+                assert misses > 0  # more blocks than the cache holds
+
+    @given(
+        writes=st.lists(st.tuples(_SOURCES, _KEY_IDS, st.booleans()), max_size=80),
+        begin=_BOUND,
+        end=_BOUND,
+        limit=st.none() | st.integers(0, 30),
+        snapshot=st.integers(0, 80) | st.just(MAX_SEQ),
+        plain=st.sets(_SOURCES),
+        block_target=st.sampled_from((48, 200, 4096)),
+        split=st.integers(0, 10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_merges_match_the_oracle_warm_and_small(
+        self, writes, begin, end, limit, snapshot, plain, block_target, split
+    ):
+        merges = [oracle_merge, collect_merge, collect_twice(split)]
+        if end is None:
+            merges.append(next_user_merge)
+        by_kind = {}
+        for kind in self.KINDS:
+            outcomes = []
+            for merge in merges:
+                env, cache, cursors, _ = self.prepared(
+                    writes, plain, block_target, kind
+                )
+                before = self.charged(env, cache)
+                pairs, scanned = run_process(
+                    env, merge(cursors, begin, snapshot, limit, end)
+                )
+                outcomes.append(
+                    (pairs, scanned, self.delta(before, self.charged(env, cache)))
+                )
+            for outcome in outcomes[1:]:
+                assert outcome == outcomes[0]
+            by_kind[kind] = outcomes[0]
+        (pairs, scanned, warm), (small_pairs, small_scanned, small) = (
+            by_kind["warm"], by_kind["small"]
+        )
+        assert (pairs, scanned) == (small_pairs, small_scanned)
+        assert warm[1:] == [0, 0, 0]
+        assert warm[0] == small[0] + small[1]  # the same blocks are asked for
+        assert small[2] == small[1]  # every miss is one device read
+
+    @staticmethod
+    def cached(cache, *tables):
+        for table in tables:
+            for idx, block in enumerate(table.blocks):
+                cache.put((table.number, idx), block, block.nbytes)
+
+    def test_a_later_cursor_misses_after_the_earlier_ones_were_served(self, env):
+        """``seek`` serves cursors 0..2 in the call and returns at cursor 3's
+        miss; the generator fetches its block, then builds the heap."""
+        memtable = MemTable()
+        memtable.add(10, VTYPE_VALUE, key(4), b"mem")
+        t1, t2, t3 = (build_table(n, range(n, 30, 3)) for n in (1, 2, 3))
+        cache = BlockCache(1 << 30)
+        self.cached(cache, t1, t2)
+        cursors = [MemTableCursor(memtable)] + [
+            t.cursor(cache, env.device) for t in (t1, t2, t3)
+        ]
+        iterator = MergingIterator(cursors)
+        pending = iterator.seek(key(5))
+        assert pending and cache.misses == 1 and cache.hits == 2
+        assert [c.current and c.current[0] for c in cursors] == [
+            None, key(7), key(5), None
+        ]
+        assert env.device.io_count.get("read") == 0
+        run_process(env, pending)
+        assert env.device.io_count.get("read") == 1
+        assert cursors[3].current[0] == key(6)
+        entries = run_process(env, iterator.collect(6))
+        assert [e[0] for e in entries] == [key(i) for i in range(5, 11)]
+        assert iterator.seek(key(5)) == ()  # every block cached now
+
+    def test_a_level_cursor_advances_into_a_file_whose_first_block_misses(self, env):
+        t1, t2 = build_table(1, range(0, 5)), build_table(2, range(5, 10))
+        cache = BlockCache(1 << 30)
+        self.cached(cache, t1)
+        cursor = LevelCursor(
+            [FileMeta.from_table(t1), FileMeta.from_table(t2)], cache, env.device
+        )
+        assert cursor.seek(key(3)) == () and cursor.advance() == ()
+        assert cursor.current[0] == key(4)
+        pending = cursor.advance()
+        assert pending and cache.misses == 1
+        assert cursor.current[0] == key(4)  # not moved before the fetch
+        run_process(env, pending)
+        assert cursor.current[0] == key(5) and cursor.table is t2
+        assert env.device.io_count.get("read") == 1
+        assert cursor.advance() == () and cursor.current[0] == key(6)
+
+    @staticmethod
+    def loaded_p2kvs(block_cache_bytes):
+        """p2KVS-4 over small memtables and 256-byte blocks (keys in
+        memtables, L0 and L1, some overwritten or deleted), no page cache:
+        every block-cache miss is a device read."""
+        env = make_env(n_cores=16, page_cache_bytes=0)
+        kvs = run_process(env, P2KVS.open(
+            env, n_workers=4, adapter_open=adapter_factory(
+                "rocksdb", write_buffer_size=768, block_size=256,
+                block_cache_bytes=block_cache_bytes,
+            ),
+        ))
+        ctx = env.cpu.new_thread("u")
+
+        def load():
+            for i in range(400):
+                yield from kvs.put(ctx, key(i), b"v%d" % i)
+            for i in range(0, 400, 3):
+                yield from kvs.put(ctx, key(i), b"w%d" % i)
+            for i in range(0, 400, 7):
+                yield from kvs.delete(ctx, key(i))
+
+        run_process(env, load())
+        return env, kvs, ctx
+
+    @staticmethod
+    def p2kvs_charged(env, kvs):
+        """Per instance block-cache hits and misses, then device reads and
+        bytes (what the twins must share); per worker, the read CPU spent."""
+        engines = [worker.engine for worker in kvs.workers]
+        return (
+            [e.block_cache.hits for e in engines]
+            + [e.block_cache.misses for e in engines]
+            + [env.device.io_count.get("read"), env.device.bytes_by_kind.get("read")],
+            [worker.ctx.busy_by_category["read"] for worker in kvs.workers],
+        )
+
+    @staticmethod
+    def oracle_scan(env, kvs, begin, count):
+        """The oracle over every instance's cursors: (pairs, per instance
+        (sources, entries scanned))."""
+        pairs, scans = [], []
+        for worker in kvs.workers:
+            engine = worker.engine
+            iterator = engine.make_iterator(engine.visible_seq)
+            got, scanned = run_process(env, oracle_merge(
+                iterator._cursors, begin, engine.visible_seq, count, None
+            ))
+            pairs += got
+            scans.append((len(iterator._cursors), scanned))
+        return pairs, scans
+
+    def test_p2kvs_scan_matches_the_oracle_warm_and_small(self):
+        """The parallel SCAN (sub-scans hand over rows, the merge builds the
+        pairs) against the oracle over each instance's own cursors, on twin
+        stores; a sub-scan's ``entries_scanned`` shows in the read CPU its
+        worker is charged."""
+        missed = {1 << 30: 0, 512: 0}  # block cache: every block / two
+        for block_cache_bytes in missed:
+            for begin, count in ((0, 50), (120, 1), (203, 64), (390, 50), (0, 400)):
+                env, kvs, ctx = self.loaded_p2kvs(block_cache_bytes)
+                run_process(env, kvs.scan(ctx, key(begin), count))  # warm-up
+                io, cpu = self.p2kvs_charged(env, kvs)
+                pairs = run_process(env, kvs.scan(ctx, key(begin), count))
+                io_after, cpu_after = self.p2kvs_charged(env, kvs)
+                io, cpu = self.delta(io, io_after), self.delta(cpu, cpu_after)
+
+                env, kvs, _ = self.loaded_p2kvs(block_cache_bytes)
+                self.oracle_scan(env, kvs, key(begin), count)  # the same warm-up
+                want_io = self.p2kvs_charged(env, kvs)[0]
+                want, scans = self.oracle_scan(env, kvs, key(begin), count)
+                want_io = self.delta(want_io, self.p2kvs_charged(env, kvs)[0])
+
+                assert pairs == sorted(want)[:count]
+                assert {(type(pair), len(pair)) for pair in pairs} <= {(tuple, 2)}
+                assert io == want_io
+                costs = kvs.workers[0].engine.costs
+                assert cpu == [
+                    pytest.approx(costs.seek_per_source * sources
+                                  + costs.next_per_entry * scanned)
+                    for sources, scanned in scans
+                ]
+                misses, reads = io[len(scans):2 * len(scans)], io[-2]
+                assert reads == sum(misses)
+                missed[block_cache_bytes] += reads
+        assert missed == {1 << 30: 0, 512: missed[512]} and missed[512] > 0
 
 
 class TestLevelCursor:
