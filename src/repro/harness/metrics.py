@@ -31,6 +31,8 @@ class Metrics:
     system: str
     n_ops: int
     elapsed: float
+    #: the instant the window closed (``t0 + elapsed`` can differ by an ulp).
+    finished_at: float
     latency: Dict[str, Histogram]
     device_bytes: Dict[str, float]
     #: windowed per-kind:category byte deltas (e.g. "write:compaction").
@@ -205,6 +207,7 @@ class MetricsCollector:
             system=self.system_name,
             n_ops=n_ops,
             elapsed=elapsed,
+            finished_at=env.sim.now,
             latency=self.latency,
             device_bytes=device_bytes,
             device_bytes_kind=device_bytes_kind,

@@ -18,7 +18,7 @@ so through ``run_zoned``, the one host-profiler bracket around ``sim.run()``.
 """
 
 import random
-from typing import Callable, Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.baselines.kvell import KVellLike
 from repro.baselines.wiredtiger import WiredTigerLike
@@ -294,23 +294,20 @@ def run_closed_loop(
     pin_users: bool = False,
     measure: bool = True,
     collector: Optional[MetricsCollector] = None,
-    on_done: Optional[Callable[[], None]] = None,
 ) -> Metrics:
     """One simulated user thread per stream; returns window metrics.
 
-    ``on_done`` runs *inside the simulation* once every user thread has
-    drained — the hook for tearing down layers (e.g. the health monitor's
-    ticker) that would otherwise keep the event loop alive forever.
+    A measured window brackets the periodic observers on ``env.metrics``
+    (health monitor, sim-time sampler): started as it opens, finished in the
+    instant the collector finishes.  Preload (``measure=False``) is unobserved.
     """
     if collector is None:
         collector = MetricsCollector(env, system.name)
     user_bytes0 = system.user_bytes_written()
     collector.start()
-    # The sim-time sampler (installed by --stats) covers only the measured
-    # window: preload phases run with measure=False and are not sampled.
-    sampler = env.metrics.sampler if measure else None
-    if sampler is not None:
-        sampler.start()
+    observers = env.metrics.observers() if measure else ()
+    for observer in observers:
+        observer.start()
     n_ops = sum(len(s) for s in streams)
     procs = []
     execute = system.execute
@@ -356,8 +353,8 @@ def run_closed_loop(
         yield env.sim.all_of(procs)
         if async_window:
             yield from system.drain()
-        if sampler is not None:
-            sampler.finish()
+        for observer in observers:
+            observer.finish()
         box.append(
             collector.finish(
                 n_ops,
@@ -365,8 +362,6 @@ def run_closed_loop(
                 system.memory_bytes(),
             )
         )
-        if on_done is not None:
-            on_done()
 
     env.sim.spawn(finisher())
     run_zoned(env, "harness.run" if measure else "harness.preload")

@@ -243,8 +243,10 @@ class StatsRegistry:
         self.groups: Dict[str, CounterGroup] = {}
         self.providers: Dict[str, Callable[[], Dict[str, float]]] = {}
         self.events = EventLog()
-        #: the sim-time sampler, installed by tools when --stats is given.
+        #: the periodic observers: the sim-time sampler (--stats) and the
+        #: health monitor (``repro.monitor``), bracketed by the load drivers.
         self.sampler = None
+        self.health = None
 
     # -- registration ------------------------------------------------------
 
@@ -275,6 +277,10 @@ class StatsRegistry:
         self.providers[name] = fn
 
     # -- reads -------------------------------------------------------------
+
+    def observers(self) -> list:
+        """The installed periodic observers, in bracketing order."""
+        return [o for o in (self.health, self.sampler) if o is not None]
 
     def counter_values(self) -> Dict[str, float]:
         """Every group's counters as ``<prefix>.<name>``, sorted by name."""

@@ -17,6 +17,8 @@ drivers, ``run_closed_loop`` and ``run_service_load``, drive them).
 pending tick (:meth:`~repro.sim.core.Simulator.cancel`), so a stopped
 sampler schedules nothing: the run ends where an unobserved run ends, and a
 later ``start()`` (preload vs measured run) never leaves two tickers alive.
+That lifecycle is :class:`Periodic`'s, which the health monitor
+(:class:`~repro.monitor.HealthMonitor`) shares.
 """
 
 from collections import deque
@@ -34,23 +36,15 @@ DEFAULT_INTERVAL = 0.01
 DEFAULT_MAX_SAMPLES = 200000
 
 
-class Sampler:
-    """Periodic probe over ``env.metrics`` gauges."""
+class Periodic:
+    """An end-of-instant periodic observer: ``start`` / ``stop`` and the one
+    ticker loop.  A subclass sets ``name`` (its process's) and says what its
+    ticks do: ``first_tick()`` at the instant it starts, ``tick()`` every
+    ``interval`` seconds of virtual time after that."""
 
-    def __init__(self, env, interval: float = DEFAULT_INTERVAL,
-                 max_samples: int = DEFAULT_MAX_SAMPLES):
-        if interval <= 0:
-            raise ValueError("sampler interval must be positive")
-        if max_samples < 1:
-            raise ValueError("max_samples must be positive")
+    def __init__(self, env, interval: float):
         self.env = env
         self.interval = interval
-        self.max_samples = max_samples
-        #: (sim_time, {gauge_name: value}) rows, in time order (a ring:
-        #: the newest ``max_samples`` rows are kept, older ones dropped).
-        self.samples: deque = deque()
-        #: rows evicted at the retention cap (surfaced by the CSV export).
-        self.dropped = 0
         #: the ticker's pending timeout; ``None`` while stopped.
         self._tick = None
 
@@ -63,13 +57,47 @@ class Sampler:
         if self._tick is not None:
             return
         self._tick = self.env.sim.timeout_late(0.0)
-        self.env.sim.spawn(self._ticker(self._tick), "metrics-sampler")
+        self.env.sim.spawn(self._ticker(self._tick), self.name)
 
     def stop(self) -> None:
         """Withdraw the pending tick: the ticker never resumes."""
         if self._tick is not None:
             self.env.sim.cancel(self._tick)
             self._tick = None
+
+    def _ticker(self, tick):
+        # Late timeouts resume at the *end* of each instant, after every
+        # same-time model event — the only snapshot point that is identical
+        # for all same-time delivery orders (i.e. under --schedule-seed).
+        # The first tick is start()'s, so a stop() in the same instant
+        # withdraws it before this ticker ever waits on anything else.
+        sim = self.env.sim
+        yield tick
+        self.first_tick()
+        while True:
+            self._tick = tick = sim.timeout_late(self.interval)
+            yield tick
+            self.tick()
+
+
+class Sampler(Periodic):
+    """Periodic probe over ``env.metrics`` gauges."""
+
+    name = "metrics-sampler"
+
+    def __init__(self, env, interval: float = DEFAULT_INTERVAL,
+                 max_samples: int = DEFAULT_MAX_SAMPLES):
+        if interval <= 0:
+            raise ValueError("sampler interval must be positive")
+        if max_samples < 1:
+            raise ValueError("max_samples must be positive")
+        super().__init__(env, interval)
+        self.max_samples = max_samples
+        #: (sim_time, {gauge_name: value}) rows, in time order (a ring:
+        #: the newest ``max_samples`` rows are kept, older ones dropped).
+        self.samples: deque = deque()
+        #: rows evicted at the retention cap (surfaced by the CSV export).
+        self.dropped = 0
 
     def finish(self) -> None:
         """End the measured window: take its final row now and stop."""
@@ -95,18 +123,7 @@ class Sampler:
         if _p is not None:
             _p.leave()
 
-    def _ticker(self, tick):
-        # Late timeouts resume at the *end* of each instant, after every
-        # same-time model event — the only snapshot point that is identical
-        # for all same-time delivery orders (i.e. under --schedule-seed).
-        # The first tick is start()'s, so a stop() in the same instant
-        # withdraws it before this ticker ever waits on anything else.
-        sim = self.env.sim
-        yield tick
-        while True:
-            self.sample_once()
-            self._tick = tick = sim.timeout_late(self.interval)
-            yield tick
+    first_tick = tick = sample_once
 
     def column_names(self) -> List[str]:
         """Union of gauge names across all rows, sorted (CSV header order)."""

@@ -1,20 +1,22 @@
 """The online health monitor: windowed probes + rules + incident timeline.
 
 A :class:`HealthMonitor` is the service's watchdog on the simulated
-machine.  Started, it spawns a kernel ticker riding
-:class:`~repro.sim.core.LateTimeout` — every ``window`` seconds of
-*virtual* time it closes one telemetry window (end-of-instant, so the
-values are identical for every same-time delivery order), feeds the new
-window to every rule, and appends any fire/resolve transitions to the
-incident timeline.  Everything it records is a pure function of the run:
-reruns — and ``--schedule-seed`` perturbations — produce byte-identical
-timelines, which the monitor tests pin.
+machine.  It is a :class:`~repro.metrics.sampler.Periodic` observer, with the
+sampler's lifecycle and ticker: started, its first end-of-instant tick takes
+the series baselines, and every ``window`` seconds of *virtual* time after
+that a tick closes one telemetry window (end-of-instant, so the values are
+identical for every same-time delivery order), feeds the new window to every
+rule, and appends any fire/resolve transitions to the incident timeline.
+Everything it records is a pure function of the run: reruns — and
+``--schedule-seed`` perturbations — produce byte-identical timelines, which
+the monitor tests pin.
 
 Two lifecycle details matter:
 
-* ``stop()`` only clears a flag (the pending tick sees it and exits, so
-  the kernel's run-until-empty loop still terminates); ``stop(flush=True)``
-  first closes a final partial window so the tail of the run is observed.
+* ``stop()`` withdraws the pending tick, so a stopped monitor schedules
+  nothing and the run ends where an unmonitored run ends; ``finish()`` first
+  closes a final partial window so the tail of the run is observed.  Both
+  load drivers bracket the measured window with ``start()``/``finish()``.
 * :meth:`finalize` extends the timeline *past the end of the simulation*
   with synthetic windows: after a simulated power loss the machine stops
   producing events, but a real monitoring plane keeps scraping and sees
@@ -26,6 +28,7 @@ Two lifecycle details matter:
 
 from typing import Dict, List, Optional
 
+from repro.metrics.sampler import Periodic
 from repro.monitor.windows import SeriesTap, WindowStore
 from repro.perf import zones as _perf_zones
 
@@ -70,14 +73,15 @@ class Incident:
         }
 
 
-class HealthMonitor:
+class HealthMonitor(Periodic):
     """Windowed telemetry + rules engine over one env's stats registry."""
+
+    name = "health-monitor"
 
     def __init__(self, env, window: float = DEFAULT_WINDOW):
         if window <= 0:
             raise ValueError("monitor window must be positive")
-        self.env = env
-        self.window = window
+        super().__init__(env, window)
         self.store = WindowStore()
         self.taps: List[SeriesTap] = []
         self.rules: List = []
@@ -86,8 +90,9 @@ class HealthMonitor:
         self.last_window_end: Optional[float] = None
         self.windows_observed = 0
         self.synthetic_windows = 0
-        self._running = False
-        self._generation = 0
+
+    #: the telemetry window: the ticker's interval.
+    window = property(lambda self: self.interval)
 
     # -- wiring --------------------------------------------------------------
 
@@ -101,38 +106,24 @@ class HealthMonitor:
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def start(self) -> None:
         """Open window 0 at the current sim time and begin ticking."""
-        if self._running:
-            return
-        self._running = True
-        self._generation += 1
-        self.started_at = self.env.sim.now
-        self.last_window_end = self.started_at
-        self.env.sim.spawn(self._ticker(self._generation), "health-monitor")
+        if not self.running:
+            self.started_at = self.last_window_end = self.env.sim.now
+        super().start()
 
-    def stop(self, flush: bool = True) -> None:
-        """Stop ticking; ``flush`` closes a final partial window first."""
-        if flush and self._running and self.env.sim.now > self.last_window_end:
+    def finish(self) -> None:
+        """End the measured window: close its partial last window; stop."""
+        if self.running and self.env.sim.now > self.last_window_end:
             self.observe(self.env.sim.now)
-        self._running = False
+        self.stop()
 
-    def _ticker(self, generation: int):
-        # End-of-instant baselines and snapshots: see the sampler's ticker
-        # for why LateTimeout is the only schedule-invariant probe point.
-        yield self.env.sim.timeout_late(0.0)
-        if self._generation == generation:
-            for tap in self.taps:
-                tap.baseline()
-        while self._running and self._generation == generation:
-            yield self.env.sim.timeout_late(self.window)
-            if not (self._running and self._generation == generation):
-                break
-            self.observe(self.env.sim.now)
+    def first_tick(self) -> None:
+        for tap in self.taps:
+            tap.baseline()
+
+    def tick(self) -> None:
+        self.observe(self.env.sim.now)
 
     # -- observation ---------------------------------------------------------
 
@@ -141,8 +132,7 @@ class HealthMonitor:
         _p = _perf_zones.PROFILER
         if _p is not None:
             _p.enter("obs.monitor")
-        dt = now - (self.last_window_end
-                    if self.last_window_end is not None else now)
+        dt = now - self.last_window_end
         self.last_window_end = now
         self.windows_observed += 1
         if synthetic:
@@ -179,8 +169,7 @@ class HealthMonitor:
         the silence a dead machine presents to its monitoring plane.
         Returns the number of windows synthesized.
         """
-        if self._running:
-            self.stop(flush=True)
+        self.finish()
         if self.last_window_end is None:
             return 0
         n = 0

@@ -17,7 +17,8 @@ Two attachment points:
 
 Both read only instruments the components already maintain — attaching a
 monitor registers no new counters and perturbs no event ordering beyond
-its own end-of-instant ticks.
+its own end-of-instant ticks.  Both install it, unstarted, as
+``env.metrics.health``, which the load drivers bracket.
 """
 
 from repro.monitor.monitor import DEFAULT_WINDOW, HealthMonitor
@@ -149,6 +150,7 @@ def attach_service_monitor(env, plane, window: float = DEFAULT_WINDOW) -> Health
         "read-latency-spike", "service.latency.read.mean",
         factor=4.0, baseline_windows=8, min_baseline=1e-7, severity="warn",
     ))
+    env.metrics.health = monitor
     return monitor
 
 
@@ -157,4 +159,5 @@ def attach_store_monitor(env, window: float = DEFAULT_WINDOW) -> HealthMonitor:
     monitor = HealthMonitor(env, window=window)
     _machine_series(monitor, env)
     _page_rules(monitor, "device.io_total", silence_windows=3, stall_windows=12)
+    env.metrics.health = monitor
     return monitor

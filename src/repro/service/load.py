@@ -70,7 +70,6 @@ def run_service_load(
     arrivals,
     rebalance_at: Optional[float] = None,
     rebalance_moves: int = 2,
-    monitor=None,
 ) -> dict:
     """Drive ``ops`` at the arrival process's schedule; returns run facts.
 
@@ -78,13 +77,13 @@ def run_service_load(
     after that share of arrivals has been offered.  Returns a dict with the
     simulated makespan and the rebalance plan actually executed.
 
-    ``monitor`` (a :class:`~repro.monitor.HealthMonitor`) and the sim-time
-    sampler ``install_stats`` put on ``env.metrics`` (``--stats``) are
+    The periodic observers on ``env.metrics`` — the health monitor
+    (``env.metrics.health``) and the sim-time sampler (``--stats``) — are
     bracketed around the measured window: started at the driver's first
-    instant — so window edges are anchored to the load's t0, not the
-    preload — and stopped (the monitor's final partial window flushed, the
-    sampler's final row taken and its pending tick withdrawn, so sampling
-    does not move the clock the run ends at) once the plane is quiet.
+    instant, so window edges are anchored to the load's t0, not the preload,
+    and finished once the plane is quiet (the monitor's final partial window
+    closed, the sampler's final row taken, each pending tick withdrawn), so
+    observing does not move the clock the run ends at.
     """
     schedule = list(arrivals.times(len(ops)))
     trigger = None
@@ -93,16 +92,14 @@ def run_service_load(
             raise ValueError("rebalance_at must be a fraction in (0, 1)")
         trigger = int(len(ops) * rebalance_at)
     box = {}
-    sampler = env.metrics.sampler
+    observers = env.metrics.observers()
 
     def driver() -> Generator:
         # Arrival times are relative to the measured window's start (the
         # sim clock is already past zero after preload).
         t0 = env.sim.now
-        if monitor is not None:
-            monitor.start()
-        if sampler is not None:
-            sampler.start()
+        for observer in observers:
+            observer.start()
         rebalance_proc = None
         for i, (op, at) in enumerate(zip(ops, schedule)):
             if trigger is not None and i == trigger:
@@ -120,10 +117,8 @@ def run_service_load(
         if rebalance_proc is not None:
             moves = yield rebalance_proc
         yield from plane.wait_quiet()
-        if monitor is not None:
-            monitor.stop(flush=True)
-        if sampler is not None:
-            sampler.finish()
+        for observer in observers:
+            observer.finish()
         box["makespan"] = env.sim.now - t0
         box["moves"] = [
             {"partition": p, "from_shard": s, "to_shard": t} for p, s, t in moves

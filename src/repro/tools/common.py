@@ -329,34 +329,23 @@ class ObservedRun:
             if plane is not None
             else attach_store_monitor(self.env, window=window)
         )
-        return self.monitor
 
     def closed_loop(self, system, streams):
         """Drive ``streams`` closed-loop as the measured window."""
-        env, monitor, tracer = self.env, self.monitor, self.tracer
+        env, tracer = self.env, self.tracer
         t0 = env.sim.now
         since = len(tracer.rows) if tracer is not None else 0  # none overlaps
-        if monitor is not None:
-            monitor.start()
-
-        def on_done():
-            # Runs inside the sim right after the collector's finish, so the
-            # attribution covers exactly its window: the spans recorded since
-            # it opened, clipped to [t0, now], on the foreground threads
-            # (background flush/compaction is outside per-request latency).
-            if tracer is not None:
-                tracks = {
-                    t.track for t in env.cpu.threads if t.kind in ("user", "worker")
-                }
-                self.attribution = fig06_breakdown(
-                    *span_totals(tracer, tracks, (t0, env.sim.now), since)
-                )
-            # The monitor ticker must be stopped from *inside* the sim or the
-            # event loop never drains (its LateTimeout reschedules forever).
-            if monitor is not None:
-                monitor.stop(flush=True)
-
-        metrics = run_closed_loop(env, system, streams, on_done=on_done)
+        metrics = run_closed_loop(env, system, streams)
+        if tracer is not None:
+            # Exactly the collector's window: the spans recorded since it
+            # opened, clipped to [t0, its finishing instant], on foreground
+            # threads (background work is outside per-request latency).
+            tracks = {
+                t.track for t in env.cpu.threads if t.kind in ("user", "worker")
+            }
+            self.attribution = fig06_breakdown(*span_totals(
+                tracer, tracks, (t0, metrics.finished_at), since
+            ))
         self.close_window(t0, metrics.elapsed)
         return metrics
 

@@ -203,7 +203,7 @@ def run_scenario(spec: dict, fault_seed: int) -> dict:
             for tid in range(N_THREADS)
         ]
         yield env.sim.all_of(procs)
-        monitor.stop(flush=True)
+        monitor.finish()
 
     env.sim.spawn(driver(), "fb-driver")
     crashed = False

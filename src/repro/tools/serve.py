@@ -167,7 +167,6 @@ def run_scenario(args) -> dict:
         spec["arrivals"],
         rebalance_at=spec["rebalance_at"],
         rebalance_moves=spec["rebalance_moves"],
-        monitor=run.monitor,
     )
     run.close_window(t0, run_facts["makespan"])
     report = build_slo_report(plane, run_facts, spec)

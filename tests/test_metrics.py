@@ -25,6 +25,7 @@ from repro.metrics import (
     write_stats_files,
 )
 from repro.metrics.export import BUCKET_BOUNDS
+from repro.monitor import HealthMonitor
 from repro.tools import dbbench, serve
 
 # ---------------------------------------------------------------------------
@@ -280,10 +281,16 @@ def test_stats_leave_a_p2kvs_trace_byte_identical(tmp_path, capsys):
     assert b'"request:PUT"' in observed
 
 
-@pytest.mark.parametrize("scenario", ["uniform", "hotkey", "migration"])
-def test_serve_stats_samples_the_window_without_moving_the_report(tmp_path, scenario):
+@pytest.mark.parametrize("scenario,monitor", [
+    pytest.param(scenario, monitor, id=scenario + ("-monitor" if monitor else ""))
+    for monitor in (False, True) for scenario in ("uniform", "hotkey", "migration")
+])
+def test_serve_stats_samples_the_window_without_moving_the_report(
+        tmp_path, scenario, monitor):
     """``serve --stats`` starts the sampler over the measured window (it
-    used to write a header-only CSV), and observing moves no SLO byte."""
+    used to write a header-only CSV), and observing moves no SLO byte —
+    with the health monitor ticking in the same window too, once the
+    monitor's own ``health`` and ``detection`` keys are set aside."""
 
     def report(tag, extra=()):
         out = tmp_path / ("slo-%s.json" % tag)
@@ -295,8 +302,15 @@ def test_serve_stats_samples_the_window_without_moving_the_report(tmp_path, scen
 
     stats = tmp_path / "stats"
     observed = report("stats", ["--stats", "--stats-interval-ms", "0.01",
-                                "--stats-out", str(stats)])
-    assert observed == report("plain")
+                                "--stats-out", str(stats)]
+                      + (["--monitor"] if monitor else []))
+    if monitor:
+        observed = json.loads(observed)
+        assert observed.pop("health")["windows_observed"] > 0
+        assert observed.pop("detection")["alerts"]["page"] == 0
+        assert observed == json.loads(report("plain"))
+    else:
+        assert observed == report("plain")
     lines = (tmp_path / "stats.csv").read_text().splitlines()
     assert lines[0].startswith("time,") and len(lines) > 10
 
@@ -332,58 +346,93 @@ def test_sampler_ticks_at_interval_and_stops():
     assert "test.v" in sampler.column_names()
 
 
-def test_sampler_start_is_idempotent_and_restartable():
+def _monitor_over_gauge(env, interval):
+    monitor = HealthMonitor(env, window=interval)
+    monitor.add_series("test.v", "gauge", env.metrics.gauges["test.v"].read)
+    return monitor
+
+
+#: The two periodic observers, built over ``_tick_env_with_gauge``'s gauge,
+#: and the instants each recorded a row at (the monitor's first tick takes
+#: its baselines; each later one closes a window).
+OBSERVERS = {
+    "sampler": (lambda env, interval: Sampler(env, interval=interval),
+                lambda sampler: [t for t, _row in sampler.samples]),
+    "monitor": (_monitor_over_gauge,
+                lambda monitor: [t for t, _dt, _v in monitor.store.rows("test.v")]),
+}
+
+
+def _start_is_idempotent_and_restartable(kind):
+    make, row_times = OBSERVERS[kind]
     env, _state = _tick_env_with_gauge()
-    sampler = Sampler(env, interval=0.25)
+    observer = make(env, 0.25)
 
     def driver():
-        sampler.start()
-        sampler.start()  # second start must not spawn a second ticker
+        observer.start()
+        observer.start()  # second start must not spawn a second ticker
         yield env.sim.timeout(1.0)
-        sampler.stop()
+        observer.stop()
         yield env.sim.timeout(1.0)
-        sampler.start()  # new generation, same sampler
+        observer.start()  # a fresh ticker, same observer
         yield env.sim.timeout(0.6)
-        sampler.stop()
+        observer.stop()
 
     env.sim.spawn(driver(), "driver")
     env.sim.run()
-    times = [t for t, _row in sampler.samples]
+    times = row_times(observer)
     assert times == sorted(times)
     assert len(times) == len(set(times))  # no duplicated ticks
-    # A gap where the sampler was stopped, then samples resume.
+    # A gap where the observer was stopped, then rows resume.
     assert any(b - a > 0.25 * 1.5 for a, b in zip(times, times[1:]))
 
 
-@pytest.mark.parametrize("restart", [None, 0.0, 0.3])
-def test_sampler_finish_takes_the_last_row_and_leaves_the_clock(restart):
+def test_sampler_start_is_idempotent_and_restartable():
+    _start_is_idempotent_and_restartable("sampler")
+
+
+def test_monitor_start_is_idempotent_and_restartable():
+    _start_is_idempotent_and_restartable("monitor")
+
+
+@pytest.mark.parametrize("kind,restart", [
+    pytest.param(kind, restart,
+                 id=("" if kind == "sampler" else kind + "-") + str(restart))
+    for kind in sorted(OBSERVERS, reverse=True) for restart in (None, 0.0, 0.3)
+])
+def test_sampler_finish_takes_the_last_row_and_leaves_the_clock(kind, restart):
     """``finish()`` adds the window's final row, and stopping withdraws the
     pending tick: the run ends at the model's last event.  A stop/start
     within one interval (``restart``: when) leaves one ticker, and the
-    stopped ticker's tick never fires to move the clock either."""
+    stopped ticker's tick never fires to move the clock either.  The same
+    holds for both periodic observers."""
+    make, row_times = OBSERVERS[kind]
     env, _state = _tick_env_with_gauge()
-    sampler = Sampler(env, interval=0.4)
+    observer = make(env, 0.4)
 
     def driver():
-        sampler.start()
+        observer.start()
         if restart is not None:
             yield env.sim.timeout(restart)
-            sampler.stop()
-            sampler.start()
+            observer.stop()
+            observer.start()
             yield env.sim.timeout(0.05)
         else:
             yield env.sim.timeout(1.0)
-        sampler.finish()
+        observer.finish()
 
     env.sim.spawn(driver(), "driver")
     env.sim.run()
-    times = [t for t, _row in sampler.samples]
+    times = row_times(observer)
     assert env.sim.now == times[-1]
     assert times == {
-        None: [0.0, pytest.approx(0.4), pytest.approx(0.8), 1.0],
-        0.0: [0.0, 0.05],
-        0.3: [0.0, 0.3, pytest.approx(0.35)],
-    }[restart]
+        ("sampler", None): [0.0, pytest.approx(0.4), pytest.approx(0.8), 1.0],
+        ("sampler", 0.0): [0.0, 0.05],
+        ("sampler", 0.3): [0.0, 0.3, pytest.approx(0.35)],
+        ("monitor", None): [pytest.approx(0.4), pytest.approx(0.8), 1.0],
+        ("monitor", 0.0): [0.05],
+        ("monitor", 0.3): [pytest.approx(0.35)],
+    }[kind, restart]
 
 
 def test_sampler_rejects_nonpositive_interval():

@@ -309,7 +309,7 @@ def _run_monitored_sim(schedule_seed=None):
         yield env.sim.timeout(4e-3)
         work.add("work")
         yield env.sim.timeout(1e-3)
-        mon.stop(flush=True)
+        mon.finish()
 
     env.sim.spawn(workload(), "toy")
     mon.start()
@@ -346,7 +346,7 @@ class TestHealthMonitor:
                 yield env.sim.timeout(1e-3)
             # Without a stop the ticker would run the heap forever; the
             # crash path (faultbench) instead aborts the whole sim.
-            mon.stop(flush=True)
+            mon.finish()
 
         env.sim.spawn(workload(), "toy")
         mon.start()
@@ -358,24 +358,62 @@ class TestHealthMonitor:
         pages = mon.page_incidents()
         assert len(pages) == 1 and pages[0].synthetic
 
-    def test_stop_without_flush_drops_partial_window(self):
-        env = make_env(n_cores=2)
-        mon = HealthMonitor(env, window=1.0)
-        mon.add_series("g", "gauge", lambda: 1.0)
+    def test_stop_drops_the_partial_window_and_finish_closes_it(self):
+        def run(end):
+            env = make_env(n_cores=2)
+            mon = HealthMonitor(env, window=1.0)
+            mon.add_series("g", "gauge", lambda: 1.0)
 
-        def workload():
-            yield env.sim.timeout(0.5)
-            mon.stop(flush=False)
+            def workload():
+                yield env.sim.timeout(0.5)
+                end(mon)
 
-        env.sim.spawn(workload(), "toy")
-        mon.start()
-        env.sim.run()
-        assert mon.windows_observed == 0
+            env.sim.spawn(workload(), "toy")
+            mon.start()
+            env.sim.run()
+            # Either way the pending tick is withdrawn: the run ends at 0.5.
+            assert env.sim.now == 0.5 and not mon.running
+            return mon
+
+        assert run(HealthMonitor.stop).windows_observed == 0
+        finished = run(HealthMonitor.finish)
+        assert finished.windows_observed == 1
+        assert finished.last_window_end == 0.5
 
     def test_alert_counts_split_severities(self):
         mon = _run_monitored_sim()
         counts = mon.alert_counts()
         assert counts == {"page": 1, "warn": 0}
+
+
+def test_monitored_serve_ends_at_the_unmonitored_instant(tmp_path, monkeypatch, capsys):
+    """The load driver finishes the monitor like the sampler: its pending
+    tick is withdrawn, so a monitored — or fully observed — serve run leaves
+    the sim clock where the plain run leaves it."""
+    ends, finished = [], []
+    real_load, real_finish = serve.run_service_load, HealthMonitor.finish
+
+    def load(env, *args, **kwargs):
+        facts = real_load(env, *args, **kwargs)
+        ends.append(env.sim.now)
+        return facts
+
+    def finish(monitor):
+        tick = monitor._tick
+        real_finish(monitor)
+        finished.append(all(entry[3] is not tick for entry in monitor.env.sim._heap))
+
+    monkeypatch.setattr(serve, "run_service_load", load)
+    monkeypatch.setattr(HealthMonitor, "finish", finish)
+    base = ["--scenario", "uniform", "--ops", "300"]
+    for extra in ([], ["--monitor"], [
+        "--monitor", "--stats", "--stats-out", str(tmp_path / "stats"),
+        "--critpath", "--critpath-out", str(tmp_path / "critpath"),
+    ]):
+        assert serve.main(base + extra) == 0
+    assert ends == [pytest.approx(1.604155e-3, abs=1e-9)] * 3
+    assert ends[1] == ends[2] == ends[0]
+    assert finished == [True, True]  # no monitor tick left on the heap
 
 
 class TestDetectionScoring:
