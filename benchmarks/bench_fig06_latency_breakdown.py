@@ -3,44 +3,27 @@
 The paper divides each write into WAL, MemTable, WAL lock, MemTable lock and
 Others, and shows lock overhead growing from ~0 at 1 thread to 81.4% at 32
 threads while useful WAL+MemTable work shrinks from 90% to 16.3%.
+
+Each row is one ``run_case`` window's ``Metrics.attribution``: the collector's
+delta of the writer threads' busy/wait accounting, folded onto those buckets.
 """
 
-from benchmarks.common import assert_shapes, open_case, once, report
+from benchmarks.common import assert_shapes, once, report, run_case
 from repro.harness.report import ShapeCheck, format_table
-from repro.trace.attribution import CATEGORIES, fig06_from_contexts
-from repro.workloads import fillrandom, split_stream
+from repro.trace.attribution import CATEGORIES
+from repro.workloads import fillrandom
 
 THREADS = [1, 4, 8, 16, 32]
 OPS_PER_THREAD = 1500
 
 
 def breakdown_for(n_threads: int):
-    # Registry-built, hand-driven: the breakdown is read off the writers' own
-    # thread contexts, which run_case's user threads do not hand back.
-    system, env = open_case("rocksdb")
-    engine = system.engine
-    streams = split_stream(fillrandom(OPS_PER_THREAD * n_threads), n_threads)
-    contexts = []
-    procs = []
-
-    def writer(ctx, stream):
-        for verb, key, value in stream:
-            yield from engine.put(ctx, key, value)
-
-    for i, stream in enumerate(streams):
-        ctx = env.cpu.new_thread("user-%d" % i)
-        contexts.append(ctx)
-        procs.append(env.sim.spawn(writer(ctx, stream)))
-    env.sim.run()
-
-    # The category mapping lives in repro.trace.attribution so the same
-    # breakdown can be recomputed from recorded spans (docs/TRACING.md).
-    result = fig06_from_contexts(contexts)
-    totals, shares = result["categories"], result["shares"]
     n_ops = OPS_PER_THREAD * n_threads
+    metrics, _env = run_case("rocksdb", fillrandom(n_ops), n_threads)
+    totals = metrics.attribution["categories"]
     avg_wal_us = totals["WAL"] / n_ops * 1e6
     avg_mem_us = totals["MemTable"] / n_ops * 1e6
-    return shares, avg_wal_us, avg_mem_us
+    return metrics.attribution["shares"], avg_wal_us, avg_mem_us
 
 
 def run_fig06():

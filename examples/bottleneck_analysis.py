@@ -9,9 +9,10 @@ curve — the paper's Figures 5a and 6 in one table.
 Run:  python examples/bottleneck_analysis.py
 """
 
-from repro.engine import LSMEngine, make_env, rocksdb_options
+from repro.engine import make_env
+from repro.harness import run_closed_loop
 from repro.harness.report import format_qps, format_table
-from repro.systems import BENCH_SHAPE
+from repro.systems import open_system
 from repro.workloads import fillrandom, split_stream
 
 TOTAL_OPS = 12000
@@ -20,43 +21,12 @@ THREADS = [1, 2, 4, 8, 16, 32]
 
 def run_threads(n_threads):
     env = make_env(n_cores=44)
-    box = []
-
-    def opener():
-        engine = yield from LSMEngine.open(env, "db", rocksdb_options(**BENCH_SHAPE))
-        box.append(engine)
-
-    env.sim.spawn(opener())
-    env.sim.run()
-    engine = box[0]
-
+    system = open_system("rocksdb", env)
     streams = split_stream(fillrandom(TOTAL_OPS), n_threads)
-    contexts = []
-
-    def writer(ctx, stream):
-        for _verb, key, value in stream:
-            yield from engine.put(ctx, key, value)
-
     start = env.sim.now
-    for i, stream in enumerate(streams):
-        ctx = env.cpu.new_thread("writer-%d" % i)
-        contexts.append(ctx)
-        env.sim.spawn(writer(ctx, stream))
-    env.sim.run()
-    elapsed = env.sim.now - start
-
-    totals = {"WAL": 0.0, "MemTable": 0.0, "WAL lock": 0.0, "MemTable lock": 0.0, "Others": 0.0}
-    for ctx in contexts:
-        busy, wait = ctx.busy_by_category, ctx.wait_by_category
-        totals["WAL"] += busy.get("wal", 0) + wait.get("wal", 0)
-        totals["MemTable"] += busy.get("memtable", 0)
-        totals["WAL lock"] += busy.get("wal_lock", 0) + wait.get("wal_lock", 0)
-        totals["MemTable lock"] += wait.get("memtable_lock", 0)
-        totals["Others"] += (
-            busy.get("other", 0) + wait.get("cpu_queue", 0) + wait.get("stall", 0)
-        )
-    total = sum(totals.values()) or 1.0
-    return TOTAL_OPS / elapsed, {k: v / total for k, v in totals.items()}
+    metrics = run_closed_loop(env, system, streams)
+    # QPS over the drained run, trailing flushes and compactions included.
+    return TOTAL_OPS / (env.sim.now - start), metrics.attribution["shares"]
 
 
 def main():

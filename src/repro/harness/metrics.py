@@ -4,7 +4,9 @@ A :class:`MetricsCollector` snapshots the shared device/CPU state at workload
 start and end, and accumulates per-operation latencies, so trailing
 background work (compactions draining after the last op) does not pollute
 the measured window — mirroring how the paper measures throughput over the
-foreground run.
+foreground run.  Figure 6's latency breakdown is windowed the same way: a
+delta of the foreground threads' busy/wait accounting, folded by
+:func:`repro.trace.attribution.fig06_breakdown`.
 
 The machine state is read through the env's :class:`~repro.metrics.registry.
 StatsRegistry` (the ``device.*``/``cpu.*`` providers and gauges registered by
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.metrics.registry import Histogram
+from repro.trace.attribution import fig06_breakdown
 
 __all__ = ["Metrics", "MetricsCollector", "scoped_collector"]
 
@@ -46,6 +49,8 @@ class Metrics:
     memory_bytes: int
     n_cores: int
     write_bandwidth: float
+    #: Figure 6's breakdown of the foreground threads' time in the window.
+    attribution: Dict[str, object]
     extra: dict = field(default_factory=dict)
 
     @property
@@ -132,6 +137,7 @@ class MetricsCollector:
         self._kind0: Dict[str, float] = {}
         self._rw0 = (0.0, 0.0)
         self._core0: List[float] = []
+        self._threads0: Dict[object, tuple] = {}
         self.memory_peak = 0
 
     # -- registry reads ----------------------------------------------------
@@ -141,6 +147,16 @@ class MetricsCollector:
 
     def _gauge(self, name: str) -> float:
         return self.env.metrics.gauges[name].read()
+
+    def _foreground_seconds(self) -> Dict[object, tuple]:
+        """Each user and worker thread's (busy, wait) seconds by category,
+        keyed by the thread itself: a preload's ``user-0`` and the measured
+        window's are two threads with one name."""
+        return {
+            ctx: (dict(ctx.busy_by_category), dict(ctx.wait_by_category))
+            for ctx in self.env.cpu.threads
+            if ctx.kind != "background"
+        }
 
     # -- windowing ---------------------------------------------------------
 
@@ -159,6 +175,7 @@ class MetricsCollector:
         self._cpu0 = self._gauge("cpu.busy_seconds_total")
         self._cpu_kind0 = self._provider("cpu.busy_by_kind")
         self._core0 = list(self.env.cpu.core_busy_time)
+        self._threads0 = self._foreground_seconds()
         self._rw0 = (
             self._gauge("device.read_bytes_total"),
             self._gauge("device.write_bytes_total"),
@@ -203,6 +220,15 @@ class MetricsCollector:
             kind: cpu_kind1.get(kind, 0.0) - self._cpu_kind0.get(kind, 0.0)
             for kind in set(cpu_kind1) | set(self._cpu_kind0)
         }
+        busy: Dict[str, float] = {}
+        wait: Dict[str, float] = {}
+        for ctx, seconds1 in self._foreground_seconds().items():
+            seconds0 = self._threads0.get(ctx, ({}, {}))
+            for into, now, before in zip((busy, wait), seconds1, seconds0):
+                for category, dt in now.items():
+                    into[category] = into.get(category, 0.0) + (
+                        dt - before.get(category, 0.0)
+                    )
         metrics = Metrics(
             system=self.system_name,
             n_ops=n_ops,
@@ -223,6 +249,7 @@ class MetricsCollector:
             memory_bytes=max(memory_bytes, self.memory_peak),
             n_cores=env.cpu.n_cores,
             write_bandwidth=env.device.spec.write_bandwidth,
+            attribution=fig06_breakdown(busy, wait),
         )
         if self.errors:
             # Only when nonzero: fault-free results stay byte-identical to

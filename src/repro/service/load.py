@@ -75,7 +75,9 @@ def run_service_load(
 
     ``rebalance_at`` (a fraction in (0, 1)) triggers the mid-run rebalance
     after that share of arrivals has been offered.  Returns a dict with the
-    simulated makespan and the rebalance plan actually executed.
+    simulated makespan, the instant the driver finished (``finished_at``:
+    ``t0 + makespan`` can differ from it by an ulp) and the rebalance plan
+    actually executed.
 
     The periodic observers on ``env.metrics`` — the health monitor
     (``env.metrics.health``) and the sim-time sampler (``--stats``) — are
@@ -120,6 +122,7 @@ def run_service_load(
         for observer in observers:
             observer.finish()
         box["makespan"] = env.sim.now - t0
+        box["finished_at"] = env.sim.now
         box["moves"] = [
             {"partition": p, "from_shard": s, "to_shard": t} for p, s, t in moves
         ]

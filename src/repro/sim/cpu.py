@@ -61,7 +61,8 @@ class ThreadContext:
         self.wait_by_category: Dict[str, float] = defaultdict(float)
 
     # CPUSet._finish (busy) and account_wait are the funnel for every
-    # Figure 6 input (CPU bursts, lock hold/wait, WAL flush waits, stalls).
+    # Figure 6 input (CPU bursts, lock hold/wait, WAL flush waits, stalls);
+    # the metrics collector windows these totals into Metrics.attribution.
     # When tracing is on, each accounted interval is also emitted as a span
     # on this thread's track — every caller accounts dt = now - start, so
     # the interval is exactly [now - dt, now].

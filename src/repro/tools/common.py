@@ -52,7 +52,7 @@ from repro.monitor import (
 from repro.perf import format_zone_tree, zones as _perf_zones
 from repro.sim.device import HDD_WD100EFAX, OPTANE_905P, SATA_860PRO
 from repro.systems import describe_options, open_system, system_names
-from repro.trace import fig06_breakdown, install_tracer, span_totals, write_chrome_trace
+from repro.trace import install_tracer, write_chrome_trace
 
 __all__ = [
     "DEVICES",
@@ -332,27 +332,16 @@ class ObservedRun:
 
     def closed_loop(self, system, streams):
         """Drive ``streams`` closed-loop as the measured window."""
-        env, tracer = self.env, self.tracer
-        t0 = env.sim.now
-        since = len(tracer.rows) if tracer is not None else 0  # none overlaps
-        metrics = run_closed_loop(env, system, streams)
-        if tracer is not None:
-            # Exactly the collector's window: the spans recorded since it
-            # opened, clipped to [t0, its finishing instant], on foreground
-            # threads (background work is outside per-request latency).
-            tracks = {
-                t.track for t in env.cpu.threads if t.kind in ("user", "worker")
-            }
-            self.attribution = fig06_breakdown(*span_totals(
-                tracer, tracks, (t0, metrics.finished_at), since
-            ))
-        self.close_window(t0, metrics.elapsed)
+        t0 = self.env.sim.now
+        metrics = run_closed_loop(self.env, system, streams)
+        self.attribution = metrics.attribution
+        self.close_window(t0, metrics.finished_at)
         return metrics
 
-    def close_window(self, t0: float, elapsed: float) -> None:
-        """Record the measured window; fail the run (SanitizerError) if
-        ``--sanitize`` recorded any finding in it."""
-        self.window = (t0, t0 + elapsed)
+    def close_window(self, t0: float, t_end: float) -> None:
+        """Record the measured window ``[t0, t_end]``; fail the run
+        (SanitizerError) if ``--sanitize`` recorded any finding in it."""
+        self.window = (t0, t_end)
         checker = self.env.sim.monitor
         if checker is not None:
             checker.check()

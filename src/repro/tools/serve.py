@@ -168,7 +168,7 @@ def run_scenario(args) -> dict:
         rebalance_at=spec["rebalance_at"],
         rebalance_moves=spec["rebalance_moves"],
     )
-    run.close_window(t0, run_facts["makespan"])
+    run.close_window(t0, run_facts["finished_at"])
     report = build_slo_report(plane, run_facts, spec)
     report["shards_opened"] = plane.shard_names()
     if run.monitor is not None:

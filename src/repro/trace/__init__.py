@@ -16,17 +16,10 @@ device channels) test ``tracer is not None`` and cost one branch when tracing
 is off — and *zero simulated time* always.
 
 See ``docs/TRACING.md`` for the full guide and
-:mod:`repro.trace.attribution` for the span-derived Figure 6 latency
-breakdown.
+:mod:`repro.trace.attribution` for Figure 6's latency breakdown taxonomy.
 """
 
-from repro.trace.attribution import (
-    CATEGORIES,
-    fig06_breakdown,
-    fig06_from_contexts,
-    fig06_from_spans,
-    span_totals,
-)
+from repro.trace.attribution import CATEGORIES, fig06_breakdown
 from repro.trace.chrome import to_chrome_events, write_chrome_trace
 from repro.trace.tracer import Span, Tracer, thread_track
 
@@ -35,10 +28,7 @@ __all__ = [
     "Span",
     "Tracer",
     "fig06_breakdown",
-    "fig06_from_contexts",
-    "fig06_from_spans",
     "install_tracer",
-    "span_totals",
     "thread_track",
     "to_chrome_events",
     "uninstall_tracer",

@@ -14,9 +14,8 @@ versions live in ``benchmarks/``.
 import pytest
 
 from repro import systems
-from repro.engine import LSMEngine, make_env, rocksdb_options
+from repro.engine import make_env
 from repro.harness import P2KVSSystem, open_system, run_closed_loop
-from repro.systems import BENCH_SHAPE
 from repro.workloads import fillrandom, split_stream
 
 TOTAL_OPS = 12000
@@ -41,39 +40,9 @@ class TestClaimC1:
         assert 1.3 < speedup < 6.0
 
     def test_synchronization_is_the_bottleneck_at_32_threads(self):
-        env = make_env(n_cores=44)
-        box = []
-
-        def opener():
-            options = rocksdb_options(**BENCH_SHAPE)
-            box.append((yield from LSMEngine.open(env, "db", options)))
-
-        env.sim.spawn(opener())
-        env.sim.run()
-        engine = box[0]
-        contexts = []
-
-        def writer(ctx, stream):
-            for _verb, key, value in stream:
-                yield from engine.put(ctx, key, value)
-
-        for i, stream in enumerate(split_stream(fillrandom(TOTAL_OPS), 32)):
-            ctx = env.cpu.new_thread("w%d" % i)
-            contexts.append(ctx)
-            env.sim.spawn(writer(ctx, stream))
-        env.sim.run()
-        lock_time = sum(
-            ctx.wait_by_category.get("wal_lock", 0)
-            + ctx.busy_by_category.get("wal_lock", 0)
-            + ctx.wait_by_category.get("memtable_lock", 0)
-            for ctx in contexts
-        )
-        useful_time = sum(
-            ctx.busy_by_category.get("wal", 0)
-            + ctx.wait_by_category.get("wal", 0)
-            + ctx.busy_by_category.get("memtable", 0)
-            for ctx in contexts
-        )
+        buckets = run_rocksdb(32).attribution["categories"]
+        lock_time = buckets["WAL lock"] + buckets["MemTable lock"]
+        useful_time = buckets["WAL"] + buckets["MemTable"]
         # Paper Fig 6: locks 81.4% vs useful 16.3% at 32 threads.
         assert lock_time > 2 * useful_time
 

@@ -39,8 +39,6 @@ ALLOWED = {
     "uninstall_faults": "test seam (undo install_faults)",
     "lint_source": "test seam (lint one source string)",
     "run_perturbed": "test seam (a workload under several schedule seeds)",
-    # references tests compare the production path against
-    "fig06_from_spans": "reference (Figure 6 from raw spans, vs fig06_breakdown)",
 }
 
 

@@ -1,5 +1,5 @@
 """Tests for the tracing layer: span invariants, zero-overhead default,
-Chrome export, and the span-derived Figure 6 attribution."""
+Chrome export, and the span fold that checks Figure 6's attribution."""
 
 import gc
 import json
@@ -16,19 +16,14 @@ from repro.core import P2KVS
 from repro.critpath import install_edgelog
 from repro.engine import LSMEngine, WriteBatch, make_env, rocksdb_options
 from repro.harness import preload, run_closed_loop
-from repro.harness.metrics import MetricsCollector
 from repro.metrics import install_stats
 from repro.perf.tax import count_calls
 from repro.sim.core import Simulator
 from repro.systems import open_system
 from repro.trace import (
-    CATEGORIES,
     Tracer,
     fig06_breakdown,
-    fig06_from_contexts,
-    fig06_from_spans,
     install_tracer,
-    span_totals,
     thread_track,
     to_chrome_events,
     uninstall_tracer,
@@ -36,7 +31,7 @@ from repro.trace import (
 )
 from repro.tools import dbbench
 from repro.tools.common import ObservedRun
-from repro.workloads import YCSBWorkload, fillrandom, split_stream
+from repro.workloads import YCSBWorkload, fillrandom, overwrite, split_stream
 from tests.conftest import run_process
 from tests.test_sim_core import _program, _run_program
 
@@ -321,88 +316,109 @@ class TestChromeExport:
                 assert ev["ts"] <= horizon_us + 1e-3
 
 
+# ---------------------------------------------------------------------------
+# Figure 6 attribution: the collector's windowed thread accounting against
+# the span fold it replaced (kept here as the oracle)
+# ---------------------------------------------------------------------------
+
+
+def span_totals(tracer, tracks, window, since):
+    """Sum busy/wait span durations per raw accounting category, over the
+    rows recorded since row ``since`` on ``tracks``, each span clipped to
+    ``window``: rows are in finish-time order, so none recorded before the
+    window opened overlaps it."""
+    busy, wait = {}, {}
+    for name, cat, track, start, end, _aid, _keys in tracer.records(since):
+        into = busy if cat == "busy" else wait if cat == "wait" else None
+        if into is None or track not in tracks:
+            continue
+        start, end = max(start, window[0]), min(end, window[1])
+        if end > start:
+            into[name] = into.get(name, 0.0) + (end - start)
+    return busy, wait
+
+
+def fig06_from_spans(env, window, since):
+    """Figure 6 of a window from the env's recorded spans alone: the
+    foreground (user and worker) threads' ``busy``/``wait`` rows, clipped to
+    the window."""
+    tracks = {t.track for t in env.cpu.threads if t.kind in ("user", "worker")}
+    return fig06_breakdown(*span_totals(env.sim.tracer, tracks, window, since))
+
+
+def assert_same_attribution(attribution, oracle):
+    """Equal at 10 significant digits: the accounting sums per thread, the
+    fold per row, so the last ulps may differ."""
+    assert oracle["total"] > 0
+    for got, want in zip(
+        list(attribution["categories"].values()) + [attribution["total"]],
+        list(oracle["categories"].values()) + [oracle["total"]],
+    ):
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+
+def traced_window(env, system, streams):
+    """One measured window on a traced env; returns its ``Metrics`` and the
+    span fold over exactly that window."""
+    tracer = env.sim.tracer
+    t0, since = env.sim.now, len(tracer.rows)
+    metrics = run_closed_loop(env, system, streams)
+    return metrics, fig06_from_spans(env, (t0, metrics.finished_at), since)
+
+
+#: (system, options, preloaded, cores): the measured window overwrites the
+#: preloaded keys, so a preload's ``user-i`` threads and the window's share
+#: names; 4 cores keep background bursts queueing behind foreground ones.
+ATTRIBUTION_CASES = [
+    ("p2kvs", {"workers": 2}, False, 8),
+    ("rocksdb", {"engine": dict(write_buffer_size=16384)}, True, 4),
+    ("leveldb", {"engine": dict(write_buffer_size=16384)}, True, 4),
+    ("multi", {"workers": 2, "engine": dict(write_buffer_size=16384)}, True, 4),
+    ("wiredtiger", {}, True, 4),
+    ("kvell", {"workers": 2}, True, 4),
+    ("p2kvs", {"workers": 2, "async_window": 8}, True, 4),
+]
+
+
 class TestFig06Attribution:
     def test_fig06_spans_match_contexts(self):
-        """The span-derived breakdown equals the context-derived one — the
-        guarantee that keeps docs/TRACING.md's table honest."""
-        env = make_env(n_cores=8)
-        tracer = install_tracer(env)
-        engine = run_process(env, LSMEngine.open(env, "db", small_options()))
-        contexts = []
+        """``Metrics.attribution`` — the collector's delta of the foreground
+        threads' busy/wait accounting — equals the span fold over the same
+        window on every system, after a preload whose threads repeat the
+        window's names."""
+        for name, opts, preloaded, cores in ATTRIBUTION_CASES:
+            env = make_env(n_cores=cores)
+            install_tracer(env)
+            system = open_system(name, env, **opts)
+            if preloaded:
+                preload(env, system, fillrandom(600, seed=1), n_threads=4)
+            ops = overwrite(600, 600, seed=2) if preloaded else fillrandom(600)
+            metrics, oracle = traced_window(env, system, split_stream(ops, 4))
+            assert_same_attribution(metrics.attribution, oracle)
 
-        def writer(ctx, lo, hi):
-            for i in range(lo, hi):
-                yield from engine.put(ctx, b"k%08d" % i, b"v" * 112)
-
-        for t in range(4):
-            ctx = env.cpu.new_thread("user-%d" % t)
-            contexts.append(ctx)
-            env.sim.spawn(writer(ctx, t * 250, (t + 1) * 250))
-        env.sim.run()
-
-        from_ctx = fig06_from_contexts(contexts)
-        from_spans = fig06_from_spans(
-            tracer, tracks={ctx.track for ctx in contexts}
-        )
-        assert from_ctx["total"] > 0
-        assert from_spans["total"] == pytest.approx(from_ctx["total"], rel=1e-9)
-        for cat in CATEGORIES:
-            assert from_spans["categories"][cat] == pytest.approx(
-                from_ctx["categories"][cat], rel=1e-9, abs=1e-12
-            )
-
-    def test_window_clips_spans(self):
-        env = make_env(n_cores=4)
-        tracer = install_tracer(env)
-        t0 = env.sim.now
-        tracer.complete("wal", "busy", "threads:u", t0, t0 + 1.0)
-        busy_full = fig06_from_spans(tracer)["categories"]["WAL"]
-        busy_half = fig06_from_spans(tracer, window=(t0 + 0.5, t0 + 1.0))
-        assert busy_full == pytest.approx(1.0)
-        assert busy_half["categories"]["WAL"] == pytest.approx(0.5)
-
-    def test_observed_run_attribution_is_the_collectors(self, monkeypatch):
-        """ObservedRun computes the window's attribution where it reports it;
-        the collector's own computation, which it replaced, is the oracle —
-        over two windows on one env, so the first window's rows precede the
-        second's ``since``."""
-        oracle = []
-
-        class OracleCollector(MetricsCollector):
-            def start(self):
-                super().start()
-                tracer = self.env.sim.tracer
-                self._rows0 = len(tracer.rows) if tracer is not None else 0
-
-            def finish(self, *args):
-                metrics = super().finish(*args)
-                env = self.env
-                tracks = {
-                    t.track for t in env.cpu.threads if t.kind in ("user", "worker")
-                }
-                oracle.append(fig06_breakdown(*span_totals(
-                    env.sim.tracer, tracks, (self._t0, env.sim.now), self._rows0
-                )))
-                return metrics
-
-        monkeypatch.setattr("repro.harness.runner.MetricsCollector", OracleCollector)
+    def test_observed_run_attribution_is_the_collectors(self):
+        """ObservedRun reports the collector's attribution, over two windows
+        on one env: the second window's deltas start where the first's end."""
         run = ObservedRun(make_env(n_cores=8), tracer=True)
         system = open_system("p2kvs", run.env, workers=2)
         ops = list(fillrandom(600, value_size=112, seed=4))
-        seen = []
         for window in (ops[:300], ops[300:]):
-            rows_before = len(run.tracer.rows)
-            run.closed_loop(system, split_stream(window, 4))
-            seen.append(run.attribution)
-        assert rows_before > 0 and seen[1]["total"] > 0
-        assert seen == oracle
+            since = len(run.tracer.rows)
+            metrics = run.closed_loop(system, split_stream(window, 4))
+            assert run.attribution is metrics.attribution
+            assert run.window == (run.window[0], metrics.finished_at)
+            assert_same_attribution(
+                run.attribution, fig06_from_spans(run.env, run.window, since)
+            )
+        assert since > 0
 
     def test_metrics_attribution_only_with_tracer(self):
-        rc = dbbench.main(
+        args = dbbench.build_parser().parse_args(
             ["--num", "300", "--threads", "2", "--workers", "2",
              "--cores", "8", "--benchmarks", "fillrandom"]
         )
-        assert rc == 0  # no tracer: must run without attribution machinery
+        result = dbbench.run_benchmark("fillrandom", args)
+        assert result["qps"] > 0 and "latency_attribution" not in result
 
 
 class TestMetricsCollectorContract:
