@@ -438,3 +438,19 @@ def test_monitor_document_golden(tmp_path, capsys):
     assert serve.main(argv) == 0
     capsys.readouterr()
     check("monitor:uniform", fingerprint(json.loads(out.read_text())))
+
+
+def test_monitor_fault_document_golden(tmp_path, capsys):
+    """A monitor document with incidents: a ``shed-burn`` warning with two
+    evidence windows and a ``device-error-rate`` page, so the evidence rows
+    the rules cite are pinned too."""
+    out = tmp_path / "monitor.json"
+    argv = ["--scenario", "hotkey", "--ops", "400", "--fault-rate", "0.02",
+            "--monitor-out", str(out)]
+    assert serve.main(argv) == 0
+    capsys.readouterr()
+    document = json.loads(out.read_text())
+    assert [(i["rule"], len(i["evidence"]["windows"]))
+            for i in document["health"]["incidents"]] == [
+        ("shed-burn", 2), ("device-error-rate", 1)]
+    check("monitor:hotkey:fault", fingerprint(document))
