@@ -11,18 +11,20 @@ Ticks ride :class:`~repro.sim.core.LateTimeout`, resuming after every other
 event at the same instant — an end-of-instant snapshot is the same for any
 same-time delivery order; a mid-instant one would be schedule-dependent.
 
-``start()`` and ``finish()`` bracket the measured window (both load
-drivers, ``run_closed_loop`` and ``run_service_load``, drive them).
+``start()`` and ``finish()`` bracket the measured window (both load drivers,
+``run_closed_loop`` and ``run_service_load``, drive them).
 ``finish()`` takes the window's final row and stops; stopping withdraws the
 pending tick (:meth:`~repro.sim.core.Simulator.cancel`), so a stopped
 sampler schedules nothing: the run ends where an unobserved run ends, and a
 later ``start()`` (preload vs measured run) never leaves two tickers alive.
-That lifecycle is :class:`Periodic`'s, which the health monitor
-(:class:`~repro.monitor.HealthMonitor`) shares.
+
+The health monitor (:class:`~repro.monitor.HealthMonitor`) is a sampler of
+its own series: it shares this ticker, lifecycle and bounded ring, and its
+rows are its closed telemetry windows.
 """
 
 from collections import deque
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.perf import zones as _perf_zones
 
@@ -36,17 +38,35 @@ DEFAULT_INTERVAL = 0.01
 DEFAULT_MAX_SAMPLES = 200000
 
 
-class Periodic:
-    """An end-of-instant periodic observer: ``start`` / ``stop`` and the one
-    ticker loop.  A subclass sets ``name`` (its process's) and says what its
-    ticks do: ``first_tick()`` at the instant it starts, ``tick()`` every
-    ``interval`` seconds of virtual time after that."""
+class Sampler:
+    """An end-of-instant periodic probe with a bounded ring of
+    ``(sim_time, {name: value})`` rows.
 
-    def __init__(self, env, interval: float):
+    ``first_tick()`` runs at the instant it starts and ``tick()`` every
+    ``interval`` seconds of virtual time after that; both take a row of
+    ``env.metrics`` gauges here, and a subclass says what its ticks do.
+    """
+
+    name = "metrics-sampler"
+
+    def __init__(self, env, interval: float = DEFAULT_INTERVAL,
+                 max_samples: int = DEFAULT_MAX_SAMPLES):
+        if interval <= 0:
+            raise ValueError("sampler interval must be positive")
+        if max_samples < 1:
+            raise ValueError("max_samples must be positive")
         self.env = env
         self.interval = interval
+        self.max_samples = max_samples
+        #: (sim_time, {name: value}) rows, in time order (a ring: the
+        #: newest ``max_samples`` rows are kept, older ones dropped).
+        self.samples: deque = deque()
+        #: rows evicted at the retention cap (surfaced by the exports).
+        self.dropped = 0
         #: the ticker's pending timeout; ``None`` while stopped.
         self._tick = None
+
+    # -- lifecycle -----------------------------------------------------------
 
     @property
     def running(self) -> bool:
@@ -65,6 +85,11 @@ class Periodic:
             self.env.sim.cancel(self._tick)
             self._tick = None
 
+    def finish(self) -> None:
+        """End the measured window: take its final row now and stop."""
+        self.sample_once()
+        self.stop()
+
     def _ticker(self, tick):
         # Late timeouts resume at the *end* of each instant, after every
         # same-time model event — the only snapshot point that is identical
@@ -79,54 +104,31 @@ class Periodic:
             yield tick
             self.tick()
 
+    # -- rows ----------------------------------------------------------------
 
-class Sampler(Periodic):
-    """Periodic probe over ``env.metrics`` gauges."""
-
-    name = "metrics-sampler"
-
-    def __init__(self, env, interval: float = DEFAULT_INTERVAL,
-                 max_samples: int = DEFAULT_MAX_SAMPLES):
-        if interval <= 0:
-            raise ValueError("sampler interval must be positive")
-        if max_samples < 1:
-            raise ValueError("max_samples must be positive")
-        super().__init__(env, interval)
-        self.max_samples = max_samples
-        #: (sim_time, {gauge_name: value}) rows, in time order (a ring:
-        #: the newest ``max_samples`` rows are kept, older ones dropped).
-        self.samples: deque = deque()
-        #: rows evicted at the retention cap (surfaced by the CSV export).
-        self.dropped = 0
-
-    def finish(self) -> None:
-        """End the measured window: take its final row now and stop."""
-        self.sample_once()
-        self.stop()
+    def record(self, t: float, row: dict) -> None:
+        """Append one row.  At the retention cap the *oldest* row is evicted
+        (nothing indexes rows by position) so a long serve keeps its most
+        recent history; evictions are counted in ``dropped``."""
+        samples = self.samples
+        samples.append((t, row))
+        if len(samples) > self.max_samples:
+            samples.popleft()
+            self.dropped += 1
 
     def sample_once(self) -> None:
-        """Take one snapshot immediately (also used by each tick).
-
-        At the retention cap the *oldest* row is evicted (unlike the event
-        log, nothing indexes sampler rows by position) so a long serve keeps
-        its most recent history; evictions are counted in ``dropped``.
-        """
+        """Take one snapshot of every gauge immediately (also each tick)."""
         _p = _perf_zones.PROFILER
         if _p is not None:
             _p.enter("obs.metrics")
-        self.samples.append(
-            (self.env.sim.now, self.env.metrics.gauge_values())
-        )
-        while len(self.samples) > self.max_samples:
-            self.samples.popleft()
-            self.dropped += 1
+        self.record(self.env.sim.now, self.env.metrics.gauge_values())
         if _p is not None:
             _p.leave()
 
     first_tick = tick = sample_once
 
     def column_names(self) -> List[str]:
-        """Union of gauge names across all rows, sorted (CSV header order)."""
+        """Union of row names across all rows, sorted (CSV header order)."""
         names = set()
         for _t, row in self.samples:
             names.update(row)

@@ -23,21 +23,17 @@ from repro.monitor.score import (
     score_detection,
 )
 from repro.monitor.service import attach_service_monitor, attach_store_monitor
-from repro.monitor.windows import EWMA, SeriesTap, WindowStore
 
 __all__ = [
     "BurnRate",
     "DEFAULT_WINDOW",
-    "EWMA",
     "HealthMonitor",
     "Incident",
     "QueueSaturation",
     "RateOfChange",
     "Rule",
-    "SeriesTap",
     "ShardSilence",
     "Threshold",
-    "WindowStore",
     "attach_service_monitor",
     "attach_store_monitor",
     "ground_truth_from_env",

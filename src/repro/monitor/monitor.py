@@ -1,12 +1,28 @@
 """The online health monitor: windowed probes + rules + incident timeline.
 
 A :class:`HealthMonitor` is the service's watchdog on the simulated
-machine.  It is a :class:`~repro.metrics.sampler.Periodic` observer, with the
-sampler's lifecycle and ticker: started, its first end-of-instant tick takes
-the series baselines, and every ``window`` seconds of *virtual* time after
-that a tick closes one telemetry window (end-of-instant, so the values are
-identical for every same-time delivery order), feeds the new window to every
-rule, and appends any fire/resolve transitions to the incident timeline.
+machine.  It is a :class:`~repro.metrics.sampler.Sampler` of its own series,
+with the sampler's lifecycle, ticker and bounded ring: started, its first
+end-of-instant tick takes the series baselines, and every ``window`` seconds
+of *virtual* time after that a tick closes one telemetry window — one row of
+``samples`` (end-of-instant, so the values are identical for every same-time
+delivery order) — feeds it to every rule, and appends any fire/resolve
+transitions to the incident timeline.
+
+A series windows a cumulative instrument the registry already maintains:
+
+* a **counter** windows to the per-window *delta* (requests completed this
+  window, retries this window);
+* a **gauge** windows to the instantaneous value at the window end (queue
+  depth, active write stalls);
+* a **hist_mean** windows to the mean of the observations that landed in the
+  window (``Δsum / Δcount`` of a registry histogram), 0.0 when none did.
+
+Each series also carries an exponentially weighted moving average of its
+window values (``ewma``, α = 0.3).  The ring keeps the last 512 windows and
+counts what it evicts, so a long-running service never grows monitor memory
+without bound.
+
 Everything it records is a pure function of the run: reruns — and
 ``--schedule-seed`` perturbations — produce byte-identical timelines, which
 the monitor tests pin.
@@ -15,7 +31,7 @@ Two lifecycle details matter:
 
 * ``stop()`` withdraws the pending tick, so a stopped monitor schedules
   nothing and the run ends where an unmonitored run ends; ``finish()`` first
-  closes a final partial window so the tail of the run is observed.  Both
+  closes a final partial window so the tail of the run is observed.  The
   load drivers bracket the measured window with ``start()``/``finish()``.
 * :meth:`finalize` extends the timeline *past the end of the simulation*
   with synthetic windows: after a simulated power loss the machine stops
@@ -26,10 +42,9 @@ Two lifecycle details matter:
   a finite, deterministic time-to-detect.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.metrics.sampler import Periodic
-from repro.monitor.windows import SeriesTap, WindowStore
+from repro.metrics.sampler import Sampler
 from repro.perf import zones as _perf_zones
 
 __all__ = ["DEFAULT_WINDOW", "HealthMonitor", "Incident"]
@@ -37,6 +52,15 @@ __all__ = ["DEFAULT_WINDOW", "HealthMonitor", "Incident"]
 #: 100 us of virtual time — small enough that the pinned scenarios span
 #: dozens of windows, large enough that every healthy window shows progress.
 DEFAULT_WINDOW = 1e-4
+
+#: windows kept (the rules look back far less); older ones are dropped
+#: and counted in ``dropped_windows``.
+RETENTION = 512
+
+#: the weight of the newest window in each series' ``ewma``.
+EWMA_ALPHA = 0.3
+
+SERIES_KINDS = ("counter", "gauge", "hist_mean")
 
 
 class Incident:
@@ -73,33 +97,44 @@ class Incident:
         }
 
 
-class HealthMonitor(Periodic):
-    """Windowed telemetry + rules engine over one env's stats registry."""
+class HealthMonitor(Sampler):
+    """Windowed telemetry + rules engine over one env's stats registry.
+
+    A :class:`~repro.metrics.sampler.Sampler` of its own series: each row of
+    ``samples`` is one closed window, ``(t_end, {series: value})``.
+    """
 
     name = "health-monitor"
 
     def __init__(self, env, window: float = DEFAULT_WINDOW):
         if window <= 0:
             raise ValueError("monitor window must be positive")
-        super().__init__(env, window)
-        self.store = WindowStore()
-        self.taps: List[SeriesTap] = []
+        super().__init__(env, window, max_samples=RETENTION)
+        #: name -> [kind, probe, cumulative baseline], in registration order
+        #: (the baseline is zero until ``first_tick`` reads it).
+        self.series: Dict[str, list] = {}
+        #: name -> exponentially weighted moving average of its window values.
+        self.ewma: Dict[str, float] = {}
         self.rules: List = []
         self.incidents: List[Incident] = []
         self.started_at: Optional[float] = None
         self.last_window_end: Optional[float] = None
-        self.windows_observed = 0
         self.synthetic_windows = 0
 
     #: the telemetry window: the ticker's interval.
     window = property(lambda self: self.interval)
+    windows_observed = property(lambda self: len(self.samples) + self.dropped)
 
     # -- wiring --------------------------------------------------------------
 
-    def add_series(self, name: str, kind: str, fn) -> SeriesTap:
-        tap = SeriesTap(name, kind, fn)
-        self.taps.append(tap)
-        return tap
+    def add_series(self, name: str, kind: str, fn) -> None:
+        """Watch ``fn`` as a ``counter`` (cumulative -> per-window delta), a
+        ``gauge`` (instantaneous read) or a ``hist_mean`` (``fn`` returns a
+        cumulative ``(count, sum)``; the window value is the mean of the
+        window's own observations, 0.0 when none landed)."""
+        if kind not in SERIES_KINDS:
+            raise ValueError("unknown series kind %r (one of %s)" % (kind, SERIES_KINDS))
+        self.series[name] = [kind, fn, (0.0, 0.0) if kind == "hist_mean" else 0.0]
 
     def add_rule(self, rule) -> None:
         self.rules.append(rule)
@@ -119,32 +154,50 @@ class HealthMonitor(Periodic):
         self.stop()
 
     def first_tick(self) -> None:
-        for tap in self.taps:
-            tap.baseline()
+        """Open window 0: a read whose values are dropped sets each series'
+        cumulative baseline."""
+        for entry in self.series.values():
+            self._read(entry)
 
     def tick(self) -> None:
         self.observe(self.env.sim.now)
 
     # -- observation ---------------------------------------------------------
 
+    def _read(self, entry: list) -> float:
+        """Close the current window of one series: its window value."""
+        kind, fn, prev = entry
+        if kind == "gauge":
+            return float(fn())
+        if kind == "counter":
+            cur = entry[2] = float(fn())
+            return cur - prev
+        count, total = fn()
+        count, total = entry[2] = (float(count), float(total))
+        dcount = count - prev[0]
+        return (total - prev[1]) / dcount if dcount > 0 else 0.0
+
     def observe(self, now: float, synthetic: bool = False) -> None:
         """Close one window ending at ``now`` and run every rule over it."""
         _p = _perf_zones.PROFILER
         if _p is not None:
             _p.enter("obs.monitor")
-        dt = now - self.last_window_end
         self.last_window_end = now
-        self.windows_observed += 1
         if synthetic:
             self.synthetic_windows += 1
-        for tap in self.taps:
-            self.store.append(tap.name, now, dt, tap.observe())
+        row = {name: self._read(entry) for name, entry in self.series.items()}
+        self.record(now, row)
+        ewma = self.ewma
+        for name, value in row.items():
+            prev = ewma.get(name)
+            ewma[name] = value if prev is None else (
+                EWMA_ALPHA * value + (1.0 - EWMA_ALPHA) * prev)
         open_by_rule: Dict[str, Incident] = {}
         for incident in self.incidents:
             if incident.resolved_at is None:
                 open_by_rule[incident.rule] = incident
         for rule in self.rules:
-            transition = rule.evaluate(self.store, now)
+            transition = rule.evaluate(self, now)
             if transition is None:
                 continue
             state, evidence = transition
@@ -180,6 +233,19 @@ class HealthMonitor(Periodic):
 
     # -- reads ---------------------------------------------------------------
 
+    def rows(self, name: str, n: int) -> List[Tuple[float, float]]:
+        """The last ``n`` windows of one series as ``(t_end, value)``,
+        oldest first."""
+        samples = self.samples
+        return [(samples[i][0], samples[i][1][name])
+                for i in range(-min(n, len(samples)), 0)]
+
+    def values(self, name: str, n: int) -> List[float]:
+        return [v for _t, v in self.rows(name, n)]
+
+    def last(self, name: str) -> Optional[float]:
+        return self.samples[-1][1][name] if self.samples else None
+
     def alert_counts(self) -> Dict[str, int]:
         counts = {"page": 0, "warn": 0}
         for incident in self.incidents:
@@ -209,9 +275,25 @@ class HealthMonitor(Periodic):
             ),
             "windows_observed": self.windows_observed,
             "synthetic_windows": self.synthetic_windows,
-            "dropped_windows": self.store.dropped(),
+            "dropped_windows": self.dropped,
             "rules": [rule.describe() for rule in self.rules],
-            "series": self.store.summary(),
+            "series": self.summary(),
             "incidents": [incident.as_dict() for incident in self.incidents],
             "alerts": self.alert_counts(),
         }
+
+    def summary(self) -> Dict[str, dict]:
+        """Per-series digest for the timeline document, by name."""
+        if not self.samples:
+            return {}
+        out: Dict[str, dict] = {}
+        for name in sorted(self.samples[-1][1]):
+            values = [row[name] for _t, row in self.samples]
+            out[name] = {
+                "windows": self.windows_observed,
+                "dropped": self.dropped,
+                "last": round(values[-1], 9),
+                "max": round(max(values), 9),
+                "ewma": round(self.ewma[name], 9),
+            }
+        return out

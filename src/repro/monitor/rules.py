@@ -1,9 +1,10 @@
 """Declarative alert rules evaluated once per telemetry window.
 
-Every rule watches one or two series in a :class:`~repro.monitor.windows.
-WindowStore` and maintains a tiny amount of internal state (breach streaks,
-fired flag).  ``evaluate(store, now)`` is called after each window closes
-and returns ``None`` (no transition), or a ``("fire", evidence)`` /
+Every rule watches one or two series of a :class:`~repro.monitor.
+HealthMonitor`'s window rows (its ``last``, ``values`` and ``rows`` reads)
+and maintains a tiny amount of internal state (breach streaks, fired flag).
+``evaluate(monitor, now)`` is called after each window closes and returns
+``None`` (no transition), or a ``("fire", evidence)`` /
 ``("resolve", evidence)`` transition.  Evidence always carries the window
 rows that tripped the rule — an incident is a *claim with receipts*, not a
 boolean.
@@ -36,8 +37,8 @@ __all__ = [
 Transition = Optional[Tuple[str, dict]]
 
 
-def _evidence_rows(store, series: str, n: int) -> List[List[float]]:
-    return [[round(t, 9), round(v, 9)] for t, _dt, v in store.rows(series, n)]
+def _evidence_rows(monitor, series: str, n: int) -> List[List[float]]:
+    return [[round(t, 9), round(v, 9)] for t, v in monitor.rows(series, n)]
 
 
 class Rule:
@@ -59,7 +60,7 @@ class Rule:
             "severity": self.severity,
         }
 
-    def evaluate(self, store, now: float) -> Transition:
+    def evaluate(self, monitor, now: float) -> Transition:
         raise NotImplementedError
 
 
@@ -75,8 +76,8 @@ class Threshold(Rule):
         self.for_windows = for_windows
         self.streak = 0
 
-    def evaluate(self, store, now) -> Transition:
-        value = store.last(self.series)
+    def evaluate(self, monitor, now) -> Transition:
+        value = monitor.last(self.series)
         if value is None:
             return None
         breach = value >= self.limit
@@ -88,7 +89,7 @@ class Threshold(Rule):
                 "limit": self.limit,
                 "op": ">=",
                 "streak": self.streak,
-                "windows": _evidence_rows(store, self.series, self.for_windows),
+                "windows": _evidence_rows(monitor, self.series, self.for_windows),
             })
         if self.fired and not breach:
             self.fired = False
@@ -134,8 +135,8 @@ class RateOfChange(Rule):
         self.baseline_windows = baseline_windows
         self.min_baseline = min_baseline
 
-    def evaluate(self, store, now) -> Transition:
-        values = store.values(self.series, self.baseline_windows + 1)
+    def evaluate(self, monitor, now) -> Transition:
+        values = monitor.values(self.series, self.baseline_windows + 1)
         if len(values) < 2:
             return None
         current, history = values[-1], values[:-1]
@@ -149,7 +150,7 @@ class RateOfChange(Rule):
                 "value": round(current, 9),
                 "baseline": round(baseline, 9),
                 "factor": self.factor,
-                "windows": _evidence_rows(store, self.series,
+                "windows": _evidence_rows(monitor, self.series,
                                           self.baseline_windows + 1),
             })
         if self.fired and not breach:
@@ -191,18 +192,18 @@ class BurnRate(Rule):
         self.fast_windows = fast_windows
         self.slow_windows = slow_windows
 
-    def _burn(self, store, n_windows: int) -> float:
-        bad = sum(store.values(self.series, n_windows))
-        total = sum(store.values(self.total_series, n_windows))
+    def _burn(self, monitor, n_windows: int) -> float:
+        bad = sum(monitor.values(self.series, n_windows))
+        total = sum(monitor.values(self.total_series, n_windows))
         if total <= 0:
             return 0.0
         return (bad / total) / (1.0 - self.slo)
 
-    def evaluate(self, store, now) -> Transition:
-        if store.last(self.series) is None:
+    def evaluate(self, monitor, now) -> Transition:
+        if monitor.last(self.series) is None:
             return None
-        fast = self._burn(store, self.fast_windows)
-        slow = self._burn(store, self.slow_windows)
+        fast = self._burn(monitor, self.fast_windows)
+        slow = self._burn(monitor, self.slow_windows)
         breach = fast >= self.burn and slow >= self.burn
         if not self.fired and breach:
             self.fired = True
@@ -211,7 +212,7 @@ class BurnRate(Rule):
                 "burn_slow": round(slow, 9),
                 "threshold": self.burn,
                 "slo": self.slo,
-                "windows": _evidence_rows(store, self.series, self.slow_windows),
+                "windows": _evidence_rows(monitor, self.series, self.slow_windows),
             })
         if self.fired and not breach:
             self.fired = False
@@ -257,8 +258,8 @@ class ShardSilence(Rule):
             d["unless_series"] = self.unless_series
         return d
 
-    def evaluate(self, store, now) -> Transition:
-        value = store.last(self.series)
+    def evaluate(self, monitor, now) -> Transition:
+        value = monitor.last(self.series)
         if value is None:
             return None
         if value > 0:
@@ -271,7 +272,7 @@ class ShardSilence(Rule):
         if not self.armed:
             return None
         if self.unless_series is not None:
-            guard = store.last(self.unless_series)
+            guard = monitor.last(self.unless_series)
             if guard is not None and guard > 0:
                 self.silent = 0
                 return None
@@ -280,6 +281,6 @@ class ShardSilence(Rule):
             self.fired = True
             return ("fire", {
                 "silent_windows": self.silent,
-                "windows": _evidence_rows(store, self.series, self.for_windows),
+                "windows": _evidence_rows(monitor, self.series, self.for_windows),
             })
         return None

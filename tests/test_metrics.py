@@ -352,21 +352,22 @@ def _monitor_over_gauge(env, interval):
     return monitor
 
 
-#: The two periodic observers, built over ``_tick_env_with_gauge``'s gauge,
-#: and the instants each recorded a row at (the monitor's first tick takes
-#: its baselines; each later one closes a window).
+#: The two periodic observers, built over ``_tick_env_with_gauge``'s gauge.
+#: Both keep ``(t, row)`` rows in ``samples``: the monitor's first tick takes
+#: its baselines, and each later one closes a window (one row).
 OBSERVERS = {
-    "sampler": (lambda env, interval: Sampler(env, interval=interval),
-                lambda sampler: [t for t, _row in sampler.samples]),
-    "monitor": (_monitor_over_gauge,
-                lambda monitor: [t for t, _dt, _v in monitor.store.rows("test.v")]),
+    "sampler": lambda env, interval: Sampler(env, interval=interval),
+    "monitor": _monitor_over_gauge,
 }
 
 
+def _row_times(observer):
+    return [t for t, _row in observer.samples]
+
+
 def _start_is_idempotent_and_restartable(kind):
-    make, row_times = OBSERVERS[kind]
     env, _state = _tick_env_with_gauge()
-    observer = make(env, 0.25)
+    observer = OBSERVERS[kind](env, 0.25)
 
     def driver():
         observer.start()
@@ -380,7 +381,7 @@ def _start_is_idempotent_and_restartable(kind):
 
     env.sim.spawn(driver(), "driver")
     env.sim.run()
-    times = row_times(observer)
+    times = _row_times(observer)
     assert times == sorted(times)
     assert len(times) == len(set(times))  # no duplicated ticks
     # A gap where the observer was stopped, then rows resume.
@@ -406,9 +407,8 @@ def test_sampler_finish_takes_the_last_row_and_leaves_the_clock(kind, restart):
     within one interval (``restart``: when) leaves one ticker, and the
     stopped ticker's tick never fires to move the clock either.  The same
     holds for both periodic observers."""
-    make, row_times = OBSERVERS[kind]
     env, _state = _tick_env_with_gauge()
-    observer = make(env, 0.4)
+    observer = OBSERVERS[kind](env, 0.4)
 
     def driver():
         observer.start()
@@ -423,7 +423,7 @@ def test_sampler_finish_takes_the_last_row_and_leaves_the_clock(kind, restart):
 
     env.sim.spawn(driver(), "driver")
     env.sim.run()
-    times = row_times(observer)
+    times = _row_times(observer)
     assert env.sim.now == times[-1]
     assert times == {
         ("sampler", None): [0.0, pytest.approx(0.4), pytest.approx(0.8), 1.0],

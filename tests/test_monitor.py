@@ -1,7 +1,8 @@
 """Tests for the online health-monitoring plane (repro.monitor).
 
 Covers the promises docs/MONITOR.md makes: windowed telemetry semantics
-(counter deltas, gauge reads, histogram-mean windows, bounded retention),
+(counter deltas, gauge reads, histogram-mean windows, the EWMA, bounded
+retention of window rows),
 every alert rule's positive and negative fixtures (including the burn-rate
 rule's fast-only / slow-only negatives), deterministic incident timelines
 across reruns and ``--schedule-seed`` perturbation, zero page-severity
@@ -18,15 +19,12 @@ from repro.metrics.export import prometheus_text, timeseries_csv
 from repro.metrics.registry import EventLog, StatsRegistry
 from repro.metrics.sampler import Sampler
 from repro.monitor import (
-    EWMA,
     BurnRate,
     HealthMonitor,
     QueueSaturation,
     RateOfChange,
-    SeriesTap,
     ShardSilence,
     Threshold,
-    WindowStore,
     render_narrative,
     score_detection,
 )
@@ -34,86 +32,125 @@ from repro.tools import faultbench, serve
 
 
 # ---------------------------------------------------------------------------
-# Windowed telemetry
+# Windowed telemetry: a closed window is one row of the monitor's ring
 # ---------------------------------------------------------------------------
 
 
+def _monitor():
+    """An unstarted monitor: the tests close its windows by hand."""
+    return HealthMonitor(make_env(n_cores=2), window=1.0)
+
+
+def _gauge_monitor(box):
+    monitor = _monitor()
+    monitor.add_series("g", "gauge", lambda: box["v"])
+    return monitor
+
+
 class TestEWMA:
+    """Each series' EWMA over its window values (α = 0.3)."""
+
     def test_first_sample_initialises(self):
-        ew = EWMA(alpha=0.5)
-        assert ew.value is None
-        assert ew.update(10.0) == 10.0
+        box = {"v": 10.0}
+        monitor = _gauge_monitor(box)
+        assert monitor.ewma.get("g") is None
+        monitor.observe(1.0)
+        assert monitor.ewma["g"] == 10.0
 
     def test_smoothing(self):
-        ew = EWMA(alpha=0.5)
-        ew.update(0.0)
-        assert ew.update(8.0) == 4.0
-        assert ew.update(8.0) == 6.0
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            EWMA(alpha=0.0)
-        with pytest.raises(ValueError):
-            EWMA(alpha=1.5)
+        box = {"v": 0.0}
+        monitor = _gauge_monitor(box)
+        monitor.observe(1.0)
+        box["v"] = 10.0
+        monitor.observe(2.0)
+        assert monitor.ewma["g"] == pytest.approx(3.0)
+        monitor.observe(3.0)
+        assert monitor.ewma["g"] == pytest.approx(5.1)
 
 
 class TestSeriesTap:
+    """One series' window value, by kind (``HealthMonitor.add_series``)."""
+
     def test_counter_windows_to_deltas(self):
         box = {"v": 10.0}
-        tap = SeriesTap("c", "counter", lambda: box["v"])
-        tap.baseline()
+        monitor = _monitor()
+        monitor.add_series("c", "counter", lambda: box["v"])
+        monitor.first_tick()  # the baselines
         box["v"] = 25.0
-        assert tap.observe() == 15.0
-        box["v"] = 25.0
-        assert tap.observe() == 0.0
+        monitor.observe(1.0)
+        assert monitor.last("c") == 15.0
+        monitor.observe(2.0)
+        assert monitor.last("c") == 0.0
 
     def test_counter_without_baseline_measures_from_zero(self):
-        tap = SeriesTap("c", "counter", lambda: 7.0)
-        assert tap.observe() == 7.0
+        monitor = _monitor()
+        monitor.add_series("c", "counter", lambda: 7.0)
+        monitor.observe(1.0)
+        assert monitor.last("c") == 7.0
 
     def test_gauge_reads_instantaneous(self):
         box = {"v": 3.0}
-        tap = SeriesTap("g", "gauge", lambda: box["v"])
-        assert tap.observe() == 3.0
+        monitor = _gauge_monitor(box)
+        monitor.observe(1.0)
+        assert monitor.last("g") == 3.0
         box["v"] = 0.0
-        assert tap.observe() == 0.0
+        monitor.observe(2.0)
+        assert monitor.last("g") == 0.0
 
     def test_hist_mean_is_window_local(self):
         box = {"count": 2, "sum": 10.0}
-        tap = SeriesTap("h", "hist_mean", lambda: (box["count"], box["sum"]))
-        tap.baseline()
+        monitor = _monitor()
+        monitor.add_series("h", "hist_mean", lambda: (box["count"], box["sum"]))
+        monitor.first_tick()
         box["count"], box["sum"] = 4, 30.0  # 2 new obs totalling 20
-        assert tap.observe() == 10.0
-        assert tap.observe() == 0.0  # empty window -> 0, not stale mean
+        monitor.observe(1.0)
+        assert monitor.last("h") == 10.0
+        monitor.observe(2.0)
+        assert monitor.last("h") == 0.0  # empty window -> 0, not stale mean
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
-            SeriesTap("x", "rate", lambda: 0)
+            _monitor().add_series("x", "rate", lambda: 0)
 
 
 class TestWindowStore:
+    """The ring of window rows: bounded, its evictions counted."""
+
     def test_retention_drops_oldest_and_counts(self):
-        store = WindowStore(retention=3)
-        for i in range(5):
-            store.append("s", float(i), 1.0, float(i))
-        assert store.values("s") == [2.0, 3.0, 4.0]
-        assert store.dropped("s") == 2
-        assert store.dropped() == 2
-        assert store.window_count("s") == 5
+        monitor = _monitor()
+        _feed(monitor, s=range(600))
+        assert monitor.values("s", 600) == [float(i) for i in range(88, 600)]
+        assert len(monitor.samples) == 512
+        assert monitor.dropped == 88
+        assert monitor.windows_observed == 600
+
+    def test_overflow_counts_windows_not_series(self):
+        monitor = _monitor()
+        monitor.add_series("a", "gauge", lambda: 1.0)
+        monitor.add_series("b", "gauge", lambda: 2.0)
+        for i in range(600):
+            monitor.observe(i + 1.0)
+        timeline = monitor.timeline()
+        assert timeline["dropped_windows"] == 88
+        assert timeline["series"]["a"]["windows"] == 600
+        assert timeline["series"]["b"]["dropped"] == 88
 
     def test_last_and_ewma(self):
-        store = WindowStore()
-        assert store.last("s") is None
-        assert store.ewma("s") is None
-        store.append("s", 1.0, 1.0, 4.0)
-        assert store.last("s") == 4.0
-        assert store.ewma("s") == 4.0
+        box = {"v": 4.0}
+        monitor = _gauge_monitor(box)
+        assert monitor.last("g") is None
+        assert monitor.ewma.get("g") is None
+        monitor.observe(1.0)
+        assert monitor.last("g") == 4.0
+        assert monitor.ewma["g"] == 4.0
 
     def test_summary_shape(self):
-        store = WindowStore()
-        store.append("a", 1.0, 1.0, 2.0)
-        store.append("a", 2.0, 1.0, 6.0)
-        digest = store.summary()["a"]
+        box = {"v": 2.0}
+        monitor = _gauge_monitor(box)
+        monitor.observe(1.0)
+        box["v"] = 6.0
+        monitor.observe(2.0)
+        digest = monitor.summary()["g"]
         assert digest["windows"] == 2
         assert digest["last"] == 6.0
         assert digest["max"] == 6.0
@@ -121,47 +158,49 @@ class TestWindowStore:
 
 
 # ---------------------------------------------------------------------------
-# Alert rules (fixture-level: hand-built window stores)
+# Alert rules (fixture-level: hand-fed window rows)
 # ---------------------------------------------------------------------------
 
 
-def _feed(store, series, values, t0=0.0, dt=1.0):
-    t = t0
-    for v in values:
-        t += dt
-        store.append(series, t, dt, float(v))
+def _feed(monitor, **series):
+    """Append one window row per position, one second apart:
+    ``_feed(m, a=[1, 2], b=[3, 4])`` closes two windows of two series."""
+    t = monitor.samples[-1][0] if monitor.samples else 0.0
+    for values in zip(*series.values()):
+        t += 1.0
+        monitor.record(t, {name: float(v) for name, v in zip(series, values)})
     return t
 
 
 class TestThresholdRule:
     def test_fires_after_consecutive_breaches(self):
-        store = WindowStore()
+        monitor = _monitor()
         rule = Threshold("r", "s", limit=5, for_windows=2)
-        _feed(store, "s", [7])
-        assert rule.evaluate(store, 1.0) is None  # streak 1 of 2
-        _feed(store, "s", [8], t0=1.0)
-        state, evidence = rule.evaluate(store, 2.0)
+        _feed(monitor, s=[7])
+        assert rule.evaluate(monitor, 1.0) is None  # streak 1 of 2
+        _feed(monitor, s=[8])
+        state, evidence = rule.evaluate(monitor, 2.0)
         assert state == "fire"
         assert evidence["streak"] == 2
-        assert len(evidence["windows"]) == 2
+        assert evidence["windows"] == [[1.0, 7.0], [2.0, 8.0]]
 
     def test_streak_resets_on_quiet_window(self):
-        store = WindowStore()
+        monitor = _monitor()
         rule = Threshold("r", "s", limit=5, for_windows=2)
         for value in [7, 0, 7]:
-            _feed(store, "s", [value])
-            assert rule.evaluate(store, 0.0) is None
+            _feed(monitor, s=[value])
+            assert rule.evaluate(monitor, 0.0) is None
 
     def test_resolves_when_back_under(self):
-        store = WindowStore()
+        monitor = _monitor()
         rule = Threshold("r", "s", limit=1)
-        _feed(store, "s", [2])
-        assert rule.evaluate(store, 1.0)[0] == "fire"
-        _feed(store, "s", [0])
-        assert rule.evaluate(store, 2.0)[0] == "resolve"
+        _feed(monitor, s=[2])
+        assert rule.evaluate(monitor, 1.0)[0] == "fire"
+        _feed(monitor, s=[0])
+        assert rule.evaluate(monitor, 2.0)[0] == "resolve"
 
     def test_no_data_no_transition(self):
-        assert Threshold("r", "s", limit=1).evaluate(WindowStore(), 0.0) is None
+        assert Threshold("r", "s", limit=1).evaluate(_monitor(), 0.0) is None
 
 
 class TestQueueSaturationRule:
@@ -171,33 +210,33 @@ class TestQueueSaturationRule:
         assert rule.severity == "warn"
 
     def test_fires_only_when_pinned(self):
-        store = WindowStore()
+        monitor = _monitor()
         rule = QueueSaturation("q", "depth", cap=10, fraction=0.9,
                                for_windows=2)
-        _feed(store, "depth", [9])
-        assert rule.evaluate(store, 1.0) is None
-        _feed(store, "depth", [10])
-        assert rule.evaluate(store, 2.0)[0] == "fire"
+        _feed(monitor, depth=[9])
+        assert rule.evaluate(monitor, 1.0) is None
+        _feed(monitor, depth=[10])
+        assert rule.evaluate(monitor, 2.0)[0] == "fire"
 
 
 class TestRateOfChangeRule:
     def test_fires_on_spike_over_baseline(self):
-        store = WindowStore()
+        monitor = _monitor()
         rule = RateOfChange("r", "lat", factor=3.0, baseline_windows=4)
-        _feed(store, "lat", [1, 1, 1, 1])
+        _feed(monitor, lat=[1, 1, 1, 1])
         for _ in range(4):
-            assert rule.evaluate(store, 0.0) is None
-        _feed(store, "lat", [5])
-        state, evidence = rule.evaluate(store, 5.0)
+            assert rule.evaluate(monitor, 0.0) is None
+        _feed(monitor, lat=[5])
+        state, evidence = rule.evaluate(monitor, 5.0)
         assert state == "fire"
         assert evidence["baseline"] == 1.0
 
     def test_min_baseline_guards_wakeup_from_zero(self):
-        store = WindowStore()
+        monitor = _monitor()
         rule = RateOfChange("r", "lat", factor=3.0, baseline_windows=2,
                             min_baseline=0.5)
-        _feed(store, "lat", [0, 0, 100])
-        assert rule.evaluate(store, 3.0) is None  # baseline 0 < min -> mute
+        _feed(monitor, lat=[0, 0, 100])
+        assert rule.evaluate(monitor, 3.0) is None  # baseline 0 < min -> mute
 
 
 class TestBurnRateRule:
@@ -207,83 +246,75 @@ class TestBurnRateRule:
                         fast_windows=2, slow_windows=4)
 
     def test_fires_when_both_lookbacks_burn(self):
-        store, rule = WindowStore(), self._rule()
-        _feed(store, "total", [10, 10, 10, 10])
-        _feed(store, "bad", [2, 2, 2, 2])  # 20% errors = burn 2.0
-        state, evidence = rule.evaluate(store, 4.0)
+        monitor, rule = _monitor(), self._rule()
+        _feed(monitor, total=[10, 10, 10, 10], bad=[2, 2, 2, 2])  # 20% = burn 2.0
+        state, evidence = rule.evaluate(monitor, 4.0)
         assert state == "fire"
         assert evidence["burn_fast"] == pytest.approx(2.0)
         assert evidence["burn_slow"] == pytest.approx(2.0)
 
     def test_fast_only_blip_does_not_fire(self):
-        store, rule = WindowStore(), self._rule()
-        _feed(store, "total", [10, 10, 10, 10])
-        _feed(store, "bad", [0, 0, 2, 2])  # fast burns 2.0, slow only 1.0
-        assert rule.evaluate(store, 4.0) is None
+        monitor, rule = _monitor(), self._rule()
+        # fast burns 2.0, slow only 1.0
+        _feed(monitor, total=[10, 10, 10, 10], bad=[0, 0, 2, 2])
+        assert rule.evaluate(monitor, 4.0) is None
 
     def test_slow_only_history_does_not_fire(self):
-        store, rule = WindowStore(), self._rule()
-        _feed(store, "total", [10, 10, 10, 10])
-        _feed(store, "bad", [4, 4, 0, 0])  # slow burns 2.0, fast 0 (recovered)
-        assert rule.evaluate(store, 4.0) is None
+        monitor, rule = _monitor(), self._rule()
+        # slow burns 2.0, fast 0 (recovered)
+        _feed(monitor, total=[10, 10, 10, 10], bad=[4, 4, 0, 0])
+        assert rule.evaluate(monitor, 4.0) is None
 
     def test_zero_traffic_burns_nothing(self):
-        store, rule = WindowStore(), self._rule()
-        _feed(store, "total", [0, 0])
-        _feed(store, "bad", [0, 0])
-        assert rule.evaluate(store, 2.0) is None
+        monitor, rule = _monitor(), self._rule()
+        _feed(monitor, total=[0, 0], bad=[0, 0])
+        assert rule.evaluate(monitor, 2.0) is None
 
     def test_resolves_when_fast_window_recovers(self):
-        store, rule = WindowStore(), self._rule()
-        _feed(store, "total", [10, 10, 10, 10])
-        _feed(store, "bad", [2, 2, 2, 2])
-        assert rule.evaluate(store, 4.0)[0] == "fire"
-        _feed(store, "total", [10, 10], t0=4.0)
-        _feed(store, "bad", [0, 0], t0=4.0)
-        assert rule.evaluate(store, 6.0)[0] == "resolve"
+        monitor, rule = _monitor(), self._rule()
+        _feed(monitor, total=[10, 10, 10, 10], bad=[2, 2, 2, 2])
+        assert rule.evaluate(monitor, 4.0)[0] == "fire"
+        _feed(monitor, total=[10, 10], bad=[0, 0])
+        assert rule.evaluate(monitor, 6.0)[0] == "resolve"
 
 
 class TestShardSilenceRule:
     def test_never_fires_unarmed(self):
-        store = WindowStore()
+        monitor = _monitor()
         rule = ShardSilence("w", "progress", for_windows=2)
-        _feed(store, "progress", [0])
+        _feed(monitor, progress=[0])
         for _ in range(5):
-            assert rule.evaluate(store, 0.0) is None
+            assert rule.evaluate(monitor, 0.0) is None
 
     def test_fires_after_silence_and_resolves_on_progress(self):
-        store = WindowStore()
+        monitor = _monitor()
         rule = ShardSilence("w", "progress", for_windows=2)
-        _feed(store, "progress", [5])
-        assert rule.evaluate(store, 1.0) is None  # armed
-        _feed(store, "progress", [0])
-        assert rule.evaluate(store, 2.0) is None  # silent 1 of 2
-        _feed(store, "progress", [0])
-        state, evidence = rule.evaluate(store, 3.0)
+        _feed(monitor, progress=[5])
+        assert rule.evaluate(monitor, 1.0) is None  # armed
+        _feed(monitor, progress=[0])
+        assert rule.evaluate(monitor, 2.0) is None  # silent 1 of 2
+        _feed(monitor, progress=[0])
+        state, evidence = rule.evaluate(monitor, 3.0)
         assert state == "fire"
         assert evidence["silent_windows"] == 2
-        _feed(store, "progress", [3])
-        assert rule.evaluate(store, 4.0)[0] == "resolve"
+        _feed(monitor, progress=[3])
+        assert rule.evaluate(monitor, 4.0)[0] == "resolve"
 
     def test_guard_series_explains_the_quiet(self):
-        store = WindowStore()
+        monitor = _monitor()
         rule = ShardSilence("w", "progress", for_windows=2,
                             unless_series="migrating")
-        _feed(store, "progress", [5])
-        _feed(store, "migrating", [0])
-        assert rule.evaluate(store, 1.0) is None
+        _feed(monitor, progress=[5], migrating=[0])
+        assert rule.evaluate(monitor, 1.0) is None
         # Quiet windows during an active migration never count as silence.
         for t in (2.0, 3.0, 4.0):
-            _feed(store, "progress", [0])
-            _feed(store, "migrating", [1])
-            assert rule.evaluate(store, t) is None
+            _feed(monitor, progress=[0], migrating=[1])
+            assert rule.evaluate(monitor, t) is None
         # Migration over: the silence clock starts fresh.
-        _feed(store, "progress", [0])
-        _feed(store, "migrating", [0])
-        assert rule.evaluate(store, 5.0) is None
-        _feed(store, "progress", [0])
-        _feed(store, "migrating", [0])
-        assert rule.evaluate(store, 6.0)[0] == "fire"
+        _feed(monitor, progress=[0], migrating=[0])
+        assert rule.evaluate(monitor, 5.0) is None
+        _feed(monitor, progress=[0], migrating=[0])
+        assert rule.evaluate(monitor, 6.0)[0] == "fire"
 
 
 # ---------------------------------------------------------------------------
