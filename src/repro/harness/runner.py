@@ -375,11 +375,18 @@ def run_open_loop(
     rate: float,
     collector: Optional[MetricsCollector] = None,
 ) -> Metrics:
-    """Poisson arrivals at ``rate`` ops/second (Figure 13's load sweep)."""
+    """Poisson arrivals at ``rate`` ops/second (Figure 13's load sweep).
+
+    The window brackets the periodic observers on ``env.metrics`` as
+    :func:`run_closed_loop`'s measured window does.
+    """
     if collector is None:
         collector = MetricsCollector(env, system.name)
     user_bytes0 = system.user_bytes_written()
     collector.start()
+    observers = env.metrics.observers()
+    for observer in observers:
+        observer.start()
     rng = random.Random(42)
     box = []
 
@@ -398,6 +405,8 @@ def run_open_loop(
             ctx = env.cpu.new_thread("ol-%d" % i)
             procs.append(env.sim.spawn(one_op(ctx, op)))
         yield env.sim.all_of(procs)
+        for observer in observers:
+            observer.finish()
         box.append(
             collector.finish(
                 len(ops),

@@ -11,8 +11,8 @@ Ticks ride :class:`~repro.sim.core.LateTimeout`, resuming after every other
 event at the same instant — an end-of-instant snapshot is the same for any
 same-time delivery order; a mid-instant one would be schedule-dependent.
 
-``start()`` and ``finish()`` bracket the measured window (both load drivers,
-``run_closed_loop`` and ``run_service_load``, drive them).
+``start()`` and ``finish()`` bracket the measured window (the load drivers
+``run_closed_loop``, ``run_open_loop`` and ``run_service_load`` drive them).
 ``finish()`` takes the window's final row and stops; stopping withdraws the
 pending tick (:meth:`~repro.sim.core.Simulator.cancel`), so a stopped
 sampler schedules nothing: the run ends where an unobserved run ends, and a

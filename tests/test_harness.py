@@ -16,6 +16,8 @@ from repro.harness import (
     run_closed_loop,
     run_open_loop,
 )
+from repro.metrics import install_stats
+from repro.monitor import attach_store_monitor
 from repro.systems import BENCH_SHAPE
 from repro.workloads import fillrandom, make_key, readrandom, split_stream
 
@@ -106,6 +108,24 @@ class TestRunners:
         # 200 ops at 100 KQPS: the run spans ~2 ms of simulated time.
         assert 0.5e-3 < metrics.elapsed < 20e-3
         assert metrics.latency_of("write").count == 200
+
+    def test_open_loop_brackets_the_observers(self):
+        """An open-loop window starts and finishes the installed sampler and
+        health monitor, as a closed-loop one does, without moving the run."""
+
+        def run(observe):
+            env = make_env(n_cores=8)
+            system = open_system(env, SingleInstanceSystem.open(env, small_opts()))
+            observers = (install_stats(env, interval_ms=0.05),
+                         attach_store_monitor(env)) if observe else ()
+            metrics = run_open_loop(env, system, list(fillrandom(400)), rate=200_000)
+            return metrics.elapsed, env.sim.now, observers
+
+        elapsed, end, (sampler, monitor) = run(observe=True)
+        assert (elapsed, end) == run(observe=False)[:2]
+        assert len(sampler.samples) > 10 and monitor.windows_observed > 5
+        assert sampler.samples[-1][0] == monitor.samples[-1][0] == end
+        assert not sampler.running and not monitor.running
 
     def test_write_amplification_positive_under_writes(self, env):
         system = open_system(env, SingleInstanceSystem.open(env, small_opts()))
