@@ -14,7 +14,8 @@ import json
 
 import pytest
 
-from repro.engine import make_env
+from repro.engine import make_env, rocksdb_options
+from repro.harness import SingleInstanceSystem, open_system, preload
 from repro.metrics.export import prometheus_text, timeseries_csv
 from repro.metrics.registry import EventLog, StatsRegistry
 from repro.metrics.sampler import Sampler
@@ -25,10 +26,13 @@ from repro.monitor import (
     RateOfChange,
     ShardSilence,
     Threshold,
+    attach_store_monitor,
     render_narrative,
     score_detection,
 )
+from repro.systems import BENCH_SHAPE
 from repro.tools import faultbench, serve
+from repro.workloads import fillrandom
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +449,34 @@ def test_monitored_serve_ends_at_the_unmonitored_instant(tmp_path, monkeypatch, 
     assert ends == [pytest.approx(1.604155e-3, abs=1e-9)] * 3
     assert ends[1] == ends[2] == ends[0]
     assert finished == [True, True]  # no monitor tick left on the heap
+
+
+def test_device_io_total_counts_each_io_once():
+    """``device.io_total`` windows count device IOs, each one once: a clean
+    IO is booked under its kind and its ``kind:category`` label both, and
+    only the former may count."""
+    env = make_env(n_cores=8)
+    device, ios = env.device, []
+    finish, ram_read = device._finish, device.ram_read
+
+    def counted_finish(item):
+        ios.append(item[1])
+        return finish(item)
+
+    def counted_ram_read(nbytes):
+        ios.append("ram_read")
+        return ram_read(nbytes)
+
+    device._finish, device.ram_read = counted_finish, counted_ram_read
+    system = open_system(env, SingleInstanceSystem.open(
+        env, rocksdb_options(**BENCH_SHAPE)))
+    monitor = attach_store_monitor(env)
+    monitor.first_tick()
+    del ios[:]
+    preload(env, system, fillrandom(3000), n_threads=8)
+    monitor.observe(env.sim.now)
+    assert "write" in ios
+    assert monitor.last("device.io_total") == len(ios)
 
 
 class TestDetectionScoring:
