@@ -104,7 +104,7 @@ FAULTBENCH = $(PY) -m repro.tools.faultbench --fault-seed 7
 SERVE = $(PY) -m repro.tools.serve --ops 300 --rate 600000 --key-space 200 \
     --value-size 64 --partitions 8 --queue-cap 16 --dispatchers 2 --workers 2 \
     --cores 16
-MONITOR = $(PY) -m repro.tools.serve --scenario uniform --ops 400
+MONITOR = $(PY) -m repro.tools.serve --ops 400
 YCSB_E = $(PY) -m repro.tools.ycsb --workload E --system p2kvs --workers 2 \
     --threads 1 --records 800 --ops 200
 PROFILED_BENCH = $(PY) -m repro.tools.dbbench --benchmarks fillrandom \
@@ -131,8 +131,11 @@ PROFILED_BENCH = $(PY) -m repro.tools.dbbench --benchmarks fillrandom \
 #   --stats, --monitor and fault retries on together (both periodic observers
 #   bracketed in one window).
 # * monitor (docs/MONITOR.md): under `serve --monitor` a clean scenario raises
-#   zero page alerts, a fault-injected run detects its fault with finite MTTD;
-#   writes results/monitor-report.json (its `detection` key is the scorecard).
+#   zero page alerts and writes the same document under a shuffled schedule —
+#   uniform (no incident) and hotkey (a shed-burn warning, so the evidence
+#   rows are gated too) — and a fault-injected run detects its fault with
+#   finite MTTD; writes results/monitor-report.json (its `detection` key is
+#   the scorecard).
 # * profile (docs/PROFILING.md): the zone tree attributes >= 90% of the
 #   pinned run's wall time, the instrument tax table covers every layer, and
 #   --profile leaves the sim report alone; writes results/profile-report.json,
@@ -194,9 +197,13 @@ smoke:
 	    --monitor > /dev/null
 	$(call same-bytes,clean monitor document identical under perturbation,\
 	    results/.smoke-monitor-clean.json,\
-	    $(MONITOR) --expect-clean --monitor-out $$out > /dev/null,\
-	    $(MONITOR) --expect-clean --schedule-seed 7 --monitor-out $$out > /dev/null)
-	@$(MONITOR) --fault-rate 0.02 --monitor-out results/monitor-report.json | tail -n 2
+	    $(MONITOR) --scenario uniform --expect-clean --monitor-out $$out > /dev/null,\
+	    $(MONITOR) --scenario uniform --expect-clean --schedule-seed 7 --monitor-out $$out > /dev/null)
+	$(call same-bytes,clean hotkey monitor document (warning evidence rows) identical under perturbation,\
+	    results/.smoke-monitor-hotkey.json,\
+	    $(MONITOR) --scenario hotkey --expect-clean --monitor-out $$out > /dev/null,\
+	    $(MONITOR) --scenario hotkey --expect-clean --schedule-seed 7 --monitor-out $$out > /dev/null)
+	@$(MONITOR) --scenario uniform --fault-rate 0.02 --monitor-out results/monitor-report.json | tail -n 2
 	@$(PY) -m repro.tools.profile --check-coverage 90 \
 	    --json results/profile-report.json \
 	    --flame-out results/profile-flame.speedscope.json | tail -n 2
