@@ -9,7 +9,8 @@ of *virtual* time after that a tick closes one telemetry window — one row of
 delivery order) — feeds it to every rule, and appends any fire/resolve
 transitions to the incident timeline.
 
-A series windows a cumulative instrument the registry already maintains:
+A series (``add_series``) windows an instrument the registry already
+maintains, by kind:
 
 * a **counter** windows to the per-window *delta* (requests completed this
   window, retries this window);
@@ -128,10 +129,8 @@ class HealthMonitor(Sampler):
     # -- wiring --------------------------------------------------------------
 
     def add_series(self, name: str, kind: str, fn) -> None:
-        """Watch ``fn`` as a ``counter`` (cumulative -> per-window delta), a
-        ``gauge`` (instantaneous read) or a ``hist_mean`` (``fn`` returns a
-        cumulative ``(count, sum)``; the window value is the mean of the
-        window's own observations, 0.0 when none landed)."""
+        """Watch ``fn`` as a series of one of ``SERIES_KINDS`` (the module
+        docstring; a ``hist_mean`` probe returns a cumulative ``(count, sum)``)."""
         if kind not in SERIES_KINDS:
             raise ValueError("unknown series kind %r (one of %s)" % (kind, SERIES_KINDS))
         self.series[name] = [kind, fn, (0.0, 0.0) if kind == "hist_mean" else 0.0]

@@ -51,6 +51,15 @@ def _gauge_monitor(box):
     return monitor
 
 
+def _feed(monitor, **series):
+    """Append one window row per position, one second apart:
+    ``_feed(m, a=[1, 2], b=[3, 4])`` appends two rows of two series."""
+    t = monitor.samples[-1][0] if monitor.samples else 0.0
+    for values in zip(*series.values()):
+        t += 1.0
+        monitor.record(t, {name: float(v) for name, v in zip(series, values)})
+
+
 class TestEWMA:
     """Each series' EWMA over its window values (α = 0.3)."""
 
@@ -162,18 +171,8 @@ class TestWindowStore:
 
 
 # ---------------------------------------------------------------------------
-# Alert rules (fixture-level: hand-fed window rows)
+# Alert rules (fixture-level: hand-fed window rows, ``_feed``)
 # ---------------------------------------------------------------------------
-
-
-def _feed(monitor, **series):
-    """Append one window row per position, one second apart:
-    ``_feed(m, a=[1, 2], b=[3, 4])`` closes two windows of two series."""
-    t = monitor.samples[-1][0] if monitor.samples else 0.0
-    for values in zip(*series.values()):
-        t += 1.0
-        monitor.record(t, {name: float(v) for name, v in zip(series, values)})
-    return t
 
 
 class TestThresholdRule:
