@@ -454,3 +454,37 @@ def test_monitor_fault_document_golden(tmp_path, capsys):
             for i in document["health"]["incidents"]] == [
         ("shed-burn", 2), ("device-error-rate", 1)]
     check("monitor:hotkey:fault", fingerprint(document))
+
+
+# -- stats exports (--stats) -------------------------------------------------
+#
+# The exported registry files byte for byte: the device providers and gauges
+# (``device.bytes_by_*``, ``device.io_count``, ``device.*_bytes_total``) are
+# read from the device's ledger, so these pin every view of it.
+
+
+def _check_stats_files(name, base):
+    for ext in ("json", "prom", "csv"):
+        with open("%s.%s" % (base, ext), "rb") as f:
+            check("%s:%s" % (name, ext), hashlib.sha256(f.read()).hexdigest()[:16])
+
+
+def test_serve_stats_golden(tmp_path, capsys):
+    """Books ``write``, its ``write:wal`` label and ``write:fault``."""
+    base = str(tmp_path / "stats")
+    argv = ["--scenario", "hotkey", "--shards", "4", "--ops", "400",
+            "--fault-rate", "0.05", "--stats", "--stats-out", base]
+    assert serve.main(argv) == 0
+    capsys.readouterr()
+    _check_stats_files("stats:serve:hotkey:fault", base)
+
+
+def test_dbbench_stats_golden(tmp_path, capsys):
+    """Reads and writes over five categories (read, wal, flush, compaction,
+    manifest)."""
+    base = str(tmp_path / "stats")
+    argv = ["--benchmarks", "readrandom", "--system", "rocksdb", "--threads",
+            "4", "--num", "3000", "--cores", "8", "--stats", "--stats-out", base]
+    assert dbbench.main(argv) == 0
+    capsys.readouterr()
+    _check_stats_files("stats:dbbench:readrandom:rocksdb", base)
