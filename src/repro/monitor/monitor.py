@@ -282,15 +282,15 @@ class HealthMonitor(Sampler):
         }
 
     def summary(self) -> Dict[str, dict]:
-        """Per-series digest for the timeline document, by name."""
+        """Per-series digest for the timeline document, by name (the window
+        and drop counts are the document's ``windows_observed`` and
+        ``dropped_windows``: every series has a value in every window)."""
         if not self.samples:
             return {}
         out: Dict[str, dict] = {}
         for name in sorted(self.samples[-1][1]):
             values = [row[name] for _t, row in self.samples]
             out[name] = {
-                "windows": self.windows_observed,
-                "dropped": self.dropped,
                 "last": round(values[-1], 9),
                 "max": round(max(values), 9),
                 "ewma": round(self.ewma[name], 9),

@@ -145,8 +145,8 @@ class TestWindowStore:
             monitor.observe(i + 1.0)
         timeline = monitor.timeline()
         assert timeline["dropped_windows"] == 88
-        assert timeline["series"]["a"]["windows"] == 600
-        assert timeline["series"]["b"]["dropped"] == 88
+        assert timeline["windows_observed"] == 600
+        assert sorted(timeline["series"]) == ["a", "b"]
 
     def test_last_and_ewma(self):
         box = {"v": 4.0}
@@ -163,11 +163,12 @@ class TestWindowStore:
         monitor.observe(1.0)
         box["v"] = 6.0
         monitor.observe(2.0)
-        digest = monitor.summary()["g"]
-        assert digest["windows"] == 2
-        assert digest["last"] == 6.0
-        assert digest["max"] == 6.0
-        assert digest["dropped"] == 0
+        timeline = monitor.timeline()
+        assert timeline["windows_observed"] == 2
+        assert timeline["dropped_windows"] == 0
+        assert sorted(timeline["series"]["g"]) == ["ewma", "last", "max"]
+        assert timeline["series"]["g"]["last"] == 6.0
+        assert timeline["series"]["g"]["max"] == 6.0
 
 
 # ---------------------------------------------------------------------------
