@@ -39,7 +39,7 @@ def run_batch_size(records_per_batch: int):
     env.sim.spawn(writer())
     env.sim.run()
     elapsed = env.sim.now
-    wal_bytes = env.device.bytes_by_category.get("wal")
+    wal_bytes = env.device.bytes_by_category().get("wal", 0.0)
     return {
         "bandwidth": wal_bytes / elapsed,
         "cpu_per_record": ctx.busy_time / (n_batches * records_per_batch),

@@ -8,10 +8,12 @@ foreground run.  Figure 6's latency breakdown is windowed the same way: a
 delta of the foreground threads' busy/wait accounting, folded by
 :func:`repro.trace.attribution.fig06_breakdown`.
 
-The machine state is read through the env's :class:`~repro.metrics.registry.
-StatsRegistry` (the ``device.*``/``cpu.*`` providers and gauges registered by
-``make_env``), so the registry is the single source both the collector and
-the sim-time sampler consume.
+The CPU state is read through the env's :class:`~repro.metrics.registry.
+StatsRegistry` (the ``cpu.*`` provider and gauge registered by ``make_env``),
+the source the sim-time sampler consumes too; the device state is its one
+ledger (:attr:`repro.sim.device.StorageDevice.ledger`), snapshotted at each
+end of the window, and every device total a :class:`Metrics` reports is a
+view of the windowed ledger.
 
 Windowing contract: at most one collector may be *measuring* an env at a
 time (overlapping windows would double-count cumulative deltas).  Use
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.metrics.registry import Histogram
+from repro.sim.device import Ledger, booked, byte_views, kind_bytes
 from repro.trace.attribution import fig06_breakdown
 
 __all__ = ["Metrics", "MetricsCollector", "scoped_collector"]
@@ -37,11 +40,9 @@ class Metrics:
     #: the instant the window closed (``t0 + elapsed`` can differ by an ulp).
     finished_at: float
     latency: Dict[str, Histogram]
-    device_bytes: Dict[str, float]
-    #: windowed per-kind:category byte deltas (e.g. "write:compaction").
-    device_bytes_kind: Dict[str, float]
-    device_read_bytes: float
-    device_write_bytes: float
+    #: the device ledger over the window: each line booked by its end, as
+    #: its delta (see :func:`repro.sim.device.booked`).
+    device_ledger: Ledger
     user_bytes_written: float
     cpu_busy: float
     cpu_busy_by_kind: Dict[str, float]
@@ -52,6 +53,25 @@ class Metrics:
     #: Figure 6's breakdown of the foreground threads' time in the window.
     attribution: Dict[str, object]
     extra: dict = field(default_factory=dict)
+
+    @property
+    def device_bytes(self) -> Dict[str, float]:
+        """Windowed bytes by category ("wal", "flush", "compaction", ...)."""
+        return byte_views(self.device_ledger)[0]
+
+    @property
+    def device_bytes_kind(self) -> Dict[str, float]:
+        """Windowed bytes by kind and by ``kind:category`` label (e.g.
+        "write:compaction")."""
+        return byte_views(self.device_ledger)[1]
+
+    @property
+    def device_read_bytes(self) -> float:
+        return kind_bytes(self.device_ledger, "read")
+
+    @property
+    def device_write_bytes(self) -> float:
+        return kind_bytes(self.device_ledger, "write")
 
     @property
     def qps(self) -> float:
@@ -113,8 +133,8 @@ class MetricsCollector:
     """Start/stop snapshots around the measured window.
 
     At most ONE collector may be measuring a given env at a time.  The
-    windowing works by differencing cumulative counters (device bytes, CPU
-    busy time) between :meth:`start` and :meth:`finish`; two overlapping
+    windowing works by differencing cumulative counters (the device ledger,
+    CPU busy time) between :meth:`start` and :meth:`finish`; two overlapping
     collectors would both attribute the same interval's deltas to their own
     windows — e.g. compaction bytes trailing from a preload phase would be
     double-counted into both results.  Sequential windows (preload collector
@@ -131,11 +151,9 @@ class MetricsCollector:
         #: output) on fault-free runs.
         self.errors: Dict[str, int] = {}
         self._t0: Optional[float] = None
-        self._dev0: Dict[str, float] = {}
+        self._ledger0: Ledger = {}
         self._cpu0 = 0.0
         self._cpu_kind0: Dict[str, float] = {}
-        self._kind0: Dict[str, float] = {}
-        self._rw0 = (0.0, 0.0)
         self._core0: List[float] = []
         self._threads0: Dict[object, tuple] = {}
         self.memory_peak = 0
@@ -170,16 +188,11 @@ class MetricsCollector:
         )
         self.env._active_collector = self
         self._t0 = self.env.sim.now
-        self._dev0 = self._provider("device.bytes_by_category")
-        self._kind0 = self._provider("device.bytes_by_kind")
+        self._ledger0 = dict(self.env.device.ledger)
         self._cpu0 = self._gauge("cpu.busy_seconds_total")
         self._cpu_kind0 = self._provider("cpu.busy_by_kind")
         self._core0 = list(self.env.cpu.core_busy_time)
         self._threads0 = self._foreground_seconds()
-        self._rw0 = (
-            self._gauge("device.read_bytes_total"),
-            self._gauge("device.write_bytes_total"),
-        )
 
     def release(self) -> None:
         """Give up the env's measuring slot if this collector holds it."""
@@ -203,22 +216,14 @@ class MetricsCollector:
         env = self.env
         self.release()
         elapsed = env.sim.now - self._t0
-        dev1 = self._provider("device.bytes_by_category")
-        device_bytes = {
-            category: dev1.get(category, 0.0) - self._dev0.get(category, 0.0)
-            for category in set(dev1) | set(self._dev0)
-        }
-        kind1 = self._provider("device.bytes_by_kind")
-        device_bytes_kind = {
-            k: kind1.get(k, 0.0) - self._kind0.get(k, 0.0)
-            for k in set(kind1) | set(self._kind0)
-        }
-        read1 = self._gauge("device.read_bytes_total")
-        write1 = self._gauge("device.write_bytes_total")
-        cpu_kind1 = self._provider("cpu.busy_by_kind")
+        device_ledger = {}
+        for key, (ios, faults, nbytes) in booked(env.device.ledger).items():
+            ios0, faults0, nbytes0 = self._ledger0.get(key, (0, 0, 0))
+            device_ledger[key] = (ios - ios0, faults - faults0, nbytes - nbytes0)
+        # Cumulative: every kind at the start is still there at the end.
         busy_by_kind = {
-            kind: cpu_kind1.get(kind, 0.0) - self._cpu_kind0.get(kind, 0.0)
-            for kind in set(cpu_kind1) | set(self._cpu_kind0)
+            kind: busy - self._cpu_kind0.get(kind, 0.0)
+            for kind, busy in self._provider("cpu.busy_by_kind").items()
         }
         busy: Dict[str, float] = {}
         wait: Dict[str, float] = {}
@@ -235,10 +240,7 @@ class MetricsCollector:
             elapsed=elapsed,
             finished_at=env.sim.now,
             latency=self.latency,
-            device_bytes=device_bytes,
-            device_bytes_kind=device_bytes_kind,
-            device_read_bytes=read1 - self._rw0[0],
-            device_write_bytes=write1 - self._rw0[1],
+            device_ledger=device_ledger,
             user_bytes_written=user_bytes_written,
             cpu_busy=self._gauge("cpu.busy_seconds_total") - self._cpu0,
             cpu_busy_by_kind=busy_by_kind,

@@ -29,11 +29,9 @@ from repro.monitor.rules import (
     ShardSilence,
     Threshold,
 )
+from repro.sim.device import kind_bytes
 
 __all__ = ["attach_service_monitor", "attach_store_monitor"]
-
-#: the ``device.io_count`` entries that together count each IO once.
-DEVICE_IO_KINDS = ("read", "write", "read:fault", "write:fault", "ram_read")
 
 
 def _fault_counter(env, name):
@@ -46,16 +44,11 @@ def _fault_counter(env, name):
 
 def _machine_series(monitor: HealthMonitor, env) -> None:
     """Signals every monitored machine watches, service or single store."""
-    # One count per IO: a clean IO is booked under its kind *and* its
-    # "kind:category" label, so summing every io_count entry counts it twice.
-    io_count = env.device.io_count
-    monitor.add_series(
-        "device.io_total", "counter",
-        lambda: sum(io_count.get(kind) for kind in DEVICE_IO_KINDS),
-    )
+    device = env.device
+    monitor.add_series("device.io_total", "counter", device.io_total)
     monitor.add_series(
         "device.write_bytes", "counter",
-        lambda: env.device.bytes_by_kind.get("write"),
+        lambda: kind_bytes(device.ledger, "write"),
     )
     monitor.add_series(
         "device.io_retries", "counter", _fault_counter(env, "io_retries"),

@@ -9,11 +9,15 @@ A :class:`StorageDevice` services each read/write in two stages:
   direction, shared by every channel, so reads and writes each move at most
   their spec's bandwidth however many IOs are in flight.
 
-A channel stays held until its IO's transfer ends.  Bytes are accounted per
-*category* ("wal", "flush", "compaction", "read", ...) and per direction;
-the bandwidth figures (5b, 12c, 21a) report window averages of those
-ledgers.  When traced, each IO is also one ``device`` row, which the one
-over-time plot, Figure 4, folds into bandwidth bins
+A channel stays held until its IO's transfer ends.  Each IO is booked once,
+in one ledger keyed by ``(kind, category)`` ("read"/"write" by "wal",
+"flush", "compaction", "read", ...), that counts its clean IOs, failed IOs
+and bytes moved; a page-cache hit is one more line, :data:`RAM`.  Every
+total (per direction, per category, per ``kind:category`` label, the
+``<kind>:fault`` counts) is derived from the ledger when read, and the
+bandwidth figures (5b, 12c, 21a) report window averages of those views.
+When traced, each IO is also one ``device`` row, which the one over-time
+plot, Figure 4, folds into bandwidth bins
 (:func:`repro.harness.timeline.device_bandwidth`).
 
 The three presets correspond to the devices in the paper's Figure 1:
@@ -25,7 +29,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
-from repro.metrics.registry import CounterGroup
 from repro.sim.core import Event, SimError, Simulator
 from repro.sim.wakeup import annotated
 
@@ -35,6 +38,10 @@ __all__ = [
     "HDD_WD100EFAX",
     "SATA_860PRO",
     "OPTANE_905P",
+    "Ledger",
+    "booked",
+    "byte_views",
+    "kind_bytes",
 ]
 
 MIB = 1024 * 1024
@@ -43,6 +50,42 @@ GIB = 1024 * MIB
 #: the argument names of a device trace row, clean and failed.
 _BYTES = ("bytes",)
 _BYTES_FAULT = ("bytes", "fault")
+
+#: a device ledger: ``(kind, category) -> (clean IOs, failed IOs, bytes
+#: moved)``.  Every IO size is an integer, so its totals are exact in any
+#: summation order.
+Ledger = Dict[Tuple[str, str], Tuple[int, int, int]]
+#: the ledger line of page-cache reads (``ram_read``): booked under ``ram``
+#: in the per-kind bytes, in no category.
+RAM = ("ram", "ram_read")
+_EMPTY = (0, 0, 0)
+
+
+def booked(ledger: Ledger) -> Ledger:
+    """The lines whose bytes are on the books: a clean IO books its bytes
+    (even 0), a failed IO only the prefix it moved, if any."""
+    return {key: line for key, line in ledger.items() if line[0] or line[2]}
+
+
+def byte_views(ledger: Ledger) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """``(bytes by category, bytes by kind)`` of every line in ``ledger``
+    (pass it through :func:`booked` first): by kind holds each direction's
+    total, each ``kind:category`` label and ``ram``."""
+    by_category: Dict[str, float] = {}
+    by_kind: Dict[str, float] = {}
+    for (kind, category), (_ios, _faults, nbytes) in ledger.items():
+        if (kind, category) == RAM:
+            by_kind[kind] = float(nbytes)
+            continue
+        by_category[category] = by_category.get(category, 0.0) + nbytes
+        by_kind[kind] = by_kind.get(kind, 0.0) + nbytes
+        by_kind["%s:%s" % (kind, category)] = float(nbytes)
+    return by_category, by_kind
+
+
+def kind_bytes(ledger: Ledger, kind: str) -> float:
+    """Bytes moved in one direction (``read`` or ``write``)."""
+    return float(sum([line[2] for (k, _c), line in ledger.items() if k == kind]))
 
 
 @dataclass(frozen=True)
@@ -117,11 +160,9 @@ class StorageDevice:
         #: fault-injection knob (see repro.faults): when installed, consulted
         #: once per submission; None is the zero-overhead off path.
         self.fault_policy = None
-        # Plain (unregistered) groups: make_env exposes them as the
-        # ``device.*`` providers, not as registry counter rows.
-        self.bytes_by_category = CounterGroup("device.bytes_by_category")
-        self.bytes_by_kind = CounterGroup("device.bytes_by_kind")
-        self.io_count = CounterGroup("device.io_count")
+        #: every IO, booked once (see :data:`Ledger`); make_env exposes its
+        #: views as the ``device.*`` providers and byte gauges.
+        self.ledger: Ledger = {}
         self.busy_channel_time = 0.0
         #: per-channel track names and "kind:category" labels, formatted once
         #: instead of per IO (string formatting was a measurable share of
@@ -140,8 +181,8 @@ class StorageDevice:
         consume device channels or bandwidth.  The paper's testbed has 64 GB
         of DRAM against a ~13 GB dataset, so most SST reads take this path —
         which is why small-KV reads are CPU-bound rather than IOPS-bound."""
-        self.io_count.add("ram_read")
-        self.bytes_by_kind.add("ram", nbytes)
+        ios, faults, moved = self.ledger.get(RAM, _EMPTY)
+        self.ledger[RAM] = (ios + 1, faults, moved + nbytes)
         done = self.sim.timeout(self.RAM_LATENCY + nbytes / self.RAM_BANDWIDTH)
         edgelog = self.sim.edgelog
         if edgelog is not None:
@@ -216,30 +257,23 @@ class StorageDevice:
             (channel, kind, moved, ev, category, started, queued_at, initiator, fault),
         )
 
-    def _kc(self, kind: str, category: str) -> str:
-        label = self._kc_labels.get((kind, category))
-        if label is None:
-            label = self._kc_labels[(kind, category)] = "%s:%s" % (kind, category)
-        return label
-
     def _finish(self, item: Tuple) -> Optional[Event]:
-        """Account, trace and release the channel of an IO that completed —
-        or failed: a failed IO counts as ``<kind>:fault``, accounts only the
-        bytes it moved (if any), and fails its event."""
+        """Book, trace and release the channel of an IO that completed —
+        or failed: a failed IO counts as failed, books only the bytes it
+        moved (if any), and fails its event."""
         channel, kind, moved, ev, category, started, queued_at, initiator, fault = item
         sim = self.sim
         now = sim._now
         self.busy_channel_time += now - started
-        label = self._kc(kind, category)
+        key = (kind, category)
+        label = self._kc_labels.get(key)
+        if label is None:
+            label = self._kc_labels[key] = "%s:%s" % key
+        ios, faults, nbytes = self.ledger.get(key, _EMPTY)
         if fault is None:
-            self.io_count.add(kind)
-            self.io_count.add(label)
+            self.ledger[key] = (ios + 1, faults, nbytes + moved)
         else:
-            self.io_count.add(kind + ":fault")
-        if moved or fault is None:
-            self.bytes_by_category.add(category, moved)
-            self.bytes_by_kind.add(kind, moved)
-            self.bytes_by_kind.add(label, moved)
+            self.ledger[key] = (ios, faults + 1, nbytes + moved)
         tracer = sim.tracer
         if tracer is not None:
             if fault is None:
@@ -275,7 +309,28 @@ class StorageDevice:
         """IOs currently occupying a channel (the sampler's device gauge)."""
         return self.spec.channels - len(self._free_channels)
 
-    def total_bytes(self, kind: Optional[str] = None) -> float:
-        if kind is None:
-            return self.bytes_by_kind.get("read") + self.bytes_by_kind.get("write")
-        return self.bytes_by_kind.get(kind)
+    def bytes_by_category(self) -> Dict[str, float]:
+        return byte_views(booked(self.ledger))[0]
+
+    def bytes_by_kind(self) -> Dict[str, float]:
+        return byte_views(booked(self.ledger))[1]
+
+    def io_count(self) -> Dict[str, float]:
+        """Clean IOs by kind and by ``kind:category`` label, failed IOs as
+        ``<kind>:fault``, page-cache reads as ``ram_read``."""
+        out: Dict[str, float] = {}
+        for (kind, category), (ios, faults, _nbytes) in self.ledger.items():
+            if (kind, category) == RAM:
+                out[category] = float(ios)
+                continue
+            if ios:
+                out[kind] = out.get(kind, 0.0) + ios
+                out["%s:%s" % (kind, category)] = float(ios)
+            if faults:
+                fault_key = kind + ":fault"
+                out[fault_key] = out.get(fault_key, 0.0) + faults
+        return out
+
+    def io_total(self) -> float:
+        """Every IO once: clean, failed and page-cache reads."""
+        return float(sum([ios + faults for ios, faults, _b in self.ledger.values()]))

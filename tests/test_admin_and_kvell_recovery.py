@@ -124,9 +124,9 @@ class TestKVellRecovery:
 
         run_process(env, work())
         env.disk.crash()
-        before = env.device.bytes_by_category.get("recovery")
+        before = env.device.bytes_by_category().get("recovery", 0.0)
         run_process(env, KVellLike.recover(env, n_workers=2))
-        assert env.device.bytes_by_category.get("recovery") > before
+        assert env.device.bytes_by_category().get("recovery", 0.0) > before
 
     def test_deletes_respected_after_recovery(self, env):
         kvell = KVellLike(env, n_workers=2)

@@ -86,7 +86,7 @@ class TestPebblesDB:
 
             run_process(env, work())
             user = engine.counters.get("user_bytes_written")
-            device = env.device.bytes_by_kind.get("write")
+            device = env.device.bytes_by_kind().get("write", 0.0)
             return device / user
 
         shape = dict(
@@ -173,7 +173,7 @@ class TestKVell:
         for tid in range(8):
             env.sim.spawn(writer(tid))
         env.sim.run()
-        page_writes = env.device.io_count.get("write")
+        page_writes = env.device.io_count().get("write", 0.0)
         assert page_writes < 320  # 320 items coalesced into fewer page IOs
 
     def test_index_memory_dominates(self, env):

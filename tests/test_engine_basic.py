@@ -154,7 +154,7 @@ class TestFlushAndCompaction:
 
         run_process(env, work())
         assert engine.counters.get("flushes") > 0
-        assert env.device.bytes_by_category.get("flush") > 0
+        assert env.device.bytes_by_category().get("flush", 0.0) > 0
 
     def test_data_survives_flush(self, env):
         options = rocksdb_options(write_buffer_size=4096)
@@ -187,7 +187,7 @@ class TestFlushAndCompaction:
 
         run_process(env, work())
         assert engine.counters.get("compactions") > 0
-        assert env.device.bytes_by_category.get("compaction") > 0
+        assert env.device.bytes_by_category().get("compaction", 0.0) > 0
 
     def test_reads_correct_after_compaction(self, env):
         options = rocksdb_options(

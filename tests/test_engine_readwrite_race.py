@@ -163,7 +163,7 @@ class TestReadersVsWriters:
         env.sim.spawn(scanner())
         env.sim.run()
         assert wrong == []
-        assert env.device.io_count.get("read") > 100  # the scans did suspend
+        assert env.device.io_count().get("read", 0.0) > 100  # the scans did suspend
 
     def test_many_concurrent_writers_never_lose_a_write(self):
         env = make_env(n_cores=16)

@@ -30,7 +30,7 @@ def run_load(env, limit):
     run_process(env, work())
     # Closed loop: writers drain before run_process returns, so sim time is
     # the workload window (no post-window drain skews the rate).
-    compaction_writes = env.device.bytes_by_kind.get("write:compaction")
+    compaction_writes = env.device.bytes_by_kind().get("write:compaction", 0.0)
     return engine, compaction_writes / env.sim.now
 
 

@@ -585,8 +585,8 @@ def _run_program(program, sim_cls, install=(), seed=None, until=None):
             (c.busy_time, dict(c.busy_by_category), dict(c.wait_by_category), c.last_core)
             for c in ctxs
         ],
-        "io_count": dev.io_count.as_dict(),
-        "bytes_by_kind": dev.bytes_by_kind.as_dict(),
+        "io_count": dev.io_count(),
+        "bytes_by_kind": dev.bytes_by_kind(),
         "busy_channel_time": dev.busy_channel_time,
     }
     for observer in observers:

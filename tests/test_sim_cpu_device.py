@@ -253,8 +253,8 @@ class TestDevice:
         sim.spawn(proc(100, "wal"))
         sim.run()
         assert outcomes == [(1.0, "timed_out"), (2.3, "io_error"), (4.3, "ok")]
-        assert dev.bytes_by_category.as_dict() == {"wal": 130}
-        assert dev.io_count.as_dict() == {"write:fault": 2, "write": 1, "write:wal": 1}
+        assert dev.bytes_by_category() == {"wal": 130}
+        assert dev.io_count() == {"write:fault": 2, "write": 1, "write:wal": 1}
         assert [(s.name, s.args) for s in tracer.spans("device")] == [
             ("write:flush", {"bytes": 0, "fault": "timed_out"}),
             ("write:wal", {"bytes": 30, "fault": "io_error"}),
@@ -287,11 +287,11 @@ class TestDevice:
 
         sim.spawn(proc())
         sim.run()
-        assert dev.bytes_by_category.get("wal") == 1000
-        assert dev.bytes_by_category.get("compaction") == 2000
-        assert dev.bytes_by_category.get("read") == 500
-        assert dev.total_bytes("write") == 3000
-        assert dev.total_bytes() == 3500
+        assert dev.bytes_by_category().get("wal", 0.0) == 1000
+        assert dev.bytes_by_category().get("compaction", 0.0) == 2000
+        assert dev.bytes_by_category().get("read", 0.0) == 500
+        assert dev.bytes_by_kind()["write"] == 3000
+        assert sum(dev.bytes_by_category().values()) == 3500
 
     def test_bandwidth_utilization(self):
         """What ``Metrics.bandwidth_utilization`` divides: bytes moved over
@@ -305,7 +305,7 @@ class TestDevice:
 
         sim.spawn(proc())
         sim.run(until=1.0)
-        assert dev.total_bytes() / (spec.write_bandwidth * 1.0) == pytest.approx(0.5)
+        assert sum(dev.bytes_by_category().values()) / (spec.write_bandwidth * 1.0) == pytest.approx(0.5)
         assert dev.busy_channel_time == pytest.approx(0.5)
 
     def test_negative_io_rejected(self):
@@ -339,8 +339,8 @@ class TestObserverInvariance:
         return {
             "busy_time": list(cpu.core_busy_time),
             "busy_by_category": dict(ctx.busy_by_category),
-            "io_count": dev.io_count.as_dict(),
-            "bytes_by_kind": dev.bytes_by_kind.as_dict(),
+            "io_count": dev.io_count(),
+            "bytes_by_kind": dev.bytes_by_kind(),
             "seq": sim._seq,
         }
 
@@ -386,7 +386,7 @@ class TestObserverInvariance:
             "busy_time": list(cpu.core_busy_time),
             "busy_by_kind": dict(cpu.busy_by_kind),
             "waits": [dict(t.wait_by_category) for t in cpu.threads],
-            "io_count": dev.io_count.as_dict(),
+            "io_count": dev.io_count(),
             "busy_channel_time": dev.busy_channel_time,
             "seq": sim._seq,
         }

@@ -185,8 +185,8 @@ class TestDeviceQueueing:
 
         sim.spawn(proc())
         sim.run()
-        assert device.io_count.get("write") == 1
-        assert device.io_count.get("read") == 1
-        assert device.io_count.get("ram_read") == 1
-        assert device.io_count.get("write:wal") == 1
-        assert device.bytes_by_kind.get("ram") == 30
+        assert device.io_count().get("write", 0.0) == 1
+        assert device.io_count().get("read", 0.0) == 1
+        assert device.io_count().get("ram_read", 0.0) == 1
+        assert device.io_count().get("write:wal", 0.0) == 1
+        assert device.bytes_by_kind().get("ram", 0.0) == 30

@@ -49,7 +49,7 @@ class TestVirtualFile:
         f = disk.open_file("wal-1")
         f.append(b"x" * 1000)
         run(sim, f.flush(category="wal"))
-        assert disk.device.bytes_by_category.get("wal") == 1000
+        assert disk.device.bytes_by_category().get("wal", 0.0) == 1000
 
     def test_crash_drops_unflushed_tail(self):
         sim, disk = make_disk()
@@ -66,7 +66,7 @@ class TestVirtualFile:
         f.append(b"0123456789")
         data = run(sim, f.read(2, 4))
         assert data == b"2345"
-        assert disk.device.bytes_by_kind.get("read") == 4
+        assert disk.device.bytes_by_kind().get("read", 0.0) == 4
 
     def test_read_all(self):
         sim, disk = make_disk()

@@ -147,7 +147,7 @@ class TestKernelInvariants:
         sim.run()
         elapsed = sim.now
         for kind, bandwidth in (("read", spec.read_bandwidth), ("write", spec.write_bandwidth)):
-            moved = device.bytes_by_kind.get(kind)
+            moved = device.bytes_by_kind().get(kind, 0.0)
             assert moved <= bandwidth * elapsed + 1e-6
 
     @given(

@@ -23,7 +23,7 @@ def _traced_fill(max_events=2_000_000):
 class TestDeviceBandwidth:
     def test_fold_matches_the_device_byte_ledger(self):
         env, tracer = _traced_fill()
-        ledger = env.device.bytes_by_category.as_dict()
+        ledger = env.device.bytes_by_category()
         assert ledger["flush"] > 0 and ledger["compaction"] > 0
         series = device_bandwidth(tracer)
         assert set(series) == set(ledger)

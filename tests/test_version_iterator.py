@@ -473,7 +473,7 @@ class TestCollectMatchesPerEntryMerge:
                 env, merge(cursors, begin, snapshot, limit, end)
             )
             outcomes.append(
-                (pairs, scanned, cache.loads, env.device.io_count.get("read"),
+                (pairs, scanned, cache.loads, env.device.io_count().get("read", 0.0),
                  env.sim.now, [cursor.current for cursor in cursors])
             )
         for outcome in outcomes[1:]:
@@ -550,8 +550,8 @@ class TestCachedStepsMatchTheOracle:
 
     @staticmethod
     def charged(env, cache):
-        return [cache.hits, cache.misses, env.device.io_count.get("read"),
-                env.device.bytes_by_kind.get("read")]
+        return [cache.hits, cache.misses, env.device.io_count().get("read", 0.0),
+                env.device.bytes_by_kind().get("read", 0.0)]
 
     @staticmethod
     def delta(before, after):
@@ -653,9 +653,9 @@ class TestCachedStepsMatchTheOracle:
         assert [c.current and c.current[0] for c in cursors] == [
             None, key(7), key(5), None
         ]
-        assert env.device.io_count.get("read") == 0
+        assert env.device.io_count().get("read", 0.0) == 0
         run_process(env, pending)
-        assert env.device.io_count.get("read") == 1
+        assert env.device.io_count().get("read", 0.0) == 1
         assert cursors[3].current[0] == key(6)
         entries = run_process(env, iterator.collect(6))
         assert [e[0] for e in entries] == [key(i) for i in range(5, 11)]
@@ -675,7 +675,7 @@ class TestCachedStepsMatchTheOracle:
         assert cursor.current[0] == key(4)  # not moved before the fetch
         run_process(env, pending)
         assert cursor.current[0] == key(5) and cursor.table is t2
-        assert env.device.io_count.get("read") == 1
+        assert env.device.io_count().get("read", 0.0) == 1
         assert cursor.advance() == () and cursor.current[0] == key(6)
 
     @staticmethod
@@ -711,7 +711,7 @@ class TestCachedStepsMatchTheOracle:
         return (
             [e.block_cache.hits for e in engines]
             + [e.block_cache.misses for e in engines]
-            + [env.device.io_count.get("read"), env.device.bytes_by_kind.get("read")],
+            + [env.device.io_count().get("read", 0.0), env.device.bytes_by_kind().get("read", 0.0)],
             [worker.ctx.busy_by_category["read"] for worker in kvs.workers],
         )
 
