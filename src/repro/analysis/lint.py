@@ -169,11 +169,23 @@ def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _is_set_expr(node: ast.AST) -> bool:
+#: set algebra: ``a | b``, ``a & b``, ``a - b`` and ``a ^ b`` of two sets is a set.
+_SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+
+
+def _is_set_expr(node: ast.AST, set_names=()) -> bool:
+    """A set display, comprehension, ``set(...)``/``frozenset(...)`` call, a
+    name in ``set_names``, or set algebra between any of these."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         return node.func.id in ("set", "frozenset")
+    if isinstance(node, ast.Name):
+        return node.id in set_names
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
+        return _is_set_expr(node.left, set_names) and _is_set_expr(
+            node.right, set_names
+        )
     return False
 
 
@@ -326,11 +338,6 @@ class UnorderedIterRule(LintRule):
                 if isinstance(target, ast.Name)
             }
 
-            def _setish(expr: ast.AST) -> bool:
-                if _is_set_expr(expr):
-                    return True
-                return isinstance(expr, ast.Name) and expr.id in set_names
-
             for node in _own_nodes(scope):
                 iters = []
                 if isinstance(node, ast.For):
@@ -345,7 +352,7 @@ class UnorderedIterRule(LintRule):
                 ):
                     iters.append(node.args[0])
                 for it in iters:
-                    if _setish(it):
+                    if _is_set_expr(it, set_names):
                         yield self.diag(
                             module,
                             it,

@@ -264,6 +264,41 @@ def test_unordered_iter_miss_on_list():
     assert _rules("for x in [1, 2, 3]:\n    pass\n") == []
 
 
+def test_unordered_iter_hit_on_set_algebra():
+    """A window delta keyed by the union of two snapshots' keys: its order
+    followed PYTHONHASHSEED."""
+    code = """
+        def delta(end, start):
+            return {k: end.get(k, 0.0) - start.get(k, 0.0)
+                    for k in set(end) | set(start)}
+        """
+    assert _rules(code) == ["unordered-iter"]
+    for op in ("&", "-", "^"):
+        assert _rules("for k in set(a) %s {1}:\n    pass\n" % op) == [
+            "unordered-iter"
+        ]
+    assert _rules(
+        """
+        def f(a, b):
+            seen = set(a)
+            for k in seen - set(b):
+                schedule(k)
+        """
+    ) == ["unordered-iter"]
+
+
+def test_unordered_iter_miss_on_sorted_set_algebra_and_arithmetic():
+    assert _rules(
+        """
+        def delta(end, start):
+            return {k: end.get(k, 0.0) - start.get(k, 0.0)
+                    for k in sorted(set(end) | set(start))}
+        """
+    ) == []
+    assert _rules("for k in range(a | b):\n    pass\n") == []
+    assert _rules("for k in [x - y for x, y in pairs]:\n    pass\n") == []
+
+
 # ---------------------------------------------------------------------------
 # lock-pairing
 # ---------------------------------------------------------------------------
