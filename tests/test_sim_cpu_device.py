@@ -1,6 +1,8 @@
 """Tests for the CPU core model and storage device model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.sanitizer import install_sanitizer
 from repro.errors import IOFailure, KVError, TimedOut
@@ -260,6 +262,87 @@ class TestDevice:
             ("write:wal", {"bytes": 30, "fault": "io_error"}),
             ("write:wal", {"bytes": 100}),
         ]
+
+    @given(
+        ios=st.lists(
+            st.tuples(
+                st.sampled_from(("read", "write", "ram_read")),
+                st.integers(0, 4096),
+                st.sampled_from(("wal", "flush", "compaction", "read")),
+                st.sampled_from((None, None, "error", "torn")),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ledger_views_equal_the_fold_of_the_trace(self, ios):
+        """Differential: the device's derived views equal the per-IO
+        booking folded from its ``device`` trace rows and the RAM reads
+        issued, absent keys included (a failed IO that moved nothing books
+        no bytes key)."""
+
+        class Faults:
+            """An error moves nothing; a torn write moves a third."""
+
+            def __init__(self):
+                self.outcomes = {}
+                self.injection_times = []
+
+            def decide(self, kind, nbytes, category):
+                outcome = self.outcomes[(kind, nbytes, category)].pop(0)
+                if outcome == "error" or (outcome == "torn" and kind == "read"):
+                    return TimedOut()
+                if outcome == "torn":
+                    return IOFailure(torn=True, completed_bytes=nbytes // 3)
+                return None
+
+        sim = Simulator()
+        tracer = install_tracer(sim)
+        dev = StorageDevice(sim, DeviceSpec("d", 1e6, 1e6, 1e-4, 1e-4, channels=2))
+        dev.fault_policy = policy = Faults()
+        ram_reads = []
+
+        def proc(kind, nbytes, category):
+            try:
+                if kind == "ram_read":
+                    ram_reads.append(nbytes)
+                    yield dev.ram_read(nbytes)
+                else:
+                    yield dev.submit(kind, nbytes, category=category)
+            except KVError:
+                pass
+
+        for kind, nbytes, category, outcome in ios:
+            policy.outcomes.setdefault((kind, nbytes, category), []).append(outcome)
+            sim.spawn(proc(kind, nbytes, category))
+        sim.run()
+
+        io_count, by_kind, by_category = {}, {}, {}
+
+        def add(view, key, amount):
+            view[key] = view.get(key, 0.0) + amount
+
+        rows = [(row.name, row.args) for row in tracer.spans("device")]
+        for name, args in rows:
+            kind, category = name.split(":")
+            moved = args["bytes"]
+            if "fault" in args:
+                add(io_count, kind + ":fault", 1)
+                if not moved:
+                    continue
+            else:
+                add(io_count, kind, 1)
+                add(io_count, name, 1)
+            add(by_category, category, moved)
+            add(by_kind, kind, moved)
+            add(by_kind, name, moved)
+        for nbytes in ram_reads:
+            add(io_count, "ram_read", 1)
+            add(by_kind, "ram", nbytes)
+        assert dev.io_count() == io_count
+        assert dev.bytes_by_kind() == by_kind
+        assert dev.bytes_by_category() == by_category
+        assert dev.io_total() == len(rows) + len(ram_reads) == len(ios)
 
     def test_small_ios_reach_high_iops_via_channels(self):
         sim = Simulator()
