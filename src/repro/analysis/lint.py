@@ -169,23 +169,19 @@ def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-#: set algebra: ``a | b``, ``a & b``, ``a - b`` and ``a ^ b`` of two sets is a set.
-_SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-
-
 def _is_set_expr(node: ast.AST, set_names=()) -> bool:
-    """A set display, comprehension, ``set(...)``/``frozenset(...)`` call, a
-    name in ``set_names``, or set algebra between any of these."""
+    """A set display or comprehension, a ``set``/``frozenset`` call, a name
+    in ``set_names``, or ``|``/``&``/``-``/``^`` between two of these."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         return node.func.id in ("set", "frozenset")
     if isinstance(node, ast.Name):
         return node.id in set_names
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
-        return _is_set_expr(node.left, set_names) and _is_set_expr(
-            node.right, set_names
-        )
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+    ):
+        return all(_is_set_expr(side, set_names) for side in (node.left, node.right))
     return False
 
 

@@ -13,7 +13,7 @@ from typing import Optional
 from repro.metrics.registry import StatsRegistry
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPUSet
-from repro.sim.device import DeviceSpec, OPTANE_905P, StorageDevice, kind_bytes
+from repro.sim.device import DeviceSpec, OPTANE_905P, StorageDevice
 from repro.storage.vfs import DiskImage
 
 __all__ = ["Env", "make_env"]
@@ -38,14 +38,13 @@ class Env:
 
 def _register_machine_stats(env: "Env") -> None:
     """Register the shared-hardware gauges and cumulative providers that the
-    sampler and the stats exports read (device + CPU views; the device ones
-    are views of its one ledger)."""
+    sampler and the stats exports read (device + CPU views)."""
     device, cpu, registry = env.device, env.cpu, env.metrics
     registry.gauge("device.in_flight_ios", device.in_flight)
     registry.gauge("device.queue_depth", lambda: len(device._queue))
     registry.gauge("device.busy_channel_seconds", lambda: device.busy_channel_time)
-    registry.gauge("device.read_bytes_total", lambda: kind_bytes(device.ledger, "read"))
-    registry.gauge("device.write_bytes_total", lambda: kind_bytes(device.ledger, "write"))
+    registry.gauge("device.read_bytes_total", lambda: device.bytes_by_kind().get("read", 0.0))
+    registry.gauge("device.write_bytes_total", lambda: device.bytes_by_kind().get("write", 0.0))
     registry.gauge("cpu.busy_cores", cpu.busy_cores)
     registry.gauge("cpu.busy_seconds_total", cpu.total_busy_time)
     registry.provider("device.bytes_by_category", device.bytes_by_category)

@@ -8,12 +8,8 @@ foreground run.  Figure 6's latency breakdown is windowed the same way: a
 delta of the foreground threads' busy/wait accounting, folded by
 :func:`repro.trace.attribution.fig06_breakdown`.
 
-The CPU state is read through the env's :class:`~repro.metrics.registry.
-StatsRegistry` (the ``cpu.*`` provider and gauge registered by ``make_env``),
-the source the sim-time sampler consumes too; the device state is its one
-ledger (:attr:`repro.sim.device.StorageDevice.ledger`), snapshotted at each
-end of the window, and every device total a :class:`Metrics` reports is a
-view of the windowed ledger.
+The collector reads the device's ledger and the CPU model directly; every
+device total a :class:`Metrics` reports is a view of the windowed ledger.
 
 Windowing contract: at most one collector may be *measuring* an env at a
 time (overlapping windows would double-count cumulative deltas).  Use
@@ -26,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.metrics.registry import Histogram
-from repro.sim.device import Ledger, booked, byte_views, kind_bytes
+from repro.sim.device import Ledger, byte_views, ledger_delta
 from repro.trace.attribution import fig06_breakdown
 
 __all__ = ["Metrics", "MetricsCollector", "scoped_collector"]
@@ -40,8 +36,7 @@ class Metrics:
     #: the instant the window closed (``t0 + elapsed`` can differ by an ulp).
     finished_at: float
     latency: Dict[str, Histogram]
-    #: the device ledger over the window: each line booked by its end, as
-    #: its delta (see :func:`repro.sim.device.booked`).
+    #: the device ledger over the window (:func:`repro.sim.device.ledger_delta`).
     device_ledger: Ledger
     user_bytes_written: float
     cpu_busy: float
@@ -61,17 +56,16 @@ class Metrics:
 
     @property
     def device_bytes_kind(self) -> Dict[str, float]:
-        """Windowed bytes by kind and by ``kind:category`` label (e.g.
-        "write:compaction")."""
+        """Windowed bytes by kind and label (e.g. "write:compaction")."""
         return byte_views(self.device_ledger)[1]
 
     @property
     def device_read_bytes(self) -> float:
-        return kind_bytes(self.device_ledger, "read")
+        return self.device_bytes_kind.get("read", 0.0)
 
     @property
     def device_write_bytes(self) -> float:
-        return kind_bytes(self.device_ledger, "write")
+        return self.device_bytes_kind.get("write", 0.0)
 
     @property
     def qps(self) -> float:
@@ -158,14 +152,6 @@ class MetricsCollector:
         self._threads0: Dict[object, tuple] = {}
         self.memory_peak = 0
 
-    # -- registry reads ----------------------------------------------------
-
-    def _provider(self, name: str) -> Dict[str, float]:
-        return self.env.metrics.providers[name]()
-
-    def _gauge(self, name: str) -> float:
-        return self.env.metrics.gauges[name].read()
-
     def _foreground_seconds(self) -> Dict[object, tuple]:
         """Each user and worker thread's (busy, wait) seconds by category,
         keyed by the thread itself: a preload's ``user-0`` and the measured
@@ -189,8 +175,8 @@ class MetricsCollector:
         self.env._active_collector = self
         self._t0 = self.env.sim.now
         self._ledger0 = dict(self.env.device.ledger)
-        self._cpu0 = self._gauge("cpu.busy_seconds_total")
-        self._cpu_kind0 = self._provider("cpu.busy_by_kind")
+        self._cpu0 = self.env.cpu.total_busy_time()
+        self._cpu_kind0 = dict(self.env.cpu.busy_by_kind)
         self._core0 = list(self.env.cpu.core_busy_time)
         self._threads0 = self._foreground_seconds()
 
@@ -216,14 +202,10 @@ class MetricsCollector:
         env = self.env
         self.release()
         elapsed = env.sim.now - self._t0
-        device_ledger = {}
-        for key, (ios, faults, nbytes) in booked(env.device.ledger).items():
-            ios0, faults0, nbytes0 = self._ledger0.get(key, (0, 0, 0))
-            device_ledger[key] = (ios - ios0, faults - faults0, nbytes - nbytes0)
         # Cumulative: every kind at the start is still there at the end.
         busy_by_kind = {
             kind: busy - self._cpu_kind0.get(kind, 0.0)
-            for kind, busy in self._provider("cpu.busy_by_kind").items()
+            for kind, busy in env.cpu.busy_by_kind.items()
         }
         busy: Dict[str, float] = {}
         wait: Dict[str, float] = {}
@@ -240,9 +222,9 @@ class MetricsCollector:
             elapsed=elapsed,
             finished_at=env.sim.now,
             latency=self.latency,
-            device_ledger=device_ledger,
+            device_ledger=ledger_delta(env.device.ledger, self._ledger0),
             user_bytes_written=user_bytes_written,
-            cpu_busy=self._gauge("cpu.busy_seconds_total") - self._cpu0,
+            cpu_busy=env.cpu.total_busy_time() - self._cpu0,
             cpu_busy_by_kind=busy_by_kind,
             per_core_util=[
                 (busy - before) / max(elapsed, 1e-12)

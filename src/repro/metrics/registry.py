@@ -10,8 +10,8 @@ component-prefixed names at open time:
   memtable bytes, in-flight IOs); the sim-time sampler snapshots these;
 * **histograms** — exact-sample, mergeable :class:`Histogram` instances
   (nearest-rank p50/p95/p99 over every recorded value);
-* **providers** — dict-valued cumulative sources (e.g. the device's
-  per-category byte counters) that windowed consumers difference;
+* **providers** — dict-valued cumulative views (e.g. the device's bytes per
+  category, summed from its ledger) that the exports read;
 * **events** — begin/end occurrences with sim timestamps (write stalls,
   compaction backlog), kept in one ordered :class:`EventLog`.
 

@@ -282,9 +282,8 @@ class HealthMonitor(Sampler):
         }
 
     def summary(self) -> Dict[str, dict]:
-        """Per-series digest for the timeline document, by name (the window
-        and drop counts are the document's ``windows_observed`` and
-        ``dropped_windows``: every series has a value in every window)."""
+        """Per-series digest for the timeline document, by name; the window
+        counts are the document's (every series has a value in every window)."""
         if not self.samples:
             return {}
         out: Dict[str, dict] = {}

@@ -29,7 +29,6 @@ from repro.monitor.rules import (
     ShardSilence,
     Threshold,
 )
-from repro.sim.device import kind_bytes
 
 __all__ = ["attach_service_monitor", "attach_store_monitor"]
 
@@ -48,7 +47,7 @@ def _machine_series(monitor: HealthMonitor, env) -> None:
     monitor.add_series("device.io_total", "counter", device.io_total)
     monitor.add_series(
         "device.write_bytes", "counter",
-        lambda: kind_bytes(device.ledger, "write"),
+        lambda: device.bytes_by_kind().get("write", 0.0),
     )
     monitor.add_series(
         "device.io_retries", "counter", _fault_counter(env, "io_retries"),

@@ -10,15 +10,11 @@ A :class:`StorageDevice` services each read/write in two stages:
   their spec's bandwidth however many IOs are in flight.
 
 A channel stays held until its IO's transfer ends.  Each IO is booked once,
-in one ledger keyed by ``(kind, category)`` ("read"/"write" by "wal",
-"flush", "compaction", "read", ...), that counts its clean IOs, failed IOs
-and bytes moved; a page-cache hit is one more line, :data:`RAM`.  Every
-total (per direction, per category, per ``kind:category`` label, the
-``<kind>:fault`` counts) is derived from the ledger when read, and the
-bandwidth figures (5b, 12c, 21a) report window averages of those views.
-When traced, each IO is also one ``device`` row, which the one over-time
-plot, Figure 4, folds into bandwidth bins
-(:func:`repro.harness.timeline.device_bandwidth`).
+in one :data:`Ledger` by direction and *category* ("wal", "flush", "read",
+...); every total is a view of it, and the bandwidth figures (5b, 12c, 21a)
+report window averages of those views.  When traced, each IO is also one
+``device`` row, which the one over-time plot, Figure 4, folds into bandwidth
+bins (:func:`repro.harness.timeline.device_bandwidth`).
 
 The three presets correspond to the devices in the paper's Figure 1:
 a WDC WD100EFAX HDD, a Samsung 860 PRO SATA SSD, and an Intel Optane 905p
@@ -39,9 +35,8 @@ __all__ = [
     "SATA_860PRO",
     "OPTANE_905P",
     "Ledger",
-    "booked",
     "byte_views",
-    "kind_bytes",
+    "ledger_delta",
 ]
 
 MIB = 1024 * 1024
@@ -51,41 +46,35 @@ GIB = 1024 * MIB
 _BYTES = ("bytes",)
 _BYTES_FAULT = ("bytes", "fault")
 
-#: a device ledger: ``(kind, category) -> (clean IOs, failed IOs, bytes
-#: moved)``.  Every IO size is an integer, so its totals are exact in any
-#: summation order.
+#: ``(kind, category) -> (clean IOs, failed IOs, bytes moved)``, plus the
+#: :data:`RAM` line of page-cache reads.  IO sizes are integers, so every sum
+#: of it is exact in any order.
 Ledger = Dict[Tuple[str, str], Tuple[int, int, int]]
-#: the ledger line of page-cache reads (``ram_read``): booked under ``ram``
-#: in the per-kind bytes, in no category.
 RAM = ("ram", "ram_read")
 _EMPTY = (0, 0, 0)
 
 
-def booked(ledger: Ledger) -> Ledger:
-    """The lines whose bytes are on the books: a clean IO books its bytes
-    (even 0), a failed IO only the prefix it moved, if any."""
-    return {key: line for key, line in ledger.items() if line[0] or line[2]}
+def ledger_delta(end: Ledger, start: Ledger) -> Ledger:
+    """Each line of ``end`` that booked bytes (a clean IO books its bytes,
+    even 0; a failed IO only the prefix it moved), less its ``start``."""
+    return {
+        key: tuple([now - then for now, then in zip(line, start.get(key, _EMPTY))])
+        for key, line in end.items()
+        if line[0] or line[2]
+    }
 
 
 def byte_views(ledger: Ledger) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """``(bytes by category, bytes by kind)`` of every line in ``ledger``
-    (pass it through :func:`booked` first): by kind holds each direction's
-    total, each ``kind:category`` label and ``ram``."""
+    """``(bytes by category, bytes by kind)`` of a :func:`ledger_delta`; by
+    kind holds each direction, each ``kind:category`` label and ``ram``."""
     by_category: Dict[str, float] = {}
     by_kind: Dict[str, float] = {}
     for (kind, category), (_ios, _faults, nbytes) in ledger.items():
-        if (kind, category) == RAM:
-            by_kind[kind] = float(nbytes)
-            continue
-        by_category[category] = by_category.get(category, 0.0) + nbytes
+        if (kind, category) != RAM:
+            by_category[category] = by_category.get(category, 0.0) + nbytes
+            by_kind["%s:%s" % (kind, category)] = float(nbytes)
         by_kind[kind] = by_kind.get(kind, 0.0) + nbytes
-        by_kind["%s:%s" % (kind, category)] = float(nbytes)
     return by_category, by_kind
-
-
-def kind_bytes(ledger: Ledger, kind: str) -> float:
-    """Bytes moved in one direction (``read`` or ``write``)."""
-    return float(sum([line[2] for (k, _c), line in ledger.items() if k == kind]))
 
 
 @dataclass(frozen=True)
@@ -160,8 +149,7 @@ class StorageDevice:
         #: fault-injection knob (see repro.faults): when installed, consulted
         #: once per submission; None is the zero-overhead off path.
         self.fault_policy = None
-        #: every IO, booked once (see :data:`Ledger`); make_env exposes its
-        #: views as the ``device.*`` providers and byte gauges.
+        #: every IO, booked once; make_env registers its views.
         self.ledger: Ledger = {}
         self.busy_channel_time = 0.0
         #: per-channel track names and "kind:category" labels, formatted once
@@ -310,25 +298,21 @@ class StorageDevice:
         return self.spec.channels - len(self._free_channels)
 
     def bytes_by_category(self) -> Dict[str, float]:
-        return byte_views(booked(self.ledger))[0]
+        return byte_views(ledger_delta(self.ledger, {}))[0]
 
     def bytes_by_kind(self) -> Dict[str, float]:
-        return byte_views(booked(self.ledger))[1]
+        return byte_views(ledger_delta(self.ledger, {}))[1]
 
     def io_count(self) -> Dict[str, float]:
         """Clean IOs by kind and by ``kind:category`` label, failed IOs as
         ``<kind>:fault``, page-cache reads as ``ram_read``."""
         out: Dict[str, float] = {}
         for (kind, category), (ios, faults, _nbytes) in self.ledger.items():
-            if (kind, category) == RAM:
-                out[category] = float(ios)
-                continue
-            if ios:
-                out[kind] = out.get(kind, 0.0) + ios
-                out["%s:%s" % (kind, category)] = float(ios)
-            if faults:
-                fault_key = kind + ":fault"
-                out[fault_key] = out.get(fault_key, 0.0) + faults
+            label = "%s:%s" % (kind, category)
+            counts = [(kind, ios), (label, ios), (kind + ":fault", faults)]
+            for name, n in [(category, ios)] if (kind, category) == RAM else counts:
+                if n:
+                    out[name] = out.get(name, 0.0) + n
         return out
 
     def io_total(self) -> float:
