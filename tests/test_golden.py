@@ -332,6 +332,29 @@ def test_figure_ycsb_a_golden():
     check("figure:ycsb-a:rocksdb:32threads", fingerprint(_case_facts(metrics, env)))
 
 
+#: the write-group corners no other golden reaches: rocksdb/p2kvs pin
+#: concurrent + pipelined and leveldb exclusive + unpipelined.
+_WRITE_PATH_CORNERS = (
+    ("rocksdb", {"engine": {"pipelined_write": False}}),
+    ("leveldb", {"engine": {"pipelined_write": True}}),  # the mem-stage lock
+    ("rocksdb", {"engine": {"group_commit": False}}),
+    ("rocksdb", {"engine": {"enable_wal": False}}),
+    ("rocksdb", {"engine": {"enable_memtable": False}}),
+    ("multi", {"workers": 8}),  # two lockstep writers per instance
+)
+
+
+def test_figure_write_path_corners_golden():
+    """One 16-client fill per write-group corner: concurrent x exclusive
+    memtable against pipelined or not, one-writer groups, each stage
+    disabled, and groups with followers on every instance."""
+    facts = []
+    for kind, opts in _WRITE_PATH_CORNERS:
+        metrics, env = run_case(kind, fillrandom(2000, 112, 5), 16, **opts)
+        facts.append(_case_facts(metrics, env))
+    check("figure:write-path-corners", fingerprint(facts))
+
+
 def _obm_read_batches(system) -> int:
     return sum(w.counters.get("obm_read_batches") for w in system.kvs.workers)
 
