@@ -2,7 +2,8 @@
 
 p2KVS treats the underlying KVS as a black box with three basic functions —
 initialize, submit request, close.  A worker drives its instance directly
-through the verbs below (generator processes unless noted); both
+through the verbs below (for ``yield from`` unless noted: a generator, or
+``()`` when there is nothing to wait for); both
 :class:`~repro.engine.db.LSMEngine` (the RocksDB/LevelDB presets) and
 :class:`~repro.baselines.wiredtiger.WiredTigerLike` are such instances:
 

@@ -18,7 +18,6 @@ __all__ = [
     "READ_CLASS",
     "Request",
     "WRITE_CLASS",
-    "op_class",
 ]
 
 OP_PUT = "PUT"
@@ -46,16 +45,12 @@ _CLASS = {
 }
 
 
-def op_class(op: str) -> str:
-    """Batching class: OBM merges only same-class consecutive requests."""
-    return _CLASS[op]
-
-
 class Request:
     """One KV operation in flight."""
 
     __slots__ = (
         "op",
+        "merge_class",
         "key",
         "value",
         "begin",
@@ -90,6 +85,8 @@ class Request:
         callback: Optional[Callable[[Any], None]] = None,
     ):
         self.op = op
+        #: batching class: OBM merges only same-class consecutive requests.
+        self.merge_class = _CLASS[op]
         self.key = key
         self.value = value
         self.begin = begin
@@ -106,10 +103,6 @@ class Request:
         # open), and its start and the queue depth it found, both set with it.
         self.queue_aid = None
         self.completed = False  # set by the worker; poison paths skip done requests
-
-    @property
-    def merge_class(self) -> str:
-        return op_class(self.op)
 
     def __repr__(self) -> str:
         return "Request(%s, key=%r)" % (self.op, self.key)

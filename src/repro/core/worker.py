@@ -20,7 +20,7 @@ from repro.core.requests import (
     WRITE_CLASS,
 )
 from repro.engine.batch import WriteBatch
-from repro.errors import KVError, KVStatus
+from repro.errors import DONE, KVError, KVStatus
 from repro.sim.queues import FIFOQueue
 
 __all__ = ["Worker"]
@@ -203,17 +203,20 @@ class Worker:
                     (exc.code, poisoned),
                 )
 
-    def _execute(self, batch: List[Request]) -> Generator:
-        merge_class = batch[0].merge_class
-        if batch[0].op == OP_TXN_RELEASE:
-            self._release_txn_snapshot(batch[0])
-            return
+    def _execute(self, batch: List[Request]):
+        """For ``yield from``: the batch's execution, ``()`` once done."""
+        first = batch[0]
+        if first.op == OP_TXN_RELEASE:
+            self._release_txn_snapshot(first)
+            return ()
+        merge_class = first.merge_class
         if merge_class == WRITE_CLASS:
-            yield from self._execute_writes(batch)
-        elif merge_class == READ_CLASS:
-            yield from self._execute_reads(batch)
-        else:
-            yield from self._execute_scan(batch[0])
+            if len(batch) == 1:
+                return self._execute_single_write(first)
+            return self._execute_writes(batch)
+        if merge_class == READ_CLASS:
+            return self._execute_reads(batch)
+        return self._execute_scan(first)
 
     # -- read-committed isolation (Section 4.5 future work) ---------------
 
@@ -227,10 +230,10 @@ class Worker:
         seq = self.txn_snapshots.pop(request.gsn, None)
         if seq is not None:
             self.engine.release_snapshot(seq)
-        self._complete(request, None)
+        self._complete(request, DONE)
 
     def _execute_writes(self, batch: List[Request]) -> Generator:
-        if len(batch) == 1 or not self.engine.supports_batch_write:
+        if not self.engine.supports_batch_write:
             for request in batch:
                 yield from self._execute_single_write(request)
             return
@@ -246,7 +249,7 @@ class Worker:
         self.counters.add("obm_write_merged", len(batch))
         yield from self.engine.write(self.ctx, merged)
         for request in batch:
-            self._complete(request, None)
+            self._complete(request, DONE)
 
     def _execute_single_write(self, request: Request) -> Generator:
         if request.op == OP_WRITEBATCH:
@@ -262,7 +265,7 @@ class Worker:
             yield from self.engine.delete(self.ctx, request.key)
         else:
             yield from self.engine.put(self.ctx, request.key, request.value)
-        self._complete(request, None)
+        self._complete(request, DONE)
 
     def _execute_reads(self, batch: List[Request]) -> Generator:
         engine = self.engine

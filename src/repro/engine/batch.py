@@ -54,7 +54,10 @@ class WriteBatch:
     @property
     def byte_size(self) -> int:
         """User-data bytes (keys + values), for write-amplification math."""
-        return sum(len(k) + len(v) for _, k, v in self._records)
+        total = 0
+        for _, key, value in self._records:
+            total += len(key) + len(value)
+        return total
 
     def encode(self) -> bytes:
         _p = _perf_zones.PROFILER

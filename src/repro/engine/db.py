@@ -15,6 +15,7 @@ real; timing comes from the cost model in :mod:`repro.engine.costs` charged
 against the shared CPU/device models.
 """
 
+from heapq import heappop, heappush
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.engine.batch import WriteBatch
@@ -275,21 +276,19 @@ class LSMEngine:
         yields the same visible_seq, which is the whole point of the
         protocol (see docs/ANALYSIS.md).
         """
-        import heapq
-
         if last < first:
             return
-        heapq.heappush(self._publish_pending, (first, last))
-        advanced = False
-        while (
-            self._publish_pending
-            and self._publish_pending[0][0] == self.visible_seq + 1
-        ):
-            _, upto = heapq.heappop(self._publish_pending)
-            self.visible_seq = upto
-            advanced = True
-        if advanced:
-            self.publish_cond.notify_all()
+        pending = self._publish_pending
+        if pending or first != self.visible_seq + 1:
+            heappush(pending, (first, last))
+            if pending[0][0] != self.visible_seq + 1:
+                return
+            while pending and pending[0][0] == self.visible_seq + 1:
+                _, self.visible_seq = heappop(pending)
+        else:
+            # In order with nothing pending (every one-writer group).
+            self.visible_seq = last
+        self.publish_cond.notify_all()
 
     def log_append(self, payload: bytes, rtype: int, gsn: int) -> None:
         faults = self.env.faults
@@ -429,10 +428,11 @@ class LSMEngine:
 
     def post_write(self, ctx, members) -> None:
         """Group-completion bookkeeping: counters and memtable switch."""
+        counters = self.counters
         for w in members:
-            self.counters.add("write_requests")
-            self.counters.add("records_written", len(w.batch))
-            self.counters.add("user_bytes_written", w.batch.byte_size)
+            counters.add("write_requests")
+            counters.add("records_written", w.n)
+            counters.add("user_bytes_written", w.batch.byte_size)
         if (
             self.options.enable_memtable
             and not self.options.disable_flush
@@ -485,20 +485,26 @@ class LSMEngine:
     # Public write API
     # ------------------------------------------------------------------
 
-    def put(self, ctx, key: bytes, value: bytes) -> Generator:
-        batch = WriteBatch().put(key, value)
-        yield from self.write(ctx, batch)
+    # put/delete/write return the write path's generator, for ``yield from``
+    # (``()`` for an empty batch: nothing to write).
 
-    def delete(self, ctx, key: bytes) -> Generator:
-        batch = WriteBatch().delete(key)
-        yield from self.write(ctx, batch)
+    def put(self, ctx, key: bytes, value: bytes):
+        return self.coordinator.write(
+            ctx, WriteBatch().put(key, value), 1, 0, RECORD_STANDALONE
+        )
+
+    def delete(self, ctx, key: bytes):
+        return self.coordinator.write(
+            ctx, WriteBatch().delete(key), 1, 0, RECORD_STANDALONE
+        )
 
     def write(
         self, ctx, batch: WriteBatch, gsn: int = 0, rtype: int = RECORD_STANDALONE
-    ) -> Generator:
-        if batch.empty:
-            return
-        yield from self.coordinator.write(ctx, batch, gsn, rtype)
+    ):
+        n = len(batch)
+        if not n:
+            return ()
+        return self.coordinator.write(ctx, batch, n, gsn, rtype)
 
     # ------------------------------------------------------------------
     # Read path

@@ -76,9 +76,6 @@ class Version:
     def total_files(self) -> int:
         return sum(len(files) for files in self.levels)
 
-    def total_bytes(self) -> int:
-        return sum(self.level_bytes(i) for i in range(len(self.levels)))
-
 
 def _overlaps(f: FileMeta, begin: Optional[bytes], end: Optional[bytes]) -> bool:
     if begin is not None and f.largest < begin:

@@ -32,6 +32,7 @@ class Writer:
     __slots__ = (
         "ctx",
         "batch",
+        "n",
         "gsn",
         "rtype",
         "role_event",
@@ -40,9 +41,11 @@ class Writer:
         "_wal_number",
     )
 
-    def __init__(self, ctx, batch, gsn: int, rtype: int):
+    def __init__(self, ctx, batch, n: int, gsn: int, rtype: int):
         self.ctx = ctx
         self.batch = batch
+        #: records in ``batch``, counted once by the engine.
+        self.n = n
         self.gsn = gsn
         self.rtype = rtype
         self.role_event = None
@@ -91,42 +94,48 @@ class WriteGroupCoordinator:
 
     # -- entry point ------------------------------------------------------
 
-    def write(self, ctx, batch, gsn: int = 0, rtype: int = 0) -> Generator:
-        """Full write-path for one batch; returns when it is applied."""
+    def write(self, ctx, batch, n: int, gsn: int = 0, rtype: int = 0) -> Generator:
+        """Full write-path for one batch of ``n`` records; returns when it is
+        applied."""
         costs = self.costs
+        sim = self.sim
         yield self.cpu.exec(ctx, costs.write_other + costs.group_join, "other")
-        monitor = self.sim.monitor
+        monitor = sim.monitor
         if monitor is not None:
             # JoinBatchGroup is an atomic join in RocksDB: the coordinator's
             # _leader_busy/_pending state is internally synchronized, so the
             # join is a happens-before edge between successive writers.
             monitor.on_sync(self)
-        writer = Writer(ctx, batch, gsn, rtype)
-        if not self._leader_busy:
+        writer = Writer(ctx, batch, n, gsn, rtype)
+        if self._leader_busy:
+            writer.role_event = sim.event()
+            writer.enqueue_time = sim._now
+            self._pending.append(writer)
+            role = yield writer.role_event
+            if role[0] != "lead":
+                if role[0] == "failed":
+                    # The group died before any memtable insert (stall
+                    # timeout, exhausted IO retries): every member reports
+                    # the same error.
+                    raise role[1]
+                if role[0] == "insert":
+                    yield from self._follow_insert(writer, role[1])
+                else:  # "done": the leader applied everything for us
+                    self._account_follower_wait(writer, role[1])
+                yield from self._wait_published(writer)
+                return
+            ctx.account_wait("wal_lock", sim._now - writer.enqueue_time)
+        else:
             self._leader_busy = True
-            yield from self._lead(writer)
-            return
-        writer.role_event = self.sim.event()
-        writer.enqueue_time = self.sim.now
-        self._pending.append(writer)
-        role = yield writer.role_event
-        if role[0] == "lead":
-            ctx.account_wait("wal_lock", self.sim.now - writer.enqueue_time)
-            yield from self._lead(writer)
-            return
-        if role[0] == "failed":
-            # The group died before any memtable insert (stall timeout,
-            # exhausted IO retries): every member reports the same error.
-            raise role[1]
-        if role[0] == "insert":
-            yield from self._follow_insert(writer, role[1])
-        else:  # "done": the leader applied everything for us
-            group = role[1]
-            self._account_follower_wait(writer, group)
-        yield from self._wait_published(writer)
+        group_box: List[_Group] = []
+        try:
+            yield from self._lead_inner(writer, group_box)
+        except KVError as exc:
+            self._abort_group(group_box[0] if group_box else None, exc)
+            raise
 
     def _account_follower_wait(self, writer: Writer, group: _Group) -> None:
-        now = self.sim.now
+        now = self.sim._now
         wal_done = group.wal_done_time or now
         wal_done = max(writer.enqueue_time, min(wal_done, now))
         writer.ctx.account_wait("wal_lock", wal_done - writer.enqueue_time)
@@ -136,15 +145,15 @@ class WriteGroupCoordinator:
 
     def _follow_insert(self, writer: Writer, group: _Group) -> Generator:
         """Concurrent-memtable follower: woken after WAL, inserts its own batch."""
-        writer.ctx.account_wait("wal_lock", self.sim.now - writer.enqueue_time)
         sim = self.sim
+        writer.ctx.account_wait("wal_lock", sim._now - writer.enqueue_time)
         tracer = sim.tracer
         started, n = sim._now, len(group.members)
         yield from self._insert_batch(writer, n)
         self._member_done(group)
-        waited_since = sim.now
+        waited_since = sim._now
         yield group.barrier.arrive()
-        writer.ctx.account_wait("memtable_lock", sim.now - waited_since)
+        writer.ctx.account_wait("memtable_lock", sim._now - waited_since)
         if tracer is not None:
             tracer.complete(
                 "wg:follower", "write_group", writer.ctx.track, started, sim._now,
@@ -163,14 +172,6 @@ class WriteGroupCoordinator:
             self.engine.publish_seqs(group.first_seq, group.last_seq)
 
     # -- leader path -----------------------------------------------------------
-
-    def _lead(self, leader: Writer) -> Generator:
-        group_box: List[_Group] = []
-        try:
-            yield from self._lead_inner(leader, group_box)
-        except KVError as exc:
-            self._abort_group(group_box[0] if group_box else None, exc)
-            raise
 
     def _abort_group(self, group: Optional[_Group], exc: KVError) -> None:
         """A group died before its memtable stage (stall timeout, exhausted
@@ -206,19 +207,21 @@ class WriteGroupCoordinator:
 
         members = [leader]
         group_cap = MAX_GROUP_SIZE if opts.group_commit else 1
-        while self._pending and len(members) < group_cap:
-            members.append(self._pending.popleft())
+        pending = self._pending
+        while pending and len(members) < group_cap:
+            members.append(pending.popleft())
         group = _Group(members)
         group_box.append(group)
         n = len(members)
 
         # Sequence numbers are allocated in group order (WAL order); they
         # become *visible* to readers only after the group's inserts land.
-        seqs = [engine.allocate_seqs(len(w.batch)) for w in members]
-        allocated = [s for s in seqs if len(s)]
-        if allocated:
-            group.first_seq = allocated[0][0]
-            group.last_seq = allocated[-1][-1]
+        # The ranges are contiguous, so the group's span runs from the first
+        # one's start to the last one's end (empty when every batch is).
+        for w in members:
+            w._seqs = engine.allocate_seqs(w.n)
+        group.first_seq = leader._seqs.start
+        group.last_seq = members[-1]._seqs.stop - 1
 
         # --- WAL stage ---
         if opts.enable_wal:
@@ -246,7 +249,7 @@ class WriteGroupCoordinator:
                     "wg:wal", "write_group", ctx.track, wal_started, sim._now,
                     ("bytes",), (wal_bytes,),
                 )
-        group.wal_done_time = self.sim.now
+        group.wal_done_time = sim._now
 
         if opts.pipelined_write:
             self._handover()
@@ -255,32 +258,30 @@ class WriteGroupCoordinator:
         if opts.enable_memtable:
             mem_started, concurrent = sim._now, opts.concurrent_memtable
             if opts.concurrent_memtable:
-                group.barrier = Barrier(self.sim, parties=n)
+                group.barrier = Barrier(sim, parties=n)
                 # Leader wakes each follower (the unlock cost the paper files
                 # under WAL lock overhead; zero-length without followers).
                 yield from self.cpu.exec_now(
                     ctx, costs.wakeup_per_follower * (n - 1), "wal_lock"
                 )
-                for w, wseqs in zip(members[1:], seqs[1:]):
-                    w._seqs = wseqs  # type: ignore[attr-defined]
-                    w.role_event.succeed(("insert", group))
-                leader._seqs = seqs[0]  # type: ignore[attr-defined]
+                if n > 1:
+                    for w in members[1:]:
+                        w.role_event.succeed(("insert", group))
                 yield from self._insert_batch(leader, n)
                 self._member_done(group)
-                waited_since = self.sim.now
+                waited_since = sim._now
                 yield from group.barrier.arrive_now()
-                ctx.account_wait("memtable_lock", self.sim.now - waited_since)
+                ctx.account_wait("memtable_lock", sim._now - waited_since)
             else:
                 if opts.pipelined_write:
                     yield self._mem_stage_lock.acquire(ctx, "memtable_lock")
                 total = 0.0
-                for w, wseqs in zip(members, seqs):
-                    w._seqs = wseqs  # type: ignore[attr-defined]
+                for w in members:
                     total += self._batch_cost(w, concurrency=1)
                 if total:
                     yield self.cpu.exec(ctx, total, "memtable")
-                for w, wseqs in zip(members, seqs):
-                    self._apply_batch(w, wseqs)
+                for w in members:
+                    self._apply_batch(w, w._seqs)
                 if group.pinned:
                     engine.unpin_wal(group.wal_number)
                     group.pinned = False
@@ -293,8 +294,8 @@ class WriteGroupCoordinator:
                     yield self.cpu.exec(
                         ctx, costs.wakeup_per_follower * (n - 1), "wal_lock"
                     )
-                for w in members[1:]:
-                    w.role_event.succeed(("done", group))
+                    for w in members[1:]:
+                        w.role_event.succeed(("done", group))
             if tracer is not None:
                 tracer.complete(
                     "wg:memtable", "write_group", ctx.track, mem_started, sim._now,
@@ -306,8 +307,8 @@ class WriteGroupCoordinator:
                 yield self.cpu.exec(
                     ctx, costs.wakeup_per_follower * (n - 1), "wal_lock"
                 )
-            for w in members[1:]:
-                w.role_event.succeed(("done", group))
+                for w in members[1:]:
+                    w.role_event.succeed(("done", group))
 
         engine.post_write(ctx, members)
         if not opts.pipelined_write:
@@ -323,8 +324,8 @@ class WriteGroupCoordinator:
         """For ``yield from``: block until this writer's sequences are visible
         to readers (``()`` when they already are): a returned write must be
         readable by its own thread (RocksDB's in-order memtable-writer exit)."""
-        seqs = getattr(writer, "_seqs", None)
-        if seqs is None or not len(seqs) or self.engine.visible_seq >= seqs[-1]:
+        seqs = writer._seqs
+        if not seqs or self.engine.visible_seq >= seqs[-1]:
             return ()
         return self._await_publish(writer, seqs[-1])
 
@@ -348,11 +349,13 @@ class WriteGroupCoordinator:
 
     def _batch_cost(self, writer: Writer, concurrency: int) -> float:
         costs = self.costs
-        n_mem = len(self.engine.memtable)
-        per_entry = costs.memtable_insert_cost(n_mem, concurrency)
-        total = per_entry * len(writer.batch)
-        if len(writer.batch) > 1:
-            total += costs.batch_per_record * (len(writer.batch) - 1)
+        n = writer.n
+        per_entry = costs.memtable_insert_cost(
+            self.engine.memtable.entry_count, concurrency
+        )
+        total = per_entry * n
+        if n > 1:
+            total += costs.batch_per_record * (n - 1)
         return total
 
     def _insert_batch(self, writer: Writer, _group_size: int) -> Generator:

@@ -30,6 +30,7 @@ __all__ = [
     "TimedOut",
     "KVStatus",
     "NOT_FOUND",
+    "DONE",
 ]
 
 
@@ -165,3 +166,7 @@ class KVStatus:
 
 #: Singleton "key does not exist" status — an explicit sentinel, not ``None``.
 NOT_FOUND = KVStatus(KVStatus.NOTFOUND)
+
+#: Singleton value-less success (a completed write or release): no status is
+#: ever mutated, so every such completion shares this one.
+DONE = KVStatus(KVStatus.OK)

@@ -91,29 +91,27 @@ class System:
         """The store user thread ``thread_index`` talks to."""
         return self.store
 
-    def execute(self, ctx, op: Op, store=None, collector=None) -> Generator:
-        """Run one op.  A caller looping over a stream resolves
-        :meth:`store_for` once and passes ``store``; ``collector`` receives
-        only the completion latency of windowed asynchronous writes."""
+    def execute(self, ctx, op: Op, store=None, collector=None):
+        """For ``yield from``: run one op.  A caller looping over a stream
+        resolves :meth:`store_for` once and passes ``store``; ``collector``
+        receives only the completion latency of windowed asynchronous
+        writes."""
         if store is None:
             store = self.store
         verb, key, payload = op
         if verb in ("insert", "update"):
             if self.async_window:
-                yield from self._async_put(ctx, key, payload, collector)
-            else:
-                yield from store.put(ctx, key, payload)
-        elif verb == "read":
-            yield from store.get(ctx, key)
-        elif verb == "scan":
-            yield from store.scan(ctx, key, payload)
-        elif verb == "range":
-            yield from store.range_query(ctx, key, payload)
-        elif verb == "rmw":
-            yield from store.get(ctx, key)
-            yield from store.put(ctx, key, payload)
-        else:
-            raise ValueError("unknown verb %r" % verb)
+                return self._async_put(ctx, key, payload, collector)
+            return store.put(ctx, key, payload)
+        if verb == "read":
+            return store.get(ctx, key)
+        if verb == "scan":
+            return store.scan(ctx, key, payload)
+        if verb == "range":
+            return store.range_query(ctx, key, payload)
+        if verb == "rmw":
+            return _read_modify_write(ctx, store, key, payload)
+        raise ValueError("unknown verb %r" % verb)
 
     def user_bytes_written(self) -> float:
         return self.store.counters.get("user_bytes_written")
@@ -123,6 +121,11 @@ class System:
 
     def close(self) -> Generator:
         yield from self.store.close()
+
+
+def _read_modify_write(ctx, store, key, value) -> Generator:
+    yield from store.get(ctx, key)
+    yield from store.put(ctx, key, value)
 
 
 class SingleInstanceSystem(System):

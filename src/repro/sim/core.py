@@ -57,9 +57,13 @@ is ``succeed()``'s edge-log fallback for an event left un-annotated (which
 only a full log does), so numbering and ``EdgeLog.dropped`` do not depend on
 the path taken.
 
-A process that yields an already-triggered event (uncontended
-``Lock.acquire``, one-party ``Barrier``, non-empty ``queue.get``) queues its
-delivery, which the loop pops like any other entry.
+A triggered event is delivered once.  A process that yields it while its
+delivery is still queued (uncontended ``Lock.acquire``, last ``Barrier``
+arrival, non-empty ``queue.get``: each triggers the event it returns) joins
+that delivery instead of queuing an empty twin; it still spends the ``_seq``
+and perturbation rank the twin would have drawn, so numbering and every
+later rank match a kernel that queues the twin.  Only an event whose
+delivery already ran (``_cb`` is ``_DELIVERED``) gets a fresh entry.
 
 A wait that cannot wait (``Lock.acquire_now`` on a free lock,
 ``Barrier.arrive_now`` by the last party, nobody else waiting,
@@ -95,6 +99,11 @@ __all__ = [
 # carries the exception in _value and re-raises it inside waiting processes.
 _PENDING = object()
 
+# The waiter slot of a triggered event whose delivery has run: a waiter that
+# arrives now needs an entry of its own.  A triggered event whose slot is
+# anything else still has its delivery queued, and a new waiter joins it.
+_DELIVERED = object()
+
 _INF = float("inf")
 
 
@@ -116,7 +125,8 @@ class Event:
         self.sim = sim
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
-        #: waiter slot: None | callable | list of callables (FIFO).
+        #: waiter slot: None | callable | list of callables (FIFO), and
+        #: _DELIVERED once the triggered event's delivery has run.
         self._cb: Any = None
         #: happens-before clock stamped by the analysis monitor (if any) when
         #: the event triggers; joined into the waiter's clock on resume.
@@ -180,23 +190,17 @@ class Event:
 
         If the event already triggered, the callback fires on the next loop
         iteration (never synchronously), preserving run-to-completion
-        semantics for the caller: it joins the event's still-pending delivery
-        if one exists, else a fresh delivery entry is queued — no per-call
-        closure or heap entry on hot futures.
+        semantics for the caller: it joins the event's still-queued delivery
+        (spending the ``_seq`` and rank a fresh entry would), else a fresh
+        delivery entry is queued — no per-call closure or heap entry on hot
+        futures.
         """
         cb = self._cb
-        if self._value is _PENDING:
-            if cb is None:
-                self._cb = fn
-            elif type(cb) is list:
-                cb.append(fn)
-            else:
-                self._cb = [cb, fn]
-            return
-        # Already triggered.  A non-None _cb means a delivery entry is still
-        # pending in the heap (drains set _cb back to None), so appending is
-        # enough; from None we must queue a delivery for this callback.
         if cb is None:
+            self._cb = fn
+            if self._value is not _PENDING:
+                self.sim._join_delivery()
+        elif cb is _DELIVERED:
             self._cb = fn
             self.sim._queue_callbacks(self)
         elif type(cb) is list:
@@ -373,7 +377,7 @@ class Process(Event):
         # add_callback for the single-waiter case, inline.
         target._cb = self._wake
         if target._value is not _PENDING:
-            sim._queue_callbacks(target)
+            sim._join_delivery()
 
     def _on_stop(self, value: Any) -> None:
         """Generator returned: trigger the process event (current_process is
@@ -546,6 +550,14 @@ class Simulator:
         """Deliver an already-triggered event's callbacks at the current time."""
         self._push(self._now, event, _PENDING)
 
+    def _join_delivery(self) -> None:
+        """A waiter joined a triggered event's queued delivery: spend the
+        ``_seq`` and rank of the empty twin entry a queueing kernel pushes."""
+        self._seq += 1
+        rng = self._perturb_rng
+        if rng is not None:
+            rng.random()
+
     def _call_later(self, delay: float, fn: Callable, arg: Any) -> None:
         """Run ``fn(arg)`` after ``delay`` seconds — how cpu/device schedule
         burst and IO completion.
@@ -680,8 +692,8 @@ class Simulator:
                     target._ok = True
             if target is not None:
                 cb = target._cb
+                target._cb = _DELIVERED
                 if cb is not None:
-                    target._cb = None
                     if type(cb) is list:
                         # Several waiters: each runs before any of them runs
                         # again, so none continues within its step.

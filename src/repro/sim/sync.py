@@ -14,7 +14,7 @@ happens-before edge for the vector-clock race detector.
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-from repro.sim.core import Event, SimError, Simulator
+from repro.sim.core import _DELIVERED, Event, SimError, Simulator
 from repro.sim.wakeup import wake
 
 __all__ = ["Barrier", "Condition", "Lock", "Semaphore"]
@@ -214,7 +214,7 @@ class Barrier:
         self.name = name
         self.parties = parties
         self._arrived = 0
-        self._event = sim.event()
+        self._event = Event(sim)
 
     def arrive(self) -> Event:
         """Register arrival; yield the returned event to wait for the rest."""
@@ -239,6 +239,6 @@ class Barrier:
         if sim.monitor is not None:
             sim.monitor.on_sync(self)
         self._arrived += 1
-        ev._value, ev._ok = None, True
+        ev._value, ev._ok, ev._cb = None, True, _DELIVERED
         sim._resume_in_step(ev, False, "barrier:%s" % self.name)
         return ()

@@ -262,13 +262,13 @@ def test_write_group_leader_handoff_is_fifo(env):
     options = rocksdb_options(group_commit=False, **BENCH_SHAPE)
     engine = run_process(env, LSMEngine.open(env, "db", options))
     leaders = []
-    original_lead = engine.coordinator._lead
+    original_lead = engine.coordinator._lead_inner
 
-    def recording_lead(writer):
+    def recording_lead(writer, group_box):
         leaders.append(writer.ctx.name)
-        return original_lead(writer)
+        return original_lead(writer, group_box)
 
-    engine.coordinator._lead = recording_lead
+    engine.coordinator._lead_inner = recording_lead
 
     def writer(i):
         ctx = env.cpu.new_thread("writer-%d" % i)

@@ -21,7 +21,7 @@ from repro.sim import (
     SimError,
     StorageDevice,
 )
-from repro.sim.core import _PENDING
+from repro.sim.core import _DELIVERED, _PENDING
 from repro.trace import Tracer, install_tracer
 
 
@@ -351,13 +351,22 @@ def test_callback_return_values_are_not_mistaken_for_hand_offs():
 # ---------------------------------------------------------------------------
 
 
+def _inert(_arg):
+    return None
+
+
 class QueueingSimulator(Simulator):
     """Reference loop: a completion's event always goes through succeed(),
     whatever a callback returns is ignored — one heap pop per delivery — and
-    no wait completes inside the step that asked for it."""
+    no wait completes inside the step that asked for it.  A waiter joining a
+    triggered event's queued delivery queues the empty twin entry the parent
+    kernel did (``_push``: its ``_seq`` and rank), inert wherever it pops."""
 
     def can_continue(self):
         return False
+
+    def _join_delivery(self):
+        self._push(self._now, (_inert, None), _PENDING)
 
     def run(self, until=None):
         heap = self._heap
@@ -380,7 +389,7 @@ class QueueingSimulator(Simulator):
                 continue
             if value is not _PENDING and target._value is _PENDING:
                 target._value, target._ok = value, True
-            cb, target._cb = target._cb, None
+            cb, target._cb = target._cb, _DELIVERED
             for fn in cb if type(cb) is list else [cb] if cb is not None else []:
                 fn(target)
         if self._pending_error is not None:
@@ -696,12 +705,71 @@ def _pinned(*procs):
     (),
     None,
 )
+# A yield that joins its event's queued delivery spends the _seq and rank of
+# the twin entry it no longer queues (seq and next_rank): a get on a
+# non-empty queue, a yielded uncontended acquire, and a shared event fired
+# before its two waiters yield it (seed 4 runs the firing first).
+@example(_pinned([("put", 0), ("get", 0)], [("timeout", 0)]), (), None)
+@example(_pinned([("put", 0), ("get", 0)], [("timeout", 0)]), (), 1)
+@example(_pinned([("lock", 0, 0)], [("timeout", 0)]), (), None)
+@example(_pinned([("lock", 0, 0)], [("timeout", 0)]), (), 2)
+@example(
+    _pinned([("fire_shared", 0, True)], [("wait_shared", 0)], [("wait_shared", 0)]), (), None
+)
+@example(
+    _pinned([("fire_shared", 0, True)], [("wait_shared", 0)], [("wait_shared", 0)]), (), 4
+)
 def test_same_dispatch_delivery_matches_the_queueing_kernel(program, install, seed):
     real = _run_program(program, Simulator, install, seed)
     assert real == _run_program(program, QueueingSimulator, install, seed)
     # ... and what observers see is all they change.
     plain = _run_program(program, Simulator, (), seed)
     assert {k: real[k] for k in plain} == plain
+
+
+@pytest.mark.parametrize("first_step", [True, False])
+@pytest.mark.parametrize("case", ["get", "acquire", "shared"])
+def test_a_triggered_event_is_delivered_once(case, first_step):
+    """A process that yields an event whose delivery is still queued joins
+    that delivery: one heap entry per event, however many yield it — in a
+    first step (add_callback) or a later one (the resume path)."""
+    sim = Simulator()
+    queue, lock, shared = FIFOQueue(sim, "q"), Lock(sim, "l"), sim.event()
+    queue.put("item")
+    events, entries, got = [], [], []
+
+    def yielder():
+        if not first_step:
+            yield sim.timeout(0)
+        if case == "get":
+            events.append(queue.get())
+        elif case == "acquire":
+            events.append(lock.acquire())
+        else:
+            shared.succeed("fired")
+            events.append(shared)
+        got.append((yield events[0]))
+        if case == "acquire":
+            lock.release()
+
+    def second_waiter():
+        if not first_step:
+            yield sim.timeout(0)
+        got.append((yield shared))
+
+    def observer():  # runs after the yields, before the delivery pops
+        if not first_step:
+            yield sim.timeout(0)
+        entries.append(sum(entry[3] is events[0] for entry in sim._heap))
+        yield sim.timeout(0)
+
+    sim.spawn(yielder())
+    if case == "shared":
+        sim.spawn(second_waiter())
+    sim.spawn(observer())
+    sim.run()
+    assert entries == [1]
+    assert got == {"get": ["item"], "acquire": [None], "shared": ["fired"] * 2}[case]
 
 
 @pytest.mark.no_sanitize
