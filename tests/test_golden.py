@@ -17,19 +17,23 @@ Refresh (only when a sim-side change is intentional)::
     REPRO_UPDATE_GOLDENS=1 python -m pytest tests/test_golden.py -q
 """
 
+import collections
 import hashlib
 import json
 import os
+import random
 import runpy
 
 import pytest
 
 from benchmarks.common import open_case, run_case, run_ycsb
 from repro.baselines import wiredtiger_adapter_factory
+from repro.engine import write_group
 from repro.engine.env import make_env
 from repro.harness import P2KVSSystem, open_system, preload, run_closed_loop
 from repro.harness.timeline import device_bandwidth, render_stacked
 from repro.perf import zones as _perf_zones
+from repro.storage.memtable import VTYPE_VALUE
 from repro.systems import system_names
 from repro.tools import dbbench, serve, whatif, ycsb
 from repro.trace import install_tracer
@@ -38,6 +42,8 @@ from repro.workloads import (
     facebook_mixed_workload,
     fillrandom,
     make_key,
+    make_value,
+    overwrite,
     readrandom,
 )
 from tests.conftest import run_process
@@ -340,19 +346,182 @@ _WRITE_PATH_CORNERS = (
     ("rocksdb", {"engine": {"group_commit": False}}),
     ("rocksdb", {"engine": {"enable_wal": False}}),
     ("rocksdb", {"engine": {"enable_memtable": False}}),
-    ("multi", {"workers": 8}),  # two lockstep writers per instance
+    ("multi", {"workers": 8}),  # two writers per instance, never in one group
 )
 
 
 def test_figure_write_path_corners_golden():
     """One 16-client fill per write-group corner: concurrent x exclusive
     memtable against pipelined or not, one-writer groups, each stage
-    disabled, and groups with followers on every instance."""
+    disabled, and eight instances of two clients each (whose writes never
+    meet in a group: every group there has one member)."""
     facts = []
     for kind, opts in _WRITE_PATH_CORNERS:
         metrics, env = run_case(kind, fillrandom(2000, 112, 5), 16, **opts)
         facts.append(_case_facts(metrics, env))
     check("figure:write-path-corners", fingerprint(facts))
+
+
+def test_figure_write_path_multi_2_golden(monkeypatch):
+    """multi over two instances, eight clients each: the one write-path case
+    whose groups have followers on every instance.  The group sizes are
+    pinned with the facts."""
+    sizes = collections.Counter()
+    init = write_group._Group.__init__
+
+    def counted(group, members):
+        sizes[len(members)] += 1
+        init(group, members)
+
+    monkeypatch.setattr(write_group._Group, "__init__", counted)
+    metrics, env = run_case("multi", fillrandom(2000, 112, 5), 16, workers=2)
+    assert sum(n * count for n, count in sizes.items()) == 2000
+    assert sum(count for n, count in sizes.items() if n > 1) > 100
+    facts = _case_facts(metrics, env)
+    facts["group_sizes"] = sorted(sizes.items())
+    check("figure:write-path-corners:multi-2", fingerprint(facts))
+
+
+def _engines(system):
+    """The LSM engines behind a registry system, in instance order."""
+    if hasattr(system, "kvs"):
+        return [worker.engine for worker in system.kvs.workers]
+    return getattr(system, "engines", [system.store])
+
+
+def _plain_memtables(system):
+    """Per engine, whether every memtable it holds keeps one version per user
+    key and no tombstone (the memtables a merge may slice)."""
+    out = []
+    for engine in _engines(system):
+        entries = [e for m in [engine.memtable] + [m for m, _ in engine.immutables]
+                   for e in m.entries()]
+        keys = {e[0] for e in entries}
+        out.append(len(keys) == len(entries) and all(e[2] == VTYPE_VALUE for e in entries))
+    return out
+
+
+def _scan_case(kind, ops, threads, *, load=(), deletes=(), **opts):
+    """One figure-shaped case whose SCAN and RANGE results are hashed as they
+    return: ``load`` preloaded, then each key of ``deletes`` deleted in order, then
+    ``ops`` measured.  Returns the facts and the system."""
+    system, env = open_case(kind, **opts)
+    returned = hashlib.sha256()
+    counts = {"scan": 0, "range": 0, "rows": 0}
+    execute = system.execute
+
+    def recorded(step, op):
+        pairs = yield from step
+        counts[op[0]] += 1
+        counts["rows"] += len(pairs)
+        returned.update(repr((op, pairs)).encode())
+        return pairs
+
+    def execute_recorded(ctx, op, store=None, collector=None):
+        step = execute(ctx, op, store, collector)
+        return recorded(step, op) if op[0] in ("scan", "range") else step
+
+    system.execute = execute_recorded
+    preload(env, system, list(load), 8)
+    if deletes:
+        ctx = env.cpu.new_thread("golden-deletes")
+
+        def delete_all():
+            for k in deletes:
+                yield from system.store.delete(ctx, k)
+
+        run_process(env, delete_all())
+    metrics, _ = run_case(system, ops, threads, env=env)
+    facts = _case_facts(metrics, env)
+    facts["returned"] = dict(counts, digest=returned.hexdigest()[:16])
+    facts["engines"] = [
+        {name: engine.counters.get(name) for name in
+         ("scan_requests", "range_requests", "read_requests")}
+        for engine in _engines(system)
+    ]
+    facts["block_cache"] = [
+        (engine.block_cache.hits, engine.block_cache.misses)
+        for engine in _engines(system)
+    ]
+    return facts, system
+
+
+def _scan_ops(n, key_ids, seed, verb="scan", widths=(1, 80)):
+    """``n`` SCANs (count in ``widths``) or RANGEs (end that many ids on)
+    starting at ids drawn from ``key_ids``."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        begin = rng.choice(key_ids)
+        width = rng.randint(*widths)
+        if verb == "scan":
+            yield "scan", make_key(begin), width
+        else:
+            yield "range", make_key(begin), make_key(begin + width)
+
+
+def test_figure_scan_corners_golden():
+    """The parallel SCAN and RANGE paths a figure reaches, each case hashing
+    its facts and every row it returned: p2KVS-8 YCSB-E (plain memtables);
+    p2KVS-4 scans after updates and deletes (memtables with second versions
+    and tombstones); p2KVS-2 RANGEs whose end falls inside a memtable run;
+    the serial strategy; a cold-cache RocksDB whose memtable takes inserts
+    while scans wait on block loads; 16-thread RocksDB YCSB-E; and PebblesDB
+    (one cursor per overlapping run)."""
+    facts = {}
+
+    workload = YCSBWorkload("E", 8000, 112, 3)
+    facts["p2kvs-8:ycsb-e"], system = _scan_case(
+        "p2kvs", workload.ops(300), 16, load=workload.load_ops(), workers=8
+    )
+    assert all(_plain_memtables(system))
+
+    load = list(fillrandom(4000, 112, 1))
+    updates = list(overwrite(600, 4000, 112, 2))
+    facts["p2kvs-4:updates-deletes"], system = _scan_case(
+        "p2kvs", _scan_ops(200, range(4000), 3), 8, load=load + updates,
+        deletes=[make_key(i) for i in range(0, 4000, 7)], workers=4,
+    )
+    assert not any(_plain_memtables(system))
+
+    # Ids 0-2999 mostly flushed, then 3000-3599 in order: the memtables hold
+    # the only entries past 2999, so a RANGE ending there ends inside a run.
+    load = list(fillrandom(3000, 112, 4))
+    load += [("insert", make_key(i), make_value(i, 112)) for i in range(3000, 3600)]
+    facts["p2kvs-2:ranges-in-memtable"], _ = _scan_case(
+        "p2kvs", _scan_ops(150, range(2950, 3600), 4, "range", (1, 41)), 8,
+        load=load, workers=2,
+    )
+
+    workload = YCSBWorkload("E", 4000, 112, 5)
+    facts["p2kvs-4:serial"], _ = _scan_case(
+        "p2kvs", workload.ops(200), 8, load=workload.load_ops(), workers=4,
+        scan_strategy="serial",
+    )
+
+    # Even ids loaded; odd ids inserted beside 50/50 scans over a 16 KB cache.
+    rng = random.Random(6)
+    odd = list(range(1, 12000, 2))
+    rng.shuffle(odd)
+    mixed = []
+    for i, op in enumerate(_scan_ops(400, range(0, 12000, 2), 7, widths=(10, 60))):
+        mixed.append(op)
+        mixed.append(("insert", make_key(odd[i]), make_value(odd[i], 112)))
+    facts["rocksdb:cold-scans-inserts"], _ = _scan_case(
+        "rocksdb", mixed, 16,
+        load=[("insert", make_key(i), make_value(i, 112)) for i in range(0, 12000, 2)],
+        engine={"block_cache_bytes": 16 * 1024},
+    )
+
+    workload = YCSBWorkload("E", 6000, 112, 8)
+    facts["rocksdb:ycsb-e:16threads"], _ = _scan_case(
+        "rocksdb", workload.ops(300), 16, load=workload.load_ops()
+    )
+
+    workload = YCSBWorkload("E", 8000, 112, 9)
+    facts["pebblesdb:ycsb-e"], _ = _scan_case(
+        "pebblesdb", workload.ops(300), 16, load=workload.load_ops()
+    )
+    check("figure:scan-corners", fingerprint(facts))
 
 
 def _obm_read_batches(system) -> int:
