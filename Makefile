@@ -38,7 +38,7 @@ perf:
 
 # The interleaved A/B every perf claim rests on (perfbench/README.md, "Noise
 # hygiene": never beside another run).  PAIRS runs of one workload on this
-# tree and on BASE (checked out as a git worktree under .ab/), each pair on
+# tree and on BASE (a `git archive` of it unpacked under .ab/base), each pair on
 # its own seed, the side that goes first alternating so host drift cancels.
 # Prints every pair, then per side the median and quartiles, the pairs won
 # and the base's inter-quartile range — the bar a claimed gain has to clear.
@@ -64,7 +64,7 @@ for name, better in (("host_ops_per_s", 1), ("setup_s", -1), ("peak_rss_mb", -1)
 endef
 export AB_SUMMARY
 ab:
-	@rm -rf .ab && git worktree prune && git worktree add --detach .ab/base $(BASE) > /dev/null
+	@rm -rf .ab && mkdir -p .ab/base && git archive $(BASE) | tar -x -C .ab/base
 	@for i in $$(seq 1 $(PAIRS)); do \
 	    if [ $$((i % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
 	    for side in $$order; do \
@@ -74,7 +74,7 @@ ab:
 	    done; \
 	done
 	@$(PY) -c "$$AB_SUMMARY" $(PAIRS)
-	@git worktree remove --force .ab/base && rm -rf .ab
+	@rm -rf .ab
 
 # Static analysis: the determinism lint rules (wall clocks, global RNGs,
 # unordered iteration, lock and condvar discipline, metrics and wakeup
@@ -261,5 +261,5 @@ clean:
 	rm -f results/profile-report.json results/profile-flame.speedscope.json \
 	    results/profile-tax.json
 	rm -f results/.smoke-*
-	rm -rf .ab && git worktree prune
+	rm -rf .ab
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -158,7 +158,9 @@ class Worker:
         attempts = 0
         while True:
             try:
-                yield from self._execute(batch)
+                rows = yield from self._execute(batch)
+                if rows is not None:  # a SCAN or RANGE: its rows complete it
+                    self._complete(batch[0], rows)
                 return
             except KVError as exc:
                 retryable = (
@@ -204,7 +206,9 @@ class Worker:
                 )
 
     def _execute(self, batch: List[Request]):
-        """For ``yield from``: the batch's execution, ``()`` once done."""
+        """For ``yield from``: the batch's execution, ``()`` once done.  A
+        SCAN or RANGE (never batched) returns its rows, which the framework's
+        merge turns into pairs, for :meth:`_run_batch` to complete it with."""
         first = batch[0]
         if first.op == OP_TXN_RELEASE:
             self._release_txn_snapshot(first)
@@ -216,7 +220,9 @@ class Worker:
             return self._execute_writes(batch)
         if merge_class == READ_CLASS:
             return self._execute_reads(batch)
-        return self._execute_scan(first)
+        if first.op == OP_SCAN:
+            return self.engine.scan_rows(self.ctx, first.begin, first.count)
+        return self.engine.range_rows(self.ctx, first.begin, first.end)
 
     # -- read-committed isolation (Section 4.5 future work) ---------------
 
@@ -288,18 +294,6 @@ class Worker:
             )
         for request, status in zip(batch, statuses):
             self._complete(request, status)
-
-    def _execute_scan(self, request: Request) -> Generator:
-        # Rows, not pairs: the framework's merge builds pairs for what it returns.
-        if request.op == OP_SCAN:
-            result = yield from self.engine.scan_rows(
-                self.ctx, request.begin, request.count
-            )
-        else:  # RANGE
-            result = yield from self.engine.range_rows(
-                self.ctx, request.begin, request.end
-            )
-        self._complete(request, result)
 
     def _complete(self, request: Request, result) -> None:
         # Every future carries a KVStatus — uniformly, so gathers (all_of)

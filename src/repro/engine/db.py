@@ -533,7 +533,7 @@ class LSMEngine:
         page_cache = self.env.disk.page_cache
         version = self.versions.current
         pair = None  # the key's filter probe pair, hashed at the first table
-        for meta in version.level_files(0):  # newest first
+        for meta in version.levels[0]:  # newest first
             if not (meta.smallest <= key <= meta.largest):
                 continue
             if charge_probes:
@@ -670,18 +670,16 @@ class LSMEngine:
         cache, device, page_cache = (
             self.block_cache, self.env.device, self.env.disk.page_cache
         )
-        for meta in version.level_files(0):
+        for meta in version.levels[0]:
             cursors.append(meta.table.cursor(cache, device, page_cache))
         flsm = self.options.compaction_style == "flsm"
-        for files in version.levels[1:]:
-            if not files:
-                continue
+        for files, largest in version.sorted_runs:
             if flsm:
                 # Overlapping runs: one cursor per run.
                 for meta in files:
                     cursors.append(meta.table.cursor(cache, device, page_cache))
             else:
-                cursors.append(LevelCursor(files, cache, device, page_cache))
+                cursors.append(LevelCursor(files, cache, device, page_cache, largest))
         return MergingIterator(cursors, snapshot_seq)
 
     def _iterate(
@@ -696,7 +694,9 @@ class LSMEngine:
             ctx, self.costs.seek_per_source * len(iterator._cursors), "read"
         )
         yield from iterator.seek(begin)
-        out = yield from iterator.collect(limit, end)
+        out = iterator.collect(limit, end)
+        if type(out) is not list:
+            out = yield from out
         if iterator.entries_scanned:
             yield self.env.cpu.exec(
                 ctx, self.costs.next_per_entry * iterator.entries_scanned, "read"

@@ -25,18 +25,25 @@ contract:
   (the idiom of ``CPUSet.exec_now``).  Either way the caller writes
   ``yield from``; a caller that composes steps tests the result (``()`` is
   false, a generator true) and continues in a generator only after a miss.
-* ``cursor.table`` is the SSTable the cursor stands in (None: a memtable).  A
-  run from a **plain** one (one version per user key, no tombstone) whose
-  ``max_seq`` the snapshot covers is sliced: only its first entry can be shadowed.
+* ``cursor.table`` is the SSTable the cursor stands in, or a memtable
+  cursor's memtable (None: a level cursor not yet in a file).  A run from a
+  **plain** one (one version per user key, no tombstone) whose ``max_seq``
+  the snapshot covers is sliced: only its first entry can be shadowed.  A
+  memtable's flags are read with the run they judge, in the same step, so
+  inserts while a scan waits can only clear them first.
 
 :class:`MergingIterator` heap-merges any number of cursors in internal-key
 order, hides shadowed versions and tombstones, and applies the snapshot
 filter — the read-side equivalent of RocksDB's MergeIterator that p2KVS's
 serial SCAN strategy builds across instances (paper Section 4.4).  Its one
-loop, :meth:`MergingIterator.collect`, runs a whole sub-scan in a single
-generator frame, one heap operation per run, and returns the visible entries
-themselves (*rows*: key first, value last); pairs are built by whoever
-returns them, for the rows it returns.
+loop merges a whole sub-scan with one heap operation per run and returns the
+visible entries themselves (*rows*: key first, value last); pairs are built
+by whoever returns them, for the rows it returns.  ``seek`` follows the
+cursor contract, and so does :meth:`MergingIterator.collect`, except that
+done, it returns the list rather than ``()``: a plain call while every block
+it crosses is cached, a generator (returning the list) from its first miss
+on.  A caller tests ``type(result) is list`` and ``yield from`` only a
+generator.
 """
 
 from bisect import bisect_left, bisect_right
@@ -53,11 +60,13 @@ _user_key = itemgetter(0)
 
 
 class LevelCursor:
-    """Cursor over a sorted, non-overlapping run of SSTables (level >= 1)."""
+    """Cursor over a sorted, non-overlapping run of SSTables (level >= 1).
+    ``largest`` is the files' largest keys when the caller has them (a
+    :attr:`~repro.engine.version.Version.sorted_runs` entry)."""
 
-    def __init__(self, files: List, cache, device, page_cache=None):
+    def __init__(self, files: List, cache, device, page_cache=None, largest=None):
         self._files = files  # List[FileMeta] sorted by smallest key
-        self._largest = [f.largest for f in files]
+        self._largest = [f.largest for f in files] if largest is None else largest
         self._cache = cache
         self._device = device
         self._page_cache = page_cache
@@ -118,9 +127,10 @@ class LevelCursor:
 class MergingIterator:
     """Merges cursors in internal-key order with MVCC visibility rules.
 
-    ``yield from it.seek(begin)`` then ``yield from it.collect(limit, end)``
-    returning the next visible entries (tombstoned and shadowed keys
-    skipped); a later ``collect`` continues where this one stopped.
+    ``yield from it.seek(begin)``, then ``it.collect(limit, end)`` for the
+    next visible entries (tombstoned and shadowed keys skipped), or the
+    generator that returns them after a block-cache miss; a later
+    ``collect`` continues where this one stopped.
     """
 
     def __init__(self, cursors: List, snapshot_seq: int = MAX_SEQ):
@@ -162,20 +172,43 @@ class MergingIterator:
             self._heap.append((entry[0], -entry[1], i))
         yield from self._seek_from(i + 1, begin)
 
-    def collect(
-        self, limit: Optional[int] = None, end: Optional[bytes] = None
-    ) -> Generator:
+    def collect(self, limit: Optional[int] = None, end: Optional[bytes] = None):
         """Up to ``limit`` visible entries ``(key, seq, vtype, value)``,
         stopping after the first one past ``end`` (which is examined and
-        charged, but not returned)."""
+        charged, but not returned).  A plain call that returns the list when
+        every block it crosses is cached; after a block-cache miss, a
+        generator that loads the block, goes on, and returns the list."""
+        out: List[Entry] = []
+        miss = self._merge(out, limit, end)
+        return self._collect_after(miss, out, limit, end) if miss else out
+
+    def _collect_after(self, miss, out: List[Entry], limit, end) -> Generator:
+        """The rest of :meth:`collect` from its first missed block on."""
+        heap = self._heap
+        while miss:
+            pending, i, past_end = miss
+            yield from pending
+            entry = self._cursors[i].current
+            if entry is None:
+                heappop(heap)
+            else:
+                heapreplace(heap, (entry[0], -entry[1], i))
+            miss = None if past_end else self._merge(out, limit, end)
+        return out
+
+    def _merge(self, out: List[Entry], limit: Optional[int], end: Optional[bytes]):
+        """Merge visible entries onto ``out`` until ``limit`` or ``end``; None
+        when done, else ``(step, i, past_end)`` at the first cursor ``i``
+        whose advance missed the cache (its heap entry is stale until
+        ``step`` has run)."""
         heap = self._heap
         cursors = self._cursors
         snapshot = self._snapshot
         last = self._last_user_key
-        out: List[Entry] = []
         scanned = 0
         past_end = False
-        room = limit  # entries still wanted (None: any number)
+        room = limit and limit - len(out)  # entries still wanted (None: any number)
+        miss = None
         while heap and room != 0 and not past_end:
             i = heap[0][2]
             cursor = cursors[i]
@@ -222,7 +255,10 @@ class MergingIterator:
                         out.append(entry)
             scanned += used
             if not cursor.skip(used):
-                yield from cursor.advance()
+                pending = cursor.advance()
+                if pending:
+                    miss = (pending, i, past_end)
+                    break
             entry = cursor.current
             if entry is None:
                 heappop(heap)
@@ -231,9 +267,11 @@ class MergingIterator:
             room = limit and limit - len(out)
         self._last_user_key = last
         self.entries_scanned += scanned
-        return out
+        return miss
 
     def next_user(self) -> Generator:
         """Next visible (key, value) pair, or None at the end."""
-        entries = yield from self.collect(limit=1)
+        entries = self.collect(limit=1)
+        if type(entries) is not list:
+            entries = yield from entries
         return (entries[0][0], entries[0][3]) if entries else None

@@ -56,6 +56,11 @@ class Version:
 
     def __init__(self, levels: List[List[FileMeta]]):
         self.levels = levels
+        #: each non-empty level >= 1 as ``(files, their largest keys)``, what
+        #: a scan's cursors over it need, built once for every scan to share
+        self.sorted_runs: List[Tuple[List[FileMeta], List[bytes]]] = [
+            (files, [f.largest for f in files]) for files in levels[1:] if files
+        ]
 
     def level_files(self, level: int) -> List[FileMeta]:
         return self.levels[level] if level < len(self.levels) else []

@@ -429,37 +429,33 @@ class AllOf(Event):
     Fails fast if any child fails.
     """
 
-    __slots__ = ("_pending", "_results")
+    __slots__ = ("_events", "_pending")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
-        events = list(events)
-        self._results: List[Any] = [None] * len(events)
+        self._events = events = list(events)
         self._pending = len(events)
         if not events:
             self.succeed([])
             return
-        for i, ev in enumerate(events):
-            ev.add_callback(self._make_child_callback(i))
+        on_child = self._on_child
+        for ev in events:
+            ev.add_callback(on_child)
 
-    def _make_child_callback(self, index: int) -> Callable[[Event], None]:
-        def on_child(ev: Event) -> None:
-            if self.triggered:
-                return
-            if not ev.ok:
-                self.fail(ev.value)
-                return
-            self._results[index] = ev.value
-            self._pending -= 1
-            if self._pending == 0:
-                edgelog = self.sim.edgelog
-                if edgelog is not None:
-                    # The join completes through its last child: record the
-                    # child event so the walk can follow the child's edge.
-                    edgelog.annotate(self, "join", via=ev)
-                self.succeed(self._results)
-
-        return on_child
+    def _on_child(self, ev: Event) -> None:
+        if self._value is not _PENDING:
+            return
+        if not ev._ok:
+            self.fail(ev._value)
+            return
+        self._pending -= 1
+        if self._pending == 0:
+            edgelog = self.sim.edgelog
+            if edgelog is not None:
+                # The join completes through its last child: record the
+                # child event so the walk can follow the child's edge.
+                edgelog.annotate(self, "join", via=ev)
+            self.succeed([child._value for child in self._events])
 
 
 class Simulator:

@@ -48,17 +48,20 @@ class MemTable:
     """Multi-version sorted write buffer, flushed to an SSTable when full.
 
     Internally a bisect-maintained sorted array of internal keys with a
-    parallel value array: identical ordering and visibility semantics to the
-    reference skiplist in ``tests/test_memtable.py`` (the differential test
-    there compares the two), but inserts and probes are C-level
-    ``bisect``/``memmove`` operations — the memtable's *simulated* skiplist
-    cost is charged by the engine's cost model, not by host-side pointer
-    chasing.
+    parallel array of the entries themselves, each the ``(key, seq, vtype,
+    value)`` tuple a cursor hands out: identical ordering and visibility
+    semantics to the reference skiplist in ``tests/test_memtable.py`` (the
+    differential test there compares the two), but inserts and probes are
+    C-level ``bisect``/``memmove`` operations — the memtable's *simulated*
+    skiplist cost is charged by the engine's cost model, not by host-side
+    pointer chasing.  Like an SSTable it knows its ``max_seq`` and whether it
+    is ``plain`` (one version per user key, no tombstone), so a scan may
+    slice its runs.
     """
 
     def __init__(self, sim=None, track: str = ""):
         self._keys: List[Tuple[bytes, int]] = []
-        self._vals: List[Tuple[int, bytes]] = []
+        self._rows: List[Tuple[bytes, int, int, bytes]] = []
         # Simulator handle (optional) so inserts can emit trace instants.
         self._sim = sim
         self._track = track
@@ -66,6 +69,9 @@ class MemTable:
         self.entry_count = 0
         self.first_seq: Optional[int] = None
         self.last_seq: Optional[int] = None
+        self.max_seq = 0
+        #: one version per user key and no tombstone (scans slice its runs)
+        self.plain = True
 
     def add(self, seq: int, vtype: int, key: bytes, value: bytes) -> None:
         if self._sim is not None:
@@ -82,15 +88,24 @@ class MemTable:
         if _p is not None:
             _p.enter("storage.memtable.insert")
         # Internal key (key, MAX_SEQ - seq) sorts newer versions first.
+        keys = self._keys
         ikey = (key, MAX_SEQ - seq)
-        i = bisect_left(self._keys, ikey)
-        self._keys.insert(i, ikey)
-        self._vals.insert(i, (vtype, value))
+        i = bisect_left(keys, ikey)
+        if self.plain and (
+            vtype == VTYPE_DELETE
+            or (i and keys[i - 1][0] == key)
+            or (i < len(keys) and keys[i][0] == key)
+        ):
+            self.plain = False
+        keys.insert(i, ikey)
+        self._rows.insert(i, (key, seq, vtype, value))
         self.approximate_size += len(key) + len(value) + ENTRY_OVERHEAD
         self.entry_count += 1
         if self.first_seq is None:
             self.first_seq = seq
         self.last_seq = seq
+        if seq > self.max_seq:
+            self.max_seq = seq
         if _p is not None:
             _p.leave()
 
@@ -110,15 +125,14 @@ class MemTable:
             _p.leave()
         if i == len(keys) or keys[i][0] != key:
             return NOT_FOUND, None
-        vtype, value = self._vals[i]
+        _key, _seq, vtype, value = self._rows[i]
         if vtype == VTYPE_DELETE:
             return DELETED, None
         return FOUND, value
 
     def entries(self) -> Iterator[Tuple[bytes, int, int, bytes]]:
         """All versions, ordered (key asc, seq desc): (key, seq, vtype, value)."""
-        for (key, inv_seq), (vtype, value) in zip(self._keys, self._vals):
-            yield key, MAX_SEQ - inv_seq, vtype, value
+        return iter(self._rows)
 
     def __len__(self) -> int:
         return self.entry_count
@@ -132,53 +146,46 @@ class MemTableCursor:
     """Cursor over a MemTable's sorted arrays (in memory: never needs IO).
 
     Follows the cursor contract of :mod:`repro.engine.iterator` with the array
-    as the block in hand (``skip`` never reports an edge).  Writers ``insert``
-    into it while a scan is suspended on another source's block load, so ``run``
-    and ``skip`` re-find the entry by internal key when its length changed.
+    as the block in hand (``skip`` never reports an edge) and the memtable as
+    its ``table``.  Writers ``insert`` into it while a scan is suspended on
+    another source's block load, so ``run`` and ``skip`` re-find the entry by
+    internal key when its length changed.
     """
 
-    table = None  # no SSTable behind it: the merge filters every entry
-
     def __init__(self, memtable: MemTable):
+        self.table = memtable
         self._keys = memtable._keys
-        self._vals = memtable._vals
+        self._rows = memtable._rows
         self._idx = 0
         self._len = 0
         self.current: Optional[Tuple[bytes, int, int, bytes]] = None
 
     def seek(self, key: Optional[bytes]):
         keys = self._keys
-        self._len = len(keys)
-        self._idx = 0 if key is None else bisect_left(keys, (key, 0))
-        self.skip(0)
+        n = self._len = len(keys)
+        i = self._idx = 0 if key is None else bisect_left(keys, (key, 0))
+        self.current = self._rows[i] if i < n else None
         return ()
 
     def _anchor(self) -> int:
+        """The current entry's index after the memtable grew."""
         keys = self._keys
-        if len(keys) != self._len:
-            self._len = len(keys)
-            self._idx = bisect_left(keys, (self.current[0], MAX_SEQ - self.current[1]))
+        self._len = len(keys)
+        self._idx = bisect_left(keys, (self.current[0], MAX_SEQ - self.current[1]))
         return self._idx
 
     def run(self, bound, room: Optional[int]) -> List[tuple]:
         keys = self._keys
-        i = self._anchor()
+        i = self._idx if len(keys) == self._len else self._anchor()
         hi = self._len if room is None or i + room > self._len else i + room
         if bound is not None:  # a heap entry (key, -seq, ...), as an internal key
             hi = bisect_left(keys, (bound[0], MAX_SEQ + bound[1]), i + 1, hi)
-        return [
-            (key, MAX_SEQ - inv_seq, vtype, value)
-            for (key, inv_seq), (vtype, value) in zip(keys[i:hi], self._vals[i:hi])
-        ]
+        return self._rows[i:hi]
 
     def skip(self, n: int) -> bool:
-        i = self._idx = self._anchor() + n
-        if i < self._len:
-            key, inv_seq = self._keys[i]
-            vtype, value = self._vals[i]
-            self.current = (key, MAX_SEQ - inv_seq, vtype, value)
-        else:
-            self.current = None
+        i = self._idx if len(self._keys) == self._len else self._anchor()
+        i = self._idx = i + n
+        self.current = self._rows[i] if i < self._len else None
         return True
 
     def advance(self):

@@ -229,7 +229,16 @@ class TableCursor:
         block = table.cached_block(idx, self.cache)
         if block is None:
             return self._fetch_and_seek(key)
-        return self._seek_in(block, key)
+        # _seek_in, inlined: a landing inside the cached block takes no call.
+        entries = self._entries = block.entries
+        if key is not None:
+            self._pos = pos = bisect_left(entries, key, key=_user_key)
+            if pos < len(entries):
+                self.current = entries[pos]
+                return ()
+            return self._settle()
+        self.current = entries[0]
+        return ()
 
     def _fetch_and_seek(self, key: Optional[bytes]) -> Generator:
         """The rest of :meth:`seek` once its block missed the cache."""

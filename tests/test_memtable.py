@@ -10,7 +10,7 @@ to it.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.memtable import (
@@ -188,6 +188,35 @@ class TestMemTable:
         mt.add(5, VTYPE_VALUE, b"a", b"")
         mt.add(9, VTYPE_VALUE, b"b", b"")
         assert (mt.first_seq, mt.last_seq) == (5, 9)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 60), st.sampled_from((b"a", b"b", b"c")),
+                      st.booleans()),
+            unique_by=lambda add: add[0],  # a seq names one version
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    # A second version newer than the first lands before it (the neighbour at
+    # its own index), an older one after it (the neighbour before), and a
+    # concurrent group's inserts arrive out of seq order.
+    @example([(1, b"b", False), (2, b"a", False), (3, b"b", False)])
+    @example([(3, b"b", False), (2, b"c", False), (1, b"b", False)])
+    @example([(1, b"a", False), (2, b"b", True)])
+    def test_plain_and_max_seq_match_a_recomputation(self, adds):
+        """After every add, ``plain`` (one version per user key, no tombstone)
+        and ``max_seq`` are what ``entries()`` says they are."""
+        mt = MemTable()
+        assert mt.plain and mt.max_seq == 0
+        for seq, key, is_delete in adds:
+            mt.add(seq, VTYPE_DELETE if is_delete else VTYPE_VALUE, key, b"")
+            entries = list(mt.entries())
+            assert mt.plain == (
+                len({e[0] for e in entries}) == len(entries)
+                and all(e[2] == VTYPE_VALUE for e in entries)
+            )
+            assert mt.max_seq == max(e[1] for e in entries)
 
     @given(
         st.lists(

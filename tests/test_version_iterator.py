@@ -251,9 +251,10 @@ class RecordingCache:
         pass
 
 
-def oracle_merge(cursors, begin, snapshot, limit, end):
+def oracle_merge(cursors, begin, snapshot, limit, end, grow_at=None, grow=None):
     """The per-entry merge (heappop, advance(), heappush for every entry) that
-    ``MergingIterator.collect`` replaced, kept as the reference."""
+    ``MergingIterator.collect`` replaced, kept as the reference.  ``grow()``
+    runs once, before the next entry is taken after ``grow_at`` pairs."""
     heap, out, scanned, last = [], [], 0, None
 
     def push(i):
@@ -265,6 +266,9 @@ def oracle_merge(cursors, begin, snapshot, limit, end):
         yield from cursor.seek(begin)
         push(i)
     while heap and (limit is None or len(out) < limit):
+        if len(out) == grow_at:
+            grow()
+            grow_at = None
         _, i = heapq.heappop(heap)
         k, seq, vtype, value = cursors[i].current
         yield from cursors[i].advance()
@@ -281,6 +285,14 @@ def oracle_merge(cursors, begin, snapshot, limit, end):
     return out, scanned
 
 
+def collected(step):
+    """For ``yield from``: what ``MergingIterator.collect`` gave — the list,
+    when every block was cached, or its generator's result after a miss."""
+    if type(step) is list:
+        return step
+    return (yield from step)
+
+
 def pairs_of(entries):
     """``collect`` returns entries ``(key, seq, vtype, value)``; the oracle pairs."""
     return [(entry[0], entry[3]) for entry in entries]
@@ -289,7 +301,7 @@ def pairs_of(entries):
 def collect_merge(cursors, begin, snapshot, limit, end):
     iterator = MergingIterator(cursors, snapshot)
     yield from iterator.seek(begin)
-    out = yield from iterator.collect(limit, end)
+    out = yield from collected(iterator.collect(limit, end))
     return pairs_of(out), iterator.entries_scanned
 
 
@@ -301,11 +313,11 @@ def collect_twice(split):
         iterator = MergingIterator(cursors, snapshot)
         yield from iterator.seek(begin)
         first = split if limit is None else min(split, limit)
-        out = yield from iterator.collect(first, end)
+        out = yield from collected(iterator.collect(first, end))
         if len(out) == first:  # stopped by the limit, not by ``end``
-            out += yield from iterator.collect(
+            out += yield from collected(iterator.collect(
                 None if limit is None else limit - first, end
-            )
+            ))
         return pairs_of(out), iterator.entries_scanned
 
     return merge
@@ -478,6 +490,65 @@ class TestCollectMatchesPerEntryMerge:
             )
         for outcome in outcomes[1:]:
             assert outcome == outcomes[0]
+
+    @given(
+        writes=st.lists(st.tuples(_SOURCES, _KEY_IDS, st.booleans()), max_size=60),
+        begin=_BOUND,
+        end=_BOUND,
+        snapshot=st.integers(0, 150) | st.just(MAX_SEQ),
+        plain=st.sets(_SOURCES),
+        split=st.integers(0, 10),
+        late=st.lists(
+            st.tuples(st.integers(0, 1), _KEY_IDS, st.booleans(), st.integers(100, 140)),
+            unique_by=lambda add: add[3], max_size=5,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    # A plain memtable ahead of its cursor takes a newer version of a key
+    # (it lands before the older one), and an entry above the snapshot, then
+    # one below it: either way the rest of its run must not be sliced.
+    @example(writes=[(0, 1, False), (0, 5, False), (0, 9, False)], begin=None,
+             end=None, snapshot=MAX_SEQ, plain={0}, split=1,
+             late=[(0, 9, False, 130)])
+    @example(writes=[(0, 1, False), (0, 5, False), (0, 9, False)], begin=None,
+             end=None, snapshot=120, plain={0}, split=1,
+             late=[(0, 6, False, 130), (0, 7, False, 110)])
+    def test_a_memtable_growing_between_collects_merges_like_the_oracle(
+        self, writes, begin, end, snapshot, plain, split, late
+    ):
+        """``collect`` up to ``split`` pairs, then memtables take ``late``
+        adds (duplicates, tombstones, seqs on either side of the snapshot and
+        out of order), then ``collect`` the rest: the oracle, given the same
+        adds at the same point, returns the same pairs and entries scanned."""
+        outcomes = []
+        for oracle in (True, False):
+            env = make_env(n_cores=2)
+            cursors, memtables = self.build_cursors(writes, env, None, plain)
+
+            def grow(memtables=memtables):
+                for source, key_id, is_delete, seq in late:
+                    memtables[source].add(
+                        seq, VTYPE_DELETE if is_delete else VTYPE_VALUE,
+                        key(key_id), b"late%d" % seq,
+                    )
+
+            if oracle:
+                merge = oracle_merge(cursors, begin, snapshot, None, end, split, grow)
+            else:
+                merge = self.collect_grow_collect(cursors, begin, snapshot, end,
+                                                  split, grow)
+            outcomes.append(run_process(env, merge))
+        assert outcomes[0] == outcomes[1]
+
+    @staticmethod
+    def collect_grow_collect(cursors, begin, snapshot, end, split, grow):
+        iterator = MergingIterator(cursors, snapshot)
+        yield from iterator.seek(begin)
+        out = yield from collected(iterator.collect(split, end))
+        if len(out) == split:  # stopped by the limit, not by ``end``
+            grow()
+            out += yield from collected(iterator.collect(None, end))
+        return pairs_of(out), iterator.entries_scanned
 
     def test_the_strategy_reaches_both_paths(self):
         """Sanity of the generator above: a plain source builds a plain table
@@ -657,7 +728,8 @@ class TestCachedStepsMatchTheOracle:
         run_process(env, pending)
         assert env.device.io_count().get("read", 0.0) == 1
         assert cursors[3].current[0] == key(6)
-        entries = run_process(env, iterator.collect(6))
+        entries = iterator.collect(6)
+        assert type(entries) is list  # every block cached: a plain call
         assert [e[0] for e in entries] == [key(i) for i in range(5, 11)]
         assert iterator.seek(key(5)) == ()  # every block cached now
 
