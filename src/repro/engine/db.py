@@ -673,7 +673,7 @@ class LSMEngine:
         for meta in version.levels[0]:
             cursors.append(meta.table.cursor(cache, device, page_cache))
         flsm = self.options.compaction_style == "flsm"
-        for files, largest in version.sorted_runs:
+        for files, largest in version.scan_levels:
             if flsm:
                 # Overlapping runs: one cursor per run.
                 for meta in files:

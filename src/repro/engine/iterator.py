@@ -62,7 +62,7 @@ _user_key = itemgetter(0)
 class LevelCursor:
     """Cursor over a sorted, non-overlapping run of SSTables (level >= 1).
     ``largest`` is the files' largest keys when the caller has them (a
-    :attr:`~repro.engine.version.Version.sorted_runs` entry)."""
+    :attr:`~repro.engine.version.Version.scan_levels` entry)."""
 
     def __init__(self, files: List, cache, device, page_cache=None, largest=None):
         self._files = files  # List[FileMeta] sorted by smallest key

@@ -58,7 +58,7 @@ class Version:
         self.levels = levels
         #: each non-empty level >= 1 as ``(files, their largest keys)``, what
         #: a scan's cursors over it need, built once for every scan to share
-        self.sorted_runs: List[Tuple[List[FileMeta], List[bytes]]] = [
+        self.scan_levels: List[Tuple[List[FileMeta], List[bytes]]] = [
             (files, [f.largest for f in files]) for files in levels[1:] if files
         ]
 

@@ -67,8 +67,6 @@ class MemTable:
         self._track = track
         self.approximate_size = 0
         self.entry_count = 0
-        self.first_seq: Optional[int] = None
-        self.last_seq: Optional[int] = None
         self.max_seq = 0
         #: one version per user key and no tombstone (scans slice its runs)
         self.plain = True
@@ -101,9 +99,6 @@ class MemTable:
         self._rows.insert(i, (key, seq, vtype, value))
         self.approximate_size += len(key) + len(value) + ENTRY_OVERHEAD
         self.entry_count += 1
-        if self.first_seq is None:
-            self.first_seq = seq
-        self.last_seq = seq
         if seq > self.max_seq:
             self.max_seq = seq
         if _p is not None:

@@ -187,7 +187,8 @@ class TestMemTable:
         mt = MemTable()
         mt.add(5, VTYPE_VALUE, b"a", b"")
         mt.add(9, VTYPE_VALUE, b"b", b"")
-        assert (mt.first_seq, mt.last_seq) == (5, 9)
+        mt.add(7, VTYPE_VALUE, b"c", b"")  # a concurrent group's late insert
+        assert mt.max_seq == 9
 
     @given(
         st.lists(
