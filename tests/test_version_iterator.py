@@ -505,11 +505,18 @@ class TestCollectMatchesPerEntryMerge:
     )
     @settings(max_examples=200, deadline=None)
     # A plain memtable ahead of its cursor takes a newer version of a key
-    # (it lands before the older one), and an entry above the snapshot, then
-    # one below it: either way the rest of its run must not be sliced.
+    # (it lands before the older one), an older one (after), a tombstone, and
+    # an entry above the snapshot, then one below it: each time the rest of
+    # its run must not be sliced.
     @example(writes=[(0, 1, False), (0, 5, False), (0, 9, False)], begin=None,
              end=None, snapshot=MAX_SEQ, plain={0}, split=1,
              late=[(0, 9, False, 130)])
+    @example(writes=[(0, 1, False), (0, 5, False), (0, 9, False)], begin=None,
+             end=None, snapshot=MAX_SEQ, plain={0}, split=1,
+             late=[(0, 7, False, 130), (0, 7, False, 110)])
+    @example(writes=[(0, 1, False), (0, 5, False), (0, 9, False)], begin=None,
+             end=None, snapshot=MAX_SEQ, plain={0}, split=1,
+             late=[(0, 7, True, 130)])
     @example(writes=[(0, 1, False), (0, 5, False), (0, 9, False)], begin=None,
              end=None, snapshot=120, plain={0}, split=1,
              late=[(0, 6, False, 130), (0, 7, False, 110)])
