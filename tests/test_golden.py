@@ -446,6 +446,12 @@ def _scan_case(kind, ops, threads, *, load=(), deletes=(), **opts):
     return facts, system
 
 
+def _has_sorted_levels(system):
+    """Whether every engine holds files in a level >= 1 (a scan of it then
+    walks a sorted run of several files)."""
+    return all(any(engine.versions.current.levels[1:]) for engine in _engines(system))
+
+
 def _scan_ops(n, key_ids, seed, verb="scan", widths=(1, 80)):
     """``n`` SCANs (count in ``widths``) or RANGEs (end that many ids on)
     starting at ids drawn from ``key_ids``."""
@@ -506,16 +512,18 @@ def test_figure_scan_corners_golden():
     for i, op in enumerate(_scan_ops(400, range(0, 12000, 2), 7, widths=(10, 60))):
         mixed.append(op)
         mixed.append(("insert", make_key(odd[i]), make_value(odd[i], 112)))
-    facts["rocksdb:cold-scans-inserts"], _ = _scan_case(
+    facts["rocksdb:cold-scans-inserts"], system = _scan_case(
         "rocksdb", mixed, 16,
         load=[("insert", make_key(i), make_value(i, 112)) for i in range(0, 12000, 2)],
         engine={"block_cache_bytes": 16 * 1024},
     )
+    assert _has_sorted_levels(system)
 
     workload = YCSBWorkload("E", 6000, 112, 8)
-    facts["rocksdb:ycsb-e:16threads"], _ = _scan_case(
+    facts["rocksdb:ycsb-e:16threads"], system = _scan_case(
         "rocksdb", workload.ops(300), 16, load=workload.load_ops()
     )
+    assert _has_sorted_levels(system)
 
     workload = YCSBWorkload("E", 8000, 112, 9)
     facts["pebblesdb:ycsb-e"], _ = _scan_case(

@@ -801,6 +801,24 @@ def test_an_unobserved_scan_costs_what_it_did():
     assert calls / 600 <= 618
 
 
+@pytest.mark.no_sanitize
+def test_a_scan_over_sorted_levels_costs_what_it_did():
+    """The same count on the shape the gate above never reaches: 16-thread
+    RocksDB under YCSB-E over 6 000 records, where every sub-scan has a
+    cursor over a level >= 1 (two L0 files, then L1 and L2): 102.59 calls
+    an op."""
+    env = make_env()
+    system = open_system("rocksdb", env)
+    workload = YCSBWorkload("E", 6000, 112, 3)
+    preload(env, system, list(workload.load_ops()), 8)
+    streams = split_stream(list(workload.ops(600)), 16)
+    levels = system.store.versions.current.levels
+    assert levels[1] and levels[2]
+    calls = count_calls(lambda: run_closed_loop(env, system, streams))
+    assert system.store.versions.current.levels[1]
+    assert calls / 600 <= 102.6
+
+
 def count_generator_frames(run) -> int:
     """Generator frames created while ``run()`` runs: a ``call`` event on a
     generator's code for a frame not seen before (each resume is a ``call``
