@@ -36,7 +36,6 @@ from repro.core.txn import GsnManager, TransactionLog
 from repro.core.worker import Worker
 from repro.engine.batch import WriteBatch
 from repro.engine.env import Env
-from repro.errors import KVStatus
 from repro.sim.core import Event
 from repro.storage.wal import RECORD_STANDALONE, RECORD_TXN
 
@@ -238,8 +237,11 @@ class P2KVS:
         yield self.env.cpu.exec(ctx, SUBMIT_COST, "submit")
         self.workers[worker_id].submit(request)
 
-    def _fork_to_all(self, ctx, make_request) -> Generator:
-        """Enqueue one sub-request per worker; gather results in worker order.
+    def _fork_to_all(
+        self, ctx, op: str, begin: bytes, end: Optional[bytes] = None, count: int = 0
+    ) -> Generator:
+        """Enqueue one sub-request ``op`` (a RANGE or SCAN) per worker; gather
+        results in worker order.
 
         Futures carry statuses; a failed fragment raises its typed error
         after the gather (never mid-gather — all_of fails fast on event
@@ -247,7 +249,7 @@ class P2KVS:
         yield self.env.cpu.exec(ctx, SUBMIT_COST * len(self.workers), "submit")
         futures = []
         for worker in self.workers:
-            request = make_request()
+            request = Request(op, begin=begin, end=end, count=count)
             request.future = self.env.sim.event()
             worker.submit(request)
             futures.append(request.future)
@@ -256,11 +258,8 @@ class P2KVS:
         ctx.account_wait("request_wait", self.env.sim.now - waited_since)
         results = []
         for status in statuses:
-            if isinstance(status, KVStatus):
-                status.raise_for_error()
-                results.append(status.value)
-            else:
-                results.append(status)
+            status.raise_for_error()
+            results.append(status.value)
         return results
 
     # ------------------------------------------------------------------
@@ -307,9 +306,7 @@ class P2KVS:
     def range_query(self, ctx, begin: bytes, end: bytes) -> Generator:
         """RANGE: fork sub-RANGEs to every worker, merge sorted results."""
         started = self.env.sim._now
-        results = yield from self._fork_to_all(
-            ctx, lambda: Request(OP_RANGE, begin=begin, end=end)
-        )
+        results = yield from self._fork_to_all(ctx, OP_RANGE, begin, end)
         self._unkeyed_row(ctx, OP_RANGE, started)
         return merge_sorted_results(results)
 
@@ -319,9 +316,7 @@ class P2KVS:
         if self.scan_strategy == "serial":
             pairs = yield from serial_global_scan(ctx, self.engines, begin, count)
         else:
-            results = yield from self._fork_to_all(
-                ctx, lambda: Request(OP_SCAN, begin=begin, count=count)
-            )
+            results = yield from self._fork_to_all(ctx, OP_SCAN, begin, count=count)
             pairs = merge_sorted_results(results, limit=count)
         self._unkeyed_row(ctx, OP_SCAN, started)
         return pairs
@@ -382,11 +377,7 @@ class P2KVS:
             self.workers[worker_id].submit(request)
             futures.append(request.future)
         statuses = yield self.env.sim.all_of(futures)
-        failed = [
-            status.error
-            for status in statuses
-            if isinstance(status, KVStatus) and status.is_error
-        ]
+        failed = [status.error for status in statuses if status.is_error]
         if not failed:
             # Statuses are checked BEFORE the COMMIT record: a failed
             # fragment must leave the transaction uncommitted, so recovery
@@ -428,9 +419,7 @@ class P2KVS:
             raise ValueError("add_worker requires the hash router")
         # Drain: a barrier request through every queue guarantees all prior
         # requests have been executed before migration starts.
-        yield from self._fork_to_all(
-            ctx, lambda: Request(OP_RANGE, begin=b"\xff\xff", end=b"\xff\xfe")
-        )
+        yield from self._fork_to_all(ctx, OP_RANGE, b"\xff\xff", b"\xff\xfe")
         old_n = len(self.workers)
         engine = yield from self.engine_open(
             self.env, "%s/db-%d" % (self.name, old_n), None

@@ -27,7 +27,7 @@ from repro.engine.compaction import (
 )
 from repro.engine.costs import CostModel
 from repro.engine.env import Env
-from repro.engine.iterator import LevelCursor, MemTableCursor, MergingIterator
+from repro.engine.iterator import MemTableCursor, MergingIterator
 from repro.engine.options import (
     MAX_WRITE_BUFFER_NUMBER,
     SLOWDOWN_DELAY,
@@ -43,7 +43,7 @@ from repro.sim.sync import Condition, Lock
 from repro.storage.block_cache import BlockCache
 from repro.storage.bloom import probe_pair
 from repro.storage.memtable import FOUND, MemTable, NOT_FOUND
-from repro.storage.sstable import SSTableBuilder
+from repro.storage.sstable import SSTableBuilder, TableCursor
 from repro.storage.wal import LogReader, LogWriter, RECORD_STANDALONE
 
 __all__ = ["LSMEngine"]
@@ -666,20 +666,11 @@ class LSMEngine:
         cursors = [MemTableCursor(self.memtable)]
         for memtable, _log in reversed(self.immutables):
             cursors.append(MemTableCursor(memtable))
-        version = self.versions.current
         cache, device, page_cache = (
             self.block_cache, self.env.device, self.env.disk.page_cache
         )
-        for meta in version.levels[0]:
-            cursors.append(meta.table.cursor(cache, device, page_cache))
-        flsm = self.options.compaction_style == "flsm"
-        for files, largest in version.scan_levels:
-            if flsm:
-                # Overlapping runs: one cursor per run.
-                for meta in files:
-                    cursors.append(meta.table.cursor(cache, device, page_cache))
-            else:
-                cursors.append(LevelCursor(files, cache, device, page_cache, largest))
+        for tables, largest in self.versions.current.runs:
+            cursors.append(TableCursor(tables, largest, cache, device, page_cache))
         return MergingIterator(cursors, snapshot_seq)
 
     def _iterate(

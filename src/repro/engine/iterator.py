@@ -1,8 +1,8 @@
 """Cursors and the merging iterator for scans.
 
-Every cursor (:class:`repro.storage.memtable.MemTableCursor`,
-:class:`repro.storage.sstable.TableCursor`, :class:`LevelCursor`) follows one
-contract:
+Both cursor kinds, :class:`repro.storage.memtable.MemTableCursor` and
+:class:`repro.storage.sstable.TableCursor` (over a sorted run of tables: one
+L0 file or FLSM run, or a whole level >= 1), follow one contract:
 
 * ``yield from cursor.seek(key)`` positions at the first entry with user key
   >= key (None = the start); ``cursor.current`` is then the entry tuple
@@ -25,12 +25,12 @@ contract:
   (the idiom of ``CPUSet.exec_now``).  Either way the caller writes
   ``yield from``; a caller that composes steps tests the result (``()`` is
   false, a generator true) and continues in a generator only after a miss.
-* ``cursor.table`` is the SSTable the cursor stands in, or a memtable
-  cursor's memtable (None: a level cursor not yet in a file).  A run from a
-  **plain** one (one version per user key, no tombstone) whose ``max_seq``
-  the snapshot covers is sliced: only its first entry can be shadowed.  A
-  memtable's flags are read with the run they judge, in the same step, so
-  inserts while a scan waits can only clear them first.
+* ``cursor.table`` is the SSTable the cursor stands in (a table cursor
+  follows its run from file to file), or a memtable cursor's memtable.  A run
+  from a **plain** one (one version per user key, no tombstone) whose
+  ``max_seq`` the snapshot covers is sliced: only its first entry can be
+  shadowed.  A memtable's flags are read with the run they judge, in the same
+  step, so inserts while a scan waits can only clear them first.
 
 :class:`MergingIterator` heap-merges any number of cursors in internal-key
 order, hides shadowed versions and tombstones, and applies the snapshot
@@ -53,75 +53,10 @@ from typing import Generator, List, Optional, Tuple
 
 from repro.storage.memtable import MAX_SEQ, MemTableCursor, VTYPE_DELETE
 
-__all__ = ["LevelCursor", "MemTableCursor", "MergingIterator"]
+__all__ = ["MemTableCursor", "MergingIterator"]
 
 Entry = Tuple[bytes, int, int, bytes]
 _user_key = itemgetter(0)
-
-
-class LevelCursor:
-    """Cursor over a sorted, non-overlapping run of SSTables (level >= 1).
-    ``largest`` is the files' largest keys when the caller has them (a
-    :attr:`~repro.engine.version.Version.scan_levels` entry)."""
-
-    def __init__(self, files: List, cache, device, page_cache=None, largest=None):
-        self._files = files  # List[FileMeta] sorted by smallest key
-        self._largest = [f.largest for f in files] if largest is None else largest
-        self._cache = cache
-        self._device = device
-        self._page_cache = page_cache
-        self._idx = 0
-        self._cursor = None
-        self.table = None  # the file the cursor stands in
-        self.current: Optional[Entry] = None
-
-    def seek(self, key: Optional[bytes]):
-        if not self._files:
-            self.current = None
-            return ()
-        # First file whose largest >= key.
-        self._idx = 0 if key is None else bisect_left(self._largest, key)
-        return self._open(key)
-
-    def _open(self, key: Optional[bytes]):
-        """Seek the file at ``_idx`` (past the last one: exhausted)."""
-        if self._idx >= len(self._files):
-            self._cursor = None
-            self.current = None
-            return ()
-        self.table = self._files[self._idx].table
-        self._cursor = self.table.cursor(
-            self._cache, self._device, self._page_cache
-        )
-        return self._land(self._cursor.seek(key))
-
-    def _land(self, pending):
-        """Take the file cursor's entry once ``pending``, its unfinished step
-        (or ``()``), has run; an exhausted file moves on to the next."""
-        if pending:
-            return self._land_after(pending)
-        if self._cursor.current is not None:
-            self.current = self._cursor.current
-            return ()
-        self._idx += 1
-        return self._open(None)
-
-    def _land_after(self, pending: Generator) -> Generator:
-        yield from pending
-        yield from self._land(())
-
-    def run(self, bound, room: Optional[int]) -> List[Entry]:
-        return self._cursor.run(bound, room)
-
-    def skip(self, n: int) -> bool:
-        moved = self._cursor.skip(n)
-        self.current = self._cursor.current
-        return moved
-
-    def advance(self):
-        if self._cursor is None:
-            return ()
-        return self._land(self._cursor.advance())
 
 
 class MergingIterator:
@@ -144,14 +79,10 @@ class MergingIterator:
     def seek(self, begin: Optional[bytes]):
         """Seek every cursor, in order, and build the heap (a plain call
         unless a cursor misses the block cache: the cursor contract)."""
-        self._heap = []
+        heap = self._heap = []
         self._last_user_key = None
-        return self._seek_from(0, begin)
-
-    def _seek_from(self, i: int, begin: Optional[bytes]):
-        heap = self._heap
         cursors = self._cursors
-        for i in range(i, len(cursors)):
+        for i in range(len(cursors)):
             cursor = cursors[i]
             pending = cursor.seek(begin)
             if pending:
@@ -165,12 +96,19 @@ class MergingIterator:
     def _seek_after(
         self, pending: Generator, i: int, begin: Optional[bytes]
     ) -> Generator:
-        """Cursor ``i``'s seek after its block missed, then the rest."""
+        """The rest of :meth:`seek` once cursor ``i``'s block missed."""
+        heap = self._heap
+        cursors = self._cursors
         yield from pending
-        entry = self._cursors[i].current
-        if entry is not None:
-            self._heap.append((entry[0], -entry[1], i))
-        yield from self._seek_from(i + 1, begin)
+        while True:
+            entry = cursors[i].current
+            if entry is not None:
+                heap.append((entry[0], -entry[1], i))
+            i += 1
+            if i == len(cursors):
+                break
+            yield from cursors[i].seek(begin)
+        heapify(heap)
 
     def collect(self, limit: Optional[int] = None, end: Optional[bytes] = None):
         """Up to ``limit`` visible entries ``(key, seq, vtype, value)``,

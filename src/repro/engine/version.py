@@ -54,12 +54,21 @@ class FileMeta:
 class Version:
     """Immutable per-level file lists."""
 
-    def __init__(self, levels: List[List[FileMeta]]):
+    def __init__(self, levels: List[List[FileMeta]], flsm: bool = False):
         self.levels = levels
-        #: each non-empty level >= 1 as ``(files, their largest keys)``, what
-        #: a scan's cursors over it need, built once for every scan to share
-        self.scan_levels: List[Tuple[List[FileMeta], List[bytes]]] = [
-            (files, [f.largest for f in files]) for files in levels[1:] if files
+        runs = [[meta] for meta in levels[0]]
+        for files in levels[1:]:
+            if flsm:
+                runs += [[meta] for meta in files]  # overlapping runs
+            elif files:
+                runs.append(files)
+        #: every sorted run a scan reads, one cursor each, as ``(tables, their
+        #: largest keys)``: each L0 file, newest first, then each non-empty
+        #: level >= 1 (each of its files under FLSM); built once for every
+        #: scan to share
+        self.runs: List[Tuple[List[SSTable], List[bytes]]] = [
+            ([meta.table for meta in run], [meta.largest for meta in run])
+            for run in runs
         ]
 
     def level_files(self, level: int) -> List[FileMeta]:
@@ -113,7 +122,9 @@ class VersionSet:
         self.env = env
         self.name = name
         self.options = options
-        self.current = Version([[] for _ in range(MAX_LEVELS)])
+        #: FLSM levels hold overlapping runs: a scan reads each file as one
+        self._flsm = options.compaction_style == "flsm"
+        self.current = Version([[] for _ in range(MAX_LEVELS)], self._flsm)
         self.next_file_number = 1
         self.log_number = 0
         self._manifest = LogWriter(env.disk.open_file(self._manifest_path()))
@@ -160,7 +171,7 @@ class VersionSet:
             levels[level].sort(key=lambda f: (f.smallest, f.number))
         if edit.log_number is not None:
             self.log_number = edit.log_number
-        self.current = Version(levels)
+        self.current = Version(levels, self._flsm)
 
     # -- recovery --------------------------------------------------------------
 
@@ -195,7 +206,7 @@ class VersionSet:
         levels[0].sort(key=lambda f: -f.number)
         for level in range(1, len(levels)):
             levels[level].sort(key=lambda f: (f.smallest, f.number))
-        self.current = Version(levels)
+        self.current = Version(levels, self._flsm)
         self.next_file_number = max_number + 1
         self._gc_orphan_blobs(live)
         return live

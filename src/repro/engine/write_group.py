@@ -149,7 +149,7 @@ class WriteGroupCoordinator:
         writer.ctx.account_wait("wal_lock", sim._now - writer.enqueue_time)
         tracer = sim.tracer
         started, n = sim._now, len(group.members)
-        yield from self._insert_batch(writer, n)
+        yield from self._insert_batch(writer)
         self._member_done(group)
         waited_since = sim._now
         yield group.barrier.arrive()
@@ -267,7 +267,7 @@ class WriteGroupCoordinator:
                 if n > 1:
                     for w in members[1:]:
                         w.role_event.succeed(("insert", group))
-                yield from self._insert_batch(leader, n)
+                yield from self._insert_batch(leader)
                 self._member_done(group)
                 waited_since = sim._now
                 yield from group.barrier.arrive_now()
@@ -358,7 +358,7 @@ class WriteGroupCoordinator:
             total += costs.batch_per_record * (n - 1)
         return total
 
-    def _insert_batch(self, writer: Writer, _group_size: int) -> Generator:
+    def _insert_batch(self, writer: Writer) -> Generator:
         """Concurrent-memtable insert of one writer's own batch.
 
         Interference scales with how many threads are inserting into this

@@ -8,11 +8,12 @@ scans charge sequential block reads; compaction charges one bulk file read.
 
 Tables are pure data plus search logic; the block cache and device are passed
 in explicitly, so the same table object can be shared by any number of
-simulated readers.  A block read is two steps: :meth:`SSTable.cached_block`, a
-synchronous probe of the engine's block cache, and :meth:`SSTable.fetch_block`,
-the generator that charges the page cache or device, run only on a miss.  A
-cursor step whose blocks are all cached is therefore a plain call (the cursor
-contract of :mod:`repro.engine.iterator`).
+simulated readers.  A block read is two steps: ``cache.get((table.number,
+idx))``, a synchronous probe of the engine's block cache whose value is the
+block itself, and :meth:`SSTable.fetch_block`, the generator that charges the
+page cache or device, run only on a miss.  A cursor step whose blocks are all
+cached is therefore a plain call (the cursor contract of
+:mod:`repro.engine.iterator`).
 """
 
 from bisect import bisect_left
@@ -119,13 +120,6 @@ class SSTable:
 
     # -- point lookup -----------------------------------------------------
 
-    def cached_block(self, idx: int, cache) -> Optional[Block]:
-        """Block ``idx`` if the engine block cache holds it (free), else None:
-        then :meth:`fetch_block` loads it."""
-        if cache is not None and cache.get((self.number, idx)) is not None:
-            return self.blocks[idx]
-        return None
-
     def fetch_block(self, idx: int, cache, device, page_cache=None) -> Generator:
         """Load block ``idx`` after a block-cache miss: OS page cache (one RAM
         copy) or device (random block read), then into the block cache."""
@@ -137,8 +131,7 @@ class SSTable:
             yield device.read(block.nbytes, category="read", random=True)
             if page_cache is not None:
                 page_cache.put(cache_key, True, block.nbytes)
-        if cache is not None:
-            cache.put(cache_key, block, block.nbytes)
+        cache.put(cache_key, block, block.nbytes)
         return block
 
     def _build_bloom(self) -> BloomFilter:
@@ -170,7 +163,7 @@ class SSTable:
             return NOT_FOUND, None
         idx = bisect_left(self._index, (key, MAX_SEQ - snapshot_seq))
         while idx < len(self.blocks):
-            block = self.cached_block(idx, cache)
+            block = cache.get((self.number, idx))
             if block is None:
                 block = yield from self.fetch_block(idx, cache, device, page_cache)
             entries = block.entries
@@ -196,22 +189,27 @@ class SSTable:
             out.extend(block.entries)
         return out
 
-    def cursor(self, cache, device, page_cache=None) -> "TableCursor":
-        return TableCursor(self, cache, device, page_cache)
-
 
 class TableCursor:
-    """Forward cursor over a table's entries, loading blocks lazily.
+    """Forward cursor over a sorted, non-overlapping run of tables, loading
+    blocks lazily: one table (an L0 file, an FLSM run) or a level's files.
 
-    Follows the cursor contract of :mod:`repro.engine.iterator`: ``run`` and
-    ``skip`` stay inside the loaded block, ``advance()`` crosses into the next.
+    ``largest`` is the tables' largest keys, in run order.  Follows the cursor
+    contract of :mod:`repro.engine.iterator`: ``run`` and ``skip`` stay inside
+    the loaded block, ``advance()`` crosses into the next, past a table's last
+    block into the next table's first.
     """
 
-    def __init__(self, table: SSTable, cache, device, page_cache=None):
-        self.table = table
+    def __init__(self, tables: List[SSTable], largest: List[bytes], cache,
+                 device, page_cache=None):
+        self._tables = tables
+        self._largest = largest
         self.cache = cache
         self.device = device
         self.page_cache = page_cache
+        #: the table the cursor stands in (None before the first seek)
+        self.table: Optional[SSTable] = None
+        self._file = 0
         self._block_idx = 0
         self._pos = 0
         self._entries: Optional[List[Entry]] = None
@@ -219,25 +217,25 @@ class TableCursor:
 
     def seek(self, key: Optional[bytes]):
         """Position at the first entry with user key >= key (None = start)."""
-        table = self.table
-        idx = 0 if key is None else bisect_left(table._index, (key, 0))
-        self._block_idx, self._pos = idx, 0
-        if idx >= len(table.blocks):
+        tables = self._tables
+        f = 0 if key is None else bisect_left(self._largest, key)
+        if f >= len(tables):
             self.current = None
             self._entries = None
             return ()
-        block = table.cached_block(idx, self.cache)
+        self._file = f
+        self.table = table = tables[f]
+        # The table's largest key is >= key, so the first block whose last
+        # key is >= key holds the landing.
+        idx = 0 if key is None else bisect_left(table._index, (key, 0))
+        self._block_idx = idx
+        block = self.cache.get((table.number, idx))
         if block is None:
             return self._fetch_and_seek(key)
-        # _seek_in, inlined: a landing inside the cached block takes no call.
+        # The landing, inlined: a seek inside a cached block takes no call.
         entries = self._entries = block.entries
-        if key is not None:
-            self._pos = pos = bisect_left(entries, key, key=_user_key)
-            if pos < len(entries):
-                self.current = entries[pos]
-                return ()
-            return self._settle()
-        self.current = entries[0]
+        self._pos = pos = 0 if key is None else bisect_left(entries, key, key=_user_key)
+        self.current = entries[pos]
         return ()
 
     def _fetch_and_seek(self, key: Optional[bytes]) -> Generator:
@@ -245,25 +243,26 @@ class TableCursor:
         block = yield from self.table.fetch_block(
             self._block_idx, self.cache, self.device, self.page_cache
         )
-        yield from self._seek_in(block, key)
-
-    def _seek_in(self, block: Block, key: Optional[bytes]):
-        self._entries = block.entries
-        if key is not None:
-            self._pos = bisect_left(self._entries, key, key=_user_key)
-        return self._settle()
+        entries = self._entries = block.entries
+        self._pos = pos = 0 if key is None else bisect_left(entries, key, key=_user_key)
+        self.current = entries[pos]
 
     def _settle(self):
-        """Move to the next block(s) if positioned past the current one."""
+        """Move to the next block(s) if positioned past the current one, from
+        a table's last block to the next table's first."""
         table = self.table
         entries = self._entries
         while entries is not None and self._pos >= len(entries):
             self._block_idx += 1
             self._pos = 0
             if self._block_idx >= len(table.blocks):
-                self._entries = entries = None
-                break
-            block = table.cached_block(self._block_idx, self.cache)
+                self._file += 1
+                if self._file >= len(self._tables):
+                    self._entries = entries = None
+                    break
+                self.table = table = self._tables[self._file]
+                self._block_idx = 0
+            block = self.cache.get((table.number, self._block_idx))
             if block is None:
                 return self._fetch_and_settle()
             self._entries = entries = block.entries

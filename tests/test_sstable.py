@@ -11,7 +11,7 @@ from repro.sim import OPTANE_905P, Simulator, StorageDevice
 from repro.storage.block_cache import BlockCache
 from repro.storage.bloom import N_PROBES, BloomFilter, fnv1a, fnv1a_many, probe_pair
 from repro.storage.memtable import DELETED, FOUND, MAX_SEQ, NOT_FOUND, VTYPE_DELETE, VTYPE_VALUE
-from repro.storage.sstable import SSTableBuilder, _internal_key, lower_bound
+from repro.storage.sstable import SSTableBuilder, TableCursor, _internal_key, lower_bound
 
 
 def key(i):
@@ -23,6 +23,12 @@ def build_table(n=100, number=1, block_target=256):
     for i in range(n):
         builder.add(key(i), 1, VTYPE_VALUE, b"value%d" % i)
     return builder.finish()
+
+
+def cursor_over(table, device):
+    """A cursor over the run of one table, through a block cache that holds
+    nothing (every block is read)."""
+    return TableCursor([table], [table.largest], BlockCache(0), device)
 
 
 def run(gen):
@@ -141,7 +147,7 @@ class TestSSTable:
     def test_get_found(self):
         table = build_table(100)
         (state, value), device = run(
-            lambda dev: table.get(key(42), MAX_SEQ, None, dev)
+            lambda dev: table.get(key(42), MAX_SEQ, BlockCache(0), dev)
         )
         assert (state, value) == (FOUND, b"value42")
         assert device.bytes_by_kind().get("read", 0.0) > 0
@@ -150,13 +156,13 @@ class TestSSTable:
         table = build_table(100)
         # key not present but inside [smallest, largest]; bloom usually stops it
         (state, _), device = run(
-            lambda dev: table.get(b"key00000042x", MAX_SEQ, None, dev)
+            lambda dev: table.get(b"key00000042x", MAX_SEQ, BlockCache(0), dev)
         )
         assert state == NOT_FOUND
 
     def test_get_out_of_range_is_free(self):
         table = build_table(100)
-        (state, _), device = run(lambda dev: table.get(b"zzz", MAX_SEQ, None, dev))
+        (state, _), device = run(lambda dev: table.get(b"zzz", MAX_SEQ, BlockCache(0), dev))
         assert state == NOT_FOUND
         assert sum(device.bytes_by_category().values()) == 0
 
@@ -165,7 +171,7 @@ class TestSSTable:
         builder.add(b"a", 2, VTYPE_DELETE, b"")
         builder.add(b"a", 1, VTYPE_VALUE, b"old")
         table = builder.finish()
-        (state, _), _ = run(lambda dev: table.get(b"a", MAX_SEQ, None, dev))
+        (state, _), _ = run(lambda dev: table.get(b"a", MAX_SEQ, BlockCache(0), dev))
         assert state == DELETED
 
     def test_snapshot_get_sees_old_version(self):
@@ -173,9 +179,9 @@ class TestSSTable:
         builder.add(b"a", 5, VTYPE_VALUE, b"new")
         builder.add(b"a", 2, VTYPE_VALUE, b"old")
         table = builder.finish()
-        (state, value), _ = run(lambda dev: table.get(b"a", 3, None, dev))
+        (state, value), _ = run(lambda dev: table.get(b"a", 3, BlockCache(0), dev))
         assert (state, value) == (FOUND, b"old")
-        (state, value), _ = run(lambda dev: table.get(b"a", MAX_SEQ, None, dev))
+        (state, value), _ = run(lambda dev: table.get(b"a", MAX_SEQ, BlockCache(0), dev))
         assert (state, value) == (FOUND, b"new")
 
     def test_block_cache_avoids_repeat_io(self):
@@ -195,7 +201,7 @@ class TestSSTable:
         table = build_table(30)
 
         def scan(dev):
-            cur = table.cursor(None, dev)
+            cur = cursor_over(table, dev)
             yield from cur.seek(None)
             out = []
             while cur.current is not None:
@@ -210,7 +216,7 @@ class TestSSTable:
         table = build_table(30)
 
         def scan(dev):
-            cur = table.cursor(None, dev)
+            cur = cursor_over(table, dev)
             yield from cur.seek(key(25))
             out = []
             while cur.current is not None:
@@ -225,7 +231,7 @@ class TestSSTable:
         table = build_table(10)
 
         def scan(dev):
-            cur = table.cursor(None, dev)
+            cur = cursor_over(table, dev)
             yield from cur.seek(b"zzzz")
             return cur.current
 
@@ -248,7 +254,7 @@ class TestSSTable:
 
         def check(dev):
             for i in sorted(key_ids):
-                state, value = yield from table.get(key(i), MAX_SEQ, None, dev)
+                state, value = yield from table.get(key(i), MAX_SEQ, BlockCache(0), dev)
                 assert (state, value) == (FOUND, b"v%d" % i)
             return True
 
@@ -294,8 +300,8 @@ class TestBisectWithoutACallbackPerProbe:
         def probe_all(dev):
             got = []
             for i in range(-1, 14):
-                got.append((yield from table.get(key(i), snapshot, None, dev)))
-                cursor = table.cursor(None, dev)
+                got.append((yield from table.get(key(i), snapshot, BlockCache(0), dev)))
+                cursor = cursor_over(table, dev)
                 yield from cursor.seek(key(i))
                 got.append(cursor.current)
             return got
@@ -335,6 +341,6 @@ class TestFilterBuiltAtFirstProbe:
         assert table.file_size == (
             sum(b.nbytes for b in table.blocks) + len(eager._bits) + index_bytes
         )
-        run(lambda dev: table.get(entries[-1][0], MAX_SEQ, None, dev))
+        run(lambda dev: table.get(entries[-1][0], MAX_SEQ, BlockCache(0), dev))
         assert table._bloom._bits == eager._bits
         assert len(table._bloom._bits) == table.filter_bytes

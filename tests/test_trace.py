@@ -792,21 +792,24 @@ def test_an_unobserved_op_costs_what_it_did():
 @pytest.mark.no_sanitize
 def test_an_unobserved_scan_costs_what_it_did():
     """The same count for perfbench's ``scan`` shape (p2KVS-8 YCSB-E, about
-    7.7 sub-scans an op): 617.0 calls an op; 706.6 before a memtable run
-    became a slice, the join of a fork stopped building a closure per child,
-    and a merge over cached blocks, a cached seek's landing and a sub-scan's
-    completion stopped making calls they never needed."""
+    7.7 sub-scans an op): 576.5 calls an op; 617.0 before a table cursor was
+    built without a factory and probed the block cache itself and a merge's
+    seek kept its loop; 706.6 before a memtable run became a slice, the join
+    of a fork stopped building a closure per child, and a merge over cached
+    blocks, a cached seek's landing and a sub-scan's completion stopped
+    making calls they never needed."""
     env, system, streams = _ycsb_e(600)
     calls = count_calls(lambda: run_closed_loop(env, system, streams))
-    assert calls / 600 <= 618
+    assert calls / 600 <= 577
 
 
 @pytest.mark.no_sanitize
 def test_a_scan_over_sorted_levels_costs_what_it_did():
     """The same count on the shape the gate above never reaches: 16-thread
     RocksDB under YCSB-E over 6 000 records, where every sub-scan has a
-    cursor over a level >= 1 (two L0 files, then L1 and L2): 102.59 calls
-    an op."""
+    cursor over a level >= 1 (two L0 files, then L1 and L2): 73.94 calls an
+    op; 102.59 while a level's cursor was a cursor over per-file cursors,
+    delegating each step to the file's."""
     env = make_env()
     system = open_system("rocksdb", env)
     workload = YCSBWorkload("E", 6000, 112, 3)
@@ -816,7 +819,7 @@ def test_a_scan_over_sorted_levels_costs_what_it_did():
     assert levels[1] and levels[2]
     calls = count_calls(lambda: run_closed_loop(env, system, streams))
     assert system.store.versions.current.levels[1]
-    assert calls / 600 <= 102.6
+    assert calls / 600 <= 73.95
 
 
 def count_generator_frames(run) -> int:

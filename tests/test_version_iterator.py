@@ -8,17 +8,23 @@ from hypothesis import strategies as st
 
 from repro.core import P2KVS, adapter_factory
 from repro.engine.env import make_env
-from repro.engine.iterator import LevelCursor, MemTableCursor, MergingIterator
+from repro.engine.iterator import MemTableCursor, MergingIterator
 from repro.engine.options import EngineOptions
 from repro.engine.version import FileMeta, VersionEdit, VersionSet
 from repro.storage.block_cache import BlockCache
 from repro.storage.memtable import MAX_SEQ, MemTable, VTYPE_DELETE, VTYPE_VALUE
-from repro.storage.sstable import SSTableBuilder
+from repro.storage.sstable import SSTableBuilder, TableCursor
 from tests.conftest import run_process
 
 
 def key(i):
     return b"key%06d" % i
+
+
+def run_cursor(cache, device, *tables):
+    """A cursor over the sorted run of ``tables`` (one: an L0 file; several:
+    a level's files, in key order)."""
+    return TableCursor(list(tables), [t.largest for t in tables], cache, device)
 
 
 def build_table(number, ids, seq=1, vtype=VTYPE_VALUE):
@@ -150,7 +156,7 @@ class TestMergingIterator:
         table = build_table(1, [0, 2], seq=1)
         cursors = [
             MemTableCursor(memtable),
-            table.cursor(None, env.device),
+            run_cursor(BlockCache(0), env.device, table),
         ]
         pairs = self.run_iterator(env, cursors)
         assert [k for k, _ in pairs] == [key(0), key(1), key(2)]
@@ -159,7 +165,7 @@ class TestMergingIterator:
         memtable = MemTable()
         memtable.add(10, VTYPE_VALUE, key(0), b"newer")
         table = build_table(1, [0], seq=1)
-        cursors = [MemTableCursor(memtable), table.cursor(None, env.device)]
+        cursors = [MemTableCursor(memtable), run_cursor(BlockCache(0), env.device, table)]
         pairs = self.run_iterator(env, cursors)
         assert pairs == [(key(0), b"newer")]
 
@@ -167,7 +173,7 @@ class TestMergingIterator:
         memtable = MemTable()
         memtable.add(10, VTYPE_DELETE, key(0), b"")
         table = build_table(1, [0, 1], seq=1)
-        cursors = [MemTableCursor(memtable), table.cursor(None, env.device)]
+        cursors = [MemTableCursor(memtable), run_cursor(BlockCache(0), env.device, table)]
         pairs = self.run_iterator(env, cursors)
         assert [k for k, _ in pairs] == [key(1)]
 
@@ -181,7 +187,8 @@ class TestMergingIterator:
     def test_seek_positions_all_sources(self, env):
         t1 = build_table(1, range(0, 10))
         t2 = build_table(2, range(10, 20))
-        cursors = [t1.cursor(None, env.device), t2.cursor(None, env.device)]
+        cursors = [run_cursor(BlockCache(0), env.device, t)
+                   for t in (t1, t2)]
         pairs = self.run_iterator(env, cursors, begin=key(8), limit=4)
         assert [k for k, _ in pairs] == [key(8), key(9), key(10), key(11)]
 
@@ -347,7 +354,7 @@ class TestCollectMatchesPerEntryMerge:
     def build_cursors(writes, env, cache, plain=(), block_target=48, ties=1,
                       bands=1):
         """Sources 0-1: memtables; 2: one multi-block SSTable; 3: a level of
-        two files.  ``writes[n] = (source, key id, is_delete)`` has seq
+        two files (one cursor over their run).  ``writes[n] = (source, key id, is_delete)`` has seq
         ``n // ties + 1`` (``ties=2``: neighbours share a seq, so two sources
         can hold the same internal key).  A source in ``plain`` keeps one
         version per key and no delete.  ``bands`` folds the key ids into that
@@ -389,16 +396,13 @@ class TestCollectMatchesPerEntryMerge:
             return builder.finish()
 
         if by_source[2]:
-            cursors.append(table(2, by_source[2]).cursor(cache, env.device))
+            cursors.append(run_cursor(cache, env.device, table(2, by_source[2])))
         halves = [
             [e for e in by_source[3] if e[0] < key(12)],
             [e for e in by_source[3] if e[0] >= key(12)],
         ]
-        files = [
-            FileMeta.from_table(table(3 + n, half))
-            for n, half in enumerate(halves) if half
-        ]
-        cursors.append(LevelCursor(files, cache, env.device))
+        files = [table(3 + n, half) for n, half in enumerate(halves) if half]
+        cursors.append(run_cursor(cache, env.device, *files))
         return cursors, memtables
 
     @given(
@@ -530,7 +534,7 @@ class TestCollectMatchesPerEntryMerge:
         outcomes = []
         for oracle in (True, False):
             env = make_env(n_cores=2)
-            cursors, memtables = self.build_cursors(writes, env, None, plain)
+            cursors, memtables = self.build_cursors(writes, env, BlockCache(0), plain)
 
             def grow(memtables=memtables):
                 for source, key_id, is_delete, seq in late:
@@ -563,9 +567,11 @@ class TestCollectMatchesPerEntryMerge:
         second version does not."""
         env = make_env(n_cores=2)
         writes = [(2, 1, False), (2, 1, False), (3, 2, True), (3, 13, False)]
-        cursors, _ = self.build_cursors(writes, env, None, plain={2})
+        cursors, _ = self.build_cursors(writes, env, BlockCache(0), plain={2})
+        run_process(env, cursors[2].seek(None))
         assert cursors[2].table.plain and cursors[2].table.max_seq == 1
-        cursors, _ = self.build_cursors(writes, env, None)
+        cursors, _ = self.build_cursors(writes, env, BlockCache(0))
+        run_process(env, cursors[2].seek(None))
         assert not cursors[2].table.plain
         level = cursors[3]
         run_process(env, level.seek(None))
@@ -596,9 +602,8 @@ def source_entries(cursors, memtables):
     every entry it stands over, in internal-key order."""
     sources = [list(memtable.entries()) for memtable in memtables]
     for cursor in cursors[2:]:
-        files = cursor._files if isinstance(cursor, LevelCursor) else [cursor]
         sources.append(
-            [e for f in files for block in f.table.blocks for e in block.entries]
+            [e for t in cursor._tables for block in t.blocks for e in block.entries]
         )
     return sources
 
@@ -723,7 +728,7 @@ class TestCachedStepsMatchTheOracle:
         cache = BlockCache(1 << 30)
         self.cached(cache, t1, t2)
         cursors = [MemTableCursor(memtable)] + [
-            t.cursor(cache, env.device) for t in (t1, t2, t3)
+            run_cursor(cache, env.device, t) for t in (t1, t2, t3)
         ]
         iterator = MergingIterator(cursors)
         pending = iterator.seek(key(5))
@@ -744,9 +749,7 @@ class TestCachedStepsMatchTheOracle:
         t1, t2 = build_table(1, range(0, 5)), build_table(2, range(5, 10))
         cache = BlockCache(1 << 30)
         self.cached(cache, t1)
-        cursor = LevelCursor(
-            [FileMeta.from_table(t1), FileMeta.from_table(t2)], cache, env.device
-        )
+        cursor = run_cursor(cache, env.device, t1, t2)
         assert cursor.seek(key(3)) == () and cursor.advance() == ()
         assert cursor.current[0] == key(4)
         pending = cursor.advance()
@@ -846,11 +849,12 @@ class TestCachedStepsMatchTheOracle:
 
 
 class TestLevelCursor:
+    """A table cursor over a level's run of files."""
+
     def test_walks_across_files(self, env):
         t1 = build_table(1, range(0, 5))
         t2 = build_table(2, range(5, 10))
-        files = [FileMeta.from_table(t1), FileMeta.from_table(t2)]
-        cursor = LevelCursor(files, None, env.device)
+        cursor = run_cursor(BlockCache(0), env.device, t1, t2)
 
         def work():
             yield from cursor.seek(key(3))
@@ -863,8 +867,19 @@ class TestLevelCursor:
         keys = run_process(env, work())
         assert keys == [key(i) for i in range(3, 10)]
 
+    def test_a_seek_between_files_lands_in_the_next(self, env):
+        """A key past one file's last block but short of the run's end lands
+        on the next file's first entry, asking only for that file's block."""
+        t1 = build_table(1, range(0, 5))
+        t2 = build_table(2, range(10, 15))
+        cache = RecordingCache()
+        cursor = run_cursor(cache, env.device, t1, t2)
+        run_process(env, cursor.seek(key(7)))
+        assert cursor.current[0] == key(10) and cursor.table is t2
+        assert cache.loads == [(2, 0)]
+
     def test_empty_level(self, env):
-        cursor = LevelCursor([], None, env.device)
+        cursor = run_cursor(BlockCache(0), env.device)
 
         def work():
             yield from cursor.seek(None)
@@ -874,7 +889,7 @@ class TestLevelCursor:
 
     def test_seek_past_all_files(self, env):
         t1 = build_table(1, range(0, 5))
-        cursor = LevelCursor([FileMeta.from_table(t1)], None, env.device)
+        cursor = run_cursor(BlockCache(0), env.device, t1)
 
         def work():
             yield from cursor.seek(key(99))
