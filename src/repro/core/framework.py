@@ -258,7 +258,8 @@ class P2KVS:
         ctx.account_wait("request_wait", self.env.sim.now - waited_since)
         results = []
         for status in statuses:
-            status.raise_for_error()
+            if status.error is not None:
+                raise status.error
             results.append(status.value)
         return results
 

@@ -792,15 +792,16 @@ def test_an_unobserved_op_costs_what_it_did():
 @pytest.mark.no_sanitize
 def test_an_unobserved_scan_costs_what_it_did():
     """The same count for perfbench's ``scan`` shape (p2KVS-8 YCSB-E, about
-    7.7 sub-scans an op): 576.5 calls an op; 617.0 before a table cursor was
-    built without a factory and probed the block cache itself and a merge's
-    seek kept its loop; 706.6 before a memtable run became a slice, the join
-    of a fork stopped building a closure per child, and a merge over cached
-    blocks, a cached seek's landing and a sub-scan's completion stopped
-    making calls they never needed."""
+    7.7 sub-scans an op): 568.8 calls an op.  617.0 before a table cursor was
+    built without a factory and probed the block cache itself, a merge's
+    seek kept its own loop and a fork checked its statuses inline; 706.6
+    before a memtable run became a slice, the join of a fork stopped
+    building a closure per child, and a merge over cached blocks, a cached
+    seek's landing and a sub-scan's completion stopped making calls they
+    never needed."""
     env, system, streams = _ycsb_e(600)
     calls = count_calls(lambda: run_closed_loop(env, system, streams))
-    assert calls / 600 <= 577
+    assert calls / 600 <= 569
 
 
 @pytest.mark.no_sanitize
