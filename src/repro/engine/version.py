@@ -54,7 +54,7 @@ class FileMeta:
 class Version:
     """Immutable per-level file lists."""
 
-    def __init__(self, levels: List[List[FileMeta]], flsm: bool = False):
+    def __init__(self, levels: List[List[FileMeta]], flsm: bool):
         self.levels = levels
         runs = [[meta] for meta in levels[0]]
         for files in levels[1:]:
