@@ -11,7 +11,9 @@ from repro.sim import OPTANE_905P, Simulator, StorageDevice
 from repro.storage.block_cache import BlockCache
 from repro.storage.bloom import N_PROBES, BloomFilter, fnv1a, fnv1a_many, probe_pair
 from repro.storage.memtable import DELETED, FOUND, MAX_SEQ, NOT_FOUND, VTYPE_DELETE, VTYPE_VALUE
-from repro.storage.sstable import SSTableBuilder, TableCursor, _internal_key, lower_bound
+from repro.storage.sstable import (
+    SSTableBuilder, TableCursor, _internal_key, lower_bound,
+)
 
 
 def key(i):
@@ -162,7 +164,9 @@ class TestSSTable:
 
     def test_get_out_of_range_is_free(self):
         table = build_table(100)
-        (state, _), device = run(lambda dev: table.get(b"zzz", MAX_SEQ, BlockCache(0), dev))
+        (state, _), device = run(
+            lambda dev: table.get(b"zzz", MAX_SEQ, BlockCache(0), dev)
+        )
         assert state == NOT_FOUND
         assert sum(device.bytes_by_category().values()) == 0
 
@@ -181,7 +185,9 @@ class TestSSTable:
         table = builder.finish()
         (state, value), _ = run(lambda dev: table.get(b"a", 3, BlockCache(0), dev))
         assert (state, value) == (FOUND, b"old")
-        (state, value), _ = run(lambda dev: table.get(b"a", MAX_SEQ, BlockCache(0), dev))
+        (state, value), _ = run(
+            lambda dev: table.get(b"a", MAX_SEQ, BlockCache(0), dev)
+        )
         assert (state, value) == (FOUND, b"new")
 
     def test_block_cache_avoids_repeat_io(self):

@@ -165,7 +165,8 @@ class TestMergingIterator:
         memtable = MemTable()
         memtable.add(10, VTYPE_VALUE, key(0), b"newer")
         table = build_table(1, [0], seq=1)
-        cursors = [MemTableCursor(memtable), run_cursor(BlockCache(0), env.device, table)]
+        cursors = [MemTableCursor(memtable),
+                   run_cursor(BlockCache(0), env.device, table)]
         pairs = self.run_iterator(env, cursors)
         assert pairs == [(key(0), b"newer")]
 
@@ -173,7 +174,8 @@ class TestMergingIterator:
         memtable = MemTable()
         memtable.add(10, VTYPE_DELETE, key(0), b"")
         table = build_table(1, [0, 1], seq=1)
-        cursors = [MemTableCursor(memtable), run_cursor(BlockCache(0), env.device, table)]
+        cursors = [MemTableCursor(memtable),
+                   run_cursor(BlockCache(0), env.device, table)]
         pairs = self.run_iterator(env, cursors)
         assert [k for k, _ in pairs] == [key(1)]
 
@@ -354,13 +356,14 @@ class TestCollectMatchesPerEntryMerge:
     def build_cursors(writes, env, cache, plain=(), block_target=48, ties=1,
                       bands=1):
         """Sources 0-1: memtables; 2: one multi-block SSTable; 3: a level of
-        two files (one cursor over their run).  ``writes[n] = (source, key id, is_delete)`` has seq
-        ``n // ties + 1`` (``ties=2``: neighbours share a seq, so two sources
-        can hold the same internal key).  A source in ``plain`` keeps one
-        version per key and no delete.  ``bands`` folds the key ids into that
-        many disjoint ranges shared by 4 / bands sources each (4: every source
-        has its own, so runs are long; 1: all interleave).  Returns the
-        cursors and the two memtables."""
+        two files (one cursor over their run).  ``writes[n] = (source, key
+        id, is_delete)`` has seq ``n // ties + 1`` (``ties=2``: neighbours
+        share a seq, so two sources can hold the same internal key).  A
+        source in ``plain`` keeps one version per key and no delete.
+        ``bands`` folds the key ids into that many disjoint ranges shared by
+        4 / bands sources each (4: every source has its own, so runs are
+        long; 1: all interleave).  Returns the cursors and the two
+        memtables."""
         by_source = {0: {}, 1: {}, 2: {}, 3: {}}
         width = 24 // bands
         for n, (source, key_id, is_delete) in enumerate(writes):
