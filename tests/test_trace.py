@@ -31,7 +31,13 @@ from repro.trace import (
 )
 from repro.tools import dbbench
 from repro.tools.common import ObservedRun
-from repro.workloads import YCSBWorkload, fillrandom, overwrite, split_stream
+from repro.workloads import (
+    YCSBWorkload,
+    fillrandom,
+    overwrite,
+    readrandom,
+    split_stream,
+)
 from tests.conftest import run_process
 from tests.test_sim_core import _program, _run_program
 
@@ -821,6 +827,23 @@ def test_a_scan_over_sorted_levels_costs_what_it_did():
     calls = count_calls(lambda: run_closed_loop(env, system, streams))
     assert system.store.versions.current.levels[1]
     assert calls / 600 <= 73.95
+
+
+@pytest.mark.no_sanitize
+def test_a_read_over_sorted_levels_costs_what_it_did():
+    """The same count on the point-lookup path over levels >= 1: 16-thread
+    RocksDB uniform reads over 6 000 random fills, where the tree holds two
+    L0 files, then L1 and L2: 89.43 calls an op."""
+    env = make_env()
+    system = open_system("rocksdb", env)
+    preload(env, system, list(fillrandom(6000, 112, 3)), 8)
+    streams = split_stream(list(readrandom(1000, 6000, seed=4)), 16)
+    levels = system.store.versions.current.levels
+    assert levels[1] and levels[2]
+    calls = count_calls(lambda: run_closed_loop(env, system, streams))
+    levels = system.store.versions.current.levels
+    assert levels[1] and levels[2]
+    assert calls / 1000 <= 89.44
 
 
 def count_generator_frames(run) -> int:
