@@ -25,8 +25,9 @@ from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.engine.options import MAX_LEVELS
-from repro.engine.version import FileMeta, Version
+from repro.engine.version import Version
 from repro.storage.memtable import MAX_SEQ, VTYPE_DELETE
+from repro.storage.sstable import SSTable
 
 __all__ = ["Compaction", "dedup_entries", "pick_compaction"]
 
@@ -40,17 +41,17 @@ _SEQ = itemgetter(1)
 class Compaction:
     level: int
     target: int
-    inputs_lo: List[FileMeta]
-    inputs_hi: List[FileMeta] = field(default_factory=list)
+    inputs_lo: List[SSTable]
+    inputs_hi: List[SSTable] = field(default_factory=list)
     drop_tombstones: bool = False
 
     @property
-    def all_inputs(self) -> List[FileMeta]:
+    def all_inputs(self) -> List[SSTable]:
         return self.inputs_lo + self.inputs_hi
 
     @property
     def input_bytes(self) -> int:
-        return sum(f.file_size for f in self.all_inputs)
+        return sum(t.file_size for t in self.all_inputs)
 
 
 def pick_compaction(engine) -> Optional[Compaction]:
@@ -72,15 +73,15 @@ def pick_compaction(engine) -> Optional[Compaction]:
     return compaction
 
 
-def _busy(engine, files: Iterable[FileMeta]) -> bool:
-    return any(f.number in engine.compacting for f in files)
+def _busy(engine, tables: Iterable[SSTable]) -> bool:
+    return any(t.number in engine.compacting for t in tables)
 
 
 def _level_scores(engine) -> List[Tuple[float, int]]:
     version = engine.versions.current
     opts = engine.options
     scores = [
-        (len(version.level_files(0)) / float(opts.l0_compaction_trigger), 0)
+        (len(version.levels[0]) / float(opts.l0_compaction_trigger), 0)
     ]
     for level in range(1, MAX_LEVELS - 1):
         score = version.level_bytes(level) / float(opts.max_bytes_for_level(level))
@@ -90,7 +91,7 @@ def _level_scores(engine) -> List[Tuple[float, int]]:
 
 
 def _is_bottom(version: Version, target: int) -> bool:
-    return all(not version.level_files(i) for i in range(target + 1, version.num_levels()))
+    return not any(version.levels[target + 1:])
 
 
 def _pick_leveled(engine) -> Optional[Compaction]:
@@ -99,29 +100,29 @@ def _pick_leveled(engine) -> Optional[Compaction]:
         if score < 1.0:
             return None
         if level == 0:
-            inputs_lo = version.level_files(0)
+            inputs_lo = version.levels[0]
             if not inputs_lo or _busy(engine, inputs_lo):
                 continue
-            begin = min(f.smallest for f in inputs_lo)
-            end = max(f.largest for f in inputs_lo)
+            begin = min(t.smallest for t in inputs_lo)
+            end = max(t.largest for t in inputs_lo)
             inputs_hi = version.overlapping(1, begin, end)
             if _busy(engine, inputs_hi):
                 continue
-            return Compaction(0, 1, list(inputs_lo), inputs_hi,
+            return Compaction(0, 1, inputs_lo, inputs_hi,
                               drop_tombstones=_is_bottom(version, 1))
-        files = version.level_files(level)
-        if not files:
+        tables = version.levels[level]
+        if not tables:
             continue
         target = level + 1
-        # Round-robin: first file past the per-level cursor key.
+        # Round-robin: first table past the per-level cursor key.
         cursor = engine.versions.compact_cursor[level]
         chosen = None
-        for f in files:
-            if cursor is None or f.smallest > cursor:
-                chosen = f
+        for t in tables:
+            if cursor is None or t.smallest > cursor:
+                chosen = t
                 break
         if chosen is None:
-            chosen = files[0]
+            chosen = tables[0]
         if _busy(engine, [chosen]):
             continue
         inputs_hi = version.overlapping(target, chosen.smallest, chosen.largest)
@@ -137,22 +138,22 @@ def _pick_flsm(engine) -> Optional[Compaction]:
     """Tiered/fragmented merge: combine a level's runs, append to the next."""
     version = engine.versions.current
     opts = engine.options
-    l0 = version.level_files(0)
+    l0 = version.levels[0]
     if len(l0) >= opts.l0_compaction_trigger and not _busy(engine, l0):
-        return Compaction(0, 1, list(l0), [],
+        return Compaction(0, 1, l0, [],
                           drop_tombstones=_is_bottom(version, 1))
     for level in range(1, MAX_LEVELS - 1):
-        files = version.level_files(level)
-        if not files:
+        tables = version.levels[level]
+        if not tables:
             continue
         # Data rests in a level (as overlapping runs) until the level
         # exceeds its byte budget; only then is the whole level merged and
         # moved down — never rewriting the level below.
         over_budget = version.level_bytes(level) > opts.max_bytes_for_level(level)
-        if over_budget and not _busy(engine, files):
+        if over_budget and not _busy(engine, tables):
             target = level + 1
             bottom = _is_bottom(version, target)
-            return Compaction(level, target, list(files), [],
+            return Compaction(level, target, tables, [],
                               drop_tombstones=bottom)
     return None
 

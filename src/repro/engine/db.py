@@ -16,6 +16,7 @@ against the shared CPU/device models.
 """
 
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.engine.batch import WriteBatch
@@ -34,7 +35,7 @@ from repro.engine.options import (
     WAL_FLUSH_BYTES,
     EngineOptions,
 )
-from repro.engine.version import FileMeta, VersionEdit, VersionSet
+from repro.engine.version import VersionEdit, VersionSet
 from repro.engine.write_group import WriteGroupCoordinator
 from repro.errors import Corruption, IOFailure, KVStatus, TimedOut
 from repro.faults.retry import retry_io
@@ -49,6 +50,8 @@ from repro.storage.wal import LogReader, LogWriter, RECORD_STANDALONE
 __all__ = ["LSMEngine"]
 
 RecordFilter = Callable[[int, int], bool]  # (rtype, gsn) -> keep?
+
+_NUMBER = attrgetter("number")
 
 
 #: monotonic engine-instance counter: sanitizer access keys must be unique
@@ -132,7 +135,7 @@ class LSMEngine:
         )
         registry.gauge(
             "%s.l0_files" % prefix,
-            lambda: len(self.versions.current.level_files(0)),
+            lambda: len(self.versions.current.levels[0]),
         )
         registry.gauge("%s.stalled_writers" % prefix, lambda: self._stall_depth)
         registry.gauge(
@@ -181,10 +184,9 @@ class LSMEngine:
         yield from self.versions.recover()
         # Resume the sequence space above every surviving SSTable so new
         # writes never collide with (or hide behind) persisted versions.
-        version = self.versions.current
-        for level in range(version.num_levels()):
-            for meta in version.level_files(level):
-                self.seq = max(self.seq, meta.table.max_seq)
+        for tables in self.versions.current.levels:
+            for table in tables:
+                self.seq = max(self.seq, table.max_seq)
         # Replay WAL segments newer than the manifest's watermark, in order.
         prefix = "%s/wal-" % self.name
         paths = self.env.disk.list_files(prefix)
@@ -371,7 +373,7 @@ class LSMEngine:
         """For ``yield from``: write backpressure (memtable backlog, L0
         buildup); ``()`` when no stall or slowdown applies."""
         opts = self.options
-        l0 = len(self.versions.current.level_files(0))
+        l0 = len(self.versions.current.levels[0])
         if l0 < opts.l0_slowdown_trigger and (
             self.closing
             or (
@@ -386,7 +388,7 @@ class LSMEngine:
         opts = self.options
         events = self.env.metrics.events
         while not self.closing:
-            l0 = len(self.versions.current.level_files(0))
+            l0 = len(self.versions.current.levels[0])
             if len(self.immutables) >= MAX_WRITE_BUFFER_NUMBER:
                 self.counters.add("stall_memtable")
                 yield from self._stalled_wait(ctx, events, "memtable")
@@ -396,7 +398,7 @@ class LSMEngine:
                 yield from self._stalled_wait(ctx, events, "l0_stop")
                 continue
             break
-        l0 = len(self.versions.current.level_files(0))
+        l0 = len(self.versions.current.levels[0])
         if l0 >= opts.l0_slowdown_trigger:
             self.counters.add("stall_l0_slowdown")
             self._stall_depth += 1
@@ -464,7 +466,7 @@ class LSMEngine:
         independent of pick_compaction: probing the picker would advance its
         round-robin cursor and change compaction order.
         """
-        l0 = len(self.versions.current.level_files(0))
+        l0 = len(self.versions.current.levels[0])
         backlogged = (
             l0 >= self.options.l0_slowdown_trigger
             or len(self.immutables) >= MAX_WRITE_BUFFER_NUMBER
@@ -531,15 +533,15 @@ class LSMEngine:
         """
         costs = self.costs
         page_cache = self.env.disk.page_cache
-        version = self.versions.current
         pair = None  # the key's filter probe pair, hashed at the first table
-        for meta in version.levels[0]:  # newest first
-            if not (meta.smallest <= key <= meta.largest):
+        levels = self.versions.current.levels
+        for table in levels[0]:  # newest first
+            if not (table.smallest <= key <= table.largest):
                 continue
             if charge_probes:
                 yield self.env.cpu.exec(ctx, costs.get_table_probe, "read")
             pair = pair or probe_pair(key)
-            state, value = yield from meta.table.get(
+            state, value = yield from table.get(
                 key,
                 snapshot_seq,
                 self.block_cache,
@@ -549,20 +551,16 @@ class LSMEngine:
             )
             if state != NOT_FOUND:
                 return state, value
-        for level in range(1, version.num_levels()):
-            candidates = [
-                f
-                for f in version.level_files(level)
-                if f.smallest <= key <= f.largest
-            ]
+        for tables in levels[1:]:
+            candidates = [t for t in tables if t.smallest <= key <= t.largest]
             # Under leveled compaction there is at most one candidate; the
             # FLSM style may have several overlapping runs (newest first).
-            candidates.sort(key=lambda f: -f.number)
-            for meta in candidates:
+            candidates.sort(key=_NUMBER, reverse=True)
+            for table in candidates:
                 if charge_probes:
                     yield self.env.cpu.exec(ctx, costs.get_table_probe, "read")
                 pair = pair or probe_pair(key)
-                state, value = yield from meta.table.get(
+                state, value = yield from table.get(
                     key,
                     snapshot_seq,
                     self.block_cache,
@@ -753,11 +751,8 @@ class LSMEngine:
         """A RocksDB-`GetProperty`-style stats snapshot."""
         version = self.versions.current
         levels = [
-            {
-                "files": len(version.level_files(level)),
-                "bytes": version.level_bytes(level),
-            }
-            for level in range(version.num_levels())
+            {"files": len(tables), "bytes": version.level_bytes(level)}
+            for level, tables in enumerate(version.levels)
         ]
         return {
             "name": self.name,
@@ -852,9 +847,7 @@ class LSMEngine:
         if self._wal_pins:
             needed.append(min(self._wal_pins))
         oldest_log = min(needed)
-        edit = VersionEdit(
-            added=[(0, FileMeta.from_table(table))], log_number=oldest_log
-        )
+        edit = VersionEdit(added=[(0, table)], log_number=oldest_log)
         yield from self.versions.log_and_apply(edit)
         self.immutables = [
             (mt, log) for mt, log in self.immutables if mt is not memtable
@@ -901,12 +894,11 @@ class LSMEngine:
         if tracer is not None:
             started = sim._now
             vals = (self.name, compaction.level, compaction.target, compaction.input_bytes)
-        for meta in compaction.all_inputs:
-            self.compacting.add(meta.number)
+        for table in compaction.all_inputs:
+            self.compacting.add(table.number)
         try:
             runs = []
-            for meta in compaction.all_inputs:
-                table = meta.table
+            for table in compaction.all_inputs:
                 entries = yield from retry_io(
                     self.env,
                     lambda: table.read_all_entries(self.env.device),
@@ -957,15 +949,15 @@ class LSMEngine:
                 yield from self._write_sst(table, "compaction")
                 yield from self._throttle_compaction(table.file_size)
             edit = VersionEdit(
-                added=[(compaction.target, FileMeta.from_table(t)) for t in outputs],
+                added=[(compaction.target, t) for t in outputs],
                 deleted=[
-                    (compaction.level, f.number) for f in compaction.inputs_lo
+                    (compaction.level, t.number) for t in compaction.inputs_lo
                 ]
-                + [(compaction.target, f.number) for f in compaction.inputs_hi],
+                + [(compaction.target, t.number) for t in compaction.inputs_hi],
             )
             yield from self.versions.log_and_apply(edit)
-            for meta in compaction.all_inputs:
-                self.env.disk.delete_blob(self.versions.blob_name(meta.number))
+            for table in compaction.all_inputs:
+                self.env.disk.delete_blob(self.versions.blob_name(table.number))
             self.counters.add("compactions")
             self.counters.add("compaction_read_bytes", compaction.input_bytes)
             self.counters.add(
@@ -979,8 +971,8 @@ class LSMEngine:
                     vals + (sum(t.file_size for t in outputs), len(outputs)),
                 )
         finally:
-            for meta in compaction.all_inputs:
-                self.compacting.discard(meta.number)
+            for table in compaction.all_inputs:
+                self.compacting.discard(table.number)
 
     def _write_sst(self, table, category: str) -> Generator:
         """Persist a built SST: stage its blob, write it to the device as
@@ -1016,8 +1008,7 @@ class LSMEngine:
         total = self.memtable.approximate_size
         total += sum(mt.approximate_size for mt, _ in self.immutables)
         total += self.block_cache.used_bytes
-        version = self.versions.current
-        for level in range(version.num_levels()):
-            for meta in version.level_files(level):
-                total += meta.table.filter_bytes + len(meta.table.blocks) * 24
+        for tables in self.versions.current.levels:
+            for table in tables:
+                total += table.filter_bytes + len(table.blocks) * 24
         return total

@@ -1,13 +1,14 @@
 """Versions and the manifest: which SSTables are live at which level.
 
 A :class:`Version` is an immutable snapshot of the LSM-tree shape (readers
-grab a reference and are unaffected by concurrent compactions).  The
-:class:`VersionSet` applies edits (files added/removed, WAL watermark) and
+grab a reference and are unaffected by concurrent compactions): the SSTables
+of each level themselves, in the one order of the tree.  The
+:class:`VersionSet` applies edits (tables added/removed, WAL watermark) and
 persists each edit as a synced record in the manifest file, so recovery can
 rebuild the exact tree from the disk image — orphan SSTable blobs from a
 crash mid-flush are ignored and garbage-collected.
 
-Level 0 files may overlap and are searched newest-to-oldest; levels >= 1 are
+Level 0 tables may overlap and are searched newest-to-oldest; levels >= 1 are
 sorted and non-overlapping under leveled compaction.  Under the FLSM style
 (PebblesDB baseline) levels >= 1 hold multiple overlapping *runs*; reads must
 consult each run, which is the read-cost side of PebblesDB's low write
@@ -16,6 +17,7 @@ amplification.
 
 import pickle
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Generator, List, Optional, Tuple
 
 from repro.engine.env import Env
@@ -25,90 +27,57 @@ from repro.faults.retry import retry_io
 from repro.storage.sstable import SSTable
 from repro.storage.wal import LogReader, LogWriter
 
-__all__ = ["FileMeta", "Version", "VersionEdit", "VersionSet"]
+__all__ = ["Version", "VersionEdit", "VersionSet"]
 
-
-@dataclass
-class FileMeta:
-    """Metadata for one live SSTable."""
-
-    number: int
-    smallest: bytes
-    largest: bytes
-    file_size: int
-    entry_count: int
-    table: SSTable
-
-    @classmethod
-    def from_table(cls, table: SSTable) -> "FileMeta":
-        return cls(
-            number=table.number,
-            smallest=table.smallest,
-            largest=table.largest,
-            file_size=table.file_size,
-            entry_count=table.entry_count,
-            table=table,
-        )
+_NUMBER = attrgetter("number")
+_RANGE = attrgetter("smallest", "number")
 
 
 class Version:
-    """Immutable per-level file lists."""
+    """Immutable per-level table lists.
 
-    def __init__(self, levels: List[List[FileMeta]], flsm: bool):
+    Built from each level's tables in any order, and sorts them into the
+    tree's one order: L0 newest first, every other level by ``(smallest,
+    number)``.  The version owns the lists it is given."""
+
+    def __init__(self, levels: List[List[SSTable]], flsm: bool):
+        levels[0].sort(key=_NUMBER, reverse=True)
+        for tables in levels[1:]:
+            tables.sort(key=_RANGE)
         self.levels = levels
-        runs = [[meta] for meta in levels[0]]
-        for files in levels[1:]:
+        runs = [[table] for table in levels[0]]
+        for tables in levels[1:]:
             if flsm:
-                runs += [[meta] for meta in files]  # overlapping runs
-            elif files:
-                runs.append(files)
+                runs += [[table] for table in tables]  # overlapping runs
+            elif tables:
+                runs.append(tables)
         #: every sorted run a scan reads, one cursor each, as ``(tables, their
-        #: largest keys)``: each L0 file, newest first, then each non-empty
-        #: level >= 1 (each of its files under FLSM); built once for every
-        #: scan to share
+        #: largest keys)``: each L0 table, newest first, then each non-empty
+        #: level >= 1 (its own list; each of its tables under FLSM); built
+        #: once for every scan to share
         self.runs: List[Tuple[List[SSTable], List[bytes]]] = [
-            ([meta.table for meta in run], [meta.largest for meta in run])
-            for run in runs
+            (run, [table.largest for table in run]) for run in runs
         ]
 
-    def level_files(self, level: int) -> List[FileMeta]:
-        return self.levels[level] if level < len(self.levels) else []
-
     def level_bytes(self, level: int) -> int:
-        return sum(f.file_size for f in self.level_files(level))
-
-    def num_levels(self) -> int:
-        return len(self.levels)
+        return sum(table.file_size for table in self.levels[level])
 
     def overlapping(
         self, level: int, begin: Optional[bytes], end: Optional[bytes]
-    ) -> List[FileMeta]:
-        return [
-            f for f in self.level_files(level) if _overlaps(f, begin, end)
-        ]
-
-    def total_files(self) -> int:
-        return sum(len(files) for files in self.levels)
-
-
-def _overlaps(f: FileMeta, begin: Optional[bytes], end: Optional[bytes]) -> bool:
-    if begin is not None and f.largest < begin:
-        return False
-    if end is not None and f.smallest > end:
-        return False
-    return True
+    ) -> List[SSTable]:
+        return [t for t in self.levels[level] if t.overlaps(begin, end)]
 
 
 @dataclass
 class VersionEdit:
-    added: List[Tuple[int, FileMeta]] = field(default_factory=list)
+    added: List[Tuple[int, SSTable]] = field(default_factory=list)
     deleted: List[Tuple[int, int]] = field(default_factory=list)  # (level, number)
     log_number: Optional[int] = None  # oldest WAL still needed
 
     def encode(self) -> bytes:
         return pickle.dumps(
             {
-                "added": [(level, meta.number) for level, meta in self.added],
+                "added": [(level, table.number) for level, table in self.added],
                 "deleted": self.deleted,
                 "log_number": self.log_number,
             }
@@ -160,15 +129,11 @@ class VersionSet:
         self._apply(edit)
 
     def _apply(self, edit: VersionEdit) -> None:
-        levels = [list(files) for files in self.current.levels]
+        levels = [list(tables) for tables in self.current.levels]
         for level, number in edit.deleted:
-            levels[level] = [f for f in levels[level] if f.number != number]
-        for level, meta in edit.added:
-            levels[level].append(meta)
-        # L0 newest-first; other levels sorted by smallest key.
-        levels[0].sort(key=lambda f: -f.number)
-        for level in range(1, len(levels)):
-            levels[level].sort(key=lambda f: (f.smallest, f.number))
+            levels[level] = [t for t in levels[level] if t.number != number]
+        for level, table in edit.added:
+            levels[level].append(table)
         if edit.log_number is not None:
             self.log_number = edit.log_number
         self.current = Version(levels, self._flsm)
@@ -193,7 +158,7 @@ class VersionSet:
                 max_number = max(max_number, number)
             if edit["log_number"] is not None:
                 self.log_number = edit["log_number"]
-        levels: List[List[FileMeta]] = [[] for _ in range(MAX_LEVELS)]
+        levels: List[List[SSTable]] = [[] for _ in range(MAX_LEVELS)]
         for level, number in live:
             blob = self.blob_name(number)
             if not self.env.disk.blob_exists(blob):
@@ -201,11 +166,7 @@ class VersionSet:
                     "manifest references missing SSTable %s" % blob,
                     site=self._manifest_path(),
                 )
-            table = self.env.disk.get_blob(blob)
-            levels[level].append(FileMeta.from_table(table))
-        levels[0].sort(key=lambda f: -f.number)
-        for level in range(1, len(levels)):
-            levels[level].sort(key=lambda f: (f.smallest, f.number))
+            levels[level].append(self.env.disk.get_blob(blob))
         self.current = Version(levels, self._flsm)
         self.next_file_number = max_number + 1
         self._gc_orphan_blobs(live)

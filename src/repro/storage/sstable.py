@@ -106,10 +106,6 @@ class SSTable:
         index_bytes = len(blocks) * 24
         self.file_size = sum(b.nbytes for b in blocks) + self.filter_bytes + index_bytes
 
-    @property
-    def name(self) -> str:
-        return "sst-%06d" % self.number
-
     def overlaps(self, begin: Optional[bytes], end: Optional[bytes]) -> bool:
         """Key-range overlap test; None bounds are open."""
         if begin is not None and self.largest < begin:

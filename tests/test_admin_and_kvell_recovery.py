@@ -60,7 +60,7 @@ class TestEngineAdmin:
         from repro.engine.compaction import pick_compaction
 
         assert pick_compaction(engine) is None
-        l0 = len(engine.versions.current.level_files(0))
+        l0 = len(engine.versions.current.levels[0])
         assert l0 < engine.options.l0_compaction_trigger
 
     def test_reads_correct_after_compact_all(self, env):

@@ -57,8 +57,8 @@ class TestPebblesDB:
         # Some level beyond L0 accumulated more than one (overlapping) run.
         multi_run_levels = [
             level
-            for level in range(1, version.num_levels())
-            if len(version.level_files(level)) > 1
+            for level in range(1, len(version.levels))
+            if len(version.levels[level]) > 1
         ]
         assert multi_run_levels, version.levels
 

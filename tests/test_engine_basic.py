@@ -379,9 +379,9 @@ class TestTableFilters:
         assert engine.counters.get("compactions") > 0
         version = engine.versions.current
         tables = [
-            meta.table
-            for level in range(version.num_levels())
-            for meta in version.level_files(level)
+            table
+            for level in range(len(version.levels))
+            for table in version.levels[level]
         ]
         assert tables and all(table._bloom is None for table in tables)
         # memory_bytes() as it was when every table held a built filter.
@@ -410,7 +410,7 @@ class TestTableFilters:
             yield from engine.flush(ctx)
 
         run_process(env, fill())
-        l0 = engine.versions.current.level_files(0)
+        l0 = engine.versions.current.levels[0]
         assert len(l0) >= 3 and all(m.smallest <= key(150) <= m.largest for m in l0)
         calls = []
         real = bloom.fnv1a
@@ -418,4 +418,4 @@ class TestTableFilters:
         # key(150) is in the oldest file only: every L0 filter is probed.
         assert run_process(env, engine.get(ctx, key(150))) == value(150)
         assert calls == [key(150)]
-        assert all(m.table._bloom is not None for m in l0)
+        assert all(m._bloom is not None for m in l0)

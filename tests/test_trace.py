@@ -833,7 +833,9 @@ def test_a_scan_over_sorted_levels_costs_what_it_did():
 def test_a_read_over_sorted_levels_costs_what_it_did():
     """The same count on the point-lookup path over levels >= 1: 16-thread
     RocksDB uniform reads over 6 000 random fills, where the tree holds two
-    L0 files, then L1 and L2: 89.43 calls an op."""
+    L0 files, then L1 and L2: 85.90 calls an op; 89.43 while a version held
+    a copy of each table's metadata beside it and a lookup asked the version
+    for the number of levels and for each level's list."""
     env = make_env()
     system = open_system("rocksdb", env)
     preload(env, system, list(fillrandom(6000, 112, 3)), 8)
@@ -843,7 +845,7 @@ def test_a_read_over_sorted_levels_costs_what_it_did():
     calls = count_calls(lambda: run_closed_loop(env, system, streams))
     levels = system.store.versions.current.levels
     assert levels[1] and levels[2]
-    assert calls / 1000 <= 89.44
+    assert calls / 1000 <= 85.91
 
 
 def count_generator_frames(run) -> int:

@@ -10,7 +10,7 @@ from repro.core import P2KVS, adapter_factory
 from repro.engine.env import make_env
 from repro.engine.iterator import MemTableCursor, MergingIterator
 from repro.engine.options import EngineOptions
-from repro.engine.version import FileMeta, VersionEdit, VersionSet
+from repro.engine.version import VersionEdit, VersionSet
 from repro.storage.block_cache import BlockCache
 from repro.storage.memtable import MAX_SEQ, MemTable, VTYPE_DELETE, VTYPE_VALUE
 from repro.storage.sstable import SSTableBuilder, TableCursor
@@ -45,14 +45,14 @@ class TestVersionSet:
 
         def work():
             yield from versions.log_and_apply(
-                VersionEdit(added=[(1, FileMeta.from_table(t1))])
+                VersionEdit(added=[(1, t1)])
             )
             yield from versions.log_and_apply(
-                VersionEdit(added=[(1, FileMeta.from_table(t2))])
+                VersionEdit(added=[(1, t2)])
             )
 
         run_process(env, work())
-        files = versions.current.level_files(1)
+        files = versions.current.levels[1]
         assert [f.number for f in files] == [2, 1]  # sorted by smallest key
 
     def test_l0_sorted_newest_first(self, env):
@@ -62,11 +62,11 @@ class TestVersionSet:
             for number in (1, 2, 3):
                 table = build_table(number, range(5))
                 yield from versions.log_and_apply(
-                    VersionEdit(added=[(0, FileMeta.from_table(table))])
+                    VersionEdit(added=[(0, table)])
                 )
 
         run_process(env, work())
-        assert [f.number for f in versions.current.level_files(0)] == [3, 2, 1]
+        assert [f.number for f in versions.current.levels[0]] == [3, 2, 1]
 
     def test_delete_edit_removes(self, env):
         versions = self.make_versions(env)
@@ -74,23 +74,40 @@ class TestVersionSet:
 
         def work():
             yield from versions.log_and_apply(
-                VersionEdit(added=[(0, FileMeta.from_table(table))])
+                VersionEdit(added=[(0, table)])
             )
             yield from versions.log_and_apply(VersionEdit(deleted=[(0, 7)]))
 
         run_process(env, work())
-        assert versions.current.level_files(0) == []
+        assert versions.current.levels[0] == []
 
     def test_recover_rebuilds_from_manifest(self, env):
+        """Three L0 tables, two level-1 tables added out of key order and one
+        level-2 table: the recovered tree is the live one, table for table
+        and run for run, in the one order of both install paths."""
         versions = self.make_versions(env)
-        table = build_table(3, range(8))
-        blob = versions.blob_name(3)
-        env.disk.put_blob(blob, table, table.file_size)
-        env.disk.commit_blob(blob)
+        tables = {
+            number: build_table(number, ids)
+            for number, ids in (
+                (1, range(5)), (2, range(3, 9)), (3, range(2, 6)),
+                (4, range(20, 30)), (5, range(10, 20)), (6, range(8)),
+            )
+        }
+        for number, table in tables.items():
+            blob = versions.blob_name(number)
+            env.disk.put_blob(blob, table, table.file_size)
+            env.disk.commit_blob(blob)
 
         def work():
+            for number in (1, 2, 3):
+                yield from versions.log_and_apply(
+                    VersionEdit(added=[(0, tables[number])])
+                )
             yield from versions.log_and_apply(
-                VersionEdit(added=[(2, FileMeta.from_table(table))], log_number=9)
+                VersionEdit(added=[(1, tables[4]), (1, tables[5])])
+            )
+            yield from versions.log_and_apply(
+                VersionEdit(added=[(2, tables[6])], log_number=9)
             )
 
         run_process(env, work())
@@ -101,9 +118,20 @@ class TestVersionSet:
             yield from fresh.recover()
 
         run_process(env, recover())
-        assert [f.number for f in fresh.current.level_files(2)] == [3]
+
+        def shape(version):
+            levels = [[t.number for t in level] for level in version.levels]
+            runs = [
+                ([t.number for t in run], largest) for run, largest in version.runs
+            ]
+            return levels, runs
+
+        assert shape(fresh.current) == shape(versions.current)
+        levels, runs = shape(fresh.current)
+        assert levels[:3] == [[3, 2, 1], [5, 4], [6]]
+        assert [numbers for numbers, _ in runs] == [[3], [2], [1], [5, 4], [6]]
         assert fresh.log_number == 9
-        assert fresh.next_file_number == 4
+        assert fresh.next_file_number == 7
 
     def test_recover_gc_deletes_orphan_blobs(self, env):
         versions = self.make_versions(env)
@@ -123,7 +151,7 @@ class TestVersionSet:
 
         def work():
             yield from versions.log_and_apply(
-                VersionEdit(added=[(1, FileMeta.from_table(t))])
+                VersionEdit(added=[(1, t)])
             )
 
         run_process(env, work())
@@ -131,7 +159,7 @@ class TestVersionSet:
         assert version.overlapping(1, key(15), key(30)) != []
         assert version.overlapping(1, key(25), key(30)) == []
         assert version.level_bytes(1) == t.file_size
-        assert version.total_files() == 1
+        assert sum(len(tables) for tables in version.levels) == 1
 
 
 class TestMergingIterator:
