@@ -42,6 +42,8 @@ perf:
 # its own seed, the side that goes first alternating so host drift cancels.
 # Prints every pair, then per side the median and quartiles, the pairs won
 # and the base's inter-quartile range — the bar a claimed gain has to clear.
+# WORKLOAD may name several (WORKLOAD="read ycsb-a scan"): their pairs run one
+# workload after another, each summary printed under the workload's name.
 # BASE defaults to HEAD (what do my uncommitted changes do); a committed
 # change compares with BASE=HEAD~1.
 WORKLOAD ?= fill
@@ -65,15 +67,18 @@ endef
 export AB_SUMMARY
 ab:
 	@rm -rf .ab && mkdir -p .ab/base && git archive $(BASE) | tar -x -C .ab/base
-	@for i in $$(seq 1 $(PAIRS)); do \
-	    if [ $$((i % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
-	    for side in $$order; do \
-	        if [ $$side = base ]; then dir=.ab/base; else dir=.; fi; \
-	        (cd $$dir && $(PY) -m perfbench --workload $(WORKLOAD) --seed $$((100 + i)) --trace 0 \
-	            | tail -n 1) > .ab/$$side.$$i.json || exit 1; \
+	@for w in $(WORKLOAD); do \
+	    [ $(words $(WORKLOAD)) = 1 ] || echo "== $$w"; \
+	    for i in $$(seq 1 $(PAIRS)); do \
+	        if [ $$((i % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
+	        for side in $$order; do \
+	            if [ $$side = base ]; then dir=.ab/base; else dir=.; fi; \
+	            (cd $$dir && $(PY) -m perfbench --workload $$w --seed $$((100 + i)) --trace 0 \
+	                | tail -n 1) > .ab/$$side.$$i.json || exit 1; \
+	        done; \
 	    done; \
+	    $(PY) -c "$$AB_SUMMARY" $(PAIRS) || exit 1; \
 	done
-	@$(PY) -c "$$AB_SUMMARY" $(PAIRS)
 	@rm -rf .ab
 
 # Static analysis: the determinism lint rules (wall clocks, global RNGs,
