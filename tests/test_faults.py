@@ -378,6 +378,76 @@ class TestWorkerDegradation:
         assert worker.counters.get("poisoned_requests") >= 1
         assert worker._proc.triggered is False  # loop still running
 
+    @staticmethod
+    def _cold_p2kvs(policy):
+        """One p2KVS worker over 3 000 flushed records with caches too small
+        to hold them, so a point read reaches the device; the traced env
+        then gets ``policy``."""
+        from repro.core import adapter_factory
+        from repro.trace import install_tracer
+
+        env = make_env(page_cache_bytes=16384)
+        tracer = install_tracer(env)
+        kvs = run_process(env, P2KVS.open(
+            env, n_workers=1,
+            adapter_open=adapter_factory(
+                "rocksdb", block_cache_bytes=4096, write_buffer_size=65536,
+                target_file_size=65536,
+            ),
+        ))
+        ctx = env.cpu.new_thread("u")
+
+        def load():
+            for i in range(3000):
+                yield from kvs.put(ctx, key(i), b"v" * 112)
+            yield from kvs.workers[0].engine.flush(ctx)
+
+        run_process(env, load())
+        install_faults(env, policy=policy, seed=policy.seed)
+        return env, tracer, kvs, ctx
+
+    @staticmethod
+    def _retries(tracer):
+        return [
+            s.args["attempt"] for s in tracer.events if s.name == "retry:GET"
+        ]
+
+    def test_a_failed_read_is_retried(self):
+        """A read is idempotent: the worker re-dispatches it after a
+        transient device error, and the retry returns the value."""
+        env, tracer, kvs, ctx = self._cold_p2kvs(FaultPolicy(
+            5, error_rate=1.0, timeout_share=0.0, kinds=("read",),
+            categories=("read",), max_faults=1,
+        ))
+        value = run_process(env, kvs.get(ctx, key(17)))
+        assert value == b"v" * 112
+        worker = kvs.workers[0]
+        assert worker.counters.get("request_retries") == 1
+        assert worker.counters.get("poisoned_requests") == 0
+        assert self._retries(tracer) == [1]
+
+    def test_a_read_that_keeps_failing_is_poisoned(self):
+        """Bounded: after ``MAX_BATCH_RETRIES`` re-dispatches the read fails
+        with its typed error, and the worker loop lives on."""
+        env, tracer, kvs, ctx = self._cold_p2kvs(FaultPolicy(
+            5, error_rate=1.0, timeout_share=0.0, kinds=("read",),
+            categories=("read",),
+        ))
+
+        def read():
+            try:
+                yield from kvs.get(ctx, key(2900))
+            except KVError as exc:
+                return exc
+            return None
+
+        assert isinstance(run_process(env, read()), IOFailure)
+        worker = kvs.workers[0]
+        assert worker.counters.get("request_retries") == 2
+        assert worker.counters.get("poisoned_requests") == 1
+        assert self._retries(tracer) == [1, 2]
+        assert worker._proc.triggered is False
+
 
 # ---------------------------------------------------------------------------
 # Zero-overhead off path + status API + registry

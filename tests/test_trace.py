@@ -848,6 +848,24 @@ def test_a_read_over_sorted_levels_costs_what_it_did():
     assert calls / 1000 <= 85.91
 
 
+def _p2kvs_reads():
+    """p2KVS-8 uniform point reads over 16 threads after 6 000 random fills,
+    perfbench's ``read`` shape without its cold caches; ready to run."""
+    env = make_env()
+    system = open_system("p2kvs", env, workers=8)
+    preload(env, system, list(fillrandom(6000, 112, 3)), 8)
+    return env, system, split_stream(list(readrandom(1000, 6000, seed=4)), 16)
+
+
+@pytest.mark.no_sanitize
+def test_a_p2kvs_read_costs_what_it_did():
+    """The same count on p2KVS's point-lookup path (user verb, request,
+    worker, instance): 81.61 calls an op."""
+    env, system, streams = _p2kvs_reads()
+    calls = count_calls(lambda: run_closed_loop(env, system, streams))
+    assert calls / 1000 <= 81.62
+
+
 def count_generator_frames(run) -> int:
     """Generator frames created while ``run()`` runs: a ``call`` event on a
     generator's code for a frame not seen before (each resume is a ``call``
@@ -893,10 +911,13 @@ def test_a_storage_step_that_cannot_wait_is_a_call():
     put) returns that step's generator instead of delegating to it: scan
     42.59 -> 33.66, fill 9.95 -> 5.38.  A merge whose blocks are cached is a
     call, and a sub-scan's rows go straight back to the worker loop: scan
-    33.66 -> 18.27."""
+    33.66 -> 18.27.  A p2KVS point read: 6.62 an op."""
     env, system, streams = _ycsb_e(600)
     frames = count_generator_frames(lambda: run_closed_loop(env, system, streams))
     assert frames / 600 <= 18.27
     env, system, streams, _ = _observed_fill(observe=False)
     frames = count_generator_frames(lambda: run_closed_loop(env, system, streams))
     assert frames / 2000 <= 5.38
+    env, system, streams = _p2kvs_reads()
+    frames = count_generator_frames(lambda: run_closed_loop(env, system, streams))
+    assert frames / 1000 <= 6.62
