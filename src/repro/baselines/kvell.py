@@ -138,11 +138,11 @@ class KVellLike:
         status.raise_for_error()
 
     def get_status(self, ctx, key: bytes) -> Generator:
-        request = _Request("get", key=key)
-        return (yield from self._submit(ctx, request, self._route(key)))
+        return self._submit(ctx, _Request("get", key=key), self._route(key))
 
     def get(self, ctx, key: bytes) -> Generator:
-        status = yield from self.get_status(ctx, key)
+        request = _Request("get", key=key)
+        status = yield from self._submit(ctx, request, self._route(key))
         return status.value_or(None)
 
     def scan(self, ctx, begin: bytes, count: int) -> Generator:

@@ -119,10 +119,10 @@ class WiredTigerLike:
     # -- write path --------------------------------------------------------------
 
     def put(self, ctx, key: bytes, value: bytes) -> Generator:
-        yield from self._write_one(ctx, VTYPE_VALUE, key, value)
+        return self._write_one(ctx, VTYPE_VALUE, key, value)
 
     def delete(self, ctx, key: bytes) -> Generator:
-        yield from self._write_one(ctx, VTYPE_DELETE, key, b"")
+        return self._write_one(ctx, VTYPE_DELETE, key, b"")
 
     def _write_one(self, ctx, vtype: int, key: bytes, value: bytes) -> Generator:
         yield self.write_lock.acquire(ctx, "wal_lock")

@@ -87,7 +87,6 @@ class P2KVS:
         adapter_open: Optional[Callable] = None,
         obm: bool = True,
         obm_cap: int = 32,
-        pin_workers: bool = True,
         pin_base: int = 0,
         scan_strategy: str = "parallel",
         router=None,
@@ -119,12 +118,11 @@ class P2KVS:
             # ``pin_base`` offsets the pin targets so several deployments
             # on one machine (the service plane's shards) get disjoint
             # cores instead of all stacking their workers on core 0.
-            core = ((pin_base + i) % env.cpu.n_cores) if pin_workers else None
             worker = Worker(
                 i,
                 env,
                 engine,
-                core=core,
+                core=(pin_base + i) % env.cpu.n_cores,
                 obm_enabled=obm,
                 obm_cap=obm_cap,
                 prefix=name,
@@ -284,12 +282,11 @@ class P2KVS:
 
     def get_status(self, ctx, key: bytes) -> Generator:
         """Point lookup with the full status: ok / not_found / error."""
-        request = Request(OP_GET, key=key)
-        return (yield from self._submit_and_wait(ctx, request))
+        return self._submit_and_wait(ctx, Request(OP_GET, key=key))
 
     def get(self, ctx, key: bytes) -> Generator:
         """Point-lookup sugar: value bytes or None; raises on typed errors."""
-        status = yield from self.get_status(ctx, key)
+        status = yield from self._submit_and_wait(ctx, Request(OP_GET, key=key))
         return status.value_or(None)
 
     def put_async(
@@ -426,12 +423,11 @@ class P2KVS:
             self.env, "%s/db-%d" % (self.name, old_n), None
         )
         template = self.workers[0]
-        pinned = template.ctx.pinned
         worker = Worker(
             old_n,
             self.env,
             engine,
-            core=None if pinned is None else (pinned + old_n) % self.env.cpu.n_cores,
+            core=(template.ctx.pinned + old_n) % self.env.cpu.n_cores,
             obm_enabled=template.obm_enabled,
             obm_cap=template.obm_cap,
             prefix=self.name,

@@ -150,17 +150,19 @@ class Worker:
 
     def _run_batch(self, batch: List[Request]) -> Generator:
         """Execute with degradation: a typed error fails *requests*, never
-        the worker loop.  Read-class batches (no side effects, no member
-        completed before the error) get a bounded retry with backoff;
-        write-class errors poison only the still-pending members — a WAL
-        append is not idempotent, so a whole-batch rewrite could double
-        writes that already completed."""
+        the worker loop.  A lone request completes here, and only here, with
+        what its step returned (``DONE`` for ``None``); a merged batch's
+        members complete where they finish.  Read-class batches (no side
+        effects, no member completed before the error) get a bounded retry
+        with backoff; write-class errors poison only the still-pending
+        members — a WAL append is not idempotent, so a whole-batch rewrite
+        could double writes that already completed."""
         attempts = 0
         while True:
             try:
-                rows = yield from self._execute(batch)
-                if rows is not None:  # a SCAN or RANGE: its rows complete it
-                    self._complete(batch[0], rows)
+                result = yield from self._execute(batch)
+                if len(batch) == 1:
+                    self._complete(batch[0], DONE if result is None else result)
                 return
             except KVError as exc:
                 retryable = (
@@ -206,20 +208,27 @@ class Worker:
                 )
 
     def _execute(self, batch: List[Request]):
-        """For ``yield from``: the batch's execution, ``()`` once done.  A
-        SCAN or RANGE (never batched) returns its rows, which the framework's
-        merge turns into pairs, for :meth:`_run_batch` to complete it with."""
+        """For ``yield from``: the batch's execution.  A lone request's is
+        the engine's own step, whose result :meth:`_run_batch` completes it
+        with: a GET's status, a write's ``None``, a SCAN's or RANGE's rows
+        (which the framework's merge turns into pairs), a transaction
+        release's ``()``.  A merged batch completes its members itself."""
         first = batch[0]
-        if first.op == OP_TXN_RELEASE:
-            self._release_txn_snapshot(first)
-            return ()
         merge_class = first.merge_class
         if merge_class == WRITE_CLASS:
             if len(batch) == 1:
                 return self._execute_single_write(first)
             return self._execute_writes(batch)
         if merge_class == READ_CLASS:
+            if len(batch) == 1:
+                return self.engine.get_status(self.ctx, first.key, self._read_snapshot())
             return self._execute_reads(batch)
+        if first.op == OP_TXN_RELEASE:
+            # The transaction committed: reads stop using its snapshot.
+            seq = self.txn_snapshots.pop(first.gsn, None)
+            if seq is not None:
+                self.engine.release_snapshot(seq)
+            return ()
         if first.op == OP_SCAN:
             return self.engine.scan_rows(self.ctx, first.begin, first.count)
         return self.engine.range_rows(self.ctx, first.begin, first.end)
@@ -232,16 +241,13 @@ class Worker:
             return None
         return min(self.txn_snapshots.values())
 
-    def _release_txn_snapshot(self, request: Request) -> None:
-        seq = self.txn_snapshots.pop(request.gsn, None)
-        if seq is not None:
-            self.engine.release_snapshot(seq)
-        self._complete(request, DONE)
-
     def _execute_writes(self, batch: List[Request]) -> Generator:
         if not self.engine.supports_batch_write:
+            # Each write completes right after its own: a member's ack is
+            # not deferred to the end of the batch.
             for request in batch:
                 yield from self._execute_single_write(request)
+                self._complete(request, DONE)
             return
         merged = WriteBatch()
         for request in batch:
@@ -257,29 +263,24 @@ class Worker:
         for request in batch:
             self._complete(request, DONE)
 
-    def _execute_single_write(self, request: Request) -> Generator:
+    def _execute_single_write(self, request: Request):
+        """For ``yield from``: the engine's step for one write."""
         if request.op == OP_WRITEBATCH:
             if request.snapshot_isolated:
                 # Shield concurrent readers from this transaction's updates
                 # until the framework confirms the global commit (write_batch
                 # admits read_committed on snapshot-capable engines only).
                 self.txn_snapshots[request.gsn] = self.engine.snapshot()
-            yield from self.engine.write(
+            return self.engine.write(
                 self.ctx, request.batch, request.gsn, request.rtype
             )
-        elif request.op == "DELETE":
-            yield from self.engine.delete(self.ctx, request.key)
-        else:
-            yield from self.engine.put(self.ctx, request.key, request.value)
-        self._complete(request, DONE)
+        if request.op == "DELETE":
+            return self.engine.delete(self.ctx, request.key)
+        return self.engine.put(self.ctx, request.key, request.value)
 
     def _execute_reads(self, batch: List[Request]) -> Generator:
         engine = self.engine
         snapshot = self._read_snapshot()
-        if len(batch) == 1:
-            status = yield from engine.get_status(self.ctx, batch[0].key, snapshot)
-            self._complete(batch[0], status)
-            return
         self.counters.add("obm_read_batches")
         self.counters.add("obm_read_merged", len(batch))
         keys = [request.key for request in batch]

@@ -118,13 +118,9 @@ class TestWorkerExecution:
         assert len(scan.future.value.value) == 5  # future carries a KVStatus
 
     def test_worker_pinned_to_requested_core(self, env):
-        kvs = open_p2kvs(env, n_workers=2, pin_workers=True)
+        kvs = open_p2kvs(env, n_workers=2)
         cores = [w.ctx.pinned for w in kvs.workers]
         assert cores == [0, 1]
-
-    def test_unpinned_workers_option(self, env):
-        kvs = open_p2kvs(env, n_workers=2, pin_workers=False)
-        assert all(w.ctx.pinned is None for w in kvs.workers)
 
 
 class TestFrameworkIntrospection:
