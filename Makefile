@@ -42,6 +42,9 @@ perf:
 # its own seed, the side that goes first alternating so host drift cancels.
 # Prints every pair, then per side the median and quartiles, the pairs won
 # and the base's inter-quartile range — the bar a claimed gain has to clear.
+# Each run's detail document (perfbench/out/<workload>.run.json) is kept beside
+# its result, and the summary names every exact (simulated) value that differs
+# between the two runs of a pair: a pair runs one seed, so any is drift.
 # WORKLOAD may name several (WORKLOAD="read ycsb-a scan"): their pairs run one
 # workload after another, each summary printed under the workload's name.
 # BASE defaults to HEAD (what do my uncommitted changes do); a committed
@@ -63,6 +66,13 @@ for name, better in (("host_ops_per_s", 1), ("setup_s", -1), ("peak_rss_mb", -1)
     won = sum((y - x) * better > 0 for x, y in zip(a, b))
     print("%-15s base %.5g (q1 %.5g, q3 %.5g)  change %.5g (q1 %.5g, q3 %.5g)  %+.1f%%, change better in %d/%d, base IQR %.3g"
           % (name, qa[1], qa[0], qa[2], qb[1], qb[0], qb[2], 100 * (qb[1] / qa[1] - 1), won, pairs, qa[2] - qa[0]))
+exact = lambda side, i: json.load(open(".ab/%s.%d.run.json" % (side, i)))["exact"]
+changed = set()
+for i in range(1, pairs + 1):
+    a, b = exact("base", i), exact("change", i)
+    changed.update(key for key in set(a) | set(b) if a.get(key) != b.get(key))
+print("exact values changed within a pair: " + ", ".join(sorted(changed)) if changed
+      else "no exact (simulated) value changed")
 endef
 export AB_SUMMARY
 ab:
@@ -75,6 +85,7 @@ ab:
 	            if [ $$side = base ]; then dir=.ab/base; else dir=.; fi; \
 	            (cd $$dir && $(PY) -m perfbench --workload $$w --seed $$((100 + i)) --trace 0 \
 	                | tail -n 1) > .ab/$$side.$$i.json || exit 1; \
+	            cp $$dir/perfbench/out/$$w.run.json .ab/$$side.$$i.run.json || exit 1; \
 	        done; \
 	    done; \
 	    $(PY) -c "$$AB_SUMMARY" $(PAIRS) || exit 1; \
