@@ -243,8 +243,8 @@ class Worker:
 
     def _execute_writes(self, batch: List[Request]) -> Generator:
         if not self.engine.supports_batch_write:
-            # Each write completes right after its own: a member's ack is
-            # not deferred to the end of the batch.
+            # Each member completes right after its own write: an ack
+            # deferred to the batch's end would wake its client later.
             for request in batch:
                 yield from self._execute_single_write(request)
                 self._complete(request, DONE)
