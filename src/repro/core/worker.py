@@ -224,7 +224,8 @@ class Worker:
                 return self.engine.get_status(self.ctx, first.key, self._read_snapshot())
             return self._execute_reads(batch)
         if first.op == OP_TXN_RELEASE:
-            # The transaction committed: reads stop using its snapshot.
+            # The transaction is over (committed or failed): reads stop
+            # using the snapshot taken before it.
             seq = self.txn_snapshots.pop(first.gsn, None)
             if seq is not None:
                 self.engine.release_snapshot(seq)
