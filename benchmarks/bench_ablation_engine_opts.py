@@ -64,31 +64,15 @@ def test_ablation_engine_optimizations(benchmark):
     assert_shapes(
         "ablation_engine_opts",
         [
+            ShapeCheck("ablation_engine_opts.both", full / baseline, 1.05),
+            ShapeCheck("ablation_engine_opts.group_commit", baseline / nogroup, 1.05),
             ShapeCheck(
-                "concurrent memtable + pipelining help at 16 threads",
-                "RocksDB's optimizations are real",
-                full / baseline,
-                1.05,
-            ),
-            ShapeCheck(
-                "group commit is the biggest single lever",
-                "grouping >> none",
-                baseline / nogroup,
-                1.05,
-            ),
-            ShapeCheck(
-                "single-thread throughput is insensitive to them",
-                "~1x",
+                "ablation_engine_opts.single_thread",
                 out[("full rocksdb (both)", 1)]
                 / out[("baseline (exclusive, unpipelined)", 1)],
                 0.8,
                 1.3,
             ),
-            ShapeCheck(
-                "sync WAL costs throughput vs async logging",
-                "the paper runs async (Section 3.4)",
-                full / sync_wal,
-                1.05,
-            ),
+            ShapeCheck("ablation_engine_opts.sync_wal", full / sync_wal, 1.05),
         ],
     )

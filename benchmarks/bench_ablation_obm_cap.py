@@ -48,22 +48,15 @@ def test_ablation_obm_cap(benchmark):
     assert_shapes(
         "ablation_obm_cap",
         [
+            ShapeCheck("ablation_obm_cap.batching", out[32][0] / out[1][0], 1.2),
             ShapeCheck(
-                "batching (cap 32) beats no batching (cap 1)",
-                "OBM works",
-                out[32][0] / out[1][0],
-                1.2,
-            ),
-            ShapeCheck(
-                "gains saturate: cap 128 is within 25% of cap 32",
-                "diminishing returns",
+                "ablation_obm_cap.saturation",
                 out[128][0] / out[32][0],
                 0.75,
                 1.35,
             ),
             ShapeCheck(
-                "cap actually bounds the batches",
-                "avg <= cap",
+                "ablation_obm_cap.bound",
                 float(all(out[cap][2] <= cap + 1e-9 for cap in CAPS)),
                 1.0,
                 1.0,

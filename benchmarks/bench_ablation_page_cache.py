@@ -75,21 +75,10 @@ def test_ablation_page_cache(benchmark):
     assert_shapes(
         "ablation_page_cache",
         [
+            ShapeCheck("ablation_page_cache.edge", min(cold_edge, warm_edge), 1.0),
+            ShapeCheck("ablation_page_cache.warm", rocks_warm_gain, 1.2),
             ShapeCheck(
-                "p2KVS keeps an edge in both regimes",
-                ">1x cold and warm",
-                min(cold_edge, warm_edge),
-                1.0,
-            ),
-            ShapeCheck(
-                "warm cache speeds up single-threaded reads",
-                "RAM >> flash",
-                rocks_warm_gain,
-                1.2,
-            ),
-            ShapeCheck(
-                "regimes measurably differ",
-                "cache residency matters",
+                "ablation_page_cache.regimes",
                 abs(cold_edge - warm_edge) + 1.0,
                 1.0,
             ),

@@ -87,21 +87,18 @@ def test_ablation_partitioning(benchmark):
         "ablation_partitioning",
         [
             ShapeCheck(
-                "hash keeps zipfian load balanced",
-                "even under skew",
+                "ablation_partitioning.hash_zipfian",
                 out[("hash", "zipfian")][1],
                 1.0,
                 1.5,
             ),
             ShapeCheck(
-                "range partitioning collapses on sequential load",
-                "hot partition",
+                "ablation_partitioning.range_sequential",
                 out[("range", "sequential")][1],
                 2.0,
             ),
             ShapeCheck(
-                "hash out-throughputs range on sequential load",
-                "balanced wins",
+                "ablation_partitioning.hash_vs_range",
                 out[("hash", "sequential")][0] / out[("range", "sequential")][0],
                 1.3,
             ),

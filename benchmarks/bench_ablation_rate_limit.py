@@ -71,22 +71,19 @@ def test_ablation_compaction_rate_limit(benchmark):
         "ablation_rate_limit",
         [
             ShapeCheck(
-                "a binding cap bounds compaction write rate",
-                "<= 40 MB/s",
+                "ablation_rate_limit.binding",
                 float(binding["compaction_bw"] <= 50 * 1024 * 1024),
                 1.0,
                 1.0,
             ),
             ShapeCheck(
-                "a cap with headroom is free",
-                "~1x avg latency",
+                "ablation_rate_limit.headroom",
                 headroom["avg"] / max(free["avg"], 1e-12),
                 0.7,
                 1.5,
             ),
             ShapeCheck(
-                "an over-tight cap backs up writers (the SILK trade-off)",
-                "stalls when compaction debt grows",
+                "ablation_rate_limit.tight",
                 binding["p99"] / max(free["p99"], 1e-12),
                 0.8,
             ),

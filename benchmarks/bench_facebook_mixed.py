@@ -63,20 +63,9 @@ def test_facebook_mixed_sizes(benchmark):
     assert_shapes(
         "facebook_mixed",
         [
-            ShapeCheck(
-                "p2KVS wins the write-heavy mixed-size mix",
-                "small-write bottleneck holds for realistic sizes",
-                write_heavy_gain,
-                1.2,
-            ),
+            ShapeCheck("facebook_mixed.write_heavy", write_heavy_gain, 1.2),
             # Read-dominated + warm cache: the same D3 divergence as YCSB A
             # (EXPERIMENTS.md) — direct RocksDB threads beat 8 workers here.
-            ShapeCheck(
-                "read-dominated mix (D3 divergence regime)",
-                "paper would expect >=1x",
-                zippy_gain,
-                0.25,
-                2.0,
-            ),
+            ShapeCheck("facebook_mixed.read_dominated", zippy_gain, 0.25, 2.0),
         ],
     )

@@ -1,9 +1,9 @@
 """Figure 12: random-write throughput, IO amplification and bandwidth
 utilization — RocksDB vs PebblesDB vs p2KVS-4 vs p2KVS-8.
 
-Paper: p2KVS-4 and p2KVS-8 beat RocksDB by 2.7x and 4.6x; p2KVS-8 has the
+Paper: p2KVS-4 and p2KVS-8 beat RocksDB several times over; p2KVS-8 has the
 lowest IO amplification (wider, shallower tree across instances); p2KVS
-drives the SSD far harder than RocksDB/PebblesDB (<20% utilization).
+drives the SSD far harder than RocksDB/PebblesDB.
 The micro-benchmark uses 16 user threads with p2KVS's async interface.
 """
 
@@ -55,22 +55,19 @@ def test_fig12_random_write(benchmark):
         "fig12",
         [
             ShapeCheck(
-                "p2KVS-4 write speedup over RocksDB",
-                "2.7x",
+                "fig12.p2kvs4_speedup",
                 out["p2kvs-4"].qps / rocks.qps,
                 1.8,
                 5.0,
             ),
             ShapeCheck(
-                "p2KVS-8 write speedup over RocksDB",
-                "4.6x",
+                "fig12.p2kvs8_speedup",
                 out["p2kvs-8"].qps / rocks.qps,
                 3.0,
                 9.0,
             ),
             ShapeCheck(
-                "p2KVS-8 has the lowest IO amplification",
-                "lowest",
+                "fig12.p2kvs8_lowest_io_amp",
                 float(
                     out["p2kvs-8"].io_amplification
                     < min(
@@ -83,25 +80,17 @@ def test_fig12_random_write(benchmark):
                 1.0,
             ),
             ShapeCheck(
-                "PebblesDB IO amp below RocksDB",
-                "lower",
+                "fig12.pebbles_io_amp",
                 rocks.io_amplification / out["pebblesdb"].io_amplification,
                 1.0,
             ),
             ShapeCheck(
-                "p2KVS-8 uses more SSD bandwidth than RocksDB",
-                "full vs <20%",
+                "fig12.p2kvs8_bandwidth",
                 out["p2kvs-8"].bandwidth_utilization
                 / max(rocks.bandwidth_utilization, 1e-9),
                 1.2,
             ),
-            ShapeCheck(
-                "PebblesDB is not write-concurrency optimized",
-                "< RocksDB",
-                out["pebblesdb"].qps / rocks.qps,
-                0.1,
-                1.2,
-            ),
+            ShapeCheck("fig12.pebbles_qps", out["pebblesdb"].qps / rocks.qps, 0.1, 1.2),
         ],
         # Surface the p2KVS-8 run's stall/backlog events next to the verdicts.
         env=envs["p2kvs-8"],

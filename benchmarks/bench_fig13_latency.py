@@ -1,9 +1,9 @@
 """Figure 13: write latency vs offered load (open-loop Poisson arrivals).
 
 Paper: average latencies of RocksDB and p2KVS are close under light load,
-but RocksDB's tail explodes past ~100 KQPS while p2KVS holds p99 < 1 ms up
-to ~400 KQPS — i.e. p2KVS sustains several times higher intensity at the
-same latency.  (Rates here are against the scaled simulator's capacities:
+but RocksDB's tail explodes under load while p2KVS holds a sub-millisecond
+p99 — i.e. p2KVS sustains several times higher intensity at the same
+latency.  (Rates here are against the scaled simulator's capacities:
 RocksDB saturates around 400 KQPS, p2KVS-8 far above.)
 """
 
@@ -65,25 +65,8 @@ def test_fig13_latency_vs_intensity(benchmark):
     assert_shapes(
         "fig13",
         [
-            ShapeCheck(
-                "similar average latency under light load",
-                "~1x",
-                close_at_light,
-                0.3,
-                3.0,
-            ),
-            ShapeCheck(
-                "RocksDB p99 spikes when overloaded",
-                "drastic spikes",
-                rocks_spike,
-                10.0,
-            ),
-            ShapeCheck(
-                "p2KVS-8 p99 stays below 1 ms at the highest rate",
-                "<1 ms to 400 KQPS",
-                float(p2_p99_at_high < 1e-3),
-                1.0,
-                1.0,
-            ),
+            ShapeCheck("fig13.light_load", close_at_light, 0.3, 3.0),
+            ShapeCheck("fig13.rocksdb_spike", rocks_spike, 10.0),
+            ShapeCheck("fig13.p2kvs_p99", float(p2_p99_at_high < 1e-3), 1.0, 1.0),
         ],
     )

@@ -82,28 +82,16 @@ def test_fig18_fig19_kv_size(benchmark):
         "fig18_19",
         [
             ShapeCheck(
-                "small KVs gain more from OBM on writes (LOAD)",
-                "128B > 1KB",
+                "fig18_19.load_obm",
                 obm_gain("LOAD", "128B") / obm_gain("LOAD", "1KB"),
                 1.0,
             ),
+            ShapeCheck("fig18_19.read_obm", obm_gain("C", "1KB"), 1.05),
             ShapeCheck(
-                "OBM remains effective for reads at 1KB (C)",
-                "still effective",
-                obm_gain("C", "1KB"),
-                1.05,
-            ),
-            ShapeCheck(
-                "overall LOAD speedup lower at 1KB than 128B (Fig 19)",
-                "lower",
+                "fig18_19.load_speedup",
                 speedup("LOAD", "128B") / speedup("LOAD", "1KB"),
                 1.0,
             ),
-            ShapeCheck(
-                "p2KVS still ahead on LOAD at 1KB",
-                ">1x",
-                speedup("LOAD", "1KB"),
-                1.0,
-            ),
+            ShapeCheck("fig18_19.load_1kb", speedup("LOAD", "1KB"), 1.0),
         ],
     )

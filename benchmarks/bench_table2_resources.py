@@ -1,9 +1,9 @@
 """Table 2: memory and CPU usage under the Figure 12 random-write run.
 
-Paper (normalized to one core): RocksDB ~1694% CPU with tiny memory (its 16
-user threads each burn a core on lock churn); PebblesDB ~321% (threads mostly
-waiting); p2KVS-4 ~762% and p2KVS-8 ~1239% (workers + per-instance
-background threads), with modest, stable memory (<1.5 GB; scaled here).
+Paper (normalized to one core): RocksDB burns the most CPU with tiny memory
+(its 16 user threads each burn a core on lock churn); PebblesDB the least
+(threads mostly waiting); p2KVS's CPU grows with its workers (workers +
+per-instance background threads), with modest, stable memory (scaled here).
 """
 
 from benchmarks.bench_fig12_write import SYSTEMS
@@ -42,15 +42,13 @@ def test_table2_memory_and_cpu(benchmark):
         "table2",
         [
             ShapeCheck(
-                "p2KVS-8 uses more CPU than p2KVS-4",
-                "1239% vs 762%",
+                "table2.cpu",
                 out["p2kvs-8"].cpu_utilization
                 / max(out["p2kvs-4"].cpu_utilization, 1e-9),
                 1.1,
             ),
             ShapeCheck(
-                "PebblesDB uses the least CPU (threads wait)",
-                "321%",
+                "table2.pebbles_cpu",
                 float(
                     out["pebblesdb"].cpu_utilization
                     < min(
@@ -62,8 +60,7 @@ def test_table2_memory_and_cpu(benchmark):
                 1.0,
             ),
             ShapeCheck(
-                "p2KVS memory grows with workers but stays bounded",
-                "0.94 GB vs 0.58 GB",
+                "table2.memory",
                 out["p2kvs-8"].memory_bytes / max(out["p2kvs-4"].memory_bytes, 1),
                 1.0,
                 4.0,

@@ -3,7 +3,9 @@
 Every ``bench_figXX`` module regenerates one table or figure of the paper:
 it runs the scaled experiment, prints the same rows/series the paper shows,
 writes the output to ``results/<name>.txt``, and asserts the paper's
-qualitative shape (who wins, roughly by what factor).
+qualitative shape (who wins, roughly by what factor) claim by claim: the
+paper's stated numbers live in one table, ``repro.harness.paper``, which a
+figure's ``ShapeCheck``s name by key.
 
 Run with::
 
@@ -30,6 +32,7 @@ from typing import List
 from repro.engine import make_env
 from repro.harness import run_closed_loop, run_open_loop
 from repro.harness.metrics import scoped_collector
+from repro.harness.paper import CLAIMS
 from repro.harness.report import ShapeCheck, format_table
 from repro.systems import describe_options, open_system
 from repro.workloads import split_stream
@@ -115,10 +118,20 @@ def report(name: str, text: str) -> None:
 def assert_shapes(name: str, checks: List[ShapeCheck], env=None) -> None:
     """Record shape checks and fail the bench if a claim's band is missed.
 
+    ``checks`` must check exactly the claims ``repro.harness.paper`` lists
+    for figure ``name``, each once: a key the table lacks for it, or a row
+    of it left unchecked, fails before anything is written.
+
     When ``env`` is given, the registry's write-stall / compaction-backlog
     event summary is appended to ``results/<name>.checks.txt`` so backpressure
     behind a shape miss is visible next to the verdicts.
     """
+    checked = sorted(c.claim for c in checks)
+    listed = sorted(key for key, claim in CLAIMS.items() if claim.figure == name)
+    if checked != listed:
+        raise ValueError(
+            "%s checks %s; the claims table lists %s" % (name, checked, listed)
+        )
     table = format_table(
         ["shape check", "paper", "measured", "accept band", "verdict"],
         [c.row() for c in checks],
@@ -142,8 +155,8 @@ def assert_shapes(name: str, checks: List[ShapeCheck], env=None) -> None:
         f.write(text)
     print()
     print(text)
-    missed = [c for c in checks if not c.ok]
-    assert not missed, "shape checks missed: %s" % [c.name for c in missed]
+    missed = [c.claim for c in checks if not c.ok]
+    assert not missed, "shape checks missed: %s" % missed
 
 
 def once(benchmark, fn):

@@ -4,11 +4,11 @@ KVell's design points, reproduced:
 
 * N workers, each owning a partition with a fully **in-memory B-tree index**
   mapping keys to slab pages — fast lookups, but the index dominates memory
-  (Figure 21b: ~2x p2KVS even net of the page cache);
+  (Figure 21b, claim ``fig21.memory``: even net of the page cache);
 * **no WAL, no ordering on disk**: items live in size-class slab pages;
   inserts fill the worker's open page sequentially, updates dirty their
   existing page in place (no compaction, no write amplification — but small
-  random IOs keep bandwidth utilization low, Figure 21a: ~300 MB/s);
+  random IOs keep bandwidth utilization low, Figure 21a);
 * **batched asynchronous IO**: the worker collects a batch of requests and
   submits their page IOs together so they overlap on the SSD's channels;
 * scans walk the index and fetch scattered pages — the weakness workload E

@@ -138,7 +138,7 @@ class Worker:
                         )
                         r.queue_aid = None
                 op = batch[0].op
-            yield from self._run_batch(batch)
+            yield from self._run_batch(batch, n == 1)
             if tracer is not None:
                 tracer.complete(
                     "execute:%s" % batch[0].merge_class, "worker", ctx.track,
@@ -148,10 +148,10 @@ class Worker:
     #: bounded re-dispatches of an idempotent batch before poisoning it.
     MAX_BATCH_RETRIES = 2
 
-    def _run_batch(self, batch: List[Request]) -> Generator:
+    def _run_batch(self, batch: List[Request], lone: bool) -> Generator:
         """Execute with degradation: a typed error fails *requests*, never
-        the worker loop.  A lone request completes here, and only here, with
-        what its step returned (``DONE`` for ``None``); a merged batch's
+        the worker loop.  A ``lone`` request completes here, and only here,
+        with what its step returned (``DONE`` for ``None``); a merged batch's
         members complete where they finish.  Read-class batches (no side
         effects, no member completed before the error) get a bounded retry
         with backoff; write-class errors poison only the still-pending
@@ -160,9 +160,13 @@ class Worker:
         attempts = 0
         while True:
             try:
-                result = yield from self._execute(batch)
-                if len(batch) == 1:
+                if lone:
+                    result = yield from self._execute_one(batch[0])
                     self._complete(batch[0], DONE if result is None else result)
+                elif batch[0].merge_class == WRITE_CLASS:
+                    yield from self._execute_writes(batch)
+                else:
+                    yield from self._execute_reads(batch)
                 return
             except KVError as exc:
                 retryable = (
@@ -207,32 +211,26 @@ class Worker:
                     (exc.code, poisoned),
                 )
 
-    def _execute(self, batch: List[Request]):
-        """For ``yield from``: the batch's execution.  A lone request's is
-        the engine's own step, whose result :meth:`_run_batch` completes it
-        with: a GET's status, a write's ``None``, a SCAN's or RANGE's rows
-        (which the framework's merge turns into pairs), a transaction
-        release's ``()``.  A merged batch completes its members itself."""
-        first = batch[0]
-        merge_class = first.merge_class
+    def _execute_one(self, request: Request):
+        """For ``yield from``: the engine's own step for a lone request, whose
+        result :meth:`_run_batch` completes it with: a GET's status, a write's
+        ``None``, a SCAN's or RANGE's rows (which the framework's merge turns
+        into pairs), a transaction release's ``()``."""
+        merge_class = request.merge_class
         if merge_class == WRITE_CLASS:
-            if len(batch) == 1:
-                return self._execute_single_write(first)
-            return self._execute_writes(batch)
+            return self._execute_single_write(request)
         if merge_class == READ_CLASS:
-            if len(batch) == 1:
-                return self.engine.get_status(self.ctx, first.key, self._read_snapshot())
-            return self._execute_reads(batch)
-        if first.op == OP_TXN_RELEASE:
+            return self.engine.get_status(self.ctx, request.key, self._read_snapshot())
+        if request.op == OP_TXN_RELEASE:
             # The transaction is over (committed or failed): reads stop
             # using the snapshot taken before it.
-            seq = self.txn_snapshots.pop(first.gsn, None)
+            seq = self.txn_snapshots.pop(request.gsn, None)
             if seq is not None:
                 self.engine.release_snapshot(seq)
             return ()
-        if first.op == OP_SCAN:
-            return self.engine.scan_rows(self.ctx, first.begin, first.count)
-        return self.engine.range_rows(self.ctx, first.begin, first.end)
+        if request.op == OP_SCAN:
+            return self.engine.scan_rows(self.ctx, request.begin, request.count)
+        return self.engine.range_rows(self.ctx, request.begin, request.end)
 
     # -- read-committed isolation (Section 4.5 future work) ---------------
 

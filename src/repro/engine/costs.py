@@ -4,14 +4,14 @@ The paper's Section 3.3 breaks a RocksDB write into WAL, MemTable, WAL lock,
 MemTable lock and Others, and reports the single-thread micro-latencies we
 calibrate to:
 
-* WAL averages **2.1 us** at 1 thread, falling to **0.8 us** at 32 threads
+* WAL time per op falls from 1 to 32 threads (claim ``fig06.group_logging``)
   because group logging amortizes the per-IO setup across the group — hence
   a fixed ``wal_write_setup`` per log write plus ``wal_encode_per_record``.
 * MemTable insert averages **2.9 us** at 1 thread rising to **5.7 us** at 32
   threads from concurrent-skiplist interference — hence a per-concurrent-
   writer ``memtable_concurrency_penalty``.
 * Lock overheads (leader hand-off, follower wake-ups) grow with group size
-  and dominate at high thread counts (81.4% at 32 threads in Figure 6).
+  and dominate at high thread counts (claim ``fig06.locks_32``).
 
 All times are seconds.  These constants are deliberately simple: the goal is
 to reproduce the paper's *shapes* (who is the bottleneck when), not cycle
@@ -51,8 +51,8 @@ class CostModel:
     #: per-writer update of the shared memtable metadata (sequence counts,
     #: version bookkeeping) after a concurrent insert.  This is a SERIAL
     #: critical section on the instance: it is what caps the shared
-    #: concurrent memtable at ~3.7x in the paper's Fig 8b while sharded
-    #: instances keep scaling.
+    #: concurrent memtable's scaling in the paper's Fig 8b (claim
+    #: ``fig08.memtable_single``) while sharded instances keep scaling.
     memtable_metadata_sync: float = 0.8e-6
     #: extra per-record overhead when applying a multi-record WriteBatch
     #: (vs. the amortized full-request path).

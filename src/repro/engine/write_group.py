@@ -11,7 +11,7 @@ This file is where the paper's scalability pathology lives:
 * followers sleep while the leader works — their wait is accounted as
   ``wal_lock`` until the log write completes and ``memtable_lock`` after;
 * the leader pays a wake-up cost per follower, so lock overhead *grows* with
-  group size (Figure 6's 81.4% at 32 threads);
+  group size (Figure 6, claim ``fig06.locks_32``);
 * with ``pipelined_write`` the WAL stage of the next group overlaps the
   MemTable stage of the current one.
 """

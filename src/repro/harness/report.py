@@ -1,13 +1,15 @@
 """Reporting: ASCII tables and paper-vs-measured shape checks.
 
 Benchmarks print the same rows/series the paper's figures show, plus a shape
-check comparing the measured ratio against the paper's reported ratio with a
-tolerance band — we reproduce *shapes* (who wins, by roughly what factor),
-not absolute numbers (DESIGN.md Section 1).
+check comparing the measured ratio against a claim of ``repro.harness.paper``
+with a tolerance band — we reproduce *shapes* (who wins, by roughly what
+factor), not absolute numbers (DESIGN.md Section 1).
 """
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
+
+from repro.harness.paper import CLAIMS
 
 __all__ = [
     "ShapeCheck",
@@ -169,10 +171,10 @@ def format_stall_timeline(sampler, events, n_cores: int) -> str:
 
 @dataclass
 class ShapeCheck:
-    """One qualitative claim from the paper, checked against the simulation."""
+    """One claim of the paper (its ``repro.harness.paper`` key, which names
+    the check and its paper cell), checked against the simulation."""
 
-    name: str
-    paper: str
+    claim: str
     measured: float
     lo: float
     hi: Optional[float] = None
@@ -190,8 +192,8 @@ class ShapeCheck:
             else "%.2f..%.2f" % (self.lo, self.hi)
         )
         return [
-            self.name,
-            self.paper,
+            CLAIMS[self.claim].text,
+            CLAIMS[self.claim].paper,
             "%.2f" % self.measured,
             bound,
             "OK" if self.ok else "MISS",

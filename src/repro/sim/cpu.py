@@ -8,9 +8,9 @@ A :class:`CPUSet` owns ``n_cores`` cores.  Simulated threads
 With more runnable threads than cores, bursts queue — reproducing the core
 saturation that caps multi-instance scaling in the paper's Figure 5a.  A
 thread may be *pinned* to one core (the paper pins workers to cores and
-reports a 10-15% gain); unpinned threads pay a migration penalty when they
-land on a different core than their previous burst, which is what that gain
-measures.
+reports a gain, claim ``fig05.pinning``); unpinned threads pay a migration
+penalty when they land on a different core than their previous burst, which
+is what that gain measures.
 
 Per-thread accounting of busy and wait time by category feeds the latency
 breakdown of Figure 6 (WAL / MemTable / WAL lock / MemTable lock / Others).

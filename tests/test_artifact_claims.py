@@ -4,11 +4,12 @@
   because thread-synchronization overhead becomes the bottleneck
   (Sections 3.2/3.3, Figures 5a and 6).
 * **C2** — p2KVS with 8 workers improves RocksDB's write throughput by a
-  large factor (Section 5.2, Figure 12a; paper: up to 4.6x).
+  large factor (Section 5.2, Figure 12a).
 
 These run scaled-down versions of the appendix's E1/E2 experiments so that
 ``pytest tests/`` alone demonstrates the headline results; the full-size
-versions live in ``benchmarks/``.
+versions live in ``benchmarks/``.  The paper's numbers come from the claims
+table (``repro.harness.paper``); the accept bands are this file's own.
 """
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from repro import systems
 from repro.engine import make_env
 from repro.harness import P2KVSSystem, open_system, run_closed_loop
+from repro.harness.paper import CLAIMS
 from repro.workloads import fillrandom, split_stream
 
 TOTAL_OPS = 12000
@@ -36,15 +38,20 @@ class TestClaimC1:
         qps_1 = run_rocksdb(1).qps
         qps_32 = run_rocksdb(32).qps
         speedup = qps_32 / qps_1
-        # Paper: ~3x at 32 threads — far from the 32x of linear scaling.
-        assert 1.3 < speedup < 6.0
+        # Far from linear scaling in the thread count.
+        paper = CLAIMS["fig05.single_speedup_32"]
+        assert 1.3 < speedup < 6.0, "speedup %.2fx, paper %.1fx at %d threads" % (
+            speedup, paper.value, paper.threads,
+        )
 
     def test_synchronization_is_the_bottleneck_at_32_threads(self):
         buckets = run_rocksdb(32).attribution["categories"]
         lock_time = buckets["WAL lock"] + buckets["MemTable lock"]
         useful_time = buckets["WAL"] + buckets["MemTable"]
-        # Paper Fig 6: locks 81.4% vs useful 16.3% at 32 threads.
-        assert lock_time > 2 * useful_time
+        locks, useful = CLAIMS["fig06.locks_32"], CLAIMS["fig06.useful_32"]
+        assert lock_time > 2 * useful_time, "paper Fig 6: locks %s vs useful %s" % (
+            locks.paper, useful.paper,
+        )
 
 
 class TestClaimC2:
@@ -61,5 +68,7 @@ class TestClaimC2:
             env, system, split_stream(fillrandom(TOTAL_OPS * 2), 16)
         ).qps
         speedup = p2 / rocks
-        # Paper: up to 4.6x; we accept anything clearly multiple-x.
-        assert speedup > 3.0, "p2KVS-8 speedup only %.2fx" % speedup
+        # We accept anything clearly multiple-x.
+        assert speedup > 3.0, "p2KVS-8 speedup only %.2fx, paper %.1fx" % (
+            speedup, CLAIMS["fig12.p2kvs8_speedup"].value,
+        )

@@ -9,6 +9,7 @@ from repro.harness import (
     MetricsCollector,
     MultiInstanceSystem,
     P2KVSSystem,
+    ShapeCheck,
     SingleInstanceSystem,
     WiredTigerSystem,
     open_system,
@@ -16,6 +17,7 @@ from repro.harness import (
     run_closed_loop,
     run_open_loop,
 )
+from repro.harness.paper import CLAIMS
 from repro.metrics import install_stats
 from repro.monitor import attach_store_monitor
 from repro.systems import BENCH_SHAPE
@@ -170,6 +172,30 @@ class TestRunCase:
         assert system.engine.options.block_cache_bytes == FIGURE_ENGINE["block_cache_bytes"]
         with pytest.raises(ValueError, match="engine"):
             open_case("kvell", engine={"pipelined_write": False})
+
+
+class TestAssertShapes:
+    """benchmarks.common.assert_shapes holds a figure to the claims table."""
+
+    def test_a_missing_or_extra_claim_fails_before_anything_is_written(
+        self, tmp_path, monkeypatch
+    ):
+        import benchmarks.common as common
+
+        monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+        checks = [
+            ShapeCheck(key, 1.0, 1.0)
+            for key, claim in CLAIMS.items()
+            if claim.figure == "fig12"
+        ]
+        with pytest.raises(ValueError, match=checks[-1].claim):
+            common.assert_shapes("fig12", checks[:-1])
+        for extra in ("fig05.pinning", "fig12.no_such_claim"):
+            with pytest.raises(ValueError, match=extra):
+                common.assert_shapes("fig12", checks + [ShapeCheck(extra, 1.0, 1.0)])
+        assert list(tmp_path.iterdir()) == []
+        common.assert_shapes("fig12", checks)
+        assert (tmp_path / "fig12.checks.txt").exists()
 
 
 class TestMetricsCollector:

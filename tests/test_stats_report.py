@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.paper import CLAIMS
 from repro.harness.report import ShapeCheck, format_qps, format_table
 from repro.metrics.registry import CounterGroup, Histogram
 
@@ -76,17 +77,20 @@ class TestReport:
         assert format_qps(2_500_000) == "2.50 MQPS"
 
     def test_shape_check_lower_bound(self):
-        check = ShapeCheck("x", "2x", measured=2.5, lo=2.0)
+        check = ShapeCheck("fig12.p2kvs8_speedup", measured=2.5, lo=2.0)
         assert check.ok
-        assert ShapeCheck("x", "2x", measured=1.5, lo=2.0).ok is False
+        assert ShapeCheck("fig12.p2kvs8_speedup", measured=1.5, lo=2.0).ok is False
 
     def test_shape_check_band(self):
-        assert ShapeCheck("x", "~1x", 1.0, 0.5, 2.0).ok
-        assert not ShapeCheck("x", "~1x", 3.0, 0.5, 2.0).ok
-        assert not ShapeCheck("x", "~1x", 0.1, 0.5, 2.0).ok
+        assert ShapeCheck("fig13.light_load", 1.0, 0.5, 2.0).ok
+        assert not ShapeCheck("fig13.light_load", 3.0, 0.5, 2.0).ok
+        assert not ShapeCheck("fig13.light_load", 0.1, 0.5, 2.0).ok
 
     def test_shape_check_row_verdict(self):
-        row = ShapeCheck("name", "p", 1.0, 0.5, 2.0).row()
-        assert row[-1] == "OK"
-        row = ShapeCheck("name", "p", 9.0, 0.5, 2.0).row()
-        assert row[-1] == "MISS"
+        """The row reads its name and paper cell from the claims table."""
+        claim = CLAIMS["fig13.light_load"]
+        row = ShapeCheck("fig13.light_load", 1.0, 0.5, 2.0).row()
+        assert row == [claim.text, claim.paper, "1.00", "0.50..2.00", "OK"]
+        row = ShapeCheck("fig13.light_load", 9.0, 0.5).row()
+        assert row[3:] == [">= 0.50", "OK"]
+        assert ShapeCheck("fig13.light_load", 9.0, 0.5, 2.0).row()[-1] == "MISS"
